@@ -96,7 +96,8 @@ impl ReliableComm {
     pub fn send(&mut self, now: SimTime, dst: ArmorId, events: Vec<ArmorEvent>) -> WirePacket {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let msg = ArmorMessage { src: self.me, dst, seq, events };
+        let msg = ArmorMessage::new(self.me, dst, seq, events);
+        // The retransmission copy shares the packet's event slice.
         self.pending.insert(seq, Pending { msg: msg.clone(), last_sent: now, retries: 0 });
         WirePacket::Data(msg)
     }
@@ -109,7 +110,7 @@ impl ReliableComm {
     pub fn send_unreliable(&mut self, dst: ArmorId, events: Vec<ArmorEvent>) -> WirePacket {
         let seq = self.next_seq;
         self.next_seq += 1;
-        WirePacket::Data(ArmorMessage { src: self.me, dst, seq, events })
+        WirePacket::Data(ArmorMessage::new(self.me, dst, seq, events))
     }
 
     /// The (sorted) seen-sequence set for `src`, created on first use.
@@ -294,6 +295,32 @@ mod tests {
         // Execution ARMOR is never recovered.
         let retrans = daemon.tick(t(3)).into_iter().next().unwrap();
         assert!(matches!(ftm.on_packet(retrans), Inbound::DuplicateReAck(_)));
+    }
+
+    #[test]
+    fn pending_packets_and_forks_share_one_event_slice() {
+        let shares = |a: &ArmorMessage, b: &ArmorMessage| {
+            std::ptr::eq(a.events().as_ptr(), b.events().as_ptr())
+        };
+        let mut a = ReliableComm::new(ArmorId(1), SimDuration::from_secs(2));
+        let WirePacket::Data(sent) = a.send(t(0), ArmorId(2), events()) else { panic!() };
+        assert!(shares(&sent, &a.pending[&sent.seq].msg), "pending shares the packet's slice");
+
+        // A fork retransmits out of the same slice; neither side's
+        // pending entry is disturbed by the other's traffic.
+        let mut fork = a.clone();
+        let before = format!("{:?}", a.pending);
+        let retrans = fork.tick(t(3));
+        let WirePacket::Data(resent) = &retrans[0] else { panic!() };
+        assert!(shares(&sent, resent));
+        let ack = WirePacket::Ack { src: ArmorId(1), dst: ArmorId(2), seq: sent.seq };
+        assert!(matches!(fork.on_packet(ack), Inbound::AckConsumed));
+        assert_eq!(format!("{:?}", a.pending), before);
+        assert_eq!(
+            sent.events(),
+            events().as_slice(),
+            "the slice outlives the fork's pending entry"
+        );
     }
 
     #[test]

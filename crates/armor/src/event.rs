@@ -9,6 +9,7 @@
 //! propagation scenarios).
 
 use crate::value::{Fields, Value};
+use std::sync::Arc;
 
 /// Unique ARMOR identity — "each ARMOR is addressed by a unique
 /// identification number, allowing messages to be sent to an ARMOR without
@@ -77,6 +78,12 @@ pub enum WireKind {
 
 /// A message between ARMORs: addressed by [`ArmorId`], carried by the
 /// daemon gateways, acknowledged end-to-end.
+///
+/// The events are an immutable shared slice: the sender's retransmission
+/// copy, every in-flight packet, every hop through a daemon and every
+/// snapshot fork hold the same allocation, so cloning a message is a
+/// refcount bump. Nothing mutates events after the message is built
+/// (outgoing poison is applied to the `Vec` before it is wrapped).
 #[derive(Clone, Debug)]
 pub struct ArmorMessage {
     /// Sender identity.
@@ -85,16 +92,27 @@ pub struct ArmorMessage {
     pub dst: ArmorId,
     /// Per-sender sequence number (set by the comm layer).
     pub seq: u64,
-    /// The events to deliver, in order.
-    pub events: Vec<ArmorEvent>,
+    events: Arc<[ArmorEvent]>,
+    /// Computed once at construction; every hop asks for it.
+    wire_size: u64,
 }
 
 impl ArmorMessage {
+    /// Builds a message, freezing `events` into a shared slice.
+    pub fn new(src: ArmorId, dst: ArmorId, seq: u64, events: Vec<ArmorEvent>) -> Self {
+        let payload: usize =
+            events.iter().map(|e| e.tag.len() + 16 + e.fields.leaf_count() * 24).sum();
+        ArmorMessage { src, dst, seq, events: events.into(), wire_size: 64 + payload as u64 }
+    }
+
+    /// The events to deliver, in order.
+    pub fn events(&self) -> &[ArmorEvent] {
+        &self.events
+    }
+
     /// Approximate wire size (for the network model).
     pub fn wire_size(&self) -> u64 {
-        let payload: usize =
-            self.events.iter().map(|e| e.tag.len() + 16 + e.fields.leaf_count() * 24).sum();
-        64 + payload as u64
+        self.wire_size
     }
 }
 
@@ -150,12 +168,7 @@ mod tests {
 
     #[test]
     fn wire_packet_destination() {
-        let msg = ArmorMessage {
-            src: ArmorId(1),
-            dst: ArmorId(2),
-            seq: 5,
-            events: vec![ArmorEvent::new("x")],
-        };
+        let msg = ArmorMessage::new(ArmorId(1), ArmorId(2), 5, vec![ArmorEvent::new("x")]);
         assert_eq!(WirePacket::Data(msg).destination(), ArmorId(2));
         // Acks travel back to the original sender.
         let ack = WirePacket::Ack { src: ArmorId(1), dst: ArmorId(2), seq: 5 };
@@ -164,21 +177,15 @@ mod tests {
 
     #[test]
     fn wire_size_grows_with_payload() {
-        let small = ArmorMessage {
-            src: ArmorId(1),
-            dst: ArmorId(2),
-            seq: 0,
-            events: vec![ArmorEvent::new("a")],
-        };
-        let big = ArmorMessage {
-            src: ArmorId(1),
-            dst: ArmorId(2),
-            seq: 0,
-            events: vec![ArmorEvent::new("a")
-                .with("x", Value::U64(1))
-                .with("y", Value::Str("zzz".into()))],
-        };
-        assert!(big.wire_size() > small.wire_size());
+        let small = ArmorMessage::new(ArmorId(1), ArmorId(2), 0, vec![ArmorEvent::new("a")]);
+        let big = ArmorMessage::new(
+            ArmorId(1),
+            ArmorId(2),
+            0,
+            vec![ArmorEvent::new("a").with("x", Value::U64(1)).with("y", Value::Str("zzz".into()))],
+        );
+        assert_eq!(small.wire_size(), 64 + 1 + 16);
+        assert_eq!(big.wire_size(), 64 + 1 + 16 + 2 * 24);
     }
 
     #[test]

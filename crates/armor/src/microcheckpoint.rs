@@ -17,9 +17,10 @@
 //! 2. **Commit happens on every message transmission**, keeping the
 //!    global checkpoint set consistent so a single process rolls back.
 
-use crate::wire::{decode_fields, encode_fields_into, DecodeError};
+use crate::wire::{decode_fields, encode_fields_into, take_run, take_string, DecodeError};
 use crate::Fields;
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Buf, BytesMut};
+use std::sync::Arc;
 
 /// The in-process checkpoint buffer: one disjoint region per element,
 /// with an **incrementally maintained** stable-storage image.
@@ -38,8 +39,17 @@ use bytes::{Buf, Bytes, BytesMut};
 ///   construction; only a region changing *length* forces a full
 ///   rebuild (which also refreshes every offset).
 ///
-/// Regions are addressed by construction-order index through a sorted
-/// name→index table, replacing the linear `String` compare per event.
+/// The assembled image is **shared**, not copied, with whoever commits
+/// it: `encode` hands out the `Arc` the buffer itself holds, so the RAM
+/// disk's file, this buffer and every snapshot fork of either point at
+/// one allocation. A commit with no dirty region is a refcount bump; a
+/// dirty one patches through [`Arc::make_mut`], which is the single
+/// point where the buffer unshares from stable storage and from forks —
+/// an image already handed out is never written to.
+///
+/// Regions are addressed by construction-order index: the per-event
+/// path passes the element's position, and only by-name callers pay the
+/// sorted-table lookup.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointBuffer {
     regions: Vec<Region>,
@@ -47,7 +57,7 @@ pub struct CheckpointBuffer {
     by_name: Vec<(String, u32)>,
     /// The assembled stable-storage image as of the last commit
     /// (empty until the first commit).
-    assembled: Vec<u8>,
+    assembled: Arc<Vec<u8>>,
     /// True when a region's image changed length since the last commit,
     /// invalidating every cached offset.
     needs_rebuild: bool,
@@ -93,7 +103,7 @@ impl CheckpointBuffer {
         CheckpointBuffer {
             regions,
             by_name,
-            assembled: Vec::new(),
+            assembled: Arc::default(),
             needs_rebuild: true,
             scratch,
             updates: 0,
@@ -109,29 +119,34 @@ impl CheckpointBuffer {
     }
 
     /// Looks up a region by element name (sorted table, no linear
-    /// `String` scan).
-    fn region_index(&self, element: &str) -> Option<usize> {
+    /// `String` scan). With duplicate names the first constructed wins.
+    pub(crate) fn region_index(&self, element: &str) -> Option<usize> {
         self.by_name
             .binary_search_by(|(name, _)| name.as_str().cmp(element))
             .ok()
             .map(|i| self.by_name[i].1 as usize)
     }
 
-    /// Copies `state` into the region of `element` — the per-event
-    /// microcheckpoint step. Returns `false` if the element is unknown.
+    /// Copies `state` into the region of `element`, by name. Returns
+    /// `false` if the element is unknown.
     ///
     /// Re-encoding into a reusable scratch buffer, the update is a no-op
     /// (region stays clean for the next commit) when the encoded image
     /// is byte-identical to the region's current one.
     pub fn update(&mut self, element: &str, state: &Fields) -> bool {
-        let Some(i) = self.region_index(element) else { return false };
+        let Some(region) = self.region_index(element) else { return false };
+        self.update_at(region, state);
+        true
+    }
+
+    fn update_at(&mut self, region: usize, state: &Fields) {
         self.updates += 1;
         self.scratch.clear();
         encode_fields_into(state, &mut self.scratch);
-        let region = &mut self.regions[i];
+        let region = &mut self.regions[region];
         if region.image.as_slice() == &self.scratch[..] {
             self.clean_updates += 1;
-            return true;
+            return;
         }
         if region.image.len() != self.scratch.len() {
             self.needs_rebuild = true;
@@ -139,7 +154,30 @@ impl CheckpointBuffer {
         region.image.clear();
         region.image.extend_from_slice(&self.scratch);
         region.dirty = true;
-        true
+    }
+
+    /// The per-event microcheckpoint step: [`CheckpointBuffer::update`]
+    /// of region `region` (construction order), skipping the encode when
+    /// `state` is provably what the region already holds. It takes the
+    /// state's dirty mark and, if no mutating entry point of [`Fields`]
+    /// ran since the mark was last taken, only counts a clean update.
+    ///
+    /// The caller owns the pairing: nothing else may take `state`'s
+    /// dirty mark, and one state goes to one region. The ARMOR runtime
+    /// keeps it by construction — one buffer per process, one region
+    /// per element.
+    ///
+    /// # Panics
+    ///
+    /// If `region >= self.region_count()`.
+    pub fn microcheckpoint(&mut self, region: usize, state: &mut Fields) {
+        if state.take_dirty() {
+            self.update_at(region, state);
+        } else {
+            assert!(region < self.regions.len(), "no checkpoint region {region}");
+            self.updates += 1;
+            self.clean_updates += 1;
+        }
     }
 
     /// The current image of one region (for tests/inspection).
@@ -147,27 +185,30 @@ impl CheckpointBuffer {
         self.region_index(element).map(|i| self.regions[i].image.as_slice())
     }
 
-    /// Serialises the whole buffer into a stable-storage image.
+    /// Serialises the whole buffer into a stable-storage image, shared
+    /// with the buffer's own cached copy.
     ///
     /// Incremental: the image assembled at the previous commit is kept,
     /// and only regions whose state changed since then are re-written
-    /// into their (stable) spans. A region that changed length triggers
-    /// a full rebuild.
-    pub fn encode(&mut self) -> Vec<u8> {
+    /// into their (stable) spans — copying the image first if the
+    /// previous commit's holder still shares it. A region that changed
+    /// length triggers a full rebuild.
+    pub fn encode(&mut self) -> Arc<Vec<u8>> {
         self.commits += 1;
         if self.needs_rebuild || self.assembled.is_empty() {
             self.rebuild_assembled();
         } else {
             self.patched_commits += 1;
-            for region in &mut self.regions {
-                if region.dirty {
-                    self.assembled[region.offset..region.offset + region.image.len()]
+            if self.regions.iter().any(|r| r.dirty) {
+                let assembled = Arc::make_mut(&mut self.assembled);
+                for region in self.regions.iter_mut().filter(|r| r.dirty) {
+                    assembled[region.offset..region.offset + region.image.len()]
                         .copy_from_slice(&region.image);
                     region.dirty = false;
                 }
             }
         }
-        self.assembled.clone()
+        Arc::clone(&self.assembled)
     }
 
     /// Rebuilds the assembled image from scratch, refreshing every
@@ -175,7 +216,8 @@ impl CheckpointBuffer {
     fn rebuild_assembled(&mut self) {
         let total: usize =
             4 + self.regions.iter().map(|r| 8 + r.element.len() + r.image.len()).sum::<usize>();
-        let mut buf = std::mem::take(&mut self.assembled);
+        // Reuse the allocation only if nobody else holds the old image.
+        let mut buf = Arc::try_unwrap(std::mem::take(&mut self.assembled)).unwrap_or_default();
         buf.clear();
         buf.reserve(total);
         buf.extend_from_slice(&(self.regions.len() as u32).to_be_bytes());
@@ -187,7 +229,7 @@ impl CheckpointBuffer {
             buf.extend_from_slice(&region.image);
             region.dirty = false;
         }
-        self.assembled = buf;
+        self.assembled = Arc::new(buf);
         self.needs_rebuild = false;
     }
 
@@ -198,31 +240,15 @@ impl CheckpointBuffer {
     /// Fails on truncated or structurally invalid images — the caller
     /// treats this as "no usable checkpoint" and cold-starts.
     pub fn decode(image: &[u8]) -> Result<Vec<(String, Fields)>, DecodeError> {
-        let mut buf = Bytes::copy_from_slice(image);
+        let mut buf = image;
         if buf.remaining() < 4 {
             return Err(DecodeError::Truncated);
         }
         let n = buf.get_u32() as usize;
         let mut out = Vec::with_capacity(n.min(256));
         for _ in 0..n {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let name_len = buf.get_u32() as usize;
-            if buf.remaining() < name_len {
-                return Err(DecodeError::Truncated);
-            }
-            let name = String::from_utf8(buf.copy_to_bytes(name_len).to_vec())
-                .map_err(|_| DecodeError::BadUtf8)?;
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let img_len = buf.get_u32() as usize;
-            if buf.remaining() < img_len {
-                return Err(DecodeError::Truncated);
-            }
-            let img = buf.copy_to_bytes(img_len);
-            let fields = decode_fields(&img)?;
+            let name = take_string(&mut buf)?;
+            let fields = decode_fields(take_run(&mut buf)?)?;
             out.push((name, fields));
         }
         Ok(out)
@@ -334,7 +360,7 @@ mod tests {
     }
 
     /// From-scratch reference image for the given (name, state) pairs.
-    fn reference_image(states: &[(&str, &Fields)]) -> Vec<u8> {
+    fn reference_image(states: &[(&str, &Fields)]) -> Arc<Vec<u8>> {
         CheckpointBuffer::new(states.iter().copied()).encode()
     }
 
@@ -387,6 +413,47 @@ mod tests {
         assert!(buf.update("a", &fields(7)));
         assert_eq!(buf.clean_updates(), 1);
         assert_eq!(buf.encode(), first);
+    }
+
+    #[test]
+    fn commits_share_one_image_until_a_region_changes() {
+        let a = fields(7);
+        let mut buf = CheckpointBuffer::new([("a", &a)]);
+        let first = buf.encode();
+        let second = buf.encode();
+        assert!(Arc::ptr_eq(&first, &second), "a clean commit is a refcount bump");
+        // A dirty commit patches a private copy: the image already
+        // handed out (to the RAM disk, to a fork) keeps its bytes.
+        let before = first.to_vec();
+        buf.update("a", &fields(8));
+        let third = buf.encode();
+        assert!(!Arc::ptr_eq(&first, &third));
+        assert_eq!(*first, before, "a handed-out image is never written to");
+        assert_eq!(CheckpointBuffer::decode(&third).unwrap()[0].1.u64("v"), Some(8));
+        // A fork of the buffer shares the image and unshares on its own
+        // first dirty commit, leaving this side alone.
+        let mut fork = buf.clone();
+        fork.update("a", &fields(9));
+        let forked = fork.encode();
+        assert_eq!(CheckpointBuffer::decode(&forked).unwrap()[0].1.u64("v"), Some(9));
+        assert!(Arc::ptr_eq(&third, &buf.encode()), "the original still holds its own image");
+    }
+
+    #[test]
+    fn gated_microcheckpoint_skips_only_untouched_state() {
+        let mut state = fields(1);
+        let mut buf = CheckpointBuffer::new([("a", &state)]);
+        state.take_dirty();
+        buf.microcheckpoint(0, &mut state);
+        assert_eq!((buf.updates(), buf.clean_updates()), (1, 1), "untouched: counted, not encoded");
+        state.set("v", Value::U64(1));
+        buf.microcheckpoint(0, &mut state);
+        assert_eq!((buf.updates(), buf.clean_updates()), (2, 2), "touched, same bytes: clean");
+        state.set("v", Value::U64(2));
+        buf.microcheckpoint(0, &mut state);
+        assert_eq!((buf.updates(), buf.clean_updates()), (3, 2));
+        assert!(!state.is_dirty());
+        assert_eq!(CheckpointBuffer::decode(&buf.encode()).unwrap()[0].1.u64("v"), Some(2));
     }
 
     #[test]

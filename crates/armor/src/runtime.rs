@@ -12,9 +12,10 @@ use crate::comm::{Inbound, ReliableComm};
 use crate::element::{Element, ElementOutcome};
 use crate::event::{ArmorEvent, ArmorId, WirePacket};
 use crate::microcheckpoint::CheckpointBuffer;
-use crate::value::{Fields, Value};
+use crate::value::Value;
 use ree_os::{
-    FieldKind, HeapHit, HeapModel, HeapTarget, Message, Pid, ProcCtx, Process, Signal, TraceDetail,
+    FieldKind, HeapHit, HeapModel, HeapTarget, Message, Payload, Pid, ProcCtx, Process, Signal,
+    TraceDetail,
 };
 use ree_sim::{SimDuration, SimRng};
 use std::collections::VecDeque;
@@ -27,13 +28,6 @@ pub const PTR_ALIGN: u64 = 4096;
 /// Creates a valid structural pointer value for element state.
 pub fn valid_ptr(slot: u64) -> Value {
     Value::Ptr(slot * PTR_ALIGN)
-}
-
-fn fields_have_ptr_fault(fields: &Fields) -> bool {
-    // Runs on every inbound event (message payload + each subscribed
-    // element's state), so it must not allocate: walk the values
-    // directly instead of materialising leaf paths.
-    fields.has_misaligned_ptr(PTR_ALIGN)
 }
 
 /// When a recovered ARMOR restores its state from the checkpoint.
@@ -95,6 +89,27 @@ const TIMER_READY: u64 = 1;
 const TIMER_RESTORE_FALLBACK: u64 = 2;
 const TIMER_USER_BASE: u64 = 3;
 
+/// A [`WirePacket`] still in the box it travelled in. Most packets a
+/// daemon sees are not for it: they are routed on in the same box, and
+/// only the final receiver unboxes.
+#[derive(Clone)]
+struct BoxedPacket(Box<dyn Payload>);
+
+impl BoxedPacket {
+    /// Accepts the payload of an `armor-wire` message if it is a packet.
+    fn from_message(msg: Message) -> Option<Self> {
+        msg.peek::<WirePacket>().is_some().then_some(BoxedPacket(msg.payload))
+    }
+
+    fn packet(&self) -> &WirePacket {
+        (*self.0).as_any().downcast_ref().expect("checked in from_message")
+    }
+
+    fn unbox(self) -> WirePacket {
+        *Payload::into_any(self.0).downcast().expect("checked in from_message")
+    }
+}
+
 /// Result of processing a batch of events.
 enum Processing {
     Completed,
@@ -138,23 +153,23 @@ impl ArmorCore {
     }
 
     fn transmit(&mut self, packet: WirePacket, os: &mut ProcCtx<'_>) {
-        let size = packet.wire_size();
-        match self.gateway {
-            Gateway::Daemon(daemon) => {
-                os.send(daemon, "armor-wire", size, packet);
-            }
-            Gateway::SelfRouting => {
-                let dst = packet.destination();
-                match self.route(dst) {
-                    Some(pid) => {
-                        os.send(pid, "armor-wire", size, packet);
-                    }
-                    None => {
-                        os.trace(TraceDetail::RouteMiss { armor: dst.0 });
-                    }
+        self.transmit_boxed(BoxedPacket(Box::new(packet)), os);
+    }
+
+    fn transmit_boxed(&mut self, boxed: BoxedPacket, os: &mut ProcCtx<'_>) {
+        let packet = boxed.packet();
+        let (dst, size) = (packet.destination(), packet.wire_size());
+        let next_hop = match self.gateway {
+            Gateway::Daemon(daemon) => daemon,
+            Gateway::SelfRouting => match self.route(dst) {
+                Some(pid) => pid,
+                None => {
+                    os.trace(TraceDetail::RouteMiss { armor: dst.0 });
+                    return;
                 }
-            }
-        }
+            },
+        };
+        os.send_boxed(next_hop, "armor-wire", size, boxed.0);
     }
 
     /// One-shot outgoing-message corruption: a silently corrupted ARMOR
@@ -173,9 +188,10 @@ impl ArmorCore {
     }
 
     fn commit_checkpoint(&mut self, os: &mut ProcCtx<'_>) {
+        // The RAM disk stores the very image the buffer keeps: a commit
+        // with nothing dirty is two refcount bumps.
         let image = self.ckpt.encode();
-        let key = self.ckpt_key.clone();
-        if os.ramdisk().write(&key, image).is_err() {
+        if os.ramdisk().write(&self.ckpt_key, image).is_err() {
             os.trace("checkpoint commit failed: ram disk full");
         }
     }
@@ -206,11 +222,6 @@ impl ElementCtx<'_, '_> {
     /// This ARMOR's identity.
     pub fn armor_id(&self) -> ArmorId {
         self.core.id
-    }
-
-    /// This ARMOR's instance name.
-    pub fn armor_name(&self) -> String {
-        self.core.name.to_string()
     }
 
     /// Current virtual time.
@@ -282,18 +293,29 @@ impl ElementCtx<'_, '_> {
     }
 }
 
+/// Order of the subscriber table: by length, then bytes, so a lookup
+/// mostly compares integers and reads tag bytes only among tags of the
+/// event's own length.
+fn tag_order(a: &str, b: &str) -> std::cmp::Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
 /// The ARMOR process: element container + runtime services.
 #[derive(Clone)]
 pub struct ArmorProcess {
     core: ArmorCore,
     elements: Vec<Option<Box<dyn Element>>>,
+    /// Event tag → positions of the subscribed elements in delivery
+    /// order, sorted by [`tag_order`]; built once from `subscriptions()`
+    /// and shared by every fork.
+    subscribers: Arc<[(&'static str, Vec<usize>)]>,
     ready: bool,
     /// For [`RestorePolicy::OnInstruction`]: protocol traffic is held
     /// until the restore instruction arrives — a cold process must not
     /// acknowledge (and thereby consume) messages its restored self
     /// needs (§6.1 two-step recovery).
     awaiting_restore: bool,
-    buffered: VecDeque<(Pid, WirePacket)>,
+    buffered: VecDeque<BoxedPacket>,
     restored_from_checkpoint: bool,
 }
 
@@ -302,12 +324,32 @@ impl ArmorProcess {
     pub fn new(
         id: ArmorId,
         name: impl Into<String>,
-        elements: Vec<Box<dyn Element>>,
+        mut elements: Vec<Box<dyn Element>>,
         gateway: Gateway,
         opts: ArmorOptions,
     ) -> Self {
         let name: Arc<str> = name.into().into();
         let ckpt = CheckpointBuffer::new(elements.iter().map(|e| (e.name(), e.state())));
+        // Element `i` checkpoints into region `i`: dirty-gated
+        // microcheckpoints pair one state with one region.
+        debug_assert!(
+            elements.iter().enumerate().all(|(i, e)| ckpt.region_index(e.name()) == Some(i)),
+            "ARMOR {name}: element names must be unique"
+        );
+        // The buffer now holds every element's state: nothing is dirty.
+        for elem in &mut elements {
+            elem.state_mut().take_dirty();
+        }
+        let mut subscribers: Vec<(&'static str, Vec<usize>)> = Vec::new();
+        for (i, elem) in elements.iter().enumerate() {
+            for &tag in elem.subscriptions() {
+                match subscribers.binary_search_by(|(t, _)| tag_order(t, tag)) {
+                    Ok(at) if subscribers[at].1.last() == Some(&i) => {}
+                    Ok(at) => subscribers[at].1.push(i),
+                    Err(at) => subscribers.insert(at, (tag, vec![i])),
+                }
+            }
+        }
         ArmorProcess {
             core: ArmorCore {
                 id,
@@ -324,6 +366,7 @@ impl ArmorProcess {
                 opts,
             },
             elements: elements.into_iter().map(Some).collect(),
+            subscribers: subscribers.into(),
             ready: false,
             awaiting_restore: false,
             buffered: VecDeque::new(),
@@ -347,18 +390,21 @@ impl ArmorProcess {
     }
 
     fn try_restore(&mut self, ctx: &mut ProcCtx<'_>) {
-        let key = self.core.ckpt_key.clone();
-        let image = match ctx.ramdisk().read(&key) {
-            Some(bytes) => bytes.to_vec(),
-            None => return,
+        let Some(decoded) = ctx.ramdisk().read(&self.core.ckpt_key).map(CheckpointBuffer::decode)
+        else {
+            return;
         };
-        match CheckpointBuffer::decode(&image) {
+        match decoded {
             Ok(states) => {
                 for (name, fields) in states {
-                    for slot in self.elements.iter_mut().flatten() {
-                        if slot.name() == name {
-                            *slot.state_mut() = fields.clone();
-                            self.core.ckpt.update(&name, &fields);
+                    for (region, slot) in self.elements.iter_mut().enumerate() {
+                        let Some(elem) = slot else { continue };
+                        if elem.name() == name {
+                            // A whole new map is born dirty: this
+                            // always re-encodes the region.
+                            let state = elem.state_mut();
+                            *state = fields.clone();
+                            self.core.ckpt.microcheckpoint(region, state);
                         }
                     }
                 }
@@ -374,82 +420,109 @@ impl ArmorProcess {
         }
     }
 
-    fn process_events(&mut self, events: Vec<ArmorEvent>, ctx: &mut ProcCtx<'_>) -> Processing {
-        let mut queue: VecDeque<ArmorEvent> = events.into();
-        while let Some(ev) = queue.pop_front() {
-            // Runtime-reserved events.
-            if ev.tag == "__restore-state" {
-                self.try_restore(ctx);
-                self.awaiting_restore = false;
-                if self.restored_from_checkpoint {
-                    ctx.trace_recovery_event(
-                        ree_os::TraceEvent::RecoveryCompleted,
-                        TraceDetail::Recovered { name: Arc::clone(&self.core.name) },
-                    );
-                    // Let elements re-derive in-flight intentions (timers
-                    // died with the previous incarnation).
-                    queue.push_back(ArmorEvent::new("armor-restored"));
-                }
-                continue;
+    /// Delivers `events` in order, then whatever elements raised while
+    /// handling them (in raise order). The delivered slice is walked in
+    /// place — it is usually a message's shared slice — and only raised
+    /// events are queued.
+    fn process_events(&mut self, events: &[ArmorEvent], ctx: &mut ProcCtx<'_>) -> Processing {
+        let mut raised: VecDeque<ArmorEvent> = VecDeque::new();
+        for ev in events {
+            if let Some(stop) = self.deliver(ev, &mut raised, ctx) {
+                return stop;
             }
-            // A poisoned pointer in the message payload crashes the
-            // receiver as it unmarshals (§6.1 propagation).
-            if fields_have_ptr_fault(&ev.fields) {
-                return Processing::Crash("dereferenced corrupted pointer in message".into());
-            }
-            for i in 0..self.elements.len() {
-                let subscribed = match &self.elements[i] {
-                    Some(e) => e.subscriptions().contains(&ev.tag),
-                    None => false,
-                };
-                if !subscribed {
-                    continue;
-                }
-                let mut elem = self.elements[i].take().expect("element present");
-                // Touching state with a corrupted structural pointer
-                // segfaults before any logic runs.
-                if fields_have_ptr_fault(elem.state()) {
-                    self.elements[i] = Some(elem);
-                    return Processing::Crash("dereferenced corrupted element pointer".into());
-                }
-                if self.core.opts.precheck_assertions {
-                    if let Err(e) = elem.check() {
-                        self.elements[i] = Some(elem);
-                        return Processing::Assertion(format!("precheck: {e}"));
-                    }
-                }
-                let outcome = {
-                    let mut ectx = ElementCtx { core: &mut self.core, os: ctx };
-                    elem.handle(&ev, &mut ectx)
-                };
-                match outcome {
-                    ElementOutcome::Ok => {
-                        // Assertion check *before* the microcheckpoint so
-                        // detected corruption never reaches the buffer
-                        // (Table 9 scenario 3).
-                        if let Err(e) = elem.check() {
-                            self.elements[i] = Some(elem);
-                            return Processing::Assertion(e);
-                        }
-                        self.core.ckpt.update(elem.name(), elem.state());
-                        self.elements[i] = Some(elem);
-                    }
-                    ElementOutcome::Crash(r) => {
-                        self.elements[i] = Some(elem);
-                        return Processing::Crash(r);
-                    }
-                    ElementOutcome::AbortThread(r) => {
-                        self.elements[i] = Some(elem);
-                        return Processing::AbortThread(r);
-                    }
-                }
-            }
-            // Events raised by elements run after the current one.
-            for raised in self.core.raised.drain(..) {
-                queue.push_back(raised);
+        }
+        while let Some(ev) = raised.pop_front() {
+            if let Some(stop) = self.deliver(&ev, &mut raised, ctx) {
+                return stop;
             }
         }
         Processing::Completed
+    }
+
+    /// Hands one event to every subscribed element; `Some` stops the
+    /// batch.
+    fn deliver(
+        &mut self,
+        ev: &ArmorEvent,
+        raised: &mut VecDeque<ArmorEvent>,
+        ctx: &mut ProcCtx<'_>,
+    ) -> Option<Processing> {
+        // Runtime-reserved events.
+        if ev.tag == "__restore-state" {
+            self.try_restore(ctx);
+            self.awaiting_restore = false;
+            if self.restored_from_checkpoint {
+                ctx.trace_recovery_event(
+                    ree_os::TraceEvent::RecoveryCompleted,
+                    TraceDetail::Recovered { name: Arc::clone(&self.core.name) },
+                );
+                // Let elements re-derive in-flight intentions (timers
+                // died with the previous incarnation).
+                raised.push_back(ArmorEvent::new("armor-restored"));
+            }
+            return None;
+        }
+        // A poisoned pointer in the message payload crashes the
+        // receiver as it unmarshals (§6.1 propagation).
+        if ev.fields.has_misaligned_ptr(PTR_ALIGN) {
+            return Some(Processing::Crash("dereferenced corrupted pointer in message".into()));
+        }
+        if let Ok(at) = self.subscribers.binary_search_by(|(t, _)| tag_order(t, ev.tag)) {
+            for n in 0..self.subscribers[at].1.len() {
+                let i = self.subscribers[at].1[n];
+                let mut elem = self.elements[i].take().expect("element present");
+                let stop = self.handle_one(&mut *elem, i, ev, ctx);
+                self.elements[i] = Some(elem);
+                if stop.is_some() {
+                    return stop;
+                }
+            }
+        }
+        // Events raised by elements run after the current one.
+        raised.extend(self.core.raised.drain(..));
+        None
+    }
+
+    /// One element's turn at one event: pointer-fault check, optional
+    /// precheck, handler, assertions, microcheckpoint — in that order.
+    fn handle_one(
+        &mut self,
+        elem: &mut dyn Element,
+        region: usize,
+        ev: &ArmorEvent,
+        ctx: &mut ProcCtx<'_>,
+    ) -> Option<Processing> {
+        // Touching state with a corrupted structural pointer segfaults
+        // before any logic runs. The verdict is cached in the state and
+        // dropped by any mutation, a heap flip included.
+        if elem.state_mut().ptr_fault(PTR_ALIGN) {
+            return Some(Processing::Crash("dereferenced corrupted element pointer".into()));
+        }
+        if self.core.opts.precheck_assertions {
+            if let Err(e) = elem.check() {
+                return Some(Processing::Assertion(format!("precheck: {e}")));
+            }
+        }
+        let outcome = {
+            let mut ectx = ElementCtx { core: &mut self.core, os: ctx };
+            elem.handle(ev, &mut ectx)
+        };
+        match outcome {
+            ElementOutcome::Ok => {
+                // Assertion check *before* the microcheckpoint so
+                // detected corruption never reaches the buffer
+                // (Table 9 scenario 3).
+                if let Err(e) = elem.check() {
+                    return Some(Processing::Assertion(e));
+                }
+                // Only the handling element is snapshotted, and only if
+                // its state was touched since its last snapshot.
+                self.core.ckpt.microcheckpoint(region, elem.state_mut());
+                None
+            }
+            ElementOutcome::Crash(r) => Some(Processing::Crash(r)),
+            ElementOutcome::AbortThread(r) => Some(Processing::AbortThread(r)),
+        }
     }
 
     fn finish_local(&mut self, result: Processing, ctx: &mut ProcCtx<'_>) {
@@ -481,21 +554,27 @@ impl ArmorProcess {
         }
     }
 
-    fn handle_wire(&mut self, from: Pid, packet: WirePacket, ctx: &mut ProcCtx<'_>) {
-        let _ = from;
-        if packet.destination() != self.core.id {
+    /// Handles the packets held back while not ready or awaiting the
+    /// restore instruction, in arrival order.
+    fn drain_buffered(&mut self, ctx: &mut ProcCtx<'_>) {
+        while let Some(boxed) = self.buffered.pop_front() {
+            self.handle_wire(boxed, ctx);
+        }
+    }
+
+    fn handle_wire(&mut self, boxed: BoxedPacket, ctx: &mut ProcCtx<'_>) {
+        if boxed.packet().destination() != self.core.id {
             // Routing duty (daemon ARMORs only).
             if self.core.gateway == Gateway::SelfRouting {
-                self.core.transmit(packet, ctx);
+                self.core.transmit_boxed(boxed, ctx);
             } else {
                 ctx.trace(TraceDetail::Misrouted { name: Arc::clone(&self.core.name) });
             }
             return;
         }
-        match self.core.comm.on_packet(packet) {
+        match self.core.comm.on_packet(boxed.unbox()) {
             Inbound::Deliver(msg) => {
-                let events = msg.events.clone();
-                match self.process_events(events, ctx) {
+                match self.process_events(msg.events(), ctx) {
                     Processing::Completed => {
                         let ack = self.core.comm.acknowledge(&msg);
                         self.core.transmit(ack, ctx);
@@ -565,8 +644,7 @@ impl Process for ArmorProcess {
                 // Hold protocol traffic until the recovery coordinator
                 // instructs the restore — but only if a checkpoint
                 // actually exists (a first install proceeds cold).
-                let key = self.core.ckpt_key.clone();
-                if ctx.ramdisk().exists(&key) {
+                if ctx.ramdisk().exists(&self.core.ckpt_key) {
                     self.awaiting_restore = true;
                     // Safety valve: if the coordinator never follows up
                     // (e.g. it is failing too), proceed cold rather than
@@ -581,35 +659,30 @@ impl Process for ArmorProcess {
 
     fn on_message(&mut self, msg: Message, ctx: &mut ProcCtx<'_>) {
         match msg.label {
-            "armor-wire" => {
-                let from = msg.from;
-                match msg.take::<WirePacket>() {
-                    Ok(packet) => {
-                        let restore_instruction = matches!(
-                            &packet,
-                            WirePacket::Data(m)
-                                if m.events.iter().any(|e| e.tag == "__restore-state")
-                        );
-                        if self.ready && (!self.awaiting_restore || restore_instruction) {
-                            self.handle_wire(from, packet, ctx);
-                            if restore_instruction && !self.awaiting_restore {
-                                while let Some((f, p)) = self.buffered.pop_front() {
-                                    self.handle_wire(f, p, ctx);
-                                }
-                            }
-                        } else {
-                            self.buffered.push_back((from, packet));
+            "armor-wire" => match BoxedPacket::from_message(msg) {
+                Some(boxed) => {
+                    let restore_instruction = matches!(
+                        boxed.packet(),
+                        WirePacket::Data(m)
+                            if m.events().iter().any(|e| e.tag == "__restore-state")
+                    );
+                    if self.ready && (!self.awaiting_restore || restore_instruction) {
+                        self.handle_wire(boxed, ctx);
+                        if restore_instruction && !self.awaiting_restore {
+                            self.drain_buffered(ctx);
                         }
+                    } else {
+                        self.buffered.push_back(boxed);
                     }
-                    Err(_) => ctx.trace("malformed armor-wire payload"),
                 }
-            }
+                None => ctx.trace("malformed armor-wire payload"),
+            },
             "armor-control" => match msg.take::<ControlOp>() {
                 Ok(ControlOp::AddRoute(id, pid)) => {
                     self.core.install_route(id, pid);
                 }
                 Ok(ControlOp::Raise(ev)) => {
-                    let result = self.process_events(vec![ev], ctx);
+                    let result = self.process_events(&[ev], ctx);
                     self.finish_local(result, ctx);
                 }
                 Err(_) => ctx.trace("malformed armor-control payload"),
@@ -639,11 +712,9 @@ impl Process for ArmorProcess {
                     });
                     self.try_restore(ctx);
                     self.awaiting_restore = false;
-                    let result = self.process_events(vec![ArmorEvent::new("armor-restored")], ctx);
+                    let result = self.process_events(&[ArmorEvent::new("armor-restored")], ctx);
                     self.finish_local(result, ctx);
-                    while let Some((from, packet)) = self.buffered.pop_front() {
-                        self.handle_wire(from, packet, ctx);
-                    }
+                    self.drain_buffered(ctx);
                 }
             }
             TIMER_READY => {
@@ -659,11 +730,9 @@ impl Process for ArmorProcess {
                     );
                     events.push(ArmorEvent::new("armor-restored"));
                 }
-                let result = self.process_events(events, ctx);
+                let result = self.process_events(&events, ctx);
                 self.finish_local(result, ctx);
-                while let Some((from, packet)) = self.buffered.pop_front() {
-                    self.handle_wire(from, packet, ctx);
-                }
+                self.drain_buffered(ctx);
             }
             user => {
                 let fired = self
@@ -673,7 +742,7 @@ impl Process for ArmorProcess {
                     .ok()
                     .map(|i| self.core.timer_events.remove(i).1);
                 if let Some(ev) = fired {
-                    let result = self.process_events(vec![ev], ctx);
+                    let result = self.process_events(&[ev], ctx);
                     self.finish_local(result, ctx);
                 }
             }
@@ -686,7 +755,7 @@ impl Process for ArmorProcess {
             .with("child", Value::U64(child.0))
             .with("abnormal", Value::Bool(status.is_abnormal()))
             .with("status", Value::Str(status.to_string()));
-        let result = self.process_events(vec![ev], ctx);
+        let result = self.process_events(&[ev], ctx);
         self.finish_local(result, ctx);
     }
 
@@ -736,9 +805,7 @@ impl HeapModel for ArmorProcess {
                     continue;
                 }
             }
-            let has_leaf =
-                elem.state().leaf_paths().iter().any(|(_, k)| want.is_none() || want == Some(*k));
-            if has_leaf {
+            if elem.state().has_leaf(want) {
                 candidates.push(i);
             }
         }

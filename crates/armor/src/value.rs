@@ -62,6 +62,17 @@ impl Value {
         }
     }
 
+    /// True if this value contains a leaf matching `want` (any leaf when
+    /// `None`) — recursive and allocation-free; the injector's "can this
+    /// region be hit" probe.
+    pub fn has_leaf(&self, want: Option<FieldKind>) -> bool {
+        match self {
+            Value::List(items) => items.iter().any(|v| v.has_leaf(want)),
+            Value::Map(map) => map.values().any(|v| v.has_leaf(want)),
+            leaf => want.is_none_or(|kind| leaf.kind() == kind),
+        }
+    }
+
     /// True if this value contains a pointer leaf misaligned w.r.t.
     /// `align` (recursive, allocation-free).
     pub fn has_misaligned_ptr(&self, align: u64) -> bool {
@@ -152,6 +163,22 @@ impl Value {
 
 /// The named state of one element: an ordered map of values.
 ///
+/// # Change tracking
+///
+/// The map knows when it *may* have changed: every entry point that can
+/// alter a value ([`Fields::set`], [`Fields::get_mut`],
+/// [`Fields::remove`], [`Fields::bump`], [`Fields::resolve_mut`] and
+/// hence [`Fields::flip_random_leaf`]) marks it dirty and drops the
+/// cached structural-pointer verdict. The ARMOR runtime microcheckpoints
+/// an element only while its state is dirty and asks the cached verdict
+/// instead of re-walking every value per event. Both are bookkeeping,
+/// not state: equality, `Debug` and the wire encoding ignore them.
+///
+/// A map is clean only between a [`Fields::take_dirty`] and the next
+/// mutating call on that same map: a new map and a clone are both born
+/// dirty, so assigning a whole new state over an element's (`*state =
+/// other`) can never pass for "unchanged since the last snapshot".
+///
 /// # Examples
 ///
 /// ```
@@ -160,9 +187,39 @@ impl Value {
 /// f.set("restart_count", Value::U64(0));
 /// assert_eq!(f.get("restart_count").and_then(|v| v.as_u64()), Some(0));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Fields {
     entries: BTreeMap<String, Value>,
+    /// No [`Fields::take_dirty`] since this map was made or last went
+    /// through a mutating entry point.
+    dirty: bool,
+    /// Memoised `(align, has_misaligned_ptr(align))`; `None` after any
+    /// mutation.
+    ptr_verdict: Option<(u64, bool)>,
+}
+
+impl Default for Fields {
+    fn default() -> Self {
+        Fields { entries: BTreeMap::new(), dirty: true, ptr_verdict: None }
+    }
+}
+
+impl Clone for Fields {
+    fn clone(&self) -> Self {
+        // The verdict is a function of the entries alone and travels.
+        Fields { entries: self.entries.clone(), dirty: true, ptr_verdict: self.ptr_verdict }
+    }
+}
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl std::fmt::Debug for Fields {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Fields").field("entries", &self.entries).finish()
+    }
 }
 
 impl Fields {
@@ -171,9 +228,23 @@ impl Fields {
         Fields::default()
     }
 
-    /// Sets (inserting or replacing) a field.
-    pub fn set(&mut self, name: impl Into<String>, value: Value) {
-        self.entries.insert(name.into(), value);
+    /// Every mutable path into `entries` goes through here.
+    fn touch(&mut self) -> &mut BTreeMap<String, Value> {
+        self.dirty = true;
+        self.ptr_verdict = None;
+        &mut self.entries
+    }
+
+    /// Sets (inserting or replacing) a field. Replacing an existing
+    /// field overwrites its slot without allocating a key.
+    pub fn set(&mut self, name: impl Into<String> + AsRef<str>, value: Value) {
+        let entries = self.touch();
+        match entries.get_mut(name.as_ref()) {
+            Some(slot) => *slot = value,
+            None => {
+                entries.insert(name.into(), value);
+            }
+        }
     }
 
     /// Reads a field.
@@ -181,14 +252,39 @@ impl Fields {
         self.entries.get(name)
     }
 
-    /// Mutable field access.
+    /// Mutable field access (marks the state dirty whether or not the
+    /// caller goes on to change the value).
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.entries.get_mut(name)
+        self.touch().get_mut(name)
     }
 
     /// Removes a field.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.entries.remove(name)
+        self.touch().remove(name)
+    }
+
+    /// True unless [`Fields::take_dirty`] ran on this very map and no
+    /// mutating entry point has since.
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
+    }
+
+    /// Reads and clears the dirty mark — called by whoever has just
+    /// captured (or is about to capture) this state.
+    pub fn take_dirty(&mut self) -> bool {
+        std::mem::take(&mut self.dirty)
+    }
+
+    /// [`Fields::has_misaligned_ptr`], memoised until the next mutation.
+    pub fn ptr_fault(&mut self, align: u64) -> bool {
+        match self.ptr_verdict {
+            Some((a, verdict)) if a == align => verdict,
+            _ => {
+                let verdict = self.has_misaligned_ptr(align);
+                self.ptr_verdict = Some((align, verdict));
+                verdict
+            }
+        }
     }
 
     /// Number of top-level fields.
@@ -202,8 +298,8 @@ impl Fields {
     }
 
     /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.entries.iter().map(|(name, value)| (name.as_str(), value))
     }
 
     /// Unsigned-integer field helper.
@@ -214,12 +310,17 @@ impl Fields {
     /// Increments an integer field (creating it at 0), returning the new
     /// value, or `None` if the existing field is not an integer.
     pub fn bump(&mut self, name: &str) -> Option<u64> {
-        match self.entries.entry(name.to_owned()).or_insert(Value::U64(0)) {
-            Value::U64(v) => {
+        let entries = self.touch();
+        match entries.get_mut(name) {
+            Some(Value::U64(v)) => {
                 *v = v.wrapping_add(1);
                 Some(*v)
             }
-            _ => None,
+            Some(_) => None,
+            None => {
+                entries.insert(name.to_owned(), Value::U64(1));
+                Some(1)
+            }
         }
     }
 
@@ -247,6 +348,12 @@ impl Fields {
     /// the state without building paths.
     pub fn has_misaligned_ptr(&self, align: u64) -> bool {
         self.entries.values().any(|v| v.has_misaligned_ptr(align))
+    }
+
+    /// True if [`Fields::flip_random_leaf`] with the same `want` would
+    /// find a leaf to hit, without building paths.
+    pub fn has_leaf(&self, want: Option<FieldKind>) -> bool {
+        self.entries.values().any(|v| v.has_leaf(want))
     }
 
     /// Flips one bit in a leaf selected uniformly among leaves matching
@@ -290,7 +397,7 @@ impl Fields {
     pub fn resolve_mut(&mut self, path: &str) -> Option<&mut Value> {
         let mut parts = path.split('/');
         let first = parts.next()?;
-        let mut cur = self.entries.get_mut(first)?;
+        let mut cur = self.touch().get_mut(first)?;
         for part in parts {
             cur = match cur {
                 Value::List(items) => items.get_mut(part.parse::<usize>().ok()?)?,
@@ -383,6 +490,75 @@ mod tests {
         f.set("x", Value::U64(1));
         let mut rng = SimRng::new(3);
         assert!(f.flip_random_leaf(&mut rng, Some(FieldKind::Pointer)).is_none());
+    }
+
+    #[test]
+    fn every_mutating_entry_point_marks_dirty_and_reads_do_not() {
+        let mut f = sample();
+        assert!(f.take_dirty(), "construction set fields");
+        let _ = (f.get("count"), f.u64("count"), f.resolve("table/a"), f.iter().count());
+        let _ = (f.leaf_paths(), f.leaf_count(), f.has_leaf(None), f.has_misaligned_ptr(4096));
+        assert!(!f.is_dirty(), "reads leave the state clean");
+
+        type Step = fn(&mut Fields);
+        let steps: [(&str, Step); 6] = [
+            ("set", |f| f.set("count", Value::U64(3))),
+            ("get_mut", |f| assert!(f.get_mut("count").is_some())),
+            ("remove", |f| assert!(f.remove("no-such-field").is_none())),
+            ("bump", |f| assert!(f.bump("count").is_some())),
+            ("resolve_mut", |f| assert!(f.resolve_mut("table/a").is_some())),
+            ("flip_random_leaf", |f| {
+                assert!(f.flip_random_leaf(&mut SimRng::new(9), None).is_some())
+            }),
+        ];
+        for (name, step) in steps {
+            step(&mut f);
+            assert!(f.take_dirty(), "{name} must mark the state dirty");
+            assert!(!f.is_dirty(), "take_dirty clears the mark");
+        }
+    }
+
+    #[test]
+    fn cached_pointer_verdict_is_dropped_by_any_mutation() {
+        let mut f = sample();
+        // A flip that lands on the pointer must be seen by the next ask
+        // (a flip of a high bit keeps the alignment; most do not).
+        let mut faulted = 0;
+        for seed in 0..32 {
+            f.set("link", Value::Ptr(2 * 4096));
+            assert!(!f.ptr_fault(4096));
+            f.flip_random_leaf(&mut SimRng::new(seed), Some(FieldKind::Pointer)).unwrap();
+            assert_eq!(f.ptr_fault(4096), f.has_misaligned_ptr(4096), "stale verdict, seed {seed}");
+            faulted += u32::from(f.ptr_fault(4096));
+        }
+        assert!(faulted > 0, "no flip misaligned the pointer");
+        // Nested pointers, reached through `get_mut`.
+        f.set("link", Value::Ptr(4096));
+        assert!(!f.ptr_fault(4096));
+        if let Some(Value::Map(table)) = f.get_mut("table") {
+            table.insert("p".into(), Value::Ptr(7));
+        }
+        assert!(f.ptr_fault(4096));
+        assert!(!f.ptr_fault(1), "the verdict is per alignment");
+    }
+
+    #[test]
+    fn bookkeeping_is_invisible_to_equality_and_debug() {
+        let mut a = sample();
+        let b = sample();
+        a.take_dirty();
+        a.ptr_fault(4096);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn new_maps_and_clones_are_born_dirty() {
+        assert!(Fields::new().is_dirty());
+        let mut captured = sample();
+        captured.take_dirty();
+        assert!(captured.clone().is_dirty(), "a clone was captured by nobody");
+        assert!(!captured.is_dirty());
     }
 
     #[test]

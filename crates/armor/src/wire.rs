@@ -8,7 +8,7 @@
 //! paper's checkpoint-corruption system failures (§6.1).
 
 use crate::value::{Fields, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
 const TAG_BOOL: u8 = 1;
 const TAG_U64: u8 = 2;
@@ -93,7 +93,9 @@ fn encode_value(value: &Value, buf: &mut BytesMut) {
     }
 }
 
-fn take_string(buf: &mut Bytes) -> Result<String, DecodeError> {
+/// Takes a length-prefixed byte run off the front of `buf` (borrowed
+/// from the image, not copied).
+pub(crate) fn take_run<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
     if buf.remaining() < 4 {
         return Err(DecodeError::Truncated);
     }
@@ -101,11 +103,17 @@ fn take_string(buf: &mut Bytes) -> Result<String, DecodeError> {
     if buf.remaining() < len {
         return Err(DecodeError::Truncated);
     }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    let (run, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(run)
 }
 
-fn decode_value(buf: &mut Bytes, depth: usize) -> Result<Value, DecodeError> {
+pub(crate) fn take_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
+    let run = take_run(buf)?;
+    std::str::from_utf8(run).map(str::to_owned).map_err(|_| DecodeError::BadUtf8)
+}
+
+fn decode_value(buf: &mut &[u8], depth: usize) -> Result<Value, DecodeError> {
     if depth > MAX_DEPTH {
         return Err(DecodeError::TooDeep);
     }
@@ -198,7 +206,7 @@ pub fn encode_fields_into(fields: &Fields, buf: &mut BytesMut) {
 /// Returns a [`DecodeError`] for truncated, malformed, or over-nested
 /// images; callers treat that as an unusable checkpoint (cold start).
 pub fn decode_fields(bytes: &[u8]) -> Result<Fields, DecodeError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
+    let mut buf = bytes;
     if buf.remaining() < 4 {
         return Err(DecodeError::Truncated);
     }

@@ -5,6 +5,7 @@ use ree_armor::{
     decode_fields, encode_fields, ArmorEvent, ArmorId, CheckpointBuffer, Fields, Inbound,
     ReliableComm, Value,
 };
+use ree_os::FieldKind;
 use ree_sim::{SimDuration, SimRng, SimTime};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -34,7 +35,200 @@ fn arb_fields() -> impl Strategy<Value = Fields> {
     })
 }
 
+/// One step against an element's state, as an element handler, the heap
+/// injector, a restore or the runtime's microcheckpoint/commit would
+/// take it. Keys come from a small universe so steps collide.
+#[derive(Clone, Debug)]
+enum StateOp {
+    Set {
+        key: usize,
+        value: Value,
+    },
+    /// A raw pointer value: misaligned unless `raw` happens to be a
+    /// multiple of the alignment.
+    SetPtr {
+        key: usize,
+        raw: u64,
+    },
+    /// `get_mut`, then overwrite what it returned (or only look at it).
+    GetMut {
+        key: usize,
+        write: Option<Value>,
+    },
+    Bump {
+        key: usize,
+    },
+    Remove {
+        key: usize,
+    },
+    /// `resolve_mut` on the `pick`-th leaf path, then flip a bit of it
+    /// (or only look at it).
+    ResolveMut {
+        pick: usize,
+        flip: Option<u64>,
+    },
+    Flip {
+        seed: u64,
+        pointers_only: bool,
+    },
+    /// Whole-state replacement, checkpointed at once.
+    Restore(Fields),
+    /// Read-only traffic: must leave the state clean.
+    Read {
+        key: usize,
+    },
+    Microcheckpoint,
+    Commit,
+}
+
+const KEYS: [&str; 5] = ["count", "link", "table", "host", "n"];
+const ALIGN: u64 = 4096;
+
+fn arb_state_op() -> BoxedStrategy<StateOp> {
+    let key = || 0usize..KEYS.len();
+    prop_oneof![
+        (key(), arb_value()).prop_map(|(key, value)| StateOp::Set { key, value }),
+        (key(), any::<u64>()).prop_map(|(key, raw)| StateOp::SetPtr { key, raw }),
+        (key(), arb_value(), any::<bool>())
+            .prop_map(|(key, v, write)| StateOp::GetMut { key, write: write.then_some(v) }),
+        key().prop_map(|key| StateOp::Bump { key }),
+        key().prop_map(|key| StateOp::Remove { key }),
+        (0usize..64, any::<u64>(), any::<bool>()).prop_map(|(pick, seed, flip)| {
+            StateOp::ResolveMut { pick, flip: flip.then_some(seed) }
+        }),
+        (any::<u64>(), any::<bool>())
+            .prop_map(|(seed, pointers_only)| StateOp::Flip { seed, pointers_only }),
+        arb_fields().prop_map(StateOp::Restore),
+        key().prop_map(|key| StateOp::Read { key }),
+        (0u8..1).prop_map(|_| StateOp::Microcheckpoint),
+        (0u8..1).prop_map(|_| StateOp::Microcheckpoint),
+        (0u8..1).prop_map(|_| StateOp::Commit),
+    ]
+    .boxed()
+}
+
+/// Applies a mutating step to one state; the same code drives the
+/// dirty-gated side and the always-update side.
+fn mutate(state: &mut Fields, op: &StateOp) {
+    match op {
+        StateOp::Set { key, value } => state.set(KEYS[*key], value.clone()),
+        StateOp::SetPtr { key, raw } => state.set(KEYS[*key], Value::Ptr(*raw)),
+        StateOp::GetMut { key, write } => {
+            if let (Some(slot), Some(v)) = (state.get_mut(KEYS[*key]), write) {
+                *slot = v.clone();
+            }
+        }
+        StateOp::Bump { key } => {
+            let _ = state.bump(KEYS[*key]);
+        }
+        StateOp::Remove { key } => {
+            let _ = state.remove(KEYS[*key]);
+        }
+        StateOp::ResolveMut { pick, flip } => {
+            let paths = state.leaf_paths();
+            if !paths.is_empty() {
+                let path = &paths[pick % paths.len()].0;
+                let leaf = state.resolve_mut(path).expect("listed leaf resolves");
+                if let Some(seed) = flip {
+                    leaf.flip_bit(&mut SimRng::new(*seed));
+                }
+            }
+        }
+        StateOp::Flip { seed, pointers_only } => {
+            let want = pointers_only.then_some(FieldKind::Pointer);
+            let _ = state.flip_random_leaf(&mut SimRng::new(*seed), want);
+        }
+        StateOp::Read { key } => {
+            let _ = state.get(KEYS[*key]);
+            let _ = state.u64(KEYS[*key]);
+            let _ = state.resolve(KEYS[*key]);
+            let _ = state.iter().count() + state.leaf_count() + state.len();
+            let _ = state.has_leaf(None);
+        }
+        StateOp::Restore(_) | StateOp::Microcheckpoint | StateOp::Commit => {
+            unreachable!("not a mutation of one state")
+        }
+    }
+}
+
 proptest! {
+    /// Dirty-gated microcheckpointing is indistinguishable from
+    /// re-encoding on every event: over arbitrary interleavings of every
+    /// mutating entry point of `Fields`, restores, microcheckpoints and
+    /// commits, the gated buffer and an always-`update` buffer hold
+    /// byte-identical region images and assembled images and count the
+    /// same updates, clean updates, commits and patched commits. Along
+    /// the way the cached structural-pointer verdict always equals a
+    /// fresh walk — a stale "clean" verdict would silently weaken crash
+    /// detection.
+    #[test]
+    fn dirty_gated_checkpoints_match_always_update(
+        initial in proptest::collection::vec(arb_fields(), 3..4),
+        ops in proptest::collection::vec((0usize..3, arb_state_op()), 1..64),
+    ) {
+        let names = ["alpha", "beta", "gamma"];
+        let build = |states: &[Fields]| {
+            CheckpointBuffer::new(names.iter().zip(states).map(|(n, s)| (*n, s)))
+        };
+        let mut gated_states = initial.clone();
+        let mut always_states = initial;
+        let mut gated = build(&gated_states);
+        let mut always = build(&always_states);
+        // As `ArmorProcess::new` does: the buffer holds every state.
+        for state in &mut gated_states {
+            state.take_dirty();
+        }
+        for (elem, op) in ops {
+            match &op {
+                StateOp::Microcheckpoint => {
+                    gated.microcheckpoint(elem, &mut gated_states[elem]);
+                    always.update(names[elem], &always_states[elem]);
+                }
+                StateOp::Commit => {
+                    let (g, a) = (gated.encode(), always.encode());
+                    prop_assert_eq!(&g, &a, "assembled images diverge");
+                    let decoded = CheckpointBuffer::decode(&g).expect("commit decodes");
+                    prop_assert_eq!(decoded.len(), names.len());
+                }
+                StateOp::Restore(fields) => {
+                    // `try_restore`: a whole new map is born dirty, so
+                    // the gate lets it through.
+                    gated_states[elem] = fields.clone();
+                    gated.microcheckpoint(elem, &mut gated_states[elem]);
+                    always_states[elem] = fields.clone();
+                    always.update(names[elem], &always_states[elem]);
+                }
+                StateOp::Read { .. } => {
+                    let was_dirty = gated_states[elem].is_dirty();
+                    mutate(&mut gated_states[elem], &op);
+                    prop_assert_eq!(gated_states[elem].is_dirty(), was_dirty, "a read dirtied");
+                }
+                mutation => {
+                    let before = gated_states[elem].clone();
+                    mutate(&mut gated_states[elem], mutation);
+                    mutate(&mut always_states[elem], mutation);
+                    // Marking without changing is allowed (it costs an
+                    // encode); changing without marking never is.
+                    prop_assert!(
+                        gated_states[elem].is_dirty() || gated_states[elem] == before,
+                        "{mutation:?} changed the state and left it clean"
+                    );
+                }
+            }
+            prop_assert_eq!(&gated_states, &always_states);
+            for (i, name) in names.iter().enumerate() {
+                prop_assert_eq!(gated.region_image(name), always.region_image(name), "region {}", name);
+                let walked = gated_states[i].has_misaligned_ptr(ALIGN);
+                prop_assert_eq!(gated_states[i].ptr_fault(ALIGN), walked, "stale verdict, {}", name);
+            }
+            prop_assert_eq!(
+                (gated.updates(), gated.clean_updates(), gated.commits(), gated.patched_commits()),
+                (always.updates(), always.clean_updates(), always.commits(), always.patched_commits())
+            );
+        }
+        prop_assert_eq!(gated.encode(), always.encode());
+    }
+
     /// Checkpoint wire format round-trips arbitrary element state.
     #[test]
     fn fields_encode_decode_roundtrip(fields in arb_fields()) {
@@ -103,7 +297,7 @@ proptest! {
                 }
                 match receiver.on_packet(pkt) {
                     Inbound::Deliver(msg) => {
-                        delivered.push(msg.events[0].u64("i").unwrap());
+                        delivered.push(msg.events()[0].u64("i").unwrap());
                         let ack = receiver.acknowledge(&msg);
                         // Acks can also be dropped.
                         if !(drops[(round * 7 + k) % drops.len()] && round < 30) {

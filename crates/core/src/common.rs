@@ -80,7 +80,7 @@ impl Element for Configurator {
 
     fn handle(&mut self, ev: &ArmorEvent, _ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
         for (name, value) in ev.fields.iter() {
-            self.state.set(name.clone(), value.clone());
+            self.state.set(name, value.clone());
         }
         ElementOutcome::Ok
     }

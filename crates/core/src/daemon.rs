@@ -78,7 +78,7 @@ impl Element for DaemonGateway {
             }
             "sift-configure" => {
                 for (name, value) in ev.fields.iter() {
-                    self.state.set(name.clone(), value.clone());
+                    self.state.set(name, value.clone());
                 }
             }
             _ => {}
@@ -257,7 +257,7 @@ impl Element for DaemonInstaller {
         match ev.tag {
             "sift-configure" => {
                 for (name, value) in ev.fields.iter() {
-                    self.state.set(name.clone(), value.clone());
+                    self.state.set(name, value.clone());
                 }
             }
             tags::INSTALL_ARMOR => {

@@ -18,6 +18,11 @@ use ree_os::TraceDetail;
 use ree_os::{Pid, TraceEvent};
 use ree_sim::SimDuration;
 
+/// Most MPI ranks one application slot may have: the size of the
+/// Execution-ARMOR table a slot's ranks index into. `app_param` asserts
+/// it, and a walk over a slot's ranks never goes past it.
+const MAX_RANKS: u64 = 16;
+
 /// Answers the Heartbeat ARMOR's liveness polls.
 #[derive(Clone)]
 pub struct FtmHbResponder {
@@ -791,6 +796,16 @@ impl Element for AppParam {
                     return ElementOutcome::Ok;
                 };
                 let ranks = rec_u64(rec, "ranks").unwrap_or(1);
+                if ranks > MAX_RANKS {
+                    // A corrupted count walks off the Execution-ARMOR
+                    // table: the §7.2 corrupted-pointer segfault, here
+                    // and not after `ranks` stop messages (the
+                    // post-handle assertion runs too late to bound one
+                    // handler, and not at all with checks off).
+                    return ElementOutcome::Crash(format!(
+                        "slot {slot}: rank walk past the exec-ARMOR table (ranks={ranks})"
+                    ));
+                }
                 let restart = rec_u64(rec, "restart_count").unwrap_or(0) + 1;
                 crate::util::rec_set(
                     &mut self.state,
@@ -850,7 +865,7 @@ impl Element for AppParam {
             return Ok(());
         }
         ree_armor::assertions::map_integrity(&self.state, "apps", |rec| {
-            rec_u64(rec, "ranks").map(|r| (1..=16).contains(&r)).unwrap_or(false)
+            rec_u64(rec, "ranks").map(|r| (1..=MAX_RANKS).contains(&r)).unwrap_or(false)
                 && rec_u64(rec, "restart_count").map(|r| r < 50).unwrap_or(false)
         })
     }

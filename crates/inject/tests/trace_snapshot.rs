@@ -8,11 +8,20 @@
 //! repeated register injections (covering injection, signal, recovery,
 //! and lifecycle records).
 //!
+//! Beside each trace sits a `storage_*` fixture: an FNV-1a digest of
+//! every `ckpt/*` image left on each node's RAM disk at the end of the
+//! same run, with that disk's `writes`/`bytes_written`/`used`. The trace
+//! shows what the ARMORs did; this shows what they committed — a change
+//! to the microcheckpoint or commit path that alters one stored byte, or
+//! skips or adds one commit, fails here.
+//!
 //! Regenerate with `REGEN_TRACE_SNAPSHOT=1 cargo test -p ree-inject
 //! --test trace_snapshot` after an *intentional* trace format change.
 
 use ree_inject::{execute_full, ErrorModel, RunPlan, Target};
+use ree_os::{Cluster, HeapTarget, NodeId, Signal};
 use ree_sim::SimTime;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 fn snapshot_path(name: &str) -> PathBuf {
@@ -48,11 +57,70 @@ fn check(name: &str, rendered: &str) {
     }
 }
 
+/// Renders every node's RAM-disk counters and a digest of each
+/// checkpoint image it holds.
+fn render_stable_storage(cluster: &mut Cluster) -> String {
+    let mut out = String::new();
+    for node in 0..cluster.node_count() {
+        let disk = cluster.ramdisk(NodeId(node as u16));
+        writeln!(
+            out,
+            "node{node} writes={} bytes_written={} used={}",
+            disk.writes(),
+            disk.bytes_written(),
+            disk.used()
+        )
+        .unwrap();
+        for path in disk.paths().filter(|p| p.starts_with("ckpt/")) {
+            let image = disk.read(path).expect("listed path is readable");
+            let fnv = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3)
+            });
+            writeln!(out, "  {path} len={} fnv1a={fnv:016x}", image.len()).unwrap();
+        }
+    }
+    out
+}
+
 #[test]
 fn fault_free_testbed_render_is_byte_identical() {
     let mut running = ree_apps::Scenario::single_texture(7).start();
     running.run_until_done(SimTime::from_secs(200));
     check("trace_fault_free_seed7.txt", &running.cluster.trace().render());
+    check("storage_fault_free_seed7.txt", &render_stable_storage(&mut running.cluster));
+}
+
+/// The full SIFT stack, forked mid-run: with messages unacknowledged
+/// and checkpoints committed, the fork takes a heap flip in every ARMOR
+/// and a stop/continue of the FTM (so peers retransmit out of `pending`
+/// into it) and runs on, committing as it goes. The original shares
+/// event slices and checkpoint images with it and must still end on the
+/// fault-free fixtures, trace and stable storage.
+#[test]
+fn original_of_a_perturbed_mid_run_fork_still_matches_the_fixtures() {
+    let mut original = ree_apps::Scenario::single_texture(7).start();
+    original.run_until(SimTime::from_secs(40));
+
+    let mut fork = original.clone();
+    let ftm = fork.cluster.find_by_name("ftm").expect("FTM is up");
+    fork.cluster.send_signal(ftm, Signal::Stop);
+    for pid in fork.cluster.all_procs() {
+        if fork.cluster.kind_of(pid) == Some("armor") {
+            fork.cluster.inject_heap(pid, &HeapTarget::Any);
+        }
+    }
+    fork.run_until(SimTime::from_secs(46));
+    fork.cluster.send_signal(ftm, Signal::Cont);
+    fork.run_until_done(SimTime::from_secs(200));
+    assert_ne!(
+        render_stable_storage(&mut fork.cluster),
+        render_stable_storage(&mut original.cluster),
+        "the fork must have committed something the original has not"
+    );
+
+    original.run_until_done(SimTime::from_secs(200));
+    check("trace_fault_free_seed7.txt", &original.cluster.trace().render());
+    check("storage_fault_free_seed7.txt", &render_stable_storage(&mut original.cluster));
 }
 
 #[test]
@@ -64,8 +132,9 @@ fn register_injection_render_is_byte_identical() {
         timeout: SimTime::from_secs(220),
         net_faults: vec![],
     };
-    let (_result, running) = execute_full(&plan, 42);
+    let (_result, mut running) = execute_full(&plan, 42);
     check("trace_register_seed42.txt", &running.cluster.trace().render());
+    check("storage_register_seed42.txt", &render_stable_storage(&mut running.cluster));
 }
 
 #[test]
@@ -79,6 +148,7 @@ fn sigstop_injection_render_is_byte_identical() {
         timeout: SimTime::from_secs(220),
         net_faults: vec![],
     };
-    let (_result, running) = execute_full(&plan, 11);
+    let (_result, mut running) = execute_full(&plan, 11);
     check("trace_sigstop_ftm_seed11.txt", &running.cluster.trace().render());
+    check("storage_sigstop_ftm_seed11.txt", &render_stable_storage(&mut running.cluster));
 }

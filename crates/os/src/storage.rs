@@ -35,7 +35,18 @@ impl FileMap {
 
     /// Inserts or replaces; returns the previous contents if any.
     fn insert(&mut self, path: &str, data: Arc<Vec<u8>>) -> Option<Arc<Vec<u8>>> {
-        match self.idx(path) {
+        self.insert_at(self.idx(path), path, data)
+    }
+
+    /// [`FileMap::insert`] at a position [`FileMap::idx`] already found
+    /// for `path` (in this table or the fork it was just unshared from).
+    fn insert_at(
+        &mut self,
+        at: Result<usize, usize>,
+        path: &str,
+        data: Arc<Vec<u8>>,
+    ) -> Option<Arc<Vec<u8>>> {
+        match at {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, data)),
             Err(i) => {
                 self.entries.insert(i, (path.into(), data));
@@ -126,14 +137,21 @@ impl RamDisk {
         }
     }
 
-    /// Writes (creating or replacing) a file.
+    /// Writes (creating or replacing) a file. An already-shared chunk
+    /// (`Arc<Vec<u8>>`) is stored as is — the checkpoint commit path
+    /// hands over the image its buffer keeps, so a commit copies nothing;
+    /// a plain `Vec<u8>` is wrapped.
     ///
     /// # Errors
     ///
     /// Returns [`DiskError::Full`] if the write would exceed capacity; the
     /// previous contents of the file are preserved in that case.
-    pub fn write(&mut self, path: &str, data: Vec<u8>) -> Result<(), DiskError> {
-        let existing = self.files.get(path).map_or(0, |d| d.len());
+    pub fn write(&mut self, path: &str, data: impl Into<Arc<Vec<u8>>>) -> Result<(), DiskError> {
+        let data = data.into();
+        // One search serves the capacity check and the store: this is
+        // the checkpoint commit path, taken on every ARMOR transmission.
+        let at = self.files.idx(path);
+        let existing = at.map_or(0, |i| self.files.entries[i].1.len());
         let new_used = self.used - existing + data.len();
         if new_used > self.capacity {
             return Err(DiskError::Full {
@@ -144,7 +162,7 @@ impl RamDisk {
         self.writes += 1;
         self.bytes_written += data.len() as u64;
         self.used = new_used;
-        Arc::make_mut(&mut self.files).insert(path, Arc::new(data));
+        Arc::make_mut(&mut self.files).insert_at(at, path, data);
         Ok(())
     }
 
