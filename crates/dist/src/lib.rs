@@ -28,12 +28,13 @@
 //! # Usage
 //!
 //! Host binaries call [`run_worker_if_spawned`] first thing in `main`
-//! (a worker spawn is detected from the environment), then use the
-//! [`Distributed`] extension terminal:
+//! (a worker spawn is detected from the environment), then call
+//! [`distribute`] — the distributed analogue of
+//! `Campaign::new(&plan).runs(200).seed(1).aggregate()`:
 //!
 //! ```no_run
-//! use ree_dist::{DistOptions, Distributed};
-//! use ree_inject::{Campaign, ErrorModel, RunPlan, Target};
+//! use ree_dist::{distribute, DistOptions};
+//! use ree_inject::{ErrorModel, RunPlan, Target};
 //! use ree_sim::SimTime;
 //!
 //! ree_dist::run_worker_if_spawned(); // becomes a worker if spawned as one
@@ -44,11 +45,7 @@
 //!     timeout: SimTime::ZERO + ree_sim::SimDuration::from_secs(120),
 //!     net_faults: Vec::new(),
 //! };
-//! let report = Campaign::new(&plan)
-//!     .runs(200)
-//!     .seed(1)
-//!     .distributed(&DistOptions::new(4))
-//!     .expect("plan validates");
+//! let report = distribute(&plan, 200, 1, &DistOptions::new(4)).expect("plan validates");
 //! println!("{:?}", report.aggregate);
 //! ```
 
@@ -70,8 +67,6 @@ pub use supervisor::{distribute, DistError, DistOptions, DistReport};
 pub use wire::{decode_msg, encode_frame_msg, encode_msg, Msg, WireError, PROTO_VERSION};
 pub use worker::{worker_main, WorkerConfig};
 
-use ree_inject::{Campaign, CampaignSpec};
-
 /// If this process was spawned as a distributed worker (detected from
 /// the [`worker::ENV_WORKER_ID`] environment variable), runs the worker
 /// protocol loop and never returns. Otherwise does nothing.
@@ -81,29 +76,5 @@ use ree_inject::{Campaign, CampaignSpec};
 pub fn run_worker_if_spawned() {
     if let Some(config) = WorkerConfig::from_env() {
         worker::worker_main(config);
-    }
-}
-
-/// Extension terminal that runs a configured campaign across a
-/// supervised worker pool. Implemented for [`Campaign`] and
-/// [`CampaignSpec`] — the distributed analogue of `.aggregate()`.
-pub trait Distributed {
-    /// Runs the campaign's seed range across `options.workers` worker
-    /// subprocesses and folds the results in seed order.
-    ///
-    /// When the sweep completes, `report.aggregate` is byte-identical
-    /// to `.aggregate()` run in-process.
-    fn distributed(&self, options: &DistOptions) -> Result<DistReport, DistError>;
-}
-
-impl Distributed for Campaign<'_> {
-    fn distributed(&self, options: &DistOptions) -> Result<DistReport, DistError> {
-        supervisor::distribute(self.plan(), self.runs_configured(), self.seed0(), options)
-    }
-}
-
-impl Distributed for CampaignSpec {
-    fn distributed(&self, options: &DistOptions) -> Result<DistReport, DistError> {
-        supervisor::distribute(&self.plan, self.runs, self.seed0, options)
     }
 }

@@ -652,23 +652,14 @@ impl<'p> Supervisor<'p> {
 
     // ---------------------------------------------------- fallback
 
-    fn ensure_fallback_boot(&mut self) {
-        if self.fallback_boot.is_none() {
-            self.plan.scenario.warm_inputs();
-            let geometry = self.plan.geometry();
-            let snapshot = self.plan.scenario.boot_snapshot(geometry.snapshot_at);
-            self.fallback_boot = Some((geometry, snapshot));
-        }
-    }
-
     /// Executes one batch in-process (retry budget exhausted).
     fn run_in_process(&mut self, batch: u32) {
         self.fell_back = true;
-        self.ensure_fallback_boot();
         let spec = self.batches[batch as usize];
-        let (geometry, snapshot) = self.fallback_boot.as_ref().expect("booted above");
+        let plan = self.plan;
+        let (geometry, snapshot) = self.fallback_boot.get_or_insert_with(|| plan.boot());
         let results: Vec<RunResult> = (0..u64::from(spec.len))
-            .map(|i| execute_warm(self.plan, geometry, snapshot, spec.seed0 + i))
+            .map(|i| execute_warm(plan, geometry, snapshot, spec.seed0 + i))
             .collect();
         self.ledger.record_fallback(u64::from(spec.len));
         self.completed.insert(batch, results);

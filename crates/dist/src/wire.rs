@@ -1,14 +1,20 @@
 //! Message encoding for the supervisor ↔ worker protocol.
 //!
-//! One [`Msg`] per frame (see [`crate::frame`]). The payload codec is
-//! hand-rolled over the vendored `bytes` buffer types: big-endian
-//! integers, `f64` as IEEE bit patterns (`to_bits`/`from_bits`, so
-//! results survive the wire bit-exactly), strings as length-prefixed
-//! UTF-8, `SimTime`/`SimDuration` as their microsecond counts
-//! (lossless — they are `u64` microseconds internally). Decoding is
-//! fully fallible: a malformed payload yields a typed [`WireError`],
-//! never a panic, because the bytes crossed a process boundary and the
-//! peer may have been chaos-injected.
+//! One [`Msg`] per frame (see [`crate::frame`]). Every type that crosses
+//! the wire implements the private `Wire` trait — `put` appends its
+//! encoding, `take` reads it back — once: the primitives by hand
+//! (big-endian integers, `f64` as IEEE bit patterns so results survive
+//! bit-exactly, strings as length-prefixed UTF-8, `SimTime`/`SimDuration`
+//! as their `u64` microsecond counts, `Option` behind a `u8` tag, `Vec`
+//! behind a `u32` count), structs through `wire_struct!` and tagged enums
+//! through `wire_enum!`, each of which names a type's fields or variants
+//! exactly once, in wire order. `put` destructures exhaustively, so a
+//! field or variant added to a wire type without a codec edit is a
+//! compile error rather than a silently dropped value.
+//!
+//! Decoding is fully fallible: a malformed payload yields a typed
+//! [`WireError`], never a panic, because the bytes crossed a process
+//! boundary and the peer may have been chaos-injected.
 //!
 //! The codec round-trips the whole [`RunPlan`] (scenario, workload
 //! parameters, jobs, optional interconnect topology, network-fault
@@ -30,8 +36,8 @@ use ree_sim::{SimDuration, SimTime};
 /// the handshake instead of mis-decoding frames.
 pub const PROTO_VERSION: u32 = 1;
 
-/// A malformed payload (truncated, unknown tag, bad UTF-8, or bytes
-/// left over after the message ended).
+/// A malformed payload (truncated, unknown tag, bad UTF-8, a value its
+/// type rejects, or bytes left over after the message ended).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
     /// The payload ended before `what` could be read.
@@ -39,7 +45,7 @@ pub enum WireError {
         /// Field being decoded when the payload ran out.
         what: &'static str,
     },
-    /// An enum tag byte had no corresponding variant.
+    /// An enum, `bool` or `Option` tag byte had no corresponding variant.
     BadTag {
         /// Enum being decoded.
         what: &'static str,
@@ -49,6 +55,12 @@ pub enum WireError {
     /// A length-prefixed string was not valid UTF-8.
     BadUtf8 {
         /// Field being decoded.
+        what: &'static str,
+    },
+    /// The bytes decoded, but to a value `what`'s own constructor refuses
+    /// (e.g. a topology link naming a node out of range).
+    Invalid {
+        /// Type being decoded.
         what: &'static str,
     },
     /// The message decoded cleanly but bytes remained.
@@ -64,6 +76,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated { what } => write!(f, "payload truncated reading {what}"),
             WireError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
             WireError::BadUtf8 { what } => write!(f, "invalid UTF-8 in {what}"),
+            WireError::Invalid { what } => write!(f, "invalid {what}"),
             WireError::Trailing { extra } => write!(f, "{extra} trailing bytes after message"),
         }
     }
@@ -135,297 +148,299 @@ pub enum Msg {
     },
 }
 
-// ---------------------------------------------------------------- encode
+// ----------------------------------------------------------------- codec
 
-fn put_u16(buf: &mut BytesMut, v: u16) {
-    buf.put_slice(&v.to_be_bytes());
+/// Cursor over a payload. `what` names the field being decoded, for
+/// [`WireError::Truncated`] / [`WireError::BadUtf8`] reports.
+struct Reader<'a> {
+    buf: &'a [u8],
+    what: &'static str,
 }
 
-fn put_f64(buf: &mut BytesMut, v: f64) {
-    buf.put_u64(v.to_bits());
-}
-
-fn put_bool(buf: &mut BytesMut, v: bool) {
-    buf.put_u8(v as u8);
-}
-
-fn put_usize(buf: &mut BytesMut, v: usize) {
-    buf.put_u64(v as u64);
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_duration(buf: &mut BytesMut, d: SimDuration) {
-    buf.put_u64(d.as_micros());
-}
-
-fn put_time(buf: &mut BytesMut, t: SimTime) {
-    buf.put_u64(t.as_micros());
-}
-
-fn put_opt<T>(buf: &mut BytesMut, v: &Option<T>, put: impl FnOnce(&mut BytesMut, &T)) {
-    match v {
-        None => buf.put_u8(0),
-        Some(x) => {
-            buf.put_u8(1);
-            put(buf, x);
+impl<'a> Reader<'a> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if self.buf.len() < n {
+            return Err(WireError::Truncated { what: self.what });
         }
+        let (head, tail) = self.buf.split_at(n);
+        self.buf = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let truncated = WireError::Truncated { what: self.what };
+        let (head, tail) = self.buf.split_first_chunk().ok_or(truncated)?;
+        self.buf = tail;
+        Ok(*head)
     }
 }
 
-fn put_opt_f64(buf: &mut BytesMut, v: &Option<f64>) {
-    put_opt(buf, v, |b, x| put_f64(b, *x));
+/// One definition of a type's wire form: `take` reads back exactly what
+/// `put` wrote.
+trait Wire: Sized {
+    fn put(&self, buf: &mut BytesMut);
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
-fn put_sift(buf: &mut BytesMut, c: &SiftConfig) {
-    put_duration(buf, c.ftm_daemon_hb_period);
-    put_duration(buf, c.hb_ftm_period);
-    put_duration(buf, c.daemon_probe_period);
-    put_duration(buf, c.pi_check_period);
-    put_duration(buf, c.app_block_timeout);
-    put_duration(buf, c.mpi_init_timeout);
-    put_bool(buf, c.race_fix_enabled);
-    put_bool(buf, c.interrupt_driven_pi);
-    put_bool(buf, c.precheck_assertions);
-    put_bool(buf, c.assertions_enabled);
-    put_opt(buf, &c.connect_timeout, |b, d| put_duration(b, *d));
-}
-
-fn put_texture(buf: &mut BytesMut, p: &TextureParams) {
-    put_usize(buf, p.image_px);
-    put_usize(buf, p.tile_px);
-    put_usize(buf, p.clusters);
-    buf.put_u32(p.images);
-    put_duration(buf, p.load_time);
-    put_duration(buf, p.filter_time);
-    put_duration(buf, p.cluster_time);
-    put_duration(buf, p.write_time);
-    put_duration(buf, p.pi_period);
-}
-
-fn put_otis(buf: &mut BytesMut, p: &OtisParams) {
-    put_usize(buf, p.frame_px);
-    buf.put_u32(p.frames);
-    put_duration(buf, p.load_time);
-    put_duration(buf, p.atm_time);
-    put_duration(buf, p.emis_time);
-    put_duration(buf, p.compress_time);
-    put_duration(buf, p.pi_period);
-}
-
-fn put_pipeline(buf: &mut BytesMut, p: &PipelineParams) {
-    put_usize(buf, p.frame_px);
-    buf.put_u32(p.frames);
-    put_duration(buf, p.acquire_time);
-    put_duration(buf, p.process_time);
-    put_duration(buf, p.downlink_time);
-    put_duration(buf, p.pi_period);
-}
-
-fn put_job(buf: &mut BytesMut, j: &JobSpec) {
-    put_str(buf, &j.app);
-    buf.put_u32(j.ranks);
-    buf.put_u32(j.nodes.len() as u32);
-    for &n in &j.nodes {
-        put_u16(buf, n);
-    }
-    put_duration(buf, j.submit_at);
-}
-
-fn put_port(buf: &mut BytesMut, p: Port) {
-    match p {
-        Port::Node(NodeId(n)) => {
-            buf.put_u8(0);
-            put_u16(buf, n);
-        }
-        Port::Switch(SwitchId(s)) => {
-            buf.put_u8(1);
-            put_u16(buf, s);
-        }
-    }
-}
-
-fn put_topology(buf: &mut BytesMut, t: &Topology) {
-    put_u16(buf, t.nodes());
-    put_u16(buf, t.switches());
-    put_duration(buf, t.loopback_latency());
-    buf.put_u32(t.links().len() as u32);
-    for link in t.links() {
-        put_port(buf, link.from);
-        put_port(buf, link.to);
-        put_duration(buf, link.params.latency);
-        put_duration(buf, link.params.jitter);
-        put_opt(buf, &link.params.bandwidth_bytes_per_sec, |b, v| b.put_u64(*v));
-        put_f64(buf, link.params.drop_probability);
-        buf.put_u32(link.peer.0);
-    }
-}
-
-fn put_scenario(buf: &mut BytesMut, s: &Scenario) {
-    put_usize(buf, s.nodes);
-    put_sift(buf, &s.sift);
-    put_texture(buf, &s.texture);
-    put_otis(buf, &s.otis);
-    put_pipeline(buf, &s.pipeline);
-    buf.put_u32(s.jobs.len() as u32);
-    for j in &s.jobs {
-        put_job(buf, j);
-    }
-    buf.put_u64(s.seed);
-    put_bool(buf, s.trace);
-    put_opt(buf, &s.topology, put_topology);
-}
-
-fn put_target(buf: &mut BytesMut, t: &Target) {
-    match t {
-        Target::App => buf.put_u8(0),
-        Target::NamedApp(name) => {
-            buf.put_u8(1);
-            put_str(buf, name);
-        }
-        Target::Ftm => buf.put_u8(2),
-        Target::ExecArmor => buf.put_u8(3),
-        Target::Heartbeat => buf.put_u8(4),
-        Target::AnyArmor => buf.put_u8(5),
-    }
-}
-
-fn put_heap_target(buf: &mut BytesMut, t: &HeapTarget) {
-    match t {
-        HeapTarget::Any => buf.put_u8(0),
-        HeapTarget::DataOnly => buf.put_u8(1),
-        HeapTarget::Region(r) => {
-            buf.put_u8(2);
-            put_str(buf, r);
-        }
-    }
-}
-
-fn put_model(buf: &mut BytesMut, m: &ErrorModel) {
-    match m {
-        ErrorModel::Sigint => buf.put_u8(0),
-        ErrorModel::Sigstop => buf.put_u8(1),
-        ErrorModel::Register => buf.put_u8(2),
-        ErrorModel::TextSegment => buf.put_u8(3),
-        ErrorModel::Heap => buf.put_u8(4),
-        ErrorModel::HeapSingle(t) => {
-            buf.put_u8(5);
-            put_heap_target(buf, t);
-        }
-    }
-}
-
-fn put_net_fault(buf: &mut BytesMut, f: &NetFault) {
-    match &f.kind {
-        NetFaultKind::Link { a, b } => {
-            buf.put_u8(0);
-            put_u16(buf, *a);
-            put_u16(buf, *b);
-        }
-        NetFaultKind::Correlated { pairs } => {
-            buf.put_u8(1);
-            buf.put_u32(pairs.len() as u32);
-            for &(a, b) in pairs {
-                put_u16(buf, a);
-                put_u16(buf, b);
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_slice(&self.to_be_bytes());
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                r.array().map(<$ty>::from_be_bytes)
             }
         }
-        NetFaultKind::Partition { groups } => {
-            buf.put_u8(2);
-            buf.put_u32(groups.len() as u32);
-            for g in groups {
-                buf.put_u32(g.len() as u32);
-                for &n in g {
-                    put_u16(buf, n);
-                }
+    )*};
+}
+wire_int!(u8, u16, u32, u64);
+
+/// A type carried as another (`usize` as `u64`, `f64` as its bits, …).
+macro_rules! wire_via {
+    ($($ty:ty as $via:ty: |$v:ident| $to:expr, $from:expr;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                let $v = self;
+                <$via>::put(&$to, buf);
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                <$via>::take(r).map($from)
+            }
+        }
+    )*};
+}
+wire_via! {
+    usize as u64: |v| *v as u64, |v| v as usize;
+    f64 as u64: |v| v.to_bits(), f64::from_bits;
+    SimDuration as u64: |d| d.as_micros(), SimDuration::from_micros;
+    SimTime as u64: |t| t.as_micros(), SimTime::from_micros;
+    NodeId as u16: |n| n.0, NodeId;
+    SwitchId as u16: |s| s.0, SwitchId;
+    LinkId as u32: |l| l.0, LinkId;
+}
+
+impl Wire for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self as u8);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::take(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::BadTag { what: "bool", tag }),
+        }
+    }
+}
+
+impl Wire for String {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        buf.put_slice(self.as_bytes());
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = u32::take(r)? as usize;
+        let raw = r.bytes(len)?;
+        String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8 { what: r.what })
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            None => buf.put_u8(0),
+            Some(x) => {
+                buf.put_u8(1);
+                x.put(buf);
             }
         }
     }
-    match &f.trigger {
-        NetFaultTrigger::At(t) => {
-            buf.put_u8(0);
-            put_time(buf, *t);
-        }
-        NetFaultTrigger::OnRecoveryStart { delay } => {
-            buf.put_u8(1);
-            put_duration(buf, *delay);
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::take(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::take(r)?)),
+            tag => Err(WireError::BadTag { what: "option", tag }),
         }
     }
-    put_duration(buf, f.duration);
 }
 
-fn put_plan(buf: &mut BytesMut, p: &RunPlan) {
-    put_scenario(buf, &p.scenario);
-    put_target(buf, &p.target);
-    put_model(buf, &p.model);
-    put_time(buf, p.timeout);
-    buf.put_u32(p.net_faults.len() as u32);
-    for f in &p.net_faults {
-        put_net_fault(buf, f);
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        for x in self {
+            x.put(buf);
+        }
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = u32::take(r)? as usize;
+        // Guard against a corrupted count reserving gigabytes: the cap
+        // only bounds the pre-allocation, pushes still fail on EOF.
+        let mut out = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            out.push(T::take(r)?);
+        }
+        Ok(out)
     }
 }
 
-fn put_failure_class(buf: &mut BytesMut, c: FailureClass) {
-    buf.put_u8(match c {
-        FailureClass::SegFault => 0,
-        FailureClass::IllegalInstruction => 1,
-        FailureClass::Hang => 2,
-        FailureClass::Assertion => 3,
-        FailureClass::InjectedSignal => 4,
-        FailureClass::Other => 5,
-    });
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        (**self).put(buf);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::take(r).map(Box::new)
+    }
 }
 
-fn put_system_failure(buf: &mut BytesMut, s: SystemFailure) {
-    buf.put_u8(match s {
-        SystemFailure::UnableToRegisterDaemons => 0,
-        SystemFailure::UnableToInstallExecArmors => 1,
-        SystemFailure::UnableToStartApplication => 2,
-        SystemFailure::UnableToRecognizeCompletion => 3,
-        SystemFailure::AppDidNotComplete => 4,
-    });
+impl Wire for (u16, u16) {
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((u16::take(r)?, u16::take(r)?))
+    }
 }
 
-fn put_result(buf: &mut BytesMut, r: &RunResult) {
-    buf.put_u64(r.seed);
-    buf.put_u32(r.injections);
-    put_opt(buf, &r.induced, |b, c| put_failure_class(b, *c));
-    put_bool(buf, r.completed);
-    put_opt(buf, &r.system_failure, |b, s| put_system_failure(b, *s));
-    buf.put_u8(match r.output {
-        Verdict::Correct => 0,
-        Verdict::Incorrect => 1,
-        Verdict::Missing => 2,
-    });
-    put_opt_f64(buf, &r.perceived);
-    put_opt_f64(buf, &r.actual);
-    buf.put_u32(r.perceived_all.len() as u32);
-    for v in &r.perceived_all {
-        put_opt_f64(buf, v);
+/// `wire_struct!(Type { a, b, c })`: the fields of `Type`, in wire order.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                // No `..`: a new field must be listed here to compile.
+                let $ty { $($field),* } = self;
+                $($field.put(buf);)*
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($ty {$(
+                    $field: {
+                        r.what = concat!(stringify!($ty), ".", stringify!($field));
+                        Wire::take(r)?
+                    }
+                ),*})
+            }
+        }
+    )*};
+}
+
+/// `wire_enum!(Type { 0 => A, 1 => B(x), 2 => C { y, z } })`: the `u8`
+/// tag and payload fields of every variant of `Type`.
+macro_rules! wire_enum {
+    ($($ty:ident {
+        $($tag:literal => $variant:ident $(($($tf:ident),+))? $({ $($sf:ident),+ })?),* $(,)?
+    })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                match self {$(
+                    $ty::$variant $(($($tf),+))? $({ $($sf),+ })? => {
+                        buf.put_u8($tag);
+                        $($($tf.put(buf);)+)?
+                        $($($sf.put(buf);)+)?
+                    }
+                )*}
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                r.what = stringify!($ty);
+                Ok(match u8::take(r)? {
+                    $($tag => $ty::$variant
+                        $(($({
+                            r.what = concat!(stringify!($variant), ".", stringify!($tf));
+                            Wire::take(r)?
+                        }),+))?
+                        $({$($sf: {
+                            r.what = concat!(stringify!($variant), ".", stringify!($sf));
+                            Wire::take(r)?
+                        }),+})?,
+                    )*
+                    tag => return Err(WireError::BadTag { what: stringify!($ty), tag }),
+                })
+            }
+        }
+    )*};
+}
+
+// ----------------------------------------------------------- wire types
+
+wire_struct! {
+    SiftConfig {
+        ftm_daemon_hb_period, hb_ftm_period, daemon_probe_period, pi_check_period,
+        app_block_timeout, mpi_init_timeout, race_fix_enabled, interrupt_driven_pi,
+        precheck_assertions, assertions_enabled, connect_timeout,
     }
-    buf.put_u32(r.actual_all.len() as u32);
-    for v in &r.actual_all {
-        put_opt_f64(buf, v);
+    TextureParams {
+        image_px, tile_px, clusters, images, load_time, filter_time, cluster_time, write_time,
+        pi_period,
     }
-    buf.put_u64(r.restarts);
-    buf.put_u32(r.recovery_times.len() as u32);
-    for &v in &r.recovery_times {
-        put_f64(buf, v);
+    OtisParams { frame_px, frames, load_time, atm_time, emis_time, compress_time, pi_period }
+    PipelineParams { frame_px, frames, acquire_time, process_time, downlink_time, pi_period }
+    JobSpec { app, ranks, nodes, submit_at }
+    LinkParams { latency, jitter, bandwidth_bytes_per_sec, drop_probability }
+    LinkSpec { from, to, params, peer }
+    Scenario { nodes, sift, texture, otis, pipeline, jobs, seed, trace, topology }
+    NetFault { kind, trigger, duration }
+    RunPlan { scenario, target, model, timeout, net_faults }
+    HeapHit { region, field, kind }
+    RunResult {
+        seed, injections, induced, completed, system_failure, output, perceived, actual,
+        perceived_all, actual_all, restarts, recovery_times, correlated, assertion_fired,
+        heap_hit, net_faults_applied,
     }
-    put_bool(buf, r.correlated);
-    put_bool(buf, r.assertion_fired);
-    put_opt(buf, &r.heap_hit, |b, h| {
-        put_str(b, &h.region);
-        put_str(b, &h.field);
-        b.put_u8(match h.kind {
-            FieldKind::Pointer => 0,
-            FieldKind::Data => 1,
-        });
-    });
-    buf.put_u32(r.net_faults_applied);
+}
+
+wire_enum! {
+    Port { 0 => Node(node), 1 => Switch(switch) }
+    Target {
+        0 => App, 1 => NamedApp(app), 2 => Ftm, 3 => ExecArmor, 4 => Heartbeat, 5 => AnyArmor,
+    }
+    HeapTarget { 0 => Any, 1 => DataOnly, 2 => Region(region) }
+    ErrorModel {
+        0 => Sigint, 1 => Sigstop, 2 => Register, 3 => TextSegment, 4 => Heap,
+        5 => HeapSingle(target),
+    }
+    NetFaultKind { 0 => Link { a, b }, 1 => Correlated { pairs }, 2 => Partition { groups } }
+    NetFaultTrigger { 0 => At(at), 1 => OnRecoveryStart { delay } }
+    FailureClass {
+        0 => SegFault, 1 => IllegalInstruction, 2 => Hang, 3 => Assertion, 4 => InjectedSignal,
+        5 => Other,
+    }
+    SystemFailure {
+        0 => UnableToRegisterDaemons, 1 => UnableToInstallExecArmors,
+        2 => UnableToStartApplication, 3 => UnableToRecognizeCompletion, 4 => AppDidNotComplete,
+    }
+    Verdict { 0 => Correct, 1 => Incorrect, 2 => Missing }
+    FieldKind { 0 => Pointer, 1 => Data }
+    Msg {
+        0 => Hello { proto },
+        1 => Plan { plan },
+        2 => Batch { batch, seed0, len },
+        3 => Shutdown,
+        4 => Ready { worker, proto },
+        5 => PlanAccepted,
+        6 => PlanRejected { error },
+        7 => Progress { batch, done },
+        8 => BatchDone { batch, results },
+        9 => BatchFailed { batch, error },
+    }
+}
+
+/// `Topology` keeps its fields private and its links range-checked, so
+/// it crosses the wire through its accessors and fallible constructor.
+impl Wire for Topology {
+    fn put(&self, buf: &mut BytesMut) {
+        self.nodes().put(buf);
+        self.switches().put(buf);
+        self.loopback_latency().put(buf);
+        (self.links().len() as u32).put(buf);
+        for link in self.links() {
+            link.put(buf);
+        }
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.what = "Topology";
+        let (nodes, switches, loopback) = (u16::take(r)?, u16::take(r)?, SimDuration::take(r)?);
+        Topology::from_parts(nodes, switches, loopback, Vec::take(r)?)
+            .map_err(|_| WireError::Invalid { what: "Topology" })
+    }
 }
 
 /// Encodes `msg` and wraps it in a wire frame — the common send path.
@@ -436,397 +451,15 @@ pub fn encode_frame_msg(msg: &Msg) -> Vec<u8> {
 /// Encodes `msg` into a frame payload.
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(64);
-    match msg {
-        Msg::Hello { proto } => {
-            buf.put_u8(0);
-            buf.put_u32(*proto);
-        }
-        Msg::Plan { plan } => {
-            buf.put_u8(1);
-            put_plan(&mut buf, plan);
-        }
-        Msg::Batch { batch, seed0, len } => {
-            buf.put_u8(2);
-            buf.put_u32(*batch);
-            buf.put_u64(*seed0);
-            buf.put_u32(*len);
-        }
-        Msg::Shutdown => buf.put_u8(3),
-        Msg::Ready { worker, proto } => {
-            buf.put_u8(4);
-            buf.put_u32(*worker);
-            buf.put_u32(*proto);
-        }
-        Msg::PlanAccepted => buf.put_u8(5),
-        Msg::PlanRejected { error } => {
-            buf.put_u8(6);
-            put_str(&mut buf, error);
-        }
-        Msg::Progress { batch, done } => {
-            buf.put_u8(7);
-            buf.put_u32(*batch);
-            buf.put_u32(*done);
-        }
-        Msg::BatchDone { batch, results } => {
-            buf.put_u8(8);
-            buf.put_u32(*batch);
-            buf.put_u32(results.len() as u32);
-            for r in results {
-                put_result(&mut buf, r);
-            }
-        }
-        Msg::BatchFailed { batch, error } => {
-            buf.put_u8(9);
-            buf.put_u32(*batch);
-            put_str(&mut buf, error);
-        }
-    }
+    msg.put(&mut buf);
     buf.to_vec()
-}
-
-// ---------------------------------------------------------------- decode
-
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.buf.len() < n {
-            return Err(WireError::Truncated { what });
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.bytes(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.bytes(2, what)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.bytes(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.bytes(8, what)?.try_into().unwrap()))
-    }
-
-    fn usize(&mut self, what: &'static str) -> Result<usize, WireError> {
-        Ok(self.u64(what)? as usize)
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn bool(&mut self, what: &'static str) -> Result<bool, WireError> {
-        Ok(self.u8(what)? != 0)
-    }
-
-    fn string(&mut self, what: &'static str) -> Result<String, WireError> {
-        let len = self.u32(what)? as usize;
-        let raw = self.bytes(len, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8 { what })
-    }
-
-    fn duration(&mut self, what: &'static str) -> Result<SimDuration, WireError> {
-        Ok(SimDuration::from_micros(self.u64(what)?))
-    }
-
-    fn time(&mut self, what: &'static str) -> Result<SimTime, WireError> {
-        Ok(SimTime::from_micros(self.u64(what)?))
-    }
-
-    fn opt<T>(
-        &mut self,
-        what: &'static str,
-        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Option<T>, WireError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            _ => Ok(Some(read(self)?)),
-        }
-    }
-
-    fn vec<T>(
-        &mut self,
-        what: &'static str,
-        mut read: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError> {
-        let n = self.u32(what)? as usize;
-        // Guard against a corrupted count reserving gigabytes: the cap
-        // only bounds the pre-allocation, pushes still fail on EOF.
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            out.push(read(self)?);
-        }
-        Ok(out)
-    }
-}
-
-fn read_sift(r: &mut Reader<'_>) -> Result<SiftConfig, WireError> {
-    Ok(SiftConfig {
-        ftm_daemon_hb_period: r.duration("sift.ftm_daemon_hb_period")?,
-        hb_ftm_period: r.duration("sift.hb_ftm_period")?,
-        daemon_probe_period: r.duration("sift.daemon_probe_period")?,
-        pi_check_period: r.duration("sift.pi_check_period")?,
-        app_block_timeout: r.duration("sift.app_block_timeout")?,
-        mpi_init_timeout: r.duration("sift.mpi_init_timeout")?,
-        race_fix_enabled: r.bool("sift.race_fix_enabled")?,
-        interrupt_driven_pi: r.bool("sift.interrupt_driven_pi")?,
-        precheck_assertions: r.bool("sift.precheck_assertions")?,
-        assertions_enabled: r.bool("sift.assertions_enabled")?,
-        connect_timeout: r.opt("sift.connect_timeout", |r| r.duration("sift.connect_timeout"))?,
-    })
-}
-
-fn read_texture(r: &mut Reader<'_>) -> Result<TextureParams, WireError> {
-    Ok(TextureParams {
-        image_px: r.usize("texture.image_px")?,
-        tile_px: r.usize("texture.tile_px")?,
-        clusters: r.usize("texture.clusters")?,
-        images: r.u32("texture.images")?,
-        load_time: r.duration("texture.load_time")?,
-        filter_time: r.duration("texture.filter_time")?,
-        cluster_time: r.duration("texture.cluster_time")?,
-        write_time: r.duration("texture.write_time")?,
-        pi_period: r.duration("texture.pi_period")?,
-    })
-}
-
-fn read_otis(r: &mut Reader<'_>) -> Result<OtisParams, WireError> {
-    Ok(OtisParams {
-        frame_px: r.usize("otis.frame_px")?,
-        frames: r.u32("otis.frames")?,
-        load_time: r.duration("otis.load_time")?,
-        atm_time: r.duration("otis.atm_time")?,
-        emis_time: r.duration("otis.emis_time")?,
-        compress_time: r.duration("otis.compress_time")?,
-        pi_period: r.duration("otis.pi_period")?,
-    })
-}
-
-fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineParams, WireError> {
-    Ok(PipelineParams {
-        frame_px: r.usize("pipeline.frame_px")?,
-        frames: r.u32("pipeline.frames")?,
-        acquire_time: r.duration("pipeline.acquire_time")?,
-        process_time: r.duration("pipeline.process_time")?,
-        downlink_time: r.duration("pipeline.downlink_time")?,
-        pi_period: r.duration("pipeline.pi_period")?,
-    })
-}
-
-fn read_job(r: &mut Reader<'_>) -> Result<JobSpec, WireError> {
-    Ok(JobSpec {
-        app: r.string("job.app")?,
-        ranks: r.u32("job.ranks")?,
-        nodes: r.vec("job.nodes", |r| r.u16("job.node"))?,
-        submit_at: r.duration("job.submit_at")?,
-    })
-}
-
-fn read_port(r: &mut Reader<'_>) -> Result<Port, WireError> {
-    match r.u8("port.tag")? {
-        0 => Ok(Port::Node(NodeId(r.u16("port.node")?))),
-        1 => Ok(Port::Switch(SwitchId(r.u16("port.switch")?))),
-        tag => Err(WireError::BadTag { what: "port", tag }),
-    }
-}
-
-fn read_topology(r: &mut Reader<'_>) -> Result<Topology, WireError> {
-    let nodes = r.u16("topology.nodes")?;
-    let switches = r.u16("topology.switches")?;
-    let loopback = r.duration("topology.loopback_latency")?;
-    let links = r.vec("topology.links", |r| {
-        Ok(LinkSpec {
-            from: read_port(r)?,
-            to: read_port(r)?,
-            params: LinkParams {
-                latency: r.duration("link.latency")?,
-                jitter: r.duration("link.jitter")?,
-                bandwidth_bytes_per_sec: r.opt("link.bandwidth", |r| r.u64("link.bandwidth"))?,
-                drop_probability: r.f64("link.drop_probability")?,
-            },
-            peer: LinkId(r.u32("link.peer")?),
-        })
-    })?;
-    Ok(Topology::from_parts(nodes, switches, loopback, links))
-}
-
-fn read_scenario(r: &mut Reader<'_>) -> Result<Scenario, WireError> {
-    Ok(Scenario {
-        nodes: r.usize("scenario.nodes")?,
-        sift: read_sift(r)?,
-        texture: read_texture(r)?,
-        otis: read_otis(r)?,
-        pipeline: read_pipeline(r)?,
-        jobs: r.vec("scenario.jobs", read_job)?,
-        seed: r.u64("scenario.seed")?,
-        trace: r.bool("scenario.trace")?,
-        topology: r.opt("scenario.topology", read_topology)?,
-    })
-}
-
-fn read_target(r: &mut Reader<'_>) -> Result<Target, WireError> {
-    match r.u8("target.tag")? {
-        0 => Ok(Target::App),
-        1 => Ok(Target::NamedApp(r.string("target.app")?)),
-        2 => Ok(Target::Ftm),
-        3 => Ok(Target::ExecArmor),
-        4 => Ok(Target::Heartbeat),
-        5 => Ok(Target::AnyArmor),
-        tag => Err(WireError::BadTag { what: "target", tag }),
-    }
-}
-
-fn read_heap_target(r: &mut Reader<'_>) -> Result<HeapTarget, WireError> {
-    match r.u8("heap-target.tag")? {
-        0 => Ok(HeapTarget::Any),
-        1 => Ok(HeapTarget::DataOnly),
-        2 => Ok(HeapTarget::Region(r.string("heap-target.region")?)),
-        tag => Err(WireError::BadTag { what: "heap-target", tag }),
-    }
-}
-
-fn read_model(r: &mut Reader<'_>) -> Result<ErrorModel, WireError> {
-    match r.u8("model.tag")? {
-        0 => Ok(ErrorModel::Sigint),
-        1 => Ok(ErrorModel::Sigstop),
-        2 => Ok(ErrorModel::Register),
-        3 => Ok(ErrorModel::TextSegment),
-        4 => Ok(ErrorModel::Heap),
-        5 => Ok(ErrorModel::HeapSingle(read_heap_target(r)?)),
-        tag => Err(WireError::BadTag { what: "error-model", tag }),
-    }
-}
-
-fn read_net_fault(r: &mut Reader<'_>) -> Result<NetFault, WireError> {
-    let kind = match r.u8("net-fault.kind")? {
-        0 => NetFaultKind::Link { a: r.u16("net-fault.a")?, b: r.u16("net-fault.b")? },
-        1 => NetFaultKind::Correlated {
-            pairs: r.vec("net-fault.pairs", |r| {
-                Ok((r.u16("net-fault.pair.a")?, r.u16("net-fault.pair.b")?))
-            })?,
-        },
-        2 => NetFaultKind::Partition {
-            groups: r.vec("net-fault.groups", |r| {
-                r.vec("net-fault.group", |r| r.u16("net-fault.node"))
-            })?,
-        },
-        tag => return Err(WireError::BadTag { what: "net-fault kind", tag }),
-    };
-    let trigger = match r.u8("net-fault.trigger")? {
-        0 => NetFaultTrigger::At(r.time("net-fault.at")?),
-        1 => NetFaultTrigger::OnRecoveryStart { delay: r.duration("net-fault.delay")? },
-        tag => return Err(WireError::BadTag { what: "net-fault trigger", tag }),
-    };
-    Ok(NetFault { kind, trigger, duration: r.duration("net-fault.duration")? })
-}
-
-fn read_plan(r: &mut Reader<'_>) -> Result<RunPlan, WireError> {
-    Ok(RunPlan {
-        scenario: read_scenario(r)?,
-        target: read_target(r)?,
-        model: read_model(r)?,
-        timeout: r.time("plan.timeout")?,
-        net_faults: r.vec("plan.net_faults", read_net_fault)?,
-    })
-}
-
-fn read_failure_class(r: &mut Reader<'_>) -> Result<FailureClass, WireError> {
-    match r.u8("failure-class")? {
-        0 => Ok(FailureClass::SegFault),
-        1 => Ok(FailureClass::IllegalInstruction),
-        2 => Ok(FailureClass::Hang),
-        3 => Ok(FailureClass::Assertion),
-        4 => Ok(FailureClass::InjectedSignal),
-        5 => Ok(FailureClass::Other),
-        tag => Err(WireError::BadTag { what: "failure-class", tag }),
-    }
-}
-
-fn read_system_failure(r: &mut Reader<'_>) -> Result<SystemFailure, WireError> {
-    match r.u8("system-failure")? {
-        0 => Ok(SystemFailure::UnableToRegisterDaemons),
-        1 => Ok(SystemFailure::UnableToInstallExecArmors),
-        2 => Ok(SystemFailure::UnableToStartApplication),
-        3 => Ok(SystemFailure::UnableToRecognizeCompletion),
-        4 => Ok(SystemFailure::AppDidNotComplete),
-        tag => Err(WireError::BadTag { what: "system-failure", tag }),
-    }
-}
-
-fn read_result(r: &mut Reader<'_>) -> Result<RunResult, WireError> {
-    Ok(RunResult {
-        seed: r.u64("result.seed")?,
-        injections: r.u32("result.injections")?,
-        induced: r.opt("result.induced", read_failure_class)?,
-        completed: r.bool("result.completed")?,
-        system_failure: r.opt("result.system_failure", read_system_failure)?,
-        output: match r.u8("result.output")? {
-            0 => Verdict::Correct,
-            1 => Verdict::Incorrect,
-            2 => Verdict::Missing,
-            tag => return Err(WireError::BadTag { what: "verdict", tag }),
-        },
-        perceived: r.opt("result.perceived", |r| r.f64("result.perceived"))?,
-        actual: r.opt("result.actual", |r| r.f64("result.actual"))?,
-        perceived_all: r
-            .vec("result.perceived_all", |r| r.opt("result.perceived_all", |r| r.f64("slot")))?,
-        actual_all: r
-            .vec("result.actual_all", |r| r.opt("result.actual_all", |r| r.f64("slot")))?,
-        restarts: r.u64("result.restarts")?,
-        recovery_times: r.vec("result.recovery_times", |r| r.f64("result.recovery_time"))?,
-        correlated: r.bool("result.correlated")?,
-        assertion_fired: r.bool("result.assertion_fired")?,
-        heap_hit: r.opt("result.heap_hit", |r| {
-            Ok(HeapHit {
-                region: r.string("heap-hit.region")?,
-                field: r.string("heap-hit.field")?,
-                kind: match r.u8("heap-hit.kind")? {
-                    0 => FieldKind::Pointer,
-                    1 => FieldKind::Data,
-                    tag => return Err(WireError::BadTag { what: "field-kind", tag }),
-                },
-            })
-        })?,
-        net_faults_applied: r.u32("result.net_faults_applied")?,
-    })
 }
 
 /// Decodes one message from a frame payload, requiring the payload to
 /// be consumed exactly.
 pub fn decode_msg(payload: &[u8]) -> Result<Msg, WireError> {
-    let mut r = Reader { buf: payload };
-    let msg = match r.u8("message tag")? {
-        0 => Msg::Hello { proto: r.u32("hello.proto")? },
-        1 => Msg::Plan { plan: Box::new(read_plan(&mut r)?) },
-        2 => Msg::Batch {
-            batch: r.u32("batch.id")?,
-            seed0: r.u64("batch.seed0")?,
-            len: r.u32("batch.len")?,
-        },
-        3 => Msg::Shutdown,
-        4 => Msg::Ready { worker: r.u32("ready.worker")?, proto: r.u32("ready.proto")? },
-        5 => Msg::PlanAccepted,
-        6 => Msg::PlanRejected { error: r.string("plan-rejected.error")? },
-        7 => Msg::Progress { batch: r.u32("progress.batch")?, done: r.u32("progress.done")? },
-        8 => Msg::BatchDone {
-            batch: r.u32("batch-done.id")?,
-            results: r.vec("batch-done.results", read_result)?,
-        },
-        9 => Msg::BatchFailed {
-            batch: r.u32("batch-failed.id")?,
-            error: r.string("batch-failed.error")?,
-        },
-        tag => return Err(WireError::BadTag { what: "message", tag }),
-    };
+    let mut r = Reader { buf: payload, what: "Msg" };
+    let msg = Msg::take(&mut r)?;
     if !r.buf.is_empty() {
         return Err(WireError::Trailing { extra: r.buf.len() });
     }

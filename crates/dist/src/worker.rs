@@ -3,8 +3,8 @@
 //!
 //! A worker is deliberately stateless beyond its booted snapshot: it
 //! reads `Hello`/`Plan`/`Batch`/`Shutdown` frames from stdin, validates
-//! the plan at the trust boundary ([`RunPlan::validate`]), boots the
-//! warm snapshot once, and executes each batch with
+//! the plan at the trust boundary ([`ree_inject::RunPlan::validate`]),
+//! boots it once ([`ree_inject::RunPlan::boot`]), and executes each batch with
 //! [`execute_warm_checked`] so a poisoned run becomes a `BatchFailed`
 //! error frame instead of a dead process. Every completed run emits a
 //! `Progress` frame — the heartbeat the supervisor's stall detector
@@ -14,8 +14,7 @@
 use crate::chaos::{ChaosPlan, ChaosState};
 use crate::frame::{encode_frame, Decoder};
 use crate::wire::{decode_msg, encode_msg, Msg, PROTO_VERSION};
-use ree_apps::BootSnapshot;
-use ree_inject::{execute_warm_checked, CampaignError, RunGeometry, RunPlan};
+use ree_inject::{execute_warm_checked, CampaignError};
 use std::io::{Read, Write};
 
 /// Environment variable carrying the worker id; its presence is what
@@ -51,12 +50,6 @@ impl WorkerConfig {
     }
 }
 
-struct Booted {
-    plan: RunPlan,
-    geometry: RunGeometry,
-    snapshot: BootSnapshot,
-}
-
 /// Runs the worker protocol loop over stdin/stdout until `Shutdown`,
 /// EOF, or a broken pipe; never returns.
 pub fn worker_main(config: WorkerConfig) -> ! {
@@ -68,7 +61,7 @@ pub fn worker_main(config: WorkerConfig) -> ! {
     let mut stdin = std::io::stdin().lock();
     let mut stdout = std::io::stdout().lock();
     let mut decoder = Decoder::new();
-    let mut booted: Option<Booted> = None;
+    let mut booted = None;
     let mut chunk = [0u8; 64 * 1024];
     loop {
         let payload = loop {
@@ -97,15 +90,13 @@ pub fn worker_main(config: WorkerConfig) -> ! {
             Msg::Plan { plan } => match plan.validate() {
                 Err(e) => send(&mut stdout, &Msg::PlanRejected { error: e.to_string() }),
                 Ok(()) => {
-                    plan.scenario.warm_inputs();
-                    let geometry = plan.geometry();
-                    let snapshot = plan.scenario.boot_snapshot(geometry.snapshot_at);
-                    booted = Some(Booted { plan: *plan, geometry, snapshot });
+                    let boot = plan.boot();
+                    booted = Some((plan, boot));
                     send(&mut stdout, &Msg::PlanAccepted);
                 }
             },
             Msg::Batch { batch, seed0, len } => {
-                let Some(b) = &booted else {
+                let Some((plan, (geometry, snapshot))) = &booted else {
                     send(
                         &mut stdout,
                         &Msg::BatchFailed { batch, error: "batch before plan".to_owned() },
@@ -127,7 +118,7 @@ pub fn worker_main(config: WorkerConfig) -> ! {
                             message: "chaos: poisoned run".to_owned(),
                         })
                     } else {
-                        execute_warm_checked(&b.plan, &b.geometry, &b.snapshot, seed)
+                        execute_warm_checked(plan, geometry, snapshot, seed)
                     };
                     match outcome {
                         Ok(r) => {

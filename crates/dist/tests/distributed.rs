@@ -132,15 +132,3 @@ fn invalid_plan_is_rejected_before_spawning() {
     let err = distribute(&bad, 8, 0, &options(2)).expect_err("must reject");
     assert!(err.to_string().contains("timeout"), "{err}");
 }
-
-/// The `Distributed` extension terminal mirrors `distribute` for a
-/// configured `Campaign`.
-#[test]
-fn campaign_extension_terminal_matches() {
-    use ree_dist::Distributed;
-    let plan = plan();
-    let want = expected(&plan, 8, 13);
-    let report =
-        Campaign::new(&plan).runs(8).seed(13).distributed(&options(2)).expect("sweep runs");
-    assert_eq!(report.aggregate, want);
-}

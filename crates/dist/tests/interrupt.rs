@@ -5,7 +5,7 @@
 //!
 //! Scenarios run sequentially inside one `#[test]` for the same reason.
 
-use ree_dist::{distribute, signal, DistOptions, Distributed};
+use ree_dist::{distribute, signal, DistOptions};
 use ree_inject::{Campaign, ErrorModel, RunPlan, Target};
 use ree_sim::{SimDuration, SimTime};
 use std::time::Duration;
@@ -65,7 +65,7 @@ fn interrupt_drains_and_reports_a_byte_identical_seed_prefix() {
 
     // The flag clears: the next sweep runs to completion and matches
     // the single-process aggregate again.
-    let report = Campaign::new(&plan).runs(8).seed(1).distributed(&options(2)).expect("sweep runs");
+    let report = distribute(&plan, 8, 1, &options(2)).expect("sweep runs");
     assert!(report.completed() && !report.interrupted);
     assert_eq!(report.aggregate, Campaign::new(&plan).runs(8).seed(1).aggregate());
 }

@@ -5,10 +5,14 @@
 //! rests on bit-exact result transport.
 
 use ree_dist::{decode_msg, encode_msg, Msg, WireError, PROTO_VERSION};
-use ree_inject::{ErrorModel, FailureClass, NetFault, RunPlan, RunResult, SystemFailure, Target};
+use ree_inject::{
+    ErrorModel, FailureClass, NetFault, NetFaultKind, NetFaultTrigger, RunPlan, RunResult,
+    SystemFailure, Target,
+};
 use ree_net::{NetworkConfig, Topology};
 use ree_sift::JobSpec;
 use ree_sim::{SimDuration, SimTime};
+use std::fmt::Write as _;
 
 fn rich_plan() -> RunPlan {
     let mut scenario = ree_apps::Scenario::two_apps(99);
@@ -78,15 +82,19 @@ fn rich_plan_roundtrips() {
     back.validate().expect("decoded plan still validates");
 }
 
-#[test]
-fn minimal_plan_roundtrips() {
-    let plan = RunPlan {
+fn minimal_plan() -> RunPlan {
+    RunPlan {
         scenario: ree_apps::Scenario::single_texture(1),
         target: Target::App,
         model: ErrorModel::Register,
         timeout: SimTime::ZERO + SimDuration::from_secs(120),
         net_faults: Vec::new(),
-    };
+    }
+}
+
+#[test]
+fn minimal_plan_roundtrips() {
+    let plan = minimal_plan();
     let msg = Msg::Plan { plan: Box::new(plan.clone()) };
     let Msg::Plan { plan: back } = decode_msg(&encode_msg(&msg)).expect("decodes") else {
         panic!("wrong variant")
@@ -128,9 +136,8 @@ fn rich_result_roundtrips() {
     assert_eq!(back, results);
 }
 
-#[test]
-fn every_control_message_roundtrips() {
-    let messages = [
+fn control_messages() -> Vec<Msg> {
+    vec![
         Msg::Hello { proto: PROTO_VERSION },
         Msg::Batch { batch: 42, seed0: u64::MAX - 5, len: 16 },
         Msg::Shutdown,
@@ -139,17 +146,19 @@ fn every_control_message_roundtrips() {
         Msg::PlanRejected { error: "invalid run plan: timeout must be positive".into() },
         Msg::Progress { batch: 9, done: 11 },
         Msg::BatchFailed { batch: 2, error: "run for seed 19 panicked: boom".into() },
-    ];
-    for msg in &messages {
+    ]
+}
+
+#[test]
+fn every_control_message_roundtrips() {
+    for msg in &control_messages() {
         let back = decode_msg(&encode_msg(msg)).expect("decodes");
         assert_eq!(format!("{msg:?}"), format!("{back:?}"));
     }
 }
 
-/// Every error model and target variant crosses the wire.
-#[test]
-fn all_model_and_target_variants_roundtrip() {
-    let models = [
+fn all_models() -> Vec<ErrorModel> {
+    vec![
         ErrorModel::Sigint,
         ErrorModel::Sigstop,
         ErrorModel::Register,
@@ -158,17 +167,25 @@ fn all_model_and_target_variants_roundtrip() {
         ErrorModel::HeapSingle(ree_os::HeapTarget::Any),
         ErrorModel::HeapSingle(ree_os::HeapTarget::DataOnly),
         ErrorModel::HeapSingle(ree_os::HeapTarget::Region("stack".into())),
-    ];
-    let targets = [
+    ]
+}
+
+fn all_targets() -> Vec<Target> {
+    vec![
         Target::App,
         Target::NamedApp("otis".into()),
         Target::Ftm,
         Target::ExecArmor,
         Target::Heartbeat,
         Target::AnyArmor,
-    ];
-    for model in &models {
-        for target in &targets {
+    ]
+}
+
+/// Every error model and target variant crosses the wire.
+#[test]
+fn all_model_and_target_variants_roundtrip() {
+    for model in &all_models() {
+        for target in &all_targets() {
             let mut plan = RunPlan {
                 scenario: ree_apps::Scenario::single_texture(0),
                 target: target.clone(),
@@ -222,5 +239,125 @@ fn adversarial_payloads_yield_typed_errors() {
     match decode_msg(&bad) {
         Err(WireError::BadUtf8 { .. }) => {}
         other => panic!("expected BadUtf8, got {other:?}"),
+    }
+}
+
+/// `name len=N fnv1a=H` of one encoded message.
+fn golden_line(out: &mut String, name: &str, msg: &Msg) {
+    let bytes = encode_msg(msg);
+    let fnv = bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3));
+    writeln!(out, "{name} len={} fnv1a={fnv:016x}", bytes.len()).unwrap();
+}
+
+/// The wire bytes are pinned: `snapshots/wire_v1.txt` was generated
+/// from the hand-written `put_*`/`read_*` codec and holds the length and
+/// FNV-1a-64 of every message shape and every enum variant that crosses
+/// the wire. Any codec change that moves a byte fails here — and must
+/// bump `PROTO_VERSION` before regenerating with `REGEN_WIRE_SNAPSHOT=1
+/// cargo test -p ree-dist --test wire_roundtrip`.
+#[test]
+fn wire_bytes_match_the_v1_snapshot() {
+    let plan_msg = |plan: RunPlan| Msg::Plan { plan: Box::new(plan) };
+    let mut out = String::new();
+    golden_line(&mut out, "plan.rich", &plan_msg(rich_plan()));
+    golden_line(&mut out, "plan.minimal", &plan_msg(minimal_plan()));
+    golden_line(
+        &mut out,
+        "batch_done.rich",
+        &Msg::BatchDone { batch: 7, results: vec![rich_result()] },
+    );
+    for msg in &control_messages() {
+        let name = format!("{msg:?}");
+        let name = name.split([' ', '{']).next().unwrap().to_lowercase();
+        golden_line(&mut out, &format!("control.{name}"), msg);
+    }
+    for target in all_targets() {
+        let name = format!("target.{target:?}");
+        golden_line(&mut out, &name, &plan_msg(RunPlan { target, ..minimal_plan() }));
+    }
+    for model in all_models() {
+        let name = format!("model.{model:?}");
+        golden_line(&mut out, &name, &plan_msg(RunPlan { model, ..minimal_plan() }));
+    }
+    let fault_msg = |kind, trigger| {
+        let fault = NetFault { kind, trigger, duration: SimDuration::from_secs(2) };
+        plan_msg(RunPlan { net_faults: vec![fault], ..minimal_plan() })
+    };
+    let at = NetFaultTrigger::At(SimTime::ZERO + SimDuration::from_secs(7));
+    for kind in [
+        NetFaultKind::Link { a: 1, b: 2 },
+        NetFaultKind::Correlated { pairs: vec![(0, 1), (2, 3)] },
+        NetFaultKind::Partition { groups: vec![vec![0, 1], vec![2], vec![3]] },
+    ] {
+        let name = format!("net_fault_kind.{kind:?}");
+        golden_line(&mut out, &name, &fault_msg(kind, at.clone()));
+    }
+    for trigger in
+        [at.clone(), NetFaultTrigger::OnRecoveryStart { delay: SimDuration::from_millis(250) }]
+    {
+        let name = format!("net_fault_trigger.{trigger:?}");
+        golden_line(&mut out, &name, &fault_msg(NetFaultKind::Link { a: 0, b: 3 }, trigger));
+    }
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/wire_v1.txt");
+    if std::env::var_os("REGEN_WIRE_SNAPSHOT").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &out).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing snapshot {}: {e}", path.display()));
+    for (line, (want, got)) in (1..).zip(expected.lines().zip(out.lines())) {
+        assert_eq!(want, got, "wire bytes moved at {} line {line}", path.display());
+    }
+    assert_eq!(expected.lines().count(), out.lines().count(), "snapshot line count");
+}
+
+/// A CRC-valid frame can still carry a hostile payload. Overwriting any
+/// single byte of a fully-populated `Plan` (topology, net faults) or
+/// `BatchDone` with an out-of-range value must decode to a message or a
+/// typed error — never a panic (historically: the topology decoder's
+/// range `assert!`s, and `bool`/`Option` tags read as "anything non-zero").
+#[test]
+fn single_byte_mutations_never_panic() {
+    let payloads = [
+        encode_msg(&Msg::Plan { plan: Box::new(rich_plan()) }),
+        encode_msg(&Msg::BatchDone { batch: 1, results: vec![rich_result()] }),
+    ];
+    let mut panics = Vec::new();
+    for (which, payload) in payloads.iter().enumerate() {
+        for at in 0..payload.len() {
+            for value in [0x02, 0x7F, 0xFF] {
+                let mut bytes = payload.clone();
+                bytes[at] = value;
+                if std::panic::catch_unwind(|| decode_msg(&bytes).map(drop)).is_err() {
+                    panics.push((which, at, value));
+                }
+            }
+        }
+    }
+    assert!(panics.is_empty(), "{} mutations panicked, first: {:?}", panics.len(), panics[0]);
+}
+
+/// `bool` and `Option` tags admit exactly 0 and 1.
+#[test]
+fn bool_and_option_tags_are_strict() {
+    // The first `Option` tag and the first `bool` of a `BatchDone`: the
+    // result's `induced` and `completed`.
+    let clean = encode_msg(&Msg::BatchDone { batch: 1, results: vec![rich_result()] });
+    // tag(1) batch(4) count(4) seed(8) injections(4) → induced tag, then
+    // its class byte, then `completed`.
+    let induced_tag = 1 + 4 + 4 + 8 + 4;
+    let completed = induced_tag + 2;
+    assert_eq!((clean[induced_tag], clean[completed]), (1, 1));
+    for at in [induced_tag, completed] {
+        let mut bytes = clean.clone();
+        bytes[at] = 2;
+        match decode_msg(&bytes) {
+            Err(WireError::BadTag { tag: 2, .. }) => {}
+            other => panic!("byte {at} = 2 should be BadTag, got {other:?}"),
+        }
     }
 }

@@ -13,8 +13,8 @@ use ree_sim::SimTime;
 use crate::Effort;
 
 /// The paper's standard table campaign (texture on the 4-node testbed,
-/// register error model) — the same workload `campaign_bench` measures
-/// at 821.9 runs/sec single-process.
+/// register error model) — the workload `perfbench` measures as
+/// `app_register` (one process) and `pool_register` (this pool).
 pub fn register_plan(seed: u64) -> RunPlan {
     RunPlan {
         scenario: ree_apps::Scenario::single_texture(seed),

@@ -34,14 +34,13 @@
 //! booted lazily on an arm's first scheduled batch, so at most the
 //! currently-live arms keep snapshots resident.
 
-use crate::builder::default_threads;
+use crate::builder::{default_threads, run_ordered};
 use crate::campaign::Aggregate;
 use crate::error::CampaignError;
 use crate::runner::{execute_warm, RunGeometry, RunPlan, RunResult};
 use ree_apps::BootSnapshot;
 use ree_stats::Proportion;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Which campaign proportion the stopping rule targets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -365,11 +364,7 @@ pub fn run_arms_with_threads(
         // (and hold) a snapshot.
         for &i in &live {
             if alloc[i] > 0 && states[i].boot.is_none() {
-                let plan = &arms[i].plan;
-                plan.scenario.warm_inputs();
-                let geometry = plan.geometry();
-                let snapshot = plan.scenario.boot_snapshot(geometry.snapshot_at);
-                states[i].boot = Some(Arc::new((geometry, snapshot)));
+                states[i].boot = Some(Arc::new(arms[i].plan.boot()));
             }
         }
 
@@ -445,32 +440,12 @@ fn execute_round(arms: &[Arm], tasks: &[Task], threads: usize) -> Vec<Vec<RunRes
             })
             .collect()
     };
-    let workers = threads.min(tasks.len()).max(1);
-    if workers == 1 {
-        return tasks.iter().map(run_chunk).collect();
-    }
-    let mut out: Vec<Vec<RunResult>> = (0..tasks.len()).map(|_| Vec::new()).collect();
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Vec<RunResult>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let run_chunk = &run_chunk;
-            scope.spawn(move || loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= tasks.len() {
-                    break;
-                }
-                if tx.send((t, run_chunk(&tasks[t]))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (t, results) in rx {
-            out[t] = results;
-        }
-    });
+    let mut out = Vec::with_capacity(tasks.len());
+    run_ordered(
+        tasks.len() as u32,
+        Some(threads),
+        |t| run_chunk(&tasks[t as usize]),
+        |c| out.push(c),
+    );
     out
 }

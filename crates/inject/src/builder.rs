@@ -1,13 +1,8 @@
-//! The unified campaign API: a [`Campaign`] builder over one
-//! [`RunPlan`] with terminal `collect`/`fold`/`aggregate`/`adaptive`
-//! operations, and its owned counterpart [`CampaignSpec`].
-//!
-//! This subsumes the historical `run_campaign*` free functions (now
-//! thin deprecated shims): one composable entry point instead of five
-//! name×option combinations, and the only place the work-stealing
-//! executor lives. Everything terminal folds results **in seed
-//! order**, so campaign output is bit-for-bit deterministic for any
-//! worker-thread count.
+//! The campaign API: a [`Campaign`] builder over one [`RunPlan`] with
+//! terminal `collect`/`fold`/`aggregate`/`adaptive` operations, and the
+//! work-stealing pool every in-process scheduler runs on. Everything
+//! terminal folds results **in seed order**, so campaign output is
+//! bit-for-bit deterministic for any worker-thread count.
 
 use crate::adaptive::{Arm, ArmReport, StoppingRule};
 use crate::campaign::Aggregate;
@@ -20,13 +15,13 @@ pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
 }
 
-/// Picks the effective worker count for `runs` seeded executions.
-/// Total for every input — `runs == 0` yields 1 worker (which then has
+/// Picks the effective worker count for `tasks` units of work.
+/// Total for every input — `tasks == 0` yields 1 worker (which then has
 /// nothing to claim) instead of constructing an empty clamp range, so
 /// callers that do not know their run count up front (the adaptive
 /// engine) can share it.
-pub(crate) fn effective_threads(requested: Option<usize>, runs: u32) -> usize {
-    requested.unwrap_or_else(default_threads).clamp(1, runs.max(1) as usize)
+fn effective_threads(requested: Option<usize>, tasks: u32) -> usize {
+    requested.unwrap_or_else(default_threads).clamp(1, tasks.max(1) as usize)
 }
 
 /// A configured fault-injection campaign over one [`RunPlan`]: `runs`
@@ -80,11 +75,6 @@ impl<'p> Campaign<'p> {
         Campaign { plan, runs: 0, seed0: 0, threads: None }
     }
 
-    /// Borrows an owned [`CampaignSpec`] as a runnable campaign.
-    pub fn from_spec(spec: &'p CampaignSpec) -> Self {
-        Campaign { plan: &spec.plan, runs: spec.runs, seed0: spec.seed0, threads: spec.threads }
-    }
-
     /// Sets the number of seeded runs.
     pub fn runs(mut self, runs: u32) -> Self {
         self.runs = runs;
@@ -105,26 +95,6 @@ impl<'p> Campaign<'p> {
         self
     }
 
-    /// The plan this campaign runs — read access for extension
-    /// terminals defined outside this crate (e.g. `ree-mc`'s
-    /// `model_check`).
-    pub fn plan(&self) -> &RunPlan {
-        self.plan
-    }
-
-    /// The first seed ([`seed`](Campaign::seed)); run `i` uses
-    /// `seed0 + i`.
-    pub fn seed0(&self) -> u64 {
-        self.seed0
-    }
-
-    /// The configured run count ([`runs`](Campaign::runs)) — read
-    /// access for extension terminals defined outside this crate (e.g.
-    /// `ree-dist`'s `distributed`).
-    pub fn runs_configured(&self) -> u32 {
-        self.runs
-    }
-
     /// Runs the campaign and returns every [`RunResult`] in seed order.
     pub fn collect(&self) -> Vec<RunResult> {
         self.fold(Vec::with_capacity(self.runs as usize), |v, r| v.push(r))
@@ -134,8 +104,20 @@ impl<'p> Campaign<'p> {
     /// exactly once, **in seed order**, as soon as every earlier seed
     /// has been folded. Peak memory is bounded by the reorder window (a
     /// few results per worker) instead of the campaign size.
-    pub fn fold<A>(&self, init: A, fold: impl FnMut(&mut A, RunResult)) -> A {
-        run_fold(self.plan, self.runs, self.seed0, self.threads, init, fold)
+    pub fn fold<A>(&self, init: A, mut fold: impl FnMut(&mut A, RunResult)) -> A {
+        let mut acc = init;
+        if self.runs == 0 {
+            return acc;
+        }
+        // One boot per campaign; every run forks it.
+        let (geometry, snapshot) = self.plan.boot();
+        run_ordered(
+            self.runs,
+            self.threads,
+            |i| execute_warm(self.plan, &geometry, &snapshot, self.seed0 + u64::from(i)),
+            |r| fold(&mut acc, r),
+        );
+        acc
     }
 
     /// Runs the campaign and aggregates it on the fly — the streaming
@@ -160,158 +142,54 @@ impl<'p> Campaign<'p> {
     }
 }
 
-/// An owned campaign description: the [`RunPlan`] plus the campaign
-/// shape ([`runs`](CampaignSpec::runs), [`seed`](CampaignSpec::seed),
-/// [`threads`](CampaignSpec::threads)).
+/// The work-stealing pool behind every in-process scheduler: runs
+/// `run(0) .. run(tasks - 1)` on up to `threads` workers and hands each
+/// result to `sink` on the caller's thread, **in task order**, as soon
+/// as every earlier task's result has been handed over.
 ///
-/// Where [`Campaign`] borrows its plan for immediate execution,
-/// `CampaignSpec` is `Clone` and self-contained — the form a request
-/// queue, a result cache key, or an adaptive sweep arm wants. The
-/// terminal operations mirror [`Campaign`]'s and delegate to it.
-///
-/// # Examples
-///
-/// ```
-/// use ree_inject::{CampaignSpec, ErrorModel, RunPlan, Target};
-/// use ree_sim::SimTime;
-///
-/// let plan = RunPlan {
-///     scenario: ree_apps::Scenario::single_texture(1),
-///     target: Target::App,
-///     model: ErrorModel::Sigint,
-///     timeout: SimTime::from_secs(220),
-///     net_faults: vec![],
-/// };
-/// let spec = CampaignSpec::new(plan).runs(2).seed(7);
-/// assert_eq!(spec.collect().len(), 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct CampaignSpec {
-    /// The plan every run executes.
-    pub plan: RunPlan,
-    /// Number of seeded runs for the fixed-size terminals.
-    pub runs: u32,
-    /// First seed; run `i` uses `seed0 + i`.
-    pub seed0: u64,
-    /// Explicit worker-thread count (`None` = automatic).
-    pub threads: Option<usize>,
-}
-
-impl CampaignSpec {
-    /// Wraps `plan` with no runs scheduled, seed 0, automatic threads.
-    pub fn new(plan: RunPlan) -> Self {
-        CampaignSpec { plan, runs: 0, seed0: 0, threads: None }
-    }
-
-    /// Sets the number of seeded runs.
-    pub fn runs(mut self, runs: u32) -> Self {
-        self.runs = runs;
-        self
-    }
-
-    /// Sets the first seed.
-    pub fn seed(mut self, seed0: u64) -> Self {
-        self.seed0 = seed0;
-        self
-    }
-
-    /// Sets an explicit worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// See [`Campaign::collect`].
-    pub fn collect(&self) -> Vec<RunResult> {
-        Campaign::from_spec(self).collect()
-    }
-
-    /// See [`Campaign::fold`].
-    pub fn fold<A>(&self, init: A, fold: impl FnMut(&mut A, RunResult)) -> A {
-        Campaign::from_spec(self).fold(init, fold)
-    }
-
-    /// See [`Campaign::aggregate`].
-    pub fn aggregate(&self) -> Aggregate {
-        Campaign::from_spec(self).aggregate()
-    }
-
-    /// See [`Campaign::adaptive`].
-    pub fn adaptive(&self, rule: &StoppingRule) -> ArmReport {
-        Campaign::from_spec(self).adaptive(rule)
-    }
-}
-
-/// The work-stealing campaign executor behind every terminal operation.
-///
-/// Workers claim the next seed index from a shared counter and ship
-/// `(index, result)` pairs back; the caller's thread reorders with a
-/// small buffer and folds in seed order while workers are still
-/// running. The channel is bounded so a straggler seed cannot make the
-/// reorder buffer grow with the campaign: once it fills, workers block
-/// on send instead of claiming further seeds, capping buffered results
-/// at ~2 per worker.
-pub(crate) fn run_fold<A>(
-    plan: &RunPlan,
-    runs: u32,
-    seed0: u64,
+/// Workers claim the next task index from a shared counter and ship
+/// `(index, result)` pairs back; the caller reorders with a small
+/// buffer while workers are still running. The channel is bounded, so
+/// while `sink` is busy workers block on send instead of claiming
+/// further tasks.
+pub(crate) fn run_ordered<T: Send>(
+    tasks: u32,
     threads: Option<usize>,
-    init: A,
-    mut fold: impl FnMut(&mut A, RunResult),
-) -> A {
-    let mut acc = init;
-    let threads = effective_threads(threads, runs);
-    if runs == 0 {
-        return acc;
-    }
-    // Generate the campaign-shared synthetic inputs once, before the
-    // workers fan out, so they never race to synthesise the same image.
-    plan.scenario.warm_inputs();
-    // Boot the SIFT cluster once: every run starts from a fork of this
-    // snapshot instead of replaying the identical installation protocol.
-    // The geometry (injection window, nominal duration) is likewise
-    // derived once; the per-run path only draws the injection instant.
-    let geometry = plan.geometry();
-    let snapshot = plan.scenario.boot_snapshot(geometry.snapshot_at);
+    run: impl Fn(u32) -> T + Sync,
+    mut sink: impl FnMut(T),
+) {
+    let threads = effective_threads(threads, tasks);
     if threads == 1 {
-        for i in 0..u64::from(runs) {
-            let r = execute_warm(plan, &geometry, &snapshot, seed0 + i);
-            fold(&mut acc, r);
-        }
-        return acc;
+        (0..tasks).for_each(|i| sink(run(i)));
+        return;
     }
+    // Wider than the task index so over-claiming workers cannot wrap it.
     let next = AtomicU64::new(0);
-    let (tx, rx) = mpsc::sync_channel::<(u64, RunResult)>(threads);
+    let (tx, rx) = mpsc::sync_channel::<(u32, T)>(threads);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
-            let next = &next;
-            let geometry = &geometry;
-            let snapshot = &snapshot;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= u64::from(runs) {
-                    break;
-                }
-                let r = execute_warm(plan, geometry, snapshot, seed0 + i);
-                if tx.send((i, r)).is_err() {
-                    break;
+            let (next, run) = (&next, &run);
+            scope.spawn(move || {
+                while let Ok(i) = u32::try_from(next.fetch_add(1, Ordering::Relaxed)) {
+                    if i >= tasks || tx.send((i, run(i))).is_err() {
+                        break;
+                    }
                 }
             });
         }
         drop(tx);
-        let mut pending: BTreeMap<u64, RunResult> = BTreeMap::new();
-        let mut expect: u64 = 0;
+        let mut pending: BTreeMap<u32, T> = BTreeMap::new();
+        let mut expect = 0u32;
         for (i, r) in rx {
             pending.insert(i, r);
             while let Some(r) = pending.remove(&expect) {
-                fold(&mut acc, r);
+                sink(r);
                 expect += 1;
             }
         }
-        debug_assert_eq!(expect, u64::from(runs), "every seed folded exactly once");
+        debug_assert_eq!(expect, tasks, "every task handed over exactly once");
     });
-    acc
 }
 
 #[cfg(test)]

@@ -1,72 +1,9 @@
-//! Campaign aggregates and the deprecated free-function campaign API.
-//!
-//! The executor itself lives behind the [`Campaign`] builder (see
-//! `builder.rs`); this module keeps the [`Aggregate`] table view and
-//! the historical `run_campaign*` entry points, now thin deprecated
-//! shims over the builder.
+//! The paper-table view of a campaign: [`Aggregate`] folds
+//! [`RunResult`]s into one row of counts and timing summaries.
 
-use crate::builder::Campaign;
 use crate::model::{FailureClass, SystemFailure};
-use crate::runner::{RunPlan, RunResult};
+use crate::runner::RunResult;
 use ree_stats::Summary;
-
-/// Runs `runs` seeded executions of `plan`, in parallel across available
-/// cores. Results are returned in seed order (deterministic).
-#[deprecated(since = "0.1.0", note = "use `Campaign::new(plan).runs(..).seed(..).collect()`")]
-pub fn run_campaign(plan: &RunPlan, runs: u32, seed0: u64) -> Vec<RunResult> {
-    Campaign::new(plan).runs(runs).seed(seed0).collect()
-}
-
-/// [`run_campaign`] with an explicit worker-thread count. The output is
-/// identical for every `threads` value (including 1).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Campaign::new(plan).runs(..).seed(..).threads(..).collect()`"
-)]
-pub fn run_campaign_with_threads(
-    plan: &RunPlan,
-    runs: u32,
-    seed0: u64,
-    threads: usize,
-) -> Vec<RunResult> {
-    Campaign::new(plan).runs(runs).seed(seed0).threads(threads).collect()
-}
-
-/// Streams a campaign through a fold instead of materialising the full
-/// result vector; see [`Campaign::fold`].
-#[deprecated(since = "0.1.0", note = "use `Campaign::new(plan).runs(..).seed(..).fold(..)`")]
-pub fn run_campaign_fold<A>(
-    plan: &RunPlan,
-    runs: u32,
-    seed0: u64,
-    init: A,
-    fold: impl FnMut(&mut A, RunResult),
-) -> A {
-    Campaign::new(plan).runs(runs).seed(seed0).fold(init, fold)
-}
-
-/// [`run_campaign_fold`] with an explicit worker-thread count.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Campaign::new(plan).runs(..).seed(..).threads(..).fold(..)`"
-)]
-pub fn run_campaign_fold_with_threads<A>(
-    plan: &RunPlan,
-    runs: u32,
-    seed0: u64,
-    threads: usize,
-    init: A,
-    fold: impl FnMut(&mut A, RunResult),
-) -> A {
-    Campaign::new(plan).runs(runs).seed(seed0).threads(threads).fold(init, fold)
-}
-
-/// Runs a campaign and aggregates it on the fly — the streaming
-/// equivalent of `Aggregate::from_results(&run_campaign(..))`.
-#[deprecated(since = "0.1.0", note = "use `Campaign::new(plan).runs(..).seed(..).aggregate()`")]
-pub fn run_campaign_aggregate(plan: &RunPlan, runs: u32, seed0: u64) -> Aggregate {
-    Campaign::new(plan).runs(runs).seed(seed0).aggregate()
-}
 
 /// Aggregate view over campaign results (one paper-table row).
 #[derive(Clone, Debug, Default, PartialEq)]

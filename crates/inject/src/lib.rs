@@ -16,16 +16,16 @@
 //! and optimisation history live in `docs/PERFORMANCE.md`). The single
 //! entry point is the [`Campaign`] builder — `runs`/`seed`/`threads`
 //! configuration with `collect`/`fold`/`aggregate`/`adaptive`
-//! terminals (the historical `run_campaign*` free functions survive as
-//! deprecated shims over it). Campaigns execute on a work-stealing
-//! thread pool and fold results **in seed order**, so output is
-//! bit-identical for any thread count; before the workers fan out, the
-//! executor warms the campaign-shared input cache
-//! (`ree_apps::Scenario::warm_inputs`) so the synthetic instrument
-//! data is generated once per process, not once per run.
+//! terminals; the other schedulers are one function each over the same
+//! plan (`ree_dist::distribute`, `ree_mc::model_check`). Campaigns
+//! execute on a work-stealing thread pool and fold results **in seed
+//! order**, so output is bit-identical for any thread count.
 //!
-//! Campaign runs start **warm**: the SIFT cluster is booted once per
-//! campaign ([`RunPlan::boot_snapshot`]) and every run forks that
+//! Campaign runs start **warm**: every scheduler calls
+//! [`RunPlan::boot`] once per plan — it warms the shared input cache
+//! (`ree_apps::Scenario::warm_inputs`, so the synthetic instrument data
+//! is generated once per process, not once per run), derives the
+//! geometry and boots the SIFT cluster — and every run forks that
 //! snapshot — a deep clone with per-run re-seeded random streams
 //! ([`execute_warm`]) — instead of replaying the installation
 //! protocol. The cold path ([`execute`]/[`execute_full`]) boots a
@@ -78,7 +78,8 @@
 //! `ree-mc` crate *enumerates* them ([`activation_instants`],
 //! [`candidate_targets`]) and systematically explores bounded
 //! perturbations of same-instant event delivery around each, reusing
-//! this crate's classification pipeline ([`classify_target_state`],
+//! this crate's placement ([`ErrorModel::place`]) and classification
+//! pipeline ([`classify_target_state`],
 //! [`classify_system_failure`], [`conclude_run`]) so an explored branch
 //! is judged exactly like a campaign run. See `docs/MODELCHECK.md`.
 
@@ -96,15 +97,10 @@ mod runner;
 
 pub use adaptive::{AdaptiveReport, Arm, ArmReport, CiMetric, StoppingRule};
 pub use branch::{activation_instants, candidate_targets};
-pub use builder::{Campaign, CampaignSpec};
+pub use builder::Campaign;
 pub use campaign::Aggregate;
-#[allow(deprecated)]
-pub use campaign::{
-    run_campaign, run_campaign_aggregate, run_campaign_fold, run_campaign_fold_with_threads,
-    run_campaign_with_threads,
-};
 pub use error::CampaignError;
-pub use model::{ErrorModel, FailureClass, SystemFailure, Target};
+pub use model::{ErrorModel, FailureClass, Placement, SystemFailure, Target};
 pub use netfault::{NetFault, NetFaultKind, NetFaultTrigger};
 pub use runner::{
     classify_system_failure, classify_target_state, conclude_run, execute, execute_full,

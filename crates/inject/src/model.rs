@@ -1,6 +1,6 @@
 //! Error models (Table 2), targets, and outcome taxonomy (§4.2).
 
-use ree_os::HeapTarget;
+use ree_os::{Cluster, HeapHit, HeapTarget, Pid, Signal};
 
 /// What process class a campaign injects into.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,10 +75,48 @@ pub enum ErrorModel {
     HeapSingle(HeapTarget),
 }
 
+/// What one [`ErrorModel::place`] call did.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Placement {
+    /// Was an error placed? False when the target has no matching state
+    /// to corrupt yet (e.g. a heap model before the app allocated).
+    pub placed: bool,
+    /// What a heap flip hit (heap models only).
+    pub heap_hit: Option<HeapHit>,
+}
+
 impl ErrorModel {
     /// True for the repeat-until-failure protocols.
     pub fn repeats(&self) -> bool {
         matches!(self, ErrorModel::Register | ErrorModel::TextSegment | ErrorModel::Heap)
+    }
+
+    /// Places one error of this model on `pid` through the `ree-os`
+    /// injection surface — the model → injector table of Table 2, used
+    /// by every scheduler that injects.
+    pub fn place(&self, cluster: &mut Cluster, pid: Pid) -> Placement {
+        let mut heap_hit = None;
+        let placed = match self {
+            ErrorModel::Sigint => {
+                cluster.send_signal(pid, Signal::Int);
+                true
+            }
+            ErrorModel::Sigstop => {
+                cluster.send_signal(pid, Signal::Stop);
+                true
+            }
+            ErrorModel::Register => cluster.inject_register(pid).is_some(),
+            ErrorModel::TextSegment => cluster.inject_text(pid).is_some(),
+            ErrorModel::Heap => {
+                heap_hit = cluster.inject_heap(pid, &HeapTarget::Any);
+                heap_hit.is_some()
+            }
+            ErrorModel::HeapSingle(target) => {
+                heap_hit = cluster.inject_heap(pid, target);
+                heap_hit.is_some()
+            }
+        };
+        Placement { placed, heap_hit }
     }
 }
 

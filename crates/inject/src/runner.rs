@@ -3,6 +3,7 @@
 //! (§4): control/monitor/collect here, the actual corruption in the
 //! `ree-os` injection surface.
 
+use crate::branch::candidate_targets;
 use crate::error::{panic_message, CampaignError};
 use crate::model::{ErrorModel, FailureClass, SystemFailure, Target};
 use crate::netfault::{NetFault, NetFaultDriver, NetFaultKind};
@@ -67,10 +68,21 @@ impl RunPlan {
         }
     }
 
-    /// Boots this plan's scenario once, frozen at the snapshot instant —
-    /// the warm-boot image `run_campaign*` forks per run.
+    /// Boots this plan's scenario once, frozen at the snapshot instant.
     pub fn boot_snapshot(&self) -> BootSnapshot {
         self.scenario.boot_snapshot(self.geometry().snapshot_at)
+    }
+
+    /// Everything a scheduler does once per plan before its first run:
+    /// warms the shared synthetic-input cache (so worker threads never
+    /// race to synthesise the same image), derives the geometry, and
+    /// boots the snapshot. Every run of the plan forks the returned pair
+    /// ([`execute_warm`]).
+    pub fn boot(&self) -> (RunGeometry, BootSnapshot) {
+        self.scenario.warm_inputs();
+        let geometry = self.geometry();
+        let snapshot = self.scenario.boot_snapshot(geometry.snapshot_at);
+        (geometry, snapshot)
     }
 
     /// Checks the structural invariants a plan must satisfy before any
@@ -199,8 +211,7 @@ pub fn execute(plan: &RunPlan, seed: u64) -> RunResult {
 /// warm run does from a shared [`BootSnapshot`], minus the clone, so
 /// warm and cold results are byte-identical for the same seed.
 pub fn execute_full(plan: &RunPlan, seed: u64) -> (RunResult, Running) {
-    let geometry = plan.geometry();
-    let snapshot = plan.scenario.boot_snapshot(geometry.snapshot_at);
+    let (geometry, snapshot) = plan.boot();
     run_seeded(plan, &geometry, snapshot.into_running(seed), seed)
 }
 
@@ -257,8 +268,10 @@ pub fn conclude_run(
     watched: Option<Pid>,
 ) -> (RunResult, Running) {
     assert!(plan.net_faults.is_empty(), "manually-driven runs do not support network fault plans");
-    let mut net_driver = NetFaultDriver::new(&plan.net_faults);
-    finish_run(plan, seed, running, injections, None, None, watched, &mut net_driver)
+    let net_driver = NetFaultDriver::new(&plan.net_faults);
+    let observed =
+        Observed { running, injections, induced: None, heap_hit: None, watched, net_driver };
+    finish_run(plan, seed, observed)
 }
 
 /// The seed-dependent part of a run: everything after the (seed-
@@ -318,27 +331,8 @@ fn run_seeded(
             continue;
         };
         watched = Some(pid);
-        let mut hit = None;
-        let mut flipped = true;
-        match &plan.model {
-            ErrorModel::Sigint => running.cluster.send_signal(pid, Signal::Int),
-            ErrorModel::Sigstop => running.cluster.send_signal(pid, Signal::Stop),
-            ErrorModel::Register => {
-                flipped = running.cluster.inject_register(pid).is_some();
-            }
-            ErrorModel::TextSegment => {
-                flipped = running.cluster.inject_text(pid).is_some();
-            }
-            ErrorModel::Heap => {
-                hit = running.cluster.inject_heap(pid, &ree_os::HeapTarget::Any);
-                flipped = hit.is_some();
-            }
-            ErrorModel::HeapSingle(target) => {
-                hit = running.cluster.inject_heap(pid, target);
-                flipped = hit.is_some();
-            }
-        }
-        if !flipped {
+        let placement = plan.model.place(&mut running.cluster, pid);
+        if !placement.placed {
             // No matching state yet (e.g. the app has not loaded its
             // matrices); retry shortly without counting an injection.
             next_injection = running.cluster.now() + SimDuration::from_secs(2);
@@ -349,21 +343,12 @@ fn run_seeded(
             continue;
         }
         injections += 1;
-        if let (1, Some(h)) = (injections, hit.clone()) {
-            if !plan.model.repeats() {
-                // Single-flip campaign: keep the hit for Table 8 / Table
-                // 10 attribution and run the rest out.
-                return finish_run(
-                    plan,
-                    seed,
-                    running,
-                    injections,
-                    induced,
-                    Some(h),
-                    watched,
-                    &mut net_driver,
-                );
-            }
+        if let (1, Some(hit), false) = (injections, placement.heap_hit, plan.model.repeats()) {
+            // Single-flip campaign: keep the hit for Table 8 / Table
+            // 10 attribution and run the rest out.
+            let heap_hit = Some(hit);
+            let observed = Observed { running, injections, induced, heap_hit, watched, net_driver };
+            return finish_run(plan, seed, observed);
         }
         // Schedule the next injection (repeat protocols) or just observe.
         if plan.model.repeats() {
@@ -374,25 +359,24 @@ fn run_seeded(
         }
     }
 
-    if induced.is_none() {
-        if let Some(pid) = watched {
-            induced = classify_target_state(&running, pid, &plan.model);
-        }
-    }
-    finish_run(plan, seed, running, injections, induced, None, watched, &mut net_driver)
+    let observed = Observed { running, injections, induced, heap_hit: None, watched, net_driver };
+    finish_run(plan, seed, observed)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn finish_run(
-    plan: &RunPlan,
-    seed: u64,
-    mut running: Running,
+/// What the injection loop (or a manual driver) hands to classification.
+struct Observed<'p> {
+    running: Running,
     injections: u32,
-    mut induced: Option<FailureClass>,
+    induced: Option<FailureClass>,
     heap_hit: Option<HeapHit>,
     watched: Option<Pid>,
-    net_driver: &mut NetFaultDriver<'_>,
-) -> (RunResult, Running) {
+    net_driver: NetFaultDriver<'p>,
+}
+
+/// Runs the remaining events out and packages the [`RunResult`].
+fn finish_run(plan: &RunPlan, seed: u64, observed: Observed<'_>) -> (RunResult, Running) {
+    let Observed { mut running, injections, mut induced, heap_hit, watched, mut net_driver } =
+        observed;
     // If we returned early (single heap flip), keep running to the end.
     if !running.all_done() && running.cluster.now() < plan.timeout {
         net_driver.run(&mut running, plan.timeout);
@@ -464,16 +448,10 @@ fn app_nominal(scenario: &Scenario) -> SimDuration {
 }
 
 fn resolve_target(running: &Running, target: &Target, rng: &mut SimRng) -> Option<Pid> {
-    let cluster = &running.cluster;
-    let mut candidates: Vec<Pid> = cluster
-        .all_procs()
-        .into_iter()
-        .filter(|p| cluster.name_of(*p).map(|n| target.matches(n)).unwrap_or(false))
-        .collect();
+    let candidates = candidate_targets(running, target, usize::MAX);
     if candidates.is_empty() {
         return None;
     }
-    candidates.sort_unstable();
     Some(candidates[rng.index(candidates.len())])
 }
 

@@ -52,7 +52,7 @@ fn streaming_fold_matches_materialised_aggregate() {
 }
 
 #[test]
-fn zero_and_one_run_campaigns_are_safe_for_any_thread_count() {
+fn zero_and_one_runs_are_safe_for_any_thread_count() {
     // Regression for the historical `threads.clamp(1, runs as usize)`
     // edge: `runs == 0` relied on an early return to dodge a `1..=0`
     // clamp panic, and `runs == 1` must degrade to one worker. Thread
@@ -73,14 +73,6 @@ fn zero_and_one_run_campaigns_are_safe_for_any_thread_count() {
     }
     // Unspecified thread count too.
     assert!(Campaign::new(&p).runs(0).seed(SEED0).collect().is_empty());
-}
-
-#[test]
-fn spec_and_borrowing_builder_agree() {
-    let p = plan();
-    let spec = ree_inject::CampaignSpec::new(p.clone()).runs(RUNS).seed(SEED0);
-    assert_eq!(spec.collect(), Campaign::new(&p).runs(RUNS).seed(SEED0).collect());
-    assert_eq!(spec.aggregate(), Campaign::new(&p).runs(RUNS).seed(SEED0).aggregate());
 }
 
 #[test]

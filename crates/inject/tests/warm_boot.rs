@@ -140,3 +140,26 @@ fn snapshot_boot_is_reproducible() {
         );
     }
 }
+
+#[test]
+fn scheduler_boot_matches_the_geometry_and_snapshot_pair() {
+    // Schedulers fork what `RunPlan::boot` returns; the benchmark (and
+    // the tests above) fork `geometry()` + `boot_snapshot()`. The two
+    // must be interchangeable, or the measured path drifts from the
+    // path campaigns run.
+    for (model, target) in [(ErrorModel::Register, Target::App), (ErrorModel::Sigstop, Target::Ftm)]
+    {
+        let p = plan(model, target);
+        let (boot_geometry, boot_snapshot) = p.boot();
+        let (geometry, snapshot) = (p.geometry(), p.boot_snapshot());
+        assert_eq!(boot_snapshot.booted_to(), snapshot.booted_to());
+        assert_eq!(format!("{boot_geometry:?}"), format!("{geometry:?}"));
+        for seed in SEED0..SEED0 + u64::from(RUNS) {
+            assert_eq!(
+                execute_warm(&p, &boot_geometry, &boot_snapshot, seed),
+                execute_warm(&p, &geometry, &snapshot, seed),
+                "boot() and geometry()+boot_snapshot() diverged for seed {seed}"
+            );
+        }
+    }
+}

@@ -5,10 +5,9 @@ use crate::hash::state_digest;
 use ree_apps::verify::Verdict;
 use ree_apps::Running;
 use ree_inject::{
-    activation_instants, candidate_targets, conclude_run, ErrorModel, FailureClass, RunPlan,
-    SystemFailure,
+    activation_instants, candidate_targets, conclude_run, FailureClass, RunPlan, SystemFailure,
 };
-use ree_os::{HeapTarget, Pid, Signal};
+use ree_os::Pid;
 use ree_sim::{EventHandle, SimTime};
 use std::collections::HashSet;
 
@@ -187,9 +186,7 @@ pub fn model_check(plan: &RunPlan, seed: u64, bounds: &McBounds) -> McReport {
         plan.net_faults.is_empty(),
         "model checking composes with process-level error models only"
     );
-    plan.scenario.warm_inputs();
-    let geometry = plan.geometry();
-    let snapshot = plan.scenario.boot_snapshot(geometry.snapshot_at);
+    let (_, snapshot) = plan.boot();
     let instants = activation_instants(plan, bounds.instants);
     let mut x = Explorer {
         plan,
@@ -207,7 +204,7 @@ pub fn model_check(plan: &RunPlan, seed: u64, bounds: &McBounds) -> McReport {
         }
         for pid in candidate_targets(&base, &plan.target, bounds.max_targets) {
             let mut root = base.clone();
-            if !inject_once(&mut root, &plan.model, pid) {
+            if !plan.model.place(&mut root.cluster, pid).placed {
                 x.report.sterile += 1;
                 continue;
             }
@@ -223,13 +220,11 @@ pub fn model_check(plan: &RunPlan, seed: u64, bounds: &McBounds) -> McReport {
 /// build (same bounds, `plant` off) the same schedule should recover.
 pub fn replay(plan: &RunPlan, cex: &Counterexample, bounds: &McBounds) -> ree_inject::RunResult {
     assert!(plan.net_faults.is_empty(), "counterexamples carry no network faults");
-    plan.scenario.warm_inputs();
-    let geometry = plan.geometry();
-    let snapshot = plan.scenario.boot_snapshot(geometry.snapshot_at);
+    let (_, snapshot) = plan.boot();
     let mut running = snapshot.fork(cex.seed);
     running.run_until(cex.instant);
     assert!(
-        inject_once(&mut running, &plan.model, cex.target),
+        plan.model.place(&mut running.cluster, cex.target).placed,
         "counterexample target no longer injectable; plan/seed mismatch?"
     );
     let plant = bounds.plant_effective();
@@ -372,25 +367,6 @@ impl Explorer<'_> {
                 output: result.output,
             });
         }
-    }
-}
-
-/// Places one error per the model; false if the target had no matching
-/// state to corrupt (mirrors the campaign runner's placement).
-fn inject_once(running: &mut Running, model: &ErrorModel, pid: Pid) -> bool {
-    match model {
-        ErrorModel::Sigint => {
-            running.cluster.send_signal(pid, Signal::Int);
-            true
-        }
-        ErrorModel::Sigstop => {
-            running.cluster.send_signal(pid, Signal::Stop);
-            true
-        }
-        ErrorModel::Register => running.cluster.inject_register(pid).is_some(),
-        ErrorModel::TextSegment => running.cluster.inject_text(pid).is_some(),
-        ErrorModel::Heap => running.cluster.inject_heap(pid, &HeapTarget::Any).is_some(),
-        ErrorModel::HeapSingle(target) => running.cluster.inject_heap(pid, target).is_some(),
     }
 }
 

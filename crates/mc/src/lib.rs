@@ -30,12 +30,11 @@
 //! documented in `docs/MODELCHECK.md`.
 //!
 //! ```
-//! use ree_mc::{McBounds, ModelCheck};
-//! use ree_inject::Campaign;
+//! use ree_mc::{model_check, McBounds};
 //!
 //! let plan = ree_mc::presets::two_node_sigint_plan(7);
 //! let bounds = McBounds { instants: 1, max_targets: 1, ..McBounds::smoke() };
-//! let report = Campaign::new(&plan).seed(7).model_check(&bounds);
+//! let report = model_check(&plan, 7, &bounds);
 //! assert!(report.explored >= 1);
 //! assert!(report.escapes.is_empty(), "healthy build recovers every branch");
 //! ```
@@ -48,26 +47,3 @@ pub mod hash;
 pub mod presets;
 
 pub use driver::{model_check, replay, Counterexample, McBounds, McReport};
-
-use ree_inject::{Campaign, CampaignSpec};
-
-/// Extension terminal turning a configured [`Campaign`] (or
-/// [`CampaignSpec`]) into a bounded exhaustive exploration instead of a
-/// seeded sample: same plan, same seed, systematically explored.
-pub trait ModelCheck {
-    /// Exhaustively explores this campaign's plan within `bounds`; see
-    /// [`model_check`].
-    fn model_check(&self, bounds: &McBounds) -> McReport;
-}
-
-impl ModelCheck for Campaign<'_> {
-    fn model_check(&self, bounds: &McBounds) -> McReport {
-        model_check(self.plan(), self.seed0(), bounds)
-    }
-}
-
-impl ModelCheck for CampaignSpec {
-    fn model_check(&self, bounds: &McBounds) -> McReport {
-        model_check(&self.plan, self.seed0, bounds)
-    }
-}

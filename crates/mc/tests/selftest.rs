@@ -47,17 +47,3 @@ fn planted_recovery_bug_surfaces_as_replayable_counterexample() {
         assert!(healthy.recovered(), "healthy build should survive the same schedule");
     }
 }
-
-/// The campaign-style entry point explores the same tree as the free
-/// function (same plan, same seed).
-#[cfg(not(feature = "planted-bug"))]
-#[test]
-fn campaign_terminal_matches_free_function() {
-    use ree_inject::Campaign;
-    use ree_mc::ModelCheck;
-    let plan = two_node_sigint_plan(11);
-    let bounds = McBounds { instants: 1, max_targets: 1, ..McBounds::smoke() };
-    let via_campaign = Campaign::new(&plan).seed(11).model_check(&bounds);
-    assert_eq!(via_campaign, model_check(&plan, 11, &bounds));
-    assert!(via_campaign.escapes.is_empty());
-}

@@ -41,7 +41,7 @@ mod topology;
 
 pub use link::{LinkId, LinkParams, LinkState};
 pub use model::{NetworkConfig, NodeId, SendVerdict};
-pub use topology::{LinkSpec, Port, SwitchId, Topology, TopologyBuilder};
+pub use topology::{LinkSpec, Port, SwitchId, Topology, TopologyBuilder, TopologyError};
 
 use ree_sim::{SimDuration, SimRng, SimTime};
 use routing::RouteTable;

@@ -42,6 +42,29 @@ pub struct LinkSpec {
     pub peer: LinkId,
 }
 
+/// Why a set of parts does not form a [`Topology`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TopologyError {
+    /// A link end names a node the topology does not have.
+    NodeOutOfRange(NodeId),
+    /// A link end names a switch the topology does not have.
+    SwitchOutOfRange(SwitchId),
+    /// A link's twin is not one of the topology's links.
+    PeerOutOfRange(LinkId),
+}
+
+impl std::fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TopologyError::NodeOutOfRange(n) => write!(f, "{n} out of range"),
+            TopologyError::SwitchOutOfRange(s) => write!(f, "{s} out of range"),
+            TopologyError::PeerOutOfRange(l) => write!(f, "peer link {} out of range", l.0),
+        }
+    }
+}
+
+impl std::error::Error for TopologyError {}
+
 /// An immutable interconnect graph of nodes, switches, and directed
 /// links, plus the loopback latency for node-local sends.
 #[derive(Clone, Debug)]
@@ -95,34 +118,33 @@ impl Topology {
     /// of reading it back through [`Topology::nodes`],
     /// [`Topology::switches`], [`Topology::loopback_latency`], and
     /// [`Topology::links`]. Intended for decoders that ship a topology
-    /// across a process boundary; `links` must already be twin-paired
-    /// the way [`TopologyBuilder::connect`] lays them out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any link references a node, switch, or peer link out of
-    /// range — a decoded topology must be as well-formed as a built one.
+    /// across a process boundary, so it rejects (rather than panics on)
+    /// any link that references a node, switch, or peer link out of
+    /// range. `links` must already be twin-paired the way
+    /// [`TopologyBuilder::connect`] lays them out.
     pub fn from_parts(
         nodes: u16,
         switches: u16,
         loopback_latency: SimDuration,
         links: Vec<LinkSpec>,
-    ) -> Topology {
+    ) -> Result<Topology, TopologyError> {
         let topology = Topology { nodes, switches, loopback_latency, links };
-        let check = |port: Port| match port {
-            Port::Node(NodeId(n)) => assert!(n < topology.nodes, "node{n} out of range"),
-            Port::Switch(SwitchId(s)) => assert!(s < topology.switches, "switch{s} out of range"),
-        };
         for link in &topology.links {
-            check(link.from);
-            check(link.to);
-            assert!(
-                (link.peer.0 as usize) < topology.links.len(),
-                "peer link {} out of range",
-                link.peer.0
-            );
+            topology.check(link.from)?;
+            topology.check(link.to)?;
+            if link.peer.0 as usize >= topology.links.len() {
+                return Err(TopologyError::PeerOutOfRange(link.peer));
+            }
         }
-        topology
+        Ok(topology)
+    }
+
+    fn check(&self, port: Port) -> Result<(), TopologyError> {
+        match port {
+            Port::Node(n) if n.0 >= self.nodes => Err(TopologyError::NodeOutOfRange(n)),
+            Port::Switch(s) if s.0 >= self.switches => Err(TopologyError::SwitchOutOfRange(s)),
+            _ => Ok(()),
+        }
     }
 
     /// Number of endpoint nodes.
@@ -217,13 +239,8 @@ impl TopologyBuilder {
     }
 
     fn check(&self, port: Port) {
-        match port {
-            Port::Node(NodeId(n)) => {
-                assert!(n < self.topology.nodes, "node{n} out of range");
-            }
-            Port::Switch(SwitchId(s)) => {
-                assert!(s < self.topology.switches, "switch{s} out of range");
-            }
+        if let Err(e) = self.topology.check(port) {
+            panic!("{e}");
         }
     }
 

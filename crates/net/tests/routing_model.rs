@@ -130,3 +130,33 @@ proptest! {
         }
     }
 }
+
+/// A topology's parts rebuild it, and parts that name a node, switch or
+/// peer link the topology does not have are a typed error — the decoder
+/// that ships topologies between processes relies on both.
+#[test]
+fn from_parts_round_trips_and_rejects_out_of_range_links() {
+    use ree_net::{LinkId, TopologyError};
+    let t = chain_topology(&[0, 1, 1], 2, 50);
+    let parts = |t: &Topology| (t.nodes(), t.switches(), t.loopback_latency(), t.links().to_vec());
+    let (nodes, switches, loopback, links) = parts(&t);
+    let back = Topology::from_parts(nodes, switches, loopback, links.clone()).expect("well-formed");
+    assert_eq!(format!("{t:?}"), format!("{back:?}"));
+
+    let rebuilt = |nodes, switches, links| Topology::from_parts(nodes, switches, loopback, links);
+    assert_eq!(
+        rebuilt(nodes - 1, switches, links.clone()).unwrap_err(),
+        TopologyError::NodeOutOfRange(NodeId(nodes - 1))
+    );
+    assert_eq!(
+        rebuilt(nodes, switches - 1, links.clone()).unwrap_err(),
+        TopologyError::SwitchOutOfRange(SwitchId(switches - 1))
+    );
+    let mut dangling = links;
+    let beyond = LinkId(dangling.len() as u32);
+    dangling[0].peer = beyond;
+    assert_eq!(
+        rebuilt(nodes, switches, dangling).unwrap_err(),
+        TopologyError::PeerOutOfRange(beyond)
+    );
+}
