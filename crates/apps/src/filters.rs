@@ -8,26 +8,17 @@
 //!
 //! # Fast path
 //!
-//! The per-tile work used to be: allocate a tile buffer, allocate a
-//! column scratch inside `fft2d`, and — per spectrum bin — a `sqrt` plus
-//! a libm `atan2` to decide band membership. Band membership depends
-//! only on `(tile size, filter)`, so it is now precomputed once into a
-//! **band mask** — span-encoded for branch-free energy sums — and
-//! cached (see [`FilterScratch`]); the tile buffer lives in a scratch
-//! pool reused across every tile of a call (and across calls, for
-//! callers that hold a scratch). The mask
-//! itself is built with a polynomial `atan2` approximation
-//! ([`fast_atan2`], max error < 2e-5 rad); compile with the `exact-trig`
-//! feature to build masks with libm `atan2` instead. The two agree on
-//! every bin of every supported tile size (2–[`MAX_TILE_PX`]) — no such
-//! frequency bin lies within 1e-4 rad of a band boundary (all boundaries
-//! are odd multiples of π/8, whose tangents are irrational) — so the
-//! default is byte-identical to the exact mode and the determinism
-//! fixtures are **preserved, not re-baselined** (decision recorded in
-//! `docs/PERFORMANCE.md`). The size cap is load-bearing: at larger sizes
-//! rational frequency pairs approach tan(π/8) closely enough to fall
-//! inside the approximation's error envelope, so [`FilterScratch::new`]
-//! rejects them rather than risk a silent fast/exact divergence.
+//! Band membership depends only on `(tile size, filter)`, so it is
+//! precomputed once into a **band mask** — span-encoded for branch-free
+//! energy sums — and cached per thread; the tile buffer lives in a
+//! scratch pool ([`FilterScratch`]) reused across every tile of a call
+//! (and across calls, for callers that hold a scratch).
+//!
+//! Negative result: masks used to be built with a polynomial `atan2`
+//! behind an `exact-trig` feature. Masks are built once per thread, so
+//! it saved about 1 µs per thread against ~10 ms campaign cells; both
+//! classified every bin identically, and libm `atan2` is now the only
+//! build (`docs/PERFORMANCE.md`).
 
 use crate::fft::{fft2d_with, power, Complex, FftPlan};
 use crate::synth::Image;
@@ -37,66 +28,19 @@ use std::sync::Arc;
 /// Number of directional filters (the image's "three axes").
 pub const NUM_FILTERS: usize = 3;
 
-/// Largest supported tile side. The fast/exact band-mask identity is
-/// proven exhaustively for every power-of-two size up to this bound
-/// (`band_masks_identical_for_fast_and_exact_trig`); beyond it,
-/// rational frequency pairs (continued-fraction convergents of
-/// tan(π/8)) get close enough to a band boundary to fall inside
-/// [`fast_atan2`]'s error envelope, which would let the default and
-/// `exact-trig` builds diverge.
+/// Largest supported tile side: a plain input bound
+/// ([`FilterScratch::new`] rejects anything larger).
 pub const MAX_TILE_PX: usize = 256;
 
-/// Polynomial `atan2` approximation (Abramowitz & Stegun 4.4.49 on the
-/// octant-reduced argument), maximum absolute error < 2e-5 rad. Used to
-/// build orientation band masks; the `exact-trig` feature swaps in libm
-/// `atan2`.
-///
-/// One carve-out: `fast_atan2(0.0, 0.0)` returns `0.0` for *both* zero
-/// signs, where libm distinguishes `±0.0`/`±π` by sign bit.
-///
-/// ```
-/// let a = ree_apps::filters::fast_atan2(3.0, -4.0);
-/// assert!((a - 3.0f64.atan2(-4.0)).abs() < 2e-5);
-/// ```
-pub fn fast_atan2(y: f64, x: f64) -> f64 {
-    if y == 0.0 && x == 0.0 {
-        return 0.0;
-    }
-    let ay = y.abs();
-    let ax = x.abs();
-    // Octant reduction: evaluate atan on [0, 1].
-    let swap = ay > ax;
-    let z = if swap { ax / ay } else { ay / ax };
-    // A&S 4.4.49: atan(z) = z(a1 + z²(a3 + z²(a5 + z²(a7 + z²·a9)))).
-    let z2 = z * z;
-    let mut a = z
-        * (0.999_866_0
-            + z2 * (-0.330_299_5 + z2 * (0.180_141_0 + z2 * (-0.085_133_0 + z2 * 0.020_835_1))));
-    if swap {
-        a = std::f64::consts::FRAC_PI_2 - a;
-    }
-    if x < 0.0 {
-        a = std::f64::consts::PI - a;
-    }
-    // Sign-bit test, not `< 0.0`: atan2(-0.0, -1.0) must be -π like libm.
-    if y.is_sign_negative() {
-        -a
-    } else {
-        a
-    }
-}
-
 /// True if spectrum bin `(fu, fv)` (signed frequencies) belongs to
-/// `filter`'s orientation band. `exact` selects libm `atan2` over
-/// [`fast_atan2`]; both classify every bin identically (proved by
-/// `band_masks_identical_for_fast_and_exact_trig`).
-fn bin_in_band(fu: f64, fv: f64, filter: usize, exact: bool) -> bool {
+/// `filter`'s orientation band.
+fn bin_in_band(fu: f64, fv: f64, filter: usize) -> bool {
     let mag = (fu * fu + fv * fv).sqrt();
     if mag < 1e-9 {
         return false;
     }
     // Orientation of this frequency component, folded to 0..pi.
-    let ang = if exact { fv.atan2(fu).abs() } else { fast_atan2(fv, fu).abs() };
+    let ang = fv.atan2(fu).abs();
     match filter {
         0 => !(std::f64::consts::FRAC_PI_8..=std::f64::consts::PI - std::f64::consts::FRAC_PI_8)
             .contains(&ang),
@@ -112,7 +56,7 @@ fn bin_in_band(fu: f64, fv: f64, filter: usize, exact: bool) -> bool {
 /// `v * size + u` is true when that spectrum bin contributes to the
 /// filter's oriented energy. The DC term is always excluded (it carries
 /// brightness, not texture).
-fn build_band_mask(size: usize, filter: usize, exact: bool) -> Vec<bool> {
+fn build_band_mask(size: usize, filter: usize) -> Vec<bool> {
     let half = size / 2;
     let mut mask = vec![false; size * size];
     for v in 0..size {
@@ -123,7 +67,7 @@ fn build_band_mask(size: usize, filter: usize, exact: bool) -> Vec<bool> {
             // Signed frequencies in [-half, half).
             let fu = if u <= half { u as f64 } else { u as f64 - size as f64 };
             let fv = if v <= half { v as f64 } else { v as f64 - size as f64 };
-            mask[v * size + u] = bin_in_band(fu, fv, filter, exact);
+            mask[v * size + u] = bin_in_band(fu, fv, filter);
         }
     }
     mask
@@ -167,7 +111,6 @@ type MaskRegistry = Vec<((usize, usize), Arc<BandMask>)>;
 /// Fetches (building on first use) the cached orientation mask for one
 /// `(size, filter)` pair.
 fn band_mask(size: usize, filter: usize) -> Arc<BandMask> {
-    debug_assert!(size <= MAX_TILE_PX, "mask size {size} beyond the proven fast/exact bound");
     thread_local! {
         /// Sorted mask registry — at most a handful of entries per
         /// campaign.
@@ -178,8 +121,7 @@ fn band_mask(size: usize, filter: usize) -> Arc<BandMask> {
         match reg.binary_search_by_key(&(size, filter), |(key, _)| *key) {
             Ok(i) => Arc::clone(&reg[i].1),
             Err(i) => {
-                let exact = cfg!(feature = "exact-trig");
-                let bins = build_band_mask(size, filter, exact);
+                let bins = build_band_mask(size, filter);
                 let mask = Arc::new(BandMask::from_bins(&bins));
                 reg.insert(i, ((size, filter), Arc::clone(&mask)));
                 mask
@@ -204,8 +146,7 @@ impl FilterScratch {
     /// # Panics
     ///
     /// Panics if `tile_px` is not a power of two or exceeds
-    /// [`MAX_TILE_PX`] (the bound up to which the fast/exact band-mask
-    /// identity is proven).
+    /// [`MAX_TILE_PX`].
     pub fn new(tile_px: usize) -> FilterScratch {
         assert!(tile_px.is_power_of_two(), "tile size must be a power of two");
         assert!(tile_px <= MAX_TILE_PX, "tile size {tile_px} exceeds MAX_TILE_PX {MAX_TILE_PX}");
@@ -360,42 +301,33 @@ mod tests {
         assert_eq!(f, vec![1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
     }
 
-    #[test]
-    fn fast_atan2_is_within_tolerance_everywhere() {
-        // Dense sweep over all four quadrants plus the axes.
-        let mut worst: f64 = 0.0;
-        for iy in -50..=50 {
-            for ix in -50..=50 {
-                let (y, x) = (iy as f64 * 0.37, ix as f64 * 0.53);
-                if y == 0.0 && x == 0.0 {
-                    continue;
-                }
-                worst = worst.max((fast_atan2(y, x) - y.atan2(x)).abs());
-            }
-        }
-        assert!(worst < 2e-5, "worst error {worst}");
-        assert_eq!(fast_atan2(0.0, 0.0), 0.0);
-        // Negative-zero y must keep libm's sign convention (-π, not +π).
-        assert_eq!(fast_atan2(-0.0, -1.0), -std::f64::consts::PI);
-        assert_eq!(fast_atan2(0.0, -1.0), std::f64::consts::PI);
-    }
+    const PINNED_8_0: &[(u32, u32)] = &[(1, 8), (11, 14), (59, 62)];
+    const PINNED_8_1: &[(u32, u32)] =
+        &[(8, 9), (16, 17), (24, 26), (31, 34), (39, 42), (47, 49), (56, 57)];
+    const PINNED_8_2: &[(u32, u32)] =
+        &[(9, 11), (14, 16), (17, 24), (26, 31), (34, 39), (42, 47), (49, 56), (57, 59), (62, 64)];
+    /// `(span count, FNV-1a-64 of the span bounds)` per filter at size 64.
+    const PINNED_64: [(usize, u64); NUM_FILTERS] =
+        [(27, 0x85c5_f821_2090_0208), (63, 0xd4c7_8dbf_c736_2429), (89, 0x5d19_89e1_3089_2a05)];
 
     #[test]
-    fn band_masks_identical_for_fast_and_exact_trig() {
-        // The load-bearing determinism argument: the polynomial atan2
-        // classifies every bin exactly like libm atan2 for **every**
-        // supported tile size (2..=MAX_TILE_PX — FilterScratch::new
-        // rejects anything larger), so the default build's features are
-        // byte-identical to the exact-trig build's.
-        let sizes = (1..).map(|e| 1usize << e).take_while(|&s| s <= MAX_TILE_PX);
-        for size in sizes {
-            for filter in 0..NUM_FILTERS {
-                assert_eq!(
-                    build_band_mask(size, filter, false),
-                    build_band_mask(size, filter, true),
-                    "size {size} filter {filter}"
-                );
+    fn band_masks_are_pinned() {
+        // Masks come from libm `atan2`; a libm whose rounding moved a bin
+        // across a band edge would change every texture feature. Size 8
+        // is pinned span by span, size 64 by span count and FNV-1a-64.
+        let spans = |size, filter| BandMask::from_bins(&build_band_mask(size, filter)).spans;
+        assert_eq!(spans(8, 0), PINNED_8_0);
+        assert_eq!(spans(8, 1), PINNED_8_1);
+        assert_eq!(spans(8, 2), PINNED_8_2);
+        for (filter, pinned) in PINNED_64.into_iter().enumerate() {
+            let got = spans(64, filter);
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for word in got.iter().flat_map(|&(s, e)| [s, e]) {
+                for b in word.to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                }
             }
+            assert_eq!((got.len(), h), pinned, "size 64 filter {filter}");
         }
     }
 
@@ -406,7 +338,7 @@ mod tests {
         let sizes = (1..).map(|e| 1usize << e).take_while(|&s| s <= 64);
         for size in sizes {
             for filter in 0..NUM_FILTERS {
-                let bins = build_band_mask(size, filter, true);
+                let bins = build_band_mask(size, filter);
                 let mask = BandMask::from_bins(&bins);
                 let spectrum: Vec<Complex> = (0..size * size)
                     .map(|i| ((i as f64 * 0.7).sin() * 9.0, (i as f64 * 1.3).cos() * 4.0))
@@ -430,7 +362,7 @@ mod tests {
         // except bins sitting in the dead zones between band edges; the
         // three bands must not overlap.
         let size = 16;
-        let m: Vec<Vec<bool>> = (0..NUM_FILTERS).map(|f| build_band_mask(size, f, true)).collect();
+        let m: Vec<Vec<bool>> = (0..NUM_FILTERS).map(|f| build_band_mask(size, f)).collect();
         for i in 0..size * size {
             let members = m.iter().filter(|mask| mask[i]).count();
             assert!(members <= 1, "bin {i} in {members} bands");

@@ -20,7 +20,8 @@
 //! | [`filters`] | the three directional texture filters whose per-tile energies feed segmentation (§2, Table 10) |
 //! | [`kmeans`] | the k-means clustering that segments the feature vectors (§2) |
 //! | [`otis`], [`compress`] | OTIS split-window retrieval, emissivity extraction, lossless compression (§2) |
-//! | [`texture`], [`shell`] | the MPI application processes: phases, status files, progress indicators (§3.3) |
+//! | [`kind`] | the application table: the one place an application name is matched (factory, nominal time, verification, shared inputs per [`AppKind`]) |
+//! | [`texture`], [`otis`], [`pipeline`], [`shell`] | the MPI application processes: one rank skeleton (status token, heap guard, `Process`/`HeapModel`) around each application's phases; init barrier and progress indicators (§3.3) |
 //! | [`heap`] | the science heap that heap-model bit flips corrupt (§7) |
 //! | [`verify`] | the external verification program deciding correct/incorrect/missing output (§4.2, Table 10) |
 //! | [`testbed`] | scenario assembly: the 4- and 6-node testbed configurations (§2, §8) |
@@ -51,49 +52,20 @@ pub mod compress;
 pub mod fft;
 pub mod filters;
 pub mod heap;
+pub mod kind;
 pub mod kmeans;
 pub mod otis;
 pub mod pipeline;
+mod rank;
 pub mod shell;
 pub mod synth;
 pub mod testbed;
 pub mod texture;
 pub mod verify;
 
-use ree_sift::{AppFactory, Blueprint};
-use std::sync::Arc;
-
-pub use otis::{OtisApp, OtisParams};
-pub use pipeline::{PipelineApp, PipelineParams};
+pub use kind::AppKind;
+pub use otis::OtisParams;
+pub use pipeline::PipelineParams;
 pub use testbed::{run_without_sift, BootSnapshot, Running, Scenario};
-pub use texture::{TextureApp, TextureParams};
+pub use texture::TextureParams;
 pub use verify::Verdict;
-
-/// Builds the texture-analysis application factory.
-pub fn texture_factory(params: TextureParams) -> AppFactory {
-    Arc::new(move |launch| Box::new(TextureApp::new(launch, params.clone())))
-}
-
-/// Builds the OTIS application factory.
-pub fn otis_factory(params: OtisParams) -> AppFactory {
-    Arc::new(move |launch| Box::new(OtisApp::new(launch, params.clone())))
-}
-
-/// Builds the image-acquisition pipeline factory.
-pub fn pipeline_factory(params: PipelineParams) -> AppFactory {
-    Arc::new(move |launch| Box::new(PipelineApp::new(launch, params.clone())))
-}
-
-/// Registers the paper applications plus the topology-placed image
-/// pipeline in a blueprint under their conventional names (`texture`,
-/// `otis`, `imgpipe`).
-pub fn register_paper_apps(
-    blueprint: &Blueprint,
-    texture: TextureParams,
-    otis: OtisParams,
-    pipeline: PipelineParams,
-) {
-    blueprint.register_app("texture", texture_factory(texture));
-    blueprint.register_app("otis", otis_factory(otis));
-    blueprint.register_app("imgpipe", pipeline_factory(pipeline));
-}

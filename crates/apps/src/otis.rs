@@ -12,13 +12,12 @@
 //! propagates stalls between ranks).
 
 use crate::compress::{compress, quantize};
-use crate::heap::SciHeap;
-use crate::shell::{AppShell, ShellPoll};
+use crate::rank::{Rank, Science, WORK_PHASE};
+use crate::shell::ShellPoll;
 use crate::synth::thermal_frame_shared;
 use ree_mpi::MpiPayload;
-use ree_os::{HeapHit, HeapModel, HeapTarget, Message, ProcCtx, Process, Signal};
-use ree_sift::AppLaunch;
-use ree_sim::{SimDuration, SimRng};
+use ree_os::ProcCtx;
+use ree_sim::SimDuration;
 
 /// Tunable workload parameters for OTIS.
 #[derive(Clone, Debug)]
@@ -73,10 +72,9 @@ pub fn emissivity_of(temp_k: f64) -> f64 {
     0.95 + 0.02 * (temp_k / 10.0).sin()
 }
 
-const WORK_PHASE: u64 = 1;
 const TAG_CALIB: u32 = 200;
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Init,
     Load { working: bool },
@@ -87,33 +85,16 @@ enum Phase {
     Finish,
 }
 
-/// One MPI rank of the OTIS application.
-#[derive(Clone)]
-pub struct OtisApp {
-    shell: AppShell,
-    params: OtisParams,
-    heap: SciHeap,
+/// Science state of one OTIS rank.
+#[derive(Clone, Debug)]
+pub(crate) struct Otis {
     phase: Phase,
     resume_pair: u32,
     retrieved: Vec<f64>,
     calib_seen: Vec<bool>,
 }
 
-impl OtisApp {
-    /// Creates the process for one rank.
-    pub fn new(launch: &AppLaunch, params: OtisParams) -> Self {
-        let heap = SciHeap::new(params.frame_px as u64);
-        OtisApp {
-            shell: AppShell::new(launch.clone(), String::new(), params.pi_period),
-            params,
-            heap,
-            phase: Phase::Init,
-            resume_pair: 0,
-            retrieved: Vec::new(),
-            calib_seen: Vec::new(),
-        }
-    }
-
+impl Rank<Otis> {
     fn pairs(&self) -> u32 {
         self.params.frames.div_ceil(self.shell.launch.size.max(1))
     }
@@ -122,34 +103,13 @@ impl OtisApp {
         pair * self.shell.launch.size + self.shell.launch.rank
     }
 
-    fn status_path(&self) -> String {
-        format!(
-            "app/{}/s{}/r{}/status",
-            self.shell.launch.app, self.shell.launch.slot, self.shell.launch.rank
-        )
-    }
-
     fn product_path(&self, frame: u32) -> String {
         format!("output/{}/s{}/frame{frame}", self.shell.launch.app, self.shell.launch.slot)
     }
 
-    fn heap_guard(&mut self, ctx: &mut ProcCtx<'_>) -> bool {
-        if self.heap.ptr_fault() {
-            ctx.trace("otis: dereferenced corrupted status pointer");
-            ctx.crash(Signal::Segv);
-            return false;
-        }
-        if self.heap.dims_fault(self.params.frame_px as u64) {
-            ctx.trace("otis: corrupted frame dimensions");
-            ctx.crash(Signal::Segv);
-            return false;
-        }
-        true
-    }
-
     fn enter_pair(&mut self, pair: u32, ctx: &mut ProcCtx<'_>) {
         if pair >= self.pairs() {
-            self.phase = Phase::Finish;
+            self.sci.phase = Phase::Finish;
             self.shell.finish(ctx);
             return;
         }
@@ -157,7 +117,7 @@ impl OtisApp {
         if frame >= self.params.frames {
             // Odd frame count: this rank idles through the last pair but
             // still synchronises.
-            self.retrieved.clear();
+            self.sci.retrieved.clear();
             self.enter_sync(pair, ctx);
             return;
         }
@@ -172,13 +132,13 @@ impl OtisApp {
         );
         self.heap.image = f.band11.clone();
         self.heap.features = f.band12.clone();
-        self.phase = Phase::Atm { pair, working: true };
+        self.sci.phase = Phase::Atm { pair, working: true };
         ctx.start_work(self.params.atm_time, WORK_PHASE);
     }
 
     fn finish_atm(&mut self, pair: u32, ctx: &mut ProcCtx<'_>) {
         // Real split-window arithmetic over (possibly corrupted) bands.
-        self.retrieved = self
+        self.sci.retrieved = self
             .heap
             .image
             .iter()
@@ -186,22 +146,22 @@ impl OtisApp {
             .map(|(&b11, &b12)| split_window_retrieve(b11, b12))
             .collect();
         self.shell.progress(ctx);
-        self.phase = Phase::Emis { pair, working: true };
+        self.sci.phase = Phase::Emis { pair, working: true };
         ctx.start_work(self.params.emis_time, WORK_PHASE);
     }
 
     fn finish_emis(&mut self, pair: u32, ctx: &mut ProcCtx<'_>) {
-        let emissivities: Vec<f64> = self.retrieved.iter().map(|&t| emissivity_of(t)).collect();
+        let emissivities: Vec<f64> = self.sci.retrieved.iter().map(|&t| emissivity_of(t)).collect();
         // Keep emissivities in the heap (they are part of the product).
         self.heap.features = emissivities;
         self.shell.progress(ctx);
-        self.phase = Phase::Compress { pair, working: true };
+        self.sci.phase = Phase::Compress { pair, working: true };
         ctx.start_work(self.params.compress_time, WORK_PHASE);
     }
 
     fn finish_compress(&mut self, pair: u32, ctx: &mut ProcCtx<'_>) {
         let frame = self.my_frame(pair);
-        let product = compress(&quantize(&self.retrieved));
+        let product = compress(&quantize(&self.sci.retrieved));
         ctx.remote_fs().write(&self.product_path(frame), product);
         self.shell.progress(ctx);
         self.enter_sync(pair, ctx);
@@ -210,54 +170,33 @@ impl OtisApp {
     fn enter_sync(&mut self, pair: u32, ctx: &mut ProcCtx<'_>) {
         // Exchange calibration statistics with every peer before the
         // next pair (the coupling point).
-        let mean = if self.retrieved.is_empty() {
+        let mean = if self.sci.retrieved.is_empty() {
             0.0
         } else {
-            self.retrieved.iter().sum::<f64>() / self.retrieved.len() as f64
+            self.sci.retrieved.iter().sum::<f64>() / self.sci.retrieved.len() as f64
         };
         for rank in 0..self.shell.launch.size {
             if rank != self.shell.launch.rank {
                 self.shell.mpi.send(ctx, rank, TAG_CALIB + pair, MpiPayload::F64s(vec![mean]));
             }
         }
-        self.calib_seen = vec![false; self.shell.launch.size as usize];
-        self.calib_seen[self.shell.launch.rank as usize] = true;
-        self.phase = Phase::SyncPair { pair };
+        self.sci.calib_seen = vec![false; self.shell.launch.size as usize];
+        self.sci.calib_seen[self.shell.launch.rank as usize] = true;
+        self.sci.phase = Phase::SyncPair { pair };
         self.drain_sync(ctx);
     }
 
     fn drain_sync(&mut self, ctx: &mut ProcCtx<'_>) {
-        let Phase::SyncPair { pair } = self.phase else { return };
+        let Phase::SyncPair { pair } = self.sci.phase else { return };
         while let Some(m) = self.shell.mpi.try_recv(None, TAG_CALIB + pair) {
-            if (m.from_rank as usize) < self.calib_seen.len() {
-                self.calib_seen[m.from_rank as usize] = true;
+            if (m.from_rank as usize) < self.sci.calib_seen.len() {
+                self.sci.calib_seen[m.from_rank as usize] = true;
             }
         }
-        if self.calib_seen.iter().all(|&s| s) {
+        if self.sci.calib_seen.iter().all(|&s| s) {
             ctx.remote_fs().write(&self.status_path(), format!("{},0", pair + 1).into_bytes());
             self.shell.progress(ctx);
             self.enter_pair(pair + 1, ctx);
-        }
-    }
-
-    fn advance(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.shell.finished() || self.shell.blocked() {
-            return;
-        }
-        if !self.heap_guard(ctx) {
-            return;
-        }
-        match self.phase.clone() {
-            Phase::Init => {
-                if let ShellPoll::Run(token) = self.shell.poll(ctx) {
-                    let pair = token.split(',').next().and_then(|p| p.parse().ok()).unwrap_or(0);
-                    self.resume_pair = pair;
-                    self.phase = Phase::Load { working: true };
-                    ctx.start_work(self.params.load_time, WORK_PHASE);
-                }
-            }
-            Phase::SyncPair { .. } => self.drain_sync(ctx),
-            _ => {}
         }
     }
 }
@@ -271,75 +210,51 @@ pub fn otis_frame_seed(app: &str, slot: u32) -> u64 {
     h ^ ((slot as u64) << 24)
 }
 
-impl Process for OtisApp {
-    fn kind(&self) -> &'static str {
-        "otis-app"
+impl Science for Otis {
+    type Params = OtisParams;
+    const TAG: &'static str = "otis-app";
+    const PTR_FAULT: &'static str = "otis: dereferenced corrupted status pointer";
+    const DIMS_FAULT: &'static str = "otis: corrupted frame dimensions";
+
+    fn new(_: &OtisParams) -> Self {
+        Otis { phase: Phase::Init, resume_pair: 0, retrieved: Vec::new(), calib_seen: Vec::new() }
     }
 
-    fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
-        let token = ctx
-            .remote_fs()
-            .read(&self.status_path())
-            .and_then(|b| String::from_utf8(b.to_vec()).ok())
-            .unwrap_or_default();
-        let launch = self.shell.launch.clone();
-        self.shell = AppShell::new(launch, token, self.params.pi_period);
-        self.shell.on_start(ctx);
-        self.advance(ctx);
+    fn side(params: &OtisParams) -> usize {
+        params.frame_px
     }
 
-    fn on_message(&mut self, msg: Message, ctx: &mut ProcCtx<'_>) {
-        let _ = self.shell.on_message(&msg, ctx);
-        self.advance(ctx);
+    fn pi_period(params: &OtisParams) -> SimDuration {
+        params.pi_period
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) {
-        let _ = self.shell.on_timer(tag, ctx);
-        self.advance(ctx);
-    }
-
-    fn on_work_done(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) {
-        if tag != WORK_PHASE || self.shell.finished() {
-            return;
-        }
-        if !self.heap_guard(ctx) {
-            return;
-        }
-        match self.phase.clone() {
-            Phase::Load { working: true } => {
-                self.shell.progress(ctx);
-                let pair = self.resume_pair;
-                self.enter_pair(pair, ctx);
+    fn advance(rank: &mut Rank<Self>, ctx: &mut ProcCtx<'_>) {
+        match rank.sci.phase {
+            Phase::Init => {
+                if let ShellPoll::Run(token) = rank.shell.poll(ctx) {
+                    let pair = token.split(',').next().and_then(|p| p.parse().ok()).unwrap_or(0);
+                    rank.sci.resume_pair = pair;
+                    rank.sci.phase = Phase::Load { working: true };
+                    ctx.start_work(rank.params.load_time, WORK_PHASE);
+                }
             }
-            Phase::Atm { pair, working: true } => self.finish_atm(pair, ctx),
-            Phase::Emis { pair, working: true } => self.finish_emis(pair, ctx),
-            Phase::Compress { pair, working: true } => self.finish_compress(pair, ctx),
+            Phase::SyncPair { .. } => rank.drain_sync(ctx),
             _ => {}
         }
-        self.advance(ctx);
     }
 
-    fn heap(&mut self) -> Option<&mut dyn HeapModel> {
-        Some(self)
-    }
-}
-
-impl HeapModel for OtisApp {
-    fn region_names(&self) -> Vec<String> {
-        vec!["image".into(), "features".into(), "ctrl".into()]
-    }
-
-    fn flip_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
-        self.heap.flip(rng, target)
-    }
-}
-
-impl std::fmt::Debug for OtisApp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OtisApp")
-            .field("rank", &self.shell.launch.rank)
-            .field("phase", &self.phase)
-            .finish()
+    fn work_done(rank: &mut Rank<Self>, ctx: &mut ProcCtx<'_>) {
+        match rank.sci.phase {
+            Phase::Load { working: true } => {
+                rank.shell.progress(ctx);
+                let pair = rank.sci.resume_pair;
+                rank.enter_pair(pair, ctx);
+            }
+            Phase::Atm { pair, working: true } => rank.finish_atm(pair, ctx),
+            Phase::Emis { pair, working: true } => rank.finish_emis(pair, ctx),
+            Phase::Compress { pair, working: true } => rank.finish_compress(pair, ctx),
+            _ => {}
+        }
     }
 }
 

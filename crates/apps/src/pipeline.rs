@@ -32,13 +32,12 @@
 //!   scanning which products already exist).
 
 use crate::compress::{compress, quantize};
-use crate::heap::SciHeap;
-use crate::shell::{AppShell, ShellPoll};
+use crate::rank::{Rank, Science, WORK_PHASE};
+use crate::shell::ShellPoll;
 use crate::synth::thermal_frame_shared;
 use ree_mpi::MpiPayload;
-use ree_os::{HeapHit, HeapModel, HeapTarget, Message, ProcCtx, Process, Signal, TimerId};
-use ree_sift::AppLaunch;
-use ree_sim::{SimDuration, SimRng};
+use ree_os::{ProcCtx, TimerId};
+use ree_sim::SimDuration;
 
 /// Tunable workload parameters for the image pipeline.
 #[derive(Clone, Debug)]
@@ -101,7 +100,6 @@ pub fn pipeline_frame_seed(app: &str, slot: u32) -> u64 {
     h ^ ((slot as u64) << 28)
 }
 
-const WORK_PHASE: u64 = 1;
 /// Camera re-send timer tag (distinct from `shell::SHELL_TICK`).
 const RETRY_TICK: u64 = 0x9E7A;
 /// Camera → compute: raw frame pixels.
@@ -118,7 +116,7 @@ const TAG_DONE: u32 = 780;
 const RANK_COMPUTE: u32 = 1;
 const RANK_DOWNLINK: u32 = 2;
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Init,
     /// Camera: exposing/reading out frame `frame`.
@@ -146,12 +144,9 @@ enum Phase {
     Finish,
 }
 
-/// One rank of the image-acquisition pipeline.
-#[derive(Clone)]
-pub struct PipelineApp {
-    shell: AppShell,
-    params: PipelineParams,
-    heap: SciHeap,
+/// Science state of one image-acquisition pipeline rank.
+#[derive(Clone, Debug)]
+pub(crate) struct Pipeline {
     phase: Phase,
     /// Camera: the current frame's product, kept for re-forwarding.
     pending_product: Vec<u8>,
@@ -167,31 +162,7 @@ pub struct PipelineApp {
     delivered: Vec<bool>,
 }
 
-impl PipelineApp {
-    /// Creates the process for one rank.
-    pub fn new(launch: &AppLaunch, params: PipelineParams) -> Self {
-        let heap = SciHeap::new(params.frame_px as u64);
-        let delivered = vec![false; params.frames as usize];
-        PipelineApp {
-            shell: AppShell::new(launch.clone(), String::new(), params.pi_period),
-            params,
-            heap,
-            phase: Phase::Init,
-            pending_product: Vec::new(),
-            retry_timer: None,
-            backlog: Vec::new(),
-            write_queue: Vec::new(),
-            delivered,
-        }
-    }
-
-    fn status_path(&self) -> String {
-        format!(
-            "app/{}/s{}/r{}/status",
-            self.shell.launch.app, self.shell.launch.slot, self.shell.launch.rank
-        )
-    }
-
+impl Rank<Pipeline> {
     fn product_path(&self, frame: u32) -> String {
         format!("output/{}/s{}/pframe{frame}", self.shell.launch.app, self.shell.launch.slot)
     }
@@ -200,29 +171,15 @@ impl PipelineApp {
         format!("app/{}/s{}/pipedone", self.shell.launch.app, self.shell.launch.slot)
     }
 
-    fn heap_guard(&mut self, ctx: &mut ProcCtx<'_>) -> bool {
-        if self.heap.ptr_fault() {
-            ctx.trace("imgpipe: dereferenced corrupted status pointer");
-            ctx.crash(Signal::Segv);
-            return false;
-        }
-        if self.heap.dims_fault(self.params.frame_px as u64) {
-            ctx.trace("imgpipe: corrupted frame dimensions");
-            ctx.crash(Signal::Segv);
-            return false;
-        }
-        true
-    }
-
     // ---- camera (rank 0) ----
 
     fn arm_retry(&mut self, ctx: &mut ProcCtx<'_>) {
         self.disarm_retry(ctx);
-        self.retry_timer = Some(ctx.set_timer(self.shell.launch.block_timeout, RETRY_TICK));
+        self.sci.retry_timer = Some(ctx.set_timer(self.shell.launch.block_timeout, RETRY_TICK));
     }
 
     fn disarm_retry(&mut self, ctx: &mut ProcCtx<'_>) {
-        if let Some(id) = self.retry_timer.take() {
+        if let Some(id) = self.sci.retry_timer.take() {
             ctx.cancel_timer(id);
         }
     }
@@ -230,11 +187,11 @@ impl PipelineApp {
     fn camera_begin(&mut self, frame: u32, ctx: &mut ProcCtx<'_>) {
         if frame >= self.params.frames {
             self.shell.mpi.send(ctx, RANK_COMPUTE, TAG_DONE, MpiPayload::Unit);
-            self.phase = Phase::Finish;
+            self.sci.phase = Phase::Finish;
             self.shell.finish(ctx);
             return;
         }
-        self.phase = Phase::Acquire { frame };
+        self.sci.phase = Phase::Acquire { frame };
         ctx.start_work(self.params.acquire_time, WORK_PHASE);
     }
 
@@ -259,7 +216,7 @@ impl PipelineApp {
             TAG_FRAME + frame,
             MpiPayload::F64s(self.heap.image.clone()),
         );
-        self.phase = Phase::AwaitProduct { frame };
+        self.sci.phase = Phase::AwaitProduct { frame };
         self.arm_retry(ctx);
     }
 
@@ -268,24 +225,24 @@ impl PipelineApp {
             ctx,
             RANK_DOWNLINK,
             TAG_FWD + frame,
-            MpiPayload::Bytes(self.pending_product.clone()),
+            MpiPayload::Bytes(self.sci.pending_product.clone()),
         );
-        self.phase = Phase::AwaitAck { frame };
+        self.sci.phase = Phase::AwaitAck { frame };
         self.arm_retry(ctx);
     }
 
     fn camera_product(&mut self, frame: u32, product: Vec<u8>, ctx: &mut ProcCtx<'_>) {
-        if self.phase != (Phase::AwaitProduct { frame }) {
+        if self.sci.phase != (Phase::AwaitProduct { frame }) {
             return; // stale product from a re-sent frame
         }
         self.disarm_retry(ctx);
-        self.pending_product = product;
+        self.sci.pending_product = product;
         self.shell.progress(ctx);
         self.camera_forward(frame, ctx);
     }
 
     fn camera_ack(&mut self, frame: u32, ctx: &mut ProcCtx<'_>) {
-        if self.phase != (Phase::AwaitAck { frame }) {
+        if self.sci.phase != (Phase::AwaitAck { frame }) {
             return; // stale ack from a re-forwarded product
         }
         self.disarm_retry(ctx);
@@ -297,17 +254,17 @@ impl PipelineApp {
     // ---- compute (rank 1) ----
 
     fn compute_accept(&mut self, frame: u32, pixels: Vec<f64>, ctx: &mut ProcCtx<'_>) {
-        if let Phase::Processing { frame: busy } = self.phase {
+        if let Phase::Processing { frame: busy } = self.sci.phase {
             // Drop duplicates of the in-flight or queued frame (camera
             // re-sends): reprocessing them would stall the stream by a
             // whole compute pass each.
-            if busy != frame && !self.backlog.iter().any(|(f, _)| *f == frame) {
-                self.backlog.push((frame, pixels));
+            if busy != frame && !self.sci.backlog.iter().any(|(f, _)| *f == frame) {
+                self.sci.backlog.push((frame, pixels));
             }
             return;
         }
         self.heap.image = pixels;
-        self.phase = Phase::Processing { frame };
+        self.sci.phase = Phase::Processing { frame };
         ctx.start_work(self.params.process_time, WORK_PHASE);
     }
 
@@ -319,9 +276,9 @@ impl PipelineApp {
         self.heap.features = calibrated;
         self.shell.mpi.send(ctx, 0, TAG_PROD + frame, MpiPayload::Bytes(product));
         self.shell.progress(ctx);
-        self.phase = Phase::IdleWait;
-        if !self.backlog.is_empty() {
-            let (next, pixels) = self.backlog.remove(0);
+        self.sci.phase = Phase::IdleWait;
+        if !self.sci.backlog.is_empty() {
+            let (next, pixels) = self.sci.backlog.remove(0);
             self.compute_accept(next, pixels, ctx);
         }
     }
@@ -329,36 +286,36 @@ impl PipelineApp {
     // ---- downlink (rank 2) ----
 
     fn downlink_accept(&mut self, frame: u32, product: Vec<u8>, ctx: &mut ProcCtx<'_>) {
-        if let Phase::Writing { .. } = self.phase {
-            self.write_queue.push((frame, product));
+        if let Phase::Writing { .. } = self.sci.phase {
+            self.sci.write_queue.push((frame, product));
             return;
         }
         self.heap.features = product.iter().map(|&b| b as f64).collect();
-        self.write_queue.insert(0, (frame, product));
-        self.phase = Phase::Writing { frame };
+        self.sci.write_queue.insert(0, (frame, product));
+        self.sci.phase = Phase::Writing { frame };
         ctx.start_work(self.params.downlink_time, WORK_PHASE);
     }
 
     fn downlink_commit(&mut self, frame: u32, ctx: &mut ProcCtx<'_>) {
-        let (f, product) = self.write_queue.remove(0);
+        let (f, product) = self.sci.write_queue.remove(0);
         debug_assert_eq!(f, frame);
         ctx.remote_fs().write(&self.product_path(frame), product);
-        if let Some(slot) = self.delivered.get_mut(frame as usize) {
+        if let Some(slot) = self.sci.delivered.get_mut(frame as usize) {
             *slot = true;
         }
-        let count = self.delivered.iter().filter(|&&d| d).count();
+        let count = self.sci.delivered.iter().filter(|&&d| d).count();
         ctx.remote_fs().write(&self.status_path(), format!("{count}").into_bytes());
         self.shell.mpi.send(ctx, 0, TAG_ACK + frame, MpiPayload::Unit);
         self.shell.progress(ctx);
-        if self.delivered.iter().all(|&d| d) {
+        if self.sci.delivered.iter().all(|&d| d) {
             ctx.remote_fs().write(&self.done_path(), b"done".to_vec());
-            self.phase = Phase::Finish;
+            self.sci.phase = Phase::Finish;
             self.shell.finish(ctx);
             return;
         }
-        self.phase = Phase::IdleWait;
-        if !self.write_queue.is_empty() {
-            let (next, product) = self.write_queue.remove(0);
+        self.sci.phase = Phase::IdleWait;
+        if !self.sci.write_queue.is_empty() {
+            let (next, product) = self.sci.write_queue.remove(0);
             self.downlink_accept(next, product, ctx);
         }
     }
@@ -376,24 +333,24 @@ impl PipelineApp {
                 // the restart (the store is the source of truth).
                 for frame in 0..self.params.frames {
                     if ctx.remote_fs().read(&self.product_path(frame)).is_some() {
-                        self.delivered[frame as usize] = true;
+                        self.sci.delivered[frame as usize] = true;
                     }
                 }
-                if self.delivered.iter().all(|&d| d) {
-                    self.phase = Phase::Finish;
+                if self.sci.delivered.iter().all(|&d| d) {
+                    self.sci.phase = Phase::Finish;
                     self.shell.finish(ctx);
                 } else {
-                    self.phase = Phase::IdleWait;
+                    self.sci.phase = Phase::IdleWait;
                 }
             }
             _ => {
                 // Compute is stateless; if the pipeline already drained
                 // while this rank was down, finish immediately.
                 if ctx.remote_fs().read(&self.done_path()).is_some() {
-                    self.phase = Phase::Finish;
+                    self.sci.phase = Phase::Finish;
                     self.shell.finish(ctx);
                 } else {
-                    self.phase = Phase::IdleWait;
+                    self.sci.phase = Phase::IdleWait;
                 }
             }
         }
@@ -420,9 +377,9 @@ impl PipelineApp {
             }
             RANK_COMPUTE => {
                 if self.shell.mpi.try_recv(Some(0), TAG_DONE).is_some() {
-                    self.backlog.clear();
-                    if self.phase != Phase::Finish {
-                        self.phase = Phase::Finish;
+                    self.sci.backlog.clear();
+                    if self.sci.phase != Phase::Finish {
+                        self.sci.phase = Phase::Finish;
                         self.shell.finish(ctx);
                     }
                     return;
@@ -446,110 +403,75 @@ impl PipelineApp {
             }
         }
     }
+}
 
-    fn advance(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.shell.finished() || self.shell.blocked() {
-            return;
+impl Science for Pipeline {
+    type Params = PipelineParams;
+    const TAG: &'static str = "pipeline-app";
+    const PTR_FAULT: &'static str = "imgpipe: dereferenced corrupted status pointer";
+    const DIMS_FAULT: &'static str = "imgpipe: corrupted frame dimensions";
+
+    fn new(params: &PipelineParams) -> Self {
+        Pipeline {
+            phase: Phase::Init,
+            pending_product: Vec::new(),
+            retry_timer: None,
+            backlog: Vec::new(),
+            write_queue: Vec::new(),
+            delivered: vec![false; params.frames as usize],
         }
-        if !self.heap_guard(ctx) {
-            return;
-        }
-        if self.phase == Phase::Init {
-            if let ShellPoll::Run(token) = self.shell.poll(ctx) {
-                self.begin_run(&token, ctx);
+    }
+
+    fn side(params: &PipelineParams) -> usize {
+        params.frame_px
+    }
+
+    fn pi_period(params: &PipelineParams) -> SimDuration {
+        params.pi_period
+    }
+
+    fn advance(rank: &mut Rank<Self>, ctx: &mut ProcCtx<'_>) {
+        if rank.sci.phase == Phase::Init {
+            if let ShellPoll::Run(token) = rank.shell.poll(ctx) {
+                rank.begin_run(&token, ctx);
             } else {
                 return;
             }
         }
-        if self.phase != Phase::Finish {
-            self.drain_mpi(ctx);
+        if rank.sci.phase != Phase::Finish {
+            rank.drain_mpi(ctx);
         }
     }
-}
 
-impl Process for PipelineApp {
-    fn kind(&self) -> &'static str {
-        "pipeline-app"
+    fn work_done(rank: &mut Rank<Self>, ctx: &mut ProcCtx<'_>) {
+        match rank.sci.phase {
+            Phase::Acquire { frame } => rank.camera_stream(frame, ctx),
+            Phase::Processing { frame } => rank.compute_emit(frame, ctx),
+            Phase::Writing { frame } => rank.downlink_commit(frame, ctx),
+            _ => {}
+        }
     }
 
-    fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
-        let token = ctx
-            .remote_fs()
-            .read(&self.status_path())
-            .and_then(|b| String::from_utf8(b.to_vec()).ok())
-            .unwrap_or_default();
-        let launch = self.shell.launch.clone();
-        self.shell = AppShell::new(launch, token, self.params.pi_period);
-        self.shell.on_start(ctx);
-        self.advance(ctx);
-    }
-
-    fn on_message(&mut self, msg: Message, ctx: &mut ProcCtx<'_>) {
-        let _ = self.shell.on_message(&msg, ctx);
-        self.advance(ctx);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) {
-        if tag == RETRY_TICK {
-            if self.shell.finished() || self.shell.blocked() || !self.heap_guard(ctx) {
-                return;
-            }
+    fn timer(rank: &mut Rank<Self>, tag: u64, ctx: &mut ProcCtx<'_>) -> bool {
+        if tag != RETRY_TICK {
+            return false;
+        }
+        if rank.runnable(ctx) {
             // A reply is overdue: the frame, product, or ack was lost to
             // a rank restart mid-stream. Re-send the in-flight stage.
-            match self.phase {
+            match rank.sci.phase {
                 Phase::AwaitProduct { frame } => {
                     ctx.trace("imgpipe: product overdue, re-streaming frame");
-                    self.camera_send_frame(frame, ctx);
+                    rank.camera_send_frame(frame, ctx);
                 }
                 Phase::AwaitAck { frame } => {
                     ctx.trace("imgpipe: ack overdue, re-forwarding product");
-                    self.camera_forward(frame, ctx);
+                    rank.camera_forward(frame, ctx);
                 }
                 _ => {}
             }
-            return;
         }
-        let _ = self.shell.on_timer(tag, ctx);
-        self.advance(ctx);
-    }
-
-    fn on_work_done(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) {
-        if tag != WORK_PHASE || self.shell.finished() {
-            return;
-        }
-        if !self.heap_guard(ctx) {
-            return;
-        }
-        match self.phase.clone() {
-            Phase::Acquire { frame } => self.camera_stream(frame, ctx),
-            Phase::Processing { frame } => self.compute_emit(frame, ctx),
-            Phase::Writing { frame } => self.downlink_commit(frame, ctx),
-            _ => {}
-        }
-        self.advance(ctx);
-    }
-
-    fn heap(&mut self) -> Option<&mut dyn HeapModel> {
-        Some(self)
-    }
-}
-
-impl HeapModel for PipelineApp {
-    fn region_names(&self) -> Vec<String> {
-        vec!["image".into(), "features".into(), "ctrl".into()]
-    }
-
-    fn flip_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
-        self.heap.flip(rng, target)
-    }
-}
-
-impl std::fmt::Debug for PipelineApp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineApp")
-            .field("rank", &self.shell.launch.rank)
-            .field("phase", &self.phase)
-            .finish()
+        true
     }
 }
 

@@ -19,6 +19,9 @@ pub const SHELL_TICK: u64 = 0xFFF0;
 /// Period of the shell's housekeeping tick.
 const TICK: SimDuration = SimDuration::from_secs(1);
 
+/// Rank-0 init timeout (the MPI abort window of Figure 8).
+const INIT_TIMEOUT: SimDuration = SimDuration::from_secs(15);
+
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 enum ShellState {
     Attaching,
@@ -54,7 +57,6 @@ pub struct AppShell {
     hellos: Vec<Option<String>>,
     peers_spawned: bool,
     init_deadline: Option<SimTime>,
-    init_timeout: SimDuration,
     pi_period: SimDuration,
     announced_run: bool,
 }
@@ -77,23 +79,16 @@ impl AppShell {
             hellos: vec![None; size],
             peers_spawned: false,
             init_deadline: None,
-            init_timeout: SimDuration::from_secs(15),
             pi_period,
             announced_run: false,
         }
-    }
-
-    /// Overrides the rank-0 init timeout (the MPI abort window of
-    /// Figure 8).
-    pub fn set_init_timeout(&mut self, timeout: SimDuration) {
-        self.init_timeout = timeout;
     }
 
     /// Call from `Process::on_start`.
     pub fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.set_timer(TICK, SHELL_TICK);
         if self.launch.rank == 0 {
-            self.init_deadline = Some(ctx.now() + self.init_timeout);
+            self.init_deadline = Some(ctx.now() + INIT_TIMEOUT);
         } else if let Some(r0) = self.launch.rank0_pid {
             self.mpi.set_peer(0, r0);
         }
@@ -257,7 +252,7 @@ impl AppShell {
                     ctx.trace_event(
                         TraceEvent::AppStarted,
                         TraceDetail::AppRankRunning {
-                            app: self.launch.app.as_str().into(),
+                            app: self.launch.app.clone().into(),
                             rank: self.launch.rank,
                             token: token.as_str().into(),
                         },

@@ -2,6 +2,8 @@
 //! measurement extraction. Every experiment (and most integration tests)
 //! starts from a [`Scenario`].
 
+use crate::kind::{worst, AppKind};
+use crate::verify::Verdict;
 use crate::{OtisParams, PipelineParams, TextureParams};
 use ree_os::NodeId;
 use ree_os::{Cluster, ClusterConfig, LinkParams, Pid, Port, SpawnSpec, Topology};
@@ -46,7 +48,7 @@ impl Scenario {
             otis: OtisParams::default(),
             pipeline: PipelineParams::default(),
             jobs: vec![JobSpec {
-                app: "texture".into(),
+                app: AppKind::Texture.name().into(),
                 ranks: 2,
                 nodes: vec![2, 3],
                 submit_at: SimDuration::from_secs(5),
@@ -69,13 +71,13 @@ impl Scenario {
             pipeline: PipelineParams::default(),
             jobs: vec![
                 JobSpec {
-                    app: "texture".into(),
+                    app: AppKind::Texture.name().into(),
                     ranks: 2,
                     nodes: vec![2, 3],
                     submit_at: SimDuration::from_secs(5),
                 },
                 JobSpec {
-                    app: "otis".into(),
+                    app: AppKind::Otis.name().into(),
                     ranks: 2,
                     nodes: vec![4, 5],
                     submit_at: SimDuration::from_secs(6),
@@ -110,7 +112,7 @@ impl Scenario {
             otis: OtisParams::default(),
             pipeline: PipelineParams::default(),
             jobs: vec![JobSpec {
-                app: "imgpipe".into(),
+                app: AppKind::Pipeline.name().into(),
                 ranks: 3,
                 nodes: vec![1, 2, 4],
                 submit_at: SimDuration::from_secs(5),
@@ -133,16 +135,44 @@ impl Scenario {
         config.trace_enabled = self.trace;
         config.topology = self.topology.clone();
         let mut cluster = Cluster::new(config);
-        let blueprint = Blueprint::new(self.sift.clone());
-        crate::register_paper_apps(
-            &blueprint,
-            self.texture.clone(),
-            self.otis.clone(),
-            self.pipeline.clone(),
-        );
-        let scc = Scc::new(Arc::clone(&blueprint), self.nodes as u16, self.jobs.clone());
+        let scc = Scc::new(self.blueprint(), self.nodes as u16, self.jobs.clone());
         let scc_pid = cluster.spawn(SpawnSpec::new("scc", NodeId(0), Box::new(scc)));
         Running { cluster, scc_pid, jobs: self.jobs.len() }
+    }
+
+    /// The SIFT blueprint with every application of the table registered
+    /// under this scenario's workload parameters.
+    fn blueprint(&self) -> Arc<Blueprint> {
+        let blueprint = Blueprint::new(self.sift.clone());
+        for kind in AppKind::ALL {
+            blueprint.register_app(kind.name(), kind.factory(self));
+        }
+        blueprint
+    }
+
+    /// Each job's slot and application; `None` for a name outside the
+    /// table (which [`ree_sift::JobSpec`] cannot rule out by type).
+    fn job_kinds(&self) -> impl Iterator<Item = (u32, Option<AppKind>)> + '_ {
+        self.jobs.iter().enumerate().map(|(slot, job)| (slot as u32, AppKind::from_name(&job.app)))
+    }
+
+    /// Nominal fault-free duration of the first job's science (zero for
+    /// no job or an unknown application).
+    pub fn nominal(&self) -> SimDuration {
+        match self.job_kinds().next() {
+            Some((_, Some(kind))) => kind.nominal(self),
+            _ => SimDuration::ZERO,
+        }
+    }
+
+    /// Aggregated output verdict over every product of every job; a job
+    /// naming an unknown application has no output, hence `Missing`.
+    pub fn verify_outputs(&self, running: &Running) -> Verdict {
+        let fs = running.cluster.remote_fs_ref();
+        worst(self.job_kinds().map(|(slot, kind)| match kind {
+            Some(kind) => kind.verify(fs, self, slot),
+            None => Verdict::Missing,
+        }))
     }
 
     /// Pre-generates every campaign-shared synthetic input this
@@ -157,31 +187,9 @@ impl Scenario {
     /// scenario.warm_inputs(); // idempotent; the `Campaign` executor calls it
     /// ```
     pub fn warm_inputs(&self) {
-        for (slot, job) in self.jobs.iter().enumerate() {
-            let slot = slot as u32;
-            match job.app.as_str() {
-                "texture" => {
-                    for image in 0..self.texture.images {
-                        let _ = crate::synth::mars_surface_shared(
-                            self.texture.image_px,
-                            crate::texture::texture_image_seed(&job.app, slot, image),
-                        );
-                    }
-                }
-                "otis" => {
-                    let seed = crate::otis::otis_frame_seed(&job.app, slot);
-                    for frame in 0..self.otis.frames {
-                        let _ = crate::synth::thermal_frame_shared(self.otis.frame_px, seed, frame);
-                    }
-                }
-                "imgpipe" => {
-                    let seed = crate::pipeline::pipeline_frame_seed(&job.app, slot);
-                    for frame in 0..self.pipeline.frames {
-                        let _ =
-                            crate::synth::thermal_frame_shared(self.pipeline.frame_px, seed, frame);
-                    }
-                }
-                _ => {}
+        for (slot, kind) in self.job_kinds() {
+            if let Some(kind) = kind {
+                kind.warm(self, slot);
             }
         }
     }
@@ -363,11 +371,6 @@ impl Running {
         }
         out
     }
-
-    /// Count of application restarts observed across all jobs.
-    pub fn total_restarts(&self) -> u64 {
-        (0..self.jobs as u64).filter_map(|s| self.job_times(s)).map(|t| t.restarts).sum()
-    }
 }
 
 impl std::fmt::Debug for Running {
@@ -388,13 +391,7 @@ pub fn run_without_sift(scenario: &Scenario, horizon: SimTime) -> (Cluster, Opti
     config.trace_enabled = scenario.trace;
     config.topology = scenario.topology.clone();
     let mut cluster = Cluster::new(config);
-    let blueprint = Blueprint::new(scenario.sift.clone());
-    crate::register_paper_apps(
-        &blueprint,
-        scenario.texture.clone(),
-        scenario.otis.clone(),
-        scenario.pipeline.clone(),
-    );
+    let blueprint = scenario.blueprint();
     let job = scenario.jobs.first().expect("scenario has a job");
     let factory = blueprint.app_factory(&job.app).expect("registered app");
     let launch = ree_sift::AppLaunch {

@@ -18,14 +18,13 @@
 //! writes the segmented output.
 
 use crate::filters::{assemble_features, filter_tiles_px, FilterScratch, NUM_FILTERS};
-use crate::heap::SciHeap;
 use crate::kmeans::kmeans;
-use crate::shell::{AppShell, ShellPoll};
+use crate::rank::{Rank, Science, WORK_PHASE};
+use crate::shell::ShellPoll;
 use crate::synth::{mars_surface_shared, Image};
 use ree_mpi::MpiPayload;
-use ree_os::{HeapHit, HeapModel, HeapTarget, Message, ProcCtx, Process, Signal};
-use ree_sift::AppLaunch;
-use ree_sim::{SimDuration, SimRng};
+use ree_os::ProcCtx;
+use ree_sim::SimDuration;
 use std::sync::Arc;
 
 /// Tunable workload parameters for the texture program.
@@ -77,11 +76,10 @@ impl TextureParams {
     }
 }
 
-const WORK_PHASE: u64 = 1;
 const TAG_FEAT_BASE: u32 = 100;
 const TAG_DONE: u32 = 99;
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     Init,
     Load { working: bool },
@@ -93,12 +91,9 @@ enum Phase {
     Finish,
 }
 
-/// One MPI rank of the texture-analysis application.
-#[derive(Clone)]
-pub struct TextureApp {
-    shell: AppShell,
-    params: TextureParams,
-    heap: SciHeap,
+/// Science state of one texture-analysis rank.
+#[derive(Clone, Debug)]
+pub(crate) struct Texture {
     image_idx: u32,
     phase: Phase,
     resume_filter: u32,
@@ -110,23 +105,7 @@ pub struct TextureApp {
     scratch: Option<FilterScratch>,
 }
 
-impl TextureApp {
-    /// Creates the process for one rank.
-    pub fn new(launch: &AppLaunch, params: TextureParams) -> Self {
-        let heap = SciHeap::new(params.image_px as u64);
-        TextureApp {
-            shell: AppShell::new(launch.clone(), String::new(), params.pi_period),
-            params,
-            heap,
-            image_idx: 0,
-            phase: Phase::Init,
-            resume_filter: 0,
-            per_filter: vec![Vec::new(); NUM_FILTERS],
-            got_share: Vec::new(),
-            scratch: None,
-        }
-    }
-
+impl Rank<Texture> {
     fn n_tiles(&self) -> usize {
         let per_side = self.params.image_px / self.params.tile_px;
         per_side * per_side
@@ -140,13 +119,6 @@ impl TextureApp {
         lo.min(n)..(lo + per).min(n)
     }
 
-    fn status_path(&self) -> String {
-        format!(
-            "app/{}/s{}/r{}/status",
-            self.shell.launch.app, self.shell.launch.slot, self.shell.launch.rank
-        )
-    }
-
     fn feat_path(&self, image: u32, filter: u32) -> String {
         format!("app/{}/s{}/feat-{image}-{filter}", self.shell.launch.app, self.shell.launch.slot)
     }
@@ -155,36 +127,12 @@ impl TextureApp {
         format!("output/{}/s{}/img{image}", self.shell.launch.app, self.shell.launch.slot)
     }
 
-    /// Reads the persisted resume token (`"image,filters_done"`).
-    fn read_token(&self, ctx: &mut ProcCtx<'_>) -> String {
-        ctx.remote_fs()
-            .read(&self.status_path())
-            .and_then(|b| String::from_utf8(b.to_vec()).ok())
-            .unwrap_or_default()
-    }
-
     fn write_status(&mut self, ctx: &mut ProcCtx<'_>, image: u32, filters_done: u32) {
         ctx.remote_fs().write(&self.status_path(), format!("{image},{filters_done}").into_bytes());
     }
 
-    /// Integrity checks on the science heap; a corrupted pointer or
-    /// dimension field crashes the process (Table 10 crash mechanism).
-    fn heap_guard(&mut self, ctx: &mut ProcCtx<'_>) -> bool {
-        if self.heap.ptr_fault() {
-            ctx.trace("texture: dereferenced corrupted status pointer");
-            ctx.crash(Signal::Segv);
-            return false;
-        }
-        if self.heap.dims_fault(self.params.image_px as u64) {
-            ctx.trace("texture: corrupted image dimensions");
-            ctx.crash(Signal::Segv);
-            return false;
-        }
-        true
-    }
-
     fn enter_load(&mut self, ctx: &mut ProcCtx<'_>) {
-        self.phase = Phase::Load { working: true };
+        self.sci.phase = Phase::Load { working: true };
         ctx.start_work(self.params.load_time, WORK_PHASE);
     }
 
@@ -195,7 +143,7 @@ impl TextureApp {
         // synthesise each input exactly once per worker process.
         let path = format!(
             "images/{}-s{}-{}.img",
-            self.shell.launch.app, self.shell.launch.slot, self.image_idx
+            self.shell.launch.app, self.shell.launch.slot, self.sci.image_idx
         );
         let image = match ctx.remote_fs().read(&path).and_then(Image::from_bytes) {
             Some(img) if img.size == self.params.image_px => Arc::new(img),
@@ -205,7 +153,7 @@ impl TextureApp {
                     texture_image_seed(
                         &self.shell.launch.app,
                         self.shell.launch.slot,
-                        self.image_idx,
+                        self.sci.image_idx,
                     ),
                 );
                 ctx.remote_fs().write(&path, img.to_bytes());
@@ -216,23 +164,23 @@ impl TextureApp {
         // may flip; the shared image stays pristine.
         self.heap.image = image.pixels.clone();
         self.heap.features = vec![0.0; self.n_tiles() * NUM_FILTERS];
-        self.per_filter = vec![Vec::new(); NUM_FILTERS];
+        self.sci.per_filter = vec![Vec::new(); NUM_FILTERS];
         // Reload features of filters completed before a restart.
-        for f in 0..self.resume_filter {
-            if let Some(bytes) = ctx.remote_fs().read(&self.feat_path(self.image_idx, f)) {
-                self.per_filter[f as usize] = decode_energies(bytes);
+        for f in 0..self.sci.resume_filter {
+            if let Some(bytes) = ctx.remote_fs().read(&self.feat_path(self.sci.image_idx, f)) {
+                self.sci.per_filter[f as usize] = decode_energies(bytes);
             }
         }
         self.shell.progress(ctx);
-        if self.resume_filter as usize >= NUM_FILTERS {
+        if self.sci.resume_filter as usize >= NUM_FILTERS {
             self.enter_cluster(ctx);
         } else {
-            self.enter_filter(self.resume_filter, ctx);
+            self.enter_filter(self.sci.resume_filter, ctx);
         }
     }
 
     fn enter_filter(&mut self, f: u32, ctx: &mut ProcCtx<'_>) {
-        self.phase = Phase::Filter { f, working: true };
+        self.sci.phase = Phase::Filter { f, working: true };
         ctx.start_work(self.params.filter_time, WORK_PHASE);
     }
 
@@ -242,7 +190,7 @@ impl TextureApp {
         // propagate through this arithmetic into the features and the
         // final segmentation. The scratch pool persists across filters.
         let mut scratch =
-            self.scratch.take().unwrap_or_else(|| FilterScratch::new(self.params.tile_px));
+            self.sci.scratch.take().unwrap_or_else(|| FilterScratch::new(self.params.tile_px));
         let mine = filter_tiles_px(
             self.params.image_px,
             &self.heap.image,
@@ -250,7 +198,7 @@ impl TextureApp {
             self.my_tiles(),
             &mut scratch,
         );
-        self.scratch = Some(scratch);
+        self.sci.scratch = Some(scratch);
         // Share with every peer, collect everyone's share.
         let flat: Vec<f64> = mine.iter().flat_map(|(t, e)| vec![*t as f64, *e]).collect();
         for rank in 0..self.shell.launch.size {
@@ -258,37 +206,37 @@ impl TextureApp {
                 self.shell.mpi.send(ctx, rank, TAG_FEAT_BASE + f, MpiPayload::F64s(flat.clone()));
             }
         }
-        self.per_filter[f as usize] = mine;
-        self.got_share = vec![false; self.shell.launch.size as usize];
-        self.got_share[self.shell.launch.rank as usize] = true;
-        self.phase = Phase::Exchange { f };
+        self.sci.per_filter[f as usize] = mine;
+        self.sci.got_share = vec![false; self.shell.launch.size as usize];
+        self.sci.got_share[self.shell.launch.rank as usize] = true;
+        self.sci.phase = Phase::Exchange { f };
         self.shell.progress(ctx);
         self.drain_exchange(ctx);
     }
 
     fn drain_exchange(&mut self, ctx: &mut ProcCtx<'_>) {
-        let Phase::Exchange { f } = self.phase else { return };
+        let Phase::Exchange { f } = self.sci.phase else { return };
         while let Some(m) = self.shell.mpi.try_recv(None, TAG_FEAT_BASE + f) {
             let from = m.from_rank as usize;
             if let Some(values) = m.payload.into_f64s() {
                 for pair in values.chunks_exact(2) {
-                    self.per_filter[f as usize].push((pair[0] as usize, pair[1]));
+                    self.sci.per_filter[f as usize].push((pair[0] as usize, pair[1]));
                 }
-                if from < self.got_share.len() {
-                    self.got_share[from] = true;
+                if from < self.sci.got_share.len() {
+                    self.sci.got_share[from] = true;
                 }
             }
         }
-        if self.got_share.iter().all(|&g| g) {
-            self.per_filter[f as usize].sort_unstable_by_key(|(t, _)| *t);
+        if self.sci.got_share.iter().all(|&g| g) {
+            self.sci.per_filter[f as usize].sort_unstable_by_key(|(t, _)| *t);
             // Persist: status + this filter's full energies ("updating a
             // status file after each filter completes").
             if self.shell.launch.rank == 0 {
-                let bytes = encode_energies(&self.per_filter[f as usize]);
-                let path = self.feat_path(self.image_idx, f);
+                let bytes = encode_energies(&self.sci.per_filter[f as usize]);
+                let path = self.feat_path(self.sci.image_idx, f);
                 ctx.remote_fs().write(&path, bytes);
             }
-            self.write_status(ctx, self.image_idx, f + 1);
+            self.write_status(ctx, self.sci.image_idx, f + 1);
             self.shell.progress(ctx);
             if (f as usize) + 1 < NUM_FILTERS {
                 self.enter_filter(f + 1, ctx);
@@ -300,22 +248,22 @@ impl TextureApp {
 
     fn enter_cluster(&mut self, ctx: &mut ProcCtx<'_>) {
         if self.shell.launch.rank == 0 {
-            self.phase = Phase::Cluster { working: true };
+            self.sci.phase = Phase::Cluster { working: true };
             ctx.start_work(self.params.cluster_time, WORK_PHASE);
         } else {
-            self.phase = Phase::AwaitDone;
+            self.sci.phase = Phase::AwaitDone;
             self.drain_done(ctx);
         }
     }
 
     fn finish_cluster(&mut self, ctx: &mut ProcCtx<'_>) {
         let n = self.n_tiles();
-        self.heap.features = assemble_features(&self.per_filter, n);
+        self.heap.features = assemble_features(&self.sci.per_filter, n);
         let clustering = kmeans(&self.heap.features, NUM_FILTERS, self.params.clusters, 50);
         let labels: Vec<u8> = clustering.labels.iter().map(|&l| l as u8).collect();
-        ctx.remote_fs().write(&self.output_path(self.image_idx), labels);
+        ctx.remote_fs().write(&self.output_path(self.sci.image_idx), labels);
         self.shell.progress(ctx);
-        self.phase = Phase::Write { working: true };
+        self.sci.phase = Phase::Write { working: true };
         ctx.start_work(self.params.write_time, WORK_PHASE);
     }
 
@@ -327,44 +275,23 @@ impl TextureApp {
     }
 
     fn drain_done(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.phase == Phase::AwaitDone && self.shell.mpi.try_recv(Some(0), TAG_DONE).is_some() {
+        if self.sci.phase == Phase::AwaitDone
+            && self.shell.mpi.try_recv(Some(0), TAG_DONE).is_some()
+        {
             self.next_image(ctx);
         }
     }
 
     fn next_image(&mut self, ctx: &mut ProcCtx<'_>) {
         self.shell.progress(ctx);
-        self.image_idx += 1;
-        self.resume_filter = 0;
-        if self.image_idx >= self.params.images {
-            self.phase = Phase::Finish;
+        self.sci.image_idx += 1;
+        self.sci.resume_filter = 0;
+        if self.sci.image_idx >= self.params.images {
+            self.sci.phase = Phase::Finish;
             self.shell.finish(ctx);
         } else {
-            self.write_status(ctx, self.image_idx, 0);
+            self.write_status(ctx, self.sci.image_idx, 0);
             self.enter_load(ctx);
-        }
-    }
-
-    fn advance(&mut self, ctx: &mut ProcCtx<'_>) {
-        if self.shell.finished() || self.shell.blocked() {
-            return;
-        }
-        if !self.heap_guard(ctx) {
-            return;
-        }
-        match self.phase.clone() {
-            Phase::Init => {
-                if let ShellPoll::Run(token) = self.shell.poll(ctx) {
-                    // Parse the agreed resume token.
-                    let (img, filt) = parse_token(&token);
-                    self.image_idx = img.min(self.params.images.saturating_sub(1));
-                    self.resume_filter = filt.min(NUM_FILTERS as u32);
-                    self.enter_load(ctx);
-                }
-            }
-            Phase::Exchange { .. } => self.drain_exchange(ctx),
-            Phase::AwaitDone => self.drain_done(ctx),
-            _ => {}
         }
     }
 }
@@ -407,70 +334,56 @@ pub fn texture_image_seed(app: &str, slot: u32, image: u32) -> u64 {
     h ^ ((slot as u64) << 32) ^ image as u64
 }
 
-impl Process for TextureApp {
-    fn kind(&self) -> &'static str {
-        "texture-app"
-    }
+impl Science for Texture {
+    type Params = TextureParams;
+    const TAG: &'static str = "texture-app";
+    const PTR_FAULT: &'static str = "texture: dereferenced corrupted status pointer";
+    const DIMS_FAULT: &'static str = "texture: corrupted image dimensions";
 
-    fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
-        let token = self.read_token(ctx);
-        // Re-create the shell with the persisted token (cheap; the shell
-        // has not been started yet).
-        let launch = self.shell.launch.clone();
-        self.shell = AppShell::new(launch, token, self.params.pi_period);
-        self.shell.on_start(ctx);
-        self.advance(ctx);
-    }
-
-    fn on_message(&mut self, msg: Message, ctx: &mut ProcCtx<'_>) {
-        let _ = self.shell.on_message(&msg, ctx);
-        self.advance(ctx);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) {
-        let _ = self.shell.on_timer(tag, ctx);
-        self.advance(ctx);
-    }
-
-    fn on_work_done(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) {
-        if tag != WORK_PHASE || self.shell.finished() {
-            return;
+    fn new(_: &TextureParams) -> Self {
+        Texture {
+            image_idx: 0,
+            phase: Phase::Init,
+            resume_filter: 0,
+            per_filter: vec![Vec::new(); NUM_FILTERS],
+            got_share: Vec::new(),
+            scratch: None,
         }
-        if !self.heap_guard(ctx) {
-            return;
-        }
-        match self.phase.clone() {
-            Phase::Load { working: true } => self.finish_load(ctx),
-            Phase::Filter { f, working: true } => self.finish_filter(f, ctx),
-            Phase::Cluster { working: true } => self.finish_cluster(ctx),
-            Phase::Write { working: true } => self.finish_write(ctx),
+    }
+
+    fn side(params: &TextureParams) -> usize {
+        params.image_px
+    }
+
+    fn pi_period(params: &TextureParams) -> SimDuration {
+        params.pi_period
+    }
+
+    fn advance(rank: &mut Rank<Self>, ctx: &mut ProcCtx<'_>) {
+        match rank.sci.phase {
+            Phase::Init => {
+                if let ShellPoll::Run(token) = rank.shell.poll(ctx) {
+                    // Parse the agreed resume token.
+                    let (img, filt) = parse_token(&token);
+                    rank.sci.image_idx = img.min(rank.params.images.saturating_sub(1));
+                    rank.sci.resume_filter = filt.min(NUM_FILTERS as u32);
+                    rank.enter_load(ctx);
+                }
+            }
+            Phase::Exchange { .. } => rank.drain_exchange(ctx),
+            Phase::AwaitDone => rank.drain_done(ctx),
             _ => {}
         }
-        self.advance(ctx);
     }
 
-    fn heap(&mut self) -> Option<&mut dyn HeapModel> {
-        Some(self)
-    }
-}
-
-impl HeapModel for TextureApp {
-    fn region_names(&self) -> Vec<String> {
-        vec!["image".into(), "features".into(), "ctrl".into()]
-    }
-
-    fn flip_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
-        self.heap.flip(rng, target)
-    }
-}
-
-impl std::fmt::Debug for TextureApp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TextureApp")
-            .field("rank", &self.shell.launch.rank)
-            .field("phase", &self.phase)
-            .field("image", &self.image_idx)
-            .finish()
+    fn work_done(rank: &mut Rank<Self>, ctx: &mut ProcCtx<'_>) {
+        match rank.sci.phase {
+            Phase::Load { working: true } => rank.finish_load(ctx),
+            Phase::Filter { f, working: true } => rank.finish_filter(f, ctx),
+            Phase::Cluster { working: true } => rank.finish_cluster(ctx),
+            Phase::Write { working: true } => rank.finish_write(ctx),
+            _ => {}
+        }
     }
 }
 

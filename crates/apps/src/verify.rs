@@ -127,25 +127,13 @@ pub fn verify_texture(
 /// Verifies one OTIS frame product: lossless decode plus temperature
 /// accuracy within quantisation resolution.
 pub fn verify_otis(fs: &RemoteFs, app: &str, slot: u32, frame: u32, frame_px: usize) -> Verdict {
-    let path = format!("output/{app}/s{slot}/frame{frame}");
-    let Some(product) = fs.peek(&path) else { return Verdict::Missing };
-    let Ok(quantised) = decompress(product) else { return Verdict::Incorrect };
-    let temps = dequantize(&quantised);
     let reference = thermal_frame_shared(frame_px, otis_frame_seed(app, slot), frame);
-    if temps.len() != reference.truth.len() {
-        return Verdict::Incorrect;
-    }
-    let mut worst: f64 = 0.0;
-    for (i, t) in temps.iter().enumerate() {
-        let expect = split_window_retrieve(reference.band11[i], reference.band12[i]);
-        worst = worst.max((t - expect).abs());
-    }
-    // Quantisation is centi-Kelvin; allow 0.02 K slack.
-    if worst <= 0.02 {
-        Verdict::Correct
-    } else {
-        Verdict::Incorrect
-    }
+    let expect = reference
+        .band11
+        .iter()
+        .zip(&reference.band12)
+        .map(|(&b11, &b12)| split_window_retrieve(b11, b12));
+    verify_product(fs, &format!("output/{app}/s{slot}/frame{frame}"), expect)
 }
 
 /// Verifies one pipeline frame product: lossless decode plus calibrated
@@ -158,20 +146,26 @@ pub fn verify_pipeline(
     frame: u32,
     frame_px: usize,
 ) -> Verdict {
-    let path = format!("output/{app}/s{slot}/pframe{frame}");
-    let Some(product) = fs.peek(&path) else { return Verdict::Missing };
+    let reference = thermal_frame_shared(frame_px, pipeline_frame_seed(app, slot), frame);
+    let expect = radiometric_calibrate(&reference.band11).into_iter();
+    verify_product(fs, &format!("output/{app}/s{slot}/pframe{frame}"), expect)
+}
+
+/// A compressed product decodes losslessly and matches `expect` value
+/// for value. Quantisation is centi-unit (centi-Kelvin for OTIS); 0.02
+/// slack is allowed.
+fn verify_product(
+    fs: &RemoteFs,
+    path: &str,
+    expect: impl ExactSizeIterator<Item = f64>,
+) -> Verdict {
+    let Some(product) = fs.peek(path) else { return Verdict::Missing };
     let Ok(quantised) = decompress(product) else { return Verdict::Incorrect };
     let values = dequantize(&quantised);
-    let reference = thermal_frame_shared(frame_px, pipeline_frame_seed(app, slot), frame);
-    let expect = radiometric_calibrate(&reference.band11);
     if values.len() != expect.len() {
         return Verdict::Incorrect;
     }
-    let mut worst: f64 = 0.0;
-    for (v, e) in values.iter().zip(&expect) {
-        worst = worst.max((v - e).abs());
-    }
-    // Same centi-unit quantisation as OTIS products; 0.02 slack.
+    let worst = values.iter().zip(expect).fold(0.0f64, |worst, (v, e)| worst.max((v - e).abs()));
     if worst <= 0.02 {
         Verdict::Correct
     } else {

@@ -379,11 +379,6 @@ impl ArmorProcess {
         self.core.id
     }
 
-    /// Checkpoint-buffer statistics `(updates, commits)`.
-    pub fn checkpoint_stats(&self) -> (u64, u64) {
-        (self.core.ckpt.updates(), self.core.ckpt.commits())
-    }
-
     /// True if the last start restored state from a checkpoint.
     pub fn restored_from_checkpoint(&self) -> bool {
         self.restored_from_checkpoint

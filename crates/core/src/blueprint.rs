@@ -114,14 +114,6 @@ impl Blueprint {
         self.apps.lock().expect("app registry lock").get(name).cloned()
     }
 
-    /// Registered application names (sorted).
-    pub fn app_names(&self) -> Vec<String> {
-        let mut v: Vec<String> =
-            self.apps.lock().expect("app registry lock").keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Instance name for an ARMOR of `kind`.
     pub fn armor_instance_name(&self, kind: &str, slot: u32, rank: u32) -> String {
         match kind {
@@ -228,6 +220,9 @@ impl Blueprint {
 
 impl std::fmt::Debug for Blueprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Blueprint").field("apps", &self.app_names()).finish()
+        let mut apps: Vec<String> =
+            self.apps.lock().expect("app registry lock").keys().cloned().collect();
+        apps.sort();
+        f.debug_struct("Blueprint").field("apps", &apps).finish()
     }
 }

@@ -170,7 +170,7 @@ impl Process for Scc {
                     return;
                 };
                 ctx.trace(TraceDetail::SccSubmit {
-                    app: job.app.as_str().into(),
+                    app: job.app.clone().into(),
                     slot: slot as u64,
                 });
                 if self.job_times[slot].submitted.is_none() {

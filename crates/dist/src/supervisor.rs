@@ -11,8 +11,8 @@
 //! - **Deadlines**: a batch that outlives `batch_deadline` is taken
 //!   from its worker regardless of heartbeats.
 //! - **Retry/backoff**: a lost batch is re-queued with capped
-//!   exponential backoff; after `max_batch_retries` lost attempts the
-//!   supervisor executes it in-process (degradation, not divergence).
+//!   exponential backoff; after three lost attempts the supervisor
+//!   executes it in-process (degradation, not divergence).
 //! - **Quarantine**: a worker failing twice is quarantined — killed
 //!   and never respawned; its work is redistributed.
 //! - **Fallback**: losing *every* worker flips the sweep to in-process
@@ -33,6 +33,11 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+/// Lost attempts before a batch is executed in-process instead.
+const MAX_BATCH_RETRIES: u32 = 3;
+/// Worker failures before quarantine.
+const QUARANTINE_AFTER: u32 = 2;
+
 /// Configuration for one distributed sweep.
 #[derive(Clone, Debug)]
 pub struct DistOptions {
@@ -46,14 +51,10 @@ pub struct DistOptions {
     pub stall_timeout: Duration,
     /// Absolute wall-clock budget for one dispatched batch.
     pub batch_deadline: Duration,
-    /// Lost attempts before a batch is executed in-process instead.
-    pub max_batch_retries: u32,
     /// First re-queue delay; doubles per attempt.
     pub backoff_base: Duration,
     /// Upper bound on the re-queue delay.
     pub backoff_cap: Duration,
-    /// Worker failures before quarantine.
-    pub quarantine_after: u32,
     /// Worker command (`program` + args). `None` spawns the current
     /// executable — which must call [`crate::run_worker_if_spawned`]
     /// early in `main`.
@@ -62,8 +63,7 @@ pub struct DistOptions {
 
 impl DistOptions {
     /// Defaults for `workers` workers: batches of 16, 5 s stall
-    /// timeout, 120 s batch deadline, 3 retries with 50 ms → 2 s
-    /// backoff, quarantine after 2 failures, no chaos.
+    /// timeout, 120 s batch deadline, 50 ms → 2 s backoff, no chaos.
     pub fn new(workers: usize) -> DistOptions {
         DistOptions {
             workers: workers.max(1),
@@ -71,10 +71,8 @@ impl DistOptions {
             chaos: None,
             stall_timeout: Duration::from_secs(5),
             batch_deadline: Duration::from_secs(120),
-            max_batch_retries: 3,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
-            quarantine_after: 2,
             worker_cmd: None,
         }
     }
@@ -453,7 +451,7 @@ impl<'p> Supervisor<'p> {
         if let Some(batch) = self.workers[idx].batch.take() {
             self.requeue(batch);
         }
-        if failures >= self.options.quarantine_after {
+        if failures >= QUARANTINE_AFTER {
             self.workers[idx].state = WorkerState::Quarantined;
             self.ledger.quarantine(idx);
             self.warnings.push(format!("worker w{worker} quarantined"));
@@ -492,7 +490,7 @@ impl<'p> Supervisor<'p> {
             self.attempts[batch as usize] += 1;
             self.attempts[batch as usize]
         };
-        if attempts > self.options.max_batch_retries {
+        if attempts > MAX_BATCH_RETRIES {
             self.warnings
                 .push(format!("batch {batch} exhausted its retry budget; running in-process"));
             self.run_in_process(batch);
@@ -624,7 +622,7 @@ impl<'p> Supervisor<'p> {
                 let failures = self.workers[idx].failures;
                 self.warnings.push(format!("worker w{worker} batch {batch} failed: {error}"));
                 self.requeue(batch);
-                if failures >= self.options.quarantine_after {
+                if failures >= QUARANTINE_AFTER {
                     self.kill(worker);
                     self.workers[idx].state = WorkerState::Quarantined;
                     self.ledger.quarantine(idx);

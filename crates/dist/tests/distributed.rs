@@ -32,6 +32,54 @@ fn options(workers: usize) -> DistOptions {
     o
 }
 
+/// A plan naming an application outside the table never runs: the
+/// supervisor refuses it up front, and a worker handed it anyway (a
+/// supervisor that skipped validation) answers `PlanRejected` and then
+/// refuses the batch instead of burning the simulated timeout per run.
+#[test]
+fn plan_naming_an_unknown_app_is_rejected_not_run() {
+    use ree_dist::{decode_msg, encode_frame_msg, Decoder, DistError, Msg};
+    use std::io::{Read, Write};
+    use std::process::{Command, Stdio};
+
+    let mut plan = plan();
+    plan.scenario.jobs[0].app = "nope".into();
+    match distribute(&plan, 8, 1, &options(1)) {
+        Err(DistError::Plan(e)) => assert!(e.to_string().contains("nope"), "{e}"),
+        other => panic!("expected a rejected plan, got {other:?}"),
+    }
+
+    let mut worker = Command::new(env!("CARGO_BIN_EXE_ree-dist-worker"))
+        .env(ree_dist::worker::ENV_WORKER_ID, "0")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("worker spawns");
+    let mut stdin = worker.stdin.take().expect("stdin was piped");
+    for msg in [
+        Msg::Plan { plan: Box::new(plan) },
+        Msg::Batch { batch: 0, seed0: 1, len: 4 },
+        Msg::Shutdown,
+    ] {
+        stdin.write_all(&encode_frame_msg(&msg)).expect("worker reads");
+    }
+    drop(stdin);
+    let mut bytes = Vec::new();
+    worker.stdout.take().expect("stdout was piped").read_to_end(&mut bytes).expect("worker writes");
+    worker.wait().expect("worker exits");
+    let mut decoder = Decoder::new();
+    decoder.feed(&bytes);
+    let mut replies = Vec::new();
+    while let Some(payload) = decoder.next_frame().expect("clean stream") {
+        replies.push(decode_msg(&payload).expect("decodes"));
+    }
+    assert!(
+        matches!(&replies[..], [Msg::PlanRejected { error }, Msg::BatchFailed { batch: 0, .. }]
+            if error.contains("unknown application")),
+        "unexpected replies: {replies:?}"
+    );
+}
+
 fn expected(plan: &RunPlan, runs: u32, seed0: u64) -> Aggregate {
     Campaign::new(plan).runs(runs).seed(seed0).aggregate()
 }

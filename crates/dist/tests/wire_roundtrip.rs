@@ -82,6 +82,19 @@ fn rich_plan_roundtrips() {
     back.validate().expect("decoded plan still validates");
 }
 
+/// The wire cannot rule out an application name outside the table, so
+/// the decoded plan must fail validation instead of running as texture.
+#[test]
+fn decoded_plan_naming_an_unknown_app_fails_validation() {
+    let mut plan = minimal_plan();
+    plan.scenario.jobs[0].app = "nope".into();
+    let decoded = decode_msg(&encode_msg(&Msg::Plan { plan: Box::new(plan) })).expect("decodes");
+    let Msg::Plan { plan: back } = decoded else { panic!("wrong variant") };
+    let err = back.validate().unwrap_err();
+    assert!(matches!(err, ree_inject::CampaignError::InvalidPlan(_)), "{err}");
+    assert!(err.to_string().contains("nope"), "unexpected message: {err}");
+}
+
 fn minimal_plan() -> RunPlan {
     RunPlan {
         scenario: ree_apps::Scenario::single_texture(1),

@@ -357,13 +357,3 @@ fn send_control(running: &mut ree_apps::Running, to: ree_os::Pid, ev: ArmorEvent
     let now = running.cluster.now();
     running.cluster.run_until(now + SimDuration::from_millis(400));
 }
-
-/// Runs a figure-6-style quick latency check used by tests.
-pub fn run_all_quick(seed0: u64) -> (Fig6, Fig7, Fig8, Fig10) {
-    (
-        fig6(Effort::Quick, seed0),
-        fig7(Effort::Quick, seed0 + 1),
-        fig8(Effort::Quick, seed0 + 2),
-        fig10(seed0 + 3),
-    )
-}

@@ -1,7 +1,7 @@
 //! # ree-experiments — reproduction harness
 //!
-//! One module per paper table/figure; see DESIGN.md §5 for the index and
-//! EXPERIMENTS.md for paper-vs-measured results. The `repro` binary
+//! One module per paper table/figure; `README.md` ("Regenerating the
+//! paper's tables and figures") has the index. The `repro` binary
 //! regenerates any table: `cargo run --release --bin repro -- table4`.
 
 #![forbid(unsafe_code)]

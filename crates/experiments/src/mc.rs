@@ -27,8 +27,7 @@ pub fn bounds(effort: Effort) -> McBounds {
 /// forces a detection + respawn on *every* placement, so every branch
 /// exercises the recovery protocol). The rendered report ends with a
 /// machine-checkable `mc: PASS`/`mc: FAIL` verdict line over the total
-/// escape count; the `planted-bug` mutated build drops every respawn
-/// wake-up, so the SIGINT tree flips the verdict to FAIL.
+/// escape count.
 pub fn run(effort: Effort, seed: u64) -> String {
     let bounds = bounds(effort);
     let register = two_node_register_plan(seed);
@@ -62,21 +61,16 @@ pub fn selftest(effort: Effort, seed: u64) -> String {
     let cex = &report.escapes[0];
     let sabotaged = replay(&plan, cex, &planted);
     assert!(!sabotaged.recovered(), "self-test FAILED: counterexample did not replay\n{report}");
-    // On the feature-mutated build the sabotage cannot be turned off, so
-    // the healthy-replay half of the proof only runs on a real build.
-    let healthy_note = if cfg!(feature = "planted-bug") {
-        "healthy replay: skipped (planted-bug build)".to_string()
-    } else {
-        let healthy = replay(&plan, cex, &bounds(effort));
-        assert!(
-            healthy.recovered(),
-            "self-test FAILED: healthy build lost the counterexample schedule"
-        );
-        "healthy replay: recovered (defect is the plant, not the interleaving)".to_string()
-    };
+    let healthy = replay(&plan, cex, &bounds(effort));
+    assert!(
+        healthy.recovered(),
+        "self-test FAILED: healthy build lost the counterexample schedule"
+    );
     format!(
         "model-checker self-test: planted recovery bug (seed {seed})\n{report}\n\
-         counterexample replay: reproduced ({:?}, {:?})\n{healthy_note}\nmc-selftest: PASS\n",
+         counterexample replay: reproduced ({:?}, {:?})\n\
+         healthy replay: recovered (defect is the plant, not the interleaving)\n\
+         mc-selftest: PASS\n",
         cex.system_failure, cex.output
     )
 }
@@ -89,11 +83,7 @@ mod tests {
     fn quick_run_renders_deterministically() {
         let a = run(Effort::Quick, 5);
         assert_eq!(a, run(Effort::Quick, 5));
-        if cfg!(feature = "planted-bug") {
-            assert!(a.contains("mc: FAIL"), "mutated build must escape:\n{a}");
-        } else {
-            assert!(a.contains("mc: PASS"), "healthy build must not escape:\n{a}");
-        }
+        assert!(a.contains("mc: PASS"), "healthy build must not escape:\n{a}");
     }
 
     #[test]

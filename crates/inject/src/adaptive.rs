@@ -251,13 +251,6 @@ pub struct AdaptiveReport {
     pub runs_executed: u64,
 }
 
-impl AdaptiveReport {
-    /// Total runs reported across arms (the determinism-covered spend).
-    pub fn runs_reported(&self) -> u64 {
-        self.arms.iter().map(|a| u64::from(a.runs)).sum()
-    }
-}
-
 /// Per-arm engine state. The boot snapshot is created lazily on the
 /// arm's first scheduled batch and dropped as soon as the arm stops, so
 /// resident snapshots are bounded by the live arms.

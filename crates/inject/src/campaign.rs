@@ -128,9 +128,4 @@ impl Aggregate {
         self.incorrect_output += other.incorrect_output;
         self.no_effect += other.no_effect;
     }
-
-    /// Count of system failures of one phase.
-    pub fn system_failures_of(&self, phase: SystemFailure) -> u64 {
-        self.system_failures.iter().filter(|p| **p == phase).count() as u64
-    }
 }

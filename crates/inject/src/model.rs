@@ -25,7 +25,7 @@ impl Target {
     pub fn matches(&self, name: &str) -> bool {
         match self {
             Target::App => name.contains("-r") && !name.starts_with("exec"),
-            Target::NamedApp(app) => name.starts_with(app.as_str()) && name.contains("-r"),
+            Target::NamedApp(app) => name.starts_with(app) && name.contains("-r"),
             Target::Ftm => name == "ftm",
             Target::ExecArmor => name.starts_with("exec"),
             Target::Heartbeat => name == "heartbeat",
@@ -209,8 +209,9 @@ mod tests {
         assert!(Target::AnyArmor.matches("ftm"));
         assert!(Target::AnyArmor.matches("exec1_0"));
         assert!(!Target::AnyArmor.matches("daemon0"));
-        assert!(Target::NamedApp("otis".into()).matches("otis-r1-a0"));
-        assert!(!Target::NamedApp("otis".into()).matches("texture-r1-a0"));
+        let otis = Target::NamedApp(ree_apps::AppKind::Otis.name().into());
+        assert!(otis.matches("otis-r1-a0"));
+        assert!(!otis.matches("texture-r1-a0"));
     }
 
     #[test]

@@ -7,8 +7,8 @@ use crate::branch::candidate_targets;
 use crate::error::{panic_message, CampaignError};
 use crate::model::{ErrorModel, FailureClass, SystemFailure, Target};
 use crate::netfault::{NetFault, NetFaultDriver, NetFaultKind};
-use ree_apps::verify::{verify_otis, verify_pipeline, verify_texture, Verdict};
-use ree_apps::{BootSnapshot, Running, Scenario};
+use ree_apps::verify::Verdict;
+use ree_apps::{AppKind, BootSnapshot, Running, Scenario};
 use ree_os::{ExitStatus, HeapHit, Pid, Signal, TraceEvent};
 use ree_sim::{SimDuration, SimRng, SimTime};
 
@@ -56,7 +56,7 @@ impl RunPlan {
     pub fn geometry(&self) -> RunGeometry {
         let submit =
             self.scenario.jobs.first().map(|j| j.submit_at).unwrap_or(SimDuration::from_secs(5));
-        let nominal = app_nominal(&self.scenario);
+        let nominal = self.scenario.nominal();
         let window_start = SimTime::ZERO + exposure_start(&self.target, submit);
         let window_end = SimTime::ZERO + submit + nominal + SimDuration::from_secs(12);
         RunGeometry {
@@ -86,9 +86,10 @@ impl RunPlan {
     }
 
     /// Checks the structural invariants a plan must satisfy before any
-    /// run of it can execute: a positive timeout, jobs whose rank count
-    /// matches their node list with every node inside the cluster, and
-    /// network faults whose endpoints exist. Supervisors call this at
+    /// run of it can execute: a positive timeout, jobs that name a known
+    /// application and whose rank count matches their node list with
+    /// every node inside the cluster, and network faults whose endpoints
+    /// exist. Supervisors call this at
     /// the trust boundary — a plan decoded off the wire is rejected
     /// with a typed [`CampaignError`] instead of panicking deep inside
     /// the simulator.
@@ -99,8 +100,8 @@ impl RunPlan {
         }
         let nodes = self.scenario.nodes;
         for (slot, job) in self.scenario.jobs.iter().enumerate() {
-            if job.app.is_empty() {
-                return bad(format!("job {slot} has an empty application name"));
+            if AppKind::from_name(&job.app).is_none() {
+                return bad(format!("job {slot} names unknown application {:?}", job.app));
             }
             if job.ranks == 0 {
                 return bad(format!("job {slot} ({}) has zero ranks", job.app));
@@ -398,7 +399,7 @@ fn finish_run(plan: &RunPlan, seed: u64, observed: Observed<'_>) -> (RunResult, 
         actual_all.push(times.as_ref().and_then(|t| t.actual()).map(|d| d.as_secs_f64()));
         restarts += times.map(|t| t.restarts).unwrap_or(0);
     }
-    let output = verify_outputs(&running, scenario);
+    let output = scenario.verify_outputs(&running);
     let system_failure = if completed { None } else { Some(classify_system_failure(&running)) };
     let recovery_times =
         running.recovery_times().iter().map(|d| d.as_secs_f64()).collect::<Vec<_>>();
@@ -435,15 +436,6 @@ fn exposure_start(target: &Target, submit: SimDuration) -> SimDuration {
         Target::Heartbeat => SimDuration::from_secs(4),
         // Execution ARMORs / app processes appear after submission.
         _ => submit + SimDuration::from_millis(700),
-    }
-}
-
-fn app_nominal(scenario: &Scenario) -> SimDuration {
-    let job = scenario.jobs.first();
-    match job.map(|j| j.app.as_str()) {
-        Some("otis") => scenario.otis.nominal(),
-        Some("imgpipe") => scenario.pipeline.nominal(),
-        _ => scenario.texture.nominal_per_image() * scenario.texture.images.max(1) as u64,
     }
 }
 
@@ -497,56 +489,9 @@ pub fn classify_target_state(
     None
 }
 
-/// Aggregated output verdict over every product of every job.
+/// [`Scenario::verify_outputs`] under the name `perfbench/` imports.
 pub fn verify_outputs(running: &Running, scenario: &Scenario) -> Verdict {
-    let fs = running.cluster.remote_fs_ref();
-    let mut worst = Verdict::Correct;
-    for (slot, job) in scenario.jobs.iter().enumerate() {
-        match job.app.as_str() {
-            "otis" => {
-                for frame in 0..scenario.otis.frames {
-                    match verify_otis(fs, "otis", slot as u32, frame, scenario.otis.frame_px) {
-                        Verdict::Missing => return Verdict::Missing,
-                        Verdict::Incorrect => worst = Verdict::Incorrect,
-                        Verdict::Correct => {}
-                    }
-                }
-            }
-            "imgpipe" => {
-                for frame in 0..scenario.pipeline.frames {
-                    match verify_pipeline(
-                        fs,
-                        "imgpipe",
-                        slot as u32,
-                        frame,
-                        scenario.pipeline.frame_px,
-                    ) {
-                        Verdict::Missing => return Verdict::Missing,
-                        Verdict::Incorrect => worst = Verdict::Incorrect,
-                        Verdict::Correct => {}
-                    }
-                }
-            }
-            _ => {
-                for image in 0..scenario.texture.images {
-                    match verify_texture(
-                        fs,
-                        &job.app,
-                        slot as u32,
-                        image,
-                        scenario.texture.image_px,
-                        scenario.texture.tile_px,
-                        scenario.texture.clusters,
-                    ) {
-                        Verdict::Missing => return Verdict::Missing,
-                        Verdict::Incorrect => worst = Verdict::Incorrect,
-                        Verdict::Correct => {}
-                    }
-                }
-            }
-        }
-    }
-    worst
+    scenario.verify_outputs(running)
 }
 
 /// Attributes a non-completed run to the first SIFT phase that failed

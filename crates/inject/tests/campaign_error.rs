@@ -44,6 +44,23 @@ fn out_of_range_job_node_is_rejected() {
     assert!(err.to_string().contains("node"), "unexpected message: {err}");
 }
 
+/// A job naming an application outside the table must stop at the trust
+/// boundary; where nothing validates, it gets no nominal time and no
+/// output — never texture's.
+#[test]
+fn unknown_application_is_rejected() {
+    let mut p = plan();
+    p.scenario.jobs[0].app = "nope".into();
+    let err = p.validate().unwrap_err();
+    assert!(matches!(err, CampaignError::InvalidPlan(_)));
+    assert!(err.to_string().contains("unknown application \"nope\""), "unexpected message: {err}");
+    assert_eq!(p.scenario.nominal(), SimDuration::ZERO);
+    assert_eq!(p.geometry().nominal, SimDuration::ZERO);
+    let finished = plan().scenario.run_fault_free(SimTime::from_secs(220));
+    assert_eq!(plan().scenario.verify_outputs(&finished), ree_apps::Verdict::Correct);
+    assert_eq!(p.scenario.verify_outputs(&finished), ree_apps::Verdict::Missing);
+}
+
 #[test]
 fn rank_node_mismatch_is_rejected() {
     let mut p = plan();

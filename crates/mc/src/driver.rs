@@ -32,8 +32,7 @@ pub struct McBounds {
     /// (reported via [`McReport::budget_exhausted`]).
     pub max_branches: u64,
     /// Sabotage recovery (drop every post-injection respawn wake-up) to
-    /// prove the checker reports escapes. The `planted-bug` cargo
-    /// feature forces this on regardless.
+    /// prove the checker reports escapes.
     pub plant: bool,
 }
 
@@ -72,10 +71,6 @@ impl McBounds {
             max_branches: 2048,
             plant: false,
         }
-    }
-
-    fn plant_effective(&self) -> bool {
-        self.plant || cfg!(feature = "planted-bug")
     }
 }
 
@@ -192,7 +187,6 @@ pub fn model_check(plan: &RunPlan, seed: u64, bounds: &McBounds) -> McReport {
         plan,
         seed,
         bounds: bounds.clone(),
-        plant: bounds.plant_effective(),
         seen: HashSet::new(),
         report: McReport { instants: instants.clone(), ..McReport::default() },
     };
@@ -227,41 +221,72 @@ pub fn replay(plan: &RunPlan, cex: &Counterexample, bounds: &McBounds) -> ree_in
         plan.model.place(&mut running.cluster, cex.target).placed,
         "counterexample target no longer injectable; plan/seed mismatch?"
     );
-    let plant = bounds.plant_effective();
+    // `depth` doubles as the index of the next recorded choice: both
+    // advance once per branch node.
     let mut depth = 0usize;
-    let mut next_choice = 0usize;
     loop {
-        if running.all_done() {
-            break;
-        }
-        let Some(next) = running.cluster.next_event_time() else { break };
-        if next > plan.timeout {
-            break;
-        }
-        if plant {
-            if let Some(h) = ready_start(&running) {
+        match next_step(&running, plan.timeout, bounds, depth) {
+            Next::Terminal => break,
+            Next::Discard(h) => {
                 running.cluster.discard_event(h);
-                continue;
             }
-        }
-        let choices = running.cluster.step_choices();
-        if choices.len() >= 2 && choices.len() <= bounds.max_ready && depth < bounds.max_depth {
-            let i = cex.schedule.get(next_choice).copied().unwrap_or(0).min(choices.len() - 1);
-            next_choice += 1;
-            depth += 1;
-            running.cluster.step_with(choices[i]).expect("ready choice fires");
-        } else {
-            running.cluster.step();
+            Next::Forced => {
+                running.cluster.step();
+            }
+            Next::Branch(choices) => {
+                let i = cex.schedule.get(depth).copied().unwrap_or(0).min(choices.len() - 1);
+                depth += 1;
+                running.cluster.step_with(choices[i]).expect("ready choice fires");
+            }
         }
     }
     conclude_run(plan, cex.seed, running, 1, Some(cex.target)).0
+}
+
+/// What a post-injection execution does next. [`replay`] and
+/// [`Explorer::explore`] both walk [`next_step`], so the replayed path
+/// cannot drift from the explored one.
+enum Next {
+    /// Every job reported completion, the world went quiescent, or
+    /// nothing remains before the timeout.
+    Terminal,
+    /// A recovery wake-up the planted bug silently loses.
+    Discard(EventHandle),
+    /// One admissible order, or a ready set outside the bounds: the
+    /// default `(time, seq)` step.
+    Forced,
+    /// A branch node: the admissible same-instant orders, default first.
+    Branch(Vec<EventHandle>),
+}
+
+fn next_step(running: &Running, timeout: SimTime, bounds: &McBounds, depth: usize) -> Next {
+    if running.all_done() {
+        return Next::Terminal;
+    }
+    match running.cluster.next_event_time() {
+        Some(next) if next <= timeout => {}
+        _ => return Next::Terminal,
+    }
+    let choices = running.cluster.step_choices();
+    if bounds.plant {
+        // First ready event (in default order) that is a process-start
+        // wake-up.
+        let start = choices.iter().find(|&&h| running.cluster.event_label(h) == Some("start"));
+        if let Some(&h) = start {
+            return Next::Discard(h);
+        }
+    }
+    if choices.len() >= 2 && choices.len() <= bounds.max_ready && depth < bounds.max_depth {
+        Next::Branch(choices)
+    } else {
+        Next::Forced
+    }
 }
 
 struct Explorer<'p> {
     plan: &'p RunPlan,
     seed: u64,
     bounds: McBounds,
-    plant: bool,
     seen: HashSet<u64>,
     report: McReport,
 }
@@ -280,31 +305,21 @@ impl Explorer<'_> {
         mut schedule: Vec<usize>,
     ) {
         loop {
-            // Terminals: every job reported completion, the world went
-            // quiescent, or nothing remains before the timeout.
-            if running.all_done() {
-                return self.terminal(running, instant, target, target_name, schedule);
-            }
-            let Some(next) = running.cluster.next_event_time() else {
-                return self.terminal(running, instant, target, target_name, schedule);
-            };
-            if next > self.plan.timeout {
-                return self.terminal(running, instant, target, target_name, schedule);
-            }
-            // Planted bug: silently lose every recovery wake-up.
-            if self.plant {
-                if let Some(h) = ready_start(&running) {
+            let choices = match next_step(&running, self.plan.timeout, &self.bounds, depth) {
+                Next::Terminal => {
+                    return self.terminal(running, instant, target, target_name, schedule);
+                }
+                Next::Discard(h) => {
                     running.cluster.discard_event(h);
                     self.report.discarded += 1;
                     continue;
                 }
-            }
-            let n = running.cluster.step_choices().len();
-            let branchable = n >= 2 && n <= self.bounds.max_ready && depth < self.bounds.max_depth;
-            if !branchable {
-                running.cluster.step();
-                continue;
-            }
+                Next::Forced => {
+                    running.cluster.step();
+                    continue;
+                }
+                Next::Branch(choices) => choices,
+            };
             // Branch node. Prune if an identical canonical state was
             // already expanded — its subtree is this subtree.
             if !self.seen.insert(state_digest(&running.cluster)) {
@@ -313,7 +328,7 @@ impl Explorer<'_> {
             }
             self.report.branch_nodes += 1;
             self.report.deepest = self.report.deepest.max(depth + 1);
-            for i in 1..n {
+            for i in 1..choices.len() {
                 if self.report.forks >= self.bounds.max_branches {
                     self.report.budget_exhausted = true;
                     break;
@@ -332,8 +347,7 @@ impl Explorer<'_> {
             // The default order continues in place, without a clone.
             schedule.push(0);
             depth += 1;
-            let h = running.cluster.step_choices()[0];
-            running.cluster.step_with(h).expect("ready choice fires");
+            running.cluster.step_with(choices[0]).expect("ready choice fires");
         }
     }
 
@@ -368,14 +382,4 @@ impl Explorer<'_> {
             });
         }
     }
-}
-
-/// First ready event (in default order) that is a process-start wake-up
-/// — what the planted bug loses.
-fn ready_start(running: &Running) -> Option<EventHandle> {
-    running
-        .cluster
-        .step_choices()
-        .into_iter()
-        .find(|&h| running.cluster.event_label(h) == Some("start"))
 }

@@ -10,7 +10,6 @@ use ree_mc::{model_check, replay, McBounds};
 /// branch of the register-corruption tree, and two explorations of the
 /// same `(plan, seed, bounds)` must agree exactly — the property the CI
 /// smoke job re-checks byte-for-byte at the binary-output level.
-#[cfg(not(feature = "planted-bug"))]
 #[test]
 fn healthy_build_recovers_every_branch_deterministically() {
     let plan = two_node_register_plan(7);
@@ -42,8 +41,6 @@ fn planted_recovery_bug_surfaces_as_replayable_counterexample() {
     assert_eq!(sabotaged.induced, cex.induced);
     assert_eq!(sabotaged.system_failure, cex.system_failure);
     assert_eq!(sabotaged.output, cex.output);
-    if !cfg!(feature = "planted-bug") {
-        let healthy = replay(&plan, cex, &McBounds::smoke());
-        assert!(healthy.recovered(), "healthy build should survive the same schedule");
-    }
+    let healthy = replay(&plan, cex, &McBounds::smoke());
+    assert!(healthy.recovered(), "healthy build should survive the same schedule");
 }

@@ -264,11 +264,6 @@ impl Network {
         }
     }
 
-    /// Whether a directed topology link is up.
-    pub fn link_up(&self, link: LinkId) -> bool {
-        self.link_state.get(link.0 as usize).map(|s| s.up).unwrap_or(false)
-    }
-
     /// True if traffic between the two nodes cannot flow: an endpoint's
     /// links are administratively down, the pair is blocked, there is no
     /// route, or a link on the static route is down. Loopback (`a == b`)

@@ -318,11 +318,6 @@ impl Cluster {
         &self.net
     }
 
-    /// Forks an independent RNG stream (for injectors).
-    pub fn fork_rng(&mut self, tag: u64) -> SimRng {
-        self.rng.fork(tag)
-    }
-
     /// Re-seeds every random stream (network jitter/drop, cluster,
     /// machine model) exactly as [`Cluster::new`] derives them from
     /// `seed`, discarding the streams' current positions. Deterministic
@@ -398,11 +393,6 @@ impl Cluster {
     /// True if the process is alive but stopped (hung).
     pub fn is_stopped(&self, pid: Pid) -> bool {
         self.procs.get(pid).map(|e| e.stopped).unwrap_or(false)
-    }
-
-    /// True if the process suffers receive omissions (messages dropped).
-    pub fn is_deaf(&self, pid: Pid) -> bool {
-        self.procs.get(pid).map(|e| e.deaf).unwrap_or(false)
     }
 
     /// Exit record of a dead process.
@@ -1212,15 +1202,6 @@ impl ProcCtx<'_> {
         WorkId(id)
     }
 
-    /// Cancels an in-progress work unit.
-    pub fn abort_work(&mut self, id: WorkId) {
-        if let Some(entry) = self.cluster.procs.get_mut(self.pid) {
-            if let Some(i) = entry.works.iter().position(|(w, _)| *w == id.0) {
-                entry.works.swap_remove(i);
-            }
-        }
-    }
-
     /// Spawns a child or detached process.
     pub fn spawn(&mut self, spec: SpawnSpec) -> Pid {
         self.cluster.spawn(spec)
@@ -1256,11 +1237,6 @@ impl ProcCtx<'_> {
         self.cluster.is_alive(pid)
     }
 
-    /// Exit status of a dead process, if known.
-    pub fn exit_status_of(&self, pid: Pid) -> Option<ExitStatus> {
-        self.cluster.graveyard.get(pid.0 as usize).and_then(Option::as_ref).map(|(_, s)| s.clone())
-    }
-
     /// The local node's RAM disk (stable storage for checkpoints).
     pub fn ramdisk(&mut self) -> &mut RamDisk {
         let node = self.node();
@@ -1276,23 +1252,6 @@ impl ProcCtx<'_> {
     pub fn net_load(&mut self, window: SimDuration, slowdown: f64) {
         let now = self.cluster.now;
         self.cluster.net.inject_load(now, window, slowdown);
-    }
-
-    /// Copies this process's current text image (fork-style recovery).
-    pub fn self_text_source(&self) -> TextSource {
-        TextSource::CopyFrom(self.pid)
-    }
-
-    /// Count of corrupted sites in this process's own text image.
-    pub fn own_text_corruption(&self) -> usize {
-        self.cluster.procs.get(self.pid).expect("self entry").machine.corrupted_text_sites()
-    }
-
-    /// Reloads this process's text image from disk (clears corruption).
-    pub fn reload_own_text(&mut self) {
-        if let Some(e) = self.cluster.procs.get_mut(self.pid) {
-            e.machine.reload_text_from_disk();
-        }
     }
 
     /// Appends an application-level trace record.
@@ -1331,11 +1290,6 @@ impl ProcCtx<'_> {
             event,
             detail.into(),
         );
-    }
-
-    /// Seconds since this process was (re)spawned.
-    pub fn uptime(&self) -> SimDuration {
-        self.cluster.now.since(self.cluster.procs.get(self.pid).expect("self entry").spawned_at)
     }
 }
 

@@ -21,8 +21,8 @@
 //!
 //! Activation is evaluated every time the process handles an event or
 //! executes a work chunk ([`MachineState::activate`]). The consequence
-//! distributions per corruption-site class are documented in DESIGN.md
-//! §4.2 and calibrated so the *shape* of Table 6's failure classification
+//! distributions per corruption-site class are calibrated so the *shape*
+//! of Table 6's failure classification
 //! emerges (registers: segfault-dominant; text: more illegal
 //! instructions; data sites: silent corruption feeding the heap model).
 

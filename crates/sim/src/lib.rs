@@ -1,8 +1,8 @@
 //! # ree-sim — deterministic discrete-event simulation kernel
 //!
 //! Foundation of the REE SIFT reproduction (Whisnant et al., CRHC-02-02):
-//! virtual time, a deterministic future-event list, seedable random
-//! streams, and a small generic executor.
+//! virtual time, a deterministic future-event list, and seedable random
+//! streams.
 //!
 //! All higher layers (the simulated cluster OS, the ARMOR runtime, the
 //! fault-injection campaigns, the SAN solver) are built on these types.
@@ -13,34 +13,31 @@
 //! ## Example
 //!
 //! ```
-//! use ree_sim::{Engine, Scheduler, SimDuration, SimRng, SimTime, World};
+//! use ree_sim::{EventQueue, SimRng, SimTime};
 //!
-//! struct Poisson { rng: SimRng, arrivals: u32 }
-//! impl World for Poisson {
-//!     type Event = ();
-//!     fn handle(&mut self, _: (), sched: &mut Scheduler<()>) {
-//!         self.arrivals += 1;
-//!         let gap = self.rng.exp_duration(2.0);
-//!         sched.after(gap, ());
+//! // Poisson arrivals at 2/s, each handled by scheduling the next.
+//! let mut rng = SimRng::new(1);
+//! let mut queue = EventQueue::new();
+//! queue.schedule(SimTime::ZERO, ());
+//! let mut arrivals = 0;
+//! while let Some((now, _, ())) = queue.pop() {
+//!     if now > SimTime::from_secs(100) {
+//!         break;
 //!     }
+//!     arrivals += 1;
+//!     queue.schedule(now + rng.exp_duration(2.0), ());
 //! }
-//!
-//! let mut engine = Engine::new(Poisson { rng: SimRng::new(1), arrivals: 0 });
-//! engine.seed(SimTime::ZERO, ());
-//! engine.run_until(SimTime::from_secs(100));
 //! // Rate 2/s over 100 s: expect on the order of 200 arrivals.
-//! assert!(engine.world().arrivals > 120 && engine.world().arrivals < 300);
+//! assert!(arrivals > 120 && arrivals < 300);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 mod queue;
 mod rng;
 mod time;
 
-pub use engine::{Engine, Scheduler, World};
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -83,11 +83,6 @@ impl Proportion {
         let (lo, hi) = self.wilson(confidence);
         (hi - lo) / 2.0
     }
-
-    /// `point ± half-width` rendered as a percentage, table-style.
-    pub fn display_pct(&self, confidence: f64) -> String {
-        format!("{:.1}% ± {:.1}%", self.point() * 100.0, self.wilson_half_width(confidence) * 100.0)
-    }
 }
 
 #[cfg(test)]
