@@ -4,7 +4,7 @@
 //! and resume-point agreement after restarts.
 
 use ree_mpi::{MpiEndpoint, MpiPayload};
-use ree_os::{Message, NodeId, ProcCtx, SpawnSpec, TraceDetail, TraceEvent};
+use ree_os::{Message, NodeId, ProcCtx, SpawnSpec, TraceEvent};
 use ree_sift::{AppLaunch, ClientNote, SiftClient};
 use ree_sim::{SimDuration, SimTime};
 
@@ -145,10 +145,11 @@ impl AppShell {
                 // unavailable SIFT process.
                 ctx.trace_event(
                     TraceEvent::MpiRankGaveUp,
-                    TraceDetail::RankGaveUp {
-                        rank: self.launch.rank,
-                        blocked: self.client.blocked_for(ctx.now()),
-                    },
+                    format!(
+                        "rank {} gave up after blocking {} on the SIFT interface",
+                        self.launch.rank,
+                        self.client.blocked_for(ctx.now())
+                    ),
                 );
                 self.state = ShellState::Dead;
                 ctx.exit(1);
@@ -251,11 +252,10 @@ impl AppShell {
                     self.announced_run = true;
                     ctx.trace_event(
                         TraceEvent::AppStarted,
-                        TraceDetail::AppRankRunning {
-                            app: self.launch.app.clone().into(),
-                            rank: self.launch.rank,
-                            token: token.as_str().into(),
-                        },
+                        format!(
+                            "{} rank {} running (resume '{token}')",
+                            self.launch.app, self.launch.rank
+                        ),
                     );
                 }
                 ShellPoll::Run(token.clone())

@@ -143,11 +143,8 @@ impl Scenario {
     /// The SIFT blueprint with every application of the table registered
     /// under this scenario's workload parameters.
     fn blueprint(&self) -> Arc<Blueprint> {
-        let blueprint = Blueprint::new(self.sift.clone());
-        for kind in AppKind::ALL {
-            blueprint.register_app(kind.name(), kind.factory(self));
-        }
-        blueprint
+        let apps = AppKind::ALL.map(|kind| (kind.name().to_owned(), kind.factory(self)));
+        Blueprint::new(self.sift.clone(), apps)
     }
 
     /// Each job's slot and application; `None` for a name outside the

@@ -63,26 +63,21 @@ pub struct ArmorOptions {
     /// suggested preemptive checking — an ablation knob; the evaluated
     /// system checks after).
     pub precheck_assertions: bool,
-    /// Comm retransmission tick period.
-    pub tick_period: SimDuration,
-    /// Retransmit unacked messages after this long.
-    pub retransmit_after: SimDuration,
-    /// Delay between process start and readiness (checkpoint restore,
-    /// element wiring) — part of the ~0.5 s recovery time.
-    pub ready_delay: SimDuration,
 }
 
 impl Default for ArmorOptions {
     fn default() -> Self {
-        ArmorOptions {
-            restore: RestorePolicy::OnStart,
-            precheck_assertions: false,
-            tick_period: SimDuration::from_millis(500),
-            retransmit_after: SimDuration::from_secs(2),
-            ready_delay: SimDuration::from_millis(200),
-        }
+        ArmorOptions { restore: RestorePolicy::OnStart, precheck_assertions: false }
     }
 }
+
+/// Comm retransmission tick period.
+const TICK_PERIOD: SimDuration = SimDuration::from_millis(500);
+/// Unacked messages are retransmitted after this long.
+const RETRANSMIT_AFTER: SimDuration = SimDuration::from_secs(2);
+/// Delay between process start and readiness (checkpoint restore,
+/// element wiring) — part of the ~0.5 s recovery time.
+const READY_DELAY: SimDuration = SimDuration::from_millis(200);
 
 const TIMER_TICK: u64 = 0;
 const TIMER_READY: u64 = 1;
@@ -164,7 +159,7 @@ impl ArmorCore {
             Gateway::SelfRouting => match self.route(dst) {
                 Some(pid) => pid,
                 None => {
-                    os.trace(TraceDetail::RouteMiss { armor: dst.0 });
+                    os.trace(format!("route miss for armor{}; packet dropped", dst.0));
                     return;
                 }
             },
@@ -275,12 +270,6 @@ impl ElementCtx<'_, '_> {
         self.core.route(id)
     }
 
-    /// All currently known routes, sorted by ARMOR id (the table's
-    /// natural order).
-    pub fn routes(&self) -> Vec<(ArmorId, Pid)> {
-        self.core.route_table.clone()
-    }
-
     /// Appends to the cluster trace.
     pub fn trace(&mut self, detail: impl Into<TraceDetail>) {
         self.os.trace(detail);
@@ -353,7 +342,7 @@ impl ArmorProcess {
         ArmorProcess {
             core: ArmorCore {
                 id,
-                comm: ReliableComm::new(id, opts.retransmit_after),
+                comm: ReliableComm::new(id, RETRANSMIT_AFTER),
                 ckpt,
                 gateway,
                 route_table: Vec::new(),
@@ -379,11 +368,6 @@ impl ArmorProcess {
         self.core.id
     }
 
-    /// True if the last start restored state from a checkpoint.
-    pub fn restored_from_checkpoint(&self) -> bool {
-        self.restored_from_checkpoint
-    }
-
     fn try_restore(&mut self, ctx: &mut ProcCtx<'_>) {
         let Some(decoded) = ctx.ramdisk().read(&self.core.ckpt_key).map(CheckpointBuffer::decode)
         else {
@@ -404,13 +388,13 @@ impl ArmorProcess {
                     }
                 }
                 self.restored_from_checkpoint = true;
-                ctx.trace(TraceDetail::CheckpointRestored { name: Arc::clone(&self.core.name) });
+                ctx.trace(format!("{} restored state from checkpoint", self.core.name));
             }
             Err(e) => {
-                ctx.trace_recovery(TraceDetail::CheckpointUnusable {
-                    name: Arc::clone(&self.core.name),
-                    error: e.to_string().into(),
-                });
+                ctx.trace_recovery(format!(
+                    "{} checkpoint unusable ({e}); cold start",
+                    self.core.name
+                ));
             }
         }
     }
@@ -449,7 +433,7 @@ impl ArmorProcess {
             if self.restored_from_checkpoint {
                 ctx.trace_recovery_event(
                     ree_os::TraceEvent::RecoveryCompleted,
-                    TraceDetail::Recovered { name: Arc::clone(&self.core.name) },
+                    format!("recovered {}", self.core.name),
                 );
                 // Let elements re-derive in-flight intentions (timers
                 // died with the previous incarnation).
@@ -524,27 +508,18 @@ impl ArmorProcess {
         match result {
             Processing::Completed => {}
             Processing::Crash(r) => {
-                ctx.trace(TraceDetail::ArmorCrash {
-                    name: Arc::clone(&self.core.name),
-                    reason: r.into(),
-                });
+                ctx.trace(format!("{} crash: {r}", self.core.name));
                 ctx.crash(Signal::Segv);
             }
             Processing::Assertion(e) => {
                 ctx.trace_event(
                     ree_os::TraceEvent::AssertionFired,
-                    TraceDetail::ArmorAssertion {
-                        name: Arc::clone(&self.core.name),
-                        reason: e.clone().into(),
-                    },
+                    format!("{} assertion fired: {e}", self.core.name),
                 );
                 ctx.abort(e);
             }
             Processing::AbortThread(r) => {
-                ctx.trace(TraceDetail::ThreadAborted {
-                    name: Arc::clone(&self.core.name),
-                    reason: r.into(),
-                });
+                ctx.trace(format!("{} handling thread aborted: {r}", self.core.name));
             }
         }
     }
@@ -563,7 +538,7 @@ impl ArmorProcess {
             if self.core.gateway == Gateway::SelfRouting {
                 self.core.transmit_boxed(boxed, ctx);
             } else {
-                ctx.trace(TraceDetail::Misrouted { name: Arc::clone(&self.core.name) });
+                ctx.trace(format!("{}: misrouted packet dropped", self.core.name));
             }
             return;
         }
@@ -579,28 +554,11 @@ impl ArmorProcess {
                     Processing::AbortThread(r) => {
                         // Seen but unacked: the Figure 10 mechanism.
                         self.core.comm.mark_seen_unacked(&msg);
-                        ctx.trace(TraceDetail::ThreadAbort {
-                            name: Arc::clone(&self.core.name),
-                            reason: r.into(),
-                        });
+                        ctx.trace(format!("{} thread abort: {r}", self.core.name));
                     }
-                    Processing::Crash(r) => {
-                        ctx.trace(TraceDetail::ArmorCrash {
-                            name: Arc::clone(&self.core.name),
-                            reason: r.into(),
-                        });
-                        ctx.crash(Signal::Segv);
-                    }
-                    Processing::Assertion(e) => {
-                        ctx.trace_event(
-                            ree_os::TraceEvent::AssertionFired,
-                            TraceDetail::ArmorAssertion {
-                                name: Arc::clone(&self.core.name),
-                                reason: e.clone().into(),
-                            },
-                        );
-                        ctx.abort(e);
-                    }
+                    // A crash or a fired assertion ends the process the
+                    // same way wherever the event came from.
+                    fatal => self.finish_local(fatal, ctx),
                 }
             }
             Inbound::DuplicateReAck(ack) => {
@@ -648,8 +606,8 @@ impl Process for ArmorProcess {
                 }
             }
         }
-        ctx.set_timer(self.core.opts.tick_period, TIMER_TICK);
-        ctx.set_timer(self.core.opts.ready_delay, TIMER_READY);
+        ctx.set_timer(TICK_PERIOD, TIMER_TICK);
+        ctx.set_timer(READY_DELAY, TIMER_READY);
     }
 
     fn on_message(&mut self, msg: Message, ctx: &mut ProcCtx<'_>) {
@@ -683,10 +641,7 @@ impl Process for ArmorProcess {
                 Err(_) => ctx.trace("malformed armor-control payload"),
             },
             other => {
-                ctx.trace(TraceDetail::UnknownLabel {
-                    name: Arc::clone(&self.core.name),
-                    label: other,
-                });
+                ctx.trace(format!("{}: unknown message label {other}", self.core.name));
             }
         }
     }
@@ -698,13 +653,14 @@ impl Process for ArmorProcess {
                 for packet in self.core.comm.tick(now) {
                     self.core.transmit(packet, ctx);
                 }
-                ctx.set_timer(self.core.opts.tick_period, TIMER_TICK);
+                ctx.set_timer(TICK_PERIOD, TIMER_TICK);
             }
             TIMER_RESTORE_FALLBACK => {
                 if self.awaiting_restore {
-                    ctx.trace(TraceDetail::NoRestoreInstruction {
-                        name: Arc::clone(&self.core.name),
-                    });
+                    ctx.trace(format!(
+                        "{}: no restore instruction; proceeding from checkpoint",
+                        self.core.name
+                    ));
                     self.try_restore(ctx);
                     self.awaiting_restore = false;
                     let result = self.process_events(&[ArmorEvent::new("armor-restored")], ctx);
@@ -721,7 +677,7 @@ impl Process for ArmorProcess {
                 if self.restored_from_checkpoint {
                     ctx.trace_recovery_event(
                         ree_os::TraceEvent::RecoveryCompleted,
-                        TraceDetail::Recovered { name: Arc::clone(&self.core.name) },
+                        format!("recovered {}", self.core.name),
                     );
                     events.push(ArmorEvent::new("armor-restored"));
                 }

@@ -17,8 +17,7 @@ use crate::ftm::{
 use crate::heartbeat::HbWatch;
 use ree_armor::{ArmorId, ArmorOptions, ArmorProcess, Element, Gateway, RestorePolicy};
 use ree_os::{NodeId, Pid, Process};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Constructs the process for one MPI rank of an application.
 ///
@@ -89,29 +88,33 @@ impl AppLaunch {
 
 /// The SIFT deployment recipe book.
 ///
-/// Shared behind an `Arc` by every process that launches others; the
-/// registry lock is uncontended in practice (registration happens before
-/// boot, lookups happen on submissions and restarts).
+/// Shared behind an `Arc` by every process that launches others and
+/// immutable once built: the application registry is written here, before
+/// boot, and only read afterwards (on submissions and restarts, from any
+/// worker thread).
 pub struct Blueprint {
     /// Environment configuration.
     pub config: SiftConfig,
-    apps: Mutex<HashMap<String, AppFactory>>,
+    /// Application factories, sorted by name.
+    apps: Vec<(String, AppFactory)>,
 }
 
 impl Blueprint {
-    /// Creates a blueprint with the given configuration.
-    pub fn new(config: SiftConfig) -> Arc<Blueprint> {
-        Arc::new(Blueprint { config, apps: Mutex::new(HashMap::new()) })
-    }
-
-    /// Registers an application factory under `name`.
-    pub fn register_app(&self, name: impl Into<String>, factory: AppFactory) {
-        self.apps.lock().expect("app registry lock").insert(name.into(), factory);
+    /// Creates a blueprint with the given configuration and application
+    /// registry: `(name, factory)` pairs with distinct names.
+    pub fn new(
+        config: SiftConfig,
+        apps: impl IntoIterator<Item = (String, AppFactory)>,
+    ) -> Arc<Blueprint> {
+        let mut apps: Vec<_> = apps.into_iter().collect();
+        apps.sort_by(|a, b| a.0.cmp(&b.0));
+        Arc::new(Blueprint { config, apps })
     }
 
     /// Looks up an application factory.
     pub fn app_factory(&self, name: &str) -> Option<AppFactory> {
-        self.apps.lock().expect("app registry lock").get(name).cloned()
+        let at = self.apps.binary_search_by(|(n, _)| n.as_str().cmp(name)).ok()?;
+        Some(Arc::clone(&self.apps[at].1))
     }
 
     /// Instance name for an ARMOR of `kind`.
@@ -124,11 +127,7 @@ impl Blueprint {
     }
 
     fn armor_options(&self, restore: RestorePolicy) -> ArmorOptions {
-        ArmorOptions {
-            restore,
-            precheck_assertions: self.config.precheck_assertions,
-            ..ArmorOptions::default()
-        }
+        ArmorOptions { restore, precheck_assertions: self.config.precheck_assertions }
     }
 
     /// Builds a daemon ARMOR for `node` (used by the SCC).
@@ -220,9 +219,7 @@ impl Blueprint {
 
 impl std::fmt::Debug for Blueprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut apps: Vec<String> =
-            self.apps.lock().expect("app registry lock").keys().cloned().collect();
-        apps.sort();
+        let apps: Vec<&str> = self.apps.iter().map(|(name, _)| name.as_str()).collect();
         f.debug_struct("Blueprint").field("apps", &apps).finish()
     }
 }

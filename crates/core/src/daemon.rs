@@ -8,7 +8,7 @@ use crate::util::{rec_str, rec_u64, table_get, table_remove, table_set};
 use ree_armor::{
     ArmorEvent, ArmorId, ControlOp, Element, ElementCtx, ElementOutcome, Fields, Value,
 };
-use ree_os::{NodeId, Pid, Signal, SpawnSpec, TextSource, TraceDetail, TraceEvent};
+use ree_os::{NodeId, Pid, Signal, SpawnSpec, TextSource, TraceEvent};
 use ree_sim::SimDuration;
 use std::sync::Arc;
 
@@ -62,7 +62,7 @@ impl Element for DaemonGateway {
                 let node = self.state.u64("node").unwrap_or(0);
                 ctx.trace_event(
                     TraceEvent::DaemonRegistered,
-                    TraceDetail::DaemonRegistering { node },
+                    format!("daemon on node{node} registering with FTM"),
                 );
                 ctx.send(
                     ids::FTM,
@@ -229,10 +229,7 @@ impl DaemonInstaller {
         } else {
             TraceEvent::ArmorInstalled
         };
-        ctx.trace_event(
-            event,
-            TraceDetail::ArmorInstall { kind: kind.into(), armor: armor.0, pid, node },
-        );
+        ctx.trace_event(event, format!("installed {kind} as armor{} ({pid}) on {node}", armor.0));
         pid
     }
 }
@@ -337,7 +334,10 @@ impl Element for DaemonInstaller {
                 let restarts = self.state.bump(&restarts_key).unwrap_or(1);
                 let pristine = restarts >= IMAGE_RELOAD_THRESHOLD;
                 if pristine {
-                    ctx.trace(TraceDetail::ArmorImageReload { armor: armor.0, restarts });
+                    ctx.trace(format!(
+                        "armor{} failed {restarts} times; reloading image from disk",
+                        armor.0
+                    ));
                 }
                 let mut extra = Vec::new();
                 if let Some(fd) = ev.u64("ftm_daemon") {
@@ -374,7 +374,7 @@ impl Element for DaemonInstaller {
                     );
                     ctx.trace_event(
                         TraceEvent::ArmorUninstalled,
-                        TraceDetail::ArmorUninstall { armor },
+                        format!("uninstalled armor{armor}"),
                     );
                 }
             }
@@ -386,7 +386,7 @@ impl Element for DaemonInstaller {
                     if let Some(pid) = rec_u64(rec, "pid") {
                         ctx.os.trace_recovery_event(
                             TraceEvent::HangDetected,
-                            TraceDetail::DetectHang { armor },
+                            format!("detect hang armor{armor}"),
                         );
                         ctx.os.kill(Pid(pid), Signal::Kill);
                     }
@@ -413,7 +413,7 @@ impl Element for DaemonInstaller {
                 } else {
                     ctx.os.trace_recovery_event(
                         TraceEvent::CrashDetected,
-                        TraceDetail::DetectCrash { armor },
+                        format!("detect crash armor{armor}"),
                     );
                     ctx.send(
                         ids::FTM,

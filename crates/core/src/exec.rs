@@ -5,7 +5,7 @@
 use crate::blueprint::{AppLaunch, Blueprint};
 use crate::config::{ids, tags};
 use ree_armor::{valid_ptr, ArmorEvent, Element, ElementCtx, ElementOutcome, Fields, Value};
-use ree_os::{Pid, Signal, SpawnSpec, TraceDetail, TraceEvent};
+use ree_os::{Pid, Signal, SpawnSpec, TraceEvent};
 use ree_sim::SimDuration;
 use std::sync::Arc;
 
@@ -60,7 +60,7 @@ impl AppMonitor {
         self.set_status("failed");
         let slot = self.state.u64("slot").unwrap_or(0);
         let rank = self.state.u64("rank").unwrap_or(0);
-        ctx.trace(TraceDetail::AppFailureReport { slot, rank, reason });
+        ctx.trace(format!("exec armor reports app failure: slot{slot} rank{rank} ({reason})"));
         ctx.send(
             ids::FTM,
             vec![ArmorEvent::new(tags::APP_FAILED)
@@ -166,7 +166,7 @@ impl Element for AppMonitor {
                 if attempt > 0 {
                     ctx.os.trace_recovery_event(
                         TraceEvent::RecoveryCompleted,
-                        TraceDetail::AppRecovered { slot, attempt },
+                        format!("recovered application slot{slot} (attempt {attempt})"),
                     );
                 }
                 self.state.set("app", Value::Str(app));
@@ -234,7 +234,7 @@ impl Element for AppMonitor {
                 let at_us = ctx.now().as_micros();
                 ctx.os.trace_event(
                     TraceEvent::AppTerminated,
-                    TraceDetail::AppTerminatedNotice { slot, rank },
+                    format!("app-terminated slot{slot} rank{rank}"),
                 );
                 ctx.send(
                     ids::FTM,
@@ -267,9 +267,7 @@ impl Element for AppMonitor {
                     if !clean {
                         ctx.os.trace_recovery_event(
                             TraceEvent::AppCrashDetected,
-                            TraceDetail::DetectAppCrash {
-                                rank: self.state.u64("rank").unwrap_or(0),
-                            },
+                            format!("detect app crash rank{}", self.state.u64("rank").unwrap_or(0)),
                         );
                         self.report_failure(ctx, "crash");
                     }
@@ -285,9 +283,10 @@ impl Element for AppMonitor {
                         if !ctx.os.process_alive(pid) && !clean {
                             ctx.os.trace_recovery_event(
                                 TraceEvent::AppCrashDetected,
-                                TraceDetail::DetectAppCrash {
-                                    rank: self.state.u64("rank").unwrap_or(0),
-                                },
+                                format!(
+                                    "detect app crash rank{}",
+                                    self.state.u64("rank").unwrap_or(0)
+                                ),
                             );
                             self.report_failure(ctx, "crash");
                         }
@@ -298,7 +297,7 @@ impl Element for AppMonitor {
             "pi-hang-detected" if self.status() == "running" => {
                 ctx.os.trace_recovery_event(
                     TraceEvent::AppHangDetected,
-                    TraceDetail::DetectAppHang { rank: self.state.u64("rank").unwrap_or(0) },
+                    format!("detect app hang rank{}", self.state.u64("rank").unwrap_or(0)),
                 );
                 if let Some(pid) = self.app_pid() {
                     if ctx.os.process_alive(pid) {

@@ -14,7 +14,6 @@ use crate::util::{rec_str, rec_u64, record, table_get, table_keys, table_remove,
 use ree_armor::{
     valid_ptr, ArmorEvent, ArmorId, Element, ElementCtx, ElementOutcome, Fields, Value,
 };
-use ree_os::TraceDetail;
 use ree_os::{Pid, TraceEvent};
 use ree_sim::SimDuration;
 
@@ -153,7 +152,7 @@ impl Element for SccIface {
                 );
                 ctx.trace_event(
                     TraceEvent::SubmissionAccepted,
-                    TraceDetail::FtmAcceptedSubmission { app: app.into(), slot },
+                    format!("FTM accepted submission of {app} (slot {slot})"),
                 );
                 // Fan the submission out to the bookkeeping elements.
                 let mut accepted = ArmorEvent::new("app-submit-accepted");
@@ -207,7 +206,7 @@ impl Element for SccIface {
             "report-complete" => {
                 let slot = ev.u64("slot").unwrap_or(0);
                 table_remove(&mut self.state, "jobs", &slot.to_string());
-                ctx.trace(TraceDetail::FtmSlotComplete { slot });
+                ctx.trace(format!("FTM reports slot {slot} complete to SCC"));
                 if let Some(scc) = self.scc() {
                     ctx.os.send(scc, "scc-report", 64, SccReport::Completed { slot });
                 }
@@ -220,7 +219,7 @@ impl Element for SccIface {
                 if !started {
                     // §9 lessons: the connect timeout catches errors in
                     // the critical setup phase quickly.
-                    ctx.trace(TraceDetail::FtmConnectTimeout { slot });
+                    ctx.trace(format!("connect timeout for slot {slot}; retrying setup"));
                     if let Some(scc) = self.scc() {
                         ctx.os.send(scc, "scc-report", 64, SccReport::ConnectTimeout { slot });
                     }
@@ -469,11 +468,9 @@ impl Element for MgrArmorInfo {
                         "node",
                         Value::U64(new_node),
                     );
-                    ctx.os.trace_recovery(TraceDetail::MigratingArmor {
-                        armor,
-                        kind: kind.as_str().into(),
-                        node: new_node,
-                    });
+                    ctx.os.trace_recovery(format!(
+                        "migrating armor{armor} ({kind}) to node{new_node}"
+                    ));
                     ctx.raise(
                         ArmorEvent::new("need-reinstall")
                             .with("armor", Value::U64(armor))
@@ -821,7 +818,7 @@ impl Element for AppParam {
                     "pending_relaunch",
                     Value::Bool(true),
                 );
-                ctx.trace(TraceDetail::FtmRestartApp { slot, restart });
+                ctx.trace(format!("FTM restarting app slot {slot} (restart #{restart})"));
                 // Stop every rank, then relaunch after a short settle.
                 for rank in 0..ranks {
                     ctx.send(
@@ -1296,7 +1293,7 @@ impl Element for DaemonHb {
                         table_remove(&mut self.state, "watch", &key);
                         ctx.os.trace_recovery_event(
                             TraceEvent::NodeFailureDetected,
-                            TraceDetail::DetectNodeFailure { node },
+                            format!("detect node{node} failure (daemon silent)"),
                         );
                         // Collect alive nodes for migration targets.
                         let alive: Vec<Value> = self

@@ -45,27 +45,6 @@ pub enum SccReport {
     },
 }
 
-impl SccReport {
-    /// Typed trace detail mirroring this report's derived `Debug` output
-    /// ("SCC received {self:?}") without formatting anything eagerly.
-    pub fn trace_detail(&self) -> ree_os::TraceDetail {
-        let (variant, f1, f2) = match *self {
-            SccReport::Started { slot, attempt } => {
-                ("Started", ("slot", slot), Some(("attempt", attempt)))
-            }
-            SccReport::Restarted { slot, attempt } => {
-                ("Restarted", ("slot", slot), Some(("attempt", attempt)))
-            }
-            SccReport::Ended { slot, end_us } => {
-                ("Ended", ("slot", slot), Some(("end_us", end_us)))
-            }
-            SccReport::Completed { slot } => ("Completed", ("slot", slot), None),
-            SccReport::ConnectTimeout { slot } => ("ConnectTimeout", ("slot", slot), None),
-        };
-        ree_os::TraceDetail::SccReceivedReport { variant, f1, f2 }
-    }
-}
-
 /// Daemon → SCC notification that an ARMOR was (re)installed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArmorInstalled {

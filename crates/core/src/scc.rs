@@ -11,7 +11,7 @@ use crate::blueprint::Blueprint;
 use crate::config::{ids, tags};
 use crate::report::{ArmorInstalled, JobTimes, SccReport};
 use ree_armor::{ArmorEvent, ControlOp, Value};
-use ree_os::{Message, NodeId, Pid, ProcCtx, Process, SpawnSpec, TraceDetail};
+use ree_os::{Message, NodeId, Pid, ProcCtx, Process, SpawnSpec};
 use ree_sim::SimDuration;
 use std::sync::Arc;
 
@@ -157,7 +157,7 @@ impl Process for Scc {
                 if !started
                     && self.submit_attempts.get(slot).copied().unwrap_or(0) < MAX_SUBMIT_ATTEMPTS
                 {
-                    ctx.trace(TraceDetail::SccResubmit { slot: slot as u64 });
+                    ctx.trace(format!("SCC resubmitting slot {slot} (no start report)"));
                     ctx.set_timer(SimDuration::from_micros(1), TIMER_SUBMIT_BASE + slot as u64);
                 }
             }
@@ -169,10 +169,7 @@ impl Process for Scc {
                     ctx.set_timer(SimDuration::from_secs(1), submit);
                     return;
                 };
-                ctx.trace(TraceDetail::SccSubmit {
-                    app: job.app.clone().into(),
-                    slot: slot as u64,
-                });
+                ctx.trace(format!("SCC submits {} (slot {slot})", job.app));
                 if self.job_times[slot].submitted.is_none() {
                     self.job_times[slot].submitted = Some(ctx.now());
                 }
@@ -246,7 +243,7 @@ impl Process for Scc {
                         }
                         SccReport::ConnectTimeout { .. } => times.connect_timeouts += 1,
                     }
-                    ctx.trace(report.trace_detail());
+                    ctx.trace(format!("SCC received {report:?}"));
                     self.persist(slot, ctx);
                 }
             }

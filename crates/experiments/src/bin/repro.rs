@@ -2,6 +2,8 @@
 //!
 //! Usage: `repro [--quick] [--seed N] [--workers N] [--chaos MODE]
 //! <table1..table12|table4a|fig6..fig10|fig6a|partition|mc|mc-selftest|dist|dist-selftest|all>`
+//! (default `all`). A flag without a usable value, an unknown flag, a
+//! second target or an unknown target prints the usage line and exits 2.
 //!
 //! `table4a` and `fig6a` are the adaptive (confidence-targeted)
 //! variants of table4 and fig6: each cell runs until its recovery-rate
@@ -22,94 +24,137 @@ use ree_experiments::{
     table8, Effort,
 };
 
+/// What the flags select; every target runs under one of these.
+struct Options {
+    effort: Effort,
+    seed: u64,
+    workers: usize,
+    chaos: Option<ree_dist::ChaosMode>,
+}
+
+/// A target: its name, whether `all` runs it, and what it does.
+type Target = (&'static str, bool, fn(&Options));
+
+/// Every target. Dispatch, the `all` loop and the usage line are all
+/// read off this table.
+const TARGETS: &[Target] = &[
+    ("table1", false, |_| {
+        println!("Table 1 (application lifecycle) is demonstrated by `examples/quickstart.rs` and tests/lifecycle.rs;");
+        println!("run `cargo run --example quickstart` to see the step-by-step trace.");
+    }),
+    ("table2", true, |_| {
+        println!("Table 2: error models implemented in ree-inject::ErrorModel:");
+        println!("  SIGINT        - clean crash (target terminates)");
+        println!("  SIGSTOP       - clean hang (threads suspended)");
+        println!("  Register      - bit flips until a failure is induced");
+        println!("  Text segment  - bit flips until a failure is induced");
+        println!("  Heap          - bit flips in allocated heap regions");
+    }),
+    ("table3", true, |o| print!("{}", table3::run(o.effort, o.seed).render())),
+    ("table4", true, |o| print!("{}", table4::run(o.effort, o.seed).render())),
+    ("table4a", true, |o| {
+        print!("{}", table4::run_adaptive(&table4::adaptive_rule(o.effort), o.seed).render())
+    }),
+    ("table5", true, |o| print!("{}", table5::run(o.effort, o.seed).render())),
+    ("table6", true, |o| print!("{}", table6::run(o.effort, o.seed).render())),
+    ("table7", true, |o| print!("{}", table7::run(o.effort, o.seed).render())),
+    ("table8", true, |o| print!("{}", table8::run(o.effort, o.seed).render_table8())),
+    ("table9", true, |o| print!("{}", table8::run(o.effort, o.seed).render_table9())),
+    ("table10", true, |o| print!("{}", table10::run(o.effort, o.seed).render())),
+    ("table11", true, |o| print!("{}", table11::run(o.effort, o.seed).0.render())),
+    ("table12", true, |o| print!("{}", table11::run(o.effort, o.seed).1.render())),
+    ("fig6", true, |o| print!("{}", figures::fig6(o.effort, o.seed).render())),
+    ("fig6a", true, |o| {
+        print!("{}", figures::fig6_adaptive(&table4::adaptive_rule(o.effort), o.seed).render())
+    }),
+    ("fig7", true, |o| print!("{}", figures::fig7(o.effort, o.seed).render())),
+    ("fig8", true, |o| print!("{}", figures::fig8(o.effort, o.seed).render())),
+    ("fig9", true, |o| print!("{}", fig9::run(o.seed).render())),
+    ("fig10", true, |o| print!("{}", figures::fig10(o.seed).render())),
+    ("partition", true, |o| print!("{}", partition::run(o.effort, o.seed).render())),
+    ("mc", false, |o| print!("{}", mc::run(o.effort, o.seed))),
+    ("mc-selftest", false, |o| print!("{}", mc::selftest(o.effort, o.seed))),
+    ("dist", false, |o| match dist::run_one(o.effort, o.seed, o.workers, o.chaos, None) {
+        Ok(outcome) => {
+            print!("{}", dist::render(&outcome));
+            if !outcome.matches() {
+                std::process::exit(1);
+            }
+        }
+        Err(e) => {
+            eprintln!("distributed sweep failed: {e}");
+            std::process::exit(1);
+        }
+    }),
+    ("dist-selftest", false, |o| {
+        let (rendered, all_ok) = dist::selftest(o.effort, o.seed, None);
+        print!("{rendered}");
+        if !all_ok {
+            std::process::exit(1);
+        }
+    }),
+];
+
+/// Prints why the command line was rejected and the usage line; exits 2.
+fn usage_error(why: &str) -> ! {
+    let targets: Vec<&str> = TARGETS.iter().map(|(name, ..)| *name).collect();
+    eprintln!("repro: {why}");
+    eprintln!(
+        "usage: repro [--quick] [--seed N] [--workers N] [--chaos MODE] <{}|all>",
+        targets.join("|")
+    );
+    std::process::exit(2);
+}
+
+/// Parses the command line into the options and the target name.
+fn parse_args(mut args: impl Iterator<Item = String>) -> (Options, String) {
+    let mut options = Options { effort: Effort::Paper, seed: 20020401, workers: 4, chaos: None }; // CRHC-02-02, April 2002
+    let mut target: Option<String> = None;
+    while let Some(arg) = args.next() {
+        let mut value =
+            |what: &str| args.next().unwrap_or_else(|| usage_error(&format!("{arg} needs {what}")));
+        match arg.as_str() {
+            "--quick" => options.effort = Effort::Quick,
+            "--seed" => {
+                let v = value("a number");
+                options.seed =
+                    v.parse().unwrap_or_else(|_| usage_error(&format!("bad --seed {v:?}")));
+            }
+            "--workers" => {
+                let v = value("a positive number");
+                options.workers = match v.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => usage_error(&format!("bad --workers {v:?}")),
+                };
+            }
+            "--chaos" => {
+                let v = value("a mode");
+                let mode = ree_dist::ChaosMode::parse(&v).unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "unknown --chaos mode {v:?} (kill|hang|corrupt|truncate|poison)"
+                    ))
+                });
+                options.chaos = Some(mode);
+            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag}")),
+            _ if target.is_some() => usage_error(&format!("unexpected second target {arg:?}")),
+            _ => target = Some(arg),
+        }
+    }
+    (options, target.unwrap_or_else(|| "all".to_owned()))
+}
+
 fn main() {
     // A supervisor spawn: become a worker and never return. Must run
     // before any argument parsing.
     ree_dist::run_worker_if_spawned();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let effort = if quick { Effort::Quick } else { Effort::Paper };
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
-    let seed: u64 = flag_value("--seed").and_then(|s| s.parse().ok()).unwrap_or(20020401); // CRHC-02-02, April 2002
-    let workers: usize = flag_value("--workers").and_then(|s| s.parse().ok()).unwrap_or(4);
-    let chaos: Option<ree_dist::ChaosMode> = match flag_value("--chaos") {
-        Some(s) => match ree_dist::ChaosMode::parse(&s) {
-            Some(mode) => Some(mode),
-            None => {
-                eprintln!("unknown --chaos mode {s:?} (kill|hang|corrupt|truncate|poison)");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    // The experiment name is the first non-flag argument that is not a
-    // flag's value.
-    let value_slots: Vec<usize> = ["--seed", "--workers", "--chaos"]
-        .iter()
-        .filter_map(|f| args.iter().position(|a| a == *f).map(|i| i + 1))
-        .collect();
-    let what = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && !value_slots.contains(i))
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "all".to_owned());
-
-    let run_one = |name: &str| match name {
-        "table1" => {
-            println!("Table 1 (application lifecycle) is demonstrated by `examples/quickstart.rs` and tests/lifecycle.rs;");
-            println!("run `cargo run --example quickstart` to see the step-by-step trace.");
-        }
-        "table2" => {
-            println!("Table 2: error models implemented in ree-inject::ErrorModel:");
-            println!("  SIGINT        - clean crash (target terminates)");
-            println!("  SIGSTOP       - clean hang (threads suspended)");
-            println!("  Register      - bit flips until a failure is induced");
-            println!("  Text segment  - bit flips until a failure is induced");
-            println!("  Heap          - bit flips in allocated heap regions");
-        }
-        "table3" => print!("{}", table3::run(effort, seed).render()),
-        "table4" => print!("{}", table4::run(effort, seed).render()),
-        "table4a" => {
-            print!("{}", table4::run_adaptive(&table4::adaptive_rule(effort), seed).render())
-        }
-        "table5" => print!("{}", table5::run(effort, seed).render()),
-        "table6" => print!("{}", table6::run(effort, seed).render()),
-        "table7" => print!("{}", table7::run(effort, seed).render()),
-        "table8" => print!("{}", table8::run(effort, seed).render_table8()),
-        "table9" => print!("{}", table8::run(effort, seed).render_table9()),
-        "table10" => print!("{}", table10::run(effort, seed).render()),
-        "table11" => print!("{}", table11::run(effort, seed).0.render()),
-        "table12" => print!("{}", table11::run(effort, seed).1.render()),
-        "fig6" => print!("{}", figures::fig6(effort, seed).render()),
-        "fig6a" => {
-            print!("{}", figures::fig6_adaptive(&table4::adaptive_rule(effort), seed).render())
-        }
-        "fig7" => print!("{}", figures::fig7(effort, seed).render()),
-        "fig8" => print!("{}", figures::fig8(effort, seed).render()),
-        "fig9" => print!("{}", fig9::run(seed).render()),
-        "fig10" => print!("{}", figures::fig10(seed).render()),
-        "partition" => print!("{}", partition::run(effort, seed).render()),
-        "mc" => print!("{}", mc::run(effort, seed)),
-        "mc-selftest" => print!("{}", mc::selftest(effort, seed)),
-        "dist" => match dist::run_one(effort, seed, workers, chaos, None) {
-            Ok(outcome) => {
-                print!("{}", dist::render(&outcome));
-                if !outcome.matches() {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("distributed sweep failed: {e}");
-                std::process::exit(1);
-            }
-        },
-        "dist-selftest" => {
-            let (rendered, all_ok) = dist::selftest(effort, seed, None);
-            print!("{rendered}");
-            if !all_ok {
-                std::process::exit(1);
+    let (options, target) = parse_args(std::env::args().skip(1));
+    match target.as_str() {
+        "all" => {
+            for (name, _, run) in TARGETS.iter().filter(|(_, in_all, _)| *in_all) {
+                println!("==== {name} ====");
+                run(&options);
+                println!();
             }
         }
         "worker" => {
@@ -122,44 +167,9 @@ fn main() {
             );
             std::process::exit(2);
         }
-        other => {
-            eprintln!("unknown experiment: {other}");
-            eprintln!(
-                "usage: repro [--quick] [--seed N] [--workers N] [--chaos MODE] \
-                 <table1..table12|table4a|fig6..fig10|fig6a|partition|mc|mc-selftest|\
-                 dist|dist-selftest|all>"
-            );
-            std::process::exit(2);
-        }
-    };
-
-    if what == "all" {
-        for name in [
-            "table2",
-            "table3",
-            "table4",
-            "table4a",
-            "table5",
-            "table6",
-            "table7",
-            "table8",
-            "table9",
-            "table10",
-            "table11",
-            "table12",
-            "fig6",
-            "fig6a",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "partition",
-        ] {
-            println!("==== {name} ====");
-            run_one(name);
-            println!();
-        }
-    } else {
-        run_one(&what);
+        name => match TARGETS.iter().find(|(n, ..)| *n == name) {
+            Some((_, _, run)) => run(&options),
+            None => usage_error(&format!("unknown experiment: {name}")),
+        },
     }
 }

@@ -11,6 +11,7 @@ pub mod dist;
 mod effort;
 pub mod fig9;
 pub mod figures;
+mod fold;
 pub mod mc;
 pub mod partition;
 pub mod table10;

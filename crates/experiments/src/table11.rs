@@ -8,8 +8,9 @@
 //! classifications mirror the single-application campaigns.
 
 use crate::effort::Effort;
+use crate::fold::{class_counts, fault_free_times, recoveries, timings};
 use ree_apps::Scenario;
-use ree_inject::{Campaign, ErrorModel, FailureClass, RunPlan, RunResult, Target};
+use ree_inject::{Campaign, ErrorModel, RunPlan, RunResult, Target};
 use ree_sim::SimTime;
 use ree_stats::{Summary, TableBuilder};
 
@@ -114,53 +115,22 @@ impl Table12 {
 }
 
 fn collect_row(label: &str, results: &[RunResult]) -> (Table11Row, Table12Row) {
-    let mut t11 = Table11Row {
+    let t11 = Table11Row {
         label: label.to_owned(),
-        rover: (Summary::new(), Summary::new()),
-        otis: (Summary::new(), Summary::new()),
-        recovery: Summary::new(),
+        rover: timings(results, 0, |r| r.completed),
+        otis: timings(results, 1, |r| r.completed),
+        recovery: recoveries(results, |_| true),
     };
-    let mut t12 = Table12Row {
+    let classes = class_counts(results);
+    let t12 = Table12Row {
         label: label.to_owned(),
-        failures: 0,
-        successful_recoveries: 0,
-        seg_faults: 0,
-        illegal_instrs: 0,
-        hangs: 0,
-        self_checks: 0,
+        failures: classes.failures,
+        successful_recoveries: classes.successful_recoveries,
+        seg_faults: classes.seg_faults,
+        illegal_instrs: classes.illegal_instrs,
+        hangs: classes.hangs,
+        self_checks: classes.assertions,
     };
-    for r in results {
-        if r.completed {
-            if let Some(Some(p)) = r.perceived_all.first() {
-                t11.rover.0.push(*p);
-            }
-            if let Some(Some(a)) = r.actual_all.first() {
-                t11.rover.1.push(*a);
-            }
-            if let Some(Some(p)) = r.perceived_all.get(1) {
-                t11.otis.0.push(*p);
-            }
-            if let Some(Some(a)) = r.actual_all.get(1) {
-                t11.otis.1.push(*a);
-            }
-        }
-        for rec in &r.recovery_times {
-            t11.recovery.push(*rec);
-        }
-        if let Some(class) = r.induced {
-            t12.failures += 1;
-            if r.recovered() {
-                t12.successful_recoveries += 1;
-            }
-            match class {
-                FailureClass::SegFault => t12.seg_faults += 1,
-                FailureClass::IllegalInstruction => t12.illegal_instrs += 1,
-                FailureClass::Hang => t12.hangs += 1,
-                FailureClass::Assertion => t12.self_checks += 1,
-                _ => {}
-            }
-        }
-    }
     (t11, t12)
 }
 
@@ -171,27 +141,14 @@ pub fn run(effort: Effort, seed0: u64) -> (Table11, Table12) {
     let scenario = Scenario::two_apps(0);
 
     // Baseline: fault-free two-app runs.
-    let mut baseline = Table11Row {
+    let seeds = (0..effort.scale(20)).map(|i| seed0 ^ 0xBB ^ i as u64);
+    let mut fault_free = fault_free_times(&scenario, seeds, timeout).into_iter();
+    let baseline = Table11Row {
         label: "Baseline (no injection)".into(),
-        rover: (Summary::new(), Summary::new()),
-        otis: (Summary::new(), Summary::new()),
+        rover: fault_free.next().expect("slot 0 is the Rover"),
+        otis: fault_free.next().expect("slot 1 is OTIS"),
         recovery: Summary::new(),
     };
-    for i in 0..effort.scale(20) {
-        let mut s = scenario.clone();
-        s.seed = seed0 ^ 0xBB ^ i as u64;
-        let mut run = s.start();
-        if run.run_until_done(timeout) {
-            for (slot, side) in [(0u64, &mut baseline.rover), (1u64, &mut baseline.otis)] {
-                if let Some(t) = run.job_times(slot) {
-                    if let (Some(p), Some(a)) = (t.perceived(), t.actual()) {
-                        side.0.push(p.as_secs_f64());
-                        side.1.push(a.as_secs_f64());
-                    }
-                }
-            }
-        }
-    }
 
     let mut rows11 = vec![baseline];
     let mut rows12 = Vec::new();

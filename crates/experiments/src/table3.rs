@@ -7,6 +7,7 @@
 //! statistically significant".
 
 use crate::effort::Effort;
+use crate::fold::fault_free_times;
 use ree_apps::{run_without_sift, Scenario};
 use ree_sim::SimTime;
 use ree_stats::{Summary, TableBuilder};
@@ -58,25 +59,16 @@ impl Table3 {
 
 /// Runs the Table 3 experiment.
 pub fn run(effort: Effort, seed0: u64) -> Table3 {
-    let runs = effort.scale(30);
+    let seeds = || (0..effort.scale(30)).map(|i| seed0 + i as u64);
+    let horizon = SimTime::from_secs(200);
     let mut no_sift = Summary::new();
-    let mut sift_perceived = Summary::new();
-    let mut sift_actual = Summary::new();
-    for i in 0..runs {
-        let scenario = Scenario::single_texture(seed0 + i as u64);
-        let (_, duration) = run_without_sift(&scenario, SimTime::from_secs(200));
+    for seed in seeds() {
+        let (_, duration) = run_without_sift(&Scenario::single_texture(seed), horizon);
         if let Some(d) = duration {
             no_sift.push(d.as_secs_f64());
         }
-        let mut run = scenario.start();
-        if run.run_until_done(SimTime::from_secs(200)) {
-            if let Some(times) = run.job_times(0) {
-                if let (Some(p), Some(a)) = (times.perceived(), times.actual()) {
-                    sift_perceived.push(p.as_secs_f64());
-                    sift_actual.push(a.as_secs_f64());
-                }
-            }
-        }
     }
+    let (sift_perceived, sift_actual) =
+        fault_free_times(&Scenario::single_texture(0), seeds(), horizon).remove(0);
     Table3 { no_sift, sift_perceived, sift_actual }
 }

@@ -7,6 +7,7 @@
 //! 20 s progress-indicator poll); SIFT-process recovery takes ~0.5–0.8 s.
 
 use crate::effort::Effort;
+use crate::fold::{fault_free_times, recoveries, timings};
 use ree_apps::Scenario;
 use ree_inject::{
     adaptive, Arm, ArmReport, Campaign, ErrorModel, RunPlan, RunResult, StoppingRule, Target,
@@ -95,55 +96,32 @@ impl Table4 {
 }
 
 fn summarize(model: ErrorModel, target: Target, results: &[RunResult]) -> Table4Row {
-    let mut row = Table4Row {
+    let injected = |r: &RunResult| r.injections > 0;
+    let count = |pred: fn(&RunResult) -> bool| {
+        results.iter().filter(|r| injected(r) && pred(r)).count() as u64
+    };
+    let (perceived, actual) = timings(results, 0, injected);
+    Table4Row {
         model,
         target,
-        errors_injected: 0,
-        successful_recoveries: 0,
-        perceived: Summary::new(),
-        actual: Summary::new(),
-        recovery: Summary::new(),
-        correlated: 0,
-    };
-    for r in results {
-        if r.injections > 0 {
-            row.errors_injected += 1;
-            if r.recovered() {
-                row.successful_recoveries += 1;
-            }
-            if let Some(p) = r.perceived {
-                row.perceived.push(p);
-            }
-            if let Some(a) = r.actual {
-                row.actual.push(a);
-            }
-            for rec in &r.recovery_times {
-                row.recovery.push(*rec);
-            }
-            if r.correlated {
-                row.correlated += 1;
-            }
-        }
+        errors_injected: count(|_| true),
+        successful_recoveries: count(RunResult::recovered),
+        perceived,
+        actual,
+        recovery: recoveries(results, injected),
+        correlated: count(|r| r.correlated),
     }
-    row
 }
 
 /// Runs the Table 4 experiment.
 pub fn run(effort: Effort, seed0: u64) -> Table4 {
     let runs = effort.scale(100);
-    // Fault-free baseline.
-    let mut base_p = Summary::new();
-    let mut base_a = Summary::new();
-    for i in 0..effort.scale(30) {
-        let scenario = Scenario::single_texture(seed0 ^ 0xBA5E ^ i as u64);
-        let mut run = scenario.start();
-        if run.run_until_done(SimTime::from_secs(200)) {
-            if let Some(times) = run.job_times(0) {
-                base_p.push(times.perceived().map(|d| d.as_secs_f64()).unwrap_or(0.0));
-                base_a.push(times.actual().map(|d| d.as_secs_f64()).unwrap_or(0.0));
-            }
-        }
-    }
+    let baseline = fault_free_times(
+        &Scenario::single_texture(0),
+        (0..effort.scale(30)).map(|i| seed0 ^ 0xBA5E ^ i as u64),
+        SimTime::from_secs(200),
+    )
+    .remove(0);
     let mut rows = Vec::new();
     let mut total_injected = 0;
     for model in [ErrorModel::Sigint, ErrorModel::Sigstop] {
@@ -162,7 +140,7 @@ pub fn run(effort: Effort, seed0: u64) -> Table4 {
             rows.push(row);
         }
     }
-    Table4 { baseline: (base_p, base_a), rows, total_injected }
+    Table4 { baseline, rows, total_injected }
 }
 
 /// Table 4 under the adaptive engine: the same eight cells as [`run`],

@@ -7,6 +7,7 @@
 //! application is decoupled from the FTM while running.
 
 use crate::effort::Effort;
+use crate::fold::timings;
 use ree_apps::Scenario;
 use ree_inject::{Campaign, ErrorModel, RunPlan, Target};
 use ree_sim::{SimDuration, SimTime};
@@ -61,18 +62,7 @@ pub fn run(effort: Effort, seed0: u64) -> Table5 {
             net_faults: vec![],
         };
         let results = Campaign::new(&plan).runs(runs).seed(seed0 ^ (period_s << 8)).collect();
-        let mut perceived = Summary::new();
-        let mut actual = Summary::new();
-        for r in &results {
-            if r.injections > 0 && r.completed {
-                if let Some(p) = r.perceived {
-                    perceived.push(p);
-                }
-                if let Some(a) = r.actual {
-                    actual.push(a);
-                }
-            }
-        }
+        let (perceived, actual) = timings(&results, 0, |r| r.injections > 0 && r.completed);
         rows.push(Table5Row { period_s, perceived, actual });
     }
     Table5 { rows }

@@ -9,8 +9,9 @@
 //! register values are short-lived).
 
 use crate::effort::Effort;
+use crate::fold::{class_counts, recoveries, timings};
 use ree_apps::Scenario;
-use ree_inject::{Campaign, ErrorModel, FailureClass, RunPlan, RunResult, Target};
+use ree_inject::{Campaign, ErrorModel, RunPlan, RunResult, Target};
 use ree_sim::SimTime;
 use ree_stats::{Summary, TableBuilder};
 
@@ -104,50 +105,22 @@ impl Table6 {
 }
 
 fn summarize(model: ErrorModel, target: Target, results: &[RunResult]) -> Table6Row {
-    let mut row = Table6Row {
+    let classes = class_counts(results);
+    let (perceived, actual) = timings(results, 0, |r| r.injections > 0 && r.completed);
+    Table6Row {
         model,
         target,
-        failures: 0,
-        successful_recoveries: 0,
-        seg_faults: 0,
-        illegal_instrs: 0,
-        hangs: 0,
-        assertions: 0,
-        perceived: Summary::new(),
-        actual: Summary::new(),
-        recovery: Summary::new(),
-        system_failures: 0,
-    };
-    for r in results {
-        if let Some(class) = r.induced {
-            row.failures += 1;
-            match class {
-                FailureClass::SegFault => row.seg_faults += 1,
-                FailureClass::IllegalInstruction => row.illegal_instrs += 1,
-                FailureClass::Hang => row.hangs += 1,
-                FailureClass::Assertion => row.assertions += 1,
-                _ => {}
-            }
-            if r.recovered() {
-                row.successful_recoveries += 1;
-            }
-        }
-        if r.system_failure.is_some() {
-            row.system_failures += 1;
-        }
-        if r.injections > 0 && r.completed {
-            if let Some(p) = r.perceived {
-                row.perceived.push(p);
-            }
-            if let Some(a) = r.actual {
-                row.actual.push(a);
-            }
-        }
-        for rec in &r.recovery_times {
-            row.recovery.push(*rec);
-        }
+        failures: classes.failures,
+        successful_recoveries: classes.successful_recoveries,
+        seg_faults: classes.seg_faults,
+        illegal_instrs: classes.illegal_instrs,
+        hangs: classes.hangs,
+        assertions: classes.assertions,
+        perceived,
+        actual,
+        recovery: recoveries(results, |_| true),
+        system_failures: results.iter().filter(|r| r.system_failure.is_some()).count() as u64,
     }
-    row
 }
 
 /// Runs the Table 6 experiment.

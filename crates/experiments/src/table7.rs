@@ -6,6 +6,7 @@
 //! runs per target showed any effects."
 
 use crate::effort::Effort;
+use crate::fold::{class_counts, recoveries, timings};
 use ree_apps::Scenario;
 use ree_inject::{Campaign, ErrorModel, RunPlan, RunResult, Target};
 use ree_sim::SimTime;
@@ -69,40 +70,18 @@ impl Table7 {
 }
 
 fn summarize(target: Target, results: &[RunResult]) -> Table7Row {
-    let mut row = Table7Row {
+    let classes = class_counts(results);
+    let (perceived, actual) = timings(results, 0, |r| r.injections > 0 && r.completed);
+    Table7Row {
         target,
-        failures: 0,
-        successful_recoveries: 0,
-        injections: 0,
-        perceived: Summary::new(),
-        actual: Summary::new(),
-        recovery: Summary::new(),
-        system_failures: 0,
-    };
-    for r in results {
-        row.injections += r.injections as u64;
-        if r.induced.is_some() {
-            row.failures += 1;
-            if r.recovered() {
-                row.successful_recoveries += 1;
-            }
-        }
-        if r.system_failure.is_some() {
-            row.system_failures += 1;
-        }
-        if r.injections > 0 && r.completed {
-            if let Some(p) = r.perceived {
-                row.perceived.push(p);
-            }
-            if let Some(a) = r.actual {
-                row.actual.push(a);
-            }
-        }
-        for rec in &r.recovery_times {
-            row.recovery.push(*rec);
-        }
+        failures: classes.failures,
+        successful_recoveries: classes.successful_recoveries,
+        injections: results.iter().map(|r| r.injections as u64).sum(),
+        perceived,
+        actual,
+        recovery: recoveries(results, |_| true),
+        system_failures: results.iter().filter(|r| r.system_failure.is_some()).count() as u64,
     }
-    row
 }
 
 /// Runs the Table 7 experiment.

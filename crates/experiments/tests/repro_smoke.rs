@@ -52,3 +52,42 @@ fn unknown_target_fails_with_usage() {
     let out = repro().arg("table99").output().expect("repro binary runs");
     assert!(!out.status.success(), "unknown target should exit non-zero");
 }
+
+/// Every command line `repro` used to half-understand — a flag value
+/// that does not parse (silently replaced by the default), a flag that
+/// swallowed the target as its value, a zero worker count, a flag or a
+/// second target it ignored — is now refused before anything runs.
+#[test]
+fn malformed_command_lines_exit_2_with_the_usage_line() {
+    let rejected: [&[&str]; 9] = [
+        &["--seed", "abc", "table3"],
+        &["--seed", "table3"],
+        &["--quick", "table3", "--seed"],
+        &["--workers", "x", "dist"],
+        &["--workers", "0", "dist"],
+        &["--chaos", "nope", "dist"],
+        &["--sed", "7", "table3"],
+        &["table3", "table4"],
+        &["table99"],
+    ];
+    for args in rejected {
+        let out = repro().args(args).output().expect("repro binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?} must exit 2; stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "repro {args:?} must not start a target");
+        assert!(stderr.contains("usage: repro [--quick] [--seed N]"), "{args:?}: {stderr}");
+        // The usage line names every target once, from the same table
+        // that dispatches them.
+        assert!(stderr.contains("|table4a|") && stderr.contains("|dist-selftest|all>"), "{stderr}");
+    }
+}
+
+#[test]
+fn flags_may_follow_the_target() {
+    let out =
+        repro().args(["table3", "--seed", "7", "--quick"]).output().expect("repro binary runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let reference = repro().args(["--quick", "--seed", "7", "table3"]).output().expect("runs");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Table 3"));
+    assert_eq!(out.stdout, reference.stdout, "flag order must not change the run");
+}

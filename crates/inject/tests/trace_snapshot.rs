@@ -1,12 +1,14 @@
 //! Pins the rendered trace of seeded testbed runs byte-for-byte.
 //!
 //! The fixtures under `tests/snapshots/` were generated from the
-//! pre-`TraceDetail` trace implementation (eager `String` details); the
-//! lazily-rendered typed details must reproduce them exactly, so every
-//! `Display` impl in the migration is checked against the original
-//! `format!` strings on real end-to-end runs — one fault-free, one with
-//! repeated register injections (covering injection, signal, recovery,
-//! and lifecycle records).
+//! original trace implementation (every detail an eager `String`).
+//! Their wording outlived the move to typed `TraceDetail` variants
+//! rendered lazily, and the later move of every SIFT/ARMOR/MPI/
+//! application sentence back to a `format!` at its emit site (only the
+//! OS's own record shapes stay typed). Three real
+//! end-to-end runs — one fault-free, one with repeated register
+//! injections, one FTM hang — cover injection, signal, recovery and
+//! lifecycle records; `trace_grid.rs` pins 224 more runs by digest.
 //!
 //! Beside each trace sits a `storage_*` fixture: an FNV-1a digest of
 //! every `ckpt/*` image left on each node's RAM disk at the end of the

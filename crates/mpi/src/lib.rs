@@ -138,7 +138,7 @@ impl MpiEndpoint {
     /// the SIFT hang detection owns).
     pub fn send(&mut self, os: &mut ProcCtx<'_>, to_rank: u32, tag: u32, payload: MpiPayload) {
         let Some(pid) = self.peer(to_rank) else {
-            os.trace(ree_os::TraceDetail::MpiUnknownRank { rank: self.rank, to_rank });
+            os.trace(format!("mpi: rank {} send to unknown rank {to_rank}", self.rank));
             return;
         };
         self.sends += 1;
@@ -216,6 +216,32 @@ mod tests {
         // Any-source receive.
         assert!(ep.try_recv(None, 7).is_some());
         assert_eq!(ep.backlog(), 0);
+    }
+
+    /// A rank that sends to a rank it never learned, at start.
+    #[derive(Clone)]
+    struct LoneRank(MpiEndpoint);
+
+    impl ree_os::Process for LoneRank {
+        fn kind(&self) -> &'static str {
+            "lone-rank"
+        }
+        fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+            self.0.send(ctx, 2, 7, MpiPayload::Unit);
+        }
+        fn on_message(&mut self, _msg: Message, _ctx: &mut ProcCtx<'_>) {}
+    }
+
+    #[test]
+    fn send_to_an_unknown_rank_is_traced_and_dropped() {
+        use ree_os::{Cluster, ClusterConfig, NodeId, SpawnSpec, TraceKind};
+        let mut cluster = Cluster::new(ClusterConfig::ree_testbed(1));
+        let rank = Box::new(LoneRank(MpiEndpoint::new(1, 3)));
+        let pid = cluster.spawn(SpawnSpec::new("lone", NodeId(0), rank));
+        while cluster.step().is_some() {}
+        let r = cluster.trace().find("mpi:").expect("the drop is logged");
+        assert_eq!((r.pid, r.kind), (Some(pid), TraceKind::App));
+        assert_eq!(r.detail.to_string(), "mpi: rank 1 send to unknown rank 2");
     }
 
     #[test]

@@ -6,17 +6,23 @@
 //!
 //! Records carry two payloads: an optional **typed event** — a
 //! [`TraceEvent`] that campaign classification matches on in O(1) via
-//! per-kind counters — and a typed **detail** ([`TraceDetail`]) that
-//! captures the arguments of the occurrence (pids, labels, nodes,
-//! injection sites, small ints) by value. Nothing is formatted while the
-//! simulation runs; the human-readable string view is rendered lazily by
-//! [`Trace::render`] (or any `Display` use) on the rare debugging path,
-//! so the hot path of a run performs no allocation per record.
+//! per-kind counters — and a **detail** ([`TraceDetail`]), the
+//! human-readable line. The detail is typed only for the record shapes
+//! this crate itself produces (`cluster.rs`: spawn, exit, signal, bit
+//! flips, node failure, message delivery and the four ways a message is
+//! lost): those are 96–98 % of a run's records — `Deliver` alone is
+//! ~93 % — so they are captured by value and rendered lazily by
+//! [`Trace::render`]. Everything above the OS (daemons, FTM, SCC, ARMOR
+//! runtime, MPI, applications) writes its sentence where it emits it,
+//! as a `format!` or a `&'static str`: 23–41 records of a 550–1 770
+//! record run (1.9–4.2 %; six plans × 40 seeds, regenerated by the
+//! `record_shape_census` test in `ree-inject`'s `trace_grid`), which is
+//! too little traffic to justify this crate knowing their wording.
 
 use crate::machine::InjectionSite;
 use crate::process::{ExitStatus, HeapHit, Pid, Signal};
 use ree_net::NodeId;
-use ree_sim::{SimDuration, SimTime};
+use ree_sim::SimTime;
 use std::sync::Arc;
 
 /// Category of a trace record.
@@ -110,27 +116,29 @@ impl TraceEvent {
     }
 }
 
-/// The arguments of a trace record, captured as values instead of a
-/// pre-formatted string.
+/// The human-readable half of a trace record.
 ///
-/// The hot-path variants are plain copies — pids, `&'static str`
-/// protocol labels, nodes, small ints — so appending a record costs a
-/// `memcpy`, not a `format!`. Process and ARMOR instance names are
-/// interned `Arc<str>`s shared with their owning table entry (one
-/// allocation per spawn, refcount bumps per record). Rare free-form
-/// notes use the [`TraceDetail::Custom`] escape hatch.
+/// The thirteen typed variants are exactly the shapes `cluster.rs`
+/// constructs — the event loop's own traffic, 96–98 % of all records —
+/// and are plain copies (pids, `&'static str` protocol labels, nodes,
+/// injection sites; process names are `Arc<str>`s shared with the
+/// process table), so appending one costs a `memcpy`, not a `format!`.
+/// No layer above the OS has a variant here: its lines arrive already
+/// worded through `From<&'static str>` ([`TraceDetail::Static`]) or
+/// `From<String>` ([`TraceDetail::Custom`]), so the text of a SIFT log
+/// line lives beside the values it prints and adding one never edits
+/// this crate. Classification never reads a detail — it matches
+/// [`TraceEvent`]s.
 ///
-/// `Display` renders exactly the strings the pre-typed implementation
-/// produced, so [`Trace::render`] output is byte-identical (pinned by
-/// the `trace_snapshot` fixtures in `ree-inject`).
+/// [`Trace::render`] output is pinned byte-for-byte by the
+/// `trace_snapshot` and `trace_grid` fixtures in `ree-inject`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceDetail {
     /// A fixed message with no arguments.
     Static(&'static str),
-    /// Free-form escape hatch for rare, genuinely dynamic notes.
+    /// A sentence formatted where it was emitted.
     Custom(Box<str>),
 
-    // --- OS kernel (cluster) ---
     /// Process created: "spawn {name} ({kind}) on {node}".
     Spawn {
         /// Instance name.
@@ -192,235 +200,6 @@ pub enum TraceDetail {
         /// Intended destination.
         to: Pid,
     },
-
-    // --- SIFT environment (daemons, FTM, SCC, Execution ARMORs) ---
-    /// "daemon on node{node} registering with FTM".
-    DaemonRegistering {
-        /// Daemon's node.
-        node: u64,
-    },
-    /// "installed {kind} as armor{armor} ({pid}) on {node}".
-    ArmorInstall {
-        /// ARMOR kind ("ftm", "exec", …).
-        kind: Box<str>,
-        /// Installed ARMOR id.
-        armor: u32,
-        /// Host process.
-        pid: Pid,
-        /// Install node.
-        node: NodeId,
-    },
-    /// "armor{armor} failed {restarts} times; reloading image from disk".
-    ArmorImageReload {
-        /// Failing ARMOR id.
-        armor: u32,
-        /// Consecutive failures observed.
-        restarts: u64,
-    },
-    /// "uninstalled armor{armor}".
-    ArmorUninstall {
-        /// Removed ARMOR id.
-        armor: u64,
-    },
-    /// "detect hang armor{armor}".
-    DetectHang {
-        /// Hung ARMOR id.
-        armor: u64,
-    },
-    /// "detect crash armor{armor}".
-    DetectCrash {
-        /// Crashed ARMOR id.
-        armor: u64,
-    },
-    /// "detect node{node} failure (daemon silent)".
-    DetectNodeFailure {
-        /// Silent node.
-        node: u64,
-    },
-    /// "FTM accepted submission of {app} (slot {slot})".
-    FtmAcceptedSubmission {
-        /// Application name.
-        app: Box<str>,
-        /// Assigned slot.
-        slot: u64,
-    },
-    /// "FTM reports slot {slot} complete to SCC".
-    FtmSlotComplete {
-        /// Completed slot.
-        slot: u64,
-    },
-    /// "connect timeout for slot {slot}; retrying setup".
-    FtmConnectTimeout {
-        /// Slot whose setup stalled.
-        slot: u64,
-    },
-    /// "FTM restarting app slot {slot} (restart #{restart})".
-    FtmRestartApp {
-        /// Restarting slot.
-        slot: u64,
-        /// Restart ordinal.
-        restart: u64,
-    },
-    /// "migrating armor{armor} ({kind}) to node{node}".
-    MigratingArmor {
-        /// Migrating ARMOR id.
-        armor: u64,
-        /// ARMOR kind.
-        kind: Box<str>,
-        /// New host node.
-        node: u64,
-    },
-    /// "SCC resubmitting slot {slot} (no start report)".
-    SccResubmit {
-        /// Resubmitted slot.
-        slot: u64,
-    },
-    /// "SCC submits {app} (slot {slot})".
-    SccSubmit {
-        /// Application name.
-        app: Box<str>,
-        /// Target slot.
-        slot: u64,
-    },
-    /// "SCC received {variant} { f1.0: f1.1[, f2.0: f2.1] }" — mirrors
-    /// the derived `Debug` of the SCC report enum without formatting it
-    /// eagerly.
-    SccReceivedReport {
-        /// Report variant name.
-        variant: &'static str,
-        /// First field (name, value).
-        f1: (&'static str, u64),
-        /// Optional second field.
-        f2: Option<(&'static str, u64)>,
-    },
-    /// "exec armor reports app failure: slot{slot} rank{rank} ({reason})".
-    AppFailureReport {
-        /// Application slot.
-        slot: u64,
-        /// Failing rank.
-        rank: u64,
-        /// "crash" or "hang".
-        reason: &'static str,
-    },
-    /// "recovered application slot{slot} (attempt {attempt})".
-    AppRecovered {
-        /// Recovered slot.
-        slot: u64,
-        /// Launch attempt.
-        attempt: u64,
-    },
-    /// "app-terminated slot{slot} rank{rank}".
-    AppTerminatedNotice {
-        /// Application slot.
-        slot: u64,
-        /// Terminating rank.
-        rank: u64,
-    },
-    /// "detect app crash rank{rank}".
-    DetectAppCrash {
-        /// Crashed rank.
-        rank: u64,
-    },
-    /// "detect app hang rank{rank}".
-    DetectAppHang {
-        /// Hung rank.
-        rank: u64,
-    },
-
-    // --- ARMOR runtime ---
-    /// "route miss for armor{armor}; packet dropped".
-    RouteMiss {
-        /// Unroutable destination.
-        armor: u32,
-    },
-    /// "{name} restored state from checkpoint".
-    CheckpointRestored {
-        /// ARMOR instance name.
-        name: Arc<str>,
-    },
-    /// "{name} checkpoint unusable ({error}); cold start".
-    CheckpointUnusable {
-        /// ARMOR instance name.
-        name: Arc<str>,
-        /// Decode error.
-        error: Box<str>,
-    },
-    /// "recovered {name}".
-    Recovered {
-        /// ARMOR instance name.
-        name: Arc<str>,
-    },
-    /// "{name} crash: {reason}".
-    ArmorCrash {
-        /// ARMOR instance name.
-        name: Arc<str>,
-        /// Crash reason.
-        reason: Box<str>,
-    },
-    /// "{name} assertion fired: {reason}".
-    ArmorAssertion {
-        /// ARMOR instance name.
-        name: Arc<str>,
-        /// Failed check.
-        reason: Box<str>,
-    },
-    /// "{name} handling thread aborted: {reason}".
-    ThreadAborted {
-        /// ARMOR instance name.
-        name: Arc<str>,
-        /// Abort reason.
-        reason: Box<str>,
-    },
-    /// "{name} thread abort: {reason}".
-    ThreadAbort {
-        /// ARMOR instance name.
-        name: Arc<str>,
-        /// Abort reason.
-        reason: Box<str>,
-    },
-    /// "{name}: misrouted packet dropped".
-    Misrouted {
-        /// ARMOR instance name.
-        name: Arc<str>,
-    },
-    /// "{name}: unknown message label {label}".
-    UnknownLabel {
-        /// ARMOR instance name.
-        name: Arc<str>,
-        /// The unrecognised label.
-        label: &'static str,
-    },
-    /// "{name}: no restore instruction; proceeding from checkpoint".
-    NoRestoreInstruction {
-        /// ARMOR instance name.
-        name: Arc<str>,
-    },
-
-    // --- MPI + applications ---
-    /// "mpi: rank {rank} send to unknown rank {to_rank}".
-    MpiUnknownRank {
-        /// Sending rank.
-        rank: u32,
-        /// Unknown destination rank.
-        to_rank: u32,
-    },
-    /// "rank {rank} gave up after blocking {blocked} on the SIFT
-    /// interface".
-    RankGaveUp {
-        /// Blocked rank.
-        rank: u32,
-        /// How long it was blocked.
-        blocked: SimDuration,
-    },
-    /// "{app} rank {rank} running (resume '{token}')".
-    AppRankRunning {
-        /// Application name.
-        app: Box<str>,
-        /// Rank entering its run phase.
-        rank: u32,
-        /// Resume token.
-        token: Box<str>,
-    },
 }
 
 impl From<&'static str> for TraceDetail {
@@ -454,82 +233,6 @@ impl std::fmt::Display for TraceDetail {
             D::SendToDead { label, to } => write!(f, "send {label} to dead {to}"),
             D::MsgDropped { label, to } => write!(f, "dropped {label} to {to}"),
             D::MsgPartitioned { label, to } => write!(f, "partitioned {label} to {to}"),
-            D::DaemonRegistering { node } => {
-                write!(f, "daemon on node{node} registering with FTM")
-            }
-            D::ArmorInstall { kind, armor, pid, node } => {
-                write!(f, "installed {kind} as armor{armor} ({pid}) on {node}")
-            }
-            D::ArmorImageReload { armor, restarts } => {
-                write!(f, "armor{armor} failed {restarts} times; reloading image from disk")
-            }
-            D::ArmorUninstall { armor } => write!(f, "uninstalled armor{armor}"),
-            D::DetectHang { armor } => write!(f, "detect hang armor{armor}"),
-            D::DetectCrash { armor } => write!(f, "detect crash armor{armor}"),
-            D::DetectNodeFailure { node } => {
-                write!(f, "detect node{node} failure (daemon silent)")
-            }
-            D::FtmAcceptedSubmission { app, slot } => {
-                write!(f, "FTM accepted submission of {app} (slot {slot})")
-            }
-            D::FtmSlotComplete { slot } => write!(f, "FTM reports slot {slot} complete to SCC"),
-            D::FtmConnectTimeout { slot } => {
-                write!(f, "connect timeout for slot {slot}; retrying setup")
-            }
-            D::FtmRestartApp { slot, restart } => {
-                write!(f, "FTM restarting app slot {slot} (restart #{restart})")
-            }
-            D::MigratingArmor { armor, kind, node } => {
-                write!(f, "migrating armor{armor} ({kind}) to node{node}")
-            }
-            D::SccResubmit { slot } => write!(f, "SCC resubmitting slot {slot} (no start report)"),
-            D::SccSubmit { app, slot } => write!(f, "SCC submits {app} (slot {slot})"),
-            D::SccReceivedReport { variant, f1, f2 } => {
-                write!(f, "SCC received {variant} {{ {}: {}", f1.0, f1.1)?;
-                if let Some((name, value)) = f2 {
-                    write!(f, ", {name}: {value}")?;
-                }
-                write!(f, " }}")
-            }
-            D::AppFailureReport { slot, rank, reason } => {
-                write!(f, "exec armor reports app failure: slot{slot} rank{rank} ({reason})")
-            }
-            D::AppRecovered { slot, attempt } => {
-                write!(f, "recovered application slot{slot} (attempt {attempt})")
-            }
-            D::AppTerminatedNotice { slot, rank } => {
-                write!(f, "app-terminated slot{slot} rank{rank}")
-            }
-            D::DetectAppCrash { rank } => write!(f, "detect app crash rank{rank}"),
-            D::DetectAppHang { rank } => write!(f, "detect app hang rank{rank}"),
-            D::RouteMiss { armor } => write!(f, "route miss for armor{armor}; packet dropped"),
-            D::CheckpointRestored { name } => write!(f, "{name} restored state from checkpoint"),
-            D::CheckpointUnusable { name, error } => {
-                write!(f, "{name} checkpoint unusable ({error}); cold start")
-            }
-            D::Recovered { name } => write!(f, "recovered {name}"),
-            D::ArmorCrash { name, reason } => write!(f, "{name} crash: {reason}"),
-            D::ArmorAssertion { name, reason } => write!(f, "{name} assertion fired: {reason}"),
-            D::ThreadAborted { name, reason } => {
-                write!(f, "{name} handling thread aborted: {reason}")
-            }
-            D::ThreadAbort { name, reason } => write!(f, "{name} thread abort: {reason}"),
-            D::Misrouted { name } => write!(f, "{name}: misrouted packet dropped"),
-            D::UnknownLabel { name, label } => {
-                write!(f, "{name}: unknown message label {label}")
-            }
-            D::NoRestoreInstruction { name } => {
-                write!(f, "{name}: no restore instruction; proceeding from checkpoint")
-            }
-            D::MpiUnknownRank { rank, to_rank } => {
-                write!(f, "mpi: rank {rank} send to unknown rank {to_rank}")
-            }
-            D::RankGaveUp { rank, blocked } => {
-                write!(f, "rank {rank} gave up after blocking {blocked} on the SIFT interface")
-            }
-            D::AppRankRunning { app, rank, token } => {
-                write!(f, "{app} rank {rank} running (resume '{token}')")
-            }
         }
     }
 }
@@ -556,8 +259,7 @@ pub struct TraceRecord {
     /// Typed identity, when the occurrence is one classification cares
     /// about.
     pub event: Option<TraceEvent>,
-    /// Typed arguments of the occurrence; `Display` renders the
-    /// human-readable line.
+    /// The human-readable line (`Display` renders it).
     pub detail: TraceDetail,
 }
 
@@ -567,14 +269,25 @@ pub struct TraceRecord {
 /// mutable **tail**. [`Trace::freeze`] moves everything recorded so far
 /// into the `Arc`'d prefix, after which cloning the trace — the per-run
 /// snapshot fork — bumps a refcount instead of deep-copying the boot
-/// records. Readers never see the seam: queries, iteration, and
+/// records. Readers never see the seams: queries, iteration, and
 /// rendering present one ordered sequence.
+///
+/// The tail is a list of 256-record chunks (22 KiB), so a run never
+/// copies what it has already recorded and no block of the trace is
+/// large enough for the allocator to `mmap`. As one growing `Vec` it
+/// was by far the largest block of a run (180–360 KiB on a recovery
+/// run), and glibc moves its heap-trim threshold to twice the largest
+/// such block it has freed — right beside the run's whole footprint, so
+/// whether every fork's memory went back to the kernel and was faulted
+/// in again (4 or 35 page faults per run, 6 % of its time) turned on
+/// the record size and on where ASLR had put the heap.
 #[derive(Debug)]
 pub struct Trace {
     /// Records frozen at snapshot time, shared between forks.
     prefix: Option<Arc<[TraceRecord]>>,
-    /// Records appended since the last freeze.
-    tail: Vec<TraceRecord>,
+    /// Records appended since the last freeze; every chunk but the last
+    /// is full.
+    tail: Vec<Vec<TraceRecord>>,
     counters: [u64; TraceEvent::COUNT],
     enabled: bool,
     cap: usize,
@@ -587,18 +300,21 @@ impl Default for Trace {
     }
 }
 
+/// Records per tail chunk (see [`Trace`]).
+const CHUNK: usize = 256;
+
+fn new_chunk(records: &[TraceRecord]) -> Vec<TraceRecord> {
+    let mut chunk = Vec::with_capacity(CHUNK);
+    chunk.extend_from_slice(records);
+    chunk
+}
+
 impl Clone for Trace {
     fn clone(&self) -> Self {
-        // Preserve the tail's capacity: a freshly frozen trace has an
-        // empty tail whose capacity still reflects the boot-time record
-        // volume, and each forked run appends a comparable number of
-        // records. `Vec::clone` would start the fork at zero capacity
-        // and re-grow through every doubling on every run.
-        let mut tail = Vec::with_capacity(self.tail.capacity());
-        tail.extend_from_slice(&self.tail);
+        // `Vec::clone` would leave the last chunk without room to grow.
         Trace {
             prefix: self.prefix.clone(),
-            tail,
+            tail: self.tail.iter().map(|c| new_chunk(c)).collect(),
             counters: self.counters,
             enabled: self.enabled,
             cap: self.cap,
@@ -634,8 +350,8 @@ impl Trace {
             return;
         }
         let prefix: Arc<[TraceRecord]> = match self.prefix.take() {
-            None => self.tail.drain(..).collect(),
-            Some(old) => old.iter().cloned().chain(self.tail.drain(..)).collect(),
+            None => self.tail.drain(..).flatten().collect(),
+            Some(old) => old.iter().cloned().chain(self.tail.drain(..).flatten()).collect(),
         };
         self.prefix = Some(prefix);
     }
@@ -643,11 +359,6 @@ impl Trace {
     /// Enables or disables recording (campaigns disable it for speed).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
-    }
-
-    /// True if recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Appends an untyped record (no-op when disabled or at capacity).
@@ -693,27 +404,27 @@ impl Trace {
             self.dropped += 1;
             return;
         }
-        self.tail.push(TraceRecord { time, pid, kind, event, detail });
+        if self.tail.last().is_none_or(|c| c.len() == CHUNK) {
+            self.tail.push(new_chunk(&[]));
+        }
+        let chunk = self.tail.last_mut().expect("a chunk with room was just ensured");
+        chunk.push(TraceRecord { time, pid, kind, event, detail });
     }
 
     /// All records, in order (frozen prefix first, then the live tail).
     pub fn records(&self) -> impl DoubleEndedIterator<Item = &TraceRecord> + Clone + '_ {
-        self.prefix_slice().iter().chain(self.tail.iter())
+        self.prefix_slice().iter().chain(self.tail.iter().flatten())
     }
 
     /// Number of stored records (excluding any dropped at capacity).
     pub fn len(&self) -> usize {
-        self.prefix_slice().len() + self.tail.len()
+        let tail = self.tail.last().map_or(0, |c| (self.tail.len() - 1) * CHUNK + c.len());
+        self.prefix_slice().len() + tail
     }
 
     /// True if no records are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Records of one category.
-    pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceRecord> {
-        self.records().filter(move |r| r.kind == kind)
     }
 
     /// Records carrying one typed event, in order.
@@ -802,7 +513,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t.contains("SIGINT"));
         assert_eq!(t.count("ftm"), 2);
-        assert_eq!(t.of_kind(TraceKind::Injection).count(), 1);
+        assert_eq!(t.records().filter(|r| r.kind == TraceKind::Injection).count(), 1);
         assert_eq!(t.find("spawn").unwrap().pid, Some(Pid(1)));
     }
 
@@ -867,7 +578,6 @@ mod tests {
         t.push_event(SimTime::ZERO, None, TraceKind::App, TraceEvent::AppStarted, "y");
         assert!(t.is_empty());
         assert!(!t.any(TraceEvent::AppStarted));
-        assert!(!t.is_enabled());
     }
 
     #[test]
@@ -905,7 +615,7 @@ mod tests {
         assert_eq!(frozen.render(), plain.render());
         assert_eq!(frozen.len(), plain.len());
         assert_eq!(frozen.count_of(TraceEvent::RecoveryCompleted), 1);
-        assert_eq!(frozen.of_kind(TraceKind::App).count(), 1);
+        assert_eq!(frozen.records().filter(|r| r.kind == TraceKind::App).count(), 1);
         assert_eq!(frozen.find("spawn").unwrap().pid, Some(Pid(1)));
         // Reverse iteration crosses the prefix/tail seam.
         let last = frozen.records().next_back().unwrap();
@@ -930,6 +640,28 @@ mod tests {
         refork.clear();
         assert!(refork.is_empty());
         assert_eq!(parent.len(), 1);
+    }
+
+    #[test]
+    fn chunk_seams_are_invisible() {
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, None, TraceKind::App, "boot");
+        t.freeze();
+        let n = 2 * CHUNK as u64 + 3;
+        for i in 0..n {
+            t.push(SimTime::from_secs(i), None, TraceKind::App, "tick");
+        }
+        assert_eq!(t.len() as u64, n + 1);
+        assert!(t.records().skip(1).map(|r| r.time).eq((0..n).map(SimTime::from_secs)));
+        assert_eq!(t.records().next_back().unwrap().time, SimTime::from_secs(n - 1));
+        // A mid-run fork copies every chunk and appends on its own.
+        let mut fork = t.clone();
+        fork.push(SimTime::from_secs(n), None, TraceKind::App, "tick");
+        assert_eq!((fork.len(), t.len() as u64), (t.len() + 1, n + 1));
+        assert!(fork.render().starts_with(&t.render()));
+        t.freeze();
+        assert_eq!(t.len() as u64, n + 1);
+        assert!(fork.render().starts_with(&t.render()));
     }
 
     #[test]

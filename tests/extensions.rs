@@ -57,6 +57,22 @@ fn connect_timeout_guard_retries_stuck_setups() {
 }
 
 #[test]
+fn connect_timeout_is_logged_by_the_ftm_when_the_app_never_attaches() {
+    // A guard shorter than any launch: the check fires 50 ms after the
+    // FTM accepts the submission (t = 6.55 s), before the application
+    // has attached.
+    let mut scenario = Scenario::single_texture(23);
+    scenario.sift.connect_timeout = Some(SimDuration::from_millis(50));
+    let mut run = scenario.start();
+    run.run_until(SimTime::from_secs(7));
+    let trace = run.cluster.trace();
+    let r = trace.find("connect timeout").expect("the FTM logs the expired guard");
+    assert_eq!(r.pid, run.cluster.find_by_name("ftm"));
+    assert_eq!(r.kind, ree::os::TraceKind::App);
+    assert_eq!(r.detail.to_string(), "connect timeout for slot 0; retrying setup");
+}
+
+#[test]
 fn disabling_assertions_still_runs_fault_free() {
     // Ablation knob for Table 9: with assertions off, fault-free
     // behaviour is unchanged.
