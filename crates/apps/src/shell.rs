@@ -19,9 +19,6 @@ pub const SHELL_TICK: u64 = 0xFFF0;
 /// Period of the shell's housekeeping tick.
 const TICK: SimDuration = SimDuration::from_secs(1);
 
-/// Rank-0 init timeout (the MPI abort window of Figure 8).
-const INIT_TIMEOUT: SimDuration = SimDuration::from_secs(15);
-
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 enum ShellState {
     Attaching,
@@ -88,7 +85,8 @@ impl AppShell {
     pub fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.set_timer(TICK, SHELL_TICK);
         if self.launch.rank == 0 {
-            self.init_deadline = Some(ctx.now() + INIT_TIMEOUT);
+            // The MPI abort window of Figure 8.
+            self.init_deadline = Some(ctx.now() + self.launch.init_timeout);
         } else if let Some(r0) = self.launch.rank0_pid {
             self.mpi.set_peer(0, r0);
         }

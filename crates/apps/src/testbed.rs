@@ -126,11 +126,7 @@ impl Scenario {
     /// Builds and boots the scenario: SIFT environment installing, jobs
     /// scheduled.
     pub fn start(&self) -> Running {
-        let mut config = if self.nodes <= 4 {
-            ClusterConfig::ree_testbed(self.seed)
-        } else {
-            ClusterConfig::ree_testbed_6node(self.seed)
-        };
+        let mut config = ClusterConfig::ree_testbed(self.seed);
         config.nodes = self.nodes;
         config.trace_enabled = self.trace;
         config.topology = self.topology.clone();
@@ -401,7 +397,8 @@ pub fn run_without_sift(scenario: &Scenario, horizon: SimTime) -> (Cluster, Opti
         attempt: 0,
         sift_enabled: false,
         rank0_pid: None,
-        block_timeout: SimDuration::from_secs(30),
+        block_timeout: scenario.sift.app_block_timeout,
+        init_timeout: scenario.sift.mpi_init_timeout,
         factory: factory.clone(),
     };
     let behavior = factory(&launch);

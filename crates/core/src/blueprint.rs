@@ -52,6 +52,9 @@ pub struct AppLaunch {
     /// How long a SIFT-interface call may block before the application
     /// gives up (the SAN model's `app_timeout`).
     pub block_timeout: ree_sim::SimDuration,
+    /// How long rank 0 waits for its peer ranks during MPI startup
+    /// before aborting the launch (`SiftConfig::mpi_init_timeout`).
+    pub init_timeout: ree_sim::SimDuration,
     /// Factory for spawning peer ranks (rank 0 launches ranks 1..n per
     /// the MPI protocol, Table 1 step 5).
     pub factory: AppFactory,

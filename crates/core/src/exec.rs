@@ -148,6 +148,7 @@ impl Element for AppMonitor {
                     sift_enabled: true,
                     rank0_pid: None,
                     block_timeout: self.blueprint.config.app_block_timeout,
+                    init_timeout: self.blueprint.config.mpi_init_timeout,
                     factory: factory.clone(),
                 };
                 // A stale incarnation may still be running if the

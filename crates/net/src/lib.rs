@@ -5,8 +5,9 @@
 //! latency/jitter/bandwidth/loss, static shortest-path routing computed
 //! at build time (`src/routing.rs`), store-and-forward serialisation on every
 //! bandwidth-bearing hop (concurrent flows on a link queue behind each
-//! other), and per-link state — up/down, degradation, transient load
-//! windows. The paper attributes the only actual-execution-time overhead
+//! other). Partitions are administrative blocks on endpoint nodes and
+//! node pairs; load is a network-wide transient window. The paper
+//! attributes the only actual-execution-time overhead
 //! of FTM recovery to "network contention during the FTM's recovery,
 //! which lasts for only 0.6–0.7 s" (§5.2); [`Network::inject_load`]
 //! reproduces exactly that effect.
@@ -59,9 +60,8 @@ struct Statics {
 ///
 /// Owns the mutable runtime state over an immutable [`Topology`]:
 /// per-link transmit occupancy (so concurrent flows on a link serialise
-/// behind each other), per-link up/down and degradation, administrative
-/// endpoint blocks, and network-wide transient load windows that model
-/// recovery-traffic contention.
+/// behind each other), administrative endpoint blocks, and network-wide
+/// transient load windows that model recovery-traffic contention.
 #[derive(Debug, Clone)]
 pub struct Network {
     statics: Arc<Statics>,
@@ -87,7 +87,7 @@ impl Network {
     /// Creates a network over an explicit topology.
     pub fn with_topology(topology: Topology, rng: SimRng) -> Self {
         let routes = RouteTable::build(&topology);
-        let link_state = topology.links().iter().map(|_| LinkState::fresh()).collect();
+        let link_state = vec![LinkState { busy_until: SimTime::ZERO }; topology.links().len()];
         Network {
             statics: Arc::new(Statics { topology, routes }),
             rng,
@@ -162,11 +162,7 @@ impl Network {
             let spec = &statics.topology.links()[l.0 as usize];
             if let Some(bw) = spec.params.bandwidth_bytes_per_sec {
                 let state = &mut self.link_state[l.0 as usize];
-                let mut wire = SimDuration::from_secs_f64(size_bytes as f64 / bw as f64);
-                let scale = state.scale(now);
-                if scale != 1.0 {
-                    wire = wire.mul_f64(scale);
-                }
+                let wire = SimDuration::from_secs_f64(size_bytes as f64 / bw as f64);
                 let start = if state.busy_until > arrival { state.busy_until } else { arrival };
                 let done = start + wire;
                 state.busy_until = done;
@@ -202,31 +198,15 @@ impl Network {
     /// time.
     ///
     /// Used to model recovery traffic (checkpoint restore, process-image
-    /// copies) competing with application MPI messages. For contention
-    /// local to one link, see [`Network::inject_link_load`].
+    /// copies) competing with application MPI messages.
     pub fn inject_load(&mut self, now: SimTime, window: SimDuration, slowdown: f64) {
         self.load_windows.push((now + window, slowdown));
     }
 
-    /// Registers a transient load window on a single link: for `window`,
-    /// wire time across `link` is inflated by a factor `1 + slowdown`
-    /// (stacking with other active windows on the same link).
-    pub fn inject_link_load(
-        &mut self,
-        link: LinkId,
-        now: SimTime,
-        window: SimDuration,
-        slowdown: f64,
-    ) {
-        if let Some(state) = self.link_state.get_mut(link.0 as usize) {
-            state.load_windows.push((now + window, slowdown));
-        }
-    }
-
     /// Takes all of a node's incident links down (packets to/from it are
     /// `Partitioned`; loopback is unaffected). Restoring the node brings
-    /// back only this administrative block — links downed individually
-    /// via [`Network::set_topology_link`] stay down.
+    /// back only this administrative block — pairs severed with
+    /// [`Network::set_link_down`] stay severed.
     pub fn set_node_down(&mut self, node: NodeId, down: bool) {
         if down {
             self.down_nodes.insert(node);
@@ -247,27 +227,9 @@ impl Network {
         }
     }
 
-    /// Takes one directed topology link down or up. Routes crossing a
-    /// downed link report `Partitioned` (static routing — no failover).
-    pub fn set_topology_link(&mut self, link: LinkId, up: bool) {
-        if let Some(state) = self.link_state.get_mut(link.0 as usize) {
-            state.up = up;
-        }
-    }
-
-    /// Degrades a directed link: wire time across it is multiplied by
-    /// `factor` (`1.0` restores nominal bandwidth, `4.0` models a link
-    /// at quarter speed).
-    pub fn degrade_link(&mut self, link: LinkId, factor: f64) {
-        if let Some(state) = self.link_state.get_mut(link.0 as usize) {
-            state.degrade = factor;
-        }
-    }
-
     /// True if traffic between the two nodes cannot flow: an endpoint's
-    /// links are administratively down, the pair is blocked, there is no
-    /// route, or a link on the static route is down. Loopback (`a == b`)
-    /// is node-local and never partitioned.
+    /// links are administratively down, the pair is blocked, or there is
+    /// no route. Loopback (`a == b`) is node-local and never partitioned.
     pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
         if a == b {
             return false;
@@ -279,10 +241,7 @@ impl Network {
         if self.down_links.contains(&key) {
             return true;
         }
-        match self.statics.routes.route(a, b) {
-            None => true,
-            Some(route) => route.iter().any(|l| !self.link_state[l.0 as usize].up),
-        }
+        self.statics.routes.route(a, b).is_none()
     }
 
     /// Total packets accepted for delivery since the last reseed.
@@ -312,14 +271,7 @@ impl Network {
         use std::hash::Hash;
         self.rng.state().hash(h);
         for state in &self.link_state {
-            state.up.hash(h);
-            state.degrade.to_bits().hash(h);
             state.busy_until.hash(h);
-            state.load_windows.len().hash(h);
-            for (end, slow) in &state.load_windows {
-                end.hash(h);
-                slow.to_bits().hash(h);
-            }
         }
         let mut links: Vec<(NodeId, NodeId)> = self.down_links.iter().copied().collect();
         links.sort_unstable();
@@ -515,66 +467,5 @@ mod tests {
         let second = net.send(SimTime::ZERO, NodeId(1), NodeId(3), 12_500).delivery_time().unwrap();
         assert!(second > first, "trunk serialises concurrent flows");
         assert_eq!(second - first, SimDuration::from_micros(10_000));
-    }
-
-    #[test]
-    fn severed_trunk_partitions_islands_only() {
-        let mut net = Network::with_topology(dumbbell(), SimRng::new(1));
-        let topo = net.topology().clone();
-        let trunk =
-            topo.link_between(Port::Switch(SwitchId(0)), Port::Switch(SwitchId(1))).unwrap();
-        net.set_topology_link(trunk, false);
-        assert_eq!(net.send(SimTime::ZERO, NodeId(0), NodeId(2), 100), SendVerdict::Partitioned);
-        // Reverse direction uses the twin link, which is still up.
-        assert!(net.send(SimTime::ZERO, NodeId(2), NodeId(0), 100).delivery_time().is_some());
-        // Intra-island traffic is unaffected.
-        assert!(net.send(SimTime::ZERO, NodeId(0), NodeId(1), 100).delivery_time().is_some());
-        net.set_topology_link(trunk, true);
-        assert!(net.send(SimTime::ZERO, NodeId(0), NodeId(2), 100).delivery_time().is_some());
-    }
-
-    #[test]
-    fn degraded_link_inflates_wire_time() {
-        let mut net = Network::with_topology(dumbbell(), SimRng::new(1));
-        let topo = net.topology().clone();
-        let uplink = topo.link_between(Port::Node(NodeId(0)), Port::Switch(SwitchId(0))).unwrap();
-        let nominal =
-            net.send(SimTime::ZERO, NodeId(0), NodeId(1), 12_500).delivery_time().unwrap();
-        net.degrade_link(uplink, 4.0);
-        let t0 = SimTime::from_secs(10); // past the first send's occupancy
-        let degraded = net.send(t0, NodeId(0), NodeId(1), 12_500).delivery_time().unwrap();
-        assert_eq!(degraded.since(t0), SimDuration::from_micros(4000 + 100));
-        assert!(degraded.since(t0) > nominal.since(SimTime::ZERO));
-    }
-
-    #[test]
-    fn per_link_load_window_inflates_then_expires() {
-        let mut net = Network::with_topology(dumbbell(), SimRng::new(1));
-        let topo = net.topology().clone();
-        let uplink = topo.link_between(Port::Node(NodeId(0)), Port::Switch(SwitchId(0))).unwrap();
-        net.inject_link_load(uplink, SimTime::ZERO, SimDuration::from_secs(1), 1.0);
-        let loaded = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 12_500).delivery_time().unwrap();
-        assert_eq!(loaded, SimTime::from_micros(2000 + 100), "wire time doubles");
-        // Another sender's uplink is unaffected.
-        let other = net.send(SimTime::ZERO, NodeId(1), NodeId(0), 12_500).delivery_time().unwrap();
-        assert_eq!(other, SimTime::from_micros(1000 + 100));
-        // The window expires.
-        let t0 = SimTime::from_secs(20);
-        let after = net.send(t0, NodeId(0), NodeId(1), 12_500).delivery_time().unwrap();
-        assert_eq!(after.since(t0), SimDuration::from_micros(1000 + 100));
-    }
-
-    #[test]
-    fn incident_links_cover_both_directions() {
-        let topo = dumbbell();
-        let links = topo.incident_links(NodeId(0));
-        assert_eq!(links.len(), 2, "uplink + downlink");
-        for l in links {
-            let spec = &topo.links()[l.0 as usize];
-            assert!(
-                spec.from == Port::Node(NodeId(0)) || spec.to == Port::Node(NodeId(0)),
-                "incident link touches the node"
-            );
-        }
     }
 }

@@ -51,30 +51,6 @@ impl LinkParams {
 /// Mutable per-link runtime state, owned by [`crate::Network`].
 #[derive(Clone, Debug)]
 pub struct LinkState {
-    /// Whether the link carries traffic. A send whose static route
-    /// crosses a downed link is `Partitioned` (no rerouting).
-    pub up: bool,
-    /// Wire-time multiplier: `1.0` is nominal, `4.0` models a link
-    /// degraded to a quarter of its bandwidth.
-    pub degrade: f64,
     /// Serialisation frontier: when this link's transmitter frees up.
     pub busy_until: SimTime,
-    /// `(ends_at, slowdown)` transient load windows local to this link;
-    /// active windows inflate wire time by `1 + Σ slowdown`.
-    pub load_windows: Vec<(SimTime, f64)>,
-}
-
-impl LinkState {
-    pub(crate) fn fresh() -> Self {
-        LinkState { up: true, degrade: 1.0, busy_until: SimTime::ZERO, load_windows: Vec::new() }
-    }
-
-    /// Effective wire-time multiplier at `now` (drops expired windows).
-    pub(crate) fn scale(&mut self, now: SimTime) -> f64 {
-        if !self.load_windows.is_empty() {
-            self.load_windows.retain(|(end, _)| *end > now);
-        }
-        let transient: f64 = self.load_windows.iter().map(|(_, f)| f).sum();
-        self.degrade * (1.0 + transient)
-    }
 }

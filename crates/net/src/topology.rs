@@ -1,8 +1,8 @@
 //! Interconnect topology: nodes, switches, and the directed links
 //! between them.
 //!
-//! A [`Topology`] is immutable once built; all mutable per-link state
-//! (up/down, degradation, occupancy) lives in [`crate::Network`]. Links
+//! A [`Topology`] is immutable once built; the mutable per-link state
+//! (transmit occupancy) lives in [`crate::Network`]. Links
 //! are always created in twin pairs — one per direction — so routes can
 //! be mirrored exactly ([`LinkSpec::peer`]).
 
@@ -165,23 +165,6 @@ impl Topology {
     /// All directed links, indexed by [`LinkId`].
     pub fn links(&self) -> &[LinkSpec] {
         &self.links
-    }
-
-    /// The directed link from `from` to `to`, if one exists.
-    pub fn link_between(&self, from: Port, to: Port) -> Option<LinkId> {
-        self.links.iter().position(|l| l.from == from && l.to == to).map(|i| LinkId(i as u32))
-    }
-
-    /// Every directed link with `node` at either end (the set
-    /// `fail_node` takes down).
-    pub fn incident_links(&self, node: NodeId) -> Vec<LinkId> {
-        let port = Port::Node(node);
-        self.links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.from == port || l.to == port)
-            .map(|(i, _)| LinkId(i as u32))
-            .collect()
     }
 
     /// Total vertex count (nodes then switches) for routing.

@@ -1,12 +1,10 @@
 //! Property-based checks of the routing model over randomly generated
 //! chain topologies (a line of switches, nodes hung off arbitrary
-//! switches): delivery time is monotone in packet size, reverse routes
-//! mirror forward routes via link twins, and severing a trunk (the
-//! min-cut of a chain) partitions exactly the node pairs whose route
-//! crossed it.
+//! switches): delivery time is monotone in packet size, and reverse
+//! routes mirror forward routes via link twins.
 
 use proptest::prelude::*;
-use ree_net::{LinkParams, Network, NodeId, Port, SendVerdict, SwitchId, Topology};
+use ree_net::{LinkParams, Network, NodeId, Port, SwitchId, Topology};
 use ree_sim::{SimDuration, SimRng, SimTime};
 
 /// A line of `switches` switches with a serialising trunk between each
@@ -84,48 +82,6 @@ proptest! {
                     backward, &mirrored[..],
                     "route {}->{} is not the twin mirror of {}->{}", b, a, a, b,
                 );
-            }
-        }
-    }
-
-    /// Severing one trunk (both directions) is a min-cut of the chain:
-    /// exactly the pairs on opposite sides report `Partitioned`, and
-    /// every same-side pair still delivers.
-    #[test]
-    fn severed_min_cut_partitions_exactly_the_crossing_pairs(
-        assign in proptest::collection::vec(0u16..4, 2..8),
-        switches in 2u16..4,
-        trunk_latency_us in 1u64..2_000,
-        cut in 0u16..3,
-    ) {
-        let cut = cut % (switches - 1);
-        let topology = chain_topology(&assign, switches, trunk_latency_us);
-        let mut net = Network::with_topology(topology.clone(), SimRng::new(1));
-        let forward = topology
-            .link_between(Port::Switch(SwitchId(cut)), Port::Switch(SwitchId(cut + 1)))
-            .expect("trunk exists");
-        let backward = topology.links()[forward.0 as usize].peer;
-        net.set_topology_link(forward, false);
-        net.set_topology_link(backward, false);
-        let side = |n: usize| (assign[n] % switches) <= cut;
-        for a in 0..assign.len() {
-            for b in 0..assign.len() {
-                if a == b {
-                    continue;
-                }
-                let verdict =
-                    net.send(SimTime::ZERO, NodeId(a as u16), NodeId(b as u16), 100);
-                if side(a) != side(b) {
-                    prop_assert_eq!(
-                        verdict, SendVerdict::Partitioned,
-                        "{}->{} crosses the severed trunk", a, b,
-                    );
-                } else {
-                    prop_assert!(
-                        verdict.delivery_time().is_some(),
-                        "{}->{} stays on one side yet got {:?}", a, b, verdict,
-                    );
-                }
             }
         }
     }

@@ -93,28 +93,25 @@ impl std::fmt::Debug for SpawnSpec {
     }
 }
 
+/// Per-node RAM-disk capacity in bytes.
+const RAMDISK_CAPACITY: usize = 2 << 20;
+/// Granularity at which CPU work executes (and faults can activate).
+const WORK_CHUNK: SimDuration = SimDuration::from_millis(250);
+/// Latency of process creation, unless the [`SpawnSpec`] overrides it.
+const SPAWN_LATENCY: SimDuration = SimDuration::from_millis(150);
+
 /// Static configuration of a simulated cluster.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
-    /// Number of nodes (the paper uses 4 and 6).
+    /// Number of nodes (the paper uses 4, and 6 for the two-application
+    /// experiments of §8).
     pub nodes: usize,
-    /// Interconnect model, used as a degenerate single-switch topology
-    /// when no explicit `topology` is given.
-    pub net: NetworkConfig,
     /// Explicit interconnect topology (switches, per-link parameters);
-    /// `None` builds [`Topology::single_switch`] from `net`, which
-    /// reproduces the historical flat model byte-for-byte.
+    /// `None` is [`Topology::single_switch`] over
+    /// [`NetworkConfig::ethernet_100mbps`], the historical flat model.
     pub topology: Option<Topology>,
     /// Master seed; all stochastic behaviour derives from it.
     pub seed: u64,
-    /// Per-node RAM-disk capacity in bytes.
-    pub ramdisk_capacity: usize,
-    /// Whether node failure wipes the node's RAM disk (checkpoints lost).
-    pub wipe_ramdisk_on_node_failure: bool,
-    /// Granularity at which CPU work executes (and faults can activate).
-    pub work_chunk: SimDuration,
-    /// Latency of process creation.
-    pub spawn_latency: SimDuration,
     /// Whether the trace buffer records events.
     pub trace_enabled: bool,
 }
@@ -122,22 +119,7 @@ pub struct ClusterConfig {
 impl ClusterConfig {
     /// The paper's 4-node testbed (two boards × two PowerPC 750s).
     pub fn ree_testbed(seed: u64) -> Self {
-        ClusterConfig {
-            nodes: 4,
-            net: NetworkConfig::ethernet_100mbps(),
-            topology: None,
-            seed,
-            ramdisk_capacity: 2 << 20,
-            wipe_ramdisk_on_node_failure: true,
-            work_chunk: SimDuration::from_millis(250),
-            spawn_latency: SimDuration::from_millis(150),
-            trace_enabled: true,
-        }
-    }
-
-    /// The 6-node testbed used for the two-application experiments (§8).
-    pub fn ree_testbed_6node(seed: u64) -> Self {
-        ClusterConfig { nodes: 6, ..Self::ree_testbed(seed) }
+        ClusterConfig { nodes: 4, topology: None, seed, trace_enabled: true }
     }
 }
 
@@ -209,7 +191,6 @@ struct NodeState {
 /// with [`Cluster::reseed`] to give each copy its own random streams.
 #[derive(Clone)]
 pub struct Cluster {
-    config: ClusterConfig,
     now: SimTime,
     queue: EventQueue<OsEvent>,
     net: Network,
@@ -236,10 +217,7 @@ impl Cluster {
         let rng = master.fork(2);
         let machine_rng = master.fork(3);
         let nodes = (0..config.nodes)
-            .map(|_| NodeState {
-                ramdisk: RamDisk::with_capacity(config.ramdisk_capacity),
-                alive: true,
-            })
+            .map(|_| NodeState { ramdisk: RamDisk::with_capacity(RAMDISK_CAPACITY), alive: true })
             .collect();
         let mut trace = Trace::new();
         trace.set_enabled(config.trace_enabled);
@@ -253,14 +231,14 @@ impl Cluster {
                 );
                 Network::with_topology(topology.clone(), net_rng)
             }
-            None => Network::new(config.net.clone(), config.nodes as u16, net_rng),
+            None => Network::new(NetworkConfig::ethernet_100mbps(), config.nodes as u16, net_rng),
         };
         Cluster {
             net,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             nodes,
-            procs: ProcTable::new(config.nodes),
+            procs: ProcTable::new(),
             graveyard: Vec::new(),
             remote_fs: RemoteFs::new(),
             rng,
@@ -270,7 +248,6 @@ impl Cluster {
             next_work: 1,
             pending_self_exit: None,
             current_pid: None,
-            config,
         }
     }
 
@@ -336,7 +313,6 @@ impl Cluster {
         self.net.reseed(master.fork(1));
         self.rng = master.fork(2);
         self.machine_rng = master.fork(3);
-        self.config.seed = seed;
     }
 
     // ------------------------------------------------------------------
@@ -374,7 +350,7 @@ impl Cluster {
             spawned_at: self.now,
         };
         let pid = self.procs.insert(spec.node, Arc::clone(&name), entry);
-        let latency = spec.latency.unwrap_or(self.config.spawn_latency);
+        let latency = spec.latency.unwrap_or(SPAWN_LATENCY);
         self.queue.schedule(self.now + latency, OsEvent::Start { pid });
         self.trace.push(
             self.now,
@@ -416,15 +392,13 @@ impl Cluster {
     }
 
     /// Finds a live process by instance name. Duplicate names resolve
-    /// to the **lowest** live pid (deterministic; previously this
-    /// depended on `HashMap` iteration order).
+    /// to the **lowest** live pid.
     pub fn find_by_name(&self, name: &str) -> Option<Pid> {
         self.procs.find_by_name(name)
     }
 
-    /// All live processes on a node, ascending — a maintained index
-    /// (no allocation or sorting per call).
-    pub fn procs_on_node(&self, node: NodeId) -> &[Pid] {
+    /// All live processes on a node, ascending.
+    pub fn procs_on_node(&self, node: NodeId) -> Vec<Pid> {
         self.procs.procs_on_node(node)
     }
 
@@ -490,19 +464,16 @@ impl Cluster {
     }
 
     /// Crashes an entire node: all processes killed, every incident
-    /// link taken down ([`Network::set_node_down`]), RAM disk optionally
-    /// wiped. Loopback on the failed node is unaffected (nothing is
-    /// left running to use it).
+    /// link taken down ([`Network::set_node_down`]), RAM disk wiped
+    /// (checkpoints lost). Loopback on the failed node is unaffected
+    /// (nothing is left running to use it).
     pub fn fail_node(&mut self, node: NodeId) {
         self.trace.push(self.now, None, TraceKind::Injection, TraceDetail::NodeFailed(node));
-        let victims: Vec<Pid> = self.procs_on_node(node).to_vec();
-        for pid in victims {
+        for pid in self.procs_on_node(node) {
             self.terminate(pid, ExitStatus::Killed(Signal::Kill), false);
         }
         self.nodes[node.0 as usize].alive = false;
-        if self.config.wipe_ramdisk_on_node_failure {
-            self.nodes[node.0 as usize].ramdisk.wipe();
-        }
+        self.nodes[node.0 as usize].ramdisk.wipe();
         self.net.set_node_down(node, true);
     }
 
@@ -929,7 +900,6 @@ impl Cluster {
     }
 
     fn handle_work_chunk(&mut self, pid: Pid, work_id: u64) {
-        let chunk = self.config.work_chunk;
         let Some(entry) = self.procs.get_mut(pid) else { return };
         if !entry.works.iter().any(|(id, _)| *id == work_id) {
             return;
@@ -980,9 +950,9 @@ impl Cluster {
         let Some(entry) = self.procs.get_mut(pid) else { return };
         let Some(i) = entry.works.iter().position(|(id, _)| *id == work_id) else { return };
         let work = &mut entry.works[i].1;
-        if work.remaining > chunk {
-            work.remaining -= chunk;
-            self.queue.schedule(self.now + chunk, OsEvent::WorkChunk { pid, work_id });
+        if work.remaining > WORK_CHUNK {
+            work.remaining -= WORK_CHUNK;
+            self.queue.schedule(self.now + WORK_CHUNK, OsEvent::WorkChunk { pid, work_id });
         } else {
             let tag = work.tag;
             entry.works.swap_remove(i);
@@ -1194,7 +1164,7 @@ impl ProcCtx<'_> {
         self.cluster.next_work += 1;
         let entry = self.cluster.procs.get_mut(self.pid).expect("self entry");
         entry.works.push((id, WorkState { tag, remaining: total }));
-        let first = self.cluster.config.work_chunk.min(total);
+        let first = WORK_CHUNK.min(total);
         let first = if first.is_zero() { SimDuration::from_micros(1) } else { first };
         self.cluster
             .queue

@@ -1,5 +1,4 @@
-//! The process table: a generational slab indexed directly by [`Pid`],
-//! with a per-node pid index and an interned name→pid index.
+//! The process table: a generational slab indexed directly by [`Pid`].
 //!
 //! The simulation inner loop resolves a pid on every event dispatch, so
 //! lookups must not hash. Entries live in a slab (`slots`, recycled via
@@ -10,16 +9,14 @@
 //! pid, and the `by_pid` entry for a dead pid is tombstoned, making
 //! every stale lookup miss deterministically.
 //!
-//! The secondary indexes fix two O(n) scans the `HashMap` table forced:
-//! [`ProcTable::procs_on_node`] returns a maintained sorted slice
-//! (previously: filter + collect + sort per call), and
-//! [`ProcTable::find_by_name`] reads the interned name index with
-//! **lowest-pid-wins** semantics on duplicate names (previously:
-//! `HashMap` iteration order — whichever hashed first).
+//! Queries by node or by name ([`ProcTable::procs_on_node`],
+//! [`ProcTable::find_by_name`], [`ProcTable::all_pids`]) walk `by_pid`
+//! in ascending pid order: they run a handful of times per run, never
+//! per event, and the walk gives sorted results and **lowest-pid-wins**
+//! on duplicate names for free.
 
 use crate::process::Pid;
 use ree_net::NodeId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// `by_pid` tombstone: pid not (or no longer) in the table.
@@ -32,16 +29,12 @@ struct Slot<T> {
     entry: T,
 }
 
-/// Generational-slab process table with node and name indexes.
+/// Generational-slab process table.
 pub(crate) struct ProcTable<T> {
     slots: Vec<Option<Slot<T>>>,
     free: Vec<u32>,
     /// pid serial → slot index ([`NONE`] when dead/unknown).
     by_pid: Vec<u32>,
-    /// Per-node live pids, ascending.
-    by_node: Vec<Vec<Pid>>,
-    /// Interned name → live pids with that name, ascending.
-    by_name: HashMap<Arc<str>, Vec<Pid>>,
     next_pid: u64,
     len: usize,
 }
@@ -62,8 +55,6 @@ impl<T: Clone> Clone for ProcTable<T> {
             slots: presized(&self.slots, self.slots.capacity()),
             free: presized(&self.free, self.free.capacity()),
             by_pid: presized(&self.by_pid, self.by_pid.capacity()),
-            by_node: self.by_node.clone(),
-            by_name: self.by_name.clone(),
             next_pid: self.next_pid,
             len: self.len,
         }
@@ -71,14 +62,12 @@ impl<T: Clone> Clone for ProcTable<T> {
 }
 
 impl<T> ProcTable<T> {
-    /// Creates an empty table for a cluster of `nodes` nodes.
-    pub(crate) fn new(nodes: usize) -> Self {
+    /// Creates an empty table.
+    pub(crate) fn new() -> Self {
         ProcTable {
             slots: Vec::new(),
             free: Vec::new(),
             by_pid: vec![NONE], // Pid(0) is never issued.
-            by_node: vec![Vec::new(); nodes],
-            by_name: HashMap::new(),
             next_pid: 1,
             len: 0,
         }
@@ -93,7 +82,7 @@ impl<T> ProcTable<T> {
     pub(crate) fn insert(&mut self, node: NodeId, name: Arc<str>, entry: T) -> Pid {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
-        let slot_entry = Slot { node, name: Arc::clone(&name), entry };
+        let slot_entry = Slot { node, name, entry };
         let slot = match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(slot_entry);
@@ -107,10 +96,6 @@ impl<T> ProcTable<T> {
         };
         debug_assert_eq!(self.by_pid.len() as u64, pid.0);
         self.by_pid.push(slot);
-        // New pids are strictly increasing, so pushing keeps both
-        // secondary indexes sorted.
-        self.by_node[node.0 as usize].push(pid);
-        self.by_name.entry(name).or_default().push(pid);
         self.len += 1;
         pid
     }
@@ -164,42 +149,30 @@ impl<T> ProcTable<T> {
             self.slots[slot as usize].take().expect("indexed slot occupied");
         self.free.push(slot);
         self.len -= 1;
-        let on_node = &mut self.by_node[node.0 as usize];
-        if let Ok(i) = on_node.binary_search(&pid) {
-            on_node.remove(i);
-        }
-        if let Some(named) = self.by_name.get_mut(&name) {
-            if let Ok(i) = named.binary_search(&pid) {
-                named.remove(i);
-            }
-            if named.is_empty() {
-                // Drop the key so transient instance names (relaunch
-                // attempts) do not accumulate across a long run.
-                self.by_name.remove(&name);
-            }
-        }
         Some((node, name, entry))
+    }
+
+    /// Live `(pid, slot)` pairs in ascending pid order.
+    fn live(&self) -> impl Iterator<Item = (Pid, &Slot<T>)> {
+        self.by_pid.iter().enumerate().filter(|(_, &slot)| slot != NONE).map(|(serial, &slot)| {
+            (Pid(serial as u64), self.slots[slot as usize].as_ref().expect("indexed slot occupied"))
+        })
     }
 
     /// Lowest live pid carrying `name` (deterministic under duplicate
     /// names; respawns always rank after survivors).
     pub(crate) fn find_by_name(&self, name: &str) -> Option<Pid> {
-        self.by_name.get(name).and_then(|pids| pids.first().copied())
+        self.live().find(|(_, slot)| &*slot.name == name).map(|(pid, _)| pid)
     }
 
-    /// Live pids on `node`, ascending — a maintained index, not a scan.
-    pub(crate) fn procs_on_node(&self, node: NodeId) -> &[Pid] {
-        self.by_node.get(node.0 as usize).map(Vec::as_slice).unwrap_or(&[])
+    /// Live pids on `node`, ascending.
+    pub(crate) fn procs_on_node(&self, node: NodeId) -> Vec<Pid> {
+        self.live().filter(|(_, slot)| slot.node == node).map(|(pid, _)| pid).collect()
     }
 
     /// All live pids, ascending.
     pub(crate) fn all_pids(&self) -> Vec<Pid> {
-        let mut v: Vec<Pid> = Vec::with_capacity(self.len);
-        for node in &self.by_node {
-            v.extend_from_slice(node);
-        }
-        v.sort_unstable();
-        v
+        self.live().map(|(pid, _)| pid).collect()
     }
 }
 
@@ -208,7 +181,7 @@ mod tests {
     use super::*;
 
     fn table() -> ProcTable<&'static str> {
-        ProcTable::new(2)
+        ProcTable::new()
     }
 
     #[test]
@@ -257,12 +230,12 @@ mod tests {
         let a = t.insert(NodeId(0), "a".into(), "A");
         let b = t.insert(NodeId(0), "b".into(), "B");
         let c = t.insert(NodeId(1), "c".into(), "C");
-        assert_eq!(t.procs_on_node(NodeId(0)), &[a, b]);
-        assert_eq!(t.procs_on_node(NodeId(1)), &[c]);
+        assert_eq!(t.procs_on_node(NodeId(0)), vec![a, b]);
+        assert_eq!(t.procs_on_node(NodeId(1)), vec![c]);
         t.remove_full(a);
         let d = t.insert(NodeId(0), "d".into(), "D");
-        assert_eq!(t.procs_on_node(NodeId(0)), &[b, d]);
-        assert_eq!(t.procs_on_node(NodeId(7)), &[] as &[Pid], "unknown node is empty");
+        assert_eq!(t.procs_on_node(NodeId(0)), vec![b, d]);
+        assert_eq!(t.procs_on_node(NodeId(7)), Vec::<Pid>::new(), "unknown node is empty");
         assert_eq!(t.all_pids(), vec![b, c, d]);
     }
 }

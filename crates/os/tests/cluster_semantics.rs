@@ -4,7 +4,7 @@
 
 use ree_os::{
     Cluster, ClusterConfig, ExitStatus, Message, NodeId, ProcCtx, Process, Signal, SpawnSpec,
-    TextSource,
+    TextSource, TimerId,
 };
 use ree_sim::{SimDuration, SimTime};
 
@@ -145,6 +145,105 @@ fn stopped_process_does_not_fire_timers_until_resumed() {
     c.send_signal(p, Signal::Cont);
     c.run_until(SimTime::from_secs(6));
     assert!(c.trace().contains("fired 7"), "stashed timer lost on resume");
+}
+
+/// Arms a fixed set of timers at start and cancels some of them from
+/// inside its own timer handler — `ProcCtx::cancel_timer` is the only
+/// cancel path the OS has (the event queue's entry is left to pop).
+#[derive(Clone)]
+struct TimerScript {
+    /// `(delay in ms, tag)`, armed in order by `on_start`.
+    arm: Vec<(u64, u64)>,
+    /// `(trigger tag, index into arm)`: when the timer tagged `trigger`
+    /// fires, cancel the `index`-th armed timer. Entries run in order.
+    cancel: Vec<(u64, usize)>,
+    ids: Vec<TimerId>,
+}
+
+impl Process for TimerScript {
+    fn kind(&self) -> &'static str {
+        "timerscript"
+    }
+    fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+        self.ids = self
+            .arm
+            .iter()
+            .map(|&(ms, tag)| ctx.set_timer(SimDuration::from_millis(ms), tag))
+            .collect();
+    }
+    fn on_message(&mut self, _m: Message, _c: &mut ProcCtx<'_>) {}
+    fn on_timer(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) {
+        ctx.trace(format!("fired {tag}"));
+        for &(trigger, index) in &self.cancel {
+            if trigger == tag {
+                ctx.cancel_timer(self.ids[index]);
+            }
+        }
+    }
+}
+
+/// Spawns a [`TimerScript`]; its timers are armed at 150 ms (the spawn
+/// latency), so a timer with delay `d` ms is due at `d + 150` ms.
+fn timer_script(arm: &[(u64, u64)], cancel: &[(u64, usize)]) -> (Cluster, ree_os::Pid) {
+    let mut c = cluster();
+    let script = TimerScript { arm: arm.to_vec(), cancel: cancel.to_vec(), ids: Vec::new() };
+    let pid = c.spawn(SpawnSpec::new("script", NodeId(0), Box::new(script)));
+    (c, pid)
+}
+
+fn fired(c: &Cluster) -> Vec<String> {
+    let lines = c.trace().records().map(|r| r.detail.to_string());
+    lines.filter(|d| d.starts_with("fired")).collect()
+}
+
+#[test]
+fn cancelled_timer_never_fires_though_its_queue_entry_still_pops() {
+    let (mut c, _) = timer_script(&[(1000, 1), (2000, 2)], &[(1, 1)]);
+    c.run_until(SimTime::from_millis_helper(1500));
+    assert_eq!(fired(&c), ["fired 1"]);
+    // Cancellation is lazy: the entry stays queued for its instant...
+    let due = SimTime::from_millis_helper(2150);
+    assert_eq!(c.next_event_time(), Some(due));
+    // ...pops there, and is discarded without reaching `on_timer`.
+    assert_eq!(c.step(), Some(due));
+    assert_eq!(c.next_event_time(), None);
+    assert_eq!(fired(&c), ["fired 1"]);
+}
+
+#[test]
+fn cancelling_a_fired_or_already_cancelled_timer_is_a_noop() {
+    // When timer 2 fires it cancels timer 1 (fired a second ago) and
+    // timer 3 twice; timer 4 must be untouched by all three calls.
+    let (mut c, p) =
+        timer_script(&[(1000, 1), (2000, 2), (3000, 3), (4000, 4)], &[(2, 0), (2, 2), (2, 2)]);
+    c.run_until(SimTime::from_secs(10));
+    assert_eq!(fired(&c), ["fired 1", "fired 2", "fired 4"]);
+    assert!(c.is_alive(p));
+}
+
+#[test]
+fn timer_cancelled_before_a_stop_stays_cancelled_after_cont() {
+    // Timers 2 and 3 are both due while the owner is stopped. 3 is
+    // stashed and redelivered on SIGCONT (re-arming its id); 2 was
+    // cancelled, so its entry must be dropped rather than stashed.
+    let (mut c, p) = timer_script(&[(1000, 1), (3000, 2), (3000, 3)], &[(1, 1)]);
+    c.run_until(SimTime::from_secs(2));
+    c.send_signal(p, Signal::Stop);
+    c.run_until(SimTime::from_secs(5));
+    assert_eq!(c.next_event_time(), None, "both entries popped while stopped");
+    assert_eq!(fired(&c), ["fired 1"]);
+    c.send_signal(p, Signal::Cont);
+    c.run_until(SimTime::from_secs(6));
+    assert_eq!(fired(&c), ["fired 1", "fired 3"]);
+}
+
+#[test]
+fn sibling_timers_survive_the_cancellation_of_a_third() {
+    // Three timers due at the same instant; the first-armed of them is
+    // cancelled (the live set reorders on removal).
+    let (mut c, _) = timer_script(&[(1000, 1), (2000, 2), (2000, 3), (2000, 4)], &[(1, 1)]);
+    c.run_until(SimTime::from_secs(3));
+    assert_eq!(fired(&c), ["fired 1", "fired 3", "fired 4"]);
 }
 
 #[test]

@@ -1,88 +1,69 @@
 //! The pending-event set: a time-ordered queue with deterministic
-//! tie-breaking and O(log n) cancellation.
+//! tie-breaking, sized to the calls the simulator makes.
 //!
-//! Implemented as an **indexed binary heap**: entries live in a slab
-//! (`slots`, recycled through a free list) and the heap itself is an
-//! array of `(time, seq, slot)` entries ordered by `(time, seq)`. The
-//! key is stored *inline* in the heap entry, so sift comparisons touch
-//! only the heap array — the slot-indirected layout cost two dependent
-//! random loads per comparison, which dominated the dispatch loop's
-//! cache misses. Every slot records its current heap position, so
-//! cancellation removes the entry from the heap in O(log n) — no
-//! tombstones accumulate, nothing is hashed on the hot path, and
-//! [`EventQueue::peek_time`] is a true `&self` O(1) read. Slots carry a
-//! generation that is bumped on every free, so a stale [`EventHandle`]
-//! (fired, cancelled, or cleared) can never cancel the slot's next
-//! occupant.
+//! A binary min-heap of `(time, seq, slot)` entries over a payload slab
+//! (`slots`, recycled through a free list). The key is stored *inline*
+//! in the heap entry, so a sift step compares and copies within the heap
+//! array only, and [`EventQueue::peek_time`] is a `&self` O(1) read.
+//! `seq` is the scheduling counter: it breaks ties on `time`
+//! (same-instant events fire in scheduling order, which keeps runs
+//! bit-for-bit reproducible) and, never being reused, it is also what an
+//! [`EventHandle`] names.
+//!
+//! The queue deliberately keeps **no index** from handle to heap
+//! position: by-handle operations scan the heap (a few hundred entries)
+//! for the `seq`, because nothing on the event path calls them. Call
+//! sites in `ree-os` (`git grep -n 'queue\.' crates/os/src/cluster.rs`):
+//!
+//! | operation                  | callers in `cluster.rs`                | reached by            |
+//! |----------------------------|----------------------------------------|-----------------------|
+//! | `schedule`                 | 8 (spawn, signal, timer, work, send …) | every event           |
+//! | `pop`                      | 3 (`step`, `run_until`, `…_pred`)      | every event           |
+//! | `peek_time`                | 4                                      | every event           |
+//! | `iter_pending`             | 1 (`write_state_digest`)               | model checker         |
+//! | `ready_handles`            | 1 (`step_choices`; itself a scan)      | model checker         |
+//! | `time_of`, `get`, `pop_at` | 4 (`step_with`, `event_label`, `discard_event`) | model checker, on handles fresh from `ready_handles` |
+//! | `cancel`                   | 0                                      | nobody                |
+//!
+//! Timers are cancelled lazily: `ProcCtx::cancel_timer` drops the id from
+//! its owner's live set and dispatch discards a fired timer that is not
+//! live. A position index is a write per sift step for calls nobody makes.
 
 use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide queue-identity counter. Validity of a handle is tied to
-/// the exact queue instance that minted it, so every queue — including
-/// every clone — gets a fresh identity. Only uniqueness matters here,
-/// never the numeric value, so the allocation order of concurrent forks
-/// cannot perturb simulation behaviour.
+/// Process-wide queue-identity counter: every queue, clones included,
+/// gets a fresh identity. Only uniqueness matters, never the value, so
+/// the allocation order of concurrent forks cannot perturb a run.
 static NEXT_QUEUE_ID: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_queue_id() -> u64 {
     NEXT_QUEUE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Carries the identity of the queue that minted it plus the slab slot
-/// index and the slot's generation. A handle whose event already fired
-/// (or was cancelled) no longer matches the slot's generation and is
-/// rejected; a handle presented to a *different* queue — including a
-/// clone of the minting queue — is rejected by the queue identity.
-/// Without the identity check, two clones that independently recycle
-/// the same slot mint indistinguishable handles, and a handle from one
-/// clone could cancel an unrelated event in the other.
+/// Handle to a scheduled event: the identity of the queue that minted
+/// it plus the event's sequence number. Sequence numbers are never
+/// reused, so a handle whose event fired (or was cancelled, or cleared)
+/// matches nothing; a clone continues the original's sequence, so the
+/// queue identity is what rejects a handle presented to another queue.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventHandle {
     queue: u64,
-    packed: u64,
+    seq: u64,
 }
 
-impl EventHandle {
-    fn new(queue: u64, index: u32, gen: u32) -> Self {
-        EventHandle { queue, packed: u64::from(gen) << 32 | u64::from(index) }
-    }
-
-    fn index(self) -> u32 {
-        self.packed as u32
-    }
-
-    fn gen(self) -> u32 {
-        (self.packed >> 32) as u32
-    }
-}
-
-/// Sentinel heap position for a slot that is not scheduled.
-const FREE: u32 = u32::MAX;
-
-#[derive(Clone)]
-struct Slot<E> {
-    /// Bumped every time the slot is vacated; half of handle validity.
-    gen: u32,
-    /// Current index into `EventQueue::heap`, or [`FREE`].
-    pos: u32,
-    event: Option<E>,
-}
-
-/// One heap entry: the full ordering key plus the payload's slot. The
-/// key lives here (not in the slot) so sifting never chases the slab.
+/// One heap entry: the ordering key plus the payload's slot. The key
+/// lives here (not in the slab) so sifting never chases the slab.
 #[derive(Clone, Copy)]
 struct HeapEntry {
     time: SimTime,
-    /// Scheduling order; ties on `time` fire in `seq` order, which keeps
-    /// runs bit-for-bit reproducible.
+    /// Scheduling order; ties on `time` fire in `seq` order.
     seq: u64,
     slot: u32,
 }
 
 impl HeapEntry {
+    /// A tuple compare: the derived three-field order cost 2.5 % of a run.
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
@@ -92,8 +73,7 @@ impl HeapEntry {
 /// A deterministic future-event list.
 ///
 /// Events scheduled for the same instant fire in the order they were
-/// scheduled. Cancellation physically removes the entry, so `len` and
-/// `is_empty` are exact and no cancelled entry is ever touched again.
+/// scheduled. Removal by handle is physical, so `len` is exact.
 ///
 /// # Examples
 ///
@@ -107,7 +87,8 @@ impl HeapEntry {
 pub struct EventQueue<E> {
     /// This queue's identity; embedded in every handle it mints.
     id: u64,
-    slots: Vec<Slot<E>>,
+    /// Payload slab; `None` marks a vacant slot (listed in `free`).
+    slots: Vec<Option<E>>,
     free: Vec<u32>,
     /// Min-heap of `(time, seq, slot)` entries, ordered by `(time, seq)`.
     heap: Vec<HeapEntry>,
@@ -115,14 +96,12 @@ pub struct EventQueue<E> {
 }
 
 /// Cloning a queue clones every pending event (warm-boot snapshot
-/// forking). The clone gets a **fresh queue identity**, so handles
-/// minted by the original are rejected by the clone and vice versa:
-/// after the fork the two queues recycle slots independently, and a
-/// pre-fork handle could otherwise cancel an unrelated occupant of the
-/// same slot on the other side. Capacity is preserved: the snapshot's
-/// vectors sit at their boot-time high-water mark and every forked run
-/// schedules past the current length immediately, so a `len`-sized
-/// clone would re-grow through the same doublings on every run.
+/// forking) under a **fresh queue identity**: both sides continue the
+/// same sequence, so a pre-fork handle would otherwise address an
+/// unrelated event on the other side. Capacity is preserved: the
+/// snapshot's vectors sit at their boot-time high-water mark and every
+/// forked run schedules past the current length at once, so a
+/// `len`-sized clone would re-grow on every run.
 impl<E: Clone> Clone for EventQueue<E> {
     fn clone(&self) -> Self {
         fn presized<T: Clone>(v: &[T], capacity: usize) -> Vec<T> {
@@ -158,13 +137,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Writes `entry` into heap position `pos` and records the position.
-    #[inline]
-    fn place(&mut self, pos: usize, entry: HeapEntry) {
-        self.heap[pos] = entry;
-        self.slots[entry.slot as usize].pos = pos as u32;
-    }
-
     fn sift_up(&mut self, mut pos: usize) {
         let entry = self.heap[pos];
         let key = entry.key();
@@ -173,10 +145,10 @@ impl<E> EventQueue<E> {
             if self.heap[parent].key() <= key {
                 break;
             }
-            self.place(pos, self.heap[parent]);
+            self.heap[pos] = self.heap[parent];
             pos = parent;
         }
-        self.place(pos, entry);
+        self.heap[pos] = entry;
     }
 
     fn sift_down(&mut self, mut pos: usize) {
@@ -194,109 +166,77 @@ impl<E> EventQueue<E> {
             if key <= self.heap[child].key() {
                 break;
             }
-            self.place(pos, self.heap[child]);
+            self.heap[pos] = self.heap[child];
             pos = child;
         }
-        self.place(pos, entry);
+        self.heap[pos] = entry;
     }
 
-    /// Removes the heap entry at `pos`, restoring the heap property.
-    fn remove_at(&mut self, pos: usize) {
-        let last = self.heap.pop().expect("remove_at on non-empty heap");
-        if pos < self.heap.len() {
-            self.place(pos, last);
-            // The swapped-in entry may violate the property in either
-            // direction relative to its new neighbourhood.
-            self.sift_down(pos);
-            self.sift_up(pos);
-        }
-    }
-
-    /// Fast path for [`EventQueue::pop`]: removes the root and re-sifts
-    /// the last entry down from it (the root never needs `sift_up`).
-    fn remove_root(&mut self) {
-        let last = self.heap.pop().expect("remove_root on non-empty heap");
-        if !self.heap.is_empty() {
-            self.place(0, last);
-            self.sift_down(0);
-        }
-    }
-
-    /// Vacates `slot`, invalidating all outstanding handles to it.
+    /// Vacates `slot` and returns its payload.
     fn release(&mut self, slot: u32) -> E {
-        let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1);
-        s.pos = FREE;
-        let ev = s.event.take().expect("released slot holds an event");
+        let ev = self.slots[slot as usize].take().expect("occupied slot");
         self.free.push(slot);
         ev
     }
 
-    /// Schedules `event` to fire at `time`; returns a cancellation handle.
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize].event = Some(event);
-                i
-            }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("event queue slot overflow");
-                self.slots.push(Slot { gen: 0, pos: FREE, event: Some(event) });
-                i
-            }
-        };
-        let pos = self.heap.len();
-        self.heap.push(HeapEntry { time, seq, slot });
-        self.slots[slot as usize].pos = pos as u32;
-        self.sift_up(pos);
-        EventHandle::new(self.id, slot, self.slots[slot as usize].gen)
-    }
-
-    /// Returns the heap position of a live event this queue minted a
-    /// handle for, or `None` if the handle is stale or foreign.
-    #[inline]
-    fn live_pos(&self, handle: EventHandle) -> Option<usize> {
+    /// Heap position of the live event `handle` names, or `None` if it is
+    /// stale or foreign. A scan: the module doc says why there is no index.
+    fn position(&self, handle: EventHandle) -> Option<usize> {
         if handle.queue != self.id {
             return None;
         }
-        let slot = self.slots.get(handle.index() as usize)?;
-        if slot.gen != handle.gen() || slot.pos == FREE {
-            return None;
-        }
-        Some(slot.pos as usize)
+        self.heap.iter().position(|entry| entry.seq == handle.seq)
     }
 
-    /// Cancels a previously scheduled event in O(log n). Returns `true`
-    /// only if the event was still pending — cancelling an event that
-    /// already fired (or was already cancelled) is a no-op reporting
-    /// `false`, as is presenting a handle minted by a different queue
-    /// (e.g. the pre-fork original of a cloned queue).
+    /// Schedules `event` to fire at `time`; returns a handle to it.
+    pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            u32::try_from(self.slots.len() - 1).expect("event queue slot overflow")
+        });
+        self.slots[slot as usize] = Some(event);
+        self.heap.push(HeapEntry { time, seq, slot });
+        self.sift_up(self.heap.len() - 1);
+        EventHandle { queue: self.id, seq }
+    }
+
+    /// Cancels a scheduled event. Returns `true` only if it was still
+    /// pending: a handle whose event fired or was cancelled, or one minted
+    /// by a different queue (e.g. a clone's original), is a no-op `false`.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         self.pop_at(handle).is_some()
     }
 
     /// Removes and returns the earliest live event as `(time, handle, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, EventHandle, E)> {
-        let HeapEntry { time, slot, .. } = *self.heap.first()?;
-        let gen = self.slots[slot as usize].gen;
-        self.remove_root();
-        let ev = self.release(slot);
-        Some((time, EventHandle::new(self.id, slot, gen), ev))
+        let HeapEntry { time, seq, slot } = *self.heap.first()?;
+        // Root-specific removal, not `pop_at`'s general one: from the root
+        // the last entry only ever sifts down, and this is the per-event path.
+        let last = self.heap.pop().expect("heap has a root");
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0);
+        }
+        Some((time, EventHandle { queue: self.id, seq }, self.release(slot)))
     }
 
-    /// Removes and returns a *specific* live event by handle, as
-    /// `(time, event)` — the choice-point primitive: a model checker
-    /// picks one of several same-instant events to fire first instead of
-    /// always taking the `(time, seq)` minimum. Returns `None` for
-    /// stale or foreign handles; the queue is untouched in that case.
+    /// Removes and returns a *specific* live event as `(time, event)` —
+    /// the choice-point primitive: a model checker fires one of several
+    /// same-instant events instead of the `(time, seq)` minimum. `None`
+    /// for stale or foreign handles; the queue is untouched in that case.
     pub fn pop_at(&mut self, handle: EventHandle) -> Option<(SimTime, E)> {
-        let pos = self.live_pos(handle)?;
-        let time = self.heap[pos].time;
-        self.remove_at(pos);
-        let ev = self.release(handle.index());
-        Some((time, ev))
+        let pos = self.position(handle)?;
+        let HeapEntry { time, slot, .. } = self.heap[pos];
+        let last = self.heap.pop().expect("position is inside the heap");
+        if pos < self.heap.len() {
+            // The swapped-in entry may be out of order in either direction.
+            self.heap[pos] = last;
+            self.sift_down(pos);
+            self.sift_up(pos);
+        }
+        Some((time, self.release(slot)))
     }
 
     /// Time of the earliest live event without removing it — O(1), and
@@ -308,47 +248,35 @@ impl<E> EventQueue<E> {
     /// Scheduled time of a specific live event, or `None` for stale or
     /// foreign handles.
     pub fn time_of(&self, handle: EventHandle) -> Option<SimTime> {
-        self.live_pos(handle).map(|pos| self.heap[pos].time)
+        self.position(handle).map(|pos| self.heap[pos].time)
     }
 
     /// Borrows a specific live event, or `None` for stale/foreign handles.
     pub fn get(&self, handle: EventHandle) -> Option<&E> {
-        let pos = self.live_pos(handle)?;
-        self.slots[self.heap[pos].slot as usize].event.as_ref()
+        let pos = self.position(handle)?;
+        self.slots[self.heap[pos].slot as usize].as_ref()
     }
 
     /// Handles of every event scheduled for the earliest pending
-    /// instant, in deterministic `(time, seq)` pop order — the set of
-    /// events [`EventQueue::pop`] could legally fire next under a
-    /// relaxed same-instant ordering. Empty when the queue is empty;
-    /// a singleton when the next instant has exactly one event.
+    /// instant, in `(time, seq)` pop order — the events
+    /// [`EventQueue::pop`] could legally fire next under a relaxed
+    /// same-instant ordering. Empty exactly when the queue is.
     pub fn ready_handles(&self) -> Vec<EventHandle> {
-        let Some(first) = self.heap.first() else { return Vec::new() };
-        let t = first.time;
-        let mut ready: Vec<(u64, EventHandle)> = self
-            .heap
-            .iter()
-            .filter(|entry| entry.time == t)
-            .map(|entry| {
-                let slot = entry.slot;
-                (entry.seq, EventHandle::new(self.id, slot, self.slots[slot as usize].gen))
-            })
-            .collect();
-        ready.sort_unstable_by_key(|&(seq, _)| seq);
-        ready.into_iter().map(|(_, h)| h).collect()
+        let Some(t) = self.peek_time() else { return Vec::new() };
+        let handle = |entry: &HeapEntry| EventHandle { queue: self.id, seq: entry.seq };
+        let mut ready: Vec<_> = self.heap.iter().filter(|e| e.time == t).map(handle).collect();
+        ready.sort_unstable();
+        ready
     }
 
     /// Iterates over every pending event as `(time, seq, event)`.
     ///
     /// Order is **heap order**, not firing order — callers that need a
-    /// canonical view (e.g. state hashing) must sort by `(time, seq)`.
-    /// `seq` values are only meaningful relative to each other.
+    /// canonical view (e.g. state hashing) must sort by `(time, seq)`;
+    /// `seq` values mean something only relative to each other.
     pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
         self.heap.iter().map(|entry| {
-            let ev = self.slots[entry.slot as usize]
-                .event
-                .as_ref()
-                .expect("heap entry points at occupied slot");
+            let ev = self.slots[entry.slot as usize].as_ref().expect("occupied slot");
             (entry.time, entry.seq, ev)
         })
     }

@@ -127,3 +127,28 @@ fn heartbeat_period_trades_perceived_time_for_network_quiet() {
     let spread = (last.actual.mean() - first.actual.mean()).abs();
     assert!(spread < 5.0, "actual-time spread {spread} too large");
 }
+
+#[test]
+fn mpi_init_timeout_knob_reaches_rank_zero() {
+    use ree::os::{Signal, TraceEvent};
+    // Rank 1 is held stopped for its first 5 s, so rank 0 waits in the
+    // init barrier: inside the default 15 s window, outside a 2 s one.
+    let aborts = |timeout: Option<SimDuration>| {
+        let mut scenario = Scenario::single_texture(41);
+        if let Some(t) = timeout {
+            scenario.sift.mpi_init_timeout = t;
+        }
+        let mut run = scenario.start();
+        let peer = |c: &ree::os::Cluster| c.find_by_name("texture-r1-a0");
+        assert!(run.cluster.run_until_pred(SimTime::from_secs(30), |c| peer(c).is_some()));
+        let rank1 = peer(&run.cluster).expect("rank 1 spawned");
+        run.cluster.send_signal(rank1, Signal::Stop);
+        let resume = run.cluster.now() + SimDuration::from_secs(5);
+        run.run_until(resume);
+        run.cluster.send_signal(rank1, Signal::Cont);
+        run.run_until(resume + SimDuration::from_secs(5));
+        run.cluster.trace().count_of(TraceEvent::MpiInitTimeout)
+    };
+    assert_eq!(aborts(None), 0, "the default window rides out a 5 s stall");
+    assert_eq!(aborts(Some(SimDuration::from_secs(2))), 1, "a 2 s window must abort the start");
+}
