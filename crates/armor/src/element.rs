@@ -6,11 +6,18 @@
 //! events that they are designed to process, and an element's state can
 //! only be modified while processing message events."
 //!
-//! Elements keep their private state as [`Fields`] so microcheckpointing,
-//! heap injection, and assertions all operate on the same bytes. An
-//! element's [`Element::check`] hook implements the paper's internal
-//! assertions: "range checks, validity checks on data (e.g., a valid
-//! ARMOR ID), and data structure integrity checks" (§3.3).
+//! The code splits that object in two. An [`Element`] is the immutable
+//! *behaviour*: a name, the event tags it subscribes to, and the handler
+//! and assertions over its private data. The private data itself is a
+//! [`Fields`] map the ARMOR runtime owns — it asks the behaviour for the
+//! initial value once, lends it to [`Element::handle`] for the length of
+//! one event and to nobody else, so "only modified while processing
+//! message events" is a borrow, not a convention. Microcheckpointing,
+//! heap injection and restore act on that one map; forks of an ARMOR
+//! share the behaviours and clone only the maps. [`Element::check`]
+//! implements the paper's internal assertions: "range checks, validity
+//! checks on data (e.g., a valid ARMOR ID), and data structure integrity
+//! checks" (§3.3).
 
 use crate::event::ArmorEvent;
 use crate::runtime::ElementCtx;
@@ -31,32 +38,12 @@ pub enum ElementOutcome {
     AbortThread(String),
 }
 
-/// Object-safe cloning for [`Element`] trait objects (warm-boot
-/// snapshot forking clones whole ARMOR processes, elements included).
-/// Blanket-implemented for every `Element + Clone` type.
-pub trait ElementClone {
-    /// Clones the element behind the trait object.
-    fn clone_element(&self) -> Box<dyn Element>;
-}
-
-impl<T: Element + Clone + 'static> ElementClone for T {
-    fn clone_element(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn Element> {
-    fn clone(&self) -> Self {
-        (**self).clone_element()
-    }
-}
-
-/// A pluggable unit of ARMOR functionality.
+/// A pluggable unit of ARMOR functionality: behaviour and configuration,
+/// never written after construction.
 ///
-/// `Send + Sync + ElementClone` mirror the bounds on
-/// [`ree_os::Process`]: element state must be clonable plain data (or
-/// `Arc`-shared immutable data) so a booted ARMOR can be forked.
-pub trait Element: ElementClone + Send + Sync {
+/// `Send + Sync` because one boxed behaviour serves every fork of its
+/// ARMOR, on whichever campaign worker thread the fork runs.
+pub trait Element: Send + Sync {
     /// Stable element name; also names its checkpoint-buffer region and
     /// heap-injection target (Table 8 uses `mgr_armor_info`,
     /// `exec_armor_info`, `app_param`, `mgr_app_detect`, `node_mgmt`).
@@ -65,20 +52,22 @@ pub trait Element: ElementClone + Send + Sync {
     /// Event tags this element processes.
     fn subscriptions(&self) -> &'static [&'static str];
 
-    /// Processes one event, possibly mutating state and emitting actions
-    /// through `ctx`.
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome;
+    /// The private state a freshly built ARMOR gives this element.
+    fn initial_state(&self) -> Fields;
 
-    /// Read access to private state (microcheckpointing, injection).
-    fn state(&self) -> &Fields;
-
-    /// Write access to private state (restore, injection).
-    fn state_mut(&mut self) -> &mut Fields;
+    /// Processes one event, possibly mutating `state` and emitting
+    /// actions through `ctx`.
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome;
 
     /// Internal assertions over private state. Returning `Err` makes the
     /// ARMOR kill itself ("in order to limit error propagation, the ARMOR
     /// kills itself when an internal check detects an error", §3.3).
-    fn check(&self) -> Result<(), String> {
+    fn check(&self, _state: &Fields) -> Result<(), String> {
         Ok(())
     }
 }

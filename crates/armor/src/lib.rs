@@ -6,11 +6,16 @@
 //! services" (§3.1). This crate provides the generic machinery; the SIFT
 //! environment (`ree-sift`) composes concrete ARMORs from it:
 //!
-//! * [`Element`] — the unit of composition, with private [`Fields`] state
-//!   and internal assertions;
+//! * [`Element`] — the unit of composition: an immutable behaviour
+//!   (subscriptions, handler, internal assertions) over private
+//!   [`Fields`] state that "can only be modified while processing message
+//!   events" (§3.1) because the runtime owns it and lends it to the
+//!   handler alone;
 //! * [`ArmorProcess`] — the runtime hosting elements on the simulated OS:
 //!   event-driven message processing, reliable point-to-point messaging
-//!   ([`ReliableComm`]), daemon-gateway routing, and timers;
+//!   ([`ReliableComm`]), daemon-gateway routing, and timers. Its mutable
+//!   state is one `Fields` per element plus [`ArmorCore`]; the behaviours
+//!   are shared by every fork;
 //! * [`CheckpointBuffer`] — microcheckpointing (§3.4): per-element
 //!   regions updated after each event delivery, committed to stable
 //!   storage on every message transmission;
@@ -29,7 +34,7 @@ mod value;
 mod wire;
 
 pub use comm::{Inbound, ReliableComm};
-pub use element::{assertions, Element, ElementClone, ElementOutcome};
+pub use element::{assertions, Element, ElementOutcome};
 pub use event::{ArmorEvent, ArmorId, ArmorMessage, WireKind, WirePacket};
 pub use microcheckpoint::CheckpointBuffer;
 pub use runtime::{

@@ -12,7 +12,7 @@ use crate::comm::{Inbound, ReliableComm};
 use crate::element::{Element, ElementOutcome};
 use crate::event::{ArmorEvent, ArmorId, WirePacket};
 use crate::microcheckpoint::CheckpointBuffer;
-use crate::value::Value;
+use crate::value::{Fields, Value};
 use ree_os::{
     FieldKind, HeapHit, HeapModel, HeapTarget, Message, Payload, Pid, ProcCtx, Process, Signal,
     TraceDetail,
@@ -113,8 +113,8 @@ enum Processing {
     Assertion(String),
 }
 
-/// Everything in the ARMOR other than the elements themselves (split so
-/// an element and the core can be borrowed simultaneously).
+/// Everything in the ARMOR other than the elements and their states
+/// (a handler borrows its behaviour, its state and the core at once).
 #[derive(Clone)]
 pub struct ArmorCore {
     id: ArmorId,
@@ -293,7 +293,11 @@ fn tag_order(a: &str, b: &str) -> std::cmp::Ordering {
 #[derive(Clone)]
 pub struct ArmorProcess {
     core: ArmorCore,
-    elements: Vec<Option<Box<dyn Element>>>,
+    /// The behaviours in composition order, shared by every fork.
+    elements: Arc<[Box<dyn Element>]>,
+    /// Element `i`'s private state, checkpointed into region `i`. With
+    /// `core` this is all of the ARMOR's protocol state.
+    states: Vec<Fields>,
     /// Event tag → positions of the subscribed elements in delivery
     /// order, sorted by [`tag_order`]; built once from `subscriptions()`
     /// and shared by every fork.
@@ -313,12 +317,13 @@ impl ArmorProcess {
     pub fn new(
         id: ArmorId,
         name: impl Into<String>,
-        mut elements: Vec<Box<dyn Element>>,
+        elements: Vec<Box<dyn Element>>,
         gateway: Gateway,
         opts: ArmorOptions,
     ) -> Self {
         let name: Arc<str> = name.into().into();
-        let ckpt = CheckpointBuffer::new(elements.iter().map(|e| (e.name(), e.state())));
+        let mut states: Vec<Fields> = elements.iter().map(|e| e.initial_state()).collect();
+        let ckpt = CheckpointBuffer::new(elements.iter().map(|e| e.name()).zip(&states));
         // Element `i` checkpoints into region `i`: dirty-gated
         // microcheckpoints pair one state with one region.
         debug_assert!(
@@ -326,8 +331,8 @@ impl ArmorProcess {
             "ARMOR {name}: element names must be unique"
         );
         // The buffer now holds every element's state: nothing is dirty.
-        for elem in &mut elements {
-            elem.state_mut().take_dirty();
+        for state in &mut states {
+            state.take_dirty();
         }
         let mut subscribers: Vec<(&'static str, Vec<usize>)> = Vec::new();
         for (i, elem) in elements.iter().enumerate() {
@@ -354,7 +359,8 @@ impl ArmorProcess {
                 name,
                 opts,
             },
-            elements: elements.into_iter().map(Some).collect(),
+            elements: elements.into(),
+            states,
             subscribers: subscribers.into(),
             ready: false,
             awaiting_restore: false,
@@ -374,17 +380,13 @@ impl ArmorProcess {
             return;
         };
         match decoded {
-            Ok(states) => {
-                for (name, fields) in states {
-                    for (region, slot) in self.elements.iter_mut().enumerate() {
-                        let Some(elem) = slot else { continue };
-                        if elem.name() == name {
-                            // A whole new map is born dirty: this
-                            // always re-encodes the region.
-                            let state = elem.state_mut();
-                            *state = fields.clone();
-                            self.core.ckpt.microcheckpoint(region, state);
-                        }
+            Ok(decoded) => {
+                for (name, fields) in decoded {
+                    if let Some(i) = self.core.ckpt.region_index(&name) {
+                        // A whole new map is born dirty: this always
+                        // re-encodes the region.
+                        self.states[i] = fields;
+                        self.core.ckpt.microcheckpoint(i, &mut self.states[i]);
                     }
                 }
                 self.restored_from_checkpoint = true;
@@ -447,12 +449,12 @@ impl ArmorProcess {
             return Some(Processing::Crash("dereferenced corrupted pointer in message".into()));
         }
         if let Ok(at) = self.subscribers.binary_search_by(|(t, _)| tag_order(t, ev.tag)) {
-            for n in 0..self.subscribers[at].1.len() {
-                let i = self.subscribers[at].1[n];
-                let mut elem = self.elements[i].take().expect("element present");
-                let stop = self.handle_one(&mut *elem, i, ev, ctx);
-                self.elements[i] = Some(elem);
+            for &i in &self.subscribers[at].1 {
+                let (elem, state) = (&*self.elements[i], &mut self.states[i]);
+                let stop = Self::handle_one(elem, state, i, &mut self.core, ev, ctx);
                 if stop.is_some() {
+                    // What the stopped thread raised dies with it.
+                    self.core.raised.clear();
                     return stop;
                 }
             }
@@ -465,38 +467,35 @@ impl ArmorProcess {
     /// One element's turn at one event: pointer-fault check, optional
     /// precheck, handler, assertions, microcheckpoint — in that order.
     fn handle_one(
-        &mut self,
-        elem: &mut dyn Element,
+        elem: &dyn Element,
+        state: &mut Fields,
         region: usize,
+        core: &mut ArmorCore,
         ev: &ArmorEvent,
         ctx: &mut ProcCtx<'_>,
     ) -> Option<Processing> {
         // Touching state with a corrupted structural pointer segfaults
         // before any logic runs. The verdict is cached in the state and
         // dropped by any mutation, a heap flip included.
-        if elem.state_mut().ptr_fault(PTR_ALIGN) {
+        if state.ptr_fault(PTR_ALIGN) {
             return Some(Processing::Crash("dereferenced corrupted element pointer".into()));
         }
-        if self.core.opts.precheck_assertions {
-            if let Err(e) = elem.check() {
+        if core.opts.precheck_assertions {
+            if let Err(e) = elem.check(state) {
                 return Some(Processing::Assertion(format!("precheck: {e}")));
             }
         }
-        let outcome = {
-            let mut ectx = ElementCtx { core: &mut self.core, os: ctx };
-            elem.handle(ev, &mut ectx)
-        };
-        match outcome {
+        match elem.handle(state, ev, &mut ElementCtx { core, os: ctx }) {
             ElementOutcome::Ok => {
                 // Assertion check *before* the microcheckpoint so
                 // detected corruption never reaches the buffer
                 // (Table 9 scenario 3).
-                if let Err(e) = elem.check() {
+                if let Err(e) = elem.check(state) {
                     return Some(Processing::Assertion(e));
                 }
                 // Only the handling element is snapshotted, and only if
                 // its state was touched since its last snapshot.
-                self.core.ckpt.microcheckpoint(region, elem.state_mut());
+                core.ckpt.microcheckpoint(region, state);
                 None
             }
             ElementOutcome::Crash(r) => Some(Processing::Crash(r)),
@@ -735,7 +734,7 @@ impl ArmorProcess {
 
 impl HeapModel for ArmorProcess {
     fn region_names(&self) -> Vec<String> {
-        self.elements.iter().flatten().map(|e| e.name().to_owned()).collect()
+        self.elements.iter().map(|e| e.name().to_owned()).collect()
     }
 
     fn flip_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
@@ -749,14 +748,10 @@ impl HeapModel for ArmorProcess {
         };
         // Collect candidate element indices (with at least one matching leaf).
         let mut candidates = Vec::new();
-        for (i, slot) in self.elements.iter().enumerate() {
-            let Some(elem) = slot else { continue };
-            if let Some(filter) = region_filter {
-                if elem.name() != filter {
-                    continue;
-                }
-            }
-            if elem.state().has_leaf(want) {
+        for (i, elem) in self.elements.iter().enumerate() {
+            if region_filter.is_none_or(|filter| elem.name() == filter)
+                && self.states[i].has_leaf(want)
+            {
                 candidates.push(i);
             }
         }
@@ -764,9 +759,8 @@ impl HeapModel for ArmorProcess {
             return None;
         }
         let i = candidates[rng.index(candidates.len())];
-        let elem = self.elements[i].as_mut().expect("candidate present");
-        let (path, kind) = elem.state_mut().flip_random_leaf(rng, want)?;
-        Some(HeapHit { region: elem.name().to_owned(), field: path, kind })
+        let (path, kind) = self.states[i].flip_random_leaf(rng, want)?;
+        Some(HeapHit { region: self.elements[i].name().to_owned(), field: path, kind })
     }
 }
 

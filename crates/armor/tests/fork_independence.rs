@@ -35,10 +35,7 @@ const LISTENER: ArmorId = ArmorId(2);
 const POISON: &str = "poison-next-send";
 
 /// Sends a numbered note to the listener on every `say`.
-#[derive(Clone)]
-struct Talker {
-    state: Fields,
-}
+struct Talker;
 
 impl Element for Talker {
     fn name(&self) -> &'static str {
@@ -47,28 +44,30 @@ impl Element for Talker {
     fn subscriptions(&self) -> &'static [&'static str] {
         &["say"]
     }
-    fn handle(&mut self, _ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
-        let n = self.state.bump("said").unwrap_or(0);
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("said", Value::U64(0));
+        state.set("link", ree_armor::valid_ptr(3));
+        state
+    }
+    fn handle(
+        &self,
+        state: &mut Fields,
+        _ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
+        let n = state.bump("said").unwrap_or(0);
         let note = ArmorEvent::new("note")
             .with("n", Value::U64(n))
             .with("text", Value::Str(format!("note number {n}")));
         ctx.send(LISTENER, vec![note]);
         ElementOutcome::Ok
     }
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
 }
 
 /// Keeps every note it is handed, so its checkpoint shows exactly which
 /// event contents were delivered.
-#[derive(Clone)]
-struct Listener {
-    state: Fields,
-}
+struct Listener;
 
 impl Element for Listener {
     fn name(&self) -> &'static str {
@@ -77,16 +76,18 @@ impl Element for Listener {
     fn subscriptions(&self) -> &'static [&'static str] {
         &["note"]
     }
-    fn handle(&mut self, ev: &ArmorEvent, _ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        Fields::new()
+    }
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        _ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         let key = format!("note{}", ev.u64("n").unwrap_or(u64::MAX));
-        self.state.set(key, Value::Str(ev.str("text").unwrap_or("?").to_owned()));
+        state.set(key, Value::Str(ev.str("text").unwrap_or("?").to_owned()));
         ElementOutcome::Ok
-    }
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
     }
 }
 
@@ -171,18 +172,15 @@ fn armor(id: ArmorId, name: &str, element: Box<dyn Element>) -> Box<dyn Process>
 /// committed its checkpoint.
 fn world_mid_window() -> World {
     let mut cluster = Cluster::new(ClusterConfig::ree_testbed(11));
-    let mut state = Fields::new();
-    state.set("said", Value::U64(0));
-    state.set("link", ree_armor::valid_ptr(3));
     let talker = cluster.spawn(SpawnSpec::new(
         "talker",
         NodeId(0),
-        armor(TALKER, "talker", Box::new(Talker { state })),
+        armor(TALKER, "talker", Box::new(Talker)),
     ));
     let listener = cluster.spawn(SpawnSpec::new(
         "listener",
         NodeId(1),
-        armor(LISTENER, "listener", Box::new(Listener { state: Fields::new() })),
+        armor(LISTENER, "listener", Box::new(Listener)),
     ));
     cluster.spawn(SpawnSpec::new("driver", NodeId(0), Box::new(Driver { talker, listener })));
     cluster.run_until(SimTime::from_secs(1));

@@ -7,6 +7,11 @@
 //! its restore instruction missing. Each of those six sentences is
 //! provoked here on a one-ARMOR cluster and compared with the text the
 //! typed `TraceDetail` variant used to render.
+//!
+//! The same one-ARMOR cluster shows two contracts of the runtime that no
+//! sentence pins: an aborted handling thread takes the events it raised
+//! with it, and the first checkpoint an ARMOR commits holds every
+//! element's initial state.
 
 use ree_armor::{
     ArmorEvent, ArmorId, ArmorOptions, ArmorProcess, CheckpointBuffer, ControlOp, Element,
@@ -19,27 +24,80 @@ use ree_sim::{SimDuration, SimTime};
 
 const WORKER: ArmorId = ArmorId(2);
 
-/// Refuses every `refuse` event by aborting the handling thread.
-#[derive(Clone)]
-struct Refuser {
-    state: Fields,
+/// Raises `echo` on every `go`.
+struct Raiser;
+
+impl Element for Raiser {
+    fn name(&self) -> &'static str {
+        "raiser"
+    }
+    fn subscriptions(&self) -> &'static [&'static str] {
+        &["go"]
+    }
+    fn initial_state(&self) -> Fields {
+        Fields::new()
+    }
+    fn handle(
+        &self,
+        _state: &mut Fields,
+        _ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
+        ctx.raise(ArmorEvent::new("echo"));
+        ElementOutcome::Ok
+    }
 }
+
+/// Refuses every `refuse` event — and every `go`, after [`Raiser`] has
+/// had its turn — by aborting the handling thread.
+struct Refuser;
 
 impl Element for Refuser {
     fn name(&self) -> &'static str {
         "refuser"
     }
     fn subscriptions(&self) -> &'static [&'static str] {
-        &["refuse"]
+        &["refuse", "go"]
     }
-    fn handle(&mut self, _ev: &ArmorEvent, _ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("refused", Value::U64(0));
+        state
+    }
+    fn handle(
+        &self,
+        _state: &mut Fields,
+        _ev: &ArmorEvent,
+        _ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         ElementOutcome::AbortThread("refusing this one".into())
     }
-    fn state(&self) -> &Fields {
-        &self.state
+}
+
+/// Counts and traces every `echo` it is handed.
+struct Echo;
+
+impl Element for Echo {
+    fn name(&self) -> &'static str {
+        "echo"
     }
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
+    fn subscriptions(&self) -> &'static [&'static str] {
+        &["echo"]
+    }
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("echoes", Value::U64(0));
+        state
+    }
+    fn handle(
+        &self,
+        state: &mut Fields,
+        _ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
+        state.bump("echoes");
+        ctx.trace("echo delivered");
+        ElementOutcome::Ok
     }
 }
 
@@ -61,32 +119,34 @@ impl Process for Driver {
     fn on_message(&mut self, _msg: Message, _ctx: &mut ProcCtx<'_>) {}
 }
 
-fn refuser_state() -> Fields {
-    let mut state = Fields::new();
-    state.set("refused", Value::U64(0));
-    state
-}
-
 fn spawn_worker(cluster: &mut Cluster, gateway: Gateway, restore: RestorePolicy) -> Pid {
     let worker = ArmorProcess::new(
         WORKER,
         "worker",
-        vec![Box::new(Refuser { state: refuser_state() })],
+        vec![Box::new(Raiser), Box::new(Refuser), Box::new(Echo)],
         gateway,
         ArmorOptions { restore, ..ArmorOptions::default() },
     );
     cluster.spawn(SpawnSpec::new("worker", NodeId(0), Box::new(worker)))
 }
 
-/// Boots a worker ARMOR, hands it `message` from a driver process, runs
-/// one second and returns the cluster with the worker's pid.
-fn deliver(gateway: Gateway, label: &'static str, payload: Box<dyn Payload>) -> (Cluster, Pid) {
+/// Boots a worker ARMOR, hands it `messages` in order from a driver
+/// process, runs one second and returns the cluster with the worker's
+/// pid.
+fn deliver_all(
+    gateway: Gateway,
+    messages: Vec<(&'static str, Box<dyn Payload>)>,
+) -> (Cluster, Pid) {
     let mut cluster = Cluster::new(ClusterConfig::ree_testbed(3));
     let worker = spawn_worker(&mut cluster, gateway, RestorePolicy::OnStart);
-    let driver = Driver { script: vec![(worker, label, payload)] };
-    cluster.spawn(SpawnSpec::new("driver", NodeId(0), Box::new(driver)));
+    let script = messages.into_iter().map(|(label, payload)| (worker, label, payload)).collect();
+    cluster.spawn(SpawnSpec::new("driver", NodeId(0), Box::new(Driver { script })));
     cluster.run_until(SimTime::from_secs(1));
     (cluster, worker)
+}
+
+fn deliver(gateway: Gateway, label: &'static str, payload: Box<dyn Payload>) -> (Cluster, Pid) {
+    deliver_all(gateway, vec![(label, payload)])
 }
 
 /// The one record whose rendered detail contains `needle`, as
@@ -97,15 +157,15 @@ fn record(cluster: &Cluster, needle: &str) -> (Option<Pid>, TraceKind, String) {
     (r.pid, r.kind, r.detail.to_string())
 }
 
-/// A data packet from ARMOR 1 carrying one `refuse` event for `dst`.
-fn refuse_packet(dst: ArmorId) -> Box<dyn Payload> {
+/// A data packet from ARMOR 1 carrying one `tag` event for `dst`.
+fn packet(dst: ArmorId, tag: &'static str) -> Box<dyn Payload> {
     let mut comm = ReliableComm::new(ArmorId(1), SimDuration::from_secs(2));
-    Box::new(comm.send(SimTime::ZERO, dst, vec![ArmorEvent::new("refuse")]))
+    Box::new(comm.send(SimTime::ZERO, dst, vec![ArmorEvent::new(tag)]))
 }
 
 /// A committed checkpoint image of the worker's one element.
 fn worker_image() -> Vec<u8> {
-    let state = refuser_state();
+    let state = Refuser.initial_state();
     CheckpointBuffer::new([("refuser", &state)]).encode().to_vec()
 }
 
@@ -130,7 +190,7 @@ fn thread_abort_on_a_locally_raised_event() {
 
 #[test]
 fn thread_abort_on_a_delivered_message() {
-    let (cluster, worker) = deliver(Gateway::SelfRouting, "armor-wire", refuse_packet(WORKER));
+    let (cluster, worker) = deliver(Gateway::SelfRouting, "armor-wire", packet(WORKER, "refuse"));
     assert_eq!(
         record(&cluster, "thread abort:"),
         (Some(worker), TraceKind::App, "worker thread abort: refusing this one".into())
@@ -141,7 +201,7 @@ fn thread_abort_on_a_delivered_message() {
 fn packet_for_another_armor_at_a_non_routing_armor() {
     // The gateway pid only has to make the worker a non-router.
     let (cluster, worker) =
-        deliver(Gateway::Daemon(Pid(999)), "armor-wire", refuse_packet(ArmorId(9)));
+        deliver(Gateway::Daemon(Pid(999)), "armor-wire", packet(ArmorId(9), "refuse"));
     assert_eq!(
         record(&cluster, "misrouted"),
         (Some(worker), TraceKind::App, "worker: misrouted packet dropped".into())
@@ -187,5 +247,36 @@ fn missing_restore_instruction_falls_back_after_thirty_seconds() {
         record(&cluster, "restored state").2,
         "worker restored state from checkpoint",
         "the fallback restores from the image it was told to wait for"
+    );
+}
+
+#[test]
+fn an_aborted_thread_takes_what_it_raised_with_it() {
+    // `go` reaches the raiser, which raises `echo`, and then the refuser,
+    // which aborts: the `echo` must not surface in the next, unrelated
+    // event's batch.
+    let raise = |tag| ("armor-control", Box::new(ControlOp::Raise(ArmorEvent::new(tag))) as _);
+    let (cluster, _) = deliver_all(Gateway::SelfRouting, vec![raise("go"), raise("unrelated")]);
+    assert_eq!(cluster.trace().count("handling thread aborted"), 1, "{}", cluster.trace().render());
+    assert!(!cluster.trace().contains("echo delivered"), "{}", cluster.trace().render());
+}
+
+#[test]
+fn the_first_commit_holds_every_initial_state() {
+    // An `echo` from ARMOR 1 is handled by one element and acknowledged;
+    // the acknowledgement commits the buffer for the first time.
+    let (mut cluster, _) = deliver(Gateway::SelfRouting, "armor-wire", packet(WORKER, "echo"));
+    assert_eq!(cluster.trace().count("echo delivered"), 1, "{}", cluster.trace().render());
+    let image = cluster.ramdisk(NodeId(0)).read("ckpt/worker").expect("the ack committed").to_vec();
+    let mut echoed = Echo.initial_state();
+    echoed.bump("echoes");
+    assert_eq!(
+        CheckpointBuffer::decode(&image).expect("well-formed"),
+        vec![
+            ("raiser".to_owned(), Raiser.initial_state()),
+            ("refuser".to_owned(), Refuser.initial_state()),
+            ("echo".to_owned(), echoed),
+        ],
+        "untouched elements are on stable storage as built, the handler as it left its state"
     );
 }

@@ -133,17 +133,57 @@ impl Blueprint {
         ArmorOptions { restore, precheck_assertions: self.config.precheck_assertions }
     }
 
+    /// The daemon composition: gateway, installer, local prober.
+    fn daemon_elements(self: &Arc<Self>, node: NodeId) -> Vec<Box<dyn Element>> {
+        vec![
+            Box::new(DaemonGateway { node }),
+            Box::new(DaemonInstaller { node, blueprint: Arc::clone(self) }),
+            Box::new(LocalProber { period: self.config.daemon_probe_period }),
+        ]
+    }
+
+    /// The composition of an ARMOR of `kind`: the basic set every ARMOR
+    /// carries (§3.1), then what makes it an FTM, a Heartbeat ARMOR or an
+    /// Execution ARMOR.
+    fn armor_elements(self: &Arc<Self>, kind: &str) -> Vec<Box<dyn Element>> {
+        let config = &self.config;
+        let checks = config.assertions_enabled;
+        match kind {
+            "ftm" => vec![
+                Box::new(Configurator),
+                Box::new(ProbeResponder),
+                Box::new(FtmHbResponder),
+                Box::new(SccIface { checks, connect_timeout: config.connect_timeout }),
+                Box::new(MgrArmorInfo { checks, race_fix: config.race_fix_enabled }),
+                Box::new(ExecArmorInfo { checks }),
+                Box::new(AppParam { checks }),
+                Box::new(MgrAppDetect { checks }),
+                Box::new(NodeMgmt { checks }),
+                Box::new(DaemonHb { period: config.ftm_daemon_hb_period }),
+            ],
+            "heartbeat" => vec![
+                Box::new(Configurator),
+                Box::new(ProbeResponder),
+                Box::new(HbWatch { period: config.hb_ftm_period }),
+            ],
+            _ => vec![
+                Box::new(Configurator),
+                Box::new(ProbeResponder),
+                Box::new(AppMonitor { blueprint: Arc::clone(self) }),
+                Box::new(ProgressWatch {
+                    check_period: config.pi_check_period,
+                    interrupt_driven: config.interrupt_driven_pi,
+                }),
+            ],
+        }
+    }
+
     /// Builds a daemon ARMOR for `node` (used by the SCC).
     pub fn make_daemon(self: &Arc<Self>, node: NodeId) -> Box<dyn Process> {
-        let elements: Vec<Box<dyn Element>> = vec![
-            Box::new(DaemonGateway::new(node)),
-            Box::new(DaemonInstaller::new(node, Arc::clone(self))),
-            Box::new(LocalProber::new(self.config.daemon_probe_period)),
-        ];
         Box::new(ArmorProcess::new(
             ids::daemon(node.0),
             names::daemon(node.0),
-            elements,
+            self.daemon_elements(node),
             Gateway::SelfRouting,
             self.armor_options(RestorePolicy::OnStart),
         ))
@@ -159,64 +199,19 @@ impl Blueprint {
         slot: u32,
         rank: u32,
     ) -> Box<dyn Process> {
-        let checks = self.config.assertions_enabled;
-        match kind {
-            "ftm" => {
-                let elements: Vec<Box<dyn Element>> = vec![
-                    Box::new(Configurator::new()),
-                    Box::new(ProbeResponder::new()),
-                    Box::new(FtmHbResponder::new()),
-                    Box::new(SccIface::new(checks, self.config.connect_timeout)),
-                    Box::new(MgrArmorInfo::new(checks, self.config.race_fix_enabled)),
-                    Box::new(ExecArmorInfo::new(checks)),
-                    Box::new(AppParam::new(checks)),
-                    Box::new(MgrAppDetect::new(checks)),
-                    Box::new(NodeMgmt::new(checks)),
-                    Box::new(DaemonHb::new(self.config.ftm_daemon_hb_period)),
-                ];
-                Box::new(ArmorProcess::new(
-                    id,
-                    names::FTM,
-                    elements,
-                    Gateway::Daemon(gateway),
-                    // Two-step recovery: the Heartbeat ARMOR instructs
-                    // the restore (§6.1).
-                    self.armor_options(RestorePolicy::OnInstruction),
-                ))
-            }
-            "heartbeat" => {
-                let elements: Vec<Box<dyn Element>> = vec![
-                    Box::new(Configurator::new()),
-                    Box::new(ProbeResponder::new()),
-                    Box::new(HbWatch::new(self.config.hb_ftm_period)),
-                ];
-                Box::new(ArmorProcess::new(
-                    id,
-                    names::HEARTBEAT,
-                    elements,
-                    Gateway::Daemon(gateway),
-                    self.armor_options(RestorePolicy::OnStart),
-                ))
-            }
-            _ => {
-                let elements: Vec<Box<dyn Element>> = vec![
-                    Box::new(Configurator::new()),
-                    Box::new(ProbeResponder::new()),
-                    Box::new(AppMonitor::new(Arc::clone(self))),
-                    Box::new(ProgressWatch::new(
-                        self.config.pi_check_period,
-                        self.config.interrupt_driven_pi,
-                    )),
-                ];
-                Box::new(ArmorProcess::new(
-                    id,
-                    names::exec(slot, rank),
-                    elements,
-                    Gateway::Daemon(gateway),
-                    self.armor_options(RestorePolicy::OnStart),
-                ))
-            }
-        }
+        let restore = match kind {
+            // Two-step recovery: the Heartbeat ARMOR instructs the
+            // restore (§6.1).
+            "ftm" => RestorePolicy::OnInstruction,
+            _ => RestorePolicy::OnStart,
+        };
+        Box::new(ArmorProcess::new(
+            id,
+            self.armor_instance_name(kind, slot, rank),
+            self.armor_elements(kind),
+            Gateway::Daemon(gateway),
+            self.armor_options(restore),
+        ))
     }
 }
 
@@ -224,5 +219,66 @@ impl std::fmt::Debug for Blueprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let apps: Vec<&str> = self.apps.iter().map(|(name, _)| name.as_str()).collect();
         f.debug_struct("Blueprint").field("apps", &apps).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ree_armor::Value;
+
+    fn blueprint(assertions_enabled: bool) -> Arc<Blueprint> {
+        Blueprint::new(SiftConfig { assertions_enabled, ..SiftConfig::default() }, [])
+    }
+
+    fn compositions(bp: &Arc<Blueprint>) -> Vec<(&'static str, Vec<Box<dyn Element>>)> {
+        let mut all = vec![("daemon", bp.daemon_elements(NodeId(2)))];
+        all.extend(["ftm", "heartbeat", "exec"].map(|kind| (kind, bp.armor_elements(kind))));
+        all
+    }
+
+    fn names(elements: &[Box<dyn Element>]) -> Vec<&'static str> {
+        elements.iter().map(|e| e.name()).collect()
+    }
+
+    #[test]
+    fn element_names_are_unique_within_each_composition() {
+        for (kind, elements) in compositions(&blueprint(true)) {
+            let mut sorted = names(&elements);
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), elements.len(), "{kind}: {:?}", names(&elements));
+        }
+    }
+
+    #[test]
+    fn every_element_accepts_its_own_initial_state() {
+        for (kind, elements) in compositions(&blueprint(true)) {
+            for elem in &elements {
+                let state = elem.initial_state();
+                assert_eq!(elem.check(&state), Ok(()), "{kind}/{}", elem.name());
+            }
+        }
+    }
+
+    #[test]
+    fn the_ftm_carries_the_table_8_elements_in_order() {
+        let ftm = names(&blueprint(true).armor_elements("ftm"));
+        let table8 =
+            ["mgr_armor_info", "exec_armor_info", "app_param", "mgr_app_detect", "node_mgmt"];
+        let first = ftm.iter().position(|n| *n == table8[0]).expect("mgr_armor_info present");
+        assert_eq!(ftm[first..first + table8.len()], table8);
+    }
+
+    #[test]
+    fn assertions_off_accepts_a_state_assertions_on_rejects() {
+        let scc_iface = |bp: &Arc<Blueprint>| {
+            let elem = bp.armor_elements("ftm").into_iter().find(|e| e.name() == "scc_iface");
+            elem.expect("scc_iface present")
+        };
+        let mut state = scc_iface(&blueprint(true)).initial_state();
+        state.set("scc_pid", Value::U64(u64::MAX));
+        assert!(scc_iface(&blueprint(true)).check(&state).is_err());
+        assert_eq!(scc_iface(&blueprint(false)).check(&state), Ok(()));
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::blueprint::Blueprint;
 use crate::config::{ids, tags};
-use crate::util::{rec_str, rec_u64, table_get, table_remove, table_set};
+use crate::util::{rec_str, rec_u64, record, table_get, table_keys, table_remove, table_set};
 use ree_armor::{
     ArmorEvent, ArmorId, ControlOp, Element, ElementCtx, ElementOutcome, Fields, Value,
 };
@@ -17,23 +17,13 @@ use std::sync::Arc;
 /// repeatedly fails after being recovered in this manner, then the error
 /// may reside in the daemon's text segment, requiring that the ARMOR's
 /// image be reloaded from disk").
-pub const IMAGE_RELOAD_THRESHOLD: u64 = 3;
+const IMAGE_RELOAD_THRESHOLD: u64 = 3;
 
 /// Gateway duties: heartbeat replies to the FTM, route updates, and
 /// registration with the FTM.
-#[derive(Clone)]
-pub struct DaemonGateway {
-    state: Fields,
-}
-
-impl DaemonGateway {
-    /// Creates the gateway element for a daemon on `node`.
-    pub fn new(node: NodeId) -> Self {
-        let mut state = Fields::new();
-        state.set("node", Value::U64(node.0 as u64));
-        state.set("hb_acks_sent", Value::U64(0));
-        DaemonGateway { state }
-    }
+pub(crate) struct DaemonGateway {
+    /// The node this daemon serves.
+    pub(crate) node: NodeId,
 }
 
 impl Element for DaemonGateway {
@@ -45,11 +35,23 @@ impl Element for DaemonGateway {
         &[tags::DAEMON_HB_PING, "register-with-ftm", tags::ROUTE_UPDATE, "sift-configure"]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("node", Value::U64(self.node.0 as u64));
+        state.set("hb_acks_sent", Value::U64(0));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             tags::DAEMON_HB_PING => {
-                self.state.bump("hb_acks_sent");
-                let node = self.state.u64("node").unwrap_or(0);
+                state.bump("hb_acks_sent");
+                let node = state.u64("node").unwrap_or(0);
                 ctx.send_unreliable(
                     ids::FTM,
                     vec![ArmorEvent::new(tags::DAEMON_HB_ACK)
@@ -59,7 +61,7 @@ impl Element for DaemonGateway {
                 );
             }
             "register-with-ftm" => {
-                let node = self.state.u64("node").unwrap_or(0);
+                let node = state.u64("node").unwrap_or(0);
                 ctx.trace_event(
                     TraceEvent::DaemonRegistered,
                     format!("daemon on node{node} registering with FTM"),
@@ -78,7 +80,7 @@ impl Element for DaemonGateway {
             }
             "sift-configure" => {
                 for (name, value) in ev.fields.iter() {
-                    self.state.set(name, value.clone());
+                    state.set(name, value.clone());
                 }
             }
             _ => {}
@@ -86,16 +88,8 @@ impl Element for DaemonGateway {
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
-        match self.state.u64("node") {
+    fn check(&self, state: &Fields) -> Result<(), String> {
+        match state.u64("node") {
             Some(n) if n < 64 => Ok(()),
             Some(n) => Err(format!("gateway node {n} out of range")),
             None => Err("gateway node missing".into()),
@@ -105,32 +99,16 @@ impl Element for DaemonGateway {
 
 /// Installs, reinstalls, and uninstalls ARMOR processes on this node, and
 /// detects their failures through `waitpid`.
-#[derive(Clone)]
-pub struct DaemonInstaller {
-    state: Fields,
-    blueprint: Arc<Blueprint>,
+pub(crate) struct DaemonInstaller {
+    /// The node this daemon serves.
+    pub(crate) node: NodeId,
+    /// Recipes for the ARMORs it installs.
+    pub(crate) blueprint: Arc<Blueprint>,
 }
 
 impl DaemonInstaller {
-    /// Creates the installer element.
-    pub fn new(node: NodeId, blueprint: Arc<Blueprint>) -> Self {
-        let mut state = Fields::new();
-        state.set("node", Value::U64(node.0 as u64));
-        state.set("local", Value::Map(Default::default()));
-        state.set("installs", Value::U64(0));
-        DaemonInstaller { state, blueprint }
-    }
-
-    fn node(&self) -> NodeId {
-        NodeId(self.state.u64("node").unwrap_or(0) as u16)
-    }
-
-    fn scc_pid(&self) -> Option<Pid> {
-        self.state.u64("scc_pid").map(Pid)
-    }
-
-    fn peer_daemons(&self) -> Vec<ArmorId> {
-        self.state
+    fn peer_daemons(state: &Fields) -> Vec<ArmorId> {
+        state
             .get("peers")
             .and_then(Value::as_list)
             .map(|l| l.iter().filter_map(|v| v.as_u64()).map(|v| ArmorId(v as u32)).collect())
@@ -143,7 +121,8 @@ impl DaemonInstaller {
     #[allow(clippy::too_many_arguments)]
     #[allow(clippy::fn_params_excessive_bools)]
     fn spawn_armor(
-        &mut self,
+        &self,
+        state: &mut Fields,
         ctx: &mut ElementCtx<'_, '_>,
         armor: ArmorId,
         kind: &str,
@@ -153,7 +132,7 @@ impl DaemonInstaller {
         initial: bool,
         extra_config: Vec<(&str, Value)>,
     ) -> Pid {
-        let node = self.node();
+        let node = NodeId(state.u64("node").unwrap_or(0) as u16);
         let my_pid = ctx.os.pid();
         let behavior = self.blueprint.make_armor(kind, armor, my_pid, slot as u32, rank as u32);
         let name = self.blueprint.armor_instance_name(kind, slot as u32, rank as u32);
@@ -182,17 +161,17 @@ impl DaemonInstaller {
         }
         let pid = ctx.os.spawn(spec);
         table_set(
-            &mut self.state,
+            state,
             "local",
             &armor.0.to_string(),
-            crate::util::record(vec![
+            record(vec![
                 ("pid", Value::U64(pid.0)),
                 ("kind", Value::Str(kind.to_owned())),
                 ("slot", Value::U64(slot)),
                 ("rank", Value::U64(rank)),
             ]),
         );
-        self.state.bump("installs");
+        state.bump("installs");
         ctx.install_route(armor, pid);
         // Post-configuration of the new ARMOR.
         let mut cfg = ArmorEvent::new("sift-configure")
@@ -204,7 +183,7 @@ impl DaemonInstaller {
         }
         ctx.os.send(pid, "armor-control", 96, ControlOp::Raise(cfg));
         // Route propagation to every peer daemon (and the SCC).
-        for peer in self.peer_daemons() {
+        for peer in Self::peer_daemons(state) {
             if peer != ctx.armor_id() {
                 ctx.send_unreliable(
                     peer,
@@ -214,7 +193,7 @@ impl DaemonInstaller {
                 );
             }
         }
-        if let Some(scc) = self.scc_pid() {
+        if let Some(scc) = state.u64("scc_pid").map(Pid) {
             ctx.os.send(
                 scc,
                 "armor-installed",
@@ -250,11 +229,24 @@ impl Element for DaemonInstaller {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("node", Value::U64(self.node.0 as u64));
+        state.set("local", Value::Map(Default::default()));
+        state.set("installs", Value::U64(0));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             "sift-configure" => {
                 for (name, value) in ev.fields.iter() {
-                    self.state.set(name, value.clone());
+                    state.set(name, value.clone());
                 }
             }
             tags::INSTALL_ARMOR => {
@@ -275,7 +267,7 @@ impl Element for DaemonInstaller {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let rank = ev.u64("rank").unwrap_or(0);
                 // A resubmission may re-install over a live ARMOR.
-                if let Some(rec) = table_get(&self.state, "local", &armor.0.to_string()) {
+                if let Some(rec) = table_get(state, "local", &armor.0.to_string()) {
                     if let Some(old) = rec_u64(rec, "pid") {
                         if ctx.os.process_alive(Pid(old)) {
                             ctx.os.kill(Pid(old), Signal::Kill);
@@ -286,10 +278,11 @@ impl Element for DaemonInstaller {
                 if let Some(fd) = ev.u64("ftm_daemon") {
                     extra.push(("ftm_daemon", Value::U64(fd)));
                 }
-                if let Some(scc) = self.state.u64("scc_pid") {
+                if let Some(scc) = state.u64("scc_pid") {
                     extra.push(("scc_pid", Value::U64(scc)));
                 }
-                let pid = self.spawn_armor(ctx, armor, &kind, slot, rank, false, true, extra);
+                let pid =
+                    self.spawn_armor(state, ctx, armor, &kind, slot, rank, false, true, extra);
                 // Confirm to whoever asked (the FTM for exec/heartbeat
                 // ARMORs; the SCC learns through armor-installed).
                 if ev.u64("requester").is_some() {
@@ -298,7 +291,7 @@ impl Element for DaemonInstaller {
                         vec![ArmorEvent::new(tags::INSTALL_ACK)
                             .with("armor", Value::U64(armor.0 as u64))
                             .with("pid", Value::U64(pid.0))
-                            .with("node", Value::U64(self.state.u64("node").unwrap_or(0)))
+                            .with("node", Value::U64(state.u64("node").unwrap_or(0)))
                             .with("slot", Value::U64(slot))
                             .with("rank", Value::U64(rank))
                             .with("kind", Value::Str(kind))],
@@ -311,14 +304,14 @@ impl Element for DaemonInstaller {
                 };
                 let key = armor.0.to_string();
                 // Kill the old incarnation if it is somehow still alive.
-                if let Some(rec) = table_get(&self.state, "local", &key) {
+                if let Some(rec) = table_get(state, "local", &key) {
                     if let Some(old_pid) = rec_u64(rec, "pid") {
                         if ctx.os.process_alive(Pid(old_pid)) {
                             ctx.os.kill(Pid(old_pid), Signal::Kill);
                         }
                     }
                 }
-                let (kind, slot, rank) = match table_get(&self.state, "local", &key) {
+                let (kind, slot, rank) = match table_get(state, "local", &key) {
                     Some(rec) => (
                         rec_str(rec, "kind").unwrap_or("exec").to_owned(),
                         rec_u64(rec, "slot").unwrap_or(0),
@@ -331,7 +324,7 @@ impl Element for DaemonInstaller {
                     ),
                 };
                 let restarts_key = format!("restarts_{}", armor.0);
-                let restarts = self.state.bump(&restarts_key).unwrap_or(1);
+                let restarts = state.bump(&restarts_key).unwrap_or(1);
                 let pristine = restarts >= IMAGE_RELOAD_THRESHOLD;
                 if pristine {
                     ctx.trace(format!(
@@ -343,19 +336,20 @@ impl Element for DaemonInstaller {
                 if let Some(fd) = ev.u64("ftm_daemon") {
                     extra.push(("ftm_daemon", Value::U64(fd)));
                 }
-                if let Some(scc) = self.state.u64("scc_pid") {
+                if let Some(scc) = state.u64("scc_pid") {
                     extra.push(("scc_pid", Value::U64(scc)));
                 }
                 // Recovery traffic competes with the application (§5.2).
                 ctx.os.net_load(SimDuration::from_millis(650), 0.8);
-                let pid = self.spawn_armor(ctx, armor, &kind, slot, rank, pristine, false, extra);
+                let pid =
+                    self.spawn_armor(state, ctx, armor, &kind, slot, rank, pristine, false, extra);
                 if let Some(requester) = ev.u64("requester").map(|r| ArmorId(r as u32)) {
                     ctx.send(
                         requester,
                         vec![ArmorEvent::new(tags::REINSTALL_ACK)
                             .with("armor", Value::U64(armor.0 as u64))
                             .with("pid", Value::U64(pid.0))
-                            .with("node", Value::U64(self.state.u64("node").unwrap_or(0)))],
+                            .with("node", Value::U64(state.u64("node").unwrap_or(0)))],
                     );
                 }
             }
@@ -363,7 +357,7 @@ impl Element for DaemonInstaller {
                 let Some(armor) = ev.u64("armor") else { return ElementOutcome::Ok };
                 // Remove before killing so the child-exit is not treated
                 // as a failure.
-                if let Some(rec) = table_remove(&mut self.state, "local", &armor.to_string()) {
+                if let Some(rec) = table_remove(state, "local", &armor.to_string()) {
                     if let Some(pid) = rec_u64(&rec, "pid") {
                         if ctx.os.process_alive(Pid(pid)) {
                             ctx.os.kill(Pid(pid), Signal::Kill);
@@ -382,7 +376,7 @@ impl Element for DaemonInstaller {
                 // The prober found a local ARMOR unresponsive: kill it so
                 // the crash path (waitpid) takes over (§3.3).
                 let Some(armor) = ev.u64("armor") else { return ElementOutcome::Ok };
-                if let Some(rec) = table_get(&self.state, "local", &armor.to_string()) {
+                if let Some(rec) = table_get(state, "local", &armor.to_string()) {
                     if let Some(pid) = rec_u64(rec, "pid") {
                         ctx.os.trace_recovery_event(
                             TraceEvent::HangDetected,
@@ -396,7 +390,7 @@ impl Element for DaemonInstaller {
                 let Some(child) = ev.u64("child") else { return ElementOutcome::Ok };
                 // Which local ARMOR was this?
                 let mut failed: Option<u64> = None;
-                if let Some(Value::Map(local)) = self.state.get("local") {
+                if let Some(Value::Map(local)) = state.get("local") {
                     for (key, rec) in local {
                         if rec_u64(rec, "pid") == Some(child) {
                             failed = key.parse::<u64>().ok();
@@ -419,7 +413,7 @@ impl Element for DaemonInstaller {
                         ids::FTM,
                         vec![ArmorEvent::new(tags::ARMOR_FAILED)
                             .with("armor", Value::U64(armor))
-                            .with("node", Value::U64(self.state.u64("node").unwrap_or(0)))],
+                            .with("node", Value::U64(state.u64("node").unwrap_or(0)))],
                     );
                 }
             }
@@ -428,41 +422,18 @@ impl Element for DaemonInstaller {
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
-        ree_armor::assertions::map_integrity(&self.state, "local", |rec| {
+    fn check(&self, state: &Fields) -> Result<(), String> {
+        ree_armor::assertions::map_integrity(state, "local", |rec| {
             rec_u64(rec, "pid").map(|p| p > 0 && p < 1_000_000).unwrap_or(false)
         })
     }
 }
 
-fn table_keys_local(fields: &Fields, table: &str) -> Vec<String> {
-    crate::util::table_keys(fields, table)
-}
-
 /// Sends "Are-you-alive?" probes to local ARMORs every probe period and
 /// raises `armor-hung` when one stops answering (§3.3).
-#[derive(Clone)]
-pub struct LocalProber {
-    state: Fields,
-    period: SimDuration,
-}
-
-impl LocalProber {
-    /// Creates the prober with the configured probe period.
-    pub fn new(period: SimDuration) -> Self {
-        let mut state = Fields::new();
-        state.set("watch", Value::Map(Default::default()));
-        state.set("probes_sent", Value::U64(0));
-        LocalProber { state, period }
-    }
+pub(crate) struct LocalProber {
+    /// Probe period.
+    pub(crate) period: SimDuration,
 }
 
 impl Element for LocalProber {
@@ -481,20 +452,31 @@ impl Element for LocalProber {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("watch", Value::Map(Default::default()));
+        state.set("probes_sent", Value::U64(0));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             tags::ARMOR_START => {
                 ctx.set_timer_event(self.period, ArmorEvent::new("probe-cycle"));
             }
             "armor-restored" => {
                 // Probes the predecessor sent are not pending for us.
-                for key in table_keys_local(&self.state, "watch") {
-                    table_set(&mut self.state, "watch", &key, Value::Bool(false));
+                for key in table_keys(state, "watch") {
+                    table_set(state, "watch", &key, Value::Bool(false));
                 }
             }
             "probe-cycle" => {
-                let watched: Vec<(String, bool)> = self
-                    .state
+                let watched: Vec<(String, bool)> = state
                     .get("watch")
                     .and_then(Value::as_map)
                     .map(|m| {
@@ -506,48 +488,37 @@ impl Element for LocalProber {
                     if awaiting {
                         // No reply since the previous round: hung.
                         ctx.raise(ArmorEvent::new("armor-hung").with("armor", Value::U64(armor)));
-                        table_set(&mut self.state, "watch", &key, Value::Bool(false));
+                        table_set(state, "watch", &key, Value::Bool(false));
                     } else {
-                        self.state.bump("probes_sent");
+                        state.bump("probes_sent");
                         ctx.send_unreliable(
                             ArmorId(armor as u32),
                             vec![ArmorEvent::new(tags::ARE_YOU_ALIVE)
                                 .with("daemon", Value::U64(ctx.armor_id().0 as u64))
-                                .with(
-                                    "seq",
-                                    Value::U64(self.state.u64("probes_sent").unwrap_or(0)),
-                                )],
+                                .with("seq", Value::U64(state.u64("probes_sent").unwrap_or(0)))],
                         );
-                        table_set(&mut self.state, "watch", &key, Value::Bool(true));
+                        table_set(state, "watch", &key, Value::Bool(true));
                     }
                 }
                 ctx.set_timer_event(self.period, ArmorEvent::new("probe-cycle"));
             }
             tags::ALIVE_ACK => {
                 if let Some(armor) = ev.u64("armor") {
-                    table_set(&mut self.state, "watch", &armor.to_string(), Value::Bool(false));
+                    table_set(state, "watch", &armor.to_string(), Value::Bool(false));
                 }
             }
             "local-armor-added" => {
                 if let Some(armor) = ev.u64("armor") {
-                    table_set(&mut self.state, "watch", &armor.to_string(), Value::Bool(false));
+                    table_set(state, "watch", &armor.to_string(), Value::Bool(false));
                 }
             }
             "local-armor-removed" => {
                 if let Some(armor) = ev.u64("armor") {
-                    table_remove(&mut self.state, "watch", &armor.to_string());
+                    table_remove(state, "watch", &armor.to_string());
                 }
             }
             _ => {}
         }
         ElementOutcome::Ok
-    }
-
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
     }
 }

@@ -14,52 +14,34 @@ use std::sync::Arc;
 const PROC_POLL_PERIOD: SimDuration = SimDuration::from_secs(2);
 
 /// Launches and monitors the local MPI application process.
-#[derive(Clone)]
-pub struct AppMonitor {
-    state: Fields,
-    blueprint: Arc<Blueprint>,
+pub(crate) struct AppMonitor {
+    /// Application registry and launch timeouts.
+    pub(crate) blueprint: Arc<Blueprint>,
 }
 
 impl AppMonitor {
-    /// Creates the monitor element.
-    pub fn new(blueprint: Arc<Blueprint>) -> Self {
-        let mut state = Fields::new();
-        state.set("slot", Value::U64(0));
-        state.set("rank", Value::U64(0));
-        state.set("app", Value::Str(String::new()));
-        state.set("app_pid", Value::U64(0));
-        state.set("app_status", Value::Str("idle".into()));
-        state.set("attempt", Value::U64(0));
-        state.set("clean_exit", Value::Bool(false));
-        // Structural pointer to the (simulated) status block shared with
-        // the SIFT interface; a corrupted pointer here crashes the ARMOR
-        // on its next event — the dominant §7 crash mechanism.
-        state.set("status_block", valid_ptr(3));
-        AppMonitor { state, blueprint }
-    }
-
-    fn app_pid(&self) -> Option<Pid> {
-        match self.state.u64("app_pid") {
+    fn app_pid(state: &Fields) -> Option<Pid> {
+        match state.u64("app_pid") {
             Some(0) | None => None,
             Some(p) => Some(Pid(p)),
         }
     }
 
-    fn status(&self) -> String {
-        self.state.get("app_status").and_then(Value::as_str).unwrap_or("idle").to_owned()
+    fn status(state: &Fields) -> &str {
+        state.get("app_status").and_then(Value::as_str).unwrap_or("idle")
     }
 
-    fn set_status(&mut self, s: &str) {
-        self.state.set("app_status", Value::Str(s.to_owned()));
+    fn set_status(state: &mut Fields, s: &str) {
+        state.set("app_status", Value::Str(s.to_owned()));
     }
 
-    fn report_failure(&mut self, ctx: &mut ElementCtx<'_, '_>, reason: &'static str) {
-        if self.status() == "failed" {
+    fn report_failure(state: &mut Fields, ctx: &mut ElementCtx<'_, '_>, reason: &'static str) {
+        if Self::status(state) == "failed" {
             return;
         }
-        self.set_status("failed");
-        let slot = self.state.u64("slot").unwrap_or(0);
-        let rank = self.state.u64("rank").unwrap_or(0);
+        Self::set_status(state, "failed");
+        let slot = state.u64("slot").unwrap_or(0);
+        let rank = state.u64("rank").unwrap_or(0);
         ctx.trace(format!("exec armor reports app failure: slot{slot} rank{rank} ({reason})"));
         ctx.send(
             ids::FTM,
@@ -92,12 +74,33 @@ impl Element for AppMonitor {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("slot", Value::U64(0));
+        state.set("rank", Value::U64(0));
+        state.set("app", Value::Str(String::new()));
+        state.set("app_pid", Value::U64(0));
+        state.set("app_status", Value::Str("idle".into()));
+        state.set("attempt", Value::U64(0));
+        state.set("clean_exit", Value::Bool(false));
+        // Structural pointer to the (simulated) status block shared with
+        // the SIFT interface; a corrupted pointer here crashes the ARMOR
+        // on its next event — the dominant §7 crash mechanism.
+        state.set("status_block", valid_ptr(3));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             "sift-configure" => {
                 for key in ["slot", "rank", "scc_pid", "node"] {
                     if let Some(v) = ev.u64(key) {
-                        self.state.set(key, Value::U64(v));
+                        state.set(key, Value::U64(v));
                     }
                 }
             }
@@ -105,7 +108,7 @@ impl Element for AppMonitor {
                 ctx.set_timer_event(PROC_POLL_PERIOD, ArmorEvent::new("proc-poll"));
                 // After a recovery, re-advertise the channel endpoint to
                 // the application so blocked SIFT-interface calls resume.
-                if let Some(pid) = self.app_pid() {
+                if let Some(pid) = Self::app_pid(state) {
                     if ctx.os.process_alive(pid) {
                         let me = ctx.os.pid();
                         ctx.os.send(pid, "sift-rebind", 48, me);
@@ -119,8 +122,8 @@ impl Element for AppMonitor {
                     return ElementOutcome::AbortThread("launch without app name".into());
                 };
                 let app = app.to_owned();
-                let slot = self.state.u64("slot").unwrap_or(0);
-                let rank = self.state.u64("rank").unwrap_or(0);
+                let slot = state.u64("slot").unwrap_or(0);
+                let rank = state.u64("rank").unwrap_or(0);
                 let attempt = ev.u64("attempt").unwrap_or(0);
                 let nodes: Vec<u16> = ev
                     .fields
@@ -153,7 +156,7 @@ impl Element for AppMonitor {
                 };
                 // A stale incarnation may still be running if the
                 // stop-app instruction was lost in a recovery.
-                if let Some(old) = self.app_pid() {
+                if let Some(old) = Self::app_pid(state) {
                     if ctx.os.process_alive(old) {
                         ctx.os.kill(old, Signal::Kill);
                     }
@@ -170,11 +173,11 @@ impl Element for AppMonitor {
                         format!("recovered application slot{slot} (attempt {attempt})"),
                     );
                 }
-                self.state.set("app", Value::Str(app));
-                self.state.set("app_pid", Value::U64(pid.0));
-                self.state.set("attempt", Value::U64(attempt));
-                self.state.set("clean_exit", Value::Bool(false));
-                self.set_status("running");
+                state.set("app", Value::Str(app));
+                state.set("app_pid", Value::U64(pid.0));
+                state.set("attempt", Value::U64(attempt));
+                state.set("clean_exit", Value::Bool(false));
+                Self::set_status(state, "running");
                 ctx.raise(ArmorEvent::new("pi-reset"));
                 ctx.send(
                     ids::FTM,
@@ -186,24 +189,24 @@ impl Element for AppMonitor {
             tags::YOUR_RANK_PID => {
                 // Table 1 step 7: establish the channel with our MPI rank.
                 if let Some(pid) = ev.u64("pid") {
-                    self.state.set("app_pid", Value::U64(pid));
-                    self.state.set("clean_exit", Value::Bool(false));
-                    self.set_status("running");
+                    state.set("app_pid", Value::U64(pid));
+                    state.set("clean_exit", Value::Bool(false));
+                    Self::set_status(state, "running");
                     ctx.raise(ArmorEvent::new("pi-reset"));
                 }
             }
             tags::APP_ATTACH => {
                 let Some(pid) = ev.u64("pid") else { return ElementOutcome::Ok };
-                let rank = self.state.u64("rank").unwrap_or(0);
+                let rank = state.u64("rank").unwrap_or(0);
                 // Rank 0 is our child, attach immediately. Ranks 1..n may
                 // only attach once the FTM forwarded their pid (Figure 8:
                 // the slave blocks when the FTM is unavailable).
-                let known = self.state.u64("app_pid").unwrap_or(0);
+                let known = state.u64("app_pid").unwrap_or(0);
                 if rank == 0 || known == pid {
                     if known == 0 {
-                        self.state.set("app_pid", Value::U64(pid));
+                        state.set("app_pid", Value::U64(pid));
                     }
-                    self.set_status("running");
+                    Self::set_status(state, "running");
                     ctx.os.send(Pid(pid), "sift-ack", 32, tags::APP_ATTACH);
                 }
                 // Otherwise: no ack; the client keeps retrying.
@@ -211,7 +214,7 @@ impl Element for AppMonitor {
             tags::RANK_PID => {
                 // Rank 0's client reports peer pids; forward to the FTM
                 // (Table 1 step 6).
-                let slot = self.state.u64("slot").unwrap_or(0);
+                let slot = state.u64("slot").unwrap_or(0);
                 let rank = ev.u64("rank").unwrap_or(0);
                 let pid = ev.u64("pid").unwrap_or(0);
                 ctx.send(
@@ -225,13 +228,13 @@ impl Element for AppMonitor {
             tags::APP_EXITING => {
                 // Clean termination notice (§3.3): do not treat the
                 // upcoming exit as a crash.
-                self.state.set("clean_exit", Value::Bool(true));
-                self.set_status("exiting");
+                state.set("clean_exit", Value::Bool(true));
+                Self::set_status(state, "exiting");
                 if let Some(pid) = ev.u64("pid") {
                     ctx.os.send(Pid(pid), "sift-ack", 32, tags::APP_EXITING);
                 }
-                let slot = self.state.u64("slot").unwrap_or(0);
-                let rank = self.state.u64("rank").unwrap_or(0);
+                let slot = state.u64("slot").unwrap_or(0);
+                let rank = state.u64("rank").unwrap_or(0);
                 let at_us = ctx.now().as_micros();
                 ctx.os.trace_event(
                     TraceEvent::AppTerminated,
@@ -247,14 +250,14 @@ impl Element for AppMonitor {
                 );
             }
             tags::STOP_APP => {
-                if let Some(pid) = self.app_pid() {
+                if let Some(pid) = Self::app_pid(state) {
                     if ctx.os.process_alive(pid) {
                         ctx.os.kill(pid, Signal::Kill);
                     }
                 }
-                self.state.set("app_pid", Value::U64(0));
-                self.state.set("clean_exit", Value::Bool(false));
-                self.set_status("idle");
+                state.set("app_pid", Value::U64(0));
+                state.set("clean_exit", Value::Bool(false));
+                Self::set_status(state, "idle");
                 ctx.raise(ArmorEvent::new("pi-reset"));
             }
             "os-child-exit" => {
@@ -262,68 +265,56 @@ impl Element for AppMonitor {
                 // MPI process with rank 0 can be detected ... through
                 // operating system calls").
                 let child = ev.u64("child").unwrap_or(0);
-                if Some(Pid(child)) == self.app_pid() && self.status() == "running" {
-                    let clean =
-                        self.state.get("clean_exit").and_then(Value::as_bool).unwrap_or(false);
+                if Some(Pid(child)) == Self::app_pid(state) && Self::status(state) == "running" {
+                    let clean = state.get("clean_exit").and_then(Value::as_bool).unwrap_or(false);
                     if !clean {
                         ctx.os.trace_recovery_event(
                             TraceEvent::AppCrashDetected,
-                            format!("detect app crash rank{}", self.state.u64("rank").unwrap_or(0)),
+                            format!("detect app crash rank{}", state.u64("rank").unwrap_or(0)),
                         );
-                        self.report_failure(ctx, "crash");
+                        Self::report_failure(state, ctx, "crash");
                     }
                 }
             }
             "proc-poll" => {
                 // Ranks 1..n are not children: poll the process table
                 // (§3.3).
-                if self.status() == "running" {
-                    if let Some(pid) = self.app_pid() {
+                if Self::status(state) == "running" {
+                    if let Some(pid) = Self::app_pid(state) {
                         let clean =
-                            self.state.get("clean_exit").and_then(Value::as_bool).unwrap_or(false);
+                            state.get("clean_exit").and_then(Value::as_bool).unwrap_or(false);
                         if !ctx.os.process_alive(pid) && !clean {
                             ctx.os.trace_recovery_event(
                                 TraceEvent::AppCrashDetected,
-                                format!(
-                                    "detect app crash rank{}",
-                                    self.state.u64("rank").unwrap_or(0)
-                                ),
+                                format!("detect app crash rank{}", state.u64("rank").unwrap_or(0)),
                             );
-                            self.report_failure(ctx, "crash");
+                            Self::report_failure(state, ctx, "crash");
                         }
                     }
                 }
                 ctx.set_timer_event(PROC_POLL_PERIOD, ArmorEvent::new("proc-poll"));
             }
-            "pi-hang-detected" if self.status() == "running" => {
+            "pi-hang-detected" if Self::status(state) == "running" => {
                 ctx.os.trace_recovery_event(
                     TraceEvent::AppHangDetected,
-                    format!("detect app hang rank{}", self.state.u64("rank").unwrap_or(0)),
+                    format!("detect app hang rank{}", state.u64("rank").unwrap_or(0)),
                 );
-                if let Some(pid) = self.app_pid() {
+                if let Some(pid) = Self::app_pid(state) {
                     if ctx.os.process_alive(pid) {
                         ctx.os.kill(pid, Signal::Kill);
                     }
                 }
-                self.report_failure(ctx, "hang");
+                Self::report_failure(state, ctx, "hang");
             }
             _ => {}
         }
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
-        ree_armor::assertions::range_check(&self.state, "rank", 0, 63)?;
-        ree_armor::assertions::range_check(&self.state, "slot", 0, 15)?;
-        let status = self.state.get("app_status").and_then(Value::as_str).unwrap_or("");
+    fn check(&self, state: &Fields) -> Result<(), String> {
+        ree_armor::assertions::range_check(state, "rank", 0, 63)?;
+        ree_armor::assertions::range_check(state, "slot", 0, 15)?;
+        let status = state.get("app_status").and_then(Value::as_str).unwrap_or("");
         match status {
             "idle" | "running" | "exiting" | "failed" => Ok(()),
             other => Err(format!("app_status '{other}' invalid")),
@@ -338,28 +329,16 @@ impl Element for AppMonitor {
 /// detection latency is up to **twice** the period. The interrupt-driven
 /// variant (§5.1 discussion) re-arms a deadline on every update,
 /// detecting within one period.
-#[derive(Clone)]
-pub struct ProgressWatch {
-    state: Fields,
-    check_period: SimDuration,
-    interrupt_driven: bool,
+pub(crate) struct ProgressWatch {
+    /// Shortest interval between two looks at the counter.
+    pub(crate) check_period: SimDuration,
+    /// Re-arm a deadline on every update instead of polling.
+    pub(crate) interrupt_driven: bool,
 }
 
 impl ProgressWatch {
-    /// Creates the watcher.
-    pub fn new(check_period: SimDuration, interrupt_driven: bool) -> Self {
-        let mut state = Fields::new();
-        state.set("enabled", Value::Bool(false));
-        state.set("counter", Value::U64(0));
-        state.set("last_seen", Value::U64(0));
-        state.set("fresh", Value::Bool(true));
-        state.set("generation", Value::U64(0));
-        state.set("period_us", Value::U64(0));
-        ProgressWatch { state, check_period, interrupt_driven }
-    }
-
-    fn effective_period(&self) -> SimDuration {
-        let declared = SimDuration::from_micros(self.state.u64("period_us").unwrap_or(0));
+    fn effective_period(&self, state: &Fields) -> SimDuration {
+        let declared = SimDuration::from_micros(state.u64("period_us").unwrap_or(0));
         // "The Execution ARMOR should not check the counter faster than
         // the rate at which the application sends updates" (§5.1).
         if declared > self.check_period {
@@ -379,66 +358,82 @@ impl Element for ProgressWatch {
         &[tags::PI_CREATE, tags::PI_UPDATE, "pi-check", "pi-deadline", "pi-reset"]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("enabled", Value::Bool(false));
+        state.set("counter", Value::U64(0));
+        state.set("last_seen", Value::U64(0));
+        state.set("fresh", Value::Bool(true));
+        state.set("generation", Value::U64(0));
+        state.set("period_us", Value::U64(0));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             tags::PI_CREATE => {
                 // "Before any progress indicators are sent, the
                 // application must tell the Execution ARMOR at what
                 // frequency to check for progress indicator updates."
-                self.state.set("period_us", Value::U64(ev.u64("period_us").unwrap_or(0)));
-                self.state.set("enabled", Value::Bool(true));
-                self.state.set("fresh", Value::Bool(true));
-                self.state.set("counter", Value::U64(0));
-                self.state.set("last_seen", Value::U64(0));
-                let gen = self.state.bump("generation").unwrap_or(0);
+                state.set("period_us", Value::U64(ev.u64("period_us").unwrap_or(0)));
+                state.set("enabled", Value::Bool(true));
+                state.set("fresh", Value::Bool(true));
+                state.set("counter", Value::U64(0));
+                state.set("last_seen", Value::U64(0));
+                let gen = state.bump("generation").unwrap_or(0);
                 if let Some(pid) = ev.u64("pid") {
                     ctx.os.send(Pid(pid), "sift-ack", 32, tags::PI_CREATE);
                 }
                 if !self.interrupt_driven {
                     ctx.set_timer_event(
-                        self.effective_period(),
+                        self.effective_period(state),
                         ArmorEvent::new("pi-check").with("gen", Value::U64(gen)),
                     );
                 }
             }
             tags::PI_UPDATE => {
                 if let Some(c) = ev.u64("counter") {
-                    self.state.set("counter", Value::U64(c));
-                    self.state.set("fresh", Value::Bool(false));
+                    state.set("counter", Value::U64(c));
+                    state.set("fresh", Value::Bool(false));
                 }
                 if let Some(pid) = ev.u64("pid") {
                     ctx.os.send(Pid(pid), "sift-ack", 32, tags::PI_UPDATE);
                 }
                 if self.interrupt_driven
-                    && self.state.get("enabled").and_then(Value::as_bool).unwrap_or(false)
+                    && state.get("enabled").and_then(Value::as_bool).unwrap_or(false)
                 {
                     // Re-arm the watchdog: detect within one period of the
                     // last update.
-                    let gen = self.state.bump("generation").unwrap_or(0);
+                    let gen = state.bump("generation").unwrap_or(0);
                     ctx.set_timer_event(
-                        self.effective_period(),
+                        self.effective_period(state),
                         ArmorEvent::new("pi-deadline").with("gen", Value::U64(gen)),
                     );
                 }
             }
             "pi-check" => {
-                if !self.state.get("enabled").and_then(Value::as_bool).unwrap_or(false) {
+                if !state.get("enabled").and_then(Value::as_bool).unwrap_or(false) {
                     return ElementOutcome::Ok;
                 }
-                if ev.u64("gen") != self.state.u64("generation") {
+                if ev.u64("gen") != state.u64("generation") {
                     return ElementOutcome::Ok;
                 }
-                let counter = self.state.u64("counter").unwrap_or(0);
-                let last = self.state.u64("last_seen").unwrap_or(0);
-                let fresh = self.state.get("fresh").and_then(Value::as_bool).unwrap_or(true);
+                let counter = state.u64("counter").unwrap_or(0);
+                let last = state.u64("last_seen").unwrap_or(0);
+                let fresh = state.get("fresh").and_then(Value::as_bool).unwrap_or(true);
                 if !fresh && counter == last {
-                    self.state.set("enabled", Value::Bool(false));
+                    state.set("enabled", Value::Bool(false));
                     ctx.raise(ArmorEvent::new("pi-hang-detected"));
                 } else {
-                    self.state.set("last_seen", Value::U64(counter));
-                    let gen = self.state.u64("generation").unwrap_or(0);
+                    state.set("last_seen", Value::U64(counter));
+                    let gen = state.u64("generation").unwrap_or(0);
                     ctx.set_timer_event(
-                        self.effective_period(),
+                        self.effective_period(state),
                         ArmorEvent::new("pi-check").with("gen", Value::U64(gen)),
                     );
                 }
@@ -447,34 +442,26 @@ impl Element for ProgressWatch {
                 if !self.interrupt_driven {
                     return ElementOutcome::Ok;
                 }
-                if ev.u64("gen") == self.state.u64("generation")
-                    && self.state.get("enabled").and_then(Value::as_bool).unwrap_or(false)
+                if ev.u64("gen") == state.u64("generation")
+                    && state.get("enabled").and_then(Value::as_bool).unwrap_or(false)
                 {
-                    self.state.set("enabled", Value::Bool(false));
+                    state.set("enabled", Value::Bool(false));
                     ctx.raise(ArmorEvent::new("pi-hang-detected"));
                 }
             }
             "pi-reset" => {
-                self.state.set("enabled", Value::Bool(false));
-                self.state.set("fresh", Value::Bool(true));
-                self.state.set("counter", Value::U64(0));
-                self.state.set("last_seen", Value::U64(0));
-                self.state.bump("generation");
+                state.set("enabled", Value::Bool(false));
+                state.set("fresh", Value::Bool(true));
+                state.set("counter", Value::U64(0));
+                state.set("last_seen", Value::U64(0));
+                state.bump("generation");
             }
             _ => {}
         }
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
-        ree_armor::assertions::range_check(&self.state, "generation", 0, 1_000_000)
+    fn check(&self, state: &Fields) -> Result<(), String> {
+        ree_armor::assertions::range_check(state, "generation", 0, 1_000_000)
     }
 }

@@ -10,7 +10,9 @@
 
 use crate::config::{ids, tags};
 use crate::report::SccReport;
-use crate::util::{rec_str, rec_u64, record, table_get, table_keys, table_remove, table_set};
+use crate::util::{
+    rec_bool, rec_set, rec_str, rec_u64, record, table_get, table_keys, table_remove, table_set,
+};
 use ree_armor::{
     valid_ptr, ArmorEvent, ArmorId, Element, ElementCtx, ElementOutcome, Fields, Value,
 };
@@ -23,25 +25,7 @@ use ree_sim::SimDuration;
 const MAX_RANKS: u64 = 16;
 
 /// Answers the Heartbeat ARMOR's liveness polls.
-#[derive(Clone)]
-pub struct FtmHbResponder {
-    state: Fields,
-}
-
-impl FtmHbResponder {
-    /// Creates the responder.
-    pub fn new() -> Self {
-        let mut state = Fields::new();
-        state.set("acks_sent", Value::U64(0));
-        FtmHbResponder { state }
-    }
-}
-
-impl Default for FtmHbResponder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub(crate) struct FtmHbResponder;
 
 impl Element for FtmHbResponder {
     fn name(&self) -> &'static str {
@@ -52,8 +36,19 @@ impl Element for FtmHbResponder {
         &[tags::FTM_HB_PING]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
-        self.state.bump("acks_sent");
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("acks_sent", Value::U64(0));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
+        state.bump("acks_sent");
         ctx.send_unreliable(
             ids::HEARTBEAT,
             vec![ArmorEvent::new(tags::FTM_HB_ACK)
@@ -61,36 +56,20 @@ impl Element for FtmHbResponder {
         );
         ElementOutcome::Ok
     }
-
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
 }
 
 /// The SCC interface element: accepts submissions, reports status back
 /// (FTM responsibilities 1 and 8 in §3.1).
-#[derive(Clone)]
-pub struct SccIface {
-    state: Fields,
-    checks: bool,
-    connect_timeout: Option<SimDuration>,
+pub(crate) struct SccIface {
+    /// Run the element's assertions.
+    pub(crate) checks: bool,
+    /// Retry a submission whose application has not started by then.
+    pub(crate) connect_timeout: Option<SimDuration>,
 }
 
 impl SccIface {
-    /// Creates the interface element.
-    pub fn new(checks: bool, connect_timeout: Option<SimDuration>) -> Self {
-        let mut state = Fields::new();
-        state.set("jobs", Value::Map(Default::default()));
-        state.set("scc_pid", Value::U64(0));
-        SccIface { state, checks, connect_timeout }
-    }
-
-    fn scc(&self) -> Option<Pid> {
-        match self.state.u64("scc_pid") {
+    fn scc(state: &Fields) -> Option<Pid> {
+        match state.u64("scc_pid") {
             Some(0) | None => None,
             Some(p) => Some(Pid(p)),
         }
@@ -113,14 +92,26 @@ impl Element for SccIface {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("jobs", Value::Map(Default::default()));
+        state.set("scc_pid", Value::U64(0));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             "armor-restored" => {
                 // After a recovery, in-flight timers died with the old
                 // process; re-derive pending takedown reports from the
                 // restored state.
-                for key in table_keys(&self.state, "jobs") {
-                    let completing = table_get(&self.state, "jobs", &key)
+                for key in table_keys(state, "jobs") {
+                    let completing = table_get(state, "jobs", &key)
                         .and_then(|r| rec_str(r, "phase").map(|p| p == "completing"))
                         .unwrap_or(false);
                     if completing {
@@ -138,10 +129,10 @@ impl Element for SccIface {
                 };
                 let slot = ev.u64("slot").unwrap_or(0);
                 if let Some(scc) = ev.u64("scc_pid") {
-                    self.state.set("scc_pid", Value::U64(scc));
+                    state.set("scc_pid", Value::U64(scc));
                 }
                 table_set(
-                    &mut self.state,
+                    state,
                     "jobs",
                     &slot.to_string(),
                     record(vec![
@@ -169,30 +160,24 @@ impl Element for SccIface {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let attempt = ev.u64("attempt").unwrap_or(0);
                 let key = slot.to_string();
-                let already = table_get(&self.state, "jobs", &key)
-                    .and_then(|r| crate::util::rec_bool(r, "started"))
+                let already = table_get(state, "jobs", &key)
+                    .and_then(|r| rec_bool(r, "started"))
                     .unwrap_or(false);
-                crate::util::rec_set(&mut self.state, "jobs", &key, "started", Value::Bool(true));
+                rec_set(state, "jobs", &key, "started", Value::Bool(true));
                 if !already {
-                    if let Some(scc) = self.scc() {
+                    if let Some(scc) = Self::scc(state) {
                         ctx.os.send(scc, "scc-report", 64, SccReport::Started { slot, attempt });
                     }
                 } else if attempt > 0 {
-                    if let Some(scc) = self.scc() {
+                    if let Some(scc) = Self::scc(state) {
                         ctx.os.send(scc, "scc-report", 64, SccReport::Restarted { slot, attempt });
                     }
                 }
             }
             tags::APP_COMPLETE => {
                 let slot = ev.u64("slot").unwrap_or(0);
-                crate::util::rec_set(
-                    &mut self.state,
-                    "jobs",
-                    &slot.to_string(),
-                    "phase",
-                    Value::Str("completing".into()),
-                );
-                if let Some(scc) = self.scc() {
+                rec_set(state, "jobs", &slot.to_string(), "phase", Value::Str("completing".into()));
+                if let Some(scc) = Self::scc(state) {
                     let end_us = ev.u64("end_us").unwrap_or(0);
                     ctx.os.send(scc, "scc-report", 64, SccReport::Ended { slot, end_us });
                 }
@@ -205,22 +190,22 @@ impl Element for SccIface {
             }
             "report-complete" => {
                 let slot = ev.u64("slot").unwrap_or(0);
-                table_remove(&mut self.state, "jobs", &slot.to_string());
+                table_remove(state, "jobs", &slot.to_string());
                 ctx.trace(format!("FTM reports slot {slot} complete to SCC"));
-                if let Some(scc) = self.scc() {
+                if let Some(scc) = Self::scc(state) {
                     ctx.os.send(scc, "scc-report", 64, SccReport::Completed { slot });
                 }
             }
             "connect-check" => {
                 let slot = ev.u64("slot").unwrap_or(0);
-                let started = table_get(&self.state, "jobs", &slot.to_string())
-                    .and_then(|r| crate::util::rec_bool(r, "started"))
+                let started = table_get(state, "jobs", &slot.to_string())
+                    .and_then(|r| rec_bool(r, "started"))
                     .unwrap_or(true);
                 if !started {
                     // §9 lessons: the connect timeout catches errors in
                     // the critical setup phase quickly.
                     ctx.trace(format!("connect timeout for slot {slot}; retrying setup"));
-                    if let Some(scc) = self.scc() {
+                    if let Some(scc) = Self::scc(state) {
                         ctx.os.send(scc, "scc-report", 64, SccReport::ConnectTimeout { slot });
                     }
                     ctx.raise(ArmorEvent::new("app-restart-needed").with("slot", Value::U64(slot)));
@@ -231,46 +216,29 @@ impl Element for SccIface {
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
+    fn check(&self, state: &Fields) -> Result<(), String> {
         if !self.checks {
             return Ok(());
         }
-        ree_armor::assertions::range_check(&self.state, "scc_pid", 0, 1_000_000)
+        ree_armor::assertions::range_check(state, "scc_pid", 0, 1_000_000)
     }
 }
 
 /// `mgr_armor_info` (Table 8): "stores information about subordinate
 /// ARMORs such as location and element composition". Owns subordinate
 /// recovery (FTM responsibilities 4–6).
-#[derive(Clone)]
-pub struct MgrArmorInfo {
-    state: Fields,
-    checks: bool,
-    race_fix: bool,
+pub(crate) struct MgrArmorInfo {
+    /// Run the element's assertions.
+    pub(crate) checks: bool,
+    /// Register Execution ARMORs before the install instruction is sent
+    /// (the Figure 10 fix).
+    pub(crate) race_fix: bool,
 }
 
 impl MgrArmorInfo {
-    /// Creates the element. `race_fix` controls whether Execution ARMORs
-    /// are registered before the install instruction is sent (the
-    /// Figure 10 fix).
-    pub fn new(checks: bool, race_fix: bool) -> Self {
-        let mut state = Fields::new();
-        state.set("armors", Value::Map(Default::default()));
-        state.set("link", valid_ptr(5));
-        MgrArmorInfo { state, checks, race_fix }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn register(
-        &mut self,
+        state: &mut Fields,
         armor: u64,
         kind: &str,
         node: u64,
@@ -280,7 +248,7 @@ impl MgrArmorInfo {
         status: &str,
     ) {
         table_set(
-            &mut self.state,
+            state,
             "armors",
             &armor.to_string(),
             record(vec![
@@ -311,7 +279,19 @@ impl Element for MgrArmorInfo {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("armors", Value::Map(Default::default()));
+        state.set("link", valid_ptr(5));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             "app-submit-accepted" => {
                 let slot = ev.u64("slot").unwrap_or(0);
@@ -326,7 +306,8 @@ impl Element for MgrArmorInfo {
                     if self.race_fix {
                         // Figure 10 fix: add the Execution ARMOR to the
                         // table *before* instructing the daemon.
-                        self.register(
+                        Self::register(
+                            state,
                             armor.0 as u64,
                             "exec",
                             *node,
@@ -353,7 +334,7 @@ impl Element for MgrArmorInfo {
                 let pid = ev.u64("pid").unwrap_or(0);
                 let slot = ev.u64("slot").unwrap_or(0);
                 let rank = ev.u64("rank").unwrap_or(0);
-                self.register(armor, &kind, node, pid, slot, rank, "up");
+                Self::register(state, armor, &kind, node, pid, slot, rank, "up");
                 if kind == "exec" {
                     ctx.raise(
                         ArmorEvent::new("exec-installed")
@@ -367,19 +348,13 @@ impl Element for MgrArmorInfo {
             tags::REINSTALL_ACK => {
                 let armor = ev.u64("armor").unwrap_or(0);
                 let key = armor.to_string();
-                if let Some(rec) = table_get(&self.state, "armors", &key) {
+                if let Some(rec) = table_get(state, "armors", &key) {
                     let kind = rec_str(rec, "kind").unwrap_or("").to_owned();
                     let slot = rec_u64(rec, "slot").unwrap_or(0);
                     let rank = rec_u64(rec, "rank").unwrap_or(0);
                     let pid = ev.u64("pid").unwrap_or(0);
-                    crate::util::rec_set(&mut self.state, "armors", &key, "pid", Value::U64(pid));
-                    crate::util::rec_set(
-                        &mut self.state,
-                        "armors",
-                        &key,
-                        "status",
-                        Value::Str("up".into()),
-                    );
+                    rec_set(state, "armors", &key, "pid", Value::U64(pid));
+                    rec_set(state, "armors", &key, "status", Value::Str("up".into()));
                     if kind == "exec" {
                         // Keep exec_armor_info's pid table fresh so a
                         // later relaunch hands the application live SIFT
@@ -397,7 +372,7 @@ impl Element for MgrArmorInfo {
             tags::ARMOR_FAILED => {
                 let armor = ev.u64("armor").unwrap_or(0);
                 let key = armor.to_string();
-                let Some(rec) = table_get(&self.state, "armors", &key) else {
+                let Some(rec) = table_get(state, "armors", &key) else {
                     // Figure 10: the failure notification raced ahead of
                     // the install ack — the handling thread aborts and the
                     // ARMOR is never recovered.
@@ -409,13 +384,7 @@ impl Element for MgrArmorInfo {
                 let node = rec_u64(rec, "node").unwrap_or(0);
                 let slot = rec_u64(rec, "slot").unwrap_or(0);
                 let rank = rec_u64(rec, "rank").unwrap_or(0);
-                crate::util::rec_set(
-                    &mut self.state,
-                    "armors",
-                    &key,
-                    "status",
-                    Value::Str("recovering".into()),
-                );
+                rec_set(state, "armors", &key, "status", Value::Str("recovering".into()));
                 ctx.raise(
                     ArmorEvent::new("need-reinstall")
                         .with("armor", Value::U64(armor))
@@ -428,8 +397,8 @@ impl Element for MgrArmorInfo {
             tags::APP_COMPLETE => {
                 let slot = ev.u64("slot").unwrap_or(0);
                 // Uninstall the slot's Execution ARMORs (Table 1 step 13).
-                for key in table_keys(&self.state, "armors") {
-                    let Some(rec) = table_get(&self.state, "armors", &key) else { continue };
+                for key in table_keys(state, "armors") {
+                    let Some(rec) = table_get(state, "armors", &key) else { continue };
                     if rec_str(rec, "kind") == Some("exec") && rec_u64(rec, "slot") == Some(slot) {
                         let armor = key.parse::<u64>().unwrap_or(0);
                         let node = rec_u64(rec, "node").unwrap_or(0);
@@ -438,7 +407,7 @@ impl Element for MgrArmorInfo {
                                 .with("armor", Value::U64(armor))
                                 .with("node", Value::U64(node)),
                         );
-                        table_remove(&mut self.state, "armors", &key);
+                        table_remove(state, "armors", &key);
                     }
                 }
             }
@@ -451,8 +420,8 @@ impl Element for MgrArmorInfo {
                     .map(|l| l.iter().filter_map(|v| v.as_u64()).collect())
                     .unwrap_or_default();
                 // Migrate subordinate ARMORs off the dead node (§3.4).
-                for key in table_keys(&self.state, "armors") {
-                    let Some(rec) = table_get(&self.state, "armors", &key) else { continue };
+                for key in table_keys(state, "armors") {
+                    let Some(rec) = table_get(state, "armors", &key) else { continue };
                     if rec_u64(rec, "node") != Some(node) {
                         continue;
                     }
@@ -461,13 +430,7 @@ impl Element for MgrArmorInfo {
                     let slot = rec_u64(rec, "slot").unwrap_or(0);
                     let rank = rec_u64(rec, "rank").unwrap_or(0);
                     let Some(new_node) = alive.first().copied() else { continue };
-                    crate::util::rec_set(
-                        &mut self.state,
-                        "armors",
-                        &key,
-                        "node",
-                        Value::U64(new_node),
-                    );
+                    rec_set(state, "armors", &key, "node", Value::U64(new_node));
                     ctx.os.trace_recovery(format!(
                         "migrating armor{armor} ({kind}) to node{new_node}"
                     ));
@@ -486,19 +449,11 @@ impl Element for MgrArmorInfo {
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
+    fn check(&self, state: &Fields) -> Result<(), String> {
         if !self.checks {
             return Ok(());
         }
-        ree_armor::assertions::map_integrity(&self.state, "armors", |rec| {
+        ree_armor::assertions::map_integrity(state, "armors", |rec| {
             rec_u64(rec, "node").map(|n| n < 64).unwrap_or(false)
                 && rec_u64(rec, "pid").map(|p| p < 1_000_000).unwrap_or(false)
                 && matches!(rec_str(rec, "kind"), Some("exec") | Some("heartbeat") | Some("ftm"))
@@ -512,25 +467,16 @@ impl Element for MgrArmorInfo {
 
 /// `exec_armor_info` (Table 8): "stores information about each Execution
 /// ARMOR such as status of subordinate application".
-#[derive(Clone)]
-pub struct ExecArmorInfo {
-    state: Fields,
-    checks: bool,
+pub(crate) struct ExecArmorInfo {
+    /// Run the element's assertions.
+    pub(crate) checks: bool,
 }
 
 impl ExecArmorInfo {
-    /// Creates the element.
-    pub fn new(checks: bool) -> Self {
-        let mut state = Fields::new();
-        state.set("slots", Value::Map(Default::default()));
-        state.set("expected", Value::Map(Default::default()));
-        ExecArmorInfo { state, checks }
-    }
-
-    fn slot_table(&self, slot: u64) -> Vec<(u64, u64, u64)> {
+    fn slot_table(state: &Fields, slot: u64) -> Vec<(u64, u64, u64)> {
         // (rank, armor, pid) triples, sorted by rank.
         let mut out = Vec::new();
-        if let Some(Value::Map(slots)) = self.state.get("slots") {
+        if let Some(Value::Map(slots)) = state.get("slots") {
             if let Some(Value::Map(ranks)) = slots.get(&slot.to_string()) {
                 for (rank, rec) in ranks {
                     let rank: u64 = rank.parse().unwrap_or(0);
@@ -544,13 +490,13 @@ impl ExecArmorInfo {
         out
     }
 
-    fn set_rank(&mut self, slot: u64, rank: u64, armor: u64, pid: u64) {
+    fn set_rank(state: &mut Fields, slot: u64, rank: u64, armor: u64, pid: u64) {
         let slot_key = slot.to_string();
         // Ensure the nested map exists.
-        if table_get(&self.state, "slots", &slot_key).is_none() {
-            table_set(&mut self.state, "slots", &slot_key, Value::Map(Default::default()));
+        if table_get(state, "slots", &slot_key).is_none() {
+            table_set(state, "slots", &slot_key, Value::Map(Default::default()));
         }
-        if let Some(Value::Map(slots)) = self.state.get_mut("slots") {
+        if let Some(Value::Map(slots)) = state.get_mut("slots") {
             if let Some(Value::Map(ranks)) = slots.get_mut(&slot_key) {
                 ranks.insert(
                     rank.to_string(),
@@ -560,11 +506,10 @@ impl ExecArmorInfo {
         }
     }
 
-    fn maybe_slot_ready(&mut self, slot: u64, ctx: &mut ElementCtx<'_, '_>) {
-        let expected = table_get(&self.state, "expected", &slot.to_string())
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        let table = self.slot_table(slot);
+    fn maybe_slot_ready(state: &Fields, slot: u64, ctx: &mut ElementCtx<'_, '_>) {
+        let expected =
+            table_get(state, "expected", &slot.to_string()).and_then(Value::as_u64).unwrap_or(0);
+        let table = Self::slot_table(state, slot);
         if expected > 0 && table.len() as u64 == expected && table.iter().all(|(_, _, p)| *p > 0) {
             let exec_pids: Vec<Value> = table.iter().map(|(_, _, p)| Value::U64(*p)).collect();
             let exec_armors: Vec<Value> = table.iter().map(|(_, a, _)| Value::U64(*a)).collect();
@@ -594,20 +539,32 @@ impl Element for ExecArmorInfo {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("slots", Value::Map(Default::default()));
+        state.set("expected", Value::Map(Default::default()));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             "app-submit-accepted" => {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let ranks = ev.u64("ranks").unwrap_or(1);
-                table_set(&mut self.state, "expected", &slot.to_string(), Value::U64(ranks));
+                table_set(state, "expected", &slot.to_string(), Value::U64(ranks));
             }
             "exec-installed" => {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let rank = ev.u64("rank").unwrap_or(0);
                 let armor = ev.u64("armor").unwrap_or(0);
                 let pid = ev.u64("pid").unwrap_or(0);
-                self.set_rank(slot, rank, armor, pid);
-                self.maybe_slot_ready(slot, ctx);
+                Self::set_rank(state, slot, rank, armor, pid);
+                Self::maybe_slot_ready(state, slot, ctx);
             }
             tags::APP_STARTED => {
                 let slot = ev.u64("slot").unwrap_or(0);
@@ -624,7 +581,7 @@ impl Element for ExecArmorInfo {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let rank = ev.u64("rank").unwrap_or(0);
                 let pid = ev.u64("pid").unwrap_or(0);
-                let table = self.slot_table(slot);
+                let table = Self::slot_table(state, slot);
                 if let Some((_, armor, _)) = table.iter().find(|(r, _, _)| *r == rank) {
                     ctx.send(
                         ArmorId(*armor as u32),
@@ -634,31 +591,23 @@ impl Element for ExecArmorInfo {
             }
             tags::APP_COMPLETE => {
                 let slot = ev.u64("slot").unwrap_or(0);
-                table_remove(&mut self.state, "slots", &slot.to_string());
-                table_remove(&mut self.state, "expected", &slot.to_string());
+                table_remove(state, "slots", &slot.to_string());
+                table_remove(state, "expected", &slot.to_string());
             }
             "app-relaunching" => {
                 let slot = ev.u64("slot").unwrap_or(0);
-                self.maybe_slot_ready(slot, ctx);
+                Self::maybe_slot_ready(state, slot, ctx);
             }
             _ => {}
         }
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
+    fn check(&self, state: &Fields) -> Result<(), String> {
         if !self.checks {
             return Ok(());
         }
-        ree_armor::assertions::map_integrity(&self.state, "expected", |v| {
+        ree_armor::assertions::map_integrity(state, "expected", |v| {
             v.as_u64().map(|n| (1..=16).contains(&n)).unwrap_or(false)
         })
     }
@@ -668,19 +617,9 @@ impl Element for ExecArmorInfo {
 /// executable name, command-line arguments, and number of times
 /// application restarted". Read-mostly after submission — which is why
 /// the paper found it insensitive to error propagation.
-#[derive(Clone)]
-pub struct AppParam {
-    state: Fields,
-    checks: bool,
-}
-
-impl AppParam {
-    /// Creates the element.
-    pub fn new(checks: bool) -> Self {
-        let mut state = Fields::new();
-        state.set("apps", Value::Map(Default::default()));
-        AppParam { state, checks }
-    }
+pub(crate) struct AppParam {
+    /// Run the element's assertions.
+    pub(crate) checks: bool,
 }
 
 impl Element for AppParam {
@@ -698,14 +637,25 @@ impl Element for AppParam {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("apps", Value::Map(Default::default()));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             "armor-restored" => {
                 // Recovery: a relaunch that was pending when the old FTM
                 // died must be re-armed from the restored state.
-                for key in table_keys(&self.state, "apps") {
-                    let pending = table_get(&self.state, "apps", &key)
-                        .and_then(|r| crate::util::rec_bool(r, "pending_relaunch"))
+                for key in table_keys(state, "apps") {
+                    let pending = table_get(state, "apps", &key)
+                        .and_then(|r| rec_bool(r, "pending_relaunch"))
                         .unwrap_or(false);
                     if pending {
                         let slot: u64 = key.parse().unwrap_or(0);
@@ -722,7 +672,7 @@ impl Element for AppParam {
                 let ranks = ev.u64("ranks").unwrap_or(1);
                 let nodes = ev.fields.get("nodes").cloned().unwrap_or(Value::List(vec![]));
                 table_set(
-                    &mut self.state,
+                    state,
                     "apps",
                     &slot.to_string(),
                     record(vec![
@@ -744,12 +694,12 @@ impl Element for AppParam {
                 // pid table and re-derives slot-ready) cannot double-launch.
                 let slot = ev.u64("slot").unwrap_or(0);
                 let key = slot.to_string();
-                let Some(rec) = table_get(&self.state, "apps", &key) else {
+                let Some(rec) = table_get(state, "apps", &key) else {
                     return ElementOutcome::AbortThread(format!(
                         "slot-ready for unknown slot {slot}"
                     ));
                 };
-                if !crate::util::rec_bool(rec, "awaiting_launch").unwrap_or(true) {
+                if !rec_bool(rec, "awaiting_launch").unwrap_or(true) {
                     return ElementOutcome::Ok;
                 }
                 let app = rec_str(rec, "app").unwrap_or("unknown").to_owned();
@@ -761,20 +711,8 @@ impl Element for AppParam {
                     .cloned()
                     .unwrap_or(Value::List(vec![]));
                 let exec_pids = ev.fields.get("exec_pids").cloned().unwrap_or(Value::List(vec![]));
-                crate::util::rec_set(
-                    &mut self.state,
-                    "apps",
-                    &key,
-                    "pending_relaunch",
-                    Value::Bool(false),
-                );
-                crate::util::rec_set(
-                    &mut self.state,
-                    "apps",
-                    &key,
-                    "awaiting_launch",
-                    Value::Bool(false),
-                );
+                rec_set(state, "apps", &key, "pending_relaunch", Value::Bool(false));
+                rec_set(state, "apps", &key, "awaiting_launch", Value::Bool(false));
                 let target = ids::exec(slot as u32, 0);
                 ctx.send(
                     target,
@@ -789,7 +727,7 @@ impl Element for AppParam {
             "app-restart-needed" => {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let key = slot.to_string();
-                let Some(rec) = table_get(&self.state, "apps", &key) else {
+                let Some(rec) = table_get(state, "apps", &key) else {
                     return ElementOutcome::Ok;
                 };
                 let ranks = rec_u64(rec, "ranks").unwrap_or(1);
@@ -804,20 +742,8 @@ impl Element for AppParam {
                     ));
                 }
                 let restart = rec_u64(rec, "restart_count").unwrap_or(0) + 1;
-                crate::util::rec_set(
-                    &mut self.state,
-                    "apps",
-                    &key,
-                    "restart_count",
-                    Value::U64(restart),
-                );
-                crate::util::rec_set(
-                    &mut self.state,
-                    "apps",
-                    &key,
-                    "pending_relaunch",
-                    Value::Bool(true),
-                );
+                rec_set(state, "apps", &key, "restart_count", Value::U64(restart));
+                rec_set(state, "apps", &key, "pending_relaunch", Value::Bool(true));
                 ctx.trace(format!("FTM restarting app slot {slot} (restart #{restart})"));
                 // Stop every rank, then relaunch after a short settle.
                 for rank in 0..ranks {
@@ -833,13 +759,7 @@ impl Element for AppParam {
             }
             "relaunch-timer" => {
                 let slot = ev.u64("slot").unwrap_or(0);
-                crate::util::rec_set(
-                    &mut self.state,
-                    "apps",
-                    &slot.to_string(),
-                    "awaiting_launch",
-                    Value::Bool(true),
-                );
+                rec_set(state, "apps", &slot.to_string(), "awaiting_launch", Value::Bool(true));
                 // Reset the completion bookkeeping, then re-derive
                 // slot-ready from exec_armor_info.
                 ctx.raise(ArmorEvent::new("app-relaunching").with("slot", Value::U64(slot)));
@@ -849,19 +769,11 @@ impl Element for AppParam {
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
+    fn check(&self, state: &Fields) -> Result<(), String> {
         if !self.checks {
             return Ok(());
         }
-        ree_armor::assertions::map_integrity(&self.state, "apps", |rec| {
+        ree_armor::assertions::map_integrity(state, "apps", |rec| {
             rec_u64(rec, "ranks").map(|r| (1..=MAX_RANKS).contains(&r)).unwrap_or(false)
                 && rec_u64(rec, "restart_count").map(|r| r < 50).unwrap_or(false)
         })
@@ -870,19 +782,9 @@ impl Element for AppParam {
 
 /// `mgr_app_detect` (Table 8): "used to detect that all processes for MPI
 /// application have terminated and to initiate recovery if necessary".
-#[derive(Clone)]
-pub struct MgrAppDetect {
-    state: Fields,
-    checks: bool,
-}
-
-impl MgrAppDetect {
-    /// Creates the element.
-    pub fn new(checks: bool) -> Self {
-        let mut state = Fields::new();
-        state.set("slots", Value::Map(Default::default()));
-        MgrAppDetect { state, checks }
-    }
+pub(crate) struct MgrAppDetect {
+    /// Run the element's assertions.
+    pub(crate) checks: bool,
 }
 
 impl Element for MgrAppDetect {
@@ -900,13 +802,24 @@ impl Element for MgrAppDetect {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("slots", Value::Map(Default::default()));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             "app-submit-accepted" => {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let ranks = ev.u64("ranks").unwrap_or(1);
                 table_set(
-                    &mut self.state,
+                    state,
                     "slots",
                     &slot.to_string(),
                     record(vec![
@@ -921,26 +834,20 @@ impl Element for MgrAppDetect {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let rank = ev.u64("rank").unwrap_or(0);
                 let key = slot.to_string();
-                let Some(rec) = table_get(&self.state, "slots", &key) else {
+                let Some(rec) = table_get(state, "slots", &key) else {
                     return ElementOutcome::Ok;
                 };
-                if crate::util::rec_bool(rec, "restarting").unwrap_or(false) {
+                if rec_bool(rec, "restarting").unwrap_or(false) {
                     return ElementOutcome::Ok;
                 }
                 let expected = rec_u64(rec, "expected").unwrap_or(1);
                 let mask = rec_u64(rec, "done_mask").unwrap_or(0) | (1u64 << rank.min(63));
                 let end =
                     rec_u64(rec, "last_end_us").unwrap_or(0).max(ev.u64("at_us").unwrap_or(0));
-                crate::util::rec_set(&mut self.state, "slots", &key, "done_mask", Value::U64(mask));
-                crate::util::rec_set(
-                    &mut self.state,
-                    "slots",
-                    &key,
-                    "last_end_us",
-                    Value::U64(end),
-                );
+                rec_set(state, "slots", &key, "done_mask", Value::U64(mask));
+                rec_set(state, "slots", &key, "last_end_us", Value::U64(end));
                 if mask.count_ones() as u64 >= expected {
-                    table_remove(&mut self.state, "slots", &key);
+                    table_remove(state, "slots", &key);
                     ctx.raise(
                         ArmorEvent::new(tags::APP_COMPLETE)
                             .with("slot", Value::U64(slot))
@@ -951,51 +858,31 @@ impl Element for MgrAppDetect {
             tags::APP_FAILED => {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let key = slot.to_string();
-                let Some(rec) = table_get(&self.state, "slots", &key) else {
+                let Some(rec) = table_get(state, "slots", &key) else {
                     return ElementOutcome::Ok;
                 };
-                if crate::util::rec_bool(rec, "restarting").unwrap_or(false) {
+                if rec_bool(rec, "restarting").unwrap_or(false) {
                     return ElementOutcome::Ok;
                 }
-                crate::util::rec_set(
-                    &mut self.state,
-                    "slots",
-                    &key,
-                    "restarting",
-                    Value::Bool(true),
-                );
-                crate::util::rec_set(&mut self.state, "slots", &key, "done_mask", Value::U64(0));
+                rec_set(state, "slots", &key, "restarting", Value::Bool(true));
+                rec_set(state, "slots", &key, "done_mask", Value::U64(0));
                 ctx.raise(ArmorEvent::new("app-restart-needed").with("slot", Value::U64(slot)));
             }
             "app-relaunching" => {
                 let slot = ev.u64("slot").unwrap_or(0);
                 let key = slot.to_string();
-                crate::util::rec_set(
-                    &mut self.state,
-                    "slots",
-                    &key,
-                    "restarting",
-                    Value::Bool(false),
-                );
-                crate::util::rec_set(&mut self.state, "slots", &key, "done_mask", Value::U64(0));
+                rec_set(state, "slots", &key, "restarting", Value::Bool(false));
+                rec_set(state, "slots", &key, "done_mask", Value::U64(0));
             }
             tags::NODE_FAILED => {
                 // Any application with a rank on the failed node must be
                 // restarted (its process and Execution ARMOR are gone).
-                let node = ev.u64("node").unwrap_or(0);
-                let _ = node;
-                for key in table_keys(&self.state, "slots") {
-                    let Some(rec) = table_get(&self.state, "slots", &key) else { continue };
-                    if crate::util::rec_bool(rec, "restarting").unwrap_or(false) {
+                for key in table_keys(state, "slots") {
+                    let Some(rec) = table_get(state, "slots", &key) else { continue };
+                    if rec_bool(rec, "restarting").unwrap_or(false) {
                         continue;
                     }
-                    crate::util::rec_set(
-                        &mut self.state,
-                        "slots",
-                        &key,
-                        "restarting",
-                        Value::Bool(true),
-                    );
+                    rec_set(state, "slots", &key, "restarting", Value::Bool(true));
                     let slot: u64 = key.parse().unwrap_or(0);
                     ctx.raise(ArmorEvent::new("app-restart-needed").with("slot", Value::U64(slot)));
                 }
@@ -1005,19 +892,11 @@ impl Element for MgrAppDetect {
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
+    fn check(&self, state: &Fields) -> Result<(), String> {
         if !self.checks {
             return Ok(());
         }
-        ree_armor::assertions::map_integrity(&self.state, "slots", |rec| {
+        ree_armor::assertions::map_integrity(state, "slots", |rec| {
             let expected = rec_u64(rec, "expected");
             let mask = rec_u64(rec, "done_mask");
             let restarting = rec_bool_or(rec, "restarting", false);
@@ -1039,31 +918,20 @@ impl Element for MgrAppDetect {
 /// for every install/reinstall/uninstall — returning the **default daemon
 /// ID of zero** when translation fails, which the FTM does not validate
 /// (the paper's §7.2 propagation bug, kept deliberately).
-#[derive(Clone)]
-pub struct NodeMgmt {
-    state: Fields,
-    checks: bool,
+pub(crate) struct NodeMgmt {
+    /// Run the element's assertions.
+    pub(crate) checks: bool,
 }
 
 impl NodeMgmt {
-    /// Creates the element.
-    pub fn new(checks: bool) -> Self {
-        let mut state = Fields::new();
-        state.set("hosts", Value::Map(Default::default()));
-        state.set("daemons", Value::Map(Default::default()));
-        state.set("hb_installed", Value::Bool(false));
-        state.set("ftm_node", Value::U64(0));
-        NodeMgmt { state, checks }
-    }
-
     /// Hostname → daemon-ID translation with the paper's unchecked
     /// default of 0 on failure. The table stores hostname *strings* (as
     /// the real element did); a bit flip inside a hostname makes the
     /// lookup miss and the translation silently return daemon 0 — the
     /// exact §7.2 mechanism behind "unable to install Execution ARMORs".
-    fn translate(&self, node: u64) -> u64 {
+    fn translate(state: &Fields, node: u64) -> u64 {
         let want = format!("node{node}");
-        if let Some(Value::Map(hosts)) = self.state.get("hosts") {
+        if let Some(Value::Map(hosts)) = state.get("hosts") {
             for rec in hosts.values() {
                 if rec_str(rec, "host") == Some(want.as_str()) {
                     return rec_u64(rec, "daemon").unwrap_or(0);
@@ -1075,7 +943,7 @@ impl NodeMgmt {
 }
 
 fn rec_bool_or(rec: &Value, field: &str, default: bool) -> bool {
-    crate::util::rec_bool(rec, field).unwrap_or(default)
+    rec_bool(rec, field).unwrap_or(default)
 }
 
 impl Element for NodeMgmt {
@@ -1094,18 +962,32 @@ impl Element for NodeMgmt {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("hosts", Value::Map(Default::default()));
+        state.set("daemons", Value::Map(Default::default()));
+        state.set("hb_installed", Value::Bool(false));
+        state.set("ftm_node", Value::U64(0));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             "sift-configure" => {
                 if let Some(node) = ev.u64("node") {
-                    self.state.set("ftm_node", Value::U64(node));
+                    state.set("ftm_node", Value::U64(node));
                 }
             }
             tags::DAEMON_REGISTER => {
                 let daemon = ev.u64("daemon").unwrap_or(0);
                 let node = ev.u64("node").unwrap_or(0);
                 table_set(
-                    &mut self.state,
+                    state,
                     "hosts",
                     &node.to_string(),
                     record(vec![
@@ -1114,7 +996,7 @@ impl Element for NodeMgmt {
                     ]),
                 );
                 table_set(
-                    &mut self.state,
+                    state,
                     "daemons",
                     &daemon.to_string(),
                     record(vec![("node", Value::U64(node)), ("alive", Value::Bool(true))]),
@@ -1126,12 +1008,11 @@ impl Element for NodeMgmt {
                 );
                 // Table 1 step 1c: install the Heartbeat ARMOR via the
                 // first registered daemon on a node other than the FTM's.
-                let hb_done =
-                    self.state.get("hb_installed").and_then(Value::as_bool).unwrap_or(false);
-                let ftm_node = self.state.u64("ftm_node").unwrap_or(0);
+                let hb_done = state.get("hb_installed").and_then(Value::as_bool).unwrap_or(false);
+                let ftm_node = state.u64("ftm_node").unwrap_or(0);
                 if !hb_done && node != ftm_node {
-                    self.state.set("hb_installed", Value::Bool(true));
-                    let ftm_daemon = self.translate(ftm_node);
+                    state.set("hb_installed", Value::Bool(true));
+                    let ftm_daemon = Self::translate(state, ftm_node);
                     ctx.send(
                         ArmorId(daemon as u32),
                         vec![ArmorEvent::new(tags::INSTALL_ARMOR)
@@ -1146,7 +1027,7 @@ impl Element for NodeMgmt {
                 // THE unchecked translation: a corrupted host table sends
                 // this instruction to ArmorId(0), detected only by the
                 // daemon layer "too late" (§7.2).
-                let daemon = self.translate(node);
+                let daemon = Self::translate(state, node);
                 let (tag, extra_requester) = match ev.tag {
                     "need-install" => (tags::INSTALL_ARMOR, true),
                     "need-reinstall" => (tags::REINSTALL_ARMOR, true),
@@ -1158,39 +1039,25 @@ impl Element for NodeMgmt {
                     out.fields.set("requester", Value::U64(ids::FTM.0 as u64));
                 }
                 if ev.tag == "need-reinstall" {
-                    let ftm_daemon = self.translate(self.state.u64("ftm_node").unwrap_or(0));
+                    let ftm_daemon = Self::translate(state, state.u64("ftm_node").unwrap_or(0));
                     out.fields.set("ftm_daemon", Value::U64(ftm_daemon));
                 }
                 ctx.send(ArmorId(daemon as u32), vec![out]);
             }
             tags::NODE_FAILED => {
                 let node = ev.u64("node").unwrap_or(0);
-                let daemon = self.translate(node);
+                let daemon = Self::translate(state, node);
                 if daemon != 0 {
-                    crate::util::rec_set(
-                        &mut self.state,
-                        "daemons",
-                        &daemon.to_string(),
-                        "alive",
-                        Value::Bool(false),
-                    );
+                    rec_set(state, "daemons", &daemon.to_string(), "alive", Value::Bool(false));
                 }
-                table_remove(&mut self.state, "hosts", &node.to_string());
+                table_remove(state, "hosts", &node.to_string());
             }
             _ => {}
         }
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
+    fn check(&self, state: &Fields) -> Result<(), String> {
         if !self.checks {
             return Ok(());
         }
@@ -1198,7 +1065,7 @@ impl Element for NodeMgmt {
         // of 17 fired assertions here detected the error too late): only
         // gross structural damage is caught — a flipped-but-plausible
         // daemon ID or a corrupted hostname string passes.
-        ree_armor::assertions::map_integrity(&self.state, "hosts", |rec| {
+        ree_armor::assertions::map_integrity(state, "hosts", |rec| {
             rec_u64(rec, "daemon").map(|d| d < 1_000).unwrap_or(false)
         })
     }
@@ -1207,20 +1074,9 @@ impl Element for NodeMgmt {
 /// Heartbeats every registered daemon to detect node failures (FTM
 /// responsibility 3; §3.3 "the FTM periodically exchanges heartbeat
 /// messages with each daemon").
-#[derive(Clone)]
-pub struct DaemonHb {
-    state: Fields,
-    period: SimDuration,
-}
-
-impl DaemonHb {
-    /// Creates the heartbeat element with the given period.
-    pub fn new(period: SimDuration) -> Self {
-        let mut state = Fields::new();
-        state.set("watch", Value::Map(Default::default()));
-        state.set("pings", Value::U64(0));
-        DaemonHb { state, period }
-    }
+pub(crate) struct DaemonHb {
+    /// Heartbeat period.
+    pub(crate) period: SimDuration,
 }
 
 impl Element for DaemonHb {
@@ -1238,7 +1094,19 @@ impl Element for DaemonHb {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("watch", Value::Map(Default::default()));
+        state.set("pings", Value::U64(0));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             tags::ARMOR_START => {
                 ctx.set_timer_event(self.period, ArmorEvent::new("daemon-hb-cycle"));
@@ -1248,29 +1116,22 @@ impl Element for DaemonHb {
                 // not treat pings its dead predecessor sent as pending,
                 // or it would mass-declare node failures on its first
                 // cycle.
-                for key in table_keys(&self.state, "watch") {
-                    crate::util::rec_set(
-                        &mut self.state,
-                        "watch",
-                        &key,
-                        "awaiting",
-                        Value::Bool(false),
-                    );
+                for key in table_keys(state, "watch") {
+                    rec_set(state, "watch", &key, "awaiting", Value::Bool(false));
                 }
             }
             "daemon-registered" => {
                 let daemon = ev.u64("daemon").unwrap_or(0);
                 let node = ev.u64("node").unwrap_or(0);
                 table_set(
-                    &mut self.state,
+                    state,
                     "watch",
                     &daemon.to_string(),
                     record(vec![("node", Value::U64(node)), ("awaiting", Value::Bool(false))]),
                 );
             }
             "daemon-hb-cycle" => {
-                let entries: Vec<(String, u64, bool)> = self
-                    .state
+                let entries: Vec<(String, u64, bool)> = state
                     .get("watch")
                     .and_then(Value::as_map)
                     .map(|m| {
@@ -1290,14 +1151,13 @@ impl Element for DaemonHb {
                         // "If the FTM does not receive a response by the
                         // next heartbeat round, it assumes that the node
                         // has failed" (§3.3).
-                        table_remove(&mut self.state, "watch", &key);
+                        table_remove(state, "watch", &key);
                         ctx.os.trace_recovery_event(
                             TraceEvent::NodeFailureDetected,
                             format!("detect node{node} failure (daemon silent)"),
                         );
                         // Collect alive nodes for migration targets.
-                        let alive: Vec<Value> = self
-                            .state
+                        let alive: Vec<Value> = state
                             .get("watch")
                             .and_then(Value::as_map)
                             .map(|m| {
@@ -1314,19 +1174,13 @@ impl Element for DaemonHb {
                                 .with("alive_nodes", Value::List(alive)),
                         );
                     } else {
-                        self.state.bump("pings");
-                        crate::util::rec_set(
-                            &mut self.state,
-                            "watch",
-                            &key,
-                            "awaiting",
-                            Value::Bool(true),
-                        );
+                        state.bump("pings");
+                        rec_set(state, "watch", &key, "awaiting", Value::Bool(true));
                         let daemon: u64 = key.parse().unwrap_or(0);
                         ctx.send_unreliable(
                             ArmorId(daemon as u32),
                             vec![ArmorEvent::new(tags::DAEMON_HB_PING)
-                                .with("seq", Value::U64(self.state.u64("pings").unwrap_or(0)))],
+                                .with("seq", Value::U64(state.u64("pings").unwrap_or(0)))],
                         );
                     }
                 }
@@ -1334,13 +1188,7 @@ impl Element for DaemonHb {
             }
             tags::DAEMON_HB_ACK => {
                 if let Some(daemon) = ev.u64("daemon") {
-                    crate::util::rec_set(
-                        &mut self.state,
-                        "watch",
-                        &daemon.to_string(),
-                        "awaiting",
-                        Value::Bool(false),
-                    );
+                    rec_set(state, "watch", &daemon.to_string(), "awaiting", Value::Bool(false));
                 }
             }
             _ => {}
@@ -1348,16 +1196,8 @@ impl Element for DaemonHb {
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
-        ree_armor::assertions::map_integrity(&self.state, "watch", |rec| {
+    fn check(&self, state: &Fields) -> Result<(), String> {
+        ree_armor::assertions::map_integrity(state, "watch", |rec| {
             rec_u64(rec, "node").map(|n| n < 64).unwrap_or(false)
         })
     }

@@ -13,30 +13,16 @@ use ree_sim::SimDuration;
 const MISS_THRESHOLD: u64 = 2;
 
 /// The single FTM-watching element of the Heartbeat ARMOR.
-#[derive(Clone)]
-pub struct HbWatch {
-    state: Fields,
-    period: SimDuration,
+pub(crate) struct HbWatch {
+    /// Heartbeat period.
+    pub(crate) period: SimDuration,
 }
 
 impl HbWatch {
-    /// Creates the watcher with the given heartbeat period.
-    pub fn new(period: SimDuration) -> Self {
-        let mut state = Fields::new();
-        state.set("misses", Value::U64(0));
-        state.set("awaiting", Value::Bool(false));
-        state.set("recovering", Value::Bool(false));
-        state.set("pings_sent", Value::U64(0));
-        state.set("recoveries", Value::U64(0));
-        // The FTM's daemon (set by sift-configure at install time).
-        state.set("ftm_daemon", Value::U64(0));
-        HbWatch { state, period }
-    }
-
-    fn initiate_ftm_recovery(&mut self, ctx: &mut ElementCtx<'_, '_>) {
-        let daemon = self.state.u64("ftm_daemon").unwrap_or(0);
-        self.state.set("recovering", Value::Bool(true));
-        self.state.bump("recoveries");
+    fn initiate_ftm_recovery(state: &mut Fields, ctx: &mut ElementCtx<'_, '_>) {
+        let daemon = state.u64("ftm_daemon").unwrap_or(0);
+        state.set("recovering", Value::Bool(true));
+        state.bump("recoveries");
         ctx.os.trace_recovery_event(
             TraceEvent::FtmFailureDetected,
             "detect ftm failure (heartbeat timeout)",
@@ -71,11 +57,28 @@ impl Element for HbWatch {
         ]
     }
 
-    fn handle(&mut self, ev: &ArmorEvent, ctx: &mut ElementCtx<'_, '_>) -> ElementOutcome {
+    fn initial_state(&self) -> Fields {
+        let mut state = Fields::new();
+        state.set("misses", Value::U64(0));
+        state.set("awaiting", Value::Bool(false));
+        state.set("recovering", Value::Bool(false));
+        state.set("pings_sent", Value::U64(0));
+        state.set("recoveries", Value::U64(0));
+        // The FTM's daemon (set by sift-configure at install time).
+        state.set("ftm_daemon", Value::U64(0));
+        state
+    }
+
+    fn handle(
+        &self,
+        state: &mut Fields,
+        ev: &ArmorEvent,
+        ctx: &mut ElementCtx<'_, '_>,
+    ) -> ElementOutcome {
         match ev.tag {
             "sift-configure" => {
                 if let Some(fd) = ev.u64("ftm_daemon") {
-                    self.state.set("ftm_daemon", Value::U64(fd));
+                    state.set("ftm_daemon", Value::U64(fd));
                 }
             }
             tags::ARMOR_START => {
@@ -83,51 +86,50 @@ impl Element for HbWatch {
             }
             "armor-restored" => {
                 // In-flight liveness state died with the predecessor.
-                self.state.set("awaiting", Value::Bool(false));
-                self.state.set("misses", Value::U64(0));
-                self.state.set("recovering", Value::Bool(false));
-                self.state.set("recover_wait", Value::U64(0));
+                state.set("awaiting", Value::Bool(false));
+                state.set("misses", Value::U64(0));
+                state.set("recovering", Value::Bool(false));
+                state.set("recover_wait", Value::U64(0));
             }
             "hb-cycle" => {
-                let recovering =
-                    self.state.get("recovering").and_then(Value::as_bool).unwrap_or(false);
+                let recovering = state.get("recovering").and_then(Value::as_bool).unwrap_or(false);
                 if recovering {
                     // Waiting for the reinstall ack; give it one cycle,
                     // then retry the whole recovery.
-                    let stuck = self.state.bump("recover_wait").unwrap_or(0);
+                    let stuck = state.bump("recover_wait").unwrap_or(0);
                     if stuck >= 3 {
-                        self.state.set("recover_wait", Value::U64(0));
-                        self.initiate_ftm_recovery(ctx);
+                        state.set("recover_wait", Value::U64(0));
+                        Self::initiate_ftm_recovery(state, ctx);
                     }
-                } else if self.state.get("awaiting").and_then(Value::as_bool).unwrap_or(false) {
-                    let misses = self.state.bump("misses").unwrap_or(0);
+                } else if state.get("awaiting").and_then(Value::as_bool).unwrap_or(false) {
+                    let misses = state.bump("misses").unwrap_or(0);
                     if misses >= MISS_THRESHOLD {
-                        self.state.set("misses", Value::U64(0));
-                        self.state.set("awaiting", Value::Bool(false));
-                        self.initiate_ftm_recovery(ctx);
+                        state.set("misses", Value::U64(0));
+                        state.set("awaiting", Value::Bool(false));
+                        Self::initiate_ftm_recovery(state, ctx);
                     }
                 } else {
-                    self.state.set("awaiting", Value::Bool(true));
+                    state.set("awaiting", Value::Bool(true));
                 }
-                if !self.state.get("recovering").and_then(Value::as_bool).unwrap_or(false) {
-                    self.state.bump("pings_sent");
+                if !state.get("recovering").and_then(Value::as_bool).unwrap_or(false) {
+                    state.bump("pings_sent");
                     ctx.send_unreliable(
                         ids::FTM,
                         vec![ArmorEvent::new(tags::FTM_HB_PING)
-                            .with("seq", Value::U64(self.state.u64("pings_sent").unwrap_or(0)))],
+                            .with("seq", Value::U64(state.u64("pings_sent").unwrap_or(0)))],
                     );
                 }
                 ctx.set_timer_event(self.period, ArmorEvent::new("hb-cycle"));
             }
             tags::FTM_HB_ACK => {
-                self.state.set("awaiting", Value::Bool(false));
-                self.state.set("misses", Value::U64(0));
+                state.set("awaiting", Value::Bool(false));
+                state.set("misses", Value::U64(0));
             }
             tags::REINSTALL_ACK if ev.u64("armor") == Some(ids::FTM.0 as u64) => {
-                self.state.set("recovering", Value::Bool(false));
-                self.state.set("recover_wait", Value::U64(0));
-                self.state.set("awaiting", Value::Bool(false));
-                self.state.set("misses", Value::U64(0));
+                state.set("recovering", Value::Bool(false));
+                state.set("recover_wait", Value::U64(0));
+                state.set("awaiting", Value::Bool(false));
+                state.set("misses", Value::U64(0));
                 // Step two: instruct the recovered FTM to restore its
                 // state from the checkpoint.
                 ctx.send(ids::FTM, vec![ArmorEvent::new("__restore-state")]);
@@ -138,16 +140,8 @@ impl Element for HbWatch {
         ElementOutcome::Ok
     }
 
-    fn state(&self) -> &Fields {
-        &self.state
-    }
-
-    fn state_mut(&mut self) -> &mut Fields {
-        &mut self.state
-    }
-
-    fn check(&self) -> Result<(), String> {
-        ree_armor::assertions::range_check(&self.state, "misses", 0, 100)?;
-        ree_armor::assertions::range_check(&self.state, "ftm_daemon", 0, 99)
+    fn check(&self, state: &Fields) -> Result<(), String> {
+        ree_armor::assertions::range_check(state, "misses", 0, 100)?;
+        ree_armor::assertions::range_check(state, "ftm_daemon", 0, 99)
     }
 }

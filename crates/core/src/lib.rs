@@ -31,19 +31,10 @@ mod ftm;
 mod heartbeat;
 mod report;
 mod scc;
-#[doc(hidden)]
-pub mod util;
+mod util;
 
 pub use blueprint::{AppFactory, AppLaunch, Blueprint};
 pub use client::{ClientNote, SiftClient};
-pub use common::{Configurator, ProbeResponder};
 pub use config::{ids, names, tags, SiftConfig};
-pub use daemon::{DaemonGateway, DaemonInstaller, LocalProber, IMAGE_RELOAD_THRESHOLD};
-pub use exec::{AppMonitor, ProgressWatch};
-pub use ftm::{
-    AppParam, DaemonHb, ExecArmorInfo, FtmHbResponder, MgrAppDetect, MgrArmorInfo, NodeMgmt,
-    SccIface,
-};
-pub use heartbeat::HbWatch;
 pub use report::{ArmorInstalled, JobTimes, SccReport};
 pub use scc::{JobSpec, Scc};

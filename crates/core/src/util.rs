@@ -40,11 +40,6 @@ pub fn table_keys(fields: &Fields, table: &str) -> Vec<String> {
         .unwrap_or_default()
 }
 
-/// Number of entries in a table.
-pub fn table_len(fields: &Fields, table: &str) -> usize {
-    fields.get(table).and_then(Value::as_map).map(BTreeMap::len).unwrap_or(0)
-}
-
 /// Builds a record (nested map value) from `(name, value)` pairs.
 ///
 /// Every record automatically carries structural pointers (`fwd_ptr`,
@@ -100,10 +95,9 @@ mod tests {
         table_set(&mut f, "t", "a", Value::U64(1));
         table_set(&mut f, "t", "b", Value::U64(2));
         assert_eq!(table_get(&f, "t", "a").unwrap().as_u64(), Some(1));
-        assert_eq!(table_len(&f, "t"), 2);
         assert_eq!(table_keys(&f, "t"), vec!["a".to_owned(), "b".to_owned()]);
         assert_eq!(table_remove(&mut f, "t", "a"), Some(Value::U64(1)));
-        assert_eq!(table_len(&f, "t"), 1);
+        assert_eq!(table_keys(&f, "t"), vec!["b".to_owned()]);
         assert!(table_get(&f, "missing", "x").is_none());
     }
 

@@ -117,15 +117,7 @@ impl NetFault {
 
 /// Failure-detection events recorded so far (the recovery-start signal).
 fn detections(trace: &Trace) -> u64 {
-    const DETECTIONS: [TraceEvent; 6] = [
-        TraceEvent::HangDetected,
-        TraceEvent::CrashDetected,
-        TraceEvent::AppHangDetected,
-        TraceEvent::AppCrashDetected,
-        TraceEvent::FtmFailureDetected,
-        TraceEvent::NodeFailureDetected,
-    ];
-    DETECTIONS.iter().map(|e| trace.count_of(*e)).sum()
+    TraceEvent::FAILURE_DETECTIONS.iter().map(|e| trace.count_of(*e)).sum()
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -101,18 +101,20 @@ impl TraceEvent {
         self as usize
     }
 
-    /// True for events that mark the *detection* of a failure — the
-    /// start of a recovery interval (§4.2 recovery-time measurement).
+    /// The events that mark the *detection* of a failure — the start of
+    /// a recovery interval (§4.2 recovery-time measurement).
+    pub const FAILURE_DETECTIONS: [TraceEvent; 6] = [
+        TraceEvent::HangDetected,
+        TraceEvent::CrashDetected,
+        TraceEvent::AppHangDetected,
+        TraceEvent::AppCrashDetected,
+        TraceEvent::FtmFailureDetected,
+        TraceEvent::NodeFailureDetected,
+    ];
+
+    /// True for the [`TraceEvent::FAILURE_DETECTIONS`].
     pub fn is_failure_detection(self) -> bool {
-        matches!(
-            self,
-            TraceEvent::HangDetected
-                | TraceEvent::CrashDetected
-                | TraceEvent::AppHangDetected
-                | TraceEvent::AppCrashDetected
-                | TraceEvent::FtmFailureDetected
-                | TraceEvent::NodeFailureDetected
-        )
+        Self::FAILURE_DETECTIONS.contains(&self)
     }
 }
 
