@@ -142,7 +142,7 @@ fn shard(runs: u32, seed0: u64, batch: u32) -> Vec<BatchSpec> {
     let mut done = 0u32;
     while done < runs {
         let len = batch.min(runs - done);
-        out.push(BatchSpec { seed0: seed0 + u64::from(done), len });
+        out.push(BatchSpec { seed0: seed0.wrapping_add(u64::from(done)), len });
         done += len;
     }
     out
@@ -596,7 +596,7 @@ impl<'p> Supervisor<'p> {
                 }
                 let spec = self.batches[batch as usize];
                 if results.len() != spec.len as usize
-                    || results.iter().zip(0..).any(|(r, i)| r.seed != spec.seed0 + i)
+                    || results.iter().zip(0..).any(|(r, i)| r.seed != spec.seed0.wrapping_add(i))
                 {
                     self.fail_worker(worker, "batch results malformed");
                     return;
@@ -657,7 +657,7 @@ impl<'p> Supervisor<'p> {
         let plan = self.plan;
         let (geometry, snapshot) = self.fallback_boot.get_or_insert_with(|| plan.boot());
         let results: Vec<RunResult> = (0..u64::from(spec.len))
-            .map(|i| execute_warm(plan, geometry, snapshot, spec.seed0 + i))
+            .map(|i| execute_warm(plan, geometry, snapshot, spec.seed0.wrapping_add(i)))
             .collect();
         self.ledger.record_fallback(u64::from(spec.len));
         self.completed.insert(batch, results);

@@ -106,7 +106,7 @@ pub fn worker_main(config: WorkerConfig) -> ! {
                 let mut results = Vec::with_capacity(len as usize);
                 let mut failed = None;
                 for i in 0..u64::from(len) {
-                    let seed = seed0 + i;
+                    let seed = seed0.wrapping_add(i);
                     let outcome = if chaos.before_run() {
                         // Poison: a genuine panic through the same
                         // catch boundary a simulator bug would hit.

@@ -100,6 +100,26 @@ fn clean_sweep_matches_single_process_for_any_worker_count() {
     }
 }
 
+/// A seed range that crosses `u64::MAX` wraps to 0 in every scheduler —
+/// threaded, and distributed with the wrap both between batches and
+/// inside one — instead of panicking in debug and wrapping in release.
+#[test]
+fn seed_range_wraps_past_u64_max_identically_in_every_scheduler() {
+    let plan = plan();
+    let (runs, seed0) = (4, u64::MAX - 1);
+    let seeds = [u64::MAX - 1, u64::MAX, 0, 1];
+    let want = Aggregate::from_results(&seeds.map(|seed| ree_inject::execute(&plan, seed)));
+    for threads in [1, 2] {
+        let got = Campaign::new(&plan).runs(runs).seed(seed0).threads(threads).aggregate();
+        assert_eq!(got, want, "{threads} threads diverged");
+    }
+    let mut o = options(2);
+    o.batch = 3;
+    let report = distribute(&plan, runs, seed0, &o).expect("sweep runs");
+    assert!(report.completed(), "{:?}", report.warnings);
+    assert_eq!(report.aggregate, want, "distributed sweep diverged");
+}
+
 /// Every chaos mode, fired mid-sweep on worker 0, must converge to the
 /// identical aggregate — and must actually have hurt something (a
 /// vacuous chaos test proves nothing).

@@ -429,7 +429,8 @@ fn execute_round(arms: &[Arm], tasks: &[Task], threads: usize) -> Vec<Vec<RunRes
         let arm = &arms[task.arm];
         (0..u64::from(task.len))
             .map(|j| {
-                execute_warm(&arm.plan, geometry, snapshot, arm.seed0 + u64::from(task.start) + j)
+                let seed = arm.seed0.wrapping_add(u64::from(task.start) + j);
+                execute_warm(&arm.plan, geometry, snapshot, seed)
             })
             .collect()
     };

@@ -81,7 +81,7 @@ impl<'p> Campaign<'p> {
         self
     }
 
-    /// Sets the first seed; run `i` uses `seed0 + i`.
+    /// Sets the first seed; run `i` uses `seed0 + i`, wrapping at `u64::MAX`.
     pub fn seed(mut self, seed0: u64) -> Self {
         self.seed0 = seed0;
         self
@@ -114,7 +114,9 @@ impl<'p> Campaign<'p> {
         run_ordered(
             self.runs,
             self.threads,
-            |i| execute_warm(self.plan, &geometry, &snapshot, self.seed0 + u64::from(i)),
+            |i| {
+                execute_warm(self.plan, &geometry, &snapshot, self.seed0.wrapping_add(u64::from(i)))
+            },
             |r| fold(&mut acc, r),
         );
         acc

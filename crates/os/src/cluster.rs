@@ -540,11 +540,10 @@ impl Cluster {
     /// handles minted by another cluster's queue are rejected with
     /// `None`, leaving the cluster untouched.
     pub fn step_with(&mut self, handle: EventHandle) -> Option<SimTime> {
-        let time = self.queue.time_of(handle)?;
-        if Some(time) != self.queue.peek_time() {
+        if self.queue.time_of(handle)? != self.queue.peek_time()? {
             return None;
         }
-        let (time, ev) = self.queue.pop_at(handle).expect("handle verified live");
+        let (time, ev) = self.queue.pop_at(handle)?;
         self.now = time;
         self.dispatch(ev);
         Some(time)
@@ -554,6 +553,11 @@ impl Cluster {
     /// when quiescent.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
+    }
+
+    /// Number of events waiting to fire.
+    pub fn pending_events(&self) -> usize {
+        self.queue.len()
     }
 
     /// Short static label of a pending event (e.g. `"start"`,
@@ -711,10 +715,8 @@ impl Cluster {
         // Behaviour-state proxy: what the environment has observed.
         self.trace.counters().hash(h);
         // Pending events in firing order, seqs rank-renumbered.
-        let mut pending: Vec<(SimTime, u64, &OsEvent)> = self.queue.iter_pending().collect();
-        pending.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        pending.len().hash(h);
-        for (rank, (time, _seq, ev)) in pending.into_iter().enumerate() {
+        self.queue.len().hash(h);
+        for (rank, (time, _seq, ev)) in self.queue.iter_pending().enumerate() {
             time.hash(h);
             rank.hash(h);
             hash_event_fingerprint(ev, h);

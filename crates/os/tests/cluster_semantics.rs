@@ -247,6 +247,60 @@ fn sibling_timers_survive_the_cancellation_of_a_third() {
 }
 
 #[test]
+fn step_with_the_middle_of_three_leaves_the_others_in_scheduling_order() {
+    let (mut c, _) = timer_script(&[(1000, 1), (1000, 2), (1000, 3)], &[]);
+    c.run_until(SimTime::from_millis_helper(1100));
+    let due = SimTime::from_millis_helper(1150);
+    let choices = c.step_choices();
+    assert_eq!(choices.len(), 3);
+    assert_eq!(c.step_with(choices[1]), Some(due));
+    assert_eq!(c.step_choices(), [choices[0], choices[2]]);
+    assert_eq!(c.step_with(choices[1]), None, "a fired handle is stale");
+    assert_eq!(c.step(), Some(due));
+    assert_eq!(c.step(), Some(due));
+    assert_eq!(fired(&c), ["fired 2", "fired 1", "fired 3"]);
+}
+
+/// The state digest sees the pending events' firing order and nothing
+/// else of the queue: not its identity (a clone's differs), and not which
+/// of several ready events a `step_with` removed from where.
+#[test]
+fn a_cluster_and_its_midrun_clone_keep_equal_digests_under_the_same_choices() {
+    fn digest(c: &Cluster) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        c.write_state_digest(&mut h);
+        h.finish()
+    }
+    let arm = [(1000, 1), (1000, 2), (2000, 3), (1000, 4), (2000, 5), (2000, 6), (3000, 7)];
+    let (mut a, _) = timer_script(&arm, &[(4, 4), (3, 6)]);
+    let probe =
+        a.spawn(SpawnSpec::new("probe", NodeId(0), Box::new(Probe { reply_to_ping: true })));
+    a.spawn(SpawnSpec::new("pinger", NodeId(1), Box::new(Pinger { target: probe })));
+    a.run_until(SimTime::from_millis_helper(1100));
+    let mut b = a.clone();
+    assert_eq!(digest(&a), digest(&b));
+    let mut widest = 0;
+    for step in 0.. {
+        let (in_a, in_b) = (a.step_choices(), b.step_choices());
+        assert_eq!(in_a.len(), in_b.len());
+        if in_a.is_empty() {
+            break;
+        }
+        widest = widest.max(in_a.len());
+        // The last of the ready set on even steps, the first on odd ones.
+        let i = (in_a.len() - 1) * ((step + 1) % 2);
+        assert_eq!(b.step_with(in_a[i]), None, "the other side's handle is foreign");
+        assert_eq!(a.step_with(in_a[i]), b.step_with(in_b[i]));
+        assert_eq!(digest(&a), digest(&b), "after step {step}");
+    }
+    assert_eq!(widest, 3, "the walk branched over same-instant events");
+    assert_eq!(fired(&a), fired(&b));
+    // Timer 4 cancelled 5 and timer 3 cancelled 7: their entries popped unfired.
+    assert_eq!(fired(&a), ["fired 4", "fired 1", "fired 2", "fired 3", "fired 6"]);
+}
+
+#[test]
 fn work_runs_for_its_duration_and_pauses_while_stopped() {
     #[derive(Clone)]
     struct Worker;

@@ -1,19 +1,27 @@
 //! The pending-event set: a time-ordered queue with deterministic
 //! tie-breaking, sized to the calls the simulator makes.
 //!
-//! A binary min-heap of `(time, seq, slot)` entries over a payload slab
-//! (`slots`, recycled through a free list). The key is stored *inline*
-//! in the heap entry, so a sift step compares and copies within the heap
-//! array only, and [`EventQueue::peek_time`] is a `&self` O(1) read.
-//! `seq` is the scheduling counter: it breaks ties on `time`
-//! (same-instant events fire in scheduling order, which keeps runs
-//! bit-for-bit reproducible) and, never being reused, it is also what an
-//! [`EventHandle`] names.
+//! A `Vec` of `(time, seq, slot)` entries kept sorted **descending** by
+//! `(time, seq)` — the next event to fire is the last element — over a
+//! payload slab (`slots`, recycled through a free list). `pop` is
+//! `Vec::pop`; `schedule` binary-searches on `time` alone (a new entry's
+//! `seq` exceeds every pending one, so it goes below every entry with
+//! `time <=` its own) and inserts, which is **O(n)** in the entries that
+//! fire before it. That is the right trade for the n there is: an
+//! injected run holds 21 pending events on average and 44 at most
+//! (`docs/PERFORMANCE.md`, "Event traffic, measured";
+//! `cargo run --release --example event_census` for the fault-free run),
+//! so an insert moves at most a kilobyte, which costs less than a binary
+//! heap's cold sift between two handlers did. `seq` is the scheduling
+//! counter: it breaks ties on `time` (same-instant events fire in
+//! scheduling order, which keeps runs bit-for-bit reproducible) and,
+//! never being reused, it is also what an [`EventHandle`] names.
 //!
-//! The queue deliberately keeps **no index** from handle to heap
-//! position: by-handle operations scan the heap (a few hundred entries)
-//! for the `seq`, because nothing on the event path calls them. Call
-//! sites in `ree-os` (`git grep -n 'queue\.' crates/os/src/cluster.rs`):
+//! The queue deliberately keeps **no index** from handle to position:
+//! by-handle operations scan from the firing end for the `seq`, because
+//! nothing on the event path calls them and every caller there is holds
+//! a handle of the earliest instant. Call sites in `ree-os`
+//! (`git grep -n 'queue\.' crates/os/src/cluster.rs`):
 //!
 //! | operation                  | callers in `cluster.rs`                | reached by            |
 //! |----------------------------|----------------------------------------|-----------------------|
@@ -21,13 +29,14 @@
 //! | `pop`                      | 3 (`step`, `run_until`, `…_pred`)      | every event           |
 //! | `peek_time`                | 4                                      | every event           |
 //! | `iter_pending`             | 1 (`write_state_digest`)               | model checker         |
-//! | `ready_handles`            | 1 (`step_choices`; itself a scan)      | model checker         |
+//! | `ready_handles`            | 1 (`step_choices`)                     | model checker         |
 //! | `time_of`, `get`, `pop_at` | 4 (`step_with`, `event_label`, `discard_event`) | model checker, on handles fresh from `ready_handles` |
+//! | `len`                      | 2 (`write_state_digest`, `pending_events`) | model checker, `event_census` example |
 //! | `cancel`                   | 0                                      | nobody                |
 //!
 //! Timers are cancelled lazily: `ProcCtx::cancel_timer` drops the id from
 //! its owner's live set and dispatch discards a fired timer that is not
-//! live. A position index is a write per sift step for calls nobody makes.
+//! live.
 
 use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,22 +61,14 @@ pub struct EventHandle {
     seq: u64,
 }
 
-/// One heap entry: the ordering key plus the payload's slot. The key
-/// lives here (not in the slab) so sifting never chases the slab.
+/// One pending entry: the ordering key plus the payload's slot. The key
+/// lives here (not in the slab) so ordering never chases the slab.
 #[derive(Clone, Copy)]
-struct HeapEntry {
+struct Entry {
     time: SimTime,
     /// Scheduling order; ties on `time` fire in `seq` order.
     seq: u64,
     slot: u32,
-}
-
-impl HeapEntry {
-    /// A tuple compare: the derived three-field order cost 2.5 % of a run.
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
 }
 
 /// A deterministic future-event list.
@@ -90,8 +91,8 @@ pub struct EventQueue<E> {
     /// Payload slab; `None` marks a vacant slot (listed in `free`).
     slots: Vec<Option<E>>,
     free: Vec<u32>,
-    /// Min-heap of `(time, seq, slot)` entries, ordered by `(time, seq)`.
-    heap: Vec<HeapEntry>,
+    /// Sorted descending by `(time, seq)`: the last entry fires next.
+    pending: Vec<Entry>,
     next_seq: u64,
 }
 
@@ -113,7 +114,7 @@ impl<E: Clone> Clone for EventQueue<E> {
             id: fresh_queue_id(),
             slots: presized(&self.slots, self.slots.capacity()),
             free: presized(&self.free, self.free.capacity()),
-            heap: presized(&self.heap, self.heap.capacity()),
+            pending: presized(&self.pending, self.pending.capacity()),
             next_seq: self.next_seq,
         }
     }
@@ -132,44 +133,9 @@ impl<E> EventQueue<E> {
             id: fresh_queue_id(),
             slots: Vec::new(),
             free: Vec::new(),
-            heap: Vec::new(),
+            pending: Vec::new(),
             next_seq: 0,
         }
-    }
-
-    fn sift_up(&mut self, mut pos: usize) {
-        let entry = self.heap[pos];
-        let key = entry.key();
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if self.heap[parent].key() <= key {
-                break;
-            }
-            self.heap[pos] = self.heap[parent];
-            pos = parent;
-        }
-        self.heap[pos] = entry;
-    }
-
-    fn sift_down(&mut self, mut pos: usize) {
-        let entry = self.heap[pos];
-        let key = entry.key();
-        loop {
-            let mut child = 2 * pos + 1;
-            if child >= self.heap.len() {
-                break;
-            }
-            let right = child + 1;
-            if right < self.heap.len() && self.heap[right].key() < self.heap[child].key() {
-                child = right;
-            }
-            if key <= self.heap[child].key() {
-                break;
-            }
-            self.heap[pos] = self.heap[child];
-            pos = child;
-        }
-        self.heap[pos] = entry;
     }
 
     /// Vacates `slot` and returns its payload.
@@ -179,13 +145,17 @@ impl<E> EventQueue<E> {
         ev
     }
 
-    /// Heap position of the live event `handle` names, or `None` if it is
-    /// stale or foreign. A scan: the module doc says why there is no index.
+    /// The live entry `handle` names, or `None` if it is stale or foreign.
+    /// A scan from the firing end: the module doc says why there is no index.
     fn position(&self, handle: EventHandle) -> Option<usize> {
         if handle.queue != self.id {
             return None;
         }
-        self.heap.iter().position(|entry| entry.seq == handle.seq)
+        self.pending.iter().rposition(|entry| entry.seq == handle.seq)
+    }
+
+    fn handle(&self, entry: &Entry) -> EventHandle {
+        EventHandle { queue: self.id, seq: entry.seq }
     }
 
     /// Schedules `event` to fire at `time`; returns a handle to it.
@@ -197,8 +167,9 @@ impl<E> EventQueue<E> {
             u32::try_from(self.slots.len() - 1).expect("event queue slot overflow")
         });
         self.slots[slot as usize] = Some(event);
-        self.heap.push(HeapEntry { time, seq, slot });
-        self.sift_up(self.heap.len() - 1);
+        // The newest `seq` fires after every pending entry of the same instant.
+        let pos = self.pending.partition_point(|entry| entry.time > time);
+        self.pending.insert(pos, Entry { time, seq, slot });
         EventHandle { queue: self.id, seq }
     }
 
@@ -211,15 +182,8 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest live event as `(time, handle, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, EventHandle, E)> {
-        let HeapEntry { time, seq, slot } = *self.heap.first()?;
-        // Root-specific removal, not `pop_at`'s general one: from the root
-        // the last entry only ever sifts down, and this is the per-event path.
-        let last = self.heap.pop().expect("heap has a root");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
-        }
-        Some((time, EventHandle { queue: self.id, seq }, self.release(slot)))
+        let entry = self.pending.pop()?;
+        Some((entry.time, self.handle(&entry), self.release(entry.slot)))
     }
 
     /// Removes and returns a *specific* live event as `(time, event)` —
@@ -227,34 +191,26 @@ impl<E> EventQueue<E> {
     /// same-instant events instead of the `(time, seq)` minimum. `None`
     /// for stale or foreign handles; the queue is untouched in that case.
     pub fn pop_at(&mut self, handle: EventHandle) -> Option<(SimTime, E)> {
-        let pos = self.position(handle)?;
-        let HeapEntry { time, slot, .. } = self.heap[pos];
-        let last = self.heap.pop().expect("position is inside the heap");
-        if pos < self.heap.len() {
-            // The swapped-in entry may be out of order in either direction.
-            self.heap[pos] = last;
-            self.sift_down(pos);
-            self.sift_up(pos);
-        }
-        Some((time, self.release(slot)))
+        let entry = self.pending.remove(self.position(handle)?);
+        Some((entry.time, self.release(entry.slot)))
     }
 
     /// Time of the earliest live event without removing it — O(1), and
     /// borrows the queue immutably.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|entry| entry.time)
+        self.pending.last().map(|entry| entry.time)
     }
 
     /// Scheduled time of a specific live event, or `None` for stale or
     /// foreign handles.
     pub fn time_of(&self, handle: EventHandle) -> Option<SimTime> {
-        self.position(handle).map(|pos| self.heap[pos].time)
+        self.position(handle).map(|pos| self.pending[pos].time)
     }
 
     /// Borrows a specific live event, or `None` for stale/foreign handles.
     pub fn get(&self, handle: EventHandle) -> Option<&E> {
         let pos = self.position(handle)?;
-        self.slots[self.heap[pos].slot as usize].as_ref()
+        self.slots[self.pending[pos].slot as usize].as_ref()
     }
 
     /// Handles of every event scheduled for the earliest pending
@@ -263,19 +219,14 @@ impl<E> EventQueue<E> {
     /// same-instant ordering. Empty exactly when the queue is.
     pub fn ready_handles(&self) -> Vec<EventHandle> {
         let Some(t) = self.peek_time() else { return Vec::new() };
-        let handle = |entry: &HeapEntry| EventHandle { queue: self.id, seq: entry.seq };
-        let mut ready: Vec<_> = self.heap.iter().filter(|e| e.time == t).map(handle).collect();
-        ready.sort_unstable();
-        ready
+        self.pending.iter().rev().take_while(|e| e.time == t).map(|e| self.handle(e)).collect()
     }
 
-    /// Iterates over every pending event as `(time, seq, event)`.
-    ///
-    /// Order is **heap order**, not firing order — callers that need a
-    /// canonical view (e.g. state hashing) must sort by `(time, seq)`;
-    /// `seq` values mean something only relative to each other.
+    /// Iterates over every pending event as `(time, seq, event)`, in
+    /// `(time, seq)` firing order; `seq` values mean something only
+    /// relative to each other.
     pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        self.heap.iter().map(|entry| {
+        self.pending.iter().rev().map(|entry| {
             let ev = self.slots[entry.slot as usize].as_ref().expect("occupied slot");
             (entry.time, entry.seq, ev)
         })
@@ -283,17 +234,17 @@ impl<E> EventQueue<E> {
 
     /// Number of live (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 
     /// Drops every pending event (handles to them become stale).
     pub fn clear(&mut self) {
-        while let Some(entry) = self.heap.pop() {
+        while let Some(entry) = self.pending.pop() {
             self.release(entry.slot);
         }
     }
@@ -302,7 +253,7 @@ impl<E> EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.heap.len())
+            .field("live", &self.pending.len())
             .field("slots", &self.slots.len())
             .field("next_seq", &self.next_seq)
             .finish()
