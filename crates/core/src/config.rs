@@ -163,8 +163,6 @@ pub mod tags {
     pub const UNINSTALL_ARMOR: &str = "uninstall-armor";
     /// Internal FTM event: all ranks of an app finished cleanly.
     pub const APP_COMPLETE: &str = "app-complete";
-    /// Periodic internal cycle events.
-    pub const CYCLE: &str = "cycle";
 }
 
 /// Well-known instance-name prefixes (trace queries and tests).

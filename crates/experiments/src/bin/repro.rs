@@ -23,6 +23,7 @@ use ree_experiments::{
     dist, fig9, figures, mc, partition, table10, table11, table3, table4, table5, table6, table7,
     table8, Effort,
 };
+use std::sync::OnceLock;
 
 /// What the flags select; every target runs under one of these.
 struct Options {
@@ -30,6 +31,19 @@ struct Options {
     seed: u64,
     workers: usize,
     chaos: Option<ree_dist::ChaosMode>,
+}
+
+/// Tables 8/9 are two renderings of one experiment, run once per
+/// process (the options are fixed for its lifetime).
+fn tables_8_9(o: &Options) -> &'static table8::Table8 {
+    static RESULT: OnceLock<table8::Table8> = OnceLock::new();
+    RESULT.get_or_init(|| table8::run(o.effort, o.seed))
+}
+
+/// Tables 11/12 likewise.
+fn tables_11_12(o: &Options) -> &'static (table11::Table11, table11::Table12) {
+    static RESULT: OnceLock<(table11::Table11, table11::Table12)> = OnceLock::new();
+    RESULT.get_or_init(|| table11::run(o.effort, o.seed))
 }
 
 /// A target: its name, whether `all` runs it, and what it does.
@@ -58,11 +72,11 @@ const TARGETS: &[Target] = &[
     ("table5", true, |o| print!("{}", table5::run(o.effort, o.seed).render())),
     ("table6", true, |o| print!("{}", table6::run(o.effort, o.seed).render())),
     ("table7", true, |o| print!("{}", table7::run(o.effort, o.seed).render())),
-    ("table8", true, |o| print!("{}", table8::run(o.effort, o.seed).render_table8())),
-    ("table9", true, |o| print!("{}", table8::run(o.effort, o.seed).render_table9())),
+    ("table8", true, |o| print!("{}", tables_8_9(o).render_table8())),
+    ("table9", true, |o| print!("{}", tables_8_9(o).render_table9())),
     ("table10", true, |o| print!("{}", table10::run(o.effort, o.seed).render())),
-    ("table11", true, |o| print!("{}", table11::run(o.effort, o.seed).0.render())),
-    ("table12", true, |o| print!("{}", table11::run(o.effort, o.seed).1.render())),
+    ("table11", true, |o| print!("{}", tables_11_12(o).0.render())),
+    ("table12", true, |o| print!("{}", tables_11_12(o).1.render())),
     ("fig6", true, |o| print!("{}", figures::fig6(o.effort, o.seed).render())),
     ("fig6a", true, |o| {
         print!("{}", figures::fig6_adaptive(&table4::adaptive_rule(o.effort), o.seed).render())

@@ -1,0 +1,386 @@
+//! What every reproduced table is made of: a list of cells (one
+//! [`Arm`] — label, plan, first seed — per seeded campaign), the
+//! [`Row`] of raw results each cell yields, and the column folds the
+//! tables compute from a row at render time. Each table module spells
+//! its cells, its predicates and its footer; everything they share is
+//! here, once.
+//!
+//! The seed expressions in the `cells()` functions are the legacy
+//! hand-mixed ones (ROADMAP item 1(a) replaces them); the test below
+//! names the cells whose seed windows they make overlap.
+
+use ree_apps::Scenario;
+use ree_inject::{
+    adaptive, Arm, ArmReport, Campaign, ErrorModel, FailureClass, RunPlan, RunResult, StoppingRule,
+    Target,
+};
+use ree_sim::SimTime;
+use ree_stats::{Summary, TableBuilder};
+
+/// The plan of one single-application cell: texture on the four-node
+/// testbed, no network faults.
+pub(crate) fn plan(target: Target, model: ErrorModel, timeout_s: u64) -> RunPlan {
+    RunPlan {
+        scenario: Scenario::single_texture(0),
+        target,
+        model,
+        timeout: SimTime::from_secs(timeout_s),
+        net_faults: vec![],
+    }
+}
+
+/// Legacy label hash of Table 4 and the partition sweep.
+pub(crate) fn rotl5(label: &str) -> u64 {
+    label.bytes().fold(0x9E37_79B9, |h: u64, b| h.rotate_left(5) ^ b as u64)
+}
+
+/// Legacy label hash of Table 6.
+pub(crate) fn mul31(label: &str) -> u64 {
+    label.bytes().fold(0x7ab1e6, |h: u64, b| h.wrapping_mul(31) ^ b as u64)
+}
+
+/// The row group Tables 4 and 6 repeat per error model: one cell per
+/// target, seeded `seed0 ^ hash(model ++ target)`.
+pub(crate) fn target_cells(
+    model: ErrorModel,
+    timeout_s: u64,
+    seed0: u64,
+    hash: fn(&str) -> u64,
+) -> Vec<Arm> {
+    [Target::App, Target::Ftm, Target::ExecArmor, Target::Heartbeat]
+        .into_iter()
+        .map(|target| {
+            let label = format!("{model} / {target}");
+            let seed = seed0 ^ hash(&format!("{model}{target}"));
+            Arm::new(label, plan(target, model.clone(), timeout_s), seed)
+        })
+        .collect()
+}
+
+/// Runs every cell for `runs` seeds from its first seed.
+pub(crate) fn run_cells(cells: &[Arm], runs: u32) -> Vec<Row> {
+    cells
+        .iter()
+        .map(|cell| Row {
+            label: cell.label.clone(),
+            results: Campaign::new(&cell.plan).runs(runs).seed(cell.seed0).collect(),
+        })
+        .collect()
+}
+
+/// One table row: a cell's label and its run results in seed order.
+/// Columns are folds over `results`; which runs a column admits is the
+/// table's choice and part of what it prints.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// Row label.
+    pub label: String,
+    /// One result per run, in seed order.
+    pub results: Vec<RunResult>,
+}
+
+impl Row {
+    /// Runs `pred` admits.
+    pub fn count(&self, pred: impl Fn(&RunResult) -> bool) -> u64 {
+        self.results.iter().filter(|r| pred(r)).count() as u64
+    }
+
+    /// Runs whose induced failure was of `class`.
+    pub fn induced(&self, class: FailureClass) -> u64 {
+        self.count(|r| r.induced == Some(class))
+    }
+
+    /// Runs that ended in a system failure.
+    pub fn system_failures(&self) -> u64 {
+        self.count(|r| r.system_failure.is_some())
+    }
+
+    /// Perceived and actual execution time of job `slot` over the runs
+    /// `pred` admits.
+    pub fn timings(&self, slot: usize, pred: impl Fn(&RunResult) -> bool) -> (Summary, Summary) {
+        let (mut perceived, mut actual) = (Summary::new(), Summary::new());
+        for r in self.results.iter().filter(|r| pred(r)) {
+            if let Some(Some(p)) = r.perceived_all.get(slot) {
+                perceived.push(*p);
+            }
+            if let Some(Some(a)) = r.actual_all.get(slot) {
+                actual.push(*a);
+            }
+        }
+        (perceived, actual)
+    }
+
+    /// Every SIFT recovery time observed in the runs `pred` admits.
+    pub fn recoveries(&self, pred: impl Fn(&RunResult) -> bool) -> Summary {
+        let mut recovery = Summary::new();
+        for rec in self.results.iter().filter(|r| pred(r)).flat_map(|r| &r.recovery_times) {
+            recovery.push(*rec);
+        }
+        recovery
+    }
+
+    /// FAILURES and SUC. REC. of Tables 6, 7 and 12: runs with an
+    /// induced failure, and how many of *those* recovered.
+    pub(crate) fn failure_columns(&self) -> [String; 2] {
+        [
+            self.count(|r| r.induced.is_some()).to_string(),
+            self.count(|r| r.induced.is_some() && r.recovered()).to_string(),
+        ]
+    }
+
+    /// SEG FAULT, ILLEGAL, HANG and ASSERT of Tables 6 and 12.
+    pub(crate) fn class_columns(&self) -> [String; 4] {
+        use FailureClass::{Assertion, Hang, IllegalInstruction, SegFault};
+        [SegFault, IllegalInstruction, Hang, Assertion].map(|class| self.induced(class).to_string())
+    }
+
+    /// PERCEIVED, ACTUAL and RECOVERY of Tables 6 and 7: execution
+    /// times over injected runs that completed, recovery times over
+    /// every run.
+    pub(crate) fn time_columns(&self) -> [String; 3] {
+        let (perceived, actual) = self.timings(0, |r| r.injections > 0 && r.completed);
+        [perceived.display_pm(), actual.display_pm(), self.recoveries(|_| true).display_pm()]
+    }
+}
+
+/// Runs `scenario` fault-free once per seed and returns each job slot's
+/// (perceived, actual) execution time over the runs that completed
+/// within `horizon`.
+pub(crate) fn fault_free_times(
+    scenario: &Scenario,
+    seeds: impl IntoIterator<Item = u64>,
+    horizon: SimTime,
+) -> Vec<(Summary, Summary)> {
+    let mut slots = vec![(Summary::new(), Summary::new()); scenario.jobs.len()];
+    for seed in seeds {
+        let mut run = Scenario { seed, ..scenario.clone() }.start();
+        if !run.run_until_done(horizon) {
+            continue;
+        }
+        for (slot, (perceived, actual)) in slots.iter_mut().enumerate() {
+            let times = run.job_times(slot as u64);
+            if let Some((p, a)) = times.and_then(|t| t.perceived().zip(t.actual())) {
+                perceived.push(p.as_secs_f64());
+                actual.push(a.as_secs_f64());
+            }
+        }
+    }
+    slots
+}
+
+/// A column computed from a cell's report: its header and its cell.
+pub(crate) type Column = (&'static str, fn(&ArmReport) -> String);
+
+/// A sweep under the adaptive engine: each cell stops as soon as its
+/// recovery-rate Wilson interval meets the stopping rule's target
+/// instead of spending a fixed run count.
+#[derive(Debug, Clone)]
+pub struct AdaptiveTable {
+    title: &'static str,
+    key: &'static str,
+    extra: Option<Column>,
+    /// One report per cell, in cell order.
+    pub rows: Vec<ArmReport>,
+    /// The rule every cell ran under.
+    pub rule: StoppingRule,
+    /// Batch rounds the sweep took (scheduling-dependent).
+    pub rounds: u32,
+}
+
+impl AdaptiveTable {
+    /// Runs `cells` as one adaptive sweep under `rule`, reallocating
+    /// each round's batches to the widest-interval cells. `key` heads
+    /// the label column; `extra` is a column placed before CI TARGET.
+    pub(crate) fn sweep(
+        title: &'static str,
+        key: &'static str,
+        extra: Option<Column>,
+        cells: &[Arm],
+        rule: &StoppingRule,
+    ) -> AdaptiveTable {
+        let report = adaptive::run_arms(cells, rule);
+        let (rows, rule, rounds) = (report.arms, rule.clone(), report.rounds);
+        AdaptiveTable { title, key, extra, rows, rule, rounds }
+    }
+
+    /// Renders the per-cell spend next to what a fixed sweep would cost.
+    pub fn render(&self) -> String {
+        let mut headers = vec![self.key, "RUNS", "ERRORS INJ.", "RECOVERY RATE"];
+        headers.extend(self.extra.map(|(header, _)| header));
+        headers.push("CI TARGET");
+        let mut t = TableBuilder::new(headers).with_title(self.title);
+        for row in &self.rows {
+            let mut line = vec![
+                row.label.clone(),
+                row.runs.to_string(),
+                row.aggregate.errors_injected.to_string(),
+                row.display_rate(),
+            ];
+            line.extend(self.extra.map(|(_, column)| column(row)));
+            line.push(if row.target_met { "met".into() } else { "budget exhausted".into() });
+            t.row(line);
+        }
+        let spent: u64 = self.rows.iter().map(|r| u64::from(r.runs)).sum();
+        let fixed = u64::from(self.rule.max_runs) * self.rows.len() as u64;
+        format!(
+            "{}\ntarget ±{:.1}% at {:.0}% confidence; {} runs spent vs {} for a fixed sweep \
+             ({} rounds)\n",
+            t.render(),
+            self.rule.half_width * 100.0,
+            self.rule.confidence * 100.0,
+            spent,
+            fixed,
+            self.rounds,
+        )
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::{table11, table4, table5, table6, table7, table8};
+    use ree_apps::Verdict;
+
+    /// A fault-free run that completed correctly in 75 s.
+    pub(crate) fn clean_run() -> RunResult {
+        RunResult {
+            seed: 0,
+            injections: 0,
+            induced: None,
+            completed: true,
+            system_failure: None,
+            output: Verdict::Correct,
+            perceived: Some(75.0),
+            actual: Some(74.0),
+            perceived_all: vec![Some(75.0)],
+            actual_all: vec![Some(74.0)],
+            restarts: 0,
+            recovery_times: vec![],
+            correlated: false,
+            assertion_fired: false,
+            heap_hit: None,
+            net_faults_applied: 0,
+        }
+    }
+
+    /// The data cells of the rendered line that starts with `label`.
+    fn line_of(rendered: &str, label: &str) -> Vec<String> {
+        let line = rendered.lines().find(|l| l.trim_start().starts_with(label)).expect("row");
+        line.split('|').skip(1).map(|cell| cell.trim().to_owned()).collect()
+    }
+
+    /// Cells of one table whose seed windows intersect at the default
+    /// root, as `(table, cell index, cell index)`. ROADMAP item 1(a)
+    /// lands when this list is empty.
+    const KNOWN_OVERLAPS: [(&str, usize, usize); 15] = [
+        ("table7", 1, 2), // Execution ARMOR, Heartbeat ARMOR: both names are 15 bytes
+        ("table8", 0, 3), // mgr_armor_info, mgr_app_detect: byte sums 37 apart
+        ("table8", 2, 4), // app_param, node_mgmt: byte sums 9 apart
+        // The seed ignores the row: the four first-model cells share
+        // one window, the four second-model cells the other.
+        ("table11", 0, 2),
+        ("table11", 0, 4),
+        ("table11", 0, 6),
+        ("table11", 1, 3),
+        ("table11", 1, 5),
+        ("table11", 1, 7),
+        ("table11", 2, 4),
+        ("table11", 2, 6),
+        ("table11", 3, 5),
+        ("table11", 3, 7),
+        ("table11", 4, 6),
+        ("table11", 5, 7),
+    ];
+
+    #[test]
+    fn the_cells_enumerated() {
+        let seed0 = 20020401;
+        let tables = [
+            ("table4", table4::cells(seed0), 100u64),
+            ("table5", table5::cells(seed0), 30),
+            ("table6", table6::cells(seed0), 130),
+            ("table7", table7::cells(seed0), 100),
+            ("table8", table8::cells(seed0), 100),
+            ("table11", table11::cells(seed0), 30),
+        ];
+        let mut overlaps = Vec::new();
+        for (table, cells, runs) in &tables {
+            // Table 11 pools the two cells of each label into one row.
+            let copies = if *table == "table11" { 2 } else { 1 };
+            for (i, a) in cells.iter().enumerate() {
+                let same = cells.iter().filter(|b| b.label == a.label).count();
+                assert_eq!(same, copies, "{table}: label {:?}", a.label);
+                for (j, b) in cells.iter().enumerate().skip(i + 1) {
+                    if a.seed0.abs_diff(b.seed0) < *runs {
+                        overlaps.push((*table, i, j));
+                    }
+                }
+            }
+        }
+        assert_eq!(overlaps, KNOWN_OVERLAPS, "a seed-window overlap appeared or disappeared");
+    }
+
+    #[test]
+    fn tables_4_and_6_admit_different_runs() {
+        // Recovery observed although the injection instant fell after
+        // completion; and an injection that induced no failure.
+        let uninjected = RunResult { recovery_times: vec![0.5], ..clean_run() };
+        let masked = RunResult { injections: 1, ..clean_run() };
+        let row = Row { label: "cell".into(), results: vec![uninjected, masked] };
+
+        // Table 6: recovery times over every run, SUC. REC. among the
+        // runs with an induced failure.
+        assert_eq!(row.failure_columns(), ["0", "0"]);
+        assert_eq!(row.time_columns(), ["75.00 ± 0.00", "74.00 ± 0.00", "0.50 ± 0.00"]);
+
+        // Table 4: every column over the injected runs.
+        let baseline = (Summary::new(), Summary::new());
+        let rendered = table4::Table4 { baseline, rows: vec![row] }.render();
+        let columns = line_of(&rendered, "cell");
+        assert_eq!(columns, ["1", "1", "75.00 ± 0.00", "74.00 ± 0.00", "0.00 ± 0.00", "0"]);
+    }
+
+    #[test]
+    fn timing_predicates_differ_by_table() {
+        let timed_out = RunResult {
+            injections: 1,
+            induced: Some(FailureClass::Hang),
+            completed: false,
+            perceived_all: vec![Some(300.0), Some(9.0)],
+            actual_all: vec![Some(299.0), None],
+            ..clean_run()
+        };
+        let row = Row { label: "cell".into(), results: vec![timed_out, clean_run()] };
+        // Tables 6/7 and 11 time completed runs only (6/7: injected
+        // ones); Table 4 times every injected run.
+        assert_eq!(row.time_columns()[0], "0.00 ± 0.00");
+        assert_eq!(row.timings(0, |r| r.completed).0.n(), 1);
+        assert_eq!(row.timings(0, |r| r.injections > 0).0.mean(), 300.0);
+        // A slot a run has no time for is skipped, not zero.
+        let (perceived, actual) = row.timings(1, |_| true);
+        assert_eq!((perceived.n(), actual.n()), (1, 0));
+        assert_eq!((row.induced(FailureClass::Hang), row.induced(FailureClass::SegFault)), (1, 0));
+        assert_eq!(row.class_columns(), ["0", "0", "1", "0"]);
+        assert_eq!(row.failure_columns(), ["1", "0"]);
+    }
+
+    #[test]
+    fn table_4_footer_counts_unrecovered_runs() {
+        let recovered = RunResult { injections: 1, ..clean_run() };
+        let hung = RunResult { injections: 1, completed: false, ..clean_run() };
+        let table = |results| table4::Table4 {
+            baseline: (Summary::new(), Summary::new()),
+            rows: vec![Row { label: "cell".into(), results }],
+        };
+        let all_recovered = table(vec![recovered.clone(), clean_run()]).render();
+        assert!(
+            all_recovered.ends_with(
+                "with n = 1 injected runs and zero unrecovered errors, p < 5.0000% (95% conf.)\n"
+            ),
+            "{all_recovered}"
+        );
+        let one_lost = table(vec![recovered, hung]).render();
+        assert!(one_lost.contains("1 of 2 injected runs did not recover"), "{one_lost}");
+        assert!(!one_lost.contains("zero unrecovered"), "{one_lost}");
+    }
+}

@@ -2,10 +2,11 @@
 //! setup/teardown), 8 (slave-block correlated failure), 10 (the
 //! install/notify race condition).
 
+use crate::cells::plan;
 use crate::effort::Effort;
 use ree_apps::Scenario;
 use ree_armor::{ArmorEvent, ControlOp, Value};
-use ree_inject::{adaptive, Arm, ArmReport, ErrorModel, RunPlan, StoppingRule, Target};
+use ree_inject::{adaptive, Arm, ArmReport, ErrorModel, StoppingRule, Target};
 use ree_os::{Signal, SpawnSpec, TraceEvent};
 use ree_sift::{ids, tags};
 use ree_sim::{SimDuration, SimTime};
@@ -142,15 +143,8 @@ impl Fig6Adaptive {
 /// recovery-rate interval meets `rule`'s target.
 pub fn fig6_adaptive(rule: &StoppingRule, seed0: u64) -> Fig6Adaptive {
     let arm = |interrupt_driven: bool, label: &str, seed: u64| {
-        let mut scenario = Scenario::single_texture(0);
-        scenario.sift.interrupt_driven_pi = interrupt_driven;
-        let plan = RunPlan {
-            scenario,
-            target: Target::App,
-            model: ErrorModel::Sigstop,
-            timeout: SimTime::from_secs(320),
-            net_faults: vec![],
-        };
+        let mut plan = plan(Target::App, ErrorModel::Sigstop, 320);
+        plan.scenario.sift.interrupt_driven_pi = interrupt_driven;
         Arm::new(label, plan, seed)
     };
     let arms =

@@ -3,15 +3,29 @@
 //! One module per paper table/figure; `README.md` ("Regenerating the
 //! paper's tables and figures") has the index. The `repro` binary
 //! regenerates any table: `cargo run --release --bin repro -- table4`.
+//!
+//! A table module is three things: its cells (`cells(seed0)`, a list of
+//! [`ree_inject::Arm`]s — label, plan, first seed — and the only place
+//! its plans and seeds are spelled), its columns (a `render` that folds
+//! each [`Row`]'s results under the table's own predicates) and its
+//! footer. The `cells` module holds what they share: `plan`, the
+//! single-texture plan constructor; `run_cells`, the one campaign site,
+//! cells in, [`Row`]s out; and [`AdaptiveTable`], the confidence-targeted
+//! sweep `table4a` and `partition` print. The hand-driven figures,
+//! Table 3 and `mc`/`dist` do not fit the shape and stay as they are.
+//!
+//! Seeds are legacy expressions (`seed0 ^ hash(label)` and the like)
+//! until ROADMAP item 1(a) derives them from one tree; `cells`' tests
+//! list the cell pairs whose run windows they make overlap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cells;
 pub mod dist;
 mod effort;
 pub mod fig9;
 pub mod figures;
-mod fold;
 pub mod mc;
 pub mod partition;
 pub mod table10;
@@ -23,5 +37,6 @@ pub mod table6;
 pub mod table7;
 pub mod table8;
 
+pub use cells::{AdaptiveTable, Row};
 pub use effort::Effort;
 pub use ree_apps::{run_without_sift, Running, Scenario};

@@ -10,12 +10,11 @@
 //! so long-duration arms (where recoveries actually start failing) get
 //! the budget.
 
+use crate::cells::{plan, rotl5, AdaptiveTable};
 use crate::effort::Effort;
 use crate::table4::adaptive_rule;
-use ree_apps::Scenario;
-use ree_inject::{adaptive, Arm, ArmReport, ErrorModel, NetFault, RunPlan, StoppingRule, Target};
-use ree_sim::{SimDuration, SimTime};
-use ree_stats::TableBuilder;
+use ree_inject::{Arm, ErrorModel, NetFault, RunPlan, StoppingRule, Target};
+use ree_sim::SimDuration;
 
 /// Partition durations swept, in milliseconds.
 pub const DURATIONS_MS: [u64; 5] = [500, 1_000, 2_000, 5_000, 10_000];
@@ -28,66 +27,16 @@ fn partition_groups() -> Vec<Vec<u16>> {
     vec![vec![0, 1], vec![2, 3]]
 }
 
-/// Recovery rate vs partition duration, one adaptive arm per duration
-/// plus a no-partition control.
-#[derive(Debug, Clone)]
-pub struct PartitionTable {
-    /// The control row followed by one report per duration.
-    pub rows: Vec<ArmReport>,
-    /// The rule every arm ran under.
-    pub rule: StoppingRule,
-    /// Batch rounds the sweep took (scheduling-dependent).
-    pub rounds: u32,
-}
-
-impl PartitionTable {
-    /// Renders recovery rate and time against partition duration.
-    pub fn render(&self) -> String {
-        let mut t = TableBuilder::new(vec![
-            "PARTITION",
-            "RUNS",
-            "ERRORS INJ.",
-            "RECOVERY RATE",
-            "RECOVERY (s)",
-            "CI TARGET",
-        ])
-        .with_title(
-            "Partition during recovery: FTM/SIGINT with the interconnect split at detection",
-        );
-        for row in &self.rows {
-            t.row(vec![
-                row.label.clone(),
-                row.runs.to_string(),
-                row.aggregate.errors_injected.to_string(),
-                row.display_rate(),
-                row.aggregate.recovery.display_pm(),
-                if row.target_met { "met".into() } else { "budget exhausted".into() },
-            ]);
-        }
-        let spent: u64 = self.rows.iter().map(|r| u64::from(r.runs)).sum();
-        let fixed = u64::from(self.rule.max_runs) * self.rows.len() as u64;
-        format!(
-            "{}\ntarget ±{:.1}% at {:.0}% confidence; {} runs spent vs {} for a fixed sweep \
-             ({} rounds)\n",
-            t.render(),
-            self.rule.half_width * 100.0,
-            self.rule.confidence * 100.0,
-            spent,
-            fixed,
-            self.rounds,
-        )
-    }
-}
-
 /// Runs the sweep under the effort level's standard adaptive rule.
-pub fn run(effort: Effort, seed0: u64) -> PartitionTable {
+pub fn run(effort: Effort, seed0: u64) -> AdaptiveTable {
     run_adaptive(&adaptive_rule(effort), seed0)
 }
 
-/// Runs the sweep under `rule`: a no-partition control arm and one arm
-/// per [`DURATIONS_MS`] entry, all targeting the FTM with SIGINT so
-/// every run starts a recovery for the partition to land on.
-pub fn run_adaptive(rule: &StoppingRule, seed0: u64) -> PartitionTable {
+/// Runs the sweep under `rule`: recovery rate and time against
+/// partition duration, a no-partition control arm and one arm per
+/// [`DURATIONS_MS`] entry, all targeting the FTM with SIGINT so every
+/// run starts a recovery for the partition to land on.
+pub fn run_adaptive(rule: &StoppingRule, seed0: u64) -> AdaptiveTable {
     let mut arms = vec![arm("no partition", vec![], seed0)];
     for ms in DURATIONS_MS {
         let label = format!("partition {:.1} s", ms as f64 / 1000.0);
@@ -95,27 +44,18 @@ pub fn run_adaptive(rule: &StoppingRule, seed0: u64) -> PartitionTable {
             NetFault::partition_on_recovery(partition_groups(), SimDuration::from_millis(ms));
         arms.push(arm(&label, vec![fault], seed0));
     }
-    let report = adaptive::run_arms(&arms, rule);
-    PartitionTable { rows: report.arms, rule: rule.clone(), rounds: report.rounds }
+    AdaptiveTable::sweep(
+        "Partition during recovery: FTM/SIGINT with the interconnect split at detection",
+        "PARTITION",
+        Some(("RECOVERY (s)", |row| row.aggregate.recovery.display_pm())),
+        &arms,
+        rule,
+    )
 }
 
 fn arm(label: &str, net_faults: Vec<NetFault>, seed0: u64) -> Arm {
-    let plan = RunPlan {
-        scenario: Scenario::single_texture(0),
-        target: Target::Ftm,
-        model: ErrorModel::Sigint,
-        timeout: SimTime::from_secs(320),
-        net_faults,
-    };
-    Arm::new(label.to_owned(), plan, seed0 ^ hash_label(label))
-}
-
-fn hash_label(label: &str) -> u64 {
-    let mut h: u64 = 0x9E37_79B9;
-    for b in label.bytes() {
-        h = h.rotate_left(5) ^ b as u64;
-    }
-    h
+    let plan = RunPlan { net_faults, ..plan(Target::Ftm, ErrorModel::Sigint, 320) };
+    Arm::new(label, plan, seed0 ^ rotl5(label))
 }
 
 #[cfg(test)]

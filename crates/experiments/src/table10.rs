@@ -4,11 +4,11 @@
 //! matrices, and single-bit flips … often did not substantially change
 //! the value"), 10 incorrect output, 9 crashes, 0 hangs.
 
+use crate::cells::{plan, run_cells};
 use crate::effort::Effort;
-use ree_apps::{Scenario, Verdict};
-use ree_inject::{Campaign, ErrorModel, FailureClass, RunPlan, Target};
+use ree_apps::Verdict;
+use ree_inject::{Arm, ErrorModel, FailureClass, Target};
 use ree_os::HeapTarget;
-use ree_sim::SimTime;
 use ree_stats::TableBuilder;
 
 /// Table 10 outcome counts.
@@ -46,16 +46,13 @@ pub fn run(effort: Effort, seed0: u64) -> Table10 {
         Effort::Paper => 1000,
         Effort::Quick => 60,
     };
-    let plan = RunPlan {
-        scenario: Scenario::single_texture(0),
-        target: Target::App,
-        model: ErrorModel::HeapSingle(HeapTarget::Any),
-        timeout: SimTime::from_secs(320),
-        net_faults: vec![],
-    };
-    let results = Campaign::new(&plan).runs(runs).seed(seed0).collect();
+    let cell = Arm::new(
+        "Application heap",
+        plan(Target::App, ErrorModel::HeapSingle(HeapTarget::Any), 320),
+        seed0,
+    );
     let mut out = Table10::default();
-    for r in &results {
+    for r in run_cells(&[cell], runs).iter().flat_map(|row| &row.results) {
         if r.injections == 0 {
             continue;
         }

@@ -6,8 +6,8 @@
 //! execution time" and "the actual execution time overhead is not
 //! statistically significant".
 
+use crate::cells::fault_free_times;
 use crate::effort::Effort;
-use crate::fold::fault_free_times;
 use ree_apps::{run_without_sift, Scenario};
 use ree_sim::SimTime;
 use ree_stats::{Summary, TableBuilder};

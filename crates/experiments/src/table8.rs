@@ -8,11 +8,10 @@
 //! assertions fired)" — with `node_mgmt` the standout weak point (its
 //! translate-to-daemon-0 default escapes detection until too late).
 
+use crate::cells::{plan, run_cells};
 use crate::effort::Effort;
-use ree_apps::Scenario;
-use ree_inject::{Campaign, ErrorModel, RunPlan, RunResult, SystemFailure, Target};
+use ree_inject::{Arm, ErrorModel, RunResult, SystemFailure, Target};
 use ree_os::HeapTarget;
-use ree_sim::SimTime;
 use ree_stats::TableBuilder;
 
 /// The five Table 8 elements.
@@ -156,21 +155,19 @@ fn classify(results: &[RunResult], element: &str) -> ElementOutcomes {
     out
 }
 
+pub(crate) fn cells(seed0: u64) -> Vec<Arm> {
+    ELEMENTS
+        .into_iter()
+        .map(|element| {
+            let model = ErrorModel::HeapSingle(HeapTarget::Region(element.to_owned()));
+            let seed = seed0 ^ element.bytes().map(|b| b as u64).sum::<u64>();
+            Arm::new(element, plan(Target::Ftm, model, 360), seed)
+        })
+        .collect()
+}
+
 /// Runs the Tables 8/9 experiment.
 pub fn run(effort: Effort, seed0: u64) -> Table8 {
-    let runs = effort.scale(100);
-    let mut elements = Vec::new();
-    for element in ELEMENTS {
-        let plan = RunPlan {
-            scenario: Scenario::single_texture(0),
-            target: Target::Ftm,
-            model: ErrorModel::HeapSingle(HeapTarget::Region(element.to_owned())),
-            timeout: SimTime::from_secs(360),
-            net_faults: vec![],
-        };
-        let seed = seed0 ^ element.bytes().map(|b| b as u64).sum::<u64>();
-        let results = Campaign::new(&plan).runs(runs).seed(seed).collect();
-        elements.push(classify(&results, element));
-    }
-    Table8 { elements }
+    let rows = run_cells(&cells(seed0), effort.scale(100));
+    Table8 { elements: rows.iter().map(|row| classify(&row.results, &row.label)).collect() }
 }

@@ -63,26 +63,28 @@ impl Default for ReeModelParams {
 
 /// Builds the Figure 9 SAN.
 pub fn build(params: &ReeModelParams) -> San {
+    use places::{APP_BLOCK, APP_FAIL, APP_INTERFACE, APP_OKAY, SIFT_FAIL, SIFT_OKAY};
+    // Initially one token each in app_okay and sift_okay.
     let mut san = San::new(vec![1, 0, 0, 0, 1, 0]);
     let p = params.clone();
     // app_okay --app_interface_rate--> app_block
     san.add_activity(Activity {
         name: "app_interface_rate",
         delay: Delay::Exponential(p.app_interface_rate),
-        enabled: Box::new(|m| m[0] > 0),
+        enabled: Box::new(|m| m[APP_OKAY.0] > 0),
         fire: Box::new(|m| {
-            m[0] -= 1;
-            m[1] += 1;
+            m[APP_OKAY.0] -= 1;
+            m[APP_BLOCK.0] += 1;
         }),
     });
     // app_block --instantaneous (if sift_okay)--> app_interface
     san.add_activity(Activity {
         name: "interface_completes",
         delay: Delay::Instantaneous,
-        enabled: Box::new(|m| m[1] > 0 && m[4] > 0),
+        enabled: Box::new(|m| m[APP_BLOCK.0] > 0 && m[SIFT_OKAY.0] > 0),
         fire: Box::new(|m| {
-            m[1] -= 1;
-            m[2] += 1;
+            m[APP_BLOCK.0] -= 1;
+            m[APP_INTERFACE.0] += 1;
         }),
     });
     // app_interface returns to app_okay immediately after the reply
@@ -91,10 +93,10 @@ pub fn build(params: &ReeModelParams) -> San {
     san.add_activity(Activity {
         name: "interface_returns",
         delay: Delay::Instantaneous,
-        enabled: Box::new(|m| m[2] > 0),
+        enabled: Box::new(|m| m[APP_INTERFACE.0] > 0),
         fire: Box::new(|m| {
-            m[2] -= 1;
-            m[0] += 1;
+            m[APP_INTERFACE.0] -= 1;
+            m[APP_OKAY.0] += 1;
         }),
     });
     // app_block --app_timeout--> app_fail (only while the SIFT process
@@ -102,30 +104,30 @@ pub fn build(params: &ReeModelParams) -> San {
     san.add_activity(Activity {
         name: "app_timeout",
         delay: Delay::Deterministic(p.app_timeout),
-        enabled: Box::new(|m| m[1] > 0 && m[4] == 0),
+        enabled: Box::new(|m| m[APP_BLOCK.0] > 0 && m[SIFT_OKAY.0] == 0),
         fire: Box::new(|m| {
-            m[1] -= 1;
-            m[3] += 1;
+            m[APP_BLOCK.0] -= 1;
+            m[APP_FAIL.0] += 1;
         }),
     });
     // sift_okay --lambda--> sift_fail
     san.add_activity(Activity {
         name: "sift_lambda",
         delay: Delay::Exponential(p.sift_failure_rate),
-        enabled: Box::new(|m| m[4] > 0),
+        enabled: Box::new(|m| m[SIFT_OKAY.0] > 0),
         fire: Box::new(|m| {
-            m[4] -= 1;
-            m[5] += 1;
+            m[SIFT_OKAY.0] -= 1;
+            m[SIFT_FAIL.0] += 1;
         }),
     });
     // sift_fail --mu--> sift_okay
     san.add_activity(Activity {
         name: "sift_mu",
         delay: Delay::Exponential(p.sift_recovery_rate),
-        enabled: Box::new(|m| m[5] > 0),
+        enabled: Box::new(|m| m[SIFT_FAIL.0] > 0),
         fire: Box::new(|m| {
-            m[5] -= 1;
-            m[4] += 1;
+            m[SIFT_FAIL.0] -= 1;
+            m[SIFT_OKAY.0] += 1;
         }),
     });
     // app_fail --rho (requires sift_okay)--> app_okay: "application
@@ -134,10 +136,10 @@ pub fn build(params: &ReeModelParams) -> San {
     san.add_activity(Activity {
         name: "app_rho",
         delay: Delay::Exponential(p.app_recovery_rate),
-        enabled: Box::new(|m| m[3] > 0 && m[4] > 0),
+        enabled: Box::new(|m| m[APP_FAIL.0] > 0 && m[SIFT_OKAY.0] > 0),
         fire: Box::new(|m| {
-            m[3] -= 1;
-            m[0] += 1;
+            m[APP_FAIL.0] -= 1;
+            m[APP_OKAY.0] += 1;
         }),
     });
     san

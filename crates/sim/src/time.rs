@@ -102,11 +102,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Milliseconds (truncated).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// The duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
