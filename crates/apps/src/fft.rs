@@ -185,7 +185,7 @@ impl FftPlan {
     /// crate's tests so bit-equivalence with the specialised paths can be
     /// asserted directly.
     #[doc(hidden)]
-    pub fn process_generic(&self, data: &mut [Complex], inverse: bool) {
+    fn process_generic(&self, data: &mut [Complex], inverse: bool) {
         let n = self.n;
         assert_eq!(data.len(), n, "plan is for {n}-point transforms");
         if n <= 1 {
@@ -343,23 +343,6 @@ pub fn fft_unplanned(data: &mut [Complex], inverse: bool) {
     }
 }
 
-/// Forward FFT of a real signal; returns complex spectrum.
-pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
-    let mut data: Vec<Complex> = signal.iter().map(|&x| (x, 0.0)).collect();
-    fft(&mut data, false);
-    data
-}
-
-/// 2-D FFT of a row-major `size`×`size` image (in place, rows then
-/// columns).
-///
-/// # Panics
-///
-/// Panics if `size` is not a power of two or `data.len() != size*size`.
-pub fn fft2d(data: &mut [Complex], size: usize, inverse: bool) {
-    fft2d_with(&FftPlan::for_size(size), data, inverse);
-}
-
 /// Transpose block side: 8 complex values per row = 128 bytes = two
 /// cache lines, so a block pair stays resident while it is exchanged.
 const TRANSPOSE_BLOCK: usize = 8;
@@ -392,7 +375,8 @@ fn transpose(data: &mut [Complex], size: usize) {
     }
 }
 
-/// [`fft2d`] driven by a caller-held plan — the allocation-free form the
+/// 2-D FFT of a row-major `size`×`size` image (in place, rows then
+/// columns) driven by a caller-held plan — the allocation-free form the
 /// tiled filter pipeline uses.
 ///
 /// The column pass runs as transpose → contiguous row transforms →
@@ -422,13 +406,25 @@ pub fn fft2d_with(plan: &FftPlan, data: &mut [Complex], inverse: bool) {
 }
 
 /// Power (squared magnitude) of a spectrum element.
-pub fn power(c: Complex) -> f64 {
+pub(crate) fn power(c: Complex) -> f64 {
     c.0 * c.0 + c.1 * c.1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Forward FFT of a real signal; returns complex spectrum.
+    fn fft_real(signal: &[f64]) -> Vec<Complex> {
+        let mut data: Vec<Complex> = signal.iter().map(|&x| (x, 0.0)).collect();
+        fft(&mut data, false);
+        data
+    }
+
+    /// [`fft2d_with`] on a fresh plan.
+    fn fft2d(data: &mut [Complex], size: usize, inverse: bool) {
+        fft2d_with(&FftPlan::for_size(size), data, inverse);
+    }
 
     fn assert_close(a: f64, b: f64, eps: f64) {
         assert!((a - b).abs() < eps, "{a} vs {b}");

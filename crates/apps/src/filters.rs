@@ -30,7 +30,7 @@ pub const NUM_FILTERS: usize = 3;
 
 /// Largest supported tile side: a plain input bound
 /// ([`FilterScratch::new`] rejects anything larger).
-pub const MAX_TILE_PX: usize = 256;
+const MAX_TILE_PX: usize = 256;
 
 /// True if spectrum bin `(fu, fv)` (signed frequencies) belongs to
 /// `filter`'s orientation band.
@@ -146,7 +146,7 @@ impl FilterScratch {
     /// # Panics
     ///
     /// Panics if `tile_px` is not a power of two or exceeds
-    /// [`MAX_TILE_PX`].
+    /// `MAX_TILE_PX`.
     pub fn new(tile_px: usize) -> FilterScratch {
         assert!(tile_px.is_power_of_two(), "tile size must be a power of two");
         assert!(tile_px <= MAX_TILE_PX, "tile size {tile_px} exceeds MAX_TILE_PX {MAX_TILE_PX}");
@@ -154,7 +154,7 @@ impl FilterScratch {
     }
 
     /// Tile side length this scratch serves.
-    pub fn tile_px(&self) -> usize {
+    pub(crate) fn tile_px(&self) -> usize {
         self.plan.size()
     }
 }
@@ -248,6 +248,8 @@ pub fn assemble_features(per_filter: &[Vec<(usize, f64)>], n_tiles: usize) -> Ve
 mod tests {
     use super::*;
     use crate::synth::mars_surface;
+    use ree_sim::Fnv64;
+    use std::hash::Hasher;
 
     #[test]
     fn horizontal_texture_excites_filter_zero() {
@@ -321,13 +323,11 @@ mod tests {
         assert_eq!(spans(8, 2), PINNED_8_2);
         for (filter, pinned) in PINNED_64.into_iter().enumerate() {
             let got = spans(64, filter);
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut h = Fnv64::default();
             for word in got.iter().flat_map(|&(s, e)| [s, e]) {
-                for b in word.to_le_bytes() {
-                    h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-                }
+                h.write(&word.to_le_bytes());
             }
-            assert_eq!((got.len(), h), pinned, "size 64 filter {filter}");
+            assert_eq!((got.len(), h.finish()), pinned, "size 64 filter {filter}");
         }
     }
 

@@ -12,11 +12,11 @@ use ree_os::{FieldKind, HeapHit, HeapTarget};
 use ree_sim::SimRng;
 
 /// Alignment valid status-block pointers satisfy.
-pub const APP_PTR_ALIGN: u64 = 4096;
+const APP_PTR_ALIGN: u64 = 4096;
 
 /// Science-process heap: matrices plus a control block.
 #[derive(Clone, Debug)]
-pub struct SciHeap {
+pub(crate) struct SciHeap {
     /// The working image (row-major pixels).
     pub image: Vec<f64>,
     /// The accumulated feature matrix.
@@ -36,7 +36,7 @@ pub struct SciHeap {
 
 impl SciHeap {
     /// Creates an empty heap for a `side`×`side` image.
-    pub fn new(side: u64) -> Self {
+    pub(crate) fn new(side: u64) -> Self {
         SciHeap {
             image: Vec::new(),
             features: Vec::new(),
@@ -50,19 +50,19 @@ impl SciHeap {
 
     /// True if the status-block pointer was corrupted — dereferencing it
     /// crashes the process.
-    pub fn ptr_fault(&self) -> bool {
+    pub(crate) fn ptr_fault(&self) -> bool {
         !self.status_ptr.is_multiple_of(APP_PTR_ALIGN)
     }
 
     /// True if the recorded dimensions no longer match `side` — indexing
     /// with them faults.
-    pub fn dims_fault(&self, side: u64) -> bool {
+    pub(crate) fn dims_fault(&self, side: u64) -> bool {
         self.width != side || self.height != side
     }
 
     /// Flips one bit according to `target`; mirrors the ARMOR heap-model
     /// contract.
-    pub fn flip(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
+    pub(crate) fn flip(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
         let allow_ptr = matches!(target, HeapTarget::Any);
         let want_region = match target {
             HeapTarget::Region(name) => Some(name.as_str()),

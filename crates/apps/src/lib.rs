@@ -20,11 +20,11 @@
 //! | [`filters`] | the three directional texture filters whose per-tile energies feed segmentation (§2, Table 10) |
 //! | [`kmeans`] | the k-means clustering that segments the feature vectors (§2) |
 //! | [`otis`], [`compress`] | OTIS split-window retrieval, emissivity extraction, lossless compression (§2) |
-//! | [`kind`] | the application table: the one place an application name is matched (factory, nominal time, verification, shared inputs per [`AppKind`]) |
-//! | [`texture`], [`otis`], [`pipeline`], [`shell`] | the MPI application processes: one rank skeleton (status token, heap guard, `Process`/`HeapModel`) around each application's phases; init barrier and progress indicators (§3.3) |
-//! | [`heap`] | the science heap that heap-model bit flips corrupt (§7) |
+//! | `kind` | the application table: the one place an application name is matched (factory, nominal time, verification, shared inputs per [`AppKind`]) |
+//! | [`texture`], [`otis`], [`pipeline`], `shell` | the MPI application processes: one rank skeleton (status token, heap guard, `Process`/`HeapModel`) around each application's phases; init barrier and progress indicators (§3.3) |
+//! | `heap` | the science heap that heap-model bit flips corrupt (§7) |
 //! | [`verify`] | the external verification program deciding correct/incorrect/missing output (§4.2, Table 10) |
-//! | [`testbed`] | scenario assembly: the 4- and 6-node testbed configurations (§2, §8) |
+//! | `testbed` | scenario assembly: the 4- and 6-node testbed configurations (§2, §8) |
 //!
 //! # Performance
 //!
@@ -47,19 +47,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod compress;
 pub mod fft;
 pub mod filters;
-pub mod heap;
-pub mod kind;
+mod heap;
+mod kind;
 pub mod kmeans;
 pub mod otis;
 pub mod pipeline;
 mod rank;
-pub mod shell;
+mod shell;
 pub mod synth;
-pub mod testbed;
+mod testbed;
 pub mod texture;
 pub mod verify;
 

@@ -54,7 +54,7 @@ impl Default for OtisParams {
 
 impl OtisParams {
     /// Expected failure-free actual execution time for a 2-rank run.
-    pub fn nominal(&self) -> SimDuration {
+    pub(crate) fn nominal(&self) -> SimDuration {
         let per_frame = self.atm_time + self.emis_time + self.compress_time;
         self.load_time + per_frame * (self.frames as u64).div_ceil(2)
     }

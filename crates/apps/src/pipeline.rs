@@ -74,20 +74,20 @@ impl PipelineParams {
     /// Expected failure-free actual execution time. The stages are
     /// ack-gated per frame, so the pipeline does not overlap frames;
     /// nominal is the serial sum.
-    pub fn nominal(&self) -> SimDuration {
+    pub(crate) fn nominal(&self) -> SimDuration {
         (self.acquire_time + self.process_time + self.downlink_time) * self.frames as u64
     }
 }
 
 /// Dark-current offset removed by calibration (synthetic detector
 /// model; Kelvin).
-pub const DARK_OFFSET: f64 = 1.25;
+const DARK_OFFSET: f64 = 1.25;
 /// Flat-field gain applied by calibration.
-pub const FLAT_GAIN: f64 = 1.015;
+const FLAT_GAIN: f64 = 1.015;
 
 /// Radiometric calibration: dark-current subtraction plus flat-field
 /// gain, per pixel. Pure — verification recomputes it exactly.
-pub fn radiometric_calibrate(raw: &[f64]) -> Vec<f64> {
+pub(crate) fn radiometric_calibrate(raw: &[f64]) -> Vec<f64> {
     raw.iter().map(|&x| (x - DARK_OFFSET) * FLAT_GAIN).collect()
 }
 

@@ -9,12 +9,12 @@ use ree_sift::{AppLaunch, ClientNote, SiftClient};
 use ree_sim::{SimDuration, SimTime};
 
 /// MPI tag for the init hello (carries the sender's resume token).
-pub const TAG_HELLO: u32 = 0xFFF1;
+const TAG_HELLO: u32 = 0xFFF1;
 /// MPI tag for the go broadcast (carries the agreed resume token).
-pub const TAG_GO: u32 = 0xFFF2;
+const TAG_GO: u32 = 0xFFF2;
 
 /// Timer tag reserved by the shell for its retry/timeout tick.
-pub const SHELL_TICK: u64 = 0xFFF0;
+pub(crate) const SHELL_TICK: u64 = 0xFFF0;
 
 /// Period of the shell's housekeeping tick.
 const TICK: SimDuration = SimDuration::from_secs(1);
@@ -31,7 +31,7 @@ enum ShellState {
 
 /// What [`AppShell::poll`] tells the application to do.
 #[derive(Debug, PartialEq, Eq, Clone)]
-pub enum ShellPoll {
+pub(crate) enum ShellPoll {
     /// Keep waiting (init incomplete or a SIFT call is blocked).
     Wait,
     /// Init complete: start (or resume) computing from the agreed resume
@@ -41,7 +41,7 @@ pub enum ShellPoll {
 
 /// Shared application plumbing.
 #[derive(Clone)]
-pub struct AppShell {
+pub(crate) struct AppShell {
     /// Launch descriptor.
     pub launch: AppLaunch,
     /// SIFT interface client.
@@ -62,7 +62,7 @@ impl AppShell {
     /// Builds the shell. `my_token` is this rank's persisted resume
     /// token (empty for a fresh run); `pi_period` is the declared
     /// progress-indicator frequency.
-    pub fn new(launch: AppLaunch, my_token: String, pi_period: SimDuration) -> Self {
+    pub(crate) fn new(launch: AppLaunch, my_token: String, pi_period: SimDuration) -> Self {
         let client = SiftClient::new(&launch);
         let mpi = MpiEndpoint::new(launch.rank, launch.size);
         let size = launch.size as usize;
@@ -82,7 +82,7 @@ impl AppShell {
     }
 
     /// Call from `Process::on_start`.
-    pub fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+    pub(crate) fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.set_timer(TICK, SHELL_TICK);
         if self.launch.rank == 0 {
             // The MPI abort window of Figure 8.
@@ -99,7 +99,7 @@ impl AppShell {
 
     /// Call from `Process::on_message` before app-specific handling.
     /// Returns `true` if the shell consumed the message.
-    pub fn on_message(&mut self, msg: &Message, ctx: &mut ProcCtx<'_>) -> bool {
+    pub(crate) fn on_message(&mut self, msg: &Message, ctx: &mut ProcCtx<'_>) -> bool {
         match self.client.handle_message(msg, ctx) {
             ClientNote::Acked(kind) => {
                 if self.state == ShellState::Attaching && kind == ree_sift::tags::APP_ATTACH {
@@ -131,7 +131,7 @@ impl AppShell {
 
     /// Call from `Process::on_timer`; returns `true` if the shell
     /// consumed the tick.
-    pub fn on_timer(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) -> bool {
+    pub(crate) fn on_timer(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) -> bool {
         if tag != SHELL_TICK {
             return false;
         }
@@ -240,7 +240,7 @@ impl AppShell {
     }
 
     /// Polls the shell's readiness.
-    pub fn poll(&mut self, ctx: &mut ProcCtx<'_>) -> ShellPoll {
+    pub(crate) fn poll(&mut self, ctx: &mut ProcCtx<'_>) -> ShellPoll {
         if self.state == ShellState::InitBarrier {
             self.drive_barrier(ctx);
         }
@@ -263,19 +263,19 @@ impl AppShell {
     }
 
     /// True while a SIFT call is outstanding (the app must not advance).
-    pub fn blocked(&self) -> bool {
+    pub(crate) fn blocked(&self) -> bool {
         self.client.is_blocked()
     }
 
     /// Sends a progress indicator if not blocked.
-    pub fn progress(&mut self, ctx: &mut ProcCtx<'_>) {
+    pub(crate) fn progress(&mut self, ctx: &mut ProcCtx<'_>) {
         if !self.client.is_blocked() {
             self.client.progress(ctx);
         }
     }
 
     /// Begins the clean-exit handshake (Table 1 step 11).
-    pub fn finish(&mut self, ctx: &mut ProcCtx<'_>) {
+    pub(crate) fn finish(&mut self, ctx: &mut ProcCtx<'_>) {
         if self.client.sift_enabled() {
             self.state = ShellState::Exiting;
             self.client.notify_exit(ctx);
@@ -286,7 +286,7 @@ impl AppShell {
     }
 
     /// True once the shell has requested process exit.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.state == ShellState::Dead
     }
 }

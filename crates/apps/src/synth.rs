@@ -81,13 +81,8 @@ pub struct Image {
 }
 
 impl Image {
-    /// Pixel accessor.
-    pub fn at(&self, row: usize, col: usize) -> f64 {
-        self.pixels[row * self.size + col]
-    }
-
     /// Serialises to little-endian bytes (stable-storage format).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.pixels.len() * 8);
         out.extend_from_slice(&(self.size as u64).to_le_bytes());
         for p in &self.pixels {
@@ -97,7 +92,7 @@ impl Image {
     }
 
     /// Parses the stable-storage format.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Image> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Image> {
         if bytes.len() < 8 {
             return None;
         }
@@ -228,6 +223,13 @@ pub fn thermal_frame_shared(size: usize, seed: u64, frame_index: u32) -> Arc<The
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Image {
+        /// Pixel accessor.
+        fn at(&self, row: usize, col: usize) -> f64 {
+            self.pixels[row * self.size + col]
+        }
+    }
 
     #[test]
     fn mars_image_is_deterministic() {

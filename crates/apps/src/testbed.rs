@@ -236,12 +236,6 @@ impl BootSnapshot {
         self.booted_to
     }
 
-    /// True if every job already completed during boot (degenerate
-    /// scenarios only; campaigns then have nothing left to inject into).
-    pub fn all_done(&self) -> bool {
-        self.running.all_done()
-    }
-
     /// Deep-clones the booted cluster and re-seeds its random streams
     /// from `seed` — the per-run warm-boot path.
     pub fn fork(&self, seed: u64) -> Running {

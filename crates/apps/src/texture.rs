@@ -71,7 +71,7 @@ impl Default for TextureParams {
 impl TextureParams {
     /// Expected failure-free *actual* execution time per image for a
     /// 2-rank run (used by experiment calibration and tests).
-    pub fn nominal_per_image(&self) -> SimDuration {
+    pub(crate) fn nominal_per_image(&self) -> SimDuration {
         self.load_time + self.filter_time * NUM_FILTERS as u64 + self.cluster_time + self.write_time
     }
 }
@@ -326,6 +326,8 @@ fn decode_energies(bytes: &[u8]) -> Vec<(usize, f64)> {
 /// Deterministic seed for a given (app, slot, image) — verification
 /// regenerates the identical input.
 pub fn texture_image_seed(app: &str, slot: u32, image: u32) -> u64 {
+    // Not `ree_sim::Fnv64`: the multiplier is not the FNV prime
+    // (0x100_0000_01b3), and every pinned texture input derives from it.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in app.bytes() {
         h ^= b as u64;

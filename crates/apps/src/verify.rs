@@ -63,7 +63,7 @@ pub fn rand_index(a: &[u8], b: &[u8]) -> f64 {
 /// thousands of runs, so the result is memoized process-wide. Before
 /// memoization this recomputation was roughly half of all science-kernel
 /// CPU in a campaign (see `docs/PERFORMANCE.md`).
-pub fn texture_reference(
+fn texture_reference(
     app: &str,
     slot: u32,
     image: u32,
@@ -126,7 +126,13 @@ pub fn verify_texture(
 
 /// Verifies one OTIS frame product: lossless decode plus temperature
 /// accuracy within quantisation resolution.
-pub fn verify_otis(fs: &RemoteFs, app: &str, slot: u32, frame: u32, frame_px: usize) -> Verdict {
+pub(crate) fn verify_otis(
+    fs: &RemoteFs,
+    app: &str,
+    slot: u32,
+    frame: u32,
+    frame_px: usize,
+) -> Verdict {
     let reference = thermal_frame_shared(frame_px, otis_frame_seed(app, slot), frame);
     let expect = reference
         .band11
@@ -138,7 +144,7 @@ pub fn verify_otis(fs: &RemoteFs, app: &str, slot: u32, frame: u32, frame_px: us
 
 /// Verifies one pipeline frame product: lossless decode plus calibrated
 /// radiance within quantisation resolution of the fault-free pipeline
-/// ([`radiometric_calibrate`] over the reference frame).
+/// (`radiometric_calibrate` over the reference frame).
 pub fn verify_pipeline(
     fs: &RemoteFs,
     app: &str,

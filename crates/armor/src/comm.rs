@@ -73,11 +73,6 @@ impl ReliableComm {
         }
     }
 
-    /// This ARMOR's identity.
-    pub fn me(&self) -> ArmorId {
-        self.me
-    }
-
     /// Rebases the sequence counter to start above `base`.
     ///
     /// A recovered ARMOR must not reuse sequence numbers its previous
@@ -107,7 +102,7 @@ impl ReliableComm {
     /// Heartbeat pings/acks use this — their liveness semantics come from
     /// the next cycle, not from retransmission (and a poisoned ping must
     /// not re-crash its target forever).
-    pub fn send_unreliable(&mut self, dst: ArmorId, events: Vec<ArmorEvent>) -> WirePacket {
+    pub(crate) fn send_unreliable(&mut self, dst: ArmorId, events: Vec<ArmorEvent>) -> WirePacket {
         let seq = self.next_seq;
         self.next_seq += 1;
         WirePacket::Data(ArmorMessage::new(self.me, dst, seq, events))
@@ -176,7 +171,7 @@ impl ReliableComm {
     /// Marks a message seen *without* acknowledging it — the Figure 10
     /// "handling thread aborted" path: the message counts as processed
     /// for dedup purposes, but the sender never learns.
-    pub fn mark_seen_unacked(&mut self, msg: &ArmorMessage) {
+    pub(crate) fn mark_seen_unacked(&mut self, msg: &ArmorMessage) {
         let seen = self.seen_set(msg.src);
         if let Err(i) = seen.binary_search(&msg.seq) {
             seen.insert(i, msg.seq);
@@ -201,16 +196,18 @@ impl ReliableComm {
     pub fn pending_count(&self) -> usize {
         self.pending.len()
     }
-
-    /// Lifetime retransmission count.
-    pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ReliableComm {
+        /// Lifetime retransmission count.
+        fn retransmissions(&self) -> u64 {
+            self.retransmissions
+        }
+    }
 
     fn events() -> Vec<ArmorEvent> {
         vec![ArmorEvent::new("test-event")]

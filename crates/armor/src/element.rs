@@ -85,16 +85,6 @@ pub mod assertions {
         }
     }
 
-    /// Asserts a stored ARMOR id is plausible: nonzero and below `max`.
-    pub fn valid_armor_id(fields: &Fields, name: &str, max: u64) -> Result<(), String> {
-        match fields.u64(name) {
-            Some(0) => Err(format!("{name} is the null ARMOR id")),
-            Some(v) if v < max => Ok(()),
-            Some(v) => Err(format!("{name}={v} exceeds ARMOR id space")),
-            None => Err(format!("{name} missing or mistyped")),
-        }
-    }
-
     /// Structure-integrity check: every value in a map field satisfies
     /// `pred`.
     pub fn map_integrity<F: Fn(&Value) -> bool>(
@@ -116,6 +106,16 @@ pub mod assertions {
     #[cfg(test)]
     mod tests {
         use super::*;
+
+        /// Asserts a stored ARMOR id is plausible: nonzero and below `max`.
+        fn valid_armor_id(fields: &Fields, name: &str, max: u64) -> Result<(), String> {
+            match fields.u64(name) {
+                Some(0) => Err(format!("{name} is the null ARMOR id")),
+                Some(v) if v < max => Ok(()),
+                Some(v) => Err(format!("{name}={v} exceeds ARMOR id space")),
+                None => Err(format!("{name} missing or mistyped")),
+            }
+        }
 
         #[test]
         fn range_check_accepts_and_rejects() {

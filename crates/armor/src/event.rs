@@ -23,13 +23,6 @@ impl std::fmt::Display for ArmorId {
     }
 }
 
-impl ArmorId {
-    /// The reserved "null" identity. The paper's `node_mgmt` element
-    /// returns daemon ID **zero** when a hostname translation fails — the
-    /// unchecked default behind several Table 8 system failures.
-    pub const NULL: ArmorId = ArmorId(0);
-}
-
 /// One event within an ARMOR message.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArmorEvent {
@@ -67,15 +60,6 @@ impl ArmorEvent {
     }
 }
 
-/// Delivery class of an ARMOR wire packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireKind {
-    /// Application data (a sequence of events).
-    Data,
-    /// Acknowledgement of a data packet.
-    Ack,
-}
-
 /// A message between ARMORs: addressed by [`ArmorId`], carried by the
 /// daemon gateways, acknowledged end-to-end.
 ///
@@ -111,7 +95,7 @@ impl ArmorMessage {
     }
 
     /// Approximate wire size (for the network model).
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         self.wire_size
     }
 }
@@ -134,7 +118,7 @@ pub enum WirePacket {
 
 impl WirePacket {
     /// The destination ARMOR that should receive this packet.
-    pub fn destination(&self) -> ArmorId {
+    pub(crate) fn destination(&self) -> ArmorId {
         match self {
             WirePacket::Data(m) => m.dst,
             WirePacket::Ack { src, .. } => *src,
@@ -142,7 +126,7 @@ impl WirePacket {
     }
 
     /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         match self {
             WirePacket::Data(m) => m.wire_size(),
             WirePacket::Ack { .. } => 48,
@@ -153,6 +137,13 @@ impl WirePacket {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArmorId {
+        /// The reserved "null" identity. The paper's `node_mgmt` element
+        /// returns daemon ID **zero** when a hostname translation fails — the
+        /// unchecked default behind several Table 8 system failures.
+        const NULL: ArmorId = ArmorId(0);
+    }
 
     #[test]
     fn event_builder_and_accessors() {

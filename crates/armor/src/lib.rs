@@ -14,7 +14,7 @@
 //! * [`ArmorProcess`] — the runtime hosting elements on the simulated OS:
 //!   event-driven message processing, reliable point-to-point messaging
 //!   ([`ReliableComm`]), daemon-gateway routing, and timers. Its mutable
-//!   state is one `Fields` per element plus [`ArmorCore`]; the behaviours
+//!   state is one `Fields` per element plus `ArmorCore`; the behaviours
 //!   are shared by every fork;
 //! * [`CheckpointBuffer`] — microcheckpointing (§3.4): per-element
 //!   regions updated after each event delivery, committed to stable
@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod comm;
 mod element;
@@ -35,11 +36,10 @@ mod wire;
 
 pub use comm::{Inbound, ReliableComm};
 pub use element::{assertions, Element, ElementOutcome};
-pub use event::{ArmorEvent, ArmorId, ArmorMessage, WireKind, WirePacket};
+pub use event::{ArmorEvent, ArmorId, ArmorMessage, WirePacket};
 pub use microcheckpoint::CheckpointBuffer;
 pub use runtime::{
-    valid_ptr, ArmorCore, ArmorOptions, ArmorProcess, ControlOp, ElementCtx, Gateway,
-    RestorePolicy, PTR_ALIGN,
+    valid_ptr, ArmorOptions, ArmorProcess, ControlOp, ElementCtx, Gateway, RestorePolicy,
 };
 pub use value::{Fields, Value};
 pub use wire::{decode_fields, encode_fields, DecodeError};

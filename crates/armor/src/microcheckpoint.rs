@@ -113,11 +113,6 @@ impl CheckpointBuffer {
         }
     }
 
-    /// Number of regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Looks up a region by element name (sorted table, no linear
     /// `String` scan). With duplicate names the first constructed wins.
     pub(crate) fn region_index(&self, element: &str) -> Option<usize> {
@@ -169,7 +164,7 @@ impl CheckpointBuffer {
     ///
     /// # Panics
     ///
-    /// If `region >= self.region_count()`.
+    /// If `region` is not one of the buffer's regions.
     pub fn microcheckpoint(&mut self, region: usize, state: &mut Fields) {
         if state.take_dirty() {
             self.update_at(region, state);
@@ -281,6 +276,13 @@ impl CheckpointBuffer {
 mod tests {
     use super::*;
     use crate::Value;
+
+    impl CheckpointBuffer {
+        /// Number of regions.
+        fn region_count(&self) -> usize {
+            self.regions.len()
+        }
+    }
 
     fn fields(n: u64) -> Fields {
         let mut f = Fields::new();

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 /// Page alignment that "valid" structural pointers satisfy; a bit-flipped
 /// pointer is almost always misaligned and crashes on first dereference.
-pub const PTR_ALIGN: u64 = 4096;
+const PTR_ALIGN: u64 = 4096;
 
 /// Creates a valid structural pointer value for element state.
 pub fn valid_ptr(slot: u64) -> Value {
@@ -116,7 +116,7 @@ enum Processing {
 /// Everything in the ARMOR other than the elements and their states
 /// (a handler borrows its behaviour, its state and the core at once).
 #[derive(Clone)]
-pub struct ArmorCore {
+pub(crate) struct ArmorCore {
     id: ArmorId,
     name: Arc<str>,
     comm: ReliableComm,
@@ -137,16 +137,6 @@ pub struct ArmorCore {
 }
 
 impl ArmorCore {
-    /// This ARMOR's identity.
-    pub fn id(&self) -> ArmorId {
-        self.id
-    }
-
-    /// This ARMOR's instance name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     fn transmit(&mut self, packet: WirePacket, os: &mut ProcCtx<'_>) {
         self.transmit_boxed(BoxedPacket(Box::new(packet)), os);
     }
@@ -265,11 +255,6 @@ impl ElementCtx<'_, '_> {
         self.core.install_route(id, pid);
     }
 
-    /// Looks up a route.
-    pub fn route(&self, id: ArmorId) -> Option<Pid> {
-        self.core.route(id)
-    }
-
     /// Appends to the cluster trace.
     pub fn trace(&mut self, detail: impl Into<TraceDetail>) {
         self.os.trace(detail);
@@ -367,11 +352,6 @@ impl ArmorProcess {
             buffered: VecDeque::new(),
             restored_from_checkpoint: false,
         }
-    }
-
-    /// This ARMOR's identity.
-    pub fn id(&self) -> ArmorId {
-        self.core.id
     }
 
     fn try_restore(&mut self, ctx: &mut ProcCtx<'_>) {

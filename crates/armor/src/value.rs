@@ -46,7 +46,7 @@ pub enum Value {
 
 impl Value {
     /// The paper's pointer/data field classification (§7.2).
-    pub fn kind(&self) -> FieldKind {
+    pub(crate) fn kind(&self) -> FieldKind {
         match self {
             Value::Ptr(_) => FieldKind::Pointer,
             _ => FieldKind::Data,
@@ -54,7 +54,7 @@ impl Value {
     }
 
     /// Number of leaf values inside this value (1 for scalars).
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         match self {
             Value::List(items) => items.iter().map(Value::leaf_count).sum(),
             Value::Map(map) => map.values().map(Value::leaf_count).sum(),
@@ -65,7 +65,7 @@ impl Value {
     /// True if this value contains a leaf matching `want` (any leaf when
     /// `None`) — recursive and allocation-free; the injector's "can this
     /// region be hit" probe.
-    pub fn has_leaf(&self, want: Option<FieldKind>) -> bool {
+    pub(crate) fn has_leaf(&self, want: Option<FieldKind>) -> bool {
         match self {
             Value::List(items) => items.iter().any(|v| v.has_leaf(want)),
             Value::Map(map) => map.values().any(|v| v.has_leaf(want)),
@@ -75,7 +75,7 @@ impl Value {
 
     /// True if this value contains a pointer leaf misaligned w.r.t.
     /// `align` (recursive, allocation-free).
-    pub fn has_misaligned_ptr(&self, align: u64) -> bool {
+    pub(crate) fn has_misaligned_ptr(&self, align: u64) -> bool {
         match self {
             Value::Ptr(p) => p % align != 0,
             Value::List(items) => items.iter().any(|v| v.has_misaligned_ptr(align)),
@@ -132,14 +132,6 @@ impl Value {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Convenience accessor.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(v) => Some(*v),
             _ => None,
         }
     }

@@ -190,7 +190,7 @@ pub fn encode_fields(fields: &Fields) -> Vec<u8> {
 
 /// [`encode_fields`] into a caller-held buffer (appended), so per-event
 /// microcheckpoint updates can reuse one scratch allocation.
-pub fn encode_fields_into(fields: &Fields, buf: &mut BytesMut) {
+pub(crate) fn encode_fields_into(fields: &Fields, buf: &mut BytesMut) {
     buf.put_u32(fields.len() as u32);
     for (name, value) in fields.iter() {
         buf.put_u32(name.len() as u32);

@@ -75,7 +75,7 @@ impl std::fmt::Debug for AppLaunch {
 
 impl AppLaunch {
     /// The Execution-ARMOR endpoint for this rank, if running under SIFT.
-    pub fn my_exec_pid(&self) -> Option<Pid> {
+    pub(crate) fn my_exec_pid(&self) -> Option<Pid> {
         if self.sift_enabled {
             self.exec_pids.get(self.rank as usize).copied()
         } else {
@@ -121,7 +121,7 @@ impl Blueprint {
     }
 
     /// Instance name for an ARMOR of `kind`.
-    pub fn armor_instance_name(&self, kind: &str, slot: u32, rank: u32) -> String {
+    pub(crate) fn armor_instance_name(&self, kind: &str, slot: u32, rank: u32) -> String {
         match kind {
             "ftm" => names::FTM.to_owned(),
             "heartbeat" => names::HEARTBEAT.to_owned(),
@@ -179,7 +179,7 @@ impl Blueprint {
     }
 
     /// Builds a daemon ARMOR for `node` (used by the SCC).
-    pub fn make_daemon(self: &Arc<Self>, node: NodeId) -> Box<dyn Process> {
+    pub(crate) fn make_daemon(self: &Arc<Self>, node: NodeId) -> Box<dyn Process> {
         Box::new(ArmorProcess::new(
             ids::daemon(node.0),
             names::daemon(node.0),
@@ -191,7 +191,7 @@ impl Blueprint {
 
     /// Builds an ARMOR of `kind` gatewayed through the daemon process
     /// `gateway` (used by daemons when installing/recovering).
-    pub fn make_armor(
+    pub(crate) fn make_armor(
         self: &Arc<Self>,
         kind: &str,
         id: ArmorId,

@@ -43,7 +43,6 @@ pub struct SiftClient {
     counter: u64,
     pending: Option<PendingCall>,
     attached: bool,
-    calls_made: u64,
 }
 
 impl SiftClient {
@@ -56,7 +55,6 @@ impl SiftClient {
             counter: 0,
             pending: None,
             attached: false,
-            calls_made: 0,
         }
     }
 
@@ -80,19 +78,8 @@ impl SiftClient {
         self.attached || self.exec_pid.is_none()
     }
 
-    /// Total acknowledged + outstanding calls.
-    pub fn calls_made(&self) -> u64 {
-        self.calls_made
-    }
-
-    /// Current progress-indicator counter value.
-    pub fn counter(&self) -> u64 {
-        self.counter
-    }
-
     fn call(&mut self, os: &mut ProcCtx<'_>, event: ArmorEvent) {
         let Some(exec) = self.exec_pid else { return };
-        self.calls_made += 1;
         self.pending = Some(PendingCall { event: event.clone(), since: os.now() });
         os.send(exec, "armor-control", 96, ControlOp::Raise(event));
     }

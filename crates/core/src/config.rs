@@ -1,6 +1,5 @@
 //! SIFT environment configuration and identity conventions.
 
-use ree_armor::ArmorId;
 use ree_sim::SimDuration;
 
 /// Fixed ARMOR identity assignments used by the SIFT environment.
@@ -8,12 +7,12 @@ pub mod ids {
     use ree_armor::ArmorId;
 
     /// The Fault Tolerance Manager.
-    pub const FTM: ArmorId = ArmorId(1);
+    pub(crate) const FTM: ArmorId = ArmorId(1);
     /// The Heartbeat ARMOR.
-    pub const HEARTBEAT: ArmorId = ArmorId(2);
+    pub(crate) const HEARTBEAT: ArmorId = ArmorId(2);
 
     /// The daemon ARMOR for a node.
-    pub fn daemon(node: u16) -> ArmorId {
+    pub(crate) fn daemon(node: u16) -> ArmorId {
         ArmorId(10 + node as u32)
     }
 
@@ -102,100 +101,101 @@ impl SiftConfig {
 /// tests agree on the vocabulary.
 pub mod tags {
     /// Runtime start event (raised once an ARMOR is ready).
-    pub const ARMOR_START: &str = "armor-start";
+    pub(crate) const ARMOR_START: &str = "armor-start";
     /// Daemon registers itself with the FTM.
-    pub const DAEMON_REGISTER: &str = "daemon-register";
+    pub(crate) const DAEMON_REGISTER: &str = "daemon-register";
     /// SCC or FTM instructs a daemon to install an ARMOR.
-    pub const INSTALL_ARMOR: &str = "install-armor";
+    pub(crate) const INSTALL_ARMOR: &str = "install-armor";
     /// Daemon confirms an installation.
     pub const INSTALL_ACK: &str = "install-ack";
     /// Daemon notifies the FTM that a local ARMOR failed.
     pub const ARMOR_FAILED: &str = "armor-failed";
     /// FTM (or Heartbeat ARMOR) instructs a daemon to reinstall an ARMOR.
-    pub const REINSTALL_ARMOR: &str = "reinstall-armor";
+    pub(crate) const REINSTALL_ARMOR: &str = "reinstall-armor";
     /// Daemon confirms a reinstallation (carries the new pid).
-    pub const REINSTALL_ACK: &str = "reinstall-ack";
+    pub(crate) const REINSTALL_ACK: &str = "reinstall-ack";
     /// SCC submits an application for execution.
-    pub const SUBMIT_APP: &str = "submit-app";
+    pub(crate) const SUBMIT_APP: &str = "submit-app";
     /// FTM instructs an Execution ARMOR to launch its MPI process.
-    pub const LAUNCH_APP: &str = "launch-app";
+    pub(crate) const LAUNCH_APP: &str = "launch-app";
     /// Execution ARMOR reports the application process started.
-    pub const APP_STARTED: &str = "app-started";
+    pub(crate) const APP_STARTED: &str = "app-started";
     /// Rank-0 reports a peer rank's pid (routed app → Exec ARMOR → FTM →
     /// peer's Exec ARMOR, Table 1 step 6).
-    pub const RANK_PID: &str = "rank-pid";
+    pub(crate) const RANK_PID: &str = "rank-pid";
     /// FTM forwards a rank pid to the owning Execution ARMOR.
-    pub const YOUR_RANK_PID: &str = "your-rank-pid";
+    pub(crate) const YOUR_RANK_PID: &str = "your-rank-pid";
     /// Application attaches to its local Execution ARMOR (SIFT interface
     /// channel setup).
     pub const APP_ATTACH: &str = "app-attach";
     /// Progress-indicator creation (declares the check frequency).
     pub const PI_CREATE: &str = "pi-create";
     /// Progress-indicator update.
-    pub const PI_UPDATE: &str = "progress-indicator";
+    pub(crate) const PI_UPDATE: &str = "progress-indicator";
     /// Application announces clean exit (so the ARMOR does not treat the
     /// exit as a crash, §3.3).
     pub const APP_EXITING: &str = "app-exiting";
     /// Execution ARMOR reports application termination to the FTM.
-    pub const APP_TERMINATED: &str = "app-terminated";
+    pub(crate) const APP_TERMINATED: &str = "app-terminated";
     /// Execution ARMOR reports an application failure to the FTM.
-    pub const APP_FAILED: &str = "app-failed";
+    pub(crate) const APP_FAILED: &str = "app-failed";
     /// FTM instructs Execution ARMORs to kill their local rank (app-wide
     /// restart).
-    pub const STOP_APP: &str = "stop-app";
+    pub(crate) const STOP_APP: &str = "stop-app";
     /// FTM heartbeat ping to a daemon.
-    pub const DAEMON_HB_PING: &str = "daemon-hb-ping";
+    pub(crate) const DAEMON_HB_PING: &str = "daemon-hb-ping";
     /// Daemon heartbeat reply.
-    pub const DAEMON_HB_ACK: &str = "daemon-hb-ack";
+    pub(crate) const DAEMON_HB_ACK: &str = "daemon-hb-ack";
     /// Heartbeat-ARMOR ping to the FTM.
-    pub const FTM_HB_PING: &str = "ftm-hb-ping";
+    pub(crate) const FTM_HB_PING: &str = "ftm-hb-ping";
     /// FTM reply to the Heartbeat ARMOR.
-    pub const FTM_HB_ACK: &str = "ftm-hb-ack";
+    pub(crate) const FTM_HB_ACK: &str = "ftm-hb-ack";
     /// Daemon probe of a local ARMOR.
-    pub const ARE_YOU_ALIVE: &str = "are-you-alive";
+    pub(crate) const ARE_YOU_ALIVE: &str = "are-you-alive";
     /// Local ARMOR probe reply.
-    pub const ALIVE_ACK: &str = "alive-ack";
+    pub(crate) const ALIVE_ACK: &str = "alive-ack";
     /// Route propagation (armor id → pid) among daemons.
-    pub const ROUTE_UPDATE: &str = "route-update";
+    pub(crate) const ROUTE_UPDATE: &str = "route-update";
     /// Node declared failed (raised inside the FTM).
-    pub const NODE_FAILED: &str = "node-failed";
+    pub(crate) const NODE_FAILED: &str = "node-failed";
     /// Uninstall an Execution ARMOR after its application completed.
-    pub const UNINSTALL_ARMOR: &str = "uninstall-armor";
+    pub(crate) const UNINSTALL_ARMOR: &str = "uninstall-armor";
     /// Internal FTM event: all ranks of an app finished cleanly.
-    pub const APP_COMPLETE: &str = "app-complete";
+    pub(crate) const APP_COMPLETE: &str = "app-complete";
 }
 
 /// Well-known instance-name prefixes (trace queries and tests).
 pub mod names {
     /// The FTM process name.
-    pub const FTM: &str = "ftm";
+    pub(crate) const FTM: &str = "ftm";
     /// The Heartbeat ARMOR process name.
-    pub const HEARTBEAT: &str = "heartbeat";
+    pub(crate) const HEARTBEAT: &str = "heartbeat";
 
     /// Daemon instance name for a node.
-    pub fn daemon(node: u16) -> String {
+    pub(crate) fn daemon(node: u16) -> String {
         format!("daemon{node}")
     }
 
     /// Execution ARMOR instance name.
-    pub fn exec(slot: u32, rank: u32) -> String {
+    pub(crate) fn exec(slot: u32, rank: u32) -> String {
         format!("exec{slot}_{rank}")
     }
-}
-
-/// Returns true for identities in the Execution-ARMOR range.
-pub fn is_exec_armor(id: ArmorId) -> bool {
-    id.0 >= 100
-}
-
-/// Returns true for identities in the daemon range.
-pub fn is_daemon(id: ArmorId) -> bool {
-    (10..100).contains(&id.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ree_armor::ArmorId;
+
+    /// Returns true for identities in the Execution-ARMOR range.
+    fn is_exec_armor(id: ArmorId) -> bool {
+        id.0 >= 100
+    }
+
+    /// Returns true for identities in the daemon range.
+    fn is_daemon(id: ArmorId) -> bool {
+        (10..100).contains(&id.0)
+    }
 
     #[test]
     fn id_ranges_do_not_collide() {

@@ -20,11 +20,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod blueprint;
 mod client;
 mod common;
-pub mod config;
+mod config;
 mod daemon;
 mod exec;
 mod ftm;
@@ -36,5 +37,5 @@ mod util;
 pub use blueprint::{AppFactory, AppLaunch, Blueprint};
 pub use client::{ClientNote, SiftClient};
 pub use config::{ids, names, tags, SiftConfig};
-pub use report::{ArmorInstalled, JobTimes, SccReport};
+pub use report::{ArmorInstalled, JobTimes};
 pub use scc::{JobSpec, Scc};

@@ -8,7 +8,7 @@ use ree_sim::SimTime;
 
 /// Status report from the FTM to the Spacecraft Control Computer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SccReport {
+pub(crate) enum SccReport {
     /// The application's first MPI process started.
     Started {
         /// Application slot.
@@ -84,7 +84,7 @@ impl JobTimes {
     }
 
     /// Serialises to the stable on-FS text format.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let f = |t: Option<SimTime>| t.map(|x| x.as_micros() as i64).unwrap_or(-1);
         format!(
             "submit={};started={};ended={};completed={};restarts={};connect_timeouts={}",

@@ -5,12 +5,12 @@ use ree_armor::{Fields, Value};
 use std::collections::BTreeMap;
 
 /// Reads `fields[table][key]` as a nested map entry.
-pub fn table_get<'a>(fields: &'a Fields, table: &str, key: &str) -> Option<&'a Value> {
+pub(crate) fn table_get<'a>(fields: &'a Fields, table: &str, key: &str) -> Option<&'a Value> {
     fields.get(table)?.as_map()?.get(key)
 }
 
 /// Inserts `fields[table][key] = value`, creating the table if needed.
-pub fn table_set(fields: &mut Fields, table: &str, key: &str, value: Value) {
+pub(crate) fn table_set(fields: &mut Fields, table: &str, key: &str, value: Value) {
     match fields.get_mut(table) {
         Some(Value::Map(map)) => {
             map.insert(key.to_owned(), value);
@@ -24,7 +24,7 @@ pub fn table_set(fields: &mut Fields, table: &str, key: &str, value: Value) {
 }
 
 /// Removes `fields[table][key]`.
-pub fn table_remove(fields: &mut Fields, table: &str, key: &str) -> Option<Value> {
+pub(crate) fn table_remove(fields: &mut Fields, table: &str, key: &str) -> Option<Value> {
     match fields.get_mut(table) {
         Some(Value::Map(map)) => map.remove(key),
         _ => None,
@@ -32,7 +32,7 @@ pub fn table_remove(fields: &mut Fields, table: &str, key: &str) -> Option<Value
 }
 
 /// Iterates a table's keys (owned, so callers can mutate afterwards).
-pub fn table_keys(fields: &Fields, table: &str) -> Vec<String> {
+pub(crate) fn table_keys(fields: &Fields, table: &str) -> Vec<String> {
     fields
         .get(table)
         .and_then(Value::as_map)
@@ -49,7 +49,7 @@ pub fn table_keys(fields: &Fields, table: &str) -> Vec<String> {
 /// doubly-linked lists"). Untargeted heap flips therefore hit pointers
 /// at a realistic rate, and "crash failures were most often caused by
 /// segmentation faults raised when a corrupted pointer was dereferenced".
-pub fn record(pairs: Vec<(&str, Value)>) -> Value {
+pub(crate) fn record(pairs: Vec<(&str, Value)>) -> Value {
     let mut map = BTreeMap::new();
     map.insert("fwd_ptr".to_owned(), ree_armor::valid_ptr(11));
     map.insert("bwd_ptr".to_owned(), ree_armor::valid_ptr(13));
@@ -60,22 +60,28 @@ pub fn record(pairs: Vec<(&str, Value)>) -> Value {
 }
 
 /// Reads a `u64` field of a record value.
-pub fn rec_u64(rec: &Value, field: &str) -> Option<u64> {
+pub(crate) fn rec_u64(rec: &Value, field: &str) -> Option<u64> {
     rec.as_map()?.get(field)?.as_u64()
 }
 
 /// Reads a string field of a record value.
-pub fn rec_str<'a>(rec: &'a Value, field: &str) -> Option<&'a str> {
+pub(crate) fn rec_str<'a>(rec: &'a Value, field: &str) -> Option<&'a str> {
     rec.as_map()?.get(field)?.as_str()
 }
 
 /// Reads a bool field of a record value.
-pub fn rec_bool(rec: &Value, field: &str) -> Option<bool> {
+pub(crate) fn rec_bool(rec: &Value, field: &str) -> Option<bool> {
     rec.as_map()?.get(field)?.as_bool()
 }
 
 /// Updates one field of a record stored at `fields[table][key]`.
-pub fn rec_set(fields: &mut Fields, table: &str, key: &str, field: &str, value: Value) -> bool {
+pub(crate) fn rec_set(
+    fields: &mut Fields,
+    table: &str,
+    key: &str,
+    field: &str,
+    value: Value,
+) -> bool {
     if let Some(Value::Map(map)) = fields.get_mut(table) {
         if let Some(Value::Map(rec)) = map.get_mut(key) {
             rec.insert(field.to_owned(), value);

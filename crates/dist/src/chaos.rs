@@ -108,12 +108,12 @@ impl ChaosPlan {
     }
 
     /// The environment spelling (`mode:victim:after_runs:incarnations`).
-    pub fn to_env(self) -> String {
+    pub(crate) fn to_env(self) -> String {
         format!("{}:{}:{}:{}", self.mode, self.victim, self.after_runs, self.incarnations)
     }
 
     /// Parses [`ChaosPlan::to_env`]'s spelling.
-    pub fn from_env(s: &str) -> Option<ChaosPlan> {
+    pub(crate) fn from_env(s: &str) -> Option<ChaosPlan> {
         let mut parts = s.split(':');
         let mode = ChaosMode::parse(parts.next()?)?;
         let victim = parts.next()?.parse().ok()?;
@@ -129,7 +129,7 @@ impl ChaosPlan {
 /// The worker-side state machine: counts runs and fires the armed fault
 /// at its instant.
 #[derive(Debug)]
-pub struct ChaosState {
+pub(crate) struct ChaosState {
     armed: Option<ChaosPlan>,
     runs_completed: u32,
     fired: bool,
@@ -138,7 +138,7 @@ pub struct ChaosState {
 impl ChaosState {
     /// Chaos as armed for this worker: `plan` applies only if this
     /// worker is the victim and its incarnation is still covered.
-    pub fn new(plan: Option<ChaosPlan>, worker: u32, incarnation: u32) -> ChaosState {
+    pub(crate) fn new(plan: Option<ChaosPlan>, worker: u32, incarnation: u32) -> ChaosState {
         let armed = plan.filter(|p| p.victim == worker && incarnation < p.incarnations);
         ChaosState { armed, runs_completed: 0, fired: false }
     }
@@ -147,7 +147,7 @@ impl ChaosState {
     /// run counter reaches the armed instant. `Kill` and `Hang` do not
     /// return; `Poison` reports `true` so the worker can panic inside
     /// its catch boundary.
-    pub fn before_run(&mut self) -> bool {
+    pub(crate) fn before_run(&mut self) -> bool {
         let Some(plan) = self.armed else { return false };
         if self.fired || self.runs_completed < plan.after_runs {
             return false;
@@ -165,7 +165,7 @@ impl ChaosState {
     }
 
     /// Called after each completed run.
-    pub fn after_run(&mut self) {
+    pub(crate) fn after_run(&mut self) {
         self.runs_completed += 1;
     }
 
@@ -175,7 +175,7 @@ impl ChaosState {
     /// abrupt stream end, not a gap).
     ///
     /// Returns whether the caller should exit after writing the frame.
-    pub fn mangle_frame(&mut self, frame: &mut Vec<u8>) -> bool {
+    pub(crate) fn mangle_frame(&mut self, frame: &mut Vec<u8>) -> bool {
         let Some(plan) = self.armed else { return false };
         if self.fired || self.runs_completed < plan.after_runs.max(1) {
             return false;

@@ -24,7 +24,7 @@ use bytes::{BufMut, BytesMut};
 pub const MAGIC: [u8; 4] = *b"REE\x01";
 
 /// Frame header size: magic + length + CRC.
-pub const HEADER_LEN: usize = 12;
+const HEADER_LEN: usize = 12;
 
 /// Upper bound on a payload. Large enough for any batch of results
 /// (a `RunResult` encodes in ~200 bytes; batches are tens of runs),
@@ -109,11 +109,6 @@ impl Decoder {
             self.head = 0;
         }
         self.buf.extend_from_slice(chunk);
-    }
-
-    /// Bytes buffered but not yet consumed by a decoded frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.head
     }
 
     /// Tries to decode the next frame.

@@ -12,14 +12,14 @@
 //! any failure pattern — fault tolerance never silently changes the
 //! science.
 //!
-//! Supervision (see [`supervisor`]): per-run `Progress` heartbeats and a
+//! Supervision (see `supervisor.rs`): per-run `Progress` heartbeats and a
 //! stall timeout catch hangs, per-batch deadlines catch slow losses,
 //! lost batches re-queue with capped exponential backoff, twice-failed
 //! workers are quarantined, and losing the whole pool degrades to
 //! in-process execution with a warning. SIGINT/SIGTERM drains in-flight
 //! batches and reports the partial seed-prefix aggregate.
 //!
-//! Chaos (see [`chaos`]): the harness can arm one worker with a seeded
+//! Chaos (see `chaos.rs`): the harness can arm one worker with a seeded
 //! self-fault — `raise(SIGKILL)`, `raise(SIGSTOP)`, frame corruption,
 //! frame truncation, or a poisoned run — and prove the sweep still
 //! converges to the identical aggregate. `docs/DISTRIBUTED.md` walks
@@ -51,13 +51,14 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod chaos;
+mod chaos;
 mod crc;
 pub mod frame;
 pub mod signal;
-pub mod supervisor;
-pub mod wire;
+mod supervisor;
+mod wire;
 pub mod worker;
 
 pub use chaos::{ChaosMode, ChaosPlan};
@@ -65,7 +66,6 @@ pub use crc::crc32;
 pub use frame::{encode_frame, Decoder, FrameError};
 pub use supervisor::{distribute, DistError, DistOptions, DistReport};
 pub use wire::{decode_msg, encode_frame_msg, encode_msg, Msg, WireError, PROTO_VERSION};
-pub use worker::{worker_main, WorkerConfig};
 
 /// If this process was spawned as a distributed worker (detected from
 /// the [`worker::ENV_WORKER_ID`] environment variable), runs the worker
@@ -74,7 +74,7 @@ pub use worker::{worker_main, WorkerConfig};
 /// Host binaries that use the default self-re-exec spawn mode must call
 /// this at the top of `main`, before argument parsing.
 pub fn run_worker_if_spawned() {
-    if let Some(config) = WorkerConfig::from_env() {
+    if let Some(config) = worker::WorkerConfig::from_env() {
         worker::worker_main(config);
     }
 }

@@ -10,34 +10,34 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// `SIGINT` — Ctrl-C.
-pub const SIGINT: i32 = 2;
+pub(crate) const SIGINT: i32 = 2;
 /// `SIGKILL` — unblockable kill (the chaos crash mode).
-pub const SIGKILL: i32 = 9;
+pub(crate) const SIGKILL: i32 = 9;
 /// `SIGTERM` — polite termination request.
-pub const SIGTERM: i32 = 15;
+pub(crate) const SIGTERM: i32 = 15;
 /// `SIGSTOP` — unblockable stop (the chaos hang mode).
-pub const SIGSTOP: i32 = 19;
+pub(crate) const SIGSTOP: i32 = 19;
 
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
 #[allow(unsafe_code)]
 mod ffi {
     extern "C" {
-        pub fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        pub fn raise(sig: i32) -> i32;
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn raise(sig: i32) -> i32;
     }
 
     extern "C" fn on_interrupt(_sig: i32) {
         super::INTERRUPTED.store(true, std::sync::atomic::Ordering::SeqCst);
     }
 
-    pub fn install(signum: i32) {
+    pub(super) fn install(signum: i32) {
         unsafe {
             signal(signum, on_interrupt);
         }
     }
 
-    pub fn raise_now(sig: i32) {
+    pub(super) fn raise_now(sig: i32) {
         unsafe {
             raise(sig);
         }
@@ -45,13 +45,13 @@ mod ffi {
 }
 
 /// Routes SIGINT and SIGTERM to the [`interrupted`] flag. Idempotent.
-pub fn install_interrupt_handler() {
+pub(crate) fn install_interrupt_handler() {
     ffi::install(SIGINT);
     ffi::install(SIGTERM);
 }
 
 /// Has SIGINT/SIGTERM arrived (or [`request_interrupt`] been called)?
-pub fn interrupted() -> bool {
+pub(crate) fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::SeqCst)
 }
 
@@ -70,6 +70,6 @@ pub fn clear_interrupt() {
 /// Delivers `sig` to the calling process — how a chaos-armed worker
 /// kills or stops *itself* at its seeded instant without needing an
 /// external `kill` binary.
-pub fn raise_signal(sig: i32) {
+pub(crate) fn raise_signal(sig: i32) {
     ffi::raise_now(sig);
 }

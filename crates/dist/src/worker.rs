@@ -8,7 +8,7 @@
 //! [`execute_warm_checked`] so a poisoned run becomes a `BatchFailed`
 //! error frame instead of a dead process. Every completed run emits a
 //! `Progress` frame — the heartbeat the supervisor's stall detector
-//! watches. Chaos ([`crate::chaos`]) hooks the run loop and the
+//! watches. Chaos (`chaos.rs`) hooks the run loop and the
 //! outgoing frame path.
 
 use crate::chaos::{ChaosPlan, ChaosState};
@@ -25,11 +25,11 @@ pub const ENV_WORKER_ID: &str = "REE_DIST_WORKER_ID";
 /// spawn; bumped on every respawn).
 pub const ENV_INCARNATION: &str = "REE_DIST_INCARNATION";
 /// Environment variable carrying the [`ChaosPlan`] spelling, if any.
-pub const ENV_CHAOS: &str = "REE_DIST_CHAOS";
+pub(crate) const ENV_CHAOS: &str = "REE_DIST_CHAOS";
 
 /// A worker's identity, as read from its environment.
 #[derive(Clone, Copy, Debug)]
-pub struct WorkerConfig {
+pub(crate) struct WorkerConfig {
     /// Worker id (stable across respawns).
     pub worker: u32,
     /// Incarnation number.
@@ -41,7 +41,7 @@ pub struct WorkerConfig {
 impl WorkerConfig {
     /// Reads the spawn environment; `None` if this process was not
     /// spawned as a worker.
-    pub fn from_env() -> Option<WorkerConfig> {
+    pub(crate) fn from_env() -> Option<WorkerConfig> {
         let worker = std::env::var(ENV_WORKER_ID).ok()?.parse().ok()?;
         let incarnation =
             std::env::var(ENV_INCARNATION).ok().and_then(|s| s.parse().ok()).unwrap_or(0);
@@ -52,7 +52,7 @@ impl WorkerConfig {
 
 /// Runs the worker protocol loop over stdin/stdout until `Shutdown`,
 /// EOF, or a broken pipe; never returns.
-pub fn worker_main(config: WorkerConfig) -> ! {
+pub(crate) fn worker_main(config: WorkerConfig) -> ! {
     // Run panics are caught ([`execute_warm_checked`]) and reported as
     // error frames; keep the default hook from spamming the
     // supervisor's stderr with backtraces for *expected* chaos panics.

@@ -100,6 +100,22 @@ fn clean_sweep_matches_single_process_for_any_worker_count() {
     }
 }
 
+/// `DistOptions` is total: `distribute` clamps zero workers to one and
+/// `shard` a zero batch to one run, and an empty sweep folds nothing —
+/// so the options need no `validate()`.
+#[test]
+fn zero_workers_zero_batch_and_zero_runs_complete() {
+    let plan = plan();
+    let mut o = options(1);
+    (o.workers, o.batch) = (0, 0);
+    for runs in [0, 5] {
+        let report = distribute(&plan, runs, 3, &o).unwrap_or_else(|e| panic!("{runs} runs: {e}"));
+        assert!(report.completed(), "{runs} runs: {:?}", report.warnings);
+        assert_eq!(report.runs_folded, u64::from(runs));
+        assert_eq!(report.aggregate, expected(&plan, runs, 3), "{runs} runs diverged");
+    }
+}
+
 /// A seed range that crosses `u64::MAX` wraps to 0 in every scheduler —
 /// threaded, and distributed with the wrap both between batches and
 /// inside one — instead of panicking in debug and wrapping in release.

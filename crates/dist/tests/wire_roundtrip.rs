@@ -11,8 +11,9 @@ use ree_inject::{
 };
 use ree_net::{NetworkConfig, Topology};
 use ree_sift::JobSpec;
-use ree_sim::{SimDuration, SimTime};
+use ree_sim::{Fnv64, SimDuration, SimTime};
 use std::fmt::Write as _;
+use std::hash::Hasher;
 
 fn rich_plan() -> RunPlan {
     let mut scenario = ree_apps::Scenario::two_apps(99);
@@ -258,10 +259,9 @@ fn adversarial_payloads_yield_typed_errors() {
 /// `name len=N fnv1a=H` of one encoded message.
 fn golden_line(out: &mut String, name: &str, msg: &Msg) {
     let bytes = encode_msg(msg);
-    let fnv = bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3));
-    writeln!(out, "{name} len={} fnv1a={fnv:016x}", bytes.len()).unwrap();
+    let mut fnv = Fnv64::default();
+    fnv.write(&bytes);
+    writeln!(out, "{name} len={} fnv1a={:016x}", bytes.len(), fnv.finish()).unwrap();
 }
 
 /// The wire bytes are pinned: `snapshots/wire_v1.txt` was generated

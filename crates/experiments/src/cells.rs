@@ -81,23 +81,27 @@ pub struct Row {
 
 impl Row {
     /// Runs `pred` admits.
-    pub fn count(&self, pred: impl Fn(&RunResult) -> bool) -> u64 {
+    pub(crate) fn count(&self, pred: impl Fn(&RunResult) -> bool) -> u64 {
         self.results.iter().filter(|r| pred(r)).count() as u64
     }
 
     /// Runs whose induced failure was of `class`.
-    pub fn induced(&self, class: FailureClass) -> u64 {
+    pub(crate) fn induced(&self, class: FailureClass) -> u64 {
         self.count(|r| r.induced == Some(class))
     }
 
     /// Runs that ended in a system failure.
-    pub fn system_failures(&self) -> u64 {
+    pub(crate) fn system_failures(&self) -> u64 {
         self.count(|r| r.system_failure.is_some())
     }
 
     /// Perceived and actual execution time of job `slot` over the runs
     /// `pred` admits.
-    pub fn timings(&self, slot: usize, pred: impl Fn(&RunResult) -> bool) -> (Summary, Summary) {
+    pub(crate) fn timings(
+        &self,
+        slot: usize,
+        pred: impl Fn(&RunResult) -> bool,
+    ) -> (Summary, Summary) {
         let (mut perceived, mut actual) = (Summary::new(), Summary::new());
         for r in self.results.iter().filter(|r| pred(r)) {
             if let Some(Some(p)) = r.perceived_all.get(slot) {
@@ -111,7 +115,7 @@ impl Row {
     }
 
     /// Every SIFT recovery time observed in the runs `pred` admits.
-    pub fn recoveries(&self, pred: impl Fn(&RunResult) -> bool) -> Summary {
+    pub(crate) fn recoveries(&self, pred: impl Fn(&RunResult) -> bool) -> Summary {
         let mut recovery = Summary::new();
         for rec in self.results.iter().filter(|r| pred(r)).flat_map(|r| &r.recovery_times) {
             recovery.push(*rec);
@@ -169,7 +173,7 @@ pub(crate) fn fault_free_times(
 }
 
 /// A column computed from a cell's report: its header and its cell.
-pub(crate) type Column = (&'static str, fn(&ArmReport) -> String);
+type Column = (&'static str, fn(&ArmReport) -> String);
 
 /// A sweep under the adaptive engine: each cell stops as soon as its
 /// recovery-rate Wilson interval meets the stopping rule's target
@@ -242,7 +246,7 @@ pub(crate) mod tests {
     use ree_apps::Verdict;
 
     /// A fault-free run that completed correctly in 75 s.
-    pub(crate) fn clean_run() -> RunResult {
+    fn clean_run() -> RunResult {
         RunResult {
             seed: 0,
             injections: 0,

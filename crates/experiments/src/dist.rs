@@ -15,7 +15,7 @@ use crate::Effort;
 /// The paper's standard table campaign (texture on the 4-node testbed,
 /// register error model) — the workload `perfbench` measures as
 /// `app_register` (one process) and `pool_register` (this pool).
-pub fn register_plan(seed: u64) -> RunPlan {
+fn register_plan(seed: u64) -> RunPlan {
     RunPlan {
         scenario: ree_apps::Scenario::single_texture(seed),
         target: Target::App,

@@ -12,7 +12,7 @@ pub enum Effort {
 
 impl Effort {
     /// Scales a paper-scale run count.
-    pub fn scale(&self, paper_runs: u32) -> u32 {
+    pub(crate) fn scale(&self, paper_runs: u32) -> u32 {
         match self {
             Effort::Paper => paper_runs,
             Effort::Quick => (paper_runs / 10).clamp(4, 30),

@@ -13,7 +13,7 @@ use ree_mc::presets::{two_node_register_plan, two_node_sigint_plan};
 use ree_mc::{model_check, replay, McBounds};
 
 /// Bounds tier for an effort level.
-pub fn bounds(effort: Effort) -> McBounds {
+fn bounds(effort: Effort) -> McBounds {
     match effort {
         Effort::Quick => McBounds::quick(),
         Effort::Paper => McBounds::paper(),

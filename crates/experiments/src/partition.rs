@@ -17,7 +17,7 @@ use ree_inject::{Arm, ErrorModel, NetFault, RunPlan, StoppingRule, Target};
 use ree_sim::SimDuration;
 
 /// Partition durations swept, in milliseconds.
-pub const DURATIONS_MS: [u64; 5] = [500, 1_000, 2_000, 5_000, 10_000];
+const DURATIONS_MS: [u64; 5] = [500, 1_000, 2_000, 5_000, 10_000];
 
 /// The split imposed on the 4-node testbed: the SIFT side (FTM and its
 /// backup on nodes 0–1) is severed from the application side (texture
@@ -34,7 +34,7 @@ pub fn run(effort: Effort, seed0: u64) -> AdaptiveTable {
 
 /// Runs the sweep under `rule`: recovery rate and time against
 /// partition duration, a no-partition control arm and one arm per
-/// [`DURATIONS_MS`] entry, all targeting the FTM with SIGINT so every
+/// `DURATIONS_MS` entry, all targeting the FTM with SIGINT so every
 /// run starts a recovery for the partition to land on.
 pub fn run_adaptive(rule: &StoppingRule, seed0: u64) -> AdaptiveTable {
     let mut arms = vec![arm("no partition", vec![], seed0)];

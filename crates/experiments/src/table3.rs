@@ -25,12 +25,12 @@ pub struct Table3 {
 
 impl Table3 {
     /// Perceived overhead of the SIFT environment in seconds.
-    pub fn perceived_overhead(&self) -> f64 {
+    fn perceived_overhead(&self) -> f64 {
         self.sift_perceived.mean() - self.no_sift.mean()
     }
 
     /// Actual overhead of the SIFT environment in seconds.
-    pub fn actual_overhead(&self) -> f64 {
+    fn actual_overhead(&self) -> f64 {
         self.sift_actual.mean() - self.no_sift.mean()
     }
 

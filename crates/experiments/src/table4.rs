@@ -30,12 +30,12 @@ fn injected(r: &RunResult) -> bool {
 
 impl Table4 {
     /// Runs with injections, over all rows (n of the §5 bound).
-    pub fn total_injected(&self) -> u64 {
+    fn total_injected(&self) -> u64 {
         self.rows.iter().map(|row| row.count(injected)).sum()
     }
 
     /// The §5 bound on unrecoverable-failure probability.
-    pub fn failure_probability_bound(&self) -> f64 {
+    fn failure_probability_bound(&self) -> f64 {
         no_failure_upper_bound(self.total_injected().max(1))
     }
 

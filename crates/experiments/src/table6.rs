@@ -22,12 +22,12 @@ pub struct Table6 {
 
 impl Table6 {
     /// Total system failures across rows (paper: 11).
-    pub fn total_system_failures(&self) -> u64 {
+    pub(crate) fn total_system_failures(&self) -> u64 {
         self.rows.iter().map(Row::system_failures).sum()
     }
 
     /// System failures caused by text-segment injections.
-    pub fn text_system_failures(&self) -> u64 {
+    fn text_system_failures(&self) -> u64 {
         let text = ErrorModel::TextSegment.to_string();
         self.rows.iter().filter(|r| r.label.starts_with(&text)).map(Row::system_failures).sum()
     }

@@ -15,7 +15,7 @@ use ree_os::HeapTarget;
 use ree_stats::TableBuilder;
 
 /// The five Table 8 elements.
-pub const ELEMENTS: [&str; 5] =
+const ELEMENTS: [&str; 5] =
     ["mgr_armor_info", "exec_armor_info", "app_param", "mgr_app_detect", "node_mgmt"];
 
 /// Per-element outcome counts.
@@ -45,12 +45,12 @@ pub struct ElementOutcomes {
 
 impl ElementOutcomes {
     /// Total system failures for this element.
-    pub fn total_system_failures(&self) -> u64 {
+    pub(crate) fn total_system_failures(&self) -> u64 {
         self.sf_register + self.sf_install + self.sf_start + self.sf_uninstall + self.sf_other
     }
 
     /// Total runs in which an assertion fired.
-    pub fn assertions_fired(&self) -> u64 {
+    fn assertions_fired(&self) -> u64 {
         self.sf_after_assertion + self.recovered_after_assertion
     }
 }
@@ -66,7 +66,7 @@ impl Table8 {
     /// Assertion efficiency: recovered-after-assertion / assertions
     /// fired (paper: 27/64 ≈ 42% system failures *prevented* is phrased
     /// inversely; the recovered share is 37/64 ≈ 58%).
-    pub fn assertion_efficiency(&self) -> f64 {
+    fn assertion_efficiency(&self) -> f64 {
         let fired: u64 = self.elements.iter().map(ElementOutcomes::assertions_fired).sum();
         let recovered: u64 = self.elements.iter().map(|e| e.recovered_after_assertion).sum();
         if fired == 0 {

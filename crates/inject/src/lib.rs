@@ -79,12 +79,13 @@
 //! [`candidate_targets`]) and systematically explores bounded
 //! perturbations of same-instant event delivery around each, reusing
 //! this crate's placement ([`ErrorModel::place`]) and classification
-//! pipeline ([`classify_target_state`],
-//! [`classify_system_failure`], [`conclude_run`]) so an explored branch
+//! pipeline (`classify_target_state`,
+//! `classify_system_failure`, [`conclude_run`]) so an explored branch
 //! is judged exactly like a campaign run. See `docs/MODELCHECK.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod adaptive;
 mod branch;
@@ -103,7 +104,6 @@ pub use error::CampaignError;
 pub use model::{ErrorModel, FailureClass, Placement, SystemFailure, Target};
 pub use netfault::{NetFault, NetFaultKind, NetFaultTrigger};
 pub use runner::{
-    classify_system_failure, classify_target_state, conclude_run, execute, execute_full,
-    execute_warm, execute_warm_checked, execute_warm_full, verify_outputs, RunGeometry, RunPlan,
-    RunResult,
+    conclude_run, execute, execute_full, execute_warm, execute_warm_checked, execute_warm_full,
+    verify_outputs, RunGeometry, RunPlan, RunResult,
 };

@@ -22,7 +22,7 @@ pub enum Target {
 
 impl Target {
     /// Name predicate used to resolve the target in the process table.
-    pub fn matches(&self, name: &str) -> bool {
+    pub(crate) fn matches(&self, name: &str) -> bool {
         match self {
             Target::App => name.contains("-r") && !name.starts_with("exec"),
             Target::NamedApp(app) => name.starts_with(app) && name.contains("-r"),
@@ -87,7 +87,7 @@ pub struct Placement {
 
 impl ErrorModel {
     /// True for the repeat-until-failure protocols.
-    pub fn repeats(&self) -> bool {
+    pub(crate) fn repeats(&self) -> bool {
         matches!(self, ErrorModel::Register | ErrorModel::TextSegment | ErrorModel::Heap)
     }
 

@@ -451,7 +451,7 @@ fn resolve_target(running: &Running, target: &Target, rng: &mut SimRng) -> Optio
 /// stopped → hang, exited → by exit status, still running cleanly →
 /// `None`. Public so external drivers (the `ree-mc` interleaving
 /// explorer) classify manually-driven runs identically to [`execute`].
-pub fn classify_target_state(
+pub(crate) fn classify_target_state(
     running: &Running,
     pid: Pid,
     model: &ErrorModel,
@@ -497,7 +497,7 @@ pub fn verify_outputs(running: &Running, scenario: &Scenario) -> Verdict {
 /// Attributes a non-completed run to the first SIFT phase that failed
 /// (§4.2's system-failure taxonomy), from the trace and job-times
 /// records. Public for the same reason as [`classify_target_state`].
-pub fn classify_system_failure(running: &Running) -> SystemFailure {
+pub(crate) fn classify_system_failure(running: &Running) -> SystemFailure {
     let trace = running.cluster.trace();
     let times = running.job_times(0);
     let submitted = times.as_ref().map(|t| t.submitted.is_some()).unwrap_or(false);

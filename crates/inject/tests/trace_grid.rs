@@ -21,8 +21,9 @@
 use ree_apps::Scenario;
 use ree_inject::{execute_warm_full, ErrorModel, NetFault, RunPlan, Target};
 use ree_os::{HeapTarget, TraceDetail};
-use ree_sim::{SimDuration, SimTime};
+use ree_sim::{Fnv64, SimDuration, SimTime};
 use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::path::PathBuf;
 
 /// Eight run seeds per plan. This window is the one in which the grid
@@ -76,8 +77,9 @@ fn grid() -> Vec<(String, RunPlan)> {
 }
 
 fn fnv1a64(text: &str) -> u64 {
-    text.bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    let mut h = Fnv64::default();
+    h.write(text.as_bytes());
+    h.finish()
 }
 
 #[test]

@@ -22,8 +22,9 @@
 
 use ree_inject::{execute_full, ErrorModel, RunPlan, Target};
 use ree_os::{Cluster, HeapTarget, NodeId, Signal};
-use ree_sim::SimTime;
+use ree_sim::{Fnv64, SimTime};
 use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::path::PathBuf;
 
 fn snapshot_path(name: &str) -> PathBuf {
@@ -75,10 +76,9 @@ fn render_stable_storage(cluster: &mut Cluster) -> String {
         .unwrap();
         for path in disk.paths().filter(|p| p.starts_with("ckpt/")) {
             let image = disk.read(path).expect("listed path is readable");
-            let fnv = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3)
-            });
-            writeln!(out, "  {path} len={} fnv1a={fnv:016x}", image.len()).unwrap();
+            let mut fnv = Fnv64::default();
+            fnv.write(image);
+            writeln!(out, "  {path} len={} fnv1a={:016x}", image.len(), fnv.finish()).unwrap();
         }
     }
     out

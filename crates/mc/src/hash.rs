@@ -5,39 +5,21 @@
 //! them. The digest feeds [`ree_os::Cluster::write_state_digest`] — the
 //! canonical serialisation of everything behaviour-relevant (clock, rng
 //! stream positions, process table, storage, network, pending events
-//! with rank-renumbered sequence numbers) — through a fixed FNV-1a
-//! hasher, so digests are stable across builds and platforms (the std
-//! `DefaultHasher` makes no such promise).
+//! with rank-renumbered sequence numbers) — through the fixed FNV-1a
+//! hasher [`Fnv64`], so a digest is the same in every process and every
+//! build *for one target* (the std `DefaultHasher` does not promise even
+//! that). It is not stable across targets: `write_state_digest` feeds
+//! the hasher through `std::hash::Hash`, whose `usize` length prefixes
+//! and native-endian integer writes follow the host's word size and
+//! byte order. Nothing needs more today — no state digest is persisted
+//! or compared across hosts, the DFS only tests two of them for
+//! equality within one process. An explicit byte order arrives with the
+//! `Sink` encoding of ROADMAP item 2.
 
 use ree_os::Cluster;
 use std::hash::Hasher;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// 64-bit FNV-1a: tiny, allocation-free, and deterministic by
-/// construction — no per-process key material.
-#[derive(Clone, Debug)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-}
-
-impl Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
+pub use ree_sim::Fnv64;
 
 /// Digest of a cluster's canonical state, as pruned on by the DFS.
 pub fn state_digest(cluster: &Cluster) -> u64 {

@@ -12,7 +12,7 @@ use ree_sim::{SimDuration, SimTime};
 /// A 2-node cluster running one shrunk texture job (2 ranks co-resident
 /// with the SIFT daemons): ~17 s of nominal science instead of the paper
 /// testbed's ~74 s, so a full bounded exploration stays in CI scale.
-pub fn two_node_scenario(seed: u64) -> Scenario {
+fn two_node_scenario(seed: u64) -> Scenario {
     let texture = TextureParams {
         image_px: 32,
         tile_px: 8,
@@ -38,7 +38,7 @@ pub fn two_node_scenario(seed: u64) -> Scenario {
 }
 
 /// The `repro mc` plan: register bit-flips into the application ranks of
-/// [`two_node_scenario`] — the paper's hardest-to-recover transient
+/// `two_node_scenario` — the paper's hardest-to-recover transient
 /// model, explored exhaustively instead of sampled.
 pub fn two_node_register_plan(seed: u64) -> RunPlan {
     RunPlan {

@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use ree_os::{Message, Pid, ProcCtx};
 use std::collections::VecDeque;
@@ -40,7 +41,7 @@ pub enum MpiPayload {
 
 impl MpiPayload {
     /// Approximate serialized size in bytes (drives the network model).
-    pub fn wire_size(&self) -> u64 {
+    fn wire_size(&self) -> u64 {
         match self {
             MpiPayload::F64s(v) => 16 + 8 * v.len() as u64,
             MpiPayload::Bytes(b) => 16 + b.len() as u64,
@@ -53,14 +54,6 @@ impl MpiPayload {
     pub fn into_f64s(self) -> Option<Vec<f64>> {
         match self {
             MpiPayload::F64s(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Extracts bytes, if that is what this payload is.
-    pub fn into_bytes(self) -> Option<Vec<u8>> {
-        match self {
-            MpiPayload::Bytes(b) => Some(b),
             _ => None,
         }
     }
@@ -81,11 +74,8 @@ pub struct MpiMsg {
 #[derive(Debug, Clone)]
 pub struct MpiEndpoint {
     rank: u32,
-    size: u32,
     peers: Vec<Option<Pid>>,
     inbox: VecDeque<MpiMsg>,
-    sends: u64,
-    receives: u64,
 }
 
 impl MpiEndpoint {
@@ -96,24 +86,7 @@ impl MpiEndpoint {
     /// Panics if `rank >= size` or `size == 0`.
     pub fn new(rank: u32, size: u32) -> Self {
         assert!(size > 0 && rank < size, "rank {rank} out of range for size {size}");
-        MpiEndpoint {
-            rank,
-            size,
-            peers: vec![None; size as usize],
-            inbox: VecDeque::new(),
-            sends: 0,
-            receives: 0,
-        }
-    }
-
-    /// This process's rank.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// Communicator size.
-    pub fn size(&self) -> u32 {
-        self.size
+        MpiEndpoint { rank, peers: vec![None; size as usize], inbox: VecDeque::new() }
     }
 
     /// Registers a peer's pid (learned during launch).
@@ -124,13 +97,8 @@ impl MpiEndpoint {
     }
 
     /// A peer's pid, if known.
-    pub fn peer(&self, rank: u32) -> Option<Pid> {
+    fn peer(&self, rank: u32) -> Option<Pid> {
         self.peers.get(rank as usize).copied().flatten()
-    }
-
-    /// True once every peer rank is known (rank-0 init barrier).
-    pub fn all_peers_known(&self) -> bool {
-        (0..self.size).filter(|r| *r != self.rank).all(|r| self.peers[r as usize].is_some())
     }
 
     /// Sends `payload` to `to_rank` with `tag`. Silently dropped if the
@@ -141,7 +109,6 @@ impl MpiEndpoint {
             os.trace(format!("mpi: rank {} send to unknown rank {to_rank}", self.rank));
             return;
         };
-        self.sends += 1;
         let size = payload.wire_size();
         os.send(pid, "mpi", size, MpiMsg { from_rank: self.rank, tag, payload });
     }
@@ -153,7 +120,6 @@ impl MpiEndpoint {
             return false;
         }
         if let Some(m) = msg.peek::<MpiMsg>() {
-            self.receives += 1;
             self.inbox.push_back(m.clone());
             true
         } else {
@@ -170,21 +136,34 @@ impl MpiEndpoint {
             .position(|m| m.tag == tag && from.map(|f| f == m.from_rank).unwrap_or(true))?;
         self.inbox.remove(idx)
     }
-
-    /// Number of buffered (unmatched) messages.
-    pub fn backlog(&self) -> usize {
-        self.inbox.len()
-    }
-
-    /// Lifetime `(sends, receives)`.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.sends, self.receives)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MpiPayload {
+        /// Extracts bytes, if that is what this payload is.
+        fn into_bytes(self) -> Option<Vec<u8>> {
+            match self {
+                MpiPayload::Bytes(b) => Some(b),
+                _ => None,
+            }
+        }
+    }
+
+    impl MpiEndpoint {
+        /// Number of buffered (unmatched) messages.
+        fn backlog(&self) -> usize {
+            self.inbox.len()
+        }
+
+        /// True once every peer rank is known (rank-0 init barrier).
+        fn all_peers_known(&self) -> bool {
+            let me = self.rank as usize;
+            self.peers.iter().enumerate().all(|(r, p)| r == me || p.is_some())
+        }
+    }
 
     #[test]
     fn payload_sizes_scale() {

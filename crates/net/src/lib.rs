@@ -34,16 +34,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod link;
 mod model;
 mod routing;
 mod topology;
 
-pub use link::{LinkId, LinkParams, LinkState};
+pub use link::{LinkId, LinkParams};
 pub use model::{NetworkConfig, NodeId, SendVerdict};
 pub use topology::{LinkSpec, Port, SwitchId, Topology, TopologyBuilder, TopologyError};
 
+use link::LinkState;
 use ree_sim::{SimDuration, SimRng, SimTime};
 use routing::RouteTable;
 use std::collections::HashSet;
@@ -230,7 +232,7 @@ impl Network {
     /// True if traffic between the two nodes cannot flow: an endpoint's
     /// links are administratively down, the pair is blocked, or there is
     /// no route. Loopback (`a == b`) is node-local and never partitioned.
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
+    fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
         if a == b {
             return false;
         }

@@ -50,7 +50,7 @@ impl LinkParams {
 
 /// Mutable per-link runtime state, owned by [`crate::Network`].
 #[derive(Clone, Debug)]
-pub struct LinkState {
+pub(crate) struct LinkState {
     /// Serialisation frontier: when this link's transmitter frees up.
     pub busy_until: SimTime,
 }

@@ -189,7 +189,7 @@ pub struct TopologyBuilder {
 
 impl TopologyBuilder {
     /// Sets the node-local loopback latency (default 30 µs).
-    pub fn loopback_latency(mut self, latency: SimDuration) -> Self {
+    pub(crate) fn loopback_latency(mut self, latency: SimDuration) -> Self {
         self.topology.loopback_latency = latency;
         self
     }

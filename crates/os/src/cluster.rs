@@ -266,11 +266,6 @@ impl Cluster {
         &mut self.trace
     }
 
-    /// The shared remote file system.
-    pub fn remote_fs(&mut self) -> &mut RemoteFs {
-        &mut self.remote_fs
-    }
-
     /// Read-only remote FS access.
     pub fn remote_fs_ref(&self) -> &RemoteFs {
         &self.remote_fs
@@ -1072,11 +1067,6 @@ impl ProcCtx<'_> {
     /// The node this process runs on.
     pub fn node(&self) -> NodeId {
         self.cluster.procs.node_of(self.pid).expect("self entry")
-    }
-
-    /// Deterministic random stream (shared cluster stream).
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.cluster.rng
     }
 
     /// Sends `payload` (`size` simulated bytes) to another process.

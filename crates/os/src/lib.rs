@@ -23,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cluster;
 mod machine;
@@ -32,9 +33,7 @@ mod storage;
 mod trace;
 
 pub use cluster::{Cluster, ClusterConfig, ProcCtx, SpawnSpec, TextSource, TimerId, WorkId};
-pub use machine::{
-    FaultConsequence, FunctionSite, InjectionSite, MachineProfile, MachineState, RegClass, TextHit,
-};
+pub use machine::{InjectionSite, MachineProfile, RegClass, TextHit};
 pub use process::{
     ExitStatus, FieldKind, HeapHit, HeapModel, HeapTarget, Message, Payload, Pid, Process,
     ProcessClone, Signal,

@@ -52,7 +52,7 @@ pub enum TextHit {
 
 /// The observable consequence of an activated fault.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FaultConsequence {
+pub(crate) enum FaultConsequence {
     /// Access to an unmapped or invalid address (SIGSEGV): crash.
     SegFault,
     /// Invalid opcode executed (SIGILL): crash.
@@ -77,7 +77,7 @@ struct RegSlot {
 
 /// A function site within the text image.
 #[derive(Clone, Debug)]
-pub struct FunctionSite {
+pub(crate) struct FunctionSite {
     /// Human-readable name (shows up in traces).
     pub name: String,
     /// Relative execution frequency; activation samples sites by weight.
@@ -144,7 +144,7 @@ pub enum InjectionSite {
 
 /// Simulated machine state (registers + text) of one process.
 #[derive(Clone, Debug)]
-pub struct MachineState {
+pub(crate) struct MachineState {
     regs: Vec<RegSlot>,
     text: Vec<FunctionSite>,
     profile: MachineProfile,
@@ -165,7 +165,7 @@ pub struct MachineState {
 impl MachineState {
     /// Builds machine state from a profile and a text image (possibly a
     /// corrupted copy of a daemon's image, §3.4).
-    pub fn new(profile: MachineProfile, text: Vec<FunctionSite>) -> Self {
+    pub(crate) fn new(profile: MachineProfile, text: Vec<FunctionSite>) -> Self {
         let mut regs = Vec::with_capacity(32);
         for _ in 0..profile.pointer_regs {
             regs.push(RegSlot { class: RegClass::Pointer, corrupted: false });
@@ -191,7 +191,7 @@ impl MachineState {
 
     /// Builds a generic text image: a frequency-weighted set of function
     /// sites typical of the ARMOR/application processes in the paper.
-    pub fn generic_text_image(process_kind: &str) -> Vec<FunctionSite> {
+    pub(crate) fn generic_text_image(process_kind: &str) -> Vec<FunctionSite> {
         // "Only the most frequently used registers and functions in the
         // text segment were targeted for injection" (§4.1) — we model the
         // hot part of the image only.
@@ -217,7 +217,7 @@ impl MachineState {
 
     /// Flips a bit in a uniformly chosen register ("bits in the registers
     /// of the target process are periodically flipped", Table 2).
-    pub fn inject_register_bit(&mut self, rng: &mut SimRng) -> InjectionSite {
+    pub(crate) fn inject_register_bit(&mut self, rng: &mut SimRng) -> InjectionSite {
         let idx = rng.index(self.regs.len());
         if !self.regs[idx].corrupted {
             self.armed += 1;
@@ -227,7 +227,7 @@ impl MachineState {
     }
 
     /// Flips a bit at a weight-sampled text site.
-    pub fn inject_text_bit(&mut self, rng: &mut SimRng) -> InjectionSite {
+    pub(crate) fn inject_text_bit(&mut self, rng: &mut SimRng) -> InjectionSite {
         let weights: Vec<f64> = self.text.iter().map(|s| s.weight).collect();
         let idx = rng.weighted_index(&weights);
         // Nearly half the targeted instruction bits select opcode fields
@@ -241,7 +241,7 @@ impl MachineState {
     }
 
     /// True if any corruption is outstanding.
-    pub fn has_pending_corruption(&self) -> bool {
+    pub(crate) fn has_pending_corruption(&self) -> bool {
         debug_assert_eq!(
             self.armed as usize,
             self.regs.iter().filter(|r| r.corrupted).count()
@@ -253,29 +253,20 @@ impl MachineState {
 
     /// Copies this machine's *text image* (with any corruption) — the
     /// daemon-recovers-ARMOR-from-its-own-image mechanism of §3.4.
-    pub fn copy_text_image(&self) -> Vec<FunctionSite> {
+    pub(crate) fn copy_text_image(&self) -> Vec<FunctionSite> {
         self.text.clone()
     }
 
     /// Count of corrupted text sites (used to decide image reload).
-    pub fn corrupted_text_sites(&self) -> usize {
+    pub(crate) fn corrupted_text_sites(&self) -> usize {
         self.text.iter().filter(|s| s.corruption.is_some()).count()
-    }
-
-    /// Clears all text corruption (reloading the executable from disk).
-    pub fn reload_text_from_disk(&mut self) {
-        for site in &mut self.text {
-            if site.corruption.take().is_some() {
-                self.armed -= 1;
-            }
-        }
     }
 
     /// Runs one activation step: the process executed some instructions
     /// (handling an event or running a work chunk). Samples whether any
     /// outstanding corruption is touched and, if so, with what
     /// consequence. Returns at most one consequence (the first activated).
-    pub fn activate(&mut self, rng: &mut SimRng) -> Option<FaultConsequence> {
+    pub(crate) fn activate(&mut self, rng: &mut SimRng) -> Option<FaultConsequence> {
         self.activations += 1;
         // Fast path: nothing armed — O(1), and **no RNG draw**. The slow
         // path below never drew from the RNG for clean slots either, so
@@ -378,12 +369,12 @@ impl MachineState {
     }
 
     /// Total activation steps evaluated.
-    pub fn activations(&self) -> u64 {
+    pub(crate) fn activations(&self) -> u64 {
         self.activations
     }
 
     /// Total faults that actually manifested.
-    pub fn faults_activated(&self) -> u64 {
+    pub(crate) fn faults_activated(&self) -> u64 {
         self.faults_activated
     }
 }
@@ -391,6 +382,17 @@ impl MachineState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MachineState {
+        /// Clears all text corruption (reloading the executable from disk).
+        fn reload_text_from_disk(&mut self) {
+            for site in &mut self.text {
+                if site.corruption.take().is_some() {
+                    self.armed -= 1;
+                }
+            }
+        }
+    }
 
     fn machine() -> MachineState {
         MachineState::new(MachineProfile::default(), MachineState::generic_text_image("test"))

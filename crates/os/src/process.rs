@@ -203,6 +203,9 @@ pub trait HeapModel {
 /// Blanket-implemented for every `Process + Clone` type, so concrete
 /// behaviours only need `#[derive(Clone)]`. Cloning behaviours is what
 /// makes a booted cluster forkable into per-run campaign copies.
+/// `ree-os` sits below the three production behaviours (`Rank<S>`,
+/// `ArmorProcess`, `Scc`), so an enum of them cannot live here; a blanket
+/// supertrait costs no line per `impl Process` and is the least code.
 pub trait ProcessClone {
     /// Clones the behaviour behind the trait object.
     fn clone_process(&self) -> Box<dyn Process>;

@@ -188,7 +188,7 @@ impl RamDisk {
 
     /// Erases everything (models a node wipe / power loss on volatile
     /// portions). Forks sharing the old contents are unaffected.
-    pub fn wipe(&mut self) {
+    pub(crate) fn wipe(&mut self) {
         self.files = Arc::new(FileMap::default());
         self.used = 0;
     }
@@ -269,18 +269,13 @@ impl RemoteFs {
         Arc::make_mut(&mut self.files).remove(path).map(unwrap_bytes)
     }
 
-    /// True if the file exists.
-    pub fn exists(&self, path: &str) -> bool {
-        self.files.get(path).is_some()
-    }
-
     /// Number of read operations served.
-    pub fn reads(&self) -> u64 {
+    pub(crate) fn reads(&self) -> u64 {
         self.reads
     }
 
     /// Number of write operations served.
-    pub fn writes(&self) -> u64 {
+    pub(crate) fn writes(&self) -> u64 {
         self.writes
     }
 
@@ -293,6 +288,13 @@ impl RemoteFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RemoteFs {
+        /// True if the file exists.
+        fn exists(&self, path: &str) -> bool {
+            self.files.get(path).is_some()
+        }
+    }
 
     #[test]
     fn ramdisk_roundtrip_and_remove() {

@@ -95,7 +95,7 @@ impl TraceEvent {
     /// Number of event kinds (size of the counter table) — derived from
     /// the last discriminant so adding a variant can never leave the
     /// table undersized.
-    pub const COUNT: usize = TraceEvent::MpiRankGaveUp as usize + 1;
+    const COUNT: usize = TraceEvent::MpiRankGaveUp as usize + 1;
 
     fn index(self) -> usize {
         self as usize
@@ -359,7 +359,7 @@ impl Trace {
     }
 
     /// Enables or disables recording (campaigns disable it for speed).
-    pub fn set_enabled(&mut self, enabled: bool) {
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
 
@@ -377,7 +377,7 @@ impl Trace {
     /// Appends a typed record. The per-kind counter is bumped even when
     /// the record itself is dropped at capacity, so the O(1) queries stay
     /// truthful on runs that overflow the buffer.
-    pub fn push_event(
+    pub(crate) fn push_event(
         &mut self,
         time: SimTime,
         pid: Option<Pid>,
@@ -481,31 +481,33 @@ impl Trace {
         out
     }
 
-    /// Number of records dropped after hitting the cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// The full typed-event counter table, indexed by [`TraceEvent`]
     /// discriminant. This is the trace's O(1) behavioural summary —
     /// state digests hash it as a cheap proxy for "what has the SIFT
     /// environment observed so far" without touching record storage.
-    pub fn counters(&self) -> &[u64; TraceEvent::COUNT] {
+    pub(crate) fn counters(&self) -> &[u64; TraceEvent::COUNT] {
         &self.counters
-    }
-
-    /// Clears all records and counters (including any frozen prefix).
-    pub fn clear(&mut self) {
-        self.prefix = None;
-        self.tail.clear();
-        self.counters = [0; TraceEvent::COUNT];
-        self.dropped = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Trace {
+        /// Number of records dropped after hitting the cap.
+        fn dropped(&self) -> u64 {
+            self.dropped
+        }
+
+        /// Clears all records and counters (including any frozen prefix).
+        fn clear(&mut self) {
+            self.prefix = None;
+            self.tail.clear();
+            self.counters = [0; TraceEvent::COUNT];
+            self.dropped = 0;
+        }
+    }
 
     #[test]
     fn records_and_queries() {

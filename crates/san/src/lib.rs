@@ -6,14 +6,14 @@
 //! in Figure 9, which models one application's behavior when attempting
 //! to interface with the local SIFT process" (§5.2).
 //!
-//! [`San`] is a general Monte-Carlo SAN solver; [`ree_model`] instantiates
+//! `San` is a general Monte-Carlo SAN solver; `ree_model` instantiates
 //! the paper's model and sweeps the SIFT failure rate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod ree_model;
+mod ree_model;
 mod san;
 
-pub use ree_model::{build, solve, ReeModelParams, ReeModelSolution};
-pub use san::{Activity, Delay, Place, San};
+pub use ree_model::{solve, ReeModelParams, ReeModelSolution};

@@ -16,20 +16,20 @@ use crate::san::{Activity, Delay, Place, San};
 use ree_sim::SimRng;
 
 /// Place indices of the Figure 9 model.
-pub mod places {
+mod places {
     use super::Place;
     /// Application operating normally.
-    pub const APP_OKAY: Place = Place(0);
+    pub(super) const APP_OKAY: Place = Place(0);
     /// Application blocked on a SIFT-interface call.
-    pub const APP_BLOCK: Place = Place(1);
+    pub(super) const APP_BLOCK: Place = Place(1);
     /// Application inside a completed interface call (transient).
-    pub const APP_INTERFACE: Place = Place(2);
+    pub(super) const APP_INTERFACE: Place = Place(2);
     /// Application failed (timed out on the SIFT process).
-    pub const APP_FAIL: Place = Place(3);
+    pub(super) const APP_FAIL: Place = Place(3);
     /// SIFT process healthy.
-    pub const SIFT_OKAY: Place = Place(4);
+    pub(super) const SIFT_OKAY: Place = Place(4);
     /// SIFT process failed/recovering.
-    pub const SIFT_FAIL: Place = Place(5);
+    pub(super) const SIFT_FAIL: Place = Place(5);
 }
 
 /// Parameters of the Figure 9 model (rates per second).
@@ -62,14 +62,13 @@ impl Default for ReeModelParams {
 }
 
 /// Builds the Figure 9 SAN.
-pub fn build(params: &ReeModelParams) -> San {
+fn build(params: &ReeModelParams) -> San {
     use places::{APP_BLOCK, APP_FAIL, APP_INTERFACE, APP_OKAY, SIFT_FAIL, SIFT_OKAY};
     // Initially one token each in app_okay and sift_okay.
     let mut san = San::new(vec![1, 0, 0, 0, 1, 0]);
     let p = params.clone();
     // app_okay --app_interface_rate--> app_block
     san.add_activity(Activity {
-        name: "app_interface_rate",
         delay: Delay::Exponential(p.app_interface_rate),
         enabled: Box::new(|m| m[APP_OKAY.0] > 0),
         fire: Box::new(|m| {
@@ -79,7 +78,6 @@ pub fn build(params: &ReeModelParams) -> San {
     });
     // app_block --instantaneous (if sift_okay)--> app_interface
     san.add_activity(Activity {
-        name: "interface_completes",
         delay: Delay::Instantaneous,
         enabled: Box::new(|m| m[APP_BLOCK.0] > 0 && m[SIFT_OKAY.0] > 0),
         fire: Box::new(|m| {
@@ -91,7 +89,6 @@ pub fn build(params: &ReeModelParams) -> San {
     // ("once the SIFT process receives a request, it is able to send a
     // reply without failing" — the model's simplification).
     san.add_activity(Activity {
-        name: "interface_returns",
         delay: Delay::Instantaneous,
         enabled: Box::new(|m| m[APP_INTERFACE.0] > 0),
         fire: Box::new(|m| {
@@ -102,7 +99,6 @@ pub fn build(params: &ReeModelParams) -> San {
     // app_block --app_timeout--> app_fail (only while the SIFT process
     // is down; otherwise the instantaneous activity wins).
     san.add_activity(Activity {
-        name: "app_timeout",
         delay: Delay::Deterministic(p.app_timeout),
         enabled: Box::new(|m| m[APP_BLOCK.0] > 0 && m[SIFT_OKAY.0] == 0),
         fire: Box::new(|m| {
@@ -112,7 +108,6 @@ pub fn build(params: &ReeModelParams) -> San {
     });
     // sift_okay --lambda--> sift_fail
     san.add_activity(Activity {
-        name: "sift_lambda",
         delay: Delay::Exponential(p.sift_failure_rate),
         enabled: Box::new(|m| m[SIFT_OKAY.0] > 0),
         fire: Box::new(|m| {
@@ -122,7 +117,6 @@ pub fn build(params: &ReeModelParams) -> San {
     });
     // sift_fail --mu--> sift_okay
     san.add_activity(Activity {
-        name: "sift_mu",
         delay: Delay::Exponential(p.sift_recovery_rate),
         enabled: Box::new(|m| m[SIFT_FAIL.0] > 0),
         fire: Box::new(|m| {
@@ -134,7 +128,6 @@ pub fn build(params: &ReeModelParams) -> San {
     // recovery is conditioned on the SIFT process being in the
     // non-failed state".
     san.add_activity(Activity {
-        name: "app_rho",
         delay: Delay::Exponential(p.app_recovery_rate),
         enabled: Box::new(|m| m[APP_FAIL.0] > 0 && m[SIFT_OKAY.0] > 0),
         fire: Box::new(|m| {

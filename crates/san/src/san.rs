@@ -11,11 +11,11 @@ use ree_sim::SimRng;
 
 /// Index of a place in the network.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Place(pub usize);
+pub(crate) struct Place(pub usize);
 
 /// Firing-delay distribution of an activity.
 #[derive(Clone, Debug)]
-pub enum Delay {
+pub(crate) enum Delay {
     /// Exponential with the given rate (events per unit time).
     Exponential(f64),
     /// Fixed delay.
@@ -26,15 +26,13 @@ pub enum Delay {
 }
 
 /// Enabling predicate over a marking (an input gate).
-pub type GatePredicate = Box<dyn Fn(&[u64]) -> bool>;
+type GatePredicate = Box<dyn Fn(&[u64]) -> bool>;
 
 /// Marking transformation applied on firing (an output gate).
-pub type GateEffect = Box<dyn Fn(&mut [u64])>;
+type GateEffect = Box<dyn Fn(&mut [u64])>;
 
 /// One activity: enabling condition + marking transformation + delay.
-pub struct Activity {
-    /// Display name (for traces and tests).
-    pub name: &'static str,
+pub(crate) struct Activity {
     /// Firing-delay distribution.
     pub delay: Delay,
     /// Enabling predicate over the marking (the input gate).
@@ -44,7 +42,7 @@ pub struct Activity {
 }
 
 /// A stochastic activity network: places (with a marking) + activities.
-pub struct San {
+pub(crate) struct San {
     marking: Vec<u64>,
     activities: Vec<Activity>,
     time: f64,
@@ -52,29 +50,14 @@ pub struct San {
 
 impl San {
     /// Creates a network with the given initial marking.
-    pub fn new(initial_marking: Vec<u64>) -> Self {
+    pub(crate) fn new(initial_marking: Vec<u64>) -> Self {
         San { marking: initial_marking, activities: Vec::new(), time: 0.0 }
     }
 
     /// Adds an activity; returns its index.
-    pub fn add_activity(&mut self, activity: Activity) -> usize {
+    pub(crate) fn add_activity(&mut self, activity: Activity) -> usize {
         self.activities.push(activity);
         self.activities.len() - 1
-    }
-
-    /// Current marking.
-    pub fn marking(&self) -> &[u64] {
-        &self.marking
-    }
-
-    /// Tokens in one place.
-    pub fn tokens(&self, place: Place) -> u64 {
-        self.marking[place.0]
-    }
-
-    /// Current model time.
-    pub fn time(&self) -> f64 {
-        self.time
     }
 
     /// Advances the model by firing the next activity. Returns the index
@@ -84,7 +67,7 @@ impl San {
     /// Instantaneous activities take priority; among several enabled
     /// timed activities the winner is the one sampling the smallest
     /// delay (race semantics).
-    pub fn step(&mut self, rng: &mut SimRng) -> Option<usize> {
+    fn step(&mut self, rng: &mut SimRng) -> Option<usize> {
         // Instantaneous first.
         for (i, act) in self.activities.iter().enumerate() {
             if matches!(act.delay, Delay::Instantaneous) && (act.enabled)(&self.marking) {
@@ -122,7 +105,7 @@ impl San {
     /// Runs until `horizon` model time, accumulating the total time each
     /// place was non-empty. Returns per-place occupancy fractions and the
     /// per-activity firing counts.
-    pub fn solve(&mut self, rng: &mut SimRng, horizon: f64) -> (Vec<f64>, Vec<u64>) {
+    pub(crate) fn solve(&mut self, rng: &mut SimRng, horizon: f64) -> (Vec<f64>, Vec<u64>) {
         let places = self.marking.len();
         let mut occupied = vec![0.0; places];
         let mut firings = vec![0u64; self.activities.len()];
@@ -170,7 +153,6 @@ mod tests {
         // Single-server queue with capacity 1: place 0 = idle, 1 = busy.
         let mut san = San::new(vec![1, 0]);
         san.add_activity(Activity {
-            name: "arrive",
             delay: Delay::Exponential(lambda),
             enabled: Box::new(|m| m[0] > 0),
             fire: Box::new(|m| {
@@ -179,7 +161,6 @@ mod tests {
             }),
         });
         san.add_activity(Activity {
-            name: "serve",
             delay: Delay::Exponential(mu),
             enabled: Box::new(|m| m[1] > 0),
             fire: Box::new(|m| {
@@ -206,13 +187,11 @@ mod tests {
     fn instantaneous_fires_before_timed() {
         let mut san = San::new(vec![1, 0]);
         san.add_activity(Activity {
-            name: "slow",
             delay: Delay::Exponential(0.001),
             enabled: Box::new(|m| m[0] > 0),
             fire: Box::new(|m| m[0] -= 1),
         });
         san.add_activity(Activity {
-            name: "now",
             delay: Delay::Instantaneous,
             enabled: Box::new(|m| m[0] > 0),
             fire: Box::new(|m| {
@@ -222,16 +201,15 @@ mod tests {
         });
         let mut rng = SimRng::new(1);
         let fired = san.step(&mut rng).unwrap();
-        assert_eq!(san.tokens(Place(1)), 1);
+        assert_eq!(san.marking[1], 1);
         assert_eq!(fired, 1, "instantaneous activity must win");
-        assert_eq!(san.time(), 0.0, "instantaneous firing consumes no time");
+        assert_eq!(san.time, 0.0, "instantaneous firing consumes no time");
     }
 
     #[test]
     fn absorbing_marking_stops() {
         let mut san = San::new(vec![0]);
         san.add_activity(Activity {
-            name: "never",
             delay: Delay::Exponential(1.0),
             enabled: Box::new(|m| m[0] > 0),
             fire: Box::new(|_| {}),
@@ -244,13 +222,12 @@ mod tests {
     fn deterministic_delay_advances_time_exactly() {
         let mut san = San::new(vec![1]);
         san.add_activity(Activity {
-            name: "tick",
             delay: Delay::Deterministic(2.5),
             enabled: Box::new(|m| m[0] > 0),
             fire: Box::new(|m| m[0] -= 1),
         });
         let mut rng = SimRng::new(1);
         san.step(&mut rng);
-        assert!((san.time() - 2.5).abs() < 1e-12);
+        assert!((san.time - 2.5).abs() < 1e-12);
     }
 }

@@ -1,8 +1,8 @@
 //! # ree-sim — deterministic discrete-event simulation kernel
 //!
 //! Foundation of the REE SIFT reproduction (Whisnant et al., CRHC-02-02):
-//! virtual time, a deterministic future-event list, and seedable random
-//! streams.
+//! virtual time, a deterministic future-event list, seedable random
+//! streams, and the one fixed hash ([`Fnv64`]) every digest folds through.
 //!
 //! All higher layers (the simulated cluster OS, the ARMOR runtime, the
 //! fault-injection campaigns, the SAN solver) are built on these types.
@@ -33,11 +33,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
+mod fnv;
 mod queue;
 mod rng;
 mod time;
 
+pub use fnv::Fnv64;
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

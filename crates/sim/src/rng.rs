@@ -187,19 +187,21 @@ impl SimRng {
         }
         weights.len() - 1
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
-            slice.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimRng {
+        /// Fisher–Yates shuffle of a slice.
+        fn shuffle<T>(&mut self, slice: &mut [T]) {
+            for i in (1..slice.len()).rev() {
+                let j = self.index(i + 1);
+                slice.swap(i, j);
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

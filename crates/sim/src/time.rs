@@ -36,8 +36,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The origin of virtual time.
     pub const ZERO: SimTime = SimTime(0);
-    /// The greatest representable instant; used as an "infinite" horizon.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Builds an instant from raw microseconds.
     pub const fn from_micros(us: u64) -> Self {
@@ -55,7 +53,7 @@ impl SimTime {
     }
 
     /// The instant expressed in fractional seconds (for reporting).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
@@ -69,8 +67,6 @@ impl SimTime {
 impl SimDuration {
     /// The empty duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The longest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Builds a duration from raw microseconds.
     pub const fn from_micros(us: u64) -> Self {
@@ -110,11 +106,6 @@ impl SimDuration {
     /// True if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Scales the duration by a non-negative factor, rounding to the

@@ -9,12 +9,13 @@
 //! Adaptive confidence-targeted campaigns additionally need interval
 //! math on *proportions* (recovery rate, failure rate): [`Proportion`]
 //! carries Wilson score intervals ([`Proportion::wilson`]), built on
-//! the normal quantile [`z_quantile`], and [`Summary::merge`] combines
+//! the normal quantile `z_quantile`, and [`Summary::merge`] combines
 //! two streaming summaries so aggregates can be accumulated batch-wise
 //! or across shards.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod proportion;
 mod shard;
@@ -24,6 +25,5 @@ mod table;
 
 pub use proportion::Proportion;
 pub use shard::{ShardLedger, ShardStats};
-pub use special::{inc_beta, ln_gamma, normal_cdf, t_cdf, t_quantile, z_quantile};
 pub use summary::{no_failure_upper_bound, Summary};
-pub use table::{format_pm, TableBuilder};
+pub use table::TableBuilder;

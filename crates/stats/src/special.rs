@@ -8,7 +8,7 @@
 /// # Panics
 ///
 /// Panics if `x <= 0`.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires a positive argument");
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -41,7 +41,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `x` is outside `[0, 1]` or `a`/`b` are not positive.
-pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
+fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!((0.0..=1.0).contains(&x), "x must be in [0,1]");
     assert!(a > 0.0 && b > 0.0, "a and b must be positive");
     if x == 0.0 {
@@ -113,7 +113,7 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `dof` is not positive.
-pub fn t_cdf(t: f64, dof: f64) -> f64 {
+fn t_cdf(t: f64, dof: f64) -> f64 {
     assert!(dof > 0.0, "degrees of freedom must be positive");
     let x = dof / (dof + t * t);
     let p = 0.5 * inc_beta(dof / 2.0, 0.5, x);
@@ -131,7 +131,7 @@ pub fn t_cdf(t: f64, dof: f64) -> f64 {
 ///
 /// Panics if `p` is not strictly between 0 and 1 or `dof` is not
 /// positive.
-pub fn t_quantile(p: f64, dof: f64) -> f64 {
+pub(crate) fn t_quantile(p: f64, dof: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "p must be in (0,1)");
     assert!(dof > 0.0, "degrees of freedom must be positive");
     if (p - 0.5).abs() < 1e-15 {
@@ -161,7 +161,7 @@ pub fn t_quantile(p: f64, dof: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `p` is not strictly between 0 and 1.
-pub fn z_quantile(p: f64) -> f64 {
+pub(crate) fn z_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "p must be in (0,1)");
     // Acklam's coefficients.
     const A: [f64; 6] = [
@@ -216,7 +216,7 @@ pub fn z_quantile(p: f64) -> f64 {
 
 /// CDF of the standard normal distribution (via [`inc_beta`]-free
 /// complementary-error-function series/continued-fraction split).
-pub fn normal_cdf(x: f64) -> f64 {
+fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 

@@ -1,11 +1,6 @@
 //! ASCII table rendering for the reproduction reports (the `repro`
 //! binary prints rows shaped like the paper's tables).
 
-/// Formats `mean ± ci` with fixed precision.
-pub fn format_pm(mean: f64, ci: f64) -> String {
-    format!("{mean:.2} ± {ci:.2}")
-}
-
 /// A simple fixed-column ASCII table builder.
 ///
 /// # Examples
@@ -47,16 +42,6 @@ impl TableBuilder {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let cols = self.headers.len();
@@ -96,6 +81,18 @@ impl TableBuilder {
 mod tests {
     use super::*;
 
+    impl TableBuilder {
+        /// Number of data rows.
+        fn len(&self) -> usize {
+            self.rows.len()
+        }
+
+        /// True if the table has no data rows.
+        fn is_empty(&self) -> bool {
+            self.rows.is_empty()
+        }
+    }
+
     #[test]
     fn renders_aligned_columns() {
         let mut t = TableBuilder::new(vec!["A", "LONG-HEADER"]).with_title("Table X");
@@ -109,6 +106,11 @@ mod tests {
         assert_eq!(lines[2].len(), lines[3].len());
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+    }
+
+    /// Formats `mean ± ci` with fixed precision.
+    fn format_pm(mean: f64, ci: f64) -> String {
+        format!("{mean:.2} ± {ci:.2}")
     }
 
     #[test]
