@@ -67,6 +67,6 @@ pub mod verify;
 pub use kind::AppKind;
 pub use otis::OtisParams;
 pub use pipeline::PipelineParams;
-pub use testbed::{run_without_sift, BootSnapshot, Running, Scenario};
+pub use testbed::{all_done_memo, run_without_sift, BootSnapshot, Running, Scenario};
 pub use texture::TextureParams;
 pub use verify::Verdict;

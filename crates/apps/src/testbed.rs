@@ -268,8 +268,13 @@ impl std::fmt::Debug for BootSnapshot {
 /// content [`version`](ree_os::RemoteFs::version) has moved — a u64
 /// compare per event instead of a path lookup. The probed value can
 /// only change when the table mutates, so the answer sequence is
-/// identical to probing every event.
-fn all_done_memo() -> impl FnMut(&Cluster) -> bool {
+/// identical to [`Running::all_done`] on every event.
+///
+/// One memo serves one linear history of one cluster: two forks of a
+/// cluster continue the same version counter, so after diverging they
+/// can hold different tables at equal versions. Whoever forks (the
+/// model checker does, at every branch) gives each fork its own memo.
+pub fn all_done_memo() -> impl FnMut(&Cluster) -> bool {
     let mut seen = u64::MAX;
     let mut done = false;
     move |c: &Cluster| {

@@ -3,11 +3,11 @@
 
 use crate::hash::state_digest;
 use ree_apps::verify::Verdict;
-use ree_apps::Running;
+use ree_apps::{all_done_memo, Running};
 use ree_inject::{
     activation_instants, candidate_targets, conclude_run, FailureClass, RunPlan, SystemFailure,
 };
-use ree_os::Pid;
+use ree_os::{Cluster, Pid};
 use ree_sim::{EventHandle, SimTime};
 use std::collections::HashSet;
 
@@ -190,8 +190,13 @@ pub fn model_check(plan: &RunPlan, seed: u64, bounds: &McBounds) -> McReport {
         seen: HashSet::new(),
         report: McReport { instants: instants.clone(), ..McReport::default() },
     };
+    // One base, advanced through the strictly increasing grid: firing
+    // every event up to `a` and then every event up to `b` fires exactly
+    // the events a fresh fork run to `b` fires, so each instant's roots
+    // are cloned from the state `replay` re-derives, without simulating
+    // the boot-to-instant prefix once per instant.
+    let mut base = snapshot.fork(seed);
     for &instant in &instants {
-        let mut base = snapshot.fork(seed);
         base.run_until(instant);
         if base.all_done() || base.cluster.now() >= plan.timeout {
             continue;
@@ -224,8 +229,9 @@ pub fn replay(plan: &RunPlan, cex: &Counterexample, bounds: &McBounds) -> ree_in
     // `depth` doubles as the index of the next recorded choice: both
     // advance once per branch node.
     let mut depth = 0usize;
+    let mut done = all_done_memo();
     loop {
-        match next_step(&running, plan.timeout, bounds, depth) {
+        match next_step(&running, &mut done, plan.timeout, bounds, depth) {
             Next::Terminal => break,
             Next::Discard(h) => {
                 running.cluster.discard_event(h);
@@ -233,10 +239,11 @@ pub fn replay(plan: &RunPlan, cex: &Counterexample, bounds: &McBounds) -> ree_in
             Next::Forced => {
                 running.cluster.step();
             }
-            Next::Branch(choices) => {
-                let i = cex.schedule.get(depth).copied().unwrap_or(0).min(choices.len() - 1);
+            Next::Branch(ready) => {
+                let i = cex.schedule.get(depth).copied().unwrap_or(0).min(ready - 1);
                 depth += 1;
-                running.cluster.step_with(choices[i]).expect("ready choice fires");
+                let h = running.cluster.step_choices()[i];
+                running.cluster.step_with(h).expect("ready choice fires");
             }
         }
     }
@@ -255,29 +262,43 @@ enum Next {
     /// One admissible order, or a ready set outside the bounds: the
     /// default `(time, seq)` step.
     Forced,
-    /// A branch node: the admissible same-instant orders, default first.
-    Branch(Vec<EventHandle>),
+    /// A branch node with this many admissible same-instant orders:
+    /// [`ree_os::Cluster::step_choices`] names them, default first.
+    Branch(usize),
 }
 
-fn next_step(running: &Running, timeout: SimTime, bounds: &McBounds, depth: usize) -> Next {
-    if running.all_done() {
+/// Called once per stepped event, so it allocates nothing unless the
+/// planted bug needs the ready handles: completion is `done`, a memo
+/// from [`all_done_memo`] owned by the caller's linear history, and the
+/// ready set is only counted.
+fn next_step(
+    running: &Running,
+    done: &mut impl FnMut(&Cluster) -> bool,
+    timeout: SimTime,
+    bounds: &McBounds,
+    depth: usize,
+) -> Next {
+    if done(&running.cluster) {
         return Next::Terminal;
     }
     match running.cluster.next_event_time() {
         Some(next) if next <= timeout => {}
         _ => return Next::Terminal,
     }
-    let choices = running.cluster.step_choices();
-    if bounds.plant {
+    let ready = if bounds.plant {
         // First ready event (in default order) that is a process-start
         // wake-up.
+        let choices = running.cluster.step_choices();
         let start = choices.iter().find(|&&h| running.cluster.event_label(h) == Some("start"));
         if let Some(&h) = start {
             return Next::Discard(h);
         }
-    }
-    if choices.len() >= 2 && choices.len() <= bounds.max_ready && depth < bounds.max_depth {
-        Next::Branch(choices)
+        choices.len()
+    } else {
+        running.cluster.step_choice_count()
+    };
+    if ready >= 2 && ready <= bounds.max_ready && depth < bounds.max_depth {
+        Next::Branch(ready)
     } else {
         Next::Forced
     }
@@ -304,8 +325,11 @@ impl Explorer<'_> {
         mut depth: usize,
         mut schedule: Vec<usize>,
     ) {
+        // `running` is a fork: it needs a memo of its own.
+        let mut done = all_done_memo();
         loop {
-            let choices = match next_step(&running, self.plan.timeout, &self.bounds, depth) {
+            let ready = match next_step(&running, &mut done, self.plan.timeout, &self.bounds, depth)
+            {
                 Next::Terminal => {
                     return self.terminal(running, instant, target, target_name, schedule);
                 }
@@ -318,7 +342,7 @@ impl Explorer<'_> {
                     running.cluster.step();
                     continue;
                 }
-                Next::Branch(choices) => choices,
+                Next::Branch(ready) => ready,
             };
             // Branch node. Prune if an identical canonical state was
             // already expanded — its subtree is this subtree.
@@ -328,7 +352,7 @@ impl Explorer<'_> {
             }
             self.report.branch_nodes += 1;
             self.report.deepest = self.report.deepest.max(depth + 1);
-            for i in 1..choices.len() {
+            for i in 1..ready {
                 if self.report.forks >= self.bounds.max_branches {
                     self.report.budget_exhausted = true;
                     break;
@@ -344,10 +368,11 @@ impl Explorer<'_> {
                 s.push(i);
                 self.explore(fork, instant, target, target_name, depth + 1, s);
             }
-            // The default order continues in place, without a clone.
+            // The default order continues in place, without a clone:
+            // choice 0 is the `(time, seq)` minimum `step` fires.
             schedule.push(0);
             depth += 1;
-            running.cluster.step_with(choices[0]).expect("ready choice fires");
+            running.cluster.step();
         }
     }
 

@@ -529,6 +529,12 @@ impl Cluster {
         self.queue.ready_handles()
     }
 
+    /// `step_choices().len()` without allocating: the size of the ready
+    /// set, which a model checker reads on every event it steps.
+    pub fn step_choice_count(&self) -> usize {
+        self.queue.ready_count()
+    }
+
     /// Executes the specific pending event addressed by `handle`, which
     /// must be one of the current [`Cluster::step_choices`]. Handles for
     /// later instants (which would break causality), stale handles, and
@@ -650,9 +656,9 @@ impl Cluster {
         for node in &self.nodes {
             node.alive.hash(h);
             node.ramdisk.used().hash(h);
-            for path in node.ramdisk.paths() {
+            for (path, data) in node.ramdisk.entries() {
                 path.hash(h);
-                node.ramdisk.read(path).hash(h);
+                data.hash(h);
             }
         }
         // Remote FS: contents plus the version/read/write counters the
@@ -660,9 +666,9 @@ impl Cluster {
         self.remote_fs.version().hash(h);
         self.remote_fs.reads().hash(h);
         self.remote_fs.writes().hash(h);
-        for path in self.remote_fs.paths() {
+        for (path, data) in self.remote_fs.entries() {
             path.hash(h);
-            self.remote_fs.peek(path).hash(h);
+            data.hash(h);
         }
         // Process table, ascending pid (deterministic already).
         let pids = self.procs.all_pids();

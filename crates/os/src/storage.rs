@@ -59,8 +59,9 @@ impl FileMap {
         self.idx(path).ok().map(|i| self.entries.remove(i).1)
     }
 
-    fn paths(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(p, _)| p.as_ref())
+    /// Every `(path, contents)` pair in sorted path order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &[u8])> {
+        self.entries.iter().map(|(p, d)| (p.as_ref(), d.as_slice()))
     }
 }
 
@@ -210,7 +211,13 @@ impl RamDisk {
 
     /// Iterates over stored paths in sorted order.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.files.paths()
+        self.files.iter().map(|(p, _)| p)
+    }
+
+    /// Iterates over `(path, contents)` in sorted path order — one pass
+    /// where `paths()` plus a `read` per path would binary-search each.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, &[u8])> {
+        self.files.iter()
     }
 }
 
@@ -281,7 +288,13 @@ impl RemoteFs {
 
     /// Iterates over stored paths in sorted order.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.files.paths()
+        self.files.iter().map(|(p, _)| p)
+    }
+
+    /// Iterates over `(path, contents)` in sorted path order, without
+    /// bumping the read counter (as [`RemoteFs::peek`]).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, &[u8])> {
+        self.files.iter()
     }
 }
 

@@ -253,8 +253,10 @@ fn step_with_the_middle_of_three_leaves_the_others_in_scheduling_order() {
     let due = SimTime::from_millis_helper(1150);
     let choices = c.step_choices();
     assert_eq!(choices.len(), 3);
+    assert_eq!(c.step_choice_count(), 3);
     assert_eq!(c.step_with(choices[1]), Some(due));
     assert_eq!(c.step_choices(), [choices[0], choices[2]]);
+    assert_eq!(c.step_choice_count(), 2);
     assert_eq!(c.step_with(choices[1]), None, "a fired handle is stale");
     assert_eq!(c.step(), Some(due));
     assert_eq!(c.step(), Some(due));

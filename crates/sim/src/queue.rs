@@ -29,10 +29,16 @@
 //! | `pop`                      | 3 (`step`, `run_until`, `…_pred`)      | every event           |
 //! | `peek_time`                | 4                                      | every event           |
 //! | `iter_pending`             | 1 (`write_state_digest`)               | model checker         |
-//! | `ready_handles`            | 1 (`step_choices`)                     | model checker         |
+//! | `ready_count`              | 1 (`step_choice_count`)                | model checker, every explored event |
+//! | `ready_handles`            | 1 (`step_choices`)                     | model checker, at branch nodes (every event under `plant`) |
 //! | `time_of`, `get`, `pop_at` | 4 (`step_with`, `event_label`, `discard_event`) | model checker, on handles fresh from `ready_handles` |
 //! | `len`                      | 2 (`write_state_digest`, `pending_events`) | model checker, `event_census` example |
 //! | `cancel`                   | 0                                      | nobody                |
+//!
+//! The explorer reads the ready-set size once per event it steps, so
+//! that count allocates nothing; the handles themselves are collected
+//! only where it branches (or, with the planted bug on, where it looks
+//! for a wake-up to drop).
 //!
 //! Timers are cancelled lazily: `ProcCtx::cancel_timer` drops the id from
 //! its owner's live set and dispatch discards a fired timer that is not
@@ -220,6 +226,13 @@ impl<E> EventQueue<E> {
     pub fn ready_handles(&self) -> Vec<EventHandle> {
         let Some(t) = self.peek_time() else { return Vec::new() };
         self.pending.iter().rev().take_while(|e| e.time == t).map(|e| self.handle(e)).collect()
+    }
+
+    /// `ready_handles().len()` without collecting the handles: how many
+    /// events are scheduled for the earliest pending instant.
+    pub fn ready_count(&self) -> usize {
+        let Some(t) = self.peek_time() else { return 0 };
+        self.pending.iter().rev().take_while(|e| e.time == t).count()
     }
 
     /// Iterates over every pending event as `(time, seq, event)`, in
@@ -458,6 +471,7 @@ mod tests {
         let h1 = q.schedule(t, 1);
         let h2 = q.schedule(t, 2);
         assert_eq!(q.ready_handles(), vec![h0, h1, h2]);
+        assert_eq!(q.ready_count(), 3);
         // Cancelling the seq-minimum re-elects the next in seq order.
         assert!(q.cancel(h0));
         assert_eq!(q.ready_handles(), vec![h1, h2]);
@@ -466,8 +480,10 @@ mod tests {
         assert_eq!(q.ready_handles(), vec![h1]);
         assert_eq!(q.pop().unwrap().2, 1);
         assert_eq!(q.ready_handles().len(), 1, "later instant becomes ready");
+        assert_eq!(q.ready_count(), 1);
         assert_eq!(q.pop().unwrap().2, 99);
         assert!(q.ready_handles().is_empty());
+        assert_eq!(q.ready_count(), 0);
     }
 
     #[test]

@@ -163,6 +163,7 @@ impl Pair {
             .collect();
         let want: Vec<_> = self.ready().iter().map(|e| (Some(micros(e.0)), Some(e.2))).collect();
         assert_eq!(ready, want, "ready_handles");
+        assert_eq!(self.q.ready_count(), want.len(), "ready_count");
     }
 
     /// A handle minted by another queue addresses nothing here.
