@@ -17,9 +17,11 @@
 //! 2. **Commit happens on every message transmission**, keeping the
 //!    global checkpoint set consistent so a single process rolls back.
 
-use crate::wire::{decode_fields, encode_fields_into, take_run, take_string, DecodeError};
+use crate::wire::{
+    decode_fields, encode_fields_into, put_run, take_run, take_string, take_u32, DecodeError,
+};
 use crate::Fields;
-use bytes::{Buf, BytesMut};
+use ree_sim::Sink;
 use std::sync::Arc;
 
 /// The in-process checkpoint buffer: one disjoint region per element,
@@ -62,7 +64,7 @@ pub struct CheckpointBuffer {
     /// invalidating every cached offset.
     needs_rebuild: bool,
     /// Reusable per-update encode scratch.
-    scratch: BytesMut,
+    scratch: Vec<u8>,
     updates: u64,
     clean_updates: u64,
     commits: u64,
@@ -84,7 +86,7 @@ impl CheckpointBuffer {
     /// Creates a buffer with one region per element name, seeded from the
     /// provided initial states.
     pub fn new<'a>(elements: impl IntoIterator<Item = (&'a str, &'a Fields)>) -> Self {
-        let mut scratch = BytesMut::with_capacity(256);
+        let mut scratch = Vec::with_capacity(256);
         let regions: Vec<Region> = elements
             .into_iter()
             .map(|(name, state)| {
@@ -215,13 +217,12 @@ impl CheckpointBuffer {
         let mut buf = Arc::try_unwrap(std::mem::take(&mut self.assembled)).unwrap_or_default();
         buf.clear();
         buf.reserve(total);
-        buf.extend_from_slice(&(self.regions.len() as u32).to_be_bytes());
+        buf.put_u32(self.regions.len() as u32);
         for region in &mut self.regions {
-            buf.extend_from_slice(&(region.element.len() as u32).to_be_bytes());
-            buf.extend_from_slice(region.element.as_bytes());
-            buf.extend_from_slice(&(region.image.len() as u32).to_be_bytes());
+            put_run(&mut buf, region.element.as_bytes());
+            buf.put_u32(region.image.len() as u32);
             region.offset = buf.len();
-            buf.extend_from_slice(&region.image);
+            buf.put_bytes(&region.image);
             region.dirty = false;
         }
         self.assembled = Arc::new(buf);
@@ -236,10 +237,7 @@ impl CheckpointBuffer {
     /// treats this as "no usable checkpoint" and cold-starts.
     pub fn decode(image: &[u8]) -> Result<Vec<(String, Fields)>, DecodeError> {
         let mut buf = image;
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let n = buf.get_u32() as usize;
+        let n = take_u32(&mut buf)? as usize;
         let mut out = Vec::with_capacity(n.min(256));
         for _ in 0..n {
             let name = take_string(&mut buf)?;
@@ -456,6 +454,58 @@ mod tests {
         assert_eq!((buf.updates(), buf.clean_updates()), (3, 2));
         assert!(!state.is_dirty());
         assert_eq!(CheckpointBuffer::decode(&buf.encode()).unwrap()[0].1.u64("v"), Some(2));
+    }
+
+    /// A RAM-disk image may be corrupted or cut short, and restoring it
+    /// must fail detectably, never panic: every truncation and every
+    /// single-byte replacement of a multi-region image holding every
+    /// `Value` variant decodes to `Ok` or `Err`, through the buffer's
+    /// decoder and through `decode_fields` (as dist's
+    /// `single_byte_mutations_never_panic` does for frames).
+    #[test]
+    fn truncated_or_mutated_images_never_panic_the_decoders() {
+        use crate::wire::decode_fields;
+        use std::collections::BTreeMap;
+        let mut every = Fields::new();
+        every.set("flag", Value::Bool(true));
+        every.set("count", Value::U64(42));
+        every.set("delta", Value::I64(-7));
+        every.set("temp", Value::F64(271.35));
+        every.set("host", Value::Str("node2".into()));
+        every.set("link", Value::Ptr(0xbeef));
+        let inner = BTreeMap::from([("deep".to_owned(), Value::List(vec![Value::F64(-0.5)]))]);
+        every.set("list", Value::List(vec![Value::U64(1), Value::Map(inner.clone())]));
+        every.set("map", Value::Map(BTreeMap::from([("nested".to_owned(), Value::Map(inner))])));
+        let small = fields(3);
+        let empty = Fields::new();
+        let image =
+            CheckpointBuffer::new([("every", &every), ("small", &small), ("empty", &empty)])
+                .encode()
+                .to_vec();
+        assert_eq!(CheckpointBuffer::decode(&image).unwrap()[0].1, every);
+
+        let panics = |bytes: &[u8]| {
+            std::panic::catch_unwind(|| {
+                (CheckpointBuffer::decode(bytes).map(drop), decode_fields(bytes).map(drop))
+            })
+            .is_err()
+        };
+        let mut panicked = Vec::new();
+        for cut in 0..image.len() {
+            if panics(&image[..cut]) {
+                panicked.push(format!("cut at {cut}"));
+            }
+        }
+        for at in 0..image.len() {
+            for value in [0x00, 0x7F, 0xFF] {
+                let mut bytes = image.clone();
+                bytes[at] = value;
+                if panics(&bytes) {
+                    panicked.push(format!("byte {at} = {value:#04x}"));
+                }
+            }
+        }
+        assert!(panicked.is_empty(), "{} inputs panicked: {panicked:?}", panicked.len());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! paper's checkpoint-corruption system failures (§6.1).
 
 use crate::value::{Fields, Value};
-use bytes::{Buf, BufMut, BytesMut};
+use ree_sim::Sink;
 
 const TAG_BOOL: u8 = 1;
 const TAG_U64: u8 = 2;
@@ -47,7 +47,7 @@ impl std::error::Error for DecodeError {}
 
 const MAX_DEPTH: usize = 32;
 
-fn encode_value(value: &Value, buf: &mut BytesMut) {
+fn encode_value<S: Sink + ?Sized>(value: &Value, buf: &mut S) {
     match value {
         Value::Bool(b) => {
             buf.put_u8(TAG_BOOL);
@@ -59,7 +59,7 @@ fn encode_value(value: &Value, buf: &mut BytesMut) {
         }
         Value::I64(v) => {
             buf.put_u8(TAG_I64);
-            buf.put_i64(*v);
+            buf.put_u64(*v as u64);
         }
         Value::F64(v) => {
             buf.put_u8(TAG_F64);
@@ -67,8 +67,7 @@ fn encode_value(value: &Value, buf: &mut BytesMut) {
         }
         Value::Str(s) => {
             buf.put_u8(TAG_STR);
-            buf.put_u32(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            put_run(buf, s.as_bytes());
         }
         Value::Ptr(v) => {
             buf.put_u8(TAG_PTR);
@@ -85,25 +84,35 @@ fn encode_value(value: &Value, buf: &mut BytesMut) {
             buf.put_u8(TAG_MAP);
             buf.put_u32(map.len() as u32);
             for (k, v) in map {
-                buf.put_u32(k.len() as u32);
-                buf.put_slice(k.as_bytes());
+                put_run(buf, k.as_bytes());
                 encode_value(v, buf);
             }
         }
     }
 }
 
+/// Writes a byte run behind its `u32` length.
+pub(crate) fn put_run<S: Sink + ?Sized>(buf: &mut S, run: &[u8]) {
+    buf.put_u32(run.len() as u32);
+    buf.put_bytes(run);
+}
+
+/// Takes `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+pub(crate) fn take_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
+    take(buf).map(u32::from_be_bytes)
+}
+
 /// Takes a length-prefixed byte run off the front of `buf` (borrowed
 /// from the image, not copied).
 pub(crate) fn take_run<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let (run, rest) = buf.split_at(len);
+    let len = take_u32(buf)? as usize;
+    let (run, rest) = buf.split_at_checked(len).ok_or(DecodeError::Truncated)?;
     *buf = rest;
     Ok(run)
 }
@@ -117,47 +126,16 @@ fn decode_value(buf: &mut &[u8], depth: usize) -> Result<Value, DecodeError> {
     if depth > MAX_DEPTH {
         return Err(DecodeError::TooDeep);
     }
-    if buf.remaining() < 1 {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
+    let [tag] = take(buf)?;
     match tag {
-        TAG_BOOL => {
-            if buf.remaining() < 1 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        TAG_U64 => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::U64(buf.get_u64()))
-        }
-        TAG_I64 => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::I64(buf.get_i64()))
-        }
-        TAG_F64 => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::F64(f64::from_bits(buf.get_u64())))
-        }
+        TAG_BOOL => take(buf).map(|[b]| Value::Bool(b != 0)),
+        TAG_U64 => take(buf).map(|b| Value::U64(u64::from_be_bytes(b))),
+        TAG_I64 => take(buf).map(|b| Value::I64(i64::from_be_bytes(b))),
+        TAG_F64 => take(buf).map(|b| Value::F64(f64::from_be_bytes(b))),
         TAG_STR => Ok(Value::Str(take_string(buf)?)),
-        TAG_PTR => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::Ptr(buf.get_u64()))
-        }
+        TAG_PTR => take(buf).map(|b| Value::Ptr(u64::from_be_bytes(b))),
         TAG_LIST => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let n = buf.get_u32() as usize;
+            let n = take_u32(buf)? as usize;
             let mut items = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 items.push(decode_value(buf, depth + 1)?);
@@ -165,10 +143,7 @@ fn decode_value(buf: &mut &[u8], depth: usize) -> Result<Value, DecodeError> {
             Ok(Value::List(items))
         }
         TAG_MAP => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let n = buf.get_u32() as usize;
+            let n = take_u32(buf)? as usize;
             let mut map = std::collections::BTreeMap::new();
             for _ in 0..n {
                 let k = take_string(buf)?;
@@ -183,18 +158,17 @@ fn decode_value(buf: &mut &[u8], depth: usize) -> Result<Value, DecodeError> {
 
 /// Serialises element state to a checkpoint image.
 pub fn encode_fields(fields: &Fields) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(256);
+    let mut buf = Vec::with_capacity(256);
     encode_fields_into(fields, &mut buf);
-    buf.to_vec()
+    buf
 }
 
-/// [`encode_fields`] into a caller-held buffer (appended), so per-event
-/// microcheckpoint updates can reuse one scratch allocation.
-pub(crate) fn encode_fields_into(fields: &Fields, buf: &mut BytesMut) {
+/// [`encode_fields`] appended to any [`Sink`]: the reused per-event
+/// microcheckpoint scratch, or a digest.
+pub(crate) fn encode_fields_into<S: Sink + ?Sized>(fields: &Fields, buf: &mut S) {
     buf.put_u32(fields.len() as u32);
     for (name, value) in fields.iter() {
-        buf.put_u32(name.len() as u32);
-        buf.put_slice(name.as_bytes());
+        put_run(buf, name.as_bytes());
         encode_value(value, buf);
     }
 }
@@ -207,10 +181,7 @@ pub(crate) fn encode_fields_into(fields: &Fields, buf: &mut BytesMut) {
 /// images; callers treat that as an unusable checkpoint (cold start).
 pub fn decode_fields(bytes: &[u8]) -> Result<Fields, DecodeError> {
     let mut buf = bytes;
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let n = buf.get_u32() as usize;
+    let n = take_u32(&mut buf)? as usize;
     let mut fields = Fields::new();
     for _ in 0..n {
         let name = take_string(&mut buf)?;
@@ -249,6 +220,14 @@ mod tests {
         let bytes = encode_fields(&f);
         let back = decode_fields(&bytes).unwrap();
         assert_eq!(f, back);
+    }
+
+    #[test]
+    fn the_encoder_writes_the_same_bytes_through_a_trait_object() {
+        let f = sample();
+        let mut bytes = Vec::new();
+        encode_fields_into(&f, &mut bytes as &mut dyn Sink);
+        assert_eq!(bytes, encode_fields(&f));
     }
 
     #[test]

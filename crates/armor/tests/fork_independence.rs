@@ -27,7 +27,6 @@ use ree_os::{
     Signal, SpawnSpec,
 };
 use ree_sim::{SimDuration, SimRng, SimTime};
-use std::hash::Hasher;
 
 const TALKER: ArmorId = ArmorId(1);
 const LISTENER: ArmorId = ArmorId(2);
@@ -197,10 +196,11 @@ fn finish(world: &mut World) {
     world.cluster.run_until(SimTime::from_secs(14));
 }
 
-fn digest(cluster: &Cluster) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    cluster.write_state_digest(&mut h);
-    h.finish()
+/// The state-digest stream itself: equal streams are equal visible state.
+fn digest(cluster: &Cluster) -> Vec<u8> {
+    let mut stream = Vec::new();
+    cluster.write_state_digest(&mut stream);
+    stream
 }
 
 fn ckpt(cluster: &mut Cluster, node: u16, path: &str) -> Option<Vec<u8>> {

@@ -18,7 +18,7 @@
 //! respawn); resynchronisation is what keeps the *diagnosis* clean.
 
 use crate::crc::crc32;
-use bytes::{BufMut, BytesMut};
+use ree_sim::Sink;
 
 /// Frame preamble: `REE` + protocol generation.
 pub const MAGIC: [u8; 4] = *b"REE\x01";
@@ -80,12 +80,12 @@ impl std::error::Error for FrameError {}
 /// programming error on the *sending* side, not a wire condition.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_PAYLOAD, "frame payload exceeds maximum");
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
-    buf.put_slice(&MAGIC);
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+    buf.put_bytes(&MAGIC);
     buf.put_u32(payload.len() as u32);
     buf.put_u32(crc32(payload));
-    buf.put_slice(payload);
-    buf.to_vec()
+    buf.put_bytes(payload);
+    buf
 }
 
 /// Incremental frame decoder with resynchronisation.

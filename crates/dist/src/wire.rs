@@ -23,14 +23,13 @@
 //! fold a single-process campaign uses, which is what makes the
 //! distributed aggregate byte-identical rather than merely close.
 
-use bytes::{BufMut, BytesMut};
 use ree_apps::{OtisParams, PipelineParams, Scenario, TextureParams, Verdict};
 use ree_inject::netfault::{NetFault, NetFaultKind, NetFaultTrigger};
 use ree_inject::{ErrorModel, FailureClass, RunPlan, RunResult, SystemFailure, Target};
 use ree_net::{LinkId, LinkParams, LinkSpec, NodeId, Port, SwitchId, Topology};
 use ree_os::{FieldKind, HeapHit, HeapTarget};
 use ree_sift::{JobSpec, SiftConfig};
-use ree_sim::{SimDuration, SimTime};
+use ree_sim::{SimDuration, SimTime, Sink};
 
 /// Protocol generation; a worker built from different sources refuses
 /// the handshake instead of mis-decoding frames.
@@ -159,10 +158,8 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() < n {
-            return Err(WireError::Truncated { what: self.what });
-        }
-        let (head, tail) = self.buf.split_at(n);
+        let truncated = WireError::Truncated { what: self.what };
+        let (head, tail) = self.buf.split_at_checked(n).ok_or(truncated)?;
         self.buf = tail;
         Ok(head)
     }
@@ -178,15 +175,15 @@ impl<'a> Reader<'a> {
 /// One definition of a type's wire form: `take` reads back exactly what
 /// `put` wrote.
 trait Wire: Sized {
-    fn put(&self, buf: &mut BytesMut);
+    fn put<S: Sink + ?Sized>(&self, buf: &mut S);
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
 macro_rules! wire_int {
     ($($ty:ty),*) => {$(
         impl Wire for $ty {
-            fn put(&self, buf: &mut BytesMut) {
-                buf.put_slice(&self.to_be_bytes());
+            fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
+                buf.put_bytes(&self.to_be_bytes());
             }
             fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 r.array().map(<$ty>::from_be_bytes)
@@ -200,7 +197,7 @@ wire_int!(u8, u16, u32, u64);
 macro_rules! wire_via {
     ($($ty:ty as $via:ty: |$v:ident| $to:expr, $from:expr;)*) => {$(
         impl Wire for $ty {
-            fn put(&self, buf: &mut BytesMut) {
+            fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
                 let $v = self;
                 <$via>::put(&$to, buf);
             }
@@ -221,7 +218,7 @@ wire_via! {
 }
 
 impl Wire for bool {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
         buf.put_u8(*self as u8);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -234,9 +231,9 @@ impl Wire for bool {
 }
 
 impl Wire for String {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
         (self.len() as u32).put(buf);
-        buf.put_slice(self.as_bytes());
+        buf.put_bytes(self.as_bytes());
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = u32::take(r)? as usize;
@@ -246,7 +243,7 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
         match self {
             None => buf.put_u8(0),
             Some(x) => {
@@ -265,7 +262,7 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
         (self.len() as u32).put(buf);
         for x in self {
             x.put(buf);
@@ -284,7 +281,7 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl<T: Wire> Wire for Box<T> {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
         (**self).put(buf);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -293,7 +290,7 @@ impl<T: Wire> Wire for Box<T> {
 }
 
 impl Wire for (u16, u16) {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
         self.0.put(buf);
         self.1.put(buf);
     }
@@ -306,7 +303,7 @@ impl Wire for (u16, u16) {
 macro_rules! wire_struct {
     ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
         impl Wire for $ty {
-            fn put(&self, buf: &mut BytesMut) {
+            fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
                 // No `..`: a new field must be listed here to compile.
                 let $ty { $($field),* } = self;
                 $($field.put(buf);)*
@@ -330,7 +327,7 @@ macro_rules! wire_enum {
         $($tag:literal => $variant:ident $(($($tf:ident),+))? $({ $($sf:ident),+ })?),* $(,)?
     })*) => {$(
         impl Wire for $ty {
-            fn put(&self, buf: &mut BytesMut) {
+            fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
                 match self {$(
                     $ty::$variant $(($($tf),+))? $({ $($sf),+ })? => {
                         buf.put_u8($tag);
@@ -426,7 +423,7 @@ wire_enum! {
 /// `Topology` keeps its fields private and its links range-checked, so
 /// it crosses the wire through its accessors and fallible constructor.
 impl Wire for Topology {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
         self.nodes().put(buf);
         self.switches().put(buf);
         self.loopback_latency().put(buf);
@@ -450,9 +447,9 @@ pub fn encode_frame_msg(msg: &Msg) -> Vec<u8> {
 
 /// Encodes `msg` into a frame payload.
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
+    let mut buf = Vec::with_capacity(64);
     msg.put(&mut buf);
-    buf.to_vec()
+    buf
 }
 
 /// Decodes one message from a frame payload, requiring the payload to

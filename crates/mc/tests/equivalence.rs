@@ -1,12 +1,12 @@
 //! The explorer's shortcuts change no answer.
 //!
-//! * The state digest (`ree_mc::hash`'s word-at-a-time hasher) divides
-//!   branch-node states exactly as an `Fnv64` digest of the same
-//!   `write_state_digest` stream does, and exactly as the stream itself:
-//!   no two different streams share either digest. A reference walk that
-//!   prunes on the stream bytes, with the per-event `Running::all_done`
-//!   and a collected ready set, counts the same branch nodes, prunes and
-//!   forks as `model_check`.
+//! * The state digest (`ree_sim::DigestHasher` fed by
+//!   `write_state_digest`) divides branch-node states exactly as the
+//!   `Vec<u8>` stream of the same `write_state_digest` does, and exactly
+//!   as an `Fnv64` of those bytes: no two different streams share either
+//!   digest. A reference walk that prunes on the stream bytes, with the
+//!   per-event `Running::all_done` and a collected ready set, counts the
+//!   same branch nodes, prunes and forks as `model_check`.
 //! * `model_check` advances one base through the instant grid; at each
 //!   instant it is the state `replay`'s fresh `fork(seed).run_until`
 //!   reaches.
@@ -20,22 +20,6 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 
 const SEEDS: std::ops::RangeInclusive<u64> = 7..=11;
-
-/// The `write_state_digest` call stream itself, every write
-/// length-prefixed: equal recordings are equal streams.
-#[derive(Default)]
-struct Recording(Vec<u8>);
-
-impl Hasher for Recording {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0.extend_from_slice(&bytes.len().to_le_bytes());
-        self.0.extend_from_slice(bytes);
-    }
-
-    fn finish(&self) -> u64 {
-        unreachable!("a recording is compared, not hashed")
-    }
-}
 
 /// The explorer's DFS over one `(plan, seed)`, written against the public
 /// stepping API and pruning on the recorded stream.
@@ -83,13 +67,13 @@ impl Walk<'_> {
                 running.cluster.step();
                 continue;
             }
-            let mut stream = Recording::default();
+            let mut stream = Vec::new();
             running.cluster.write_state_digest(&mut stream);
             let mut fnv = Fnv64::default();
-            running.cluster.write_state_digest(&mut fnv);
+            fnv.write(&stream);
             let pair = (fnv.finish(), state_digest(&running.cluster));
-            assert_eq!(*self.digests.entry(stream.0.clone()).or_insert(pair), pair);
-            if !self.seen.insert(stream.0) {
+            assert_eq!(*self.digests.entry(stream.clone()).or_insert(pair), pair);
+            if !self.seen.insert(stream) {
                 self.pruned += 1;
                 return;
             }

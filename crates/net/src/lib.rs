@@ -46,7 +46,7 @@ pub use model::{NetworkConfig, NodeId, SendVerdict};
 pub use topology::{LinkSpec, Port, SwitchId, Topology, TopologyBuilder, TopologyError};
 
 use link::LinkState;
-use ree_sim::{SimDuration, SimRng, SimTime};
+use ree_sim::{SimDuration, SimRng, SimTime, Sink};
 use routing::RouteTable;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -261,34 +261,38 @@ impl Network {
         self.packets_dropped
     }
 
-    /// Feeds every piece of mutable network state into `h`, in a
+    /// Writes every piece of mutable network state into `h`, in a
     /// canonical order (set-valued state is sorted first, so two
-    /// networks that behave identically hash identically regardless of
+    /// networks that behave identically encode identically regardless of
     /// insertion history). Includes the jitter/drop RNG position: two
     /// states that look alike but will draw different futures must not
     /// collide in a model checker's convergence-prune set. The immutable
     /// topology/route statics are excluded — all forks of one run share
     /// them by construction.
-    pub fn write_state_digest(&self, h: &mut impl std::hash::Hasher) {
-        use std::hash::Hash;
-        self.rng.state().hash(h);
+    pub fn write_state_digest<S: Sink + ?Sized>(&self, h: &mut S) {
+        self.rng.state().iter().for_each(|&word| h.put_u64(word));
         for state in &self.link_state {
-            state.busy_until.hash(h);
+            h.put_u64(state.busy_until.as_micros());
         }
         let mut links: Vec<(NodeId, NodeId)> = self.down_links.iter().copied().collect();
         links.sort_unstable();
-        links.hash(h);
+        h.put_u64(links.len() as u64);
+        for (a, b) in links {
+            h.put_u16(a.0);
+            h.put_u16(b.0);
+        }
         let mut nodes: Vec<NodeId> = self.down_nodes.iter().copied().collect();
         nodes.sort_unstable();
-        nodes.hash(h);
-        self.load_windows.len().hash(h);
+        h.put_u64(nodes.len() as u64);
+        nodes.iter().for_each(|node| h.put_u16(node.0));
+        h.put_u64(self.load_windows.len() as u64);
         for (end, slow) in &self.load_windows {
-            end.hash(h);
-            slow.to_bits().hash(h);
+            h.put_u64(end.as_micros());
+            h.put_u64(slow.to_bits());
         }
-        self.packets_sent.hash(h);
-        self.bytes_sent.hash(h);
-        self.packets_dropped.hash(h);
+        h.put_u64(self.packets_sent);
+        h.put_u64(self.bytes_sent);
+        h.put_u64(self.packets_dropped);
     }
 }
 

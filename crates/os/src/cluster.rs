@@ -13,7 +13,7 @@ use crate::ptable::ProcTable;
 use crate::storage::{RamDisk, RemoteFs};
 use crate::trace::{Trace, TraceDetail, TraceEvent, TraceKind};
 use ree_net::{Network, NetworkConfig, NodeId, SendVerdict, Topology};
-use ree_sim::{EventHandle, EventQueue, SimDuration, SimRng, SimTime};
+use ree_sim::{EventHandle, EventQueue, SimDuration, SimRng, SimTime, Sink};
 use std::sync::Arc;
 
 /// Identifies a pending timer (for cancellation).
@@ -624,102 +624,98 @@ impl Cluster {
     // State digest
     // ------------------------------------------------------------------
 
-    /// Feeds a canonical encoding of every piece of mutable cluster
+    /// Writes a canonical encoding of every piece of mutable cluster
     /// state into `h`, so two clusters that will behave identically
-    /// hash identically and two that have diverged (almost surely) do
-    /// not. This is the convergence-pruning primitive for bounded model
-    /// checking: branches whose digests collide are explored once.
+    /// encode identically and two that have diverged do not. This is the
+    /// convergence-pruning primitive for bounded model checking:
+    /// branches whose digests of this stream collide are explored once.
+    /// The bytes are the same on every target: tags and flags are single
+    /// bytes, counts and byte runs have `u64` prefixes, integers are big-endian.
     ///
     /// Canonicalisation rules:
     ///
-    /// * **Pending events** are hashed in `(time, seq)` firing order
+    /// * **Pending events** are written in `(time, seq)` firing order
     ///   with seqs **rank-renumbered** (0, 1, 2, … in firing order):
     ///   only the *relative* order of seqs affects future pops, so two
     ///   states reached by different interleavings — whose absolute seq
     ///   counters differ — still converge.
-    /// * **RNG streams** (cluster, machine, network) hash by position:
-    ///   equal visible state with diverged randomness must not prune.
+    /// * **RNG streams** (cluster, machine, network) are written by
+    ///   position: equal visible state with diverged randomness must not prune.
     /// * **Behaviour state** (`Box<dyn Process>`) is opaque; it is
     ///   approximated by the trace's typed-event counters plus every
     ///   storage effect (RAM-disk and remote-FS contents). A behaviour
     ///   divergence invisible to all three could in principle collide —
     ///   accepted and documented in `docs/MODELCHECK.md`.
-    pub fn write_state_digest(&self, h: &mut impl std::hash::Hasher) {
-        use std::hash::Hash;
-        self.now.hash(h);
-        self.rng.state().hash(h);
-        self.machine_rng.state().hash(h);
+    pub fn write_state_digest<S: Sink + ?Sized>(&self, h: &mut S) {
+        h.put_u64(self.now.as_micros());
+        put_words(h, &self.rng.state());
+        put_words(h, &self.machine_rng.state());
         self.net.write_state_digest(h);
         // Nodes: liveness plus full RAM-disk contents (sorted by path
         // by construction).
-        self.nodes.len().hash(h);
+        h.put_u64(self.nodes.len() as u64);
         for node in &self.nodes {
-            node.alive.hash(h);
-            node.ramdisk.used().hash(h);
-            for (path, data) in node.ramdisk.entries() {
-                path.hash(h);
-                data.hash(h);
-            }
+            h.put_u8(u8::from(node.alive));
+            h.put_u64(node.ramdisk.used() as u64);
+            put_files(h, node.ramdisk.entries());
         }
         // Remote FS: contents plus the version/read/write counters the
         // completion probes key on.
-        self.remote_fs.version().hash(h);
-        self.remote_fs.reads().hash(h);
-        self.remote_fs.writes().hash(h);
-        for (path, data) in self.remote_fs.entries() {
-            path.hash(h);
-            data.hash(h);
-        }
+        put_words(h, &[self.remote_fs.version(), self.remote_fs.reads(), self.remote_fs.writes()]);
+        put_files(h, self.remote_fs.entries());
         // Process table, ascending pid (deterministic already).
         let pids = self.procs.all_pids();
-        pids.len().hash(h);
+        h.put_u64(pids.len() as u64);
         for pid in pids {
             let entry = self.procs.get(pid).expect("live pid");
-            pid.hash(h);
-            self.procs.name_of(pid).expect("live pid").hash(h);
-            entry.kind.hash(h);
-            self.procs.node_of(pid).expect("live pid").hash(h);
-            entry.parent.hash(h);
-            entry.stopped.hash(h);
-            entry.deaf.hash(h);
-            entry.spawned_at.hash(h);
-            entry.stash.len().hash(h);
+            h.put_u64(pid.0);
+            put_run(h, self.procs.name_of(pid).expect("live pid").as_bytes());
+            put_run(h, entry.kind.as_bytes());
+            h.put_u16(self.procs.node_of(pid).expect("live pid").0);
+            h.put_u8(u8::from(entry.parent.is_some()));
+            h.put_u64(entry.parent.map_or(0, |parent| parent.0));
+            h.put_u8(u8::from(entry.stopped));
+            h.put_u8(u8::from(entry.deaf));
+            h.put_u64(entry.spawned_at.as_micros());
+            h.put_u64(entry.stash.len() as u64);
             for ev in &entry.stash {
                 hash_event_fingerprint(ev, h);
             }
             let mut timers = entry.live_timers.clone();
             timers.sort_unstable();
-            timers.hash(h);
-            let mut works: Vec<(u64, u64, SimDuration)> =
-                entry.works.iter().map(|(id, w)| (*id, w.tag, w.remaining)).collect();
+            h.put_u64(timers.len() as u64);
+            put_words(h, &timers);
+            let mut works: Vec<[u64; 3]> =
+                entry.works.iter().map(|(id, w)| [*id, w.tag, w.remaining.as_micros()]).collect();
             works.sort_unstable();
-            works.hash(h);
-            entry.machine.has_pending_corruption().hash(h);
-            entry.machine.corrupted_text_sites().hash(h);
-            entry.machine.activations().hash(h);
-            entry.machine.faults_activated().hash(h);
+            h.put_u64(works.len() as u64);
+            works.iter().for_each(|work| put_words(h, work));
+            h.put_u8(u8::from(entry.machine.has_pending_corruption()));
+            h.put_u64(entry.machine.corrupted_text_sites() as u64);
+            h.put_u64(entry.machine.activations());
+            h.put_u64(entry.machine.faults_activated());
         }
         // Graveyard (exit history) and id counters.
-        self.graveyard.len().hash(h);
+        h.put_u64(self.graveyard.len() as u64);
         for slot in &self.graveyard {
             match slot {
-                None => h.write_u8(0),
+                None => h.put_u8(0),
                 Some((t, status)) => {
-                    h.write_u8(1);
-                    t.hash(h);
+                    h.put_u8(1);
+                    h.put_u64(t.as_micros());
                     hash_exit_status(status, h);
                 }
             }
         }
-        self.next_timer.hash(h);
-        self.next_work.hash(h);
+        h.put_u64(self.next_timer);
+        h.put_u64(self.next_work);
         // Behaviour-state proxy: what the environment has observed.
-        self.trace.counters().hash(h);
+        put_words(h, self.trace.counters());
         // Pending events in firing order, seqs rank-renumbered.
-        self.queue.len().hash(h);
+        h.put_u64(self.queue.len() as u64);
         for (rank, (time, _seq, ev)) in self.queue.iter_pending().enumerate() {
-            time.hash(h);
-            rank.hash(h);
+            h.put_u64(time.as_micros());
+            h.put_u64(rank as u64);
             hash_event_fingerprint(ev, h);
         }
     }
@@ -990,66 +986,81 @@ impl Cluster {
     }
 }
 
-/// Hashes an event's identity — variant tag, pids, labels, ids — but not
+/// Writes an event's identity — variant tag, pids, labels, ids — but not
 /// its opaque payload. Two pending `Deliver`s that agree on sender,
-/// receiver, and protocol label hash alike even if their payloads were
+/// receiver, and protocol label encode alike even if their payloads were
 /// computed differently; the payload divergence surfaces through the
 /// storage/trace state it came from.
-fn hash_event_fingerprint(ev: &OsEvent, h: &mut impl std::hash::Hasher) {
-    use std::hash::Hash;
+fn hash_event_fingerprint<S: Sink + ?Sized>(ev: &OsEvent, h: &mut S) {
     match ev {
         OsEvent::Start { pid } => {
-            h.write_u8(0);
-            pid.hash(h);
+            h.put_u8(0);
+            h.put_u64(pid.0);
         }
         OsEvent::Deliver { to, from, label, .. } => {
-            h.write_u8(1);
-            to.hash(h);
-            from.hash(h);
-            label.hash(h);
+            h.put_u8(1);
+            put_words(h, &[to.0, from.0]);
+            put_run(h, label.as_bytes());
         }
         OsEvent::Timer { pid, timer_id, tag } => {
-            h.write_u8(2);
-            pid.hash(h);
-            timer_id.hash(h);
-            tag.hash(h);
+            h.put_u8(2);
+            put_words(h, &[pid.0, *timer_id, *tag]);
         }
         OsEvent::WorkChunk { pid, work_id } => {
-            h.write_u8(3);
-            pid.hash(h);
-            work_id.hash(h);
+            h.put_u8(3);
+            put_words(h, &[pid.0, *work_id]);
         }
         OsEvent::SignalEv { pid, sig } => {
-            h.write_u8(4);
-            pid.hash(h);
-            sig.hash(h);
+            h.put_u8(4);
+            h.put_u64(pid.0);
+            h.put_u8(*sig as u8);
         }
         OsEvent::ChildExit { parent, child, status } => {
-            h.write_u8(5);
-            parent.hash(h);
-            child.hash(h);
+            h.put_u8(5);
+            put_words(h, &[parent.0, child.0]);
             hash_exit_status(status, h);
         }
     }
 }
 
-/// Hashes an [`ExitStatus`] (which has no `Hash` impl of its own because
-/// it carries a free-form abort reason).
-fn hash_exit_status(status: &ExitStatus, h: &mut impl std::hash::Hasher) {
-    use std::hash::Hash;
+/// Writes an [`ExitStatus`]: a tag, then the code, signal or reason.
+fn hash_exit_status<S: Sink + ?Sized>(status: &ExitStatus, h: &mut S) {
     match status {
         ExitStatus::Exited(code) => {
-            h.write_u8(0);
-            code.hash(h);
+            h.put_u8(0);
+            h.put_u32(*code as u32);
         }
         ExitStatus::Killed(sig) => {
-            h.write_u8(1);
-            sig.hash(h);
+            h.put_u8(1);
+            h.put_u8(*sig as u8);
         }
         ExitStatus::Aborted(reason) => {
-            h.write_u8(2);
-            reason.hash(h);
+            h.put_u8(2);
+            put_run(h, reason.as_bytes());
         }
+    }
+}
+
+/// Writes each word, without a count (the caller's layout fixes it).
+fn put_words<S: Sink + ?Sized>(h: &mut S, words: &[u64]) {
+    words.iter().for_each(|&w| h.put_u64(w));
+}
+
+/// Writes a byte run behind its `u64` length.
+fn put_run<S: Sink + ?Sized>(h: &mut S, bytes: &[u8]) {
+    h.put_u64(bytes.len() as u64);
+    h.put_bytes(bytes);
+}
+
+/// Writes a file table: its entry count, then each path and contents.
+fn put_files<'a, S: Sink + ?Sized>(
+    h: &mut S,
+    files: impl ExactSizeIterator<Item = (&'a str, &'a [u8])>,
+) {
+    h.put_u64(files.len() as u64);
+    for (path, data) in files {
+        put_run(h, path.as_bytes());
+        put_run(h, data);
     }
 }
 

@@ -60,7 +60,7 @@ impl FileMap {
     }
 
     /// Every `(path, contents)` pair in sorted path order.
-    fn iter(&self) -> impl Iterator<Item = (&str, &[u8])> {
+    fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &[u8])> {
         self.entries.iter().map(|(p, d)| (p.as_ref(), d.as_slice()))
     }
 }
@@ -216,7 +216,7 @@ impl RamDisk {
 
     /// Iterates over `(path, contents)` in sorted path order — one pass
     /// where `paths()` plus a `read` per path would binary-search each.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, &[u8])> {
+    pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = (&str, &[u8])> {
         self.files.iter()
     }
 }
@@ -293,7 +293,7 @@ impl RemoteFs {
 
     /// Iterates over `(path, contents)` in sorted path order, without
     /// bumping the read counter (as [`RemoteFs::peek`]).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, &[u8])> {
+    pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = (&str, &[u8])> {
         self.files.iter()
     }
 }

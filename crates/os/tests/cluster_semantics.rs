@@ -6,7 +6,7 @@ use ree_os::{
     Cluster, ClusterConfig, ExitStatus, Message, NodeId, ProcCtx, Process, Signal, SpawnSpec,
     TextSource, TimerId,
 };
-use ree_sim::{SimDuration, SimTime};
+use ree_sim::{SimDuration, SimTime, Sink};
 
 /// A process that records everything it sees into the trace.
 #[derive(Clone)]
@@ -268,11 +268,12 @@ fn step_with_the_middle_of_three_leaves_the_others_in_scheduling_order() {
 /// of several ready events a `step_with` removed from where.
 #[test]
 fn a_cluster_and_its_midrun_clone_keep_equal_digests_under_the_same_choices() {
-    fn digest(c: &Cluster) -> u64 {
-        use std::hash::Hasher;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        c.write_state_digest(&mut h);
-        h.finish()
+    fn digest(c: &Cluster) -> Vec<u8> {
+        // The stream itself, written through a `&mut dyn Sink`: the
+        // encoder is object-safe.
+        let mut stream = Vec::new();
+        c.write_state_digest(&mut stream as &mut dyn Sink);
+        stream
     }
     let arm = [(1000, 1), (1000, 2), (2000, 3), (1000, 4), (2000, 5), (2000, 6), (3000, 7)];
     let (mut a, _) = timer_script(&arm, &[(4, 4), (3, 6)]);

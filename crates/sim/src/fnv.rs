@@ -1,4 +1,4 @@
-//! 64-bit FNV-1a, the workspace's one fixed hash.
+//! 64-bit FNV-1a, the fixed hash of the pinned digests.
 
 use std::hash::Hasher;
 
@@ -6,9 +6,10 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a: tiny, allocation-free, and deterministic by
-/// construction — no per-process key material. State digests, wire and
-/// trace snapshots and the benchmark's pins all fold bytes through it
-/// (vectors: `ree_mc::hash::tests::fnv_vectors`).
+/// construction — no per-process key material. It is for digests whose
+/// values are pinned: the wire and trace snapshots and the benchmark's
+/// pins fold their bytes through it. Model-checker state digests do not;
+/// they go through [`crate::DigestHasher`].
 #[derive(Clone, Debug)]
 pub struct Fnv64(u64);
 
@@ -28,5 +29,23 @@ impl Hasher for Fnv64 {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_vectors() {
+        // Published FNV-1a test vectors.
+        let digest = |s: &str| {
+            let mut h = Fnv64::default();
+            h.write(s.as_bytes());
+            h.finish()
+        };
+        assert_eq!(digest(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(digest("foobar"), 0x85944171f73967e8);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Foundation of the REE SIFT reproduction (Whisnant et al., CRHC-02-02):
 //! virtual time, a deterministic future-event list, seedable random
-//! streams, and the one fixed hash ([`Fnv64`]) every digest folds through.
+//! streams, the [`Sink`] every byte encoding writes to, and [`Fnv64`],
+//! the fixed hash of the pinned digests only.
 //!
 //! All higher layers (the simulated cluster OS, the ARMOR runtime, the
 //! fault-injection campaigns, the SAN solver) are built on these types.
@@ -36,11 +37,15 @@
 #![warn(unreachable_pub)]
 
 mod fnv;
+mod hash;
 mod queue;
 mod rng;
+mod sink;
 mod time;
 
 pub use fnv::Fnv64;
+pub use hash::DigestHasher;
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;
+pub use sink::Sink;
 pub use time::{SimDuration, SimTime};

@@ -2,18 +2,18 @@
 //! — `model_check` under `McBounds::quick()`, alternating the SIGINT and
 //! register presets, run seeds from 7 — and reports per op the executions
 //! explored, branch nodes, pruned subtrees, forks, state digests (one
-//! per branch node, pruned or expanded) and wall ms. Then, on the states each op's
-//! roots are cloned from (the base at every activation instant), what one
-//! state digest hashes and costs and what one `Running` clone costs. The
-//! figures in `docs/PERFORMANCE.md`, "Model-checker overhead, measured",
-//! are this command's output.
+//! per branch node, pruned or expanded) and wall ms. Then, on the states
+//! each op's roots are cloned from (the base at every activation
+//! instant), how many bytes one state digest's stream holds, what the
+//! digest costs and what one `Running` clone costs. The figures in
+//! `docs/PERFORMANCE.md`, "Model-checker overhead, measured", are this
+//! command's output.
 //!
 //! Run with: `cargo run --release --example mc_census -- --ops 140`
 
 use ree_mc::hash::state_digest;
 use ree_mc::presets::{two_node_register_plan, two_node_sigint_plan};
 use ree_mc::{model_check, McBounds, McReport};
-use std::hash::Hasher;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -22,24 +22,6 @@ const SCENARIO_SEED: u64 = 20020401;
 const FIRST_RUN_SEED: u64 = 7;
 /// Timings are the minimum over this many repetitions per state.
 const REPEATS: usize = 5;
-
-/// Counts what `write_state_digest` feeds a hasher.
-#[derive(Default)]
-struct Fed {
-    bytes: u64,
-    writes: u64,
-}
-
-impl Hasher for Fed {
-    fn write(&mut self, bytes: &[u8]) {
-        self.bytes += bytes.len() as u64;
-        self.writes += 1;
-    }
-
-    fn finish(&self) -> u64 {
-        0
-    }
-}
 
 fn ops_from_args() -> Option<u64> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -108,7 +90,7 @@ fn main() {
     ];
     let bounds = McBounds::quick();
     let (mut by_plan, mut all) = ([Sum::default(), Sum::default()], Sum::default());
-    let (mut states, mut fed, mut digest_us, mut clone_us) = (0u64, Fed::default(), 0.0, 0.0);
+    let (mut states, mut bytes, mut digest_us, mut clone_us) = (0u64, 0usize, 0.0, 0.0);
     for i in 0..ops {
         // `perfbench`'s op `i` of `mc_fork`.
         let (which, seed) = ((i % 2) as usize, FIRST_RUN_SEED + i / 2);
@@ -123,7 +105,9 @@ fn main() {
         let mut base = snapshot.fork(seed);
         for &instant in &report.instants {
             base.run_until(instant);
-            base.cluster.write_state_digest(&mut fed);
+            let mut stream = Vec::new();
+            base.cluster.write_state_digest(&mut stream);
+            bytes += stream.len();
             digest_us += min_us(|| state_digest(&base.cluster));
             clone_us += min_us(|| base.clone());
             states += 1;
@@ -144,9 +128,8 @@ fn main() {
     all.print("all");
     let per = |x: f64| x / states as f64;
     println!(
-        "per state digest ({states} root states): {:.0} bytes in {:.1} writes, {:.2} us",
-        per(fed.bytes as f64),
-        per(fed.writes as f64),
+        "per state digest ({states} root states): {:.0} bytes, {:.2} us",
+        per(bytes as f64),
         per(digest_us)
     );
     println!("per Running clone (same states): {:.2} us", per(clone_us));
