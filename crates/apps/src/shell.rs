@@ -21,6 +21,9 @@ const TICK: SimDuration = SimDuration::from_secs(1);
 
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 enum ShellState {
+    /// The launch descriptor names no place in the job: MPI_Init fails
+    /// at start.
+    BadLaunch,
     Attaching,
     CreatingPi,
     InitBarrier,
@@ -63,17 +66,26 @@ impl AppShell {
     /// token (empty for a fresh run); `pi_period` is the declared
     /// progress-indicator frequency.
     pub(crate) fn new(launch: AppLaunch, my_token: String, pi_period: SimDuration) -> Self {
+        // A heap flip in the launching ARMOR can corrupt the descriptor,
+        // so nothing is sized from it before it is checked. A bad launch
+        // gets a one-rank endpoint it never uses.
+        let valid = launch.size > 0
+            && launch.rank < launch.size
+            && launch.size as usize <= launch.nodes.len();
+        let (rank, size, state) = if valid {
+            (launch.rank, launch.size, ShellState::Attaching)
+        } else {
+            (0, 1, ShellState::BadLaunch)
+        };
         let client = SiftClient::new(&launch);
-        let mpi = MpiEndpoint::new(launch.rank, launch.size);
-        let size = launch.size as usize;
         AppShell {
             launch,
             client,
-            mpi,
-            state: ShellState::Attaching,
+            mpi: MpiEndpoint::new(rank, size),
+            state,
             my_token,
             agreed: None,
-            hellos: vec![None; size],
+            hellos: vec![None; size as usize],
             peers_spawned: false,
             init_deadline: None,
             pi_period,
@@ -83,6 +95,19 @@ impl AppShell {
 
     /// Call from `Process::on_start`.
     pub(crate) fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+        if self.state == ShellState::BadLaunch {
+            let l = &self.launch;
+            ctx.trace(format!(
+                "{} MPI_Init failed: rank {} of {} over {} nodes",
+                l.app,
+                l.rank,
+                l.size,
+                l.nodes.len()
+            ));
+            self.state = ShellState::Dead;
+            ctx.exit(1);
+            return;
+        }
         ctx.set_timer(TICK, SHELL_TICK);
         if self.launch.rank == 0 {
             // The MPI abort window of Figure 8.
@@ -182,12 +207,15 @@ impl AppShell {
                 let me = ctx.pid();
                 // Table 1 step 5: remotely launch the remaining ranks.
                 for rank in 1..self.launch.size {
+                    let node = self.launch.nodes[rank as usize];
+                    if usize::from(node) >= ctx.node_count() {
+                        // A corrupted node id: the peer never starts,
+                        // and the init timeout below aborts the job.
+                        ctx.trace(format!("mpi: rank {rank} names unknown node {node}"));
+                        continue;
+                    }
                     let mut peer_launch = self.launch.for_rank(rank);
                     peer_launch.rank0_pid = Some(me);
-                    let node = *peer_launch
-                        .nodes
-                        .get(rank as usize)
-                        .unwrap_or(&peer_launch.nodes.first().copied().unwrap_or(0));
                     let behavior = (self.launch.factory)(&peer_launch);
                     let pid = ctx.spawn(SpawnSpec::new(
                         format!("{}-r{}-a{}", self.launch.app, rank, self.launch.attempt),

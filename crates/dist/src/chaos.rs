@@ -92,11 +92,8 @@ impl ChaosPlan {
     /// the firing instant are a pure function of `(seed, workers)`, so
     /// the whole chaos experiment is reproducible from the command line.
     pub fn seeded(mode: ChaosMode, seed: u64, workers: usize) -> ChaosPlan {
-        // splitmix64 — decorrelates consecutive seeds.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        // Decorrelates consecutive seeds.
+        let z = ree_sim::mix64(seed);
         ChaosPlan {
             mode,
             victim: (z % workers.max(1) as u64) as u32,
@@ -219,6 +216,26 @@ mod tests {
         assert!(a.victim < 4);
         assert!(a.after_runs < 4);
         assert_eq!(a.incarnations, 1);
+    }
+
+    #[test]
+    fn seeded_plans_are_pinned() {
+        // (victim, after_runs) for seeds 0..16, per worker count.
+        #[rustfmt::skip]
+        const PINNED: [(usize, [(u32, u32); 16]); 3] = [
+            (1, [(0, 1), (0, 0), (0, 2), (0, 0), (0, 2), (0, 0), (0, 1), (0, 0),
+                 (0, 0), (0, 2), (0, 2), (0, 1), (0, 0), (0, 3), (0, 0), (0, 3)]),
+            (2, [(1, 1), (1, 0), (0, 2), (1, 0), (0, 2), (0, 0), (0, 1), (1, 0),
+                 (0, 0), (0, 2), (0, 2), (1, 1), (1, 0), (1, 3), (0, 0), (1, 3)]),
+            (4, [(3, 1), (1, 0), (2, 2), (1, 0), (2, 2), (2, 0), (0, 1), (3, 0),
+                 (2, 0), (0, 2), (2, 2), (1, 1), (3, 0), (3, 3), (2, 0), (1, 3)]),
+        ];
+        for (workers, plans) in PINNED {
+            for (seed, want) in plans.into_iter().enumerate() {
+                let plan = ChaosPlan::seeded(ChaosMode::Kill, seed as u64, workers);
+                assert_eq!((plan.victim, plan.after_runs), want, "seed {seed}, {workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -1,21 +1,27 @@
 //! What every reproduced table is made of: a list of cells (one
-//! [`Arm`] — label, plan, first seed — per seeded campaign), the
-//! [`Row`] of raw results each cell yields, and the column folds the
-//! tables compute from a row at render time. Each table module spells
-//! its cells, its predicates and its footer; everything they share is
-//! here, once.
-//!
-//! The seed expressions in the `cells()` functions are the legacy
-//! hand-mixed ones (ROADMAP item 1(a) replaces them); the test below
-//! names the cells whose seed windows they make overlap.
+//! [`Arm`] — label, plan, first seed — per seeded campaign, each made by
+//! [`cell`]), the [`Row`] of raw results each cell yields, and the
+//! column folds the tables compute from a row at render time. Each table
+//! module spells its cells, its predicates and its footer; everything
+//! they share is here, once.
 
 use ree_apps::Scenario;
 use ree_inject::{
     adaptive, Arm, ArmReport, Campaign, ErrorModel, FailureClass, RunPlan, RunResult, StoppingRule,
     Target,
 };
-use ree_sim::SimTime;
+use ree_sim::{derive, SimTime};
 use ree_stats::{Summary, TableBuilder};
+
+/// The cell `label` of `table` under the seed tree's `root`: its run
+/// window starts at `derive(root, "<table>/<label>")`, and its plan
+/// boots from the seed that start derives for `"boot"`.
+pub(crate) fn cell(root: u64, table: &str, label: impl Into<String>, mut plan: RunPlan) -> Arm {
+    let label = label.into();
+    let seed0 = derive(root, &format!("{table}/{label}"));
+    plan.scenario.seed = derive(seed0, "boot");
+    Arm::new(label, plan, seed0)
+}
 
 /// The plan of one single-application cell: texture on the four-node
 /// testbed, no network faults.
@@ -29,30 +35,21 @@ pub(crate) fn plan(target: Target, model: ErrorModel, timeout_s: u64) -> RunPlan
     }
 }
 
-/// Legacy label hash of Table 4 and the partition sweep.
-pub(crate) fn rotl5(label: &str) -> u64 {
-    label.bytes().fold(0x9E37_79B9, |h: u64, b| h.rotate_left(5) ^ b as u64)
-}
-
-/// Legacy label hash of Table 6.
-pub(crate) fn mul31(label: &str) -> u64 {
-    label.bytes().fold(0x7ab1e6, |h: u64, b| h.wrapping_mul(31) ^ b as u64)
+/// The `runs` scenario seeds of a fault-free baseline or a hand-driven
+/// loop of repro target `target`: `derive(root, target) + i`.
+pub(crate) fn seeds(root: u64, target: &str, runs: u32) -> impl Iterator<Item = u64> + Clone {
+    let seed0 = derive(root, target);
+    (0..u64::from(runs)).map(move |i| seed0.wrapping_add(i))
 }
 
 /// The row group Tables 4 and 6 repeat per error model: one cell per
-/// target, seeded `seed0 ^ hash(model ++ target)`.
-pub(crate) fn target_cells(
-    model: ErrorModel,
-    timeout_s: u64,
-    seed0: u64,
-    hash: fn(&str) -> u64,
-) -> Vec<Arm> {
+/// target.
+pub(crate) fn target_cells(root: u64, table: &str, model: ErrorModel, timeout_s: u64) -> Vec<Arm> {
     [Target::App, Target::Ftm, Target::ExecArmor, Target::Heartbeat]
         .into_iter()
         .map(|target| {
             let label = format!("{model} / {target}");
-            let seed = seed0 ^ hash(&format!("{model}{target}"));
-            Arm::new(label, plan(target, model.clone(), timeout_s), seed)
+            cell(root, table, label, plan(target, model.clone(), timeout_s))
         })
         .collect()
 }
@@ -242,7 +239,7 @@ impl AdaptiveTable {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{table11, table4, table5, table6, table7, table8};
+    use crate::{figures, partition, table10, table11, table4, table5, table6, table7, table8};
     use ree_apps::Verdict;
 
     /// A fault-free run that completed correctly in 75 s.
@@ -273,55 +270,48 @@ pub(crate) mod tests {
         line.split('|').skip(1).map(|cell| cell.trim().to_owned()).collect()
     }
 
-    /// Cells of one table whose seed windows intersect at the default
-    /// root, as `(table, cell index, cell index)`. ROADMAP item 1(a)
-    /// lands when this list is empty.
-    const KNOWN_OVERLAPS: [(&str, usize, usize); 15] = [
-        ("table7", 1, 2), // Execution ARMOR, Heartbeat ARMOR: both names are 15 bytes
-        ("table8", 0, 3), // mgr_armor_info, mgr_app_detect: byte sums 37 apart
-        ("table8", 2, 4), // app_param, node_mgmt: byte sums 9 apart
-        // The seed ignores the row: the four first-model cells share
-        // one window, the four second-model cells the other.
-        ("table11", 0, 2),
-        ("table11", 0, 4),
-        ("table11", 0, 6),
-        ("table11", 1, 3),
-        ("table11", 1, 5),
-        ("table11", 1, 7),
-        ("table11", 2, 4),
-        ("table11", 2, 6),
-        ("table11", 3, 5),
-        ("table11", 3, 7),
-        ("table11", 4, 6),
-        ("table11", 5, 7),
-    ];
-
+    /// Every cell list, with the most runs `repro` spends per cell of it:
+    /// Table 4's cells also run as `table4a`, and the adaptive sweeps
+    /// stop at the paper rule's budget at the latest.
     #[test]
     fn the_cells_enumerated() {
-        let seed0 = 20020401;
-        let tables = [
-            ("table4", table4::cells(seed0), 100u64),
-            ("table5", table5::cells(seed0), 30),
-            ("table6", table6::cells(seed0), 130),
-            ("table7", table7::cells(seed0), 100),
-            ("table8", table8::cells(seed0), 100),
-            ("table11", table11::cells(seed0), 30),
+        let budget = u64::from(StoppingRule::default().max_runs);
+        type Cells = fn(u64) -> Vec<Arm>;
+        let tables: [(&str, Cells, u64); 9] = [
+            ("table4", table4::cells, budget),
+            ("table5", table5::cells, 30),
+            ("table6", table6::cells, 130),
+            ("table7", table7::cells, 100),
+            ("table8", table8::cells, 100),
+            ("table10", table10::cells, 1000),
+            ("table11", table11::cells, 30),
+            ("partition", partition::cells, budget),
+            ("fig6a", figures::fig6a_cells, budget),
         ];
-        let mut overlaps = Vec::new();
-        for (table, cells, runs) in &tables {
-            // Table 11 pools the two cells of each label into one row.
-            let copies = if *table == "table11" { 2 } else { 1 };
-            for (i, a) in cells.iter().enumerate() {
-                let same = cells.iter().filter(|b| b.label == a.label).count();
-                assert_eq!(same, copies, "{table}: label {:?}", a.label);
-                for (j, b) in cells.iter().enumerate().skip(i + 1) {
-                    if a.seed0.abs_diff(b.seed0) < *runs {
-                        overlaps.push((*table, i, j));
-                    }
+        let (mut windows, mut boots) = (Vec::new(), Vec::new());
+        for root in 0..64 {
+            for (table, cells, runs) in tables {
+                let cells = cells(root);
+                // Table 11 pools the two cells of each label into one row.
+                let copies = if table == "table11" { 2 } else { 1 };
+                for a in &cells {
+                    let same = cells.iter().filter(|b| b.label == a.label).count();
+                    assert_eq!(same, copies, "{table}: label {:?}", a.label);
+                    windows.push((a.seed0, runs, root, table, a.label.clone()));
+                    boots.push(a.plan.scenario.seed);
                 }
             }
         }
-        assert_eq!(overlaps, KNOWN_OVERLAPS, "a seed-window overlap appeared or disappeared");
+        // Disjoint windows: no run seed is shared by two cells of one
+        // table, two tables, or two roots (adjacent or not).
+        windows.sort();
+        for pair in windows.windows(2) {
+            let (start, runs, ..) = pair[0];
+            assert!(start.checked_add(runs).is_some_and(|end| end <= pair[1].0), "{pair:?}");
+        }
+        boots.sort_unstable();
+        boots.dedup();
+        assert_eq!(boots.len(), windows.len(), "two cells boot from one seed");
     }
 
     #[test]

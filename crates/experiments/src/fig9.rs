@@ -42,7 +42,8 @@ impl Fig9 {
             }
         }
         format!(
-            "{}\nfast recovery keeps P(correlated) near the paper's observed 1.6%; slow recovery multiplies it\n",
+            "{}\nin this model P(correlated) is ≈ 0 with 0.5 s recovery and ≈ 0.45 with 60 s; \
+             the paper's observed 1.6% is not reproduced here\n",
             t.render()
         )
     }

@@ -2,7 +2,7 @@
 //! setup/teardown), 8 (slave-block correlated failure), 10 (the
 //! install/notify race condition).
 
-use crate::cells::plan;
+use crate::cells::{cell, plan, seeds};
 use crate::effort::Effort;
 use ree_apps::Scenario;
 use ree_armor::{ArmorEvent, ControlOp, Value};
@@ -51,17 +51,16 @@ impl Fig6 {
 
 /// Measures hang-detection latency: SIGSTOP an application rank, read the
 /// interval from injection to the Execution ARMOR's hang detection.
-pub fn fig6(effort: Effort, seed0: u64) -> Fig6 {
+pub fn fig6(effort: Effort, root: u64) -> Fig6 {
     let period_s = 20.0;
     let mut out = Fig6 { polling: Summary::new(), interrupt: Summary::new(), period_s };
     for interrupt_driven in [false, true] {
-        let runs = effort.scale(40);
-        for i in 0..runs {
-            let mut scenario = Scenario::single_texture(seed0 + i as u64);
+        for (i, seed) in (0..).zip(seeds(root, "fig6", effort.scale(40))) {
+            let mut scenario = Scenario::single_texture(seed);
             scenario.sift.interrupt_driven_pi = interrupt_driven;
             let mut running = scenario.start();
             // Stop a rank mid-computation (well inside the filter phases).
-            running.run_until(SimTime::from_secs(25 + (i as u64 % 30)));
+            running.run_until(SimTime::from_secs(25 + (i % 30)));
             let Some(pid) =
                 running.cluster.all_procs().into_iter().find(|p| {
                     running.cluster.name_of(*p).map(|n| n.contains("-r1-")).unwrap_or(false)
@@ -141,18 +140,21 @@ impl Fig6Adaptive {
 /// application (the hang model fig6 measures) with the progress
 /// indicators polling vs interrupt-driven, until each arm's
 /// recovery-rate interval meets `rule`'s target.
-pub fn fig6_adaptive(rule: &StoppingRule, seed0: u64) -> Fig6Adaptive {
-    let arm = |interrupt_driven: bool, label: &str, seed: u64| {
-        let mut plan = plan(Target::App, ErrorModel::Sigstop, 320);
-        plan.scenario.sift.interrupt_driven_pi = interrupt_driven;
-        Arm::new(label, plan, seed)
-    };
-    let arms =
-        [arm(false, "polling (paper)", seed0), arm(true, "interrupt-driven (§5.1)", seed0 ^ 0x61)];
-    let mut report = adaptive::run_arms(&arms, rule);
+pub fn fig6_adaptive(rule: &StoppingRule, root: u64) -> Fig6Adaptive {
+    let mut report = adaptive::run_arms(&fig6a_cells(root), rule);
     let interrupt = report.arms.pop().expect("two arms");
     let polling = report.arms.pop().expect("two arms");
     Fig6Adaptive { polling, interrupt, rule: rule.clone() }
+}
+
+/// The two `fig6a` arms: polling, then interrupt-driven.
+pub(crate) fn fig6a_cells(root: u64) -> Vec<Arm> {
+    let arm = |interrupt_driven, label| {
+        let mut plan = plan(Target::App, ErrorModel::Sigstop, 320);
+        plan.scenario.sift.interrupt_driven_pi = interrupt_driven;
+        cell(root, "fig6a", label, plan)
+    };
+    vec![arm(false, "polling (paper)"), arm(true, "interrupt-driven (§5.1)")]
 }
 
 /// Figure 7: FTM failures during setup/teardown inflate *perceived* time
@@ -176,8 +178,7 @@ impl Fig7 {
 }
 
 /// Runs the Figure 7 experiment: SIGINT the FTM in a controlled phase.
-pub fn fig7(effort: Effort, seed0: u64) -> Fig7 {
-    let runs = effort.scale(30);
+pub fn fig7(effort: Effort, root: u64) -> Fig7 {
     let mut phases = Vec::new();
     for (label, window) in [
         ("setup (5.0-6.5 s)", (5_000_000u64, 6_500_000u64)),
@@ -186,14 +187,13 @@ pub fn fig7(effort: Effort, seed0: u64) -> Fig7 {
     ] {
         let mut perceived = Summary::new();
         let mut actual = Summary::new();
-        for i in 0..runs {
-            let scenario = Scenario::single_texture(seed0 ^ (window.0) ^ i as u64);
-            let mut running = scenario.start();
+        for (i, seed) in (0..).zip(seeds(root, "fig7", effort.scale(30))) {
+            let mut running = Scenario::single_texture(seed).start();
             let kill_at = if window.1 > 0 {
-                SimTime::from_micros(window.0 + (i as u64 * 77_777) % (window.1 - window.0))
+                SimTime::from_micros(window.0 + (i * 77_777) % (window.1 - window.0))
             } else {
                 // Takedown: kill just as the ranks finish (~80.5 s).
-                SimTime::from_micros(80_400_000 + (i as u64 * 50_000) % 900_000)
+                SimTime::from_micros(80_400_000 + (i * 50_000) % 900_000)
             };
             running.run_until(kill_at);
             if let Some(ftm) = running.cluster.find_by_name("ftm") {
@@ -237,12 +237,11 @@ impl Fig8 {
 }
 
 /// Runs the Figure 8 experiment.
-pub fn fig8(effort: Effort, seed0: u64) -> Fig8 {
-    let runs = effort.scale(30) as u64;
-    let mut out = Fig8 { runs, aborts_observed: 0, completed: 0 };
-    for i in 0..runs {
-        let scenario = Scenario::single_texture(seed0 + i);
-        let mut running = scenario.start();
+pub fn fig8(effort: Effort, root: u64) -> Fig8 {
+    let runs = effort.scale(30);
+    let mut out = Fig8 { runs: runs.into(), aborts_observed: 0, completed: 0 };
+    for (i, seed) in (0..).zip(seeds(root, "fig8", runs)) {
+        let mut running = Scenario::single_texture(seed).start();
         // Kill the FTM right as rank 0 spawns the slave and the rank-pid
         // forwarding is in flight.
         running.run_until(SimTime::from_micros(6_600_000 + (i * 37_000) % 600_000));
@@ -286,10 +285,11 @@ impl Fig10 {
 /// Reproduces the Figure 10 race deterministically by delivering the
 /// failure notification to the FTM *before* the install ack (the paper's
 /// adverse timing), with and without the registration fix.
-pub fn fig10(seed0: u64) -> Fig10 {
+pub fn fig10(root: u64) -> Fig10 {
     let mut outcomes = [false, false];
-    for (slot, race_fix) in [(0usize, false), (1usize, true)] {
-        let mut scenario = Scenario::single_texture(seed0 + slot as u64);
+    for (slot, seed) in seeds(root, "fig10", 2).enumerate() {
+        let race_fix = slot == 1;
+        let mut scenario = Scenario::single_texture(seed);
         scenario.sift.race_fix_enabled = race_fix;
         scenario.jobs.clear(); // no applications; we drive the race by hand
         let mut running = scenario.start();

@@ -4,19 +4,19 @@
 //! paper's tables and figures") has the index. The `repro` binary
 //! regenerates any table: `cargo run --release --bin repro -- table4`.
 //!
-//! A table module is three things: its cells (`cells(seed0)`, a list of
+//! A table module is three things: its cells (`cells(root)`, a list of
 //! [`ree_inject::Arm`]s — label, plan, first seed — and the only place
-//! its plans and seeds are spelled), its columns (a `render` that folds
-//! each [`Row`]'s results under the table's own predicates) and its
-//! footer. The `cells` module holds what they share: `plan`, the
-//! single-texture plan constructor; `run_cells`, the one campaign site,
-//! cells in, [`Row`]s out; and [`AdaptiveTable`], the confidence-targeted
-//! sweep `table4a` and `partition` print. The hand-driven figures,
-//! Table 3 and `mc`/`dist` do not fit the shape and stay as they are.
+//! its plans are spelled), its columns (a `render` that folds each
+//! [`Row`]'s results under the table's own predicates) and its footer.
+//! The `cells` module holds what they share: `plan`, the single-texture
+//! plan constructor; `cell`, the one `Arm` constructor; `run_cells`, the
+//! one campaign site, cells in, [`Row`]s out; and [`AdaptiveTable`], the
+//! confidence-targeted sweep `table4a` and `partition` print. The
+//! hand-driven figures, Table 3 and `mc`/`dist` do not fit the shape.
 //!
-//! Seeds are legacy expressions (`seed0 ^ hash(label)` and the like)
-//! until ROADMAP item 1(a) derives them from one tree; `cells`' tests
-//! list the cell pairs whose run windows they make overlap.
+//! Seeds come from one tree rooted at `repro --seed` ([`ree_sim::derive`]
+//! through `cells::cell` and `cells::seeds`); `mc`, `dist` and Fig. 9
+//! take the root directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,7 @@
 //! so long-duration arms (where recoveries actually start failing) get
 //! the budget.
 
-use crate::cells::{plan, rotl5, AdaptiveTable};
+use crate::cells::{cell, plan, AdaptiveTable};
 use crate::effort::Effort;
 use crate::table4::adaptive_rule;
 use ree_inject::{Arm, ErrorModel, NetFault, RunPlan, StoppingRule, Target};
@@ -28,34 +28,38 @@ fn partition_groups() -> Vec<Vec<u16>> {
 }
 
 /// Runs the sweep under the effort level's standard adaptive rule.
-pub fn run(effort: Effort, seed0: u64) -> AdaptiveTable {
-    run_adaptive(&adaptive_rule(effort), seed0)
+pub fn run(effort: Effort, root: u64) -> AdaptiveTable {
+    run_adaptive(&adaptive_rule(effort), root)
 }
 
-/// Runs the sweep under `rule`: recovery rate and time against
-/// partition duration, a no-partition control arm and one arm per
-/// `DURATIONS_MS` entry, all targeting the FTM with SIGINT so every
-/// run starts a recovery for the partition to land on.
-pub fn run_adaptive(rule: &StoppingRule, seed0: u64) -> AdaptiveTable {
-    let mut arms = vec![arm("no partition", vec![], seed0)];
+/// A no-partition control arm and one arm per `DURATIONS_MS` entry, all
+/// targeting the FTM with SIGINT so every run starts a recovery for the
+/// partition to land on.
+pub(crate) fn cells(root: u64) -> Vec<Arm> {
+    let arm = |label: String, net_faults| {
+        let plan = RunPlan { net_faults, ..plan(Target::Ftm, ErrorModel::Sigint, 320) };
+        cell(root, "partition", label, plan)
+    };
+    let mut arms = vec![arm("no partition".into(), vec![])];
     for ms in DURATIONS_MS {
         let label = format!("partition {:.1} s", ms as f64 / 1000.0);
         let fault =
             NetFault::partition_on_recovery(partition_groups(), SimDuration::from_millis(ms));
-        arms.push(arm(&label, vec![fault], seed0));
+        arms.push(arm(label, vec![fault]));
     }
+    arms
+}
+
+/// Runs the sweep under `rule`: recovery rate and time against
+/// partition duration.
+pub fn run_adaptive(rule: &StoppingRule, root: u64) -> AdaptiveTable {
     AdaptiveTable::sweep(
         "Partition during recovery: FTM/SIGINT with the interconnect split at detection",
         "PARTITION",
         Some(("RECOVERY (s)", |row| row.aggregate.recovery.display_pm())),
-        &arms,
+        &cells(root),
         rule,
     )
-}
-
-fn arm(label: &str, net_faults: Vec<NetFault>, seed0: u64) -> Arm {
-    let plan = RunPlan { net_faults, ..plan(Target::Ftm, ErrorModel::Sigint, 320) };
-    Arm::new(label, plan, seed0 ^ rotl5(label))
 }
 
 #[cfg(test)]

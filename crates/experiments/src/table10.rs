@@ -4,7 +4,7 @@
 //! matrices, and single-bit flips … often did not substantially change
 //! the value"), 10 incorrect output, 9 crashes, 0 hangs.
 
-use crate::cells::{plan, run_cells};
+use crate::cells::{cell, plan, run_cells};
 use crate::effort::Effort;
 use ree_apps::Verdict;
 use ree_inject::{Arm, ErrorModel, FailureClass, Target};
@@ -40,19 +40,19 @@ impl Table10 {
     }
 }
 
+pub(crate) fn cells(root: u64) -> Vec<Arm> {
+    let plan = plan(Target::App, ErrorModel::HeapSingle(HeapTarget::Any), 320);
+    vec![cell(root, "table10", "Application heap", plan)]
+}
+
 /// Runs the Table 10 experiment.
-pub fn run(effort: Effort, seed0: u64) -> Table10 {
+pub fn run(effort: Effort, root: u64) -> Table10 {
     let runs = match effort {
         Effort::Paper => 1000,
         Effort::Quick => 60,
     };
-    let cell = Arm::new(
-        "Application heap",
-        plan(Target::App, ErrorModel::HeapSingle(HeapTarget::Any), 320),
-        seed0,
-    );
     let mut out = Table10::default();
-    for r in run_cells(&[cell], runs).iter().flat_map(|row| &row.results) {
+    for r in run_cells(&cells(root), runs).iter().flat_map(|row| &row.results) {
         if r.injections == 0 {
             continue;
         }

@@ -7,7 +7,7 @@
 //! but *improve* the Rover's time (less network contention); error
 //! classifications mirror the single-application campaigns.
 
-use crate::cells::{fault_free_times, run_cells, Row};
+use crate::cells::{cell, fault_free_times, run_cells, seeds, Row};
 use crate::effort::Effort;
 use ree_apps::Scenario;
 use ree_inject::{Arm, ErrorModel, RunPlan, Target};
@@ -85,8 +85,9 @@ impl Table12 {
 }
 
 /// Eight cells under four labels: the paper groups the models in
-/// pairs, so each row pools the two cells that share its label.
-pub(crate) fn cells(seed0: u64) -> Vec<Arm> {
+/// pairs, so each row pools the two cells that share its label, and a
+/// cell's key names its model too.
+pub(crate) fn cells(root: u64) -> Vec<Arm> {
     let signals = [ErrorModel::Sigint, ErrorModel::Sigstop];
     let flips = [ErrorModel::Register, ErrorModel::TextSegment];
     let mut cells = Vec::new();
@@ -96,7 +97,7 @@ pub(crate) fn cells(seed0: u64) -> Vec<Arm> {
         ("OTIS app (register/text)", &flips, Target::NamedApp("otis".into())),
         ("ARMORs (register/text)", &flips, Target::AnyArmor),
     ] {
-        for (k, model) in models.iter().enumerate() {
+        for model in models {
             let plan = RunPlan {
                 scenario: Scenario::two_apps(0),
                 target: target.clone(),
@@ -104,18 +105,18 @@ pub(crate) fn cells(seed0: u64) -> Vec<Arm> {
                 timeout: TIMEOUT,
                 net_faults: vec![],
             };
-            cells.push(Arm::new(label, plan, seed0 ^ ((k as u64 + 3) << 20)));
+            cells.push(cell(root, &format!("table11/{model}"), label, plan));
         }
     }
     cells
 }
 
 /// Runs the Tables 11/12 experiment.
-pub fn run(effort: Effort, seed0: u64) -> (Table11, Table12) {
-    let seeds = (0..effort.scale(20)).map(|i| seed0 ^ 0xBB ^ i as u64);
-    let baseline = fault_free_times(&Scenario::two_apps(0), seeds, TIMEOUT);
+pub fn run(effort: Effort, root: u64) -> (Table11, Table12) {
+    let baseline =
+        fault_free_times(&Scenario::two_apps(0), seeds(root, "table11", effort.scale(20)), TIMEOUT);
     let mut rows: Vec<Row> = Vec::new();
-    for row in run_cells(&cells(seed0), effort.scale(60) / 2) {
+    for row in run_cells(&cells(root), effort.scale(60) / 2) {
         match rows.last_mut() {
             Some(last) if last.label == row.label => last.results.extend(row.results),
             _ => rows.push(row),

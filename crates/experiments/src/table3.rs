@@ -6,7 +6,7 @@
 //! execution time" and "the actual execution time overhead is not
 //! statistically significant".
 
-use crate::cells::fault_free_times;
+use crate::cells::{fault_free_times, seeds};
 use crate::effort::Effort;
 use ree_apps::{run_without_sift, Scenario};
 use ree_sim::SimTime;
@@ -58,17 +58,17 @@ impl Table3 {
 }
 
 /// Runs the Table 3 experiment.
-pub fn run(effort: Effort, seed0: u64) -> Table3 {
-    let seeds = || (0..effort.scale(30)).map(|i| seed0 + i as u64);
+pub fn run(effort: Effort, root: u64) -> Table3 {
+    let seeds = seeds(root, "table3", effort.scale(30));
     let horizon = SimTime::from_secs(200);
     let mut no_sift = Summary::new();
-    for seed in seeds() {
+    for seed in seeds.clone() {
         let (_, duration) = run_without_sift(&Scenario::single_texture(seed), horizon);
         if let Some(d) = duration {
             no_sift.push(d.as_secs_f64());
         }
     }
     let (sift_perceived, sift_actual) =
-        fault_free_times(&Scenario::single_texture(0), seeds(), horizon).remove(0);
+        fault_free_times(&Scenario::single_texture(0), seeds, horizon).remove(0);
     Table3 { no_sift, sift_perceived, sift_actual }
 }

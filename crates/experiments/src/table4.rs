@@ -6,7 +6,7 @@
 //! far more execution time than crash-model ones (detection through the
 //! 20 s progress-indicator poll); SIFT-process recovery takes ~0.5–0.8 s.
 
-use crate::cells::{fault_free_times, rotl5, run_cells, target_cells, AdaptiveTable, Row};
+use crate::cells::{fault_free_times, run_cells, seeds, target_cells, AdaptiveTable, Row};
 use crate::effort::Effort;
 use ree_apps::Scenario;
 use ree_inject::{Arm, ErrorModel, RunResult, StoppingRule};
@@ -91,32 +91,32 @@ impl Table4 {
 }
 
 /// The eight cells, shared by the fixed and the adaptive table.
-pub(crate) fn cells(seed0: u64) -> Vec<Arm> {
+pub(crate) fn cells(root: u64) -> Vec<Arm> {
     [ErrorModel::Sigint, ErrorModel::Sigstop]
         .into_iter()
-        .flat_map(|model| target_cells(model, 320, seed0, rotl5))
+        .flat_map(|model| target_cells(root, "table4", model, 320))
         .collect()
 }
 
 /// Runs the Table 4 experiment.
-pub fn run(effort: Effort, seed0: u64) -> Table4 {
+pub fn run(effort: Effort, root: u64) -> Table4 {
     let baseline = fault_free_times(
         &Scenario::single_texture(0),
-        (0..effort.scale(30)).map(|i| seed0 ^ 0xBA5E ^ i as u64),
+        seeds(root, "table4", effort.scale(30)),
         SimTime::from_secs(200),
     )
     .remove(0);
-    Table4 { baseline, rows: run_cells(&cells(seed0), effort.scale(100)) }
+    Table4 { baseline, rows: run_cells(&cells(root), effort.scale(100)) }
 }
 
 /// Table 4 under the adaptive engine: the same eight cells as [`run`],
 /// each stopped by `rule` instead of a fixed run count.
-pub fn run_adaptive(rule: &StoppingRule, seed0: u64) -> AdaptiveTable {
+pub fn run_adaptive(rule: &StoppingRule, root: u64) -> AdaptiveTable {
     AdaptiveTable::sweep(
         "Table 4 (adaptive): confidence-targeted SIGINT/SIGSTOP cells",
         "TARGET",
         None,
-        &cells(seed0),
+        &cells(root),
         rule,
     )
 }

@@ -6,7 +6,7 @@
 //! exposure), while *actual* time is almost flat (<1% spread) because the
 //! application is decoupled from the FTM while running.
 
-use crate::cells::{plan, run_cells, Row};
+use crate::cells::{cell, plan, run_cells, Row};
 use crate::effort::Effort;
 use ree_inject::{Arm, ErrorModel, Target};
 use ree_sim::SimDuration;
@@ -39,19 +39,19 @@ impl Table5 {
     }
 }
 
-pub(crate) fn cells(seed0: u64) -> Vec<Arm> {
+pub(crate) fn cells(root: u64) -> Vec<Arm> {
     [5u64, 10, 20, 30]
         .into_iter()
         .map(|period_s| {
             let mut plan = plan(Target::Ftm, ErrorModel::Sigint, 400);
             plan.scenario.sift =
                 plan.scenario.sift.with_heartbeat_period(SimDuration::from_secs(period_s));
-            Arm::new(period_s.to_string(), plan, seed0 ^ (period_s << 8))
+            cell(root, "table5", period_s.to_string(), plan)
         })
         .collect()
 }
 
 /// Runs the Table 5 experiment.
-pub fn run(effort: Effort, seed0: u64) -> Table5 {
-    Table5 { rows: run_cells(&cells(seed0), effort.scale(30)) }
+pub fn run(effort: Effort, root: u64) -> Table5 {
+    Table5 { rows: run_cells(&cells(root), effort.scale(30)) }
 }

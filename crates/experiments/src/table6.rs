@@ -8,7 +8,7 @@
 //! text-segment errors caused more of them than register errors because
 //! register values are short-lived).
 
-use crate::cells::{mul31, run_cells, target_cells, Row};
+use crate::cells::{run_cells, target_cells, Row};
 use crate::effort::Effort;
 use ree_inject::{Arm, ErrorModel};
 use ree_stats::TableBuilder;
@@ -63,16 +63,16 @@ impl Table6 {
     }
 }
 
-pub(crate) fn cells(seed0: u64) -> Vec<Arm> {
+pub(crate) fn cells(root: u64) -> Vec<Arm> {
     [ErrorModel::Register, ErrorModel::TextSegment]
         .into_iter()
-        .flat_map(|model| target_cells(model, 400, seed0, mul31))
+        .flat_map(|model| target_cells(root, "table6", model, 400))
         .collect()
 }
 
 /// Runs the Table 6 experiment.
-pub fn run(effort: Effort, seed0: u64) -> Table6 {
+pub fn run(effort: Effort, root: u64) -> Table6 {
     // The paper aimed for 90–100 *activated* failures per target; with
     // our activation rate ~100–140 runs per target achieve that.
-    Table6 { rows: run_cells(&cells(seed0), effort.scale(130)) }
+    Table6 { rows: run_cells(&cells(root), effort.scale(130)) }
 }

@@ -5,7 +5,7 @@
 //! to bring about a crash or hang failure … only about half of the 100
 //! runs per target showed any effects."
 
-use crate::cells::{plan, run_cells, Row};
+use crate::cells::{cell, plan, run_cells, Row};
 use crate::effort::Effort;
 use ree_inject::{Arm, ErrorModel, Target};
 use ree_stats::TableBuilder;
@@ -43,18 +43,14 @@ impl Table7 {
     }
 }
 
-pub(crate) fn cells(seed0: u64) -> Vec<Arm> {
+pub(crate) fn cells(root: u64) -> Vec<Arm> {
     [Target::Ftm, Target::ExecArmor, Target::Heartbeat]
         .into_iter()
-        .map(|target| {
-            let label = target.to_string();
-            let seed = seed0 ^ (label.len() as u64) << 16;
-            Arm::new(label, plan(target, ErrorModel::Heap, 400), seed)
-        })
+        .map(|target| cell(root, "table7", target.to_string(), plan(target, ErrorModel::Heap, 400)))
         .collect()
 }
 
 /// Runs the Table 7 experiment.
-pub fn run(effort: Effort, seed0: u64) -> Table7 {
-    Table7 { rows: run_cells(&cells(seed0), effort.scale(100)) }
+pub fn run(effort: Effort, root: u64) -> Table7 {
+    Table7 { rows: run_cells(&cells(root), effort.scale(100)) }
 }

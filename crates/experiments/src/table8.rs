@@ -8,7 +8,7 @@
 //! assertions fired)" — with `node_mgmt` the standout weak point (its
 //! translate-to-daemon-0 default escapes detection until too late).
 
-use crate::cells::{plan, run_cells};
+use crate::cells::{cell, plan, run_cells};
 use crate::effort::Effort;
 use ree_inject::{Arm, ErrorModel, RunResult, SystemFailure, Target};
 use ree_os::HeapTarget;
@@ -155,19 +155,18 @@ fn classify(results: &[RunResult], element: &str) -> ElementOutcomes {
     out
 }
 
-pub(crate) fn cells(seed0: u64) -> Vec<Arm> {
+pub(crate) fn cells(root: u64) -> Vec<Arm> {
     ELEMENTS
         .into_iter()
         .map(|element| {
             let model = ErrorModel::HeapSingle(HeapTarget::Region(element.to_owned()));
-            let seed = seed0 ^ element.bytes().map(|b| b as u64).sum::<u64>();
-            Arm::new(element, plan(Target::Ftm, model, 360), seed)
+            cell(root, "table8", element, plan(Target::Ftm, model, 360))
         })
         .collect()
 }
 
 /// Runs the Tables 8/9 experiment.
-pub fn run(effort: Effort, seed0: u64) -> Table8 {
-    let rows = run_cells(&cells(seed0), effort.scale(100));
+pub fn run(effort: Effort, root: u64) -> Table8 {
+    let rows = run_cells(&cells(root), effort.scale(100));
     Table8 { elements: rows.iter().map(|row| classify(&row.results, &row.label)).collect() }
 }

@@ -1086,6 +1086,11 @@ impl ProcCtx<'_> {
         self.cluster.procs.node_of(self.pid).expect("self entry")
     }
 
+    /// Number of nodes in the cluster: a node id below it may be spawned on.
+    pub fn node_count(&self) -> usize {
+        self.cluster.node_count()
+    }
+
     /// Sends `payload` (`size` simulated bytes) to another process.
     ///
     /// Delivery is asynchronous and may be silently dropped by a lossy or

@@ -2,8 +2,9 @@
 //!
 //! Foundation of the REE SIFT reproduction (Whisnant et al., CRHC-02-02):
 //! virtual time, a deterministic future-event list, seedable random
-//! streams, the [`Sink`] every byte encoding writes to, and [`Fnv64`],
-//! the fixed hash of the pinned digests only.
+//! streams and the one seed derivation ([`derive`]), the [`Sink`] every
+//! byte encoding writes to, and [`Fnv64`], the fixed hash of the pinned
+//! digests only.
 //!
 //! All higher layers (the simulated cluster OS, the ARMOR runtime, the
 //! fault-injection campaigns, the SAN solver) are built on these types.
@@ -46,6 +47,6 @@ mod time;
 pub use fnv::Fnv64;
 pub use hash::DigestHasher;
 pub use queue::{EventHandle, EventQueue};
-pub use rng::SimRng;
+pub use rng::{derive, mix64, SimRng};
 pub use sink::Sink;
 pub use time::{SimDuration, SimTime};

@@ -7,6 +7,8 @@
 //! not depend on `rand`'s version-specific `StdRng` internals.
 
 use crate::time::SimDuration;
+use crate::Fnv64;
+use std::hash::Hasher;
 
 /// A deterministic pseudo-random generator with cheap substream forking.
 ///
@@ -29,6 +31,33 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The first SplitMix64 output from state `z`: a bijection on `u64` in
+/// which every input bit flips each output bit with probability ≈ ½, so
+/// neighbouring inputs land far apart.
+pub fn mix64(mut z: u64) -> u64 {
+    splitmix64(&mut z)
+}
+
+/// The seed named `label` under `root`: the one derivation of every seed
+/// in a seed tree. Distinct labels under one root, and one label under
+/// distinct roots, give unrelated seeds, so the run windows `derive(..) + i`
+/// that start at them do not overlap in practice.
+///
+/// # Examples
+///
+/// ```
+/// use ree_sim::derive;
+/// let cell = derive(20020401, "table7/FTM");
+/// assert_ne!(cell, derive(20020401, "table7/Heartbeat ARMOR"));
+/// assert_ne!(cell, derive(20020402, "table7/FTM"));
+/// assert_eq!(cell, derive(20020401, "table7/FTM"));
+/// ```
+pub fn derive(root: u64, label: &str) -> u64 {
+    let mut fnv = Fnv64::default();
+    fnv.write(label.as_bytes());
+    mix64(mix64(root) ^ fnv.finish())
 }
 
 impl SimRng {
