@@ -1,5 +1,6 @@
-//! Figure 9: the SAN model of SIFT-induced application failures, swept
-//! over the SIFT-process failure rate.
+//! Figure 9: the SAN model of SIFT-induced application failures, solved
+//! in closed form (`ree_san::solve`) and swept over the SIFT-process
+//! failure rate.
 
 use ree_san::{solve, ReeModelParams};
 use ree_stats::TableBuilder;
@@ -49,30 +50,26 @@ impl Fig9 {
     }
 }
 
-/// Runs the Figure 9 sweep.
-pub fn run(seed: u64) -> Fig9 {
-    let horizon = 2_000_000.0;
-    let sweep = [3600.0, 1800.0, 600.0, 120.0];
-    let mut out = Fig9 { fast_recovery: Vec::new(), slow_recovery: Vec::new() };
-    for (k, mtbf) in sweep.into_iter().enumerate() {
-        for slow in [false, true] {
-            let params = ReeModelParams {
-                sift_failure_rate: 1.0 / mtbf,
-                sift_recovery_rate: if slow { 1.0 / 60.0 } else { 1.0 / 0.5 },
-                ..ReeModelParams::default()
-            };
-            let sol = solve(&params, horizon, seed + k as u64 * 2 + slow as u64);
-            let point = Fig9Point {
-                sift_mtbf_s: mtbf,
-                unavailability: sol.app_unavailability,
-                correlated_probability: sol.correlated_failure_probability,
-            };
-            if slow {
-                out.slow_recovery.push(point);
-            } else {
-                out.fast_recovery.push(point);
-            }
-        }
-    }
-    out
+/// Runs the Figure 9 sweep. The model is solved exactly, so the table
+/// is the same at every seed: `_seed` is unused, and stays only because
+/// `perfbench` calls `run(seed)` (ROADMAP item 4 drops it).
+pub fn run(_seed: u64) -> Fig9 {
+    let sweep = |recovery_s: f64| -> Vec<Fig9Point> {
+        [3600.0, 1800.0, 600.0, 120.0]
+            .into_iter()
+            .map(|mtbf| {
+                let sol = solve(&ReeModelParams {
+                    sift_failure_rate: 1.0 / mtbf,
+                    sift_recovery_rate: 1.0 / recovery_s,
+                    ..ReeModelParams::default()
+                });
+                Fig9Point {
+                    sift_mtbf_s: mtbf,
+                    unavailability: sol.app_unavailability,
+                    correlated_probability: sol.correlated_failure_probability,
+                }
+            })
+            .collect()
+    };
+    Fig9 { fast_recovery: sweep(0.5), slow_recovery: sweep(60.0) }
 }

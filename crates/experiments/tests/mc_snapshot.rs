@@ -6,7 +6,7 @@
 //! - `mc_quick_v1.txt`: the bounded model checker's explored tree. A
 //!   change to which states are equal, or to which branches are taken,
 //!   moves `explored`/`pruned` or the escape list.
-//! - `repro_quick_v2.txt`: every fixed-count table and figure. `table4a`,
+//! - `repro_quick_v3.txt`: every fixed-count table and figure. `table4a`,
 //!   `fig6a` and `partition` are adaptive: the round count they print
 //!   follows the host's core count, so they stay out.
 
@@ -18,7 +18,7 @@ type Snapshot = (&'static str, &'static [&'static str]);
 const MC: Snapshot = ("mc_quick_v1.txt", &["mc", "mc-selftest"]);
 
 const REPRO: Snapshot = (
-    "repro_quick_v2.txt",
+    "repro_quick_v3.txt",
     &[
         "table3", "table4", "table5", "table6", "table7", "table8", "table9", "table10", "table11",
         "table12", "fig6", "fig7", "fig8", "fig9", "fig10",

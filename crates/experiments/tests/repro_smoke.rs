@@ -47,6 +47,20 @@ fn quick_partition_sweep_exits_zero_and_prints_rates() {
     assert!(stdout.contains("partition 10.0 s"), "expected duration rows, got:\n{stdout}");
 }
 
+/// Fig. 9 is solved in closed form: no root reaches seed arithmetic,
+/// and the largest root prints the same table as root 0.
+#[test]
+fn quick_fig9_is_the_same_table_at_the_largest_root() {
+    let top = repro()
+        .args(["--seed", "18446744073709551615", "--quick", "fig9"])
+        .output()
+        .expect("repro binary runs");
+    assert!(top.status.success(), "stderr: {}", String::from_utf8_lossy(&top.stderr));
+    let zero = repro().args(["--seed", "0", "--quick", "fig9"]).output().expect("runs");
+    assert!(String::from_utf8_lossy(&top.stdout).contains("Figure 9"));
+    assert_eq!(top.stdout, zero.stdout, "fig9 must not depend on the root");
+}
+
 #[test]
 fn unknown_target_fails_with_usage() {
     let out = repro().arg("table99").output().expect("repro binary runs");

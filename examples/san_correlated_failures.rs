@@ -1,6 +1,6 @@
-//! Explore the paper's Figure 9 stochastic activity network: how SIFT
-//! recovery speed controls whether SIFT failures take the application
-//! down with them.
+//! Explore the paper's Figure 9 stochastic activity network, solved in
+//! closed form (`ree_san::solve`): how SIFT recovery speed controls
+//! whether SIFT failures take the application down with them.
 //!
 //! Run with: `cargo run --release --example san_correlated_failures`
 
@@ -14,7 +14,7 @@ fn main() {
             sift_recovery_rate: 1.0 / recovery_s,
             ..ReeModelParams::default()
         };
-        let sol = solve(&params, 1_500_000.0, 99);
+        let sol = solve(&params);
         println!(
             "  recovery {recovery_s:>5.1} s -> app unavailability {:.5}, P(SIFT failure kills app) {:.3}",
             sol.app_unavailability, sol.correlated_failure_probability
