@@ -184,14 +184,11 @@ pub struct AdaptiveTable {
     pub rows: Vec<ArmReport>,
     /// The rule every cell ran under.
     pub rule: StoppingRule,
-    /// Batch rounds the sweep took (scheduling-dependent).
-    pub rounds: u32,
 }
 
 impl AdaptiveTable {
-    /// Runs `cells` as one adaptive sweep under `rule`, reallocating
-    /// each round's batches to the widest-interval cells. `key` heads
-    /// the label column; `extra` is a column placed before CI TARGET.
+    /// Runs `cells` as one adaptive sweep under `rule`. `key` heads the
+    /// label column; `extra` is a column placed before CI TARGET.
     pub(crate) fn sweep(
         title: &'static str,
         key: &'static str,
@@ -199,9 +196,8 @@ impl AdaptiveTable {
         cells: &[Arm],
         rule: &StoppingRule,
     ) -> AdaptiveTable {
-        let report = adaptive::run_arms(cells, rule);
-        let (rows, rule, rounds) = (report.arms, rule.clone(), report.rounds);
-        AdaptiveTable { title, key, extra, rows, rule, rounds }
+        let rows = adaptive::run_arms(cells, rule, None);
+        AdaptiveTable { title, key, extra, rows, rule: rule.clone() }
     }
 
     /// Renders the per-cell spend next to what a fixed sweep would cost.
@@ -224,14 +220,12 @@ impl AdaptiveTable {
         let spent: u64 = self.rows.iter().map(|r| u64::from(r.runs)).sum();
         let fixed = u64::from(self.rule.max_runs) * self.rows.len() as u64;
         format!(
-            "{}\ntarget ±{:.1}% at {:.0}% confidence; {} runs spent vs {} for a fixed sweep \
-             ({} rounds)\n",
+            "{}\ntarget ±{:.1}% at {:.0}% confidence; {} runs spent vs {} for a fixed sweep\n",
             t.render(),
             self.rule.half_width * 100.0,
             self.rule.confidence * 100.0,
             spent,
             fixed,
-            self.rounds,
         )
     }
 }

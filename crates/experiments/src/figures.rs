@@ -141,9 +141,9 @@ impl Fig6Adaptive {
 /// indicators polling vs interrupt-driven, until each arm's
 /// recovery-rate interval meets `rule`'s target.
 pub fn fig6_adaptive(rule: &StoppingRule, root: u64) -> Fig6Adaptive {
-    let mut report = adaptive::run_arms(&fig6a_cells(root), rule);
-    let interrupt = report.arms.pop().expect("two arms");
-    let polling = report.arms.pop().expect("two arms");
+    let mut reports = adaptive::run_arms(&fig6a_cells(root), rule, None);
+    let interrupt = reports.pop().expect("two arms");
+    let polling = reports.pop().expect("two arms");
     Fig6Adaptive { polling, interrupt, rule: rule.clone() }
 }
 

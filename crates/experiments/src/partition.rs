@@ -5,10 +5,18 @@
 //! network contention): induce a failure, and the instant the
 //! environment *detects* it, split the interconnect under the recovery
 //! protocol. Each arm sweeps one partition duration via
-//! [`ree_inject::NetFault::partition_on_recovery`]; the adaptive engine
-//! spends runs where the recovery-rate confidence interval is widest,
-//! so long-duration arms (where recoveries actually start failing) get
-//! the budget.
+//! [`ree_inject::NetFault::partition_on_recovery`] and stops under the
+//! adaptive stopping rule on its own evidence: no arm's budget depends
+//! on another arm's.
+//!
+//! What the rows compare today is boots, not partition durations. Each
+//! cell boots from its own seed (`cells::cell`), and this plan's
+//! boot has two outcomes, one of which ends 74 % of runs at the timeout
+//! (`perfbench/README.md`). At paper effort every arm recovers 100.0 %
+//! except one or two per root, and which ones follows the root, not the
+//! duration: 1.0 s (28.9 %) and 5.0 s (26.3 %) at the default root,
+//! 5.0 s and 10.0 s at `--seed 1`, 0.5 s at `--seed 2`, 5.0 s at
+//! `--seed 3` and `--seed 4`. "no partition" never failed.
 
 use crate::cells::{cell, plan, AdaptiveTable};
 use crate::effort::Effort;

@@ -6,9 +6,9 @@
 //! - `mc_quick_v1.txt`: the bounded model checker's explored tree. A
 //!   change to which states are equal, or to which branches are taken,
 //!   moves `explored`/`pruned` or the escape list.
-//! - `repro_quick_v3.txt`: every fixed-count table and figure. `table4a`,
-//!   `fig6a` and `partition` are adaptive: the round count they print
-//!   follows the host's core count, so they stay out.
+//! - `repro_quick_v4.txt`: every table and figure `repro all` prints,
+//!   the adaptive sweeps (`table4a`, `fig6a`, `partition`) included:
+//!   their reports are a function of the root and the effort alone.
 
 use std::process::Command;
 
@@ -18,10 +18,26 @@ type Snapshot = (&'static str, &'static [&'static str]);
 const MC: Snapshot = ("mc_quick_v1.txt", &["mc", "mc-selftest"]);
 
 const REPRO: Snapshot = (
-    "repro_quick_v3.txt",
+    "repro_quick_v4.txt",
     &[
-        "table3", "table4", "table5", "table6", "table7", "table8", "table9", "table10", "table11",
-        "table12", "fig6", "fig7", "fig8", "fig9", "fig10",
+        "table3",
+        "table4",
+        "table4a",
+        "table5",
+        "table6",
+        "table7",
+        "table8",
+        "table9",
+        "table10",
+        "table11",
+        "table12",
+        "fig6",
+        "fig6a",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "partition",
     ],
 );
 

@@ -5,10 +5,10 @@
 //!
 //! # Determinism contract
 //!
-//! An arm's reported results are a **pure function of `(plan, seed0,
-//! rule)`** — independent of the worker-thread count, of the other
-//! arms in the sweep, and of scheduling order. The engine guarantees
-//! this by construction:
+//! An arm's report is a **pure function of `(plan, seed0, rule)`** —
+//! independent of the worker-thread count, of the other arms in the
+//! sweep, and of scheduling order. The engine guarantees this by
+//! construction:
 //!
 //! * an arm consumes seeds `seed0, seed0+1, …` strictly in order, and
 //!   its aggregate is folded in seed order;
@@ -16,31 +16,21 @@
 //!   `rule.batch` runs, plus the budget edge `rule.max_runs`), never at
 //!   scheduler-dependent instants;
 //! * an arm stops at the *first* qualifying boundary where the rule is
-//!   satisfied. If the scheduler optimistically executed runs past that
-//!   boundary in the same round, they are discarded, not reported.
+//!   satisfied, and runs nothing past it: every executed run is
+//!   reported.
 //!
-//! What *is* scheduling-dependent — how many optimistic runs were
-//! executed and how many rounds the sweep took — is reported separately
-//! on [`AdaptiveReport`] and excluded from the per-arm results.
+//! # Rounds
 //!
-//! # Reallocation
-//!
-//! Each round grants every live arm one batch (progress guarantee) and
-//! hands the remaining round budget to the arms with the **widest**
-//! current intervals, so runs drain toward high-variance cells exactly
-//! as Atanassov's adaptive situational-analysis sweeps allocate
-//! samples. Arms whose interval is already tight (or whose budget is
-//! exhausted) stop and release their boot snapshot; snapshots are
-//! booted lazily on an arm's first scheduled batch, so at most the
-//! currently-live arms keep snapshots resident.
+//! A round runs exactly the next batch of every live arm, as one list of
+//! `(arm, seed)` runs on the work-stealing pool. An arm boots its
+//! snapshot before its first batch and drops it when it stops, so at
+//! most the live arms keep snapshots resident.
 
-use crate::builder::{default_threads, run_ordered};
+use crate::builder::run_ordered;
 use crate::campaign::Aggregate;
-use crate::error::CampaignError;
-use crate::runner::{execute_warm, RunGeometry, RunPlan, RunResult};
+use crate::runner::{execute_warm, RunGeometry, RunPlan};
 use ree_apps::BootSnapshot;
 use ree_stats::Proportion;
-use std::sync::Arc;
 
 /// Which campaign proportion the stopping rule targets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -167,28 +157,13 @@ impl StoppingRule {
         self.metric.proportion(agg).wilson_half_width(self.confidence) <= self.half_width
     }
 
-    /// Checks the rule's structural invariants, reporting a typed
-    /// [`CampaignError`] instead of panicking — the form a distributed
-    /// supervisor wants at the trust boundary, where a malformed rule
-    /// must become an error frame rather than a dead worker.
-    pub fn try_validate(&self) -> Result<(), CampaignError> {
-        let bad = |why: &str| Err(CampaignError::InvalidRule(why.to_owned()));
-        if !(self.confidence > 0.0 && self.confidence < 1.0) {
-            return bad("confidence must be in (0,1)");
-        }
-        if self.half_width.is_nan() || self.half_width <= 0.0 {
-            return bad("half-width must be positive");
-        }
-        if self.batch < 1 {
-            return bad("batch must be at least 1");
-        }
-        Ok(())
-    }
-
     fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
+        assert!(
+            self.confidence > 0.0 && self.confidence < 1.0,
+            "invalid stopping rule: confidence must be in (0,1)"
+        );
+        assert!(self.half_width > 0.0, "invalid stopping rule: half-width must be positive");
+        assert!(self.batch >= 1, "invalid stopping rule: batch must be at least 1");
     }
 }
 
@@ -238,208 +213,77 @@ impl ArmReport {
     }
 }
 
-/// Sweep-level outcome: per-arm reports plus scheduling statistics.
-#[derive(Clone, Debug)]
-pub struct AdaptiveReport {
-    /// One report per arm, in input order. Deterministic.
-    pub arms: Vec<ArmReport>,
-    /// Batch rounds the sweep took. Scheduling-dependent (thread count
-    /// changes it) — excluded from the determinism contract.
-    pub rounds: u32,
-    /// Runs actually executed, including optimistic runs past a stop
-    /// boundary that were discarded. Scheduling-dependent.
-    pub runs_executed: u64,
-}
-
-/// Per-arm engine state. The boot snapshot is created lazily on the
-/// arm's first scheduled batch and dropped as soon as the arm stops, so
-/// resident snapshots are bounded by the live arms.
+/// An arm's progress: its fold so far, and whether (and how) it stopped.
+#[derive(Default)]
 struct ArmState {
     agg: Aggregate,
-    folded: u32,
+    runs: u32,
     stopped: bool,
     target_met: bool,
-    boot: Option<Arc<(RunGeometry, BootSnapshot)>>,
 }
 
-/// One scheduled chunk: `len` runs of arm `arm` starting at seed offset
-/// `start` (arm-local).
-struct Task {
-    arm: usize,
-    start: u32,
-    len: u32,
-    boot: Arc<(RunGeometry, BootSnapshot)>,
-}
-
-/// Runs an adaptive sweep over `arms` with automatic thread selection.
-/// See the module docs for the stopping and determinism semantics.
-pub fn run_arms(arms: &[Arm], rule: &StoppingRule) -> AdaptiveReport {
-    run_arms_with_threads(arms, rule, None)
-}
-
-/// [`run_arms`] with an explicit worker-thread count. The per-arm
-/// reports are identical for every `threads` value (including 1); only
-/// the scheduling statistics differ.
-pub fn run_arms_with_threads(
-    arms: &[Arm],
-    rule: &StoppingRule,
-    threads: Option<usize>,
-) -> AdaptiveReport {
+/// Runs an adaptive sweep over `arms` on `threads` workers (`None`: the
+/// machine's available parallelism, capped at 16) and returns one report
+/// per arm, in input order. See the module docs for the stopping and
+/// determinism semantics; the reports are identical for every `threads`
+/// value, including 1.
+pub fn run_arms(arms: &[Arm], rule: &StoppingRule, threads: Option<usize>) -> Vec<ArmReport> {
     rule.validate();
-    let threads = threads.unwrap_or_else(default_threads).max(1);
-    let mut states: Vec<ArmState> = arms
-        .iter()
-        .map(|_| ArmState {
-            agg: Aggregate::default(),
-            folded: 0,
-            stopped: false,
-            target_met: false,
-            boot: None,
-        })
-        .collect();
-    let mut rounds = 0u32;
-    let mut runs_executed = 0u64;
-
+    let mut states: Vec<ArmState> = arms.iter().map(|_| ArmState::default()).collect();
+    // Apart from `states`, so workers read the snapshots while the sink
+    // folds into the states.
+    let mut boots: Vec<Option<(RunGeometry, BootSnapshot)>> = arms.iter().map(|_| None).collect();
     loop {
-        // Retire arms with no budget left (covers `max_runs == 0`).
-        for s in states.iter_mut().filter(|s| !s.stopped) {
-            if s.folded >= rule.max_runs {
-                s.stopped = true;
-                s.target_met = rule.satisfied_by(&s.agg);
-                s.boot = None;
-            }
-        }
-        let live: Vec<usize> = (0..arms.len()).filter(|&i| !states[i].stopped).collect();
-        if live.is_empty() {
-            break;
-        }
-        rounds += 1;
-
-        // Allocate this round's batches: one per live arm, then the
-        // rest of the round budget to the widest intervals (ties broken
-        // by arm index, so allocation itself is deterministic too).
-        let round_chunks = live.len().max(threads);
-        let mut alloc = vec![0u32; arms.len()];
-        let chunk_cap = |i: usize| {
-            let remaining = rule.max_runs - states[i].folded;
-            remaining.div_ceil(rule.batch)
-        };
-        for &i in &live {
-            alloc[i] = chunk_cap(i).min(1);
-        }
-        let mut extras = round_chunks.saturating_sub(live.len());
-        if extras > 0 {
-            let mut order: Vec<usize> = live.clone();
-            order.sort_by(|&a, &b| {
-                let wa = rule.metric.proportion(&states[a].agg).wilson_half_width(rule.confidence);
-                let wb = rule.metric.proportion(&states[b].agg).wilson_half_width(rule.confidence);
-                wb.partial_cmp(&wa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-            });
-            'grant: loop {
-                let mut granted_any = false;
-                for &i in &order {
-                    if extras == 0 {
-                        break 'grant;
-                    }
-                    if alloc[i] < chunk_cap(i) {
-                        alloc[i] += 1;
-                        extras -= 1;
-                        granted_any = true;
-                    }
-                }
-                if !granted_any {
-                    break;
-                }
-            }
-        }
-
-        // Boot lazily: only arms actually scheduled this round pay for
-        // (and hold) a snapshot.
-        for &i in &live {
-            if alloc[i] > 0 && states[i].boot.is_none() {
-                states[i].boot = Some(Arc::new(arms[i].plan.boot()));
-            }
-        }
-
-        // Build the round's task list in (arm, offset) order.
-        let mut tasks: Vec<Task> = Vec::new();
-        for &i in &live {
-            let boot = states[i].boot.as_ref().expect("scheduled arm is booted").clone();
-            for k in 0..alloc[i] {
-                let start = states[i].folded + k * rule.batch;
-                let len = rule.batch.min(rule.max_runs - start);
-                if len == 0 {
-                    break;
-                }
-                tasks.push(Task { arm: i, start, len, boot: boot.clone() });
-            }
-        }
-
-        let chunk_results = execute_round(arms, &tasks, threads);
-        runs_executed += chunk_results.iter().map(|c| c.len() as u64).sum::<u64>();
-
-        // Fold per arm in seed order, checking the rule at every batch
-        // boundary; results past the first satisfied boundary are
-        // discarded (see the determinism contract).
-        for (task, results) in tasks.iter().zip(chunk_results) {
-            let s = &mut states[task.arm];
-            if s.stopped {
+        // Check each live arm's rule at the end of its last batch: it
+        // stops once the target is met (never before its first batch) or
+        // the budget is spent. Queue the next batch of every other arm
+        // as `(arm, run)` in arm-then-seed order, booting it before its
+        // first.
+        let mut runs: Vec<(usize, u32)> = Vec::new();
+        for (i, s) in states.iter_mut().enumerate().filter(|(_, s)| !s.stopped) {
+            let met = rule.satisfied_by(&s.agg);
+            if (met && s.runs >= rule.min_runs.max(1)) || s.runs >= rule.max_runs {
+                (s.stopped, s.target_met, boots[i]) = (true, met, None);
                 continue;
             }
-            debug_assert_eq!(task.start, s.folded, "chunks fold in seed order");
-            for r in results {
-                s.agg.accept(&r);
-                s.folded += 1;
-                let at_boundary = s.folded.is_multiple_of(rule.batch) || s.folded == rule.max_runs;
-                if at_boundary && s.folded >= rule.min_runs && rule.satisfied_by(&s.agg) {
-                    s.stopped = true;
-                    s.target_met = true;
-                    s.boot = None;
-                    break;
-                }
-            }
+            boots[i].get_or_insert_with(|| arms[i].plan.boot());
+            let end = s.runs.saturating_add(rule.batch).min(rule.max_runs);
+            runs.extend((s.runs..end).map(|k| (i, k)));
         }
+        if runs.is_empty() {
+            break;
+        }
+        let mut owners = runs.iter().map(|&(i, _)| i);
+        run_ordered(
+            u32::try_from(runs.len()).expect("a round queues at most u32::MAX runs"),
+            threads,
+            |t| {
+                let (i, k) = runs[t as usize];
+                let (geometry, snapshot) = boots[i].as_ref().expect("a queued arm is booted");
+                let seed = arms[i].seed0.wrapping_add(u64::from(k));
+                execute_warm(&arms[i].plan, geometry, snapshot, seed)
+            },
+            |r| {
+                let s = &mut states[owners.next().expect("one result per queued run")];
+                s.agg.accept(&r);
+                s.runs += 1;
+            },
+        );
     }
 
-    let arms_out = arms
-        .iter()
-        .zip(&states)
+    arms.iter()
+        .zip(states)
         .map(|(arm, s)| {
             let proportion = rule.metric.proportion(&s.agg);
             ArmReport {
                 label: arm.label.clone(),
                 seed0: arm.seed0,
-                runs: s.folded,
+                runs: s.runs,
                 target_met: s.target_met,
-                aggregate: s.agg.clone(),
+                aggregate: s.agg,
                 proportion,
                 half_width: proportion.wilson_half_width(rule.confidence),
             }
         })
-        .collect();
-    AdaptiveReport { arms: arms_out, rounds, runs_executed }
-}
-
-/// Executes one round's chunks across `threads` workers, returning each
-/// chunk's results in task order. Within a chunk, runs execute (and are
-/// returned) in seed order.
-fn execute_round(arms: &[Arm], tasks: &[Task], threads: usize) -> Vec<Vec<RunResult>> {
-    let run_chunk = |task: &Task| -> Vec<RunResult> {
-        let (geometry, snapshot) = &*task.boot;
-        let arm = &arms[task.arm];
-        (0..u64::from(task.len))
-            .map(|j| {
-                let seed = arm.seed0.wrapping_add(u64::from(task.start) + j);
-                execute_warm(&arm.plan, geometry, snapshot, seed)
-            })
-            .collect()
-    };
-    let mut out = Vec::with_capacity(tasks.len());
-    run_ordered(
-        tasks.len() as u32,
-        Some(threads),
-        |t| run_chunk(&tasks[t as usize]),
-        |c| out.push(c),
-    );
-    out
+        .collect()
 }

@@ -138,9 +138,7 @@ impl<'p> Campaign<'p> {
     /// independent of the thread count.
     pub fn adaptive(&self, rule: &StoppingRule) -> ArmReport {
         let arm = Arm::new("", self.plan.clone(), self.seed0);
-        let mut report =
-            crate::adaptive::run_arms_with_threads(std::slice::from_ref(&arm), rule, self.threads);
-        report.arms.remove(0)
+        crate::adaptive::run_arms(std::slice::from_ref(&arm), rule, self.threads).remove(0)
     }
 }
 

@@ -100,32 +100,4 @@ impl Aggregate {
         }
         agg
     }
-
-    /// Merges another aggregate into this one, as if `other`'s result
-    /// stream had been [`accept`](Aggregate::accept)ed here after this
-    /// one's. Associative with [`Aggregate::default`] as identity
-    /// (counters exactly; the [`Summary`] moments up to floating-point
-    /// rounding), which is what enables batch-wise accumulation in the
-    /// adaptive engine's sharded future (merge per-process aggregates
-    /// instead of shipping every `RunResult`).
-    ///
-    /// Order matters only for `system_failures`, which concatenates in
-    /// argument order — merging seed-ordered shards in seed order keeps
-    /// the combined list seed-ordered too.
-    pub fn merge(&mut self, other: &Aggregate) {
-        self.errors_injected += other.errors_injected;
-        self.failures += other.failures;
-        self.successful_recoveries += other.successful_recoveries;
-        self.system_failures.extend_from_slice(&other.system_failures);
-        self.seg_faults += other.seg_faults;
-        self.illegal_instrs += other.illegal_instrs;
-        self.hangs += other.hangs;
-        self.assertions += other.assertions;
-        self.perceived.merge(&other.perceived);
-        self.actual.merge(&other.actual);
-        self.recovery.merge(&other.recovery);
-        self.correlated += other.correlated;
-        self.incorrect_output += other.incorrect_output;
-        self.no_effect += other.no_effect;
-    }
 }

@@ -6,23 +6,19 @@
 //! distributed supervisor (`ree-dist`) must be able to *report* a bad
 //! batch over the wire instead of aborting the worker, so the
 //! supervisor-visible failure modes are typed here and surfaced as
-//! `Result`s by [`crate::RunPlan::validate`],
-//! [`crate::execute_warm_checked`], and
-//! [`crate::StoppingRule::try_validate`].
+//! `Result`s by [`crate::RunPlan::validate`] and
+//! [`crate::execute_warm_checked`].
 
 use std::fmt;
 
-/// A supervisor-visible campaign failure: the plan or rule was
-/// malformed, or a run panicked mid-execution.
+/// A supervisor-visible campaign failure: the plan was malformed, or a
+/// run panicked mid-execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CampaignError {
     /// The [`crate::RunPlan`] fails validation (out-of-range job nodes,
     /// rank/node mismatch, bad timeout, net-fault endpoints outside the
     /// cluster, …). The message says which check failed.
     InvalidPlan(String),
-    /// A [`crate::StoppingRule`] fails validation (confidence outside
-    /// `(0,1)`, non-positive half-width, zero batch).
-    InvalidRule(String),
     /// A run panicked inside the simulator. The campaign machinery is
     /// deterministic, so the same seed panics everywhere — the message
     /// carries the seed for reproduction.
@@ -38,7 +34,6 @@ impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CampaignError::InvalidPlan(why) => write!(f, "invalid run plan: {why}"),
-            CampaignError::InvalidRule(why) => write!(f, "invalid stopping rule: {why}"),
             CampaignError::RunPanicked { seed, message } => {
                 write!(f, "run for seed {seed} panicked: {message}")
             }

@@ -59,10 +59,9 @@
 //! estimate needs them. The [`adaptive`] module instead drives many
 //! [`adaptive::Arm`]s in batches, stops each arm once the Wilson
 //! confidence interval on its key proportion is inside a
-//! [`StoppingRule`] target, and reallocates the next batch's runs to
-//! the widest-interval arms — same determinism contract (per-arm
-//! results are a pure function of `(plan, seed0, rule)`). See
-//! `docs/ADAPTIVE.md`.
+//! [`StoppingRule`] target, one batch per live arm per round — same
+//! determinism contract (per-arm results are a pure function of
+//! `(plan, seed0, rule)`). See `docs/ADAPTIVE.md`.
 //!
 //! # Network fault plans
 //!
@@ -96,7 +95,7 @@ mod model;
 pub mod netfault;
 mod runner;
 
-pub use adaptive::{AdaptiveReport, Arm, ArmReport, CiMetric, StoppingRule};
+pub use adaptive::{Arm, ArmReport, CiMetric, StoppingRule};
 pub use branch::{activation_instants, candidate_targets};
 pub use builder::Campaign;
 pub use campaign::Aggregate;

@@ -313,11 +313,9 @@ fn run_seeded(
         }
         if induced.is_some() && plan.model.repeats() {
             // Failure induced: stop injecting, run the rest out.
-            let _ = net_driver.run(&mut running, plan.timeout);
             break;
         }
         if injections >= max_injections {
-            let _ = net_driver.run(&mut running, plan.timeout);
             break;
         }
         // Resolve the target afresh (recoveries change pids).
@@ -326,7 +324,6 @@ fn run_seeded(
             // Target not alive right now; retry shortly.
             next_injection = running.cluster.now() + SimDuration::from_millis(1500);
             if next_injection >= plan.timeout {
-                let _ = net_driver.run(&mut running, plan.timeout);
                 break;
             }
             continue;
@@ -338,7 +335,6 @@ fn run_seeded(
             // matrices); retry shortly without counting an injection.
             next_injection = running.cluster.now() + SimDuration::from_secs(2);
             if next_injection >= w1 {
-                let _ = net_driver.run(&mut running, plan.timeout);
                 break;
             }
             continue;
@@ -378,7 +374,8 @@ struct Observed<'p> {
 fn finish_run(plan: &RunPlan, seed: u64, observed: Observed<'_>) -> (RunResult, Running) {
     let Observed { mut running, injections, mut induced, heap_hit, watched, mut net_driver } =
         observed;
-    // If we returned early (single heap flip), keep running to the end.
+    // Every early exit from the injection loop lands here: run the plan
+    // out to completion or the timeout.
     if !running.all_done() && running.cluster.now() < plan.timeout {
         net_driver.run(&mut running, plan.timeout);
     }

@@ -1,167 +1,14 @@
-//! The adaptive engine's two contracts, tested from outside:
-//!
-//! * [`Aggregate::merge`] is a monoid operation matching the streaming
-//!   fold — merging per-shard aggregates equals folding the
-//!   concatenated stream (counters exactly, `Summary` moments up to FP
-//!   rounding), associatively, with `Aggregate::default()` as identity.
-//! * Per-arm adaptive reports are a pure function of
-//!   `(plan, seed0, rule)`: byte-identical across worker-thread counts
-//!   and arm orderings. Only the scheduling statistics may differ.
+//! The adaptive engine's contract, tested from outside: per-arm reports
+//! are a pure function of `(plan, seed0, rule)`, byte-identical across
+//! worker-thread counts and arm orderings, and stop at the first
+//! boundary where the rule holds.
 
-use proptest::prelude::*;
-use ree_apps::{Scenario, Verdict};
-use ree_inject::adaptive::{run_arms, run_arms_with_threads};
+use ree_apps::Scenario;
+use ree_inject::adaptive::run_arms;
 use ree_inject::{
-    Aggregate, Arm, ArmReport, Campaign, CiMetric, ErrorModel, FailureClass, RunPlan, RunResult,
-    StoppingRule, SystemFailure, Target,
+    Aggregate, Arm, ArmReport, Campaign, CiMetric, ErrorModel, RunPlan, StoppingRule, Target,
 };
 use ree_sim::SimTime;
-use ree_stats::Summary;
-
-// ---- Aggregate::merge laws ------------------------------------------------
-
-/// Decodes one random word into a synthetic run covering every field
-/// `Aggregate::accept` looks at — including the `None`/empty branches.
-/// (`heap_hit`, the per-slot vectors, and the seed are not aggregated.)
-fn decode(word: u64) -> RunResult {
-    let induced = match (word >> 2) & 7 {
-        0 => Some(FailureClass::SegFault),
-        1 => Some(FailureClass::IllegalInstruction),
-        2 => Some(FailureClass::Hang),
-        3 => Some(FailureClass::Assertion),
-        4 => Some(FailureClass::InjectedSignal),
-        5 => Some(FailureClass::Other),
-        _ => None,
-    };
-    let system_failure = match (word >> 6) & 7 {
-        0 => Some(SystemFailure::UnableToRegisterDaemons),
-        1 => Some(SystemFailure::UnableToInstallExecArmors),
-        2 => Some(SystemFailure::UnableToStartApplication),
-        3 => Some(SystemFailure::UnableToRecognizeCompletion),
-        4 => Some(SystemFailure::AppDidNotComplete),
-        _ => None,
-    };
-    let output = match ((word >> 9) & 3) % 3 {
-        0 => Verdict::Correct,
-        1 => Verdict::Incorrect,
-        _ => Verdict::Missing,
-    };
-    let time = |shift: u32| {
-        let raw = (word >> shift) & 0xFF;
-        (raw != 0).then_some(raw as f64 * 1.7 + 0.3)
-    };
-    let recovery_times = (0..(word >> 11) & 3)
-        .map(|i| ((word >> (40 + 4 * i)) & 0xF) as f64 * 0.11 + 0.01)
-        .collect();
-    RunResult {
-        seed: 0,
-        injections: (word & 3) as u32,
-        induced,
-        completed: (word >> 5) & 1 == 1,
-        system_failure,
-        output,
-        perceived: time(16),
-        actual: time(24),
-        perceived_all: Vec::new(),
-        actual_all: Vec::new(),
-        restarts: (word >> 13) & 3,
-        recovery_times,
-        correlated: (word >> 15) & 1 == 1,
-        assertion_fired: false,
-        heap_hit: None,
-        net_faults_applied: 0,
-    }
-}
-
-fn aggregate(results: &[RunResult]) -> Aggregate {
-    let mut agg = Aggregate::default();
-    for r in results {
-        agg.accept(r);
-    }
-    agg
-}
-
-/// Exact on everything but the `Summary` moments, which a parallel
-/// (Chan et al.) merge reproduces only up to FP rounding.
-fn assert_agg_close(a: &Aggregate, b: &Aggregate) {
-    assert_eq!(a.errors_injected, b.errors_injected);
-    assert_eq!(a.failures, b.failures);
-    assert_eq!(a.successful_recoveries, b.successful_recoveries);
-    assert_eq!(a.system_failures, b.system_failures);
-    assert_eq!(a.seg_faults, b.seg_faults);
-    assert_eq!(a.illegal_instrs, b.illegal_instrs);
-    assert_eq!(a.hangs, b.hangs);
-    assert_eq!(a.assertions, b.assertions);
-    assert_eq!(a.correlated, b.correlated);
-    assert_eq!(a.incorrect_output, b.incorrect_output);
-    assert_eq!(a.no_effect, b.no_effect);
-    for (x, y) in [(&a.perceived, &b.perceived), (&a.actual, &b.actual), (&a.recovery, &b.recovery)]
-    {
-        assert_summary_close(x, y);
-    }
-}
-
-fn assert_summary_close(x: &Summary, y: &Summary) {
-    assert_eq!(x.n(), y.n());
-    assert_eq!(x.min(), y.min());
-    assert_eq!(x.max(), y.max());
-    assert!((x.mean() - y.mean()).abs() <= 1e-9 * x.mean().abs().max(1.0));
-    assert!((x.std_dev() - y.std_dev()).abs() <= 1e-6 * x.std_dev().abs().max(1.0));
-}
-
-proptest! {
-    /// merge(fold(left), fold(right)) == fold(left ++ right).
-    #[test]
-    fn merge_matches_concatenated_fold(
-        words in proptest::collection::vec(any::<u64>(), 0..40),
-        split in 0u64..41,
-    ) {
-        let results: Vec<RunResult> = words.iter().copied().map(decode).collect();
-        let split = (split as usize).min(results.len());
-        let (left, right) = results.split_at(split);
-        let mut merged = aggregate(left);
-        merged.merge(&aggregate(right));
-        assert_agg_close(&merged, &aggregate(&results));
-    }
-
-    /// (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c).
-    #[test]
-    fn merge_is_associative(
-        a in proptest::collection::vec(any::<u64>(), 0..15),
-        b in proptest::collection::vec(any::<u64>(), 0..15),
-        c in proptest::collection::vec(any::<u64>(), 0..15),
-    ) {
-        let agg_of = |words: &[u64]| {
-            let results: Vec<RunResult> = words.iter().copied().map(decode).collect();
-            aggregate(&results)
-        };
-        let (a, b, c) = (agg_of(&a), agg_of(&b), agg_of(&c));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_agg_close(&left, &right);
-    }
-
-    /// `Aggregate::default()` is a two-sided identity — bit-exact, not
-    /// just close.
-    #[test]
-    fn merge_identity_is_exact(words in proptest::collection::vec(any::<u64>(), 0..25)) {
-        let results: Vec<RunResult> = words.iter().copied().map(decode).collect();
-        let agg = aggregate(&results);
-        let mut left = Aggregate::default();
-        left.merge(&agg);
-        prop_assert_eq!(&left, &agg);
-        let mut right = agg.clone();
-        right.merge(&Aggregate::default());
-        prop_assert_eq!(&right, &agg);
-    }
-}
-
-// ---- Adaptive determinism -------------------------------------------------
 
 fn plan(model: ErrorModel, target: Target) -> RunPlan {
     RunPlan {
@@ -175,8 +22,8 @@ fn plan(model: ErrorModel, target: Target) -> RunPlan {
 
 /// A rule small enough for a test but still exercising the interesting
 /// machinery: multiple batches per arm, a reachable target (so some arm
-/// stops early and discards optimistic runs), and a budget edge that is
-/// not a batch multiple.
+/// stops early while others run on), and a budget edge that is not a
+/// batch multiple.
 fn rule() -> StoppingRule {
     StoppingRule::default().half_width(0.30).batch(5).min_runs(10).max_runs(23)
 }
@@ -189,36 +36,36 @@ fn arm_reports_are_identical_across_thread_counts_and_orderings() {
         Arm::new("sigint/exec", plan(ErrorModel::Sigint, Target::ExecArmor), 10_000),
     ];
     let rule = rule();
-    let reference = run_arms_with_threads(&arms, &rule, Some(1));
-    assert_eq!(reference.arms.len(), 3);
+    let reference = run_arms(&arms, &rule, Some(1));
+    assert_eq!(reference.len(), 3);
     assert!(
-        reference.arms.iter().any(|a| a.target_met),
+        reference.iter().any(|a| a.target_met),
         "rule must stop at least one arm before the budget for the test to bite"
     );
-    for threads in [2usize, 8] {
-        let got = run_arms_with_threads(&arms, &rule, Some(threads));
-        assert_eq!(got.arms, reference.arms, "{threads}-thread sweep diverged from 1-thread");
+    for threads in [2usize, 8, 16] {
+        let got = run_arms(&arms, &rule, Some(threads));
+        assert_eq!(got, reference, "{threads}-thread sweep diverged from 1-thread");
     }
     // Arm order must not leak into any arm's report: reverse the sweep
     // and compare each report to the same-label reference.
     let mut reversed: Vec<Arm> = arms.clone();
     reversed.reverse();
-    let rev = run_arms(&reversed, &rule);
+    let rev = run_arms(&reversed, &rule, None);
     let by_label = |arms: &[ArmReport], label: &str| {
         arms.iter().find(|a| a.label == label).expect("label present").clone()
     };
     for arm in &arms {
         assert_eq!(
-            by_label(&rev.arms, &arm.label),
-            by_label(&reference.arms, &arm.label),
+            by_label(&rev, &arm.label),
+            by_label(&reference, &arm.label),
             "arm {} changed when the sweep order did",
             arm.label
         );
     }
     // A single-arm sweep of the same cell also matches: other arms are
     // invisible to an arm's result.
-    let solo = run_arms(std::slice::from_ref(&arms[1]), &rule);
-    assert_eq!(solo.arms[0], by_label(&reference.arms, "sigstop/ftm"));
+    let solo = run_arms(std::slice::from_ref(&arms[1]), &rule, None);
+    assert_eq!(solo[0], by_label(&reference, "sigstop/ftm"));
 }
 
 #[test]

@@ -1,8 +1,10 @@
-//! Typed campaign errors: validation at the supervisor trust boundary
-//! and the panic boundary around a single run.
+//! Typed campaign errors: plan validation at the supervisor trust
+//! boundary and the panic boundary around a single run; and the panics
+//! a malformed stopping rule raises.
 
 use ree_inject::{
-    execute_warm_checked, CampaignError, ErrorModel, NetFault, RunPlan, StoppingRule, Target,
+    execute_warm_checked, Campaign, CampaignError, ErrorModel, NetFault, RunPlan, StoppingRule,
+    Target,
 };
 use ree_sift::JobSpec;
 use ree_sim::{SimDuration, SimTime};
@@ -83,15 +85,28 @@ fn degenerate_partition_is_rejected() {
     assert!(matches!(p.validate(), Err(CampaignError::InvalidPlan(_))));
 }
 
+/// A malformed stopping rule is a programming error: the engine panics
+/// before it runs anything.
+fn adaptive_with(rule: StoppingRule) {
+    Campaign::new(&plan()).seed(1).adaptive(&rule);
+}
+
 #[test]
-fn stopping_rule_try_validate() {
-    assert_eq!(StoppingRule::default().try_validate(), Ok(()));
-    let bad = StoppingRule::default().confidence(1.5);
-    assert!(matches!(bad.try_validate(), Err(CampaignError::InvalidRule(_))));
-    let bad = StoppingRule::default().half_width(0.0);
-    assert!(matches!(bad.try_validate(), Err(CampaignError::InvalidRule(_))));
-    let bad = StoppingRule::default().batch(0);
-    assert!(matches!(bad.try_validate(), Err(CampaignError::InvalidRule(_))));
+#[should_panic(expected = "invalid stopping rule: confidence must be in (0,1)")]
+fn confidence_outside_the_unit_interval_panics() {
+    adaptive_with(StoppingRule::default().confidence(1.5));
+}
+
+#[test]
+#[should_panic(expected = "invalid stopping rule: half-width must be positive")]
+fn zero_half_width_panics() {
+    adaptive_with(StoppingRule::default().half_width(0.0));
+}
+
+#[test]
+#[should_panic(expected = "invalid stopping rule: batch must be at least 1")]
+fn zero_batch_panics() {
+    adaptive_with(StoppingRule::default().batch(0));
 }
 
 #[test]

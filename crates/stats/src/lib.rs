@@ -9,9 +9,7 @@
 //! Adaptive confidence-targeted campaigns additionally need interval
 //! math on *proportions* (recovery rate, failure rate): [`Proportion`]
 //! carries Wilson score intervals ([`Proportion::wilson`]), built on
-//! the normal quantile `z_quantile`, and [`Summary::merge`] combines
-//! two streaming summaries so aggregates can be accumulated batch-wise
-//! or across shards.
+//! the normal quantile `z_quantile`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

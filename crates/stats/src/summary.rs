@@ -47,42 +47,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Merges another summary into this one, as if every observation of
-    /// `other` had been [`push`](Summary::push)ed here (Chan et al.'s
-    /// parallel Welford combination). Associative and commutative up to
-    /// floating-point rounding, with [`Summary::new`] as identity —
-    /// which is what lets campaign aggregates be folded batch-wise, or
-    /// sharded across processes and combined.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ree_stats::Summary;
-    /// let mut left: Summary = [1.0, 2.0].into_iter().collect();
-    /// let right: Summary = [3.0, 4.0].into_iter().collect();
-    /// left.merge(&right);
-    /// assert_eq!(left.n(), 4);
-    /// assert_eq!(left.mean(), 2.5);
-    /// ```
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn n(&self) -> u64 {
         self.n
@@ -225,53 +189,6 @@ mod tests {
         assert_eq!(s.min(), 74.0, "default-constructed summary must not clamp min to 0");
         assert_eq!(s.max(), 76.0);
         assert_eq!(Summary::default(), Summary::new());
-    }
-
-    #[test]
-    fn merge_matches_sequential_pushes() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let whole: Summary = xs.iter().copied().collect();
-        for split in 0..=xs.len() {
-            let mut left: Summary = xs[..split].iter().copied().collect();
-            let right: Summary = xs[split..].iter().copied().collect();
-            left.merge(&right);
-            assert_eq!(left.n(), whole.n(), "split {split}");
-            assert!((left.mean() - whole.mean()).abs() < 1e-12, "split {split}");
-            assert!((left.std_dev() - whole.std_dev()).abs() < 1e-12, "split {split}");
-            assert_eq!(left.min(), whole.min());
-            assert_eq!(left.max(), whole.max());
-        }
-    }
-
-    #[test]
-    fn merge_identity_is_exact() {
-        let s: Summary = [74.0, 75.5, 76.0].into_iter().collect();
-        let mut a = s.clone();
-        a.merge(&Summary::new());
-        assert_eq!(a, s, "right identity must be bit-exact");
-        let mut b = Summary::new();
-        b.merge(&s);
-        assert_eq!(b, s, "left identity must be bit-exact");
-        let mut c = Summary::new();
-        c.merge(&Summary::default());
-        assert_eq!(c, Summary::new());
-    }
-
-    #[test]
-    fn merge_is_associative_within_rounding() {
-        let a: Summary = [1.0, 2.0, 3.0].into_iter().collect();
-        let b: Summary = [10.0, 20.0].into_iter().collect();
-        let c: Summary = [0.5].into_iter().collect();
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c.n(), a_bc.n());
-        assert!((ab_c.mean() - a_bc.mean()).abs() < 1e-12);
-        assert!((ab_c.std_dev() - a_bc.std_dev()).abs() < 1e-12);
     }
 
     #[test]
