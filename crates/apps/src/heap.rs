@@ -10,6 +10,7 @@
 
 use ree_os::{FieldKind, HeapHit, HeapTarget};
 use ree_sim::SimRng;
+use std::sync::Arc;
 
 /// Alignment valid status-block pointers satisfy.
 const APP_PTR_ALIGN: u64 = 4096;
@@ -17,8 +18,11 @@ const APP_PTR_ALIGN: u64 = 4096;
 /// Science-process heap: matrices plus a control block.
 #[derive(Clone, Debug)]
 pub(crate) struct SciHeap {
-    /// The working image (row-major pixels).
-    pub image: Vec<f64>,
+    /// The working image (row-major pixels). A texture rank shares it
+    /// with the pristine input until a flip lands in it: [`SciHeap::flip`]
+    /// unshares it (`Arc::make_mut`), so a run's flips never reach
+    /// another run.
+    pub image: Arc<Vec<f64>>,
     /// The accumulated feature matrix.
     pub features: Vec<f64>,
     /// Expected image width (pixels).
@@ -38,7 +42,7 @@ impl SciHeap {
     /// Creates an empty heap for a `side`×`side` image.
     pub(crate) fn new(side: u64) -> Self {
         SciHeap {
-            image: Vec::new(),
+            image: Arc::default(),
             features: Vec::new(),
             width: side,
             height: side,
@@ -111,7 +115,7 @@ impl SciHeap {
         let idx = rng.index(total);
         let bit = rng.below(64);
         let (region, field, value) = if idx < image_len {
-            ("image", format!("image/{idx}"), &mut self.image[idx])
+            ("image", format!("image/{idx}"), &mut Arc::make_mut(&mut self.image)[idx])
         } else {
             (
                 "features",
@@ -130,7 +134,7 @@ mod tests {
 
     fn heap_with_data() -> SciHeap {
         let mut h = SciHeap::new(8);
-        h.image = vec![0.5; 64];
+        h.image = Arc::new(vec![0.5; 64]);
         h.features = vec![1.0; 12];
         h
     }
@@ -197,7 +201,8 @@ mod tests {
     fn matrix_flip_changes_exactly_one_bit() {
         let mut h = heap_with_data();
         let mut rng = SimRng::new(4);
-        let before_img = h.image.clone();
+        // The heap shares its image with `before_img`; the flip unshares it.
+        let before_img = Arc::clone(&h.image);
         let before_feat = h.features.clone();
         // Force a matrix hit by retrying until not ctrl.
         loop {
@@ -210,7 +215,7 @@ mod tests {
         let img_bits: u32 = h
             .image
             .iter()
-            .zip(&before_img)
+            .zip(before_img.iter())
             .map(|(a, b)| (a.to_bits() ^ b.to_bits()).count_ones())
             .sum();
         let feat_bits: u32 = h

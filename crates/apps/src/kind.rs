@@ -7,8 +7,8 @@
 //! refuses to compile until it has an arm) plus one `Science` impl.
 
 use crate::rank::{Rank, Science};
-use crate::synth::{mars_surface_shared, thermal_frame_shared};
-use crate::verify::{verify_otis, verify_pipeline, verify_texture, Verdict};
+use crate::synth::thermal_frame_shared;
+use crate::verify::{texture_table, verify_otis, verify_pipeline, verify_texture, Verdict};
 use crate::{otis, pipeline, texture, Scenario};
 use ree_os::RemoteFs;
 use ree_sift::AppFactory;
@@ -90,14 +90,16 @@ impl AppKind {
         }
     }
 
-    /// Pre-generates the shared synthetic inputs the job in `slot` reads.
+    /// Pre-generates the shared synthetic inputs the job in `slot` reads
+    /// (for the texture program, the whole fault-free pipeline over them).
     pub(crate) fn warm(self, scenario: &Scenario, slot: u32) {
         let app = self.name();
         match self {
             AppKind::Texture => {
                 let p = &scenario.texture;
                 for image in 0..p.images {
-                    mars_surface_shared(p.image_px, texture::texture_image_seed(app, slot, image));
+                    let seed = texture::texture_image_seed(app, slot, image);
+                    texture_table(seed, p.image_px, p.tile_px, p.clusters);
                 }
             }
             AppKind::Otis => {

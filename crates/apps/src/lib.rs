@@ -33,7 +33,9 @@
 //! [`fft::FftPlan`]s, precomputed orientation band masks with a pooled
 //! [`filters::FilterScratch`], and campaign-shared `Arc`'d inputs
 //! ([`synth::mars_surface_shared`]) with copy-on-write at the
-//! fault-injection boundary:
+//! fault-injection boundary. The fault-free texture pipeline runs once
+//! per process; a run recomputes only the tiles and the clustering a
+//! flipped bit changed:
 //!
 //! ```
 //! use ree_apps::synth::mars_surface_shared;

@@ -18,6 +18,7 @@ use crate::synth::thermal_frame_shared;
 use ree_mpi::MpiPayload;
 use ree_os::ProcCtx;
 use ree_sim::SimDuration;
+use std::sync::Arc;
 
 /// Tunable workload parameters for OTIS.
 #[derive(Clone, Debug)]
@@ -130,7 +131,7 @@ impl Rank<Otis> {
             otis_frame_seed(&self.shell.launch.app, self.shell.launch.slot),
             frame,
         );
-        self.heap.image = f.band11.clone();
+        self.heap.image = Arc::new(f.band11.clone());
         self.heap.features = f.band12.clone();
         self.sci.phase = Phase::Atm { pair, working: true };
         ctx.start_work(self.params.atm_time, WORK_PHASE);

@@ -38,6 +38,7 @@ use crate::synth::thermal_frame_shared;
 use ree_mpi::MpiPayload;
 use ree_os::{ProcCtx, TimerId};
 use ree_sim::SimDuration;
+use std::sync::Arc;
 
 /// Tunable workload parameters for the image pipeline.
 #[derive(Clone, Debug)]
@@ -204,7 +205,7 @@ impl Rank<Pipeline> {
             pipeline_frame_seed(&self.shell.launch.app, self.shell.launch.slot),
             frame,
         );
-        self.heap.image = f.band11.clone();
+        self.heap.image = Arc::new(f.band11.clone());
         self.shell.progress(ctx);
         self.camera_send_frame(frame, ctx);
     }
@@ -214,7 +215,7 @@ impl Rank<Pipeline> {
             ctx,
             RANK_COMPUTE,
             TAG_FRAME + frame,
-            MpiPayload::F64s(self.heap.image.clone()),
+            MpiPayload::F64s(self.heap.image.to_vec()),
         );
         self.sci.phase = Phase::AwaitProduct { frame };
         self.arm_retry(ctx);
@@ -263,7 +264,7 @@ impl Rank<Pipeline> {
             }
             return;
         }
-        self.heap.image = pixels;
+        self.heap.image = Arc::new(pixels);
         self.sci.phase = Phase::Processing { frame };
         ctx.start_work(self.params.process_time, WORK_PHASE);
     }

@@ -16,11 +16,20 @@
 //! perturbs fault injection and timing, **not** the instrument data).
 //! [`mars_surface_shared`] and [`thermal_frame_shared`] memoize the
 //! generated data process-wide behind `Arc`s keyed by the generation
-//! parameters; runs receive shared read-only data and copy-on-write into
-//! their own science heap before fault injection can mutate anything
-//! (see `SciHeap` — heap bit flips land in the run's private copy).
-//! `Scenario::warm_inputs` pre-populates the cache before a campaign
-//! fans out across worker threads.
+//! parameters. Fault injection never mutates shared data:
+//!
+//! * **Share until flip** (texture): a rank's science heap holds the
+//!   pristine pixels of the fault-free texture pipeline (the verifier's
+//!   table, `verify::TextureTable`) as the same `Arc`, and `SciHeap::flip`
+//!   unshares them with `Arc::make_mut` — the first flip into the image
+//!   gives that rank its own copy, and the flip lands there. A rank whose
+//!   image is still shared takes the table's results; the
+//!   `a_flip_unshares_only_the_flipped_forks_image` test holds the promise.
+//! * **Copy at load** (OTIS, the pipeline app): ranks clone the bands out
+//!   of the shared frame into their heap.
+//!
+//! `Scenario::warm_inputs` pre-populates the caches (and the texture
+//! table) before a campaign fans out across worker threads.
 
 use ree_sim::SimRng;
 use std::sync::{Arc, Mutex};
@@ -151,8 +160,9 @@ pub fn mars_surface(size: usize, seed: u64) -> Image {
 
 /// [`mars_surface`] through the campaign-shared input cache: the image
 /// for a given `(size, seed)` is generated once per process and every
-/// caller receives the same `Arc`. Mutating consumers (the science
-/// heap) clone the pixels out — copy-on-write at the injection boundary.
+/// caller receives the same `Arc`. Nothing mutates it: the texture
+/// table copies the pixels once per process, and science heaps share
+/// that copy until a flip unshares it (module docs).
 ///
 /// ```
 /// use ree_apps::synth::{mars_surface, mars_surface_shared};

@@ -170,10 +170,11 @@ impl Scenario {
 
     /// Pre-generates every campaign-shared synthetic input this
     /// scenario's jobs will read ([`crate::synth::mars_surface_shared`],
-    /// [`crate::synth::thermal_frame_shared`]), so a campaign's worker
-    /// threads find the cache warm instead of racing to synthesise the
-    /// same image. Runs hit the cache either way — warming is purely a
-    /// throughput optimisation, never a correctness requirement.
+    /// [`crate::synth::thermal_frame_shared`]) and the fault-free texture
+    /// pipeline over them, so a campaign's worker threads find the caches
+    /// warm instead of racing to compute the same table. Runs hit the
+    /// caches either way — warming is purely a throughput optimisation,
+    /// never a correctness requirement.
     ///
     /// ```
     /// let scenario = ree_apps::Scenario::single_texture(7);
@@ -224,7 +225,8 @@ impl Scenario {
 /// every worker, each of which clones (`fork`) its own `Running` per
 /// run. Everything mutable is deep-copied by the fork; only immutable
 /// shared structure (app factories, interned names, FFT plans, synthetic
-/// input caches) stays `Arc`-shared across forks.
+/// input caches) stays `Arc`-shared across forks, and a texture rank's
+/// image, which the first heap flip into it unshares.
 pub struct BootSnapshot {
     running: Running,
     booted_to: SimTime,

@@ -16,12 +16,19 @@
 //! (~20 s of virtual CPU per filter, matching §3.3), exchanges them
 //! all-to-all, and updates the status file. Rank 0 then runs k-means and
 //! writes the segmented output.
+//!
+//! The fault-free pipeline over each input runs once per process
+//! (`verify::TextureTable`). A rank takes its results wherever its inputs
+//! are bit-for-bit pristine and runs the kernels only over what a flipped
+//! bit changed: the FFT over the tiles that differ, k-means over a
+//! changed feature matrix. Every output is the kernels' own, bit for bit.
 
 use crate::filters::{assemble_features, filter_tiles_px, FilterScratch, NUM_FILTERS};
 use crate::kmeans::kmeans;
 use crate::rank::{Rank, Science, WORK_PHASE};
 use crate::shell::ShellPoll;
-use crate::synth::{mars_surface_shared, Image};
+use crate::synth::Image;
+use crate::verify::{texture_table, TextureTable};
 use ree_mpi::MpiPayload;
 use ree_os::ProcCtx;
 use ree_sim::SimDuration;
@@ -119,6 +126,13 @@ impl Rank<Texture> {
         lo.min(n)..(lo + per).min(n)
     }
 
+    /// The fault-free pipeline over this rank's current input image.
+    fn pristine(&self) -> Arc<TextureTable> {
+        let launch = &self.shell.launch;
+        let seed = texture_image_seed(&launch.app, launch.slot, self.sci.image_idx);
+        texture_table(seed, self.params.image_px, self.params.tile_px, self.params.clusters)
+    }
+
     fn feat_path(&self, image: u32, filter: u32) -> String {
         format!("app/{}/s{}/feat-{image}-{filter}", self.shell.launch.app, self.shell.launch.slot)
     }
@@ -137,32 +151,33 @@ impl Rank<Texture> {
     }
 
     fn finish_load(&mut self, ctx: &mut ProcCtx<'_>) {
-        // The camera stored the image on stable storage; generate it
-        // deterministically on first access. Generation goes through the
-        // campaign-shared cache, so the thousands of runs of a campaign
-        // synthesise each input exactly once per worker process.
+        // The camera stored the image on stable storage: the first load
+        // stores the pristine table's encoding, the one buffer every run
+        // of the process shares. A load that reads back that buffer
+        // shares the table's pixels without decoding; any other bytes
+        // are decoded.
         let path = format!(
             "images/{}-s{}-{}.img",
             self.shell.launch.app, self.shell.launch.slot, self.sci.image_idx
         );
-        let image = match ctx.remote_fs().read(&path).and_then(Image::from_bytes) {
-            Some(img) if img.size == self.params.image_px => Arc::new(img),
-            _ => {
-                let img = mars_surface_shared(
-                    self.params.image_px,
-                    texture_image_seed(
-                        &self.shell.launch.app,
-                        self.shell.launch.slot,
-                        self.sci.image_idx,
-                    ),
-                );
-                ctx.remote_fs().write(&path, img.to_bytes());
-                img
+        let table = self.pristine();
+        let fs = ctx.remote_fs();
+        let stored = match fs.read(&path) {
+            Some(bytes) if std::ptr::eq(bytes, table.encoded.as_slice()) => {
+                Some(Arc::clone(&table.pixels))
             }
+            bytes => bytes
+                .and_then(Image::from_bytes)
+                .filter(|img| img.size == self.params.image_px)
+                .map(|img| Arc::new(img.pixels)),
         };
-        // Copy-on-write boundary: the heap owns the copy fault injection
-        // may flip; the shared image stays pristine.
-        self.heap.image = image.pixels.clone();
+        // Share-until-flip: the heap holds the pristine pixels, and the
+        // first flip into them (`SciHeap::flip`) gives this rank its own
+        // copy, so the table and every other run stay pristine.
+        self.heap.image = stored.unwrap_or_else(|| {
+            fs.write(&path, Arc::clone(&table.encoded));
+            Arc::clone(&table.pixels)
+        });
         self.heap.features = vec![0.0; self.n_tiles() * NUM_FILTERS];
         self.sci.per_filter = vec![Vec::new(); NUM_FILTERS];
         // Reload features of filters completed before a restart.
@@ -185,22 +200,13 @@ impl Rank<Texture> {
     }
 
     fn finish_filter(&mut self, f: u32, ctx: &mut ProcCtx<'_>) {
-        // The real FFT computation for this rank's tiles, straight over
-        // the (possibly bit-flipped) science heap — injected flips
-        // propagate through this arithmetic into the features and the
-        // final segmentation. The scratch pool persists across filters.
-        let mut scratch =
-            self.sci.scratch.take().unwrap_or_else(|| FilterScratch::new(self.params.tile_px));
-        let mine = filter_tiles_px(
-            self.params.image_px,
-            &self.heap.image,
-            f as usize,
-            self.my_tiles(),
-            &mut scratch,
-        );
-        self.sci.scratch = Some(scratch);
+        // This rank's tiles over the (possibly bit-flipped) science heap.
+        let table = self.pristine();
+        let (image, tiles) = (&self.heap.image, self.my_tiles());
+        let mine =
+            tile_energies(&table, &self.params, image, f as usize, tiles, &mut self.sci.scratch);
         // Share with every peer, collect everyone's share.
-        let flat: Vec<f64> = mine.iter().flat_map(|(t, e)| vec![*t as f64, *e]).collect();
+        let flat: Vec<f64> = mine.iter().flat_map(|&(t, e)| [t as f64, e]).collect();
         for rank in 0..self.shell.launch.size {
             if rank != self.shell.launch.rank {
                 self.shell.mpi.send(ctx, rank, TAG_FEAT_BASE + f, MpiPayload::F64s(flat.clone()));
@@ -259,8 +265,7 @@ impl Rank<Texture> {
     fn finish_cluster(&mut self, ctx: &mut ProcCtx<'_>) {
         let n = self.n_tiles();
         self.heap.features = assemble_features(&self.sci.per_filter, n);
-        let clustering = kmeans(&self.heap.features, NUM_FILTERS, self.params.clusters, 50);
-        let labels: Vec<u8> = clustering.labels.iter().map(|&l| l as u8).collect();
+        let labels = segment(&self.pristine(), &self.heap.features, self.params.clusters);
         ctx.remote_fs().write(&self.output_path(self.sci.image_idx), labels);
         self.shell.progress(ctx);
         self.sci.phase = Phase::Write { working: true };
@@ -294,6 +299,72 @@ impl Rank<Texture> {
             self.enter_load(ctx);
         }
     }
+}
+
+/// Filter `f`'s energy of each tile in `tiles` over `image`.
+///
+/// A tile whose pixels are bit-for-bit the pristine ones takes the
+/// table's energy; the FFT runs over each tile a flip changed, so
+/// injected flips propagate through real arithmetic in exactly the tiles
+/// they hit, and on into the features and the segmentation.
+/// `filter_tiles_px` computes a tile from that tile's pixels alone, so
+/// every energy is the bits it returns over the whole image. An image
+/// that is not `image_px`² pixels goes to `filter_tiles_px` whole. The
+/// scratch pool is built on first use and persists across filters.
+fn tile_energies(
+    table: &TextureTable,
+    params: &TextureParams,
+    image: &Arc<Vec<f64>>,
+    f: usize,
+    tiles: std::ops::Range<usize>,
+    scratch: &mut Option<FilterScratch>,
+) -> Vec<(usize, f64)> {
+    if Arc::ptr_eq(image, &table.pixels) {
+        return tiles.map(|t| (t, table.energies[f][t])).collect();
+    }
+    let (size, tile_px) = (params.image_px, params.tile_px);
+    let scratch = scratch.get_or_insert_with(|| FilterScratch::new(tile_px));
+    if image.len() != table.pixels.len() {
+        return filter_tiles_px(size, image, f, tiles, scratch);
+    }
+    tiles
+        .map(|t| {
+            if tile_differs(size, tile_px, image, &table.pixels, t) {
+                filter_tiles_px(size, image, f, t..t + 1, scratch)[0]
+            } else {
+                (t, table.energies[f][t])
+            }
+        })
+        .collect()
+}
+
+/// The k-means segmentation of `features`, one label per tile. k-means
+/// is a pure function of its input bits: the pristine matrix gets the
+/// table's labels, and only a changed one is clustered.
+fn segment(table: &TextureTable, features: &[f64], clusters: usize) -> Arc<Vec<u8>> {
+    if bits_differ(features, &table.features) {
+        let clustering = kmeans(features, NUM_FILTERS, clusters, 50);
+        Arc::new(clustering.labels.iter().map(|&l| l as u8).collect())
+    } else {
+        Arc::clone(&table.labels)
+    }
+}
+
+/// True if some pixel of `tile` (numbered row-major over the tile grid of
+/// a `size`×`size` image) differs in any bit between `a` and `b`.
+fn tile_differs(size: usize, tile_px: usize, a: &[f64], b: &[f64], tile: usize) -> bool {
+    let per_side = size / tile_px;
+    let (top, left) = ((tile / per_side) * tile_px, (tile % per_side) * tile_px);
+    (top..top + tile_px).any(|row| {
+        let span = row * size + left..row * size + left + tile_px;
+        bits_differ(&a[span.clone()], &b[span])
+    })
+}
+
+/// True unless `a` and `b` hold the same values bit for bit (NaN
+/// payloads and signed zeros included).
+fn bits_differ(a: &[f64], b: &[f64]) -> bool {
+    a.len() != b.len() || a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits())
 }
 
 fn parse_token(token: &str) -> (u32, u32) {
@@ -392,6 +463,143 @@ impl Science for Texture {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filters::filter_tiles;
+    use crate::rank::Rank;
+    use crate::synth::mars_surface;
+    use crate::{Scenario, Verdict};
+    use ree_os::HeapTarget;
+    use ree_sim::SimTime;
+
+    fn bits(energies: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        energies.iter().map(|&(t, e)| (t, e.to_bits())).collect()
+    }
+
+    /// The memo path is the kernels' own result, bit for bit: over the
+    /// pristine image, over every single-bit flip of one pixel in several
+    /// tiles, and for a feature matrix with one flipped bit.
+    #[test]
+    fn memo_path_equals_the_kernels_bit_for_bit() {
+        // The default workload, and the two-node preset's 32 px image
+        // (`ree_mc`'s `two_node_scenario`).
+        let two_node =
+            TextureParams { image_px: 32, tile_px: 8, clusters: 2, ..Default::default() };
+        for params in [TextureParams::default(), two_node] {
+            let (size, tile_px) = (params.image_px, params.tile_px);
+            let n = (size / tile_px).pow(2);
+            let seed = texture_image_seed("texture", 0, 0);
+            let table = texture_table(seed, size, tile_px, params.clusters);
+            let image = mars_surface(size, seed);
+            assert_eq!(*table.pixels, image.pixels);
+            for f in 0..NUM_FILTERS {
+                let direct: Vec<f64> =
+                    filter_tiles(&image, f, 0..n, tile_px).into_iter().map(|(_, e)| e).collect();
+                let direct: Vec<u64> = direct.iter().map(|e| e.to_bits()).collect();
+                let memo: Vec<u64> = table.energies[f].iter().map(|e| e.to_bits()).collect();
+                assert_eq!(memo, direct, "table energies, filter {f}");
+            }
+
+            // One pixel in the first tile, one inside a middle tile, one on
+            // a tile's last column, the image's last pixel, and the first
+            // pixel in [1, 2), whose exponent flip reaches NaN.
+            let bright = table.pixels.iter().position(|v| (1.0..2.0).contains(v));
+            let middle = (size / 2 + 3) * size + size / 2 + 2;
+            let at = [0, middle, tile_px - 1, size * size - 1, bright.expect("a pixel in [1, 2)")];
+            let mut scratch = None;
+            let (mut inf, mut nan) = (0, 0);
+            for &px in &at {
+                for bit in 0..64 {
+                    let mut flipped = (*table.pixels).clone();
+                    flipped[px] = f64::from_bits(flipped[px].to_bits() ^ (1 << bit));
+                    let flipped = Arc::new(flipped);
+                    for f in 0..NUM_FILTERS {
+                        let mut fresh = FilterScratch::new(tile_px);
+                        let direct = filter_tiles_px(size, &flipped, f, 0..n, &mut fresh);
+                        inf += direct.iter().filter(|(_, e)| e.is_infinite()).count();
+                        nan += direct.iter().filter(|(_, e)| e.is_nan()).count();
+                        // Whole image, and the two ranks' halves.
+                        let memo = tile_energies(&table, &params, &flipped, f, 0..n, &mut scratch);
+                        assert_eq!(bits(&memo), bits(&direct), "px {px} bit {bit} filter {f}");
+                        let lo =
+                            tile_energies(&table, &params, &flipped, f, 0..n / 2, &mut scratch);
+                        let hi =
+                            tile_energies(&table, &params, &flipped, f, n / 2..n, &mut scratch);
+                        assert_eq!(bits(&[lo, hi].concat()), bits(&direct));
+                    }
+                }
+            }
+            assert!(inf > 0 && nan > 0, "exponent flips reach inf ({inf}) and NaN ({nan})");
+
+            let pristine = segment(&table, &table.features, params.clusters);
+            assert!(Arc::ptr_eq(&pristine, &table.labels));
+            for i in [0, table.features.len() / 2, table.features.len() - 1] {
+                for bit in [0, 30, 52, 62, 63] {
+                    let mut features = table.features.clone();
+                    features[i] = f64::from_bits(features[i].to_bits() ^ (1 << bit));
+                    let own: Vec<u8> = kmeans(&features, NUM_FILTERS, params.clusters, 50)
+                        .labels
+                        .iter()
+                        .map(|&l| l as u8)
+                        .collect();
+                    assert_eq!(*segment(&table, &features, params.clusters), own, "{i}/{bit}");
+                }
+            }
+        }
+    }
+
+    /// A flip into one fork's image unshares that rank's copy only: the
+    /// other fork of the same snapshot, and the table, keep the pristine
+    /// pixels (share-until-flip, `synth.rs`).
+    #[test]
+    fn a_flip_unshares_only_the_flipped_forks_image() {
+        let scenario = Scenario::single_texture(7);
+        let snapshot = scenario.boot_snapshot(SimTime::ZERO + SimDuration::from_secs(20));
+        let p = &scenario.texture;
+        let table =
+            texture_table(texture_image_seed("texture", 0, 0), p.image_px, p.tile_px, p.clusters);
+        let image = |running: &crate::Running, pid| {
+            let rank = running.cluster.behavior::<Rank<Texture>>(pid).expect("a texture rank");
+            Arc::clone(&rank.heap.image)
+        };
+        let mut kept = snapshot.fork(0);
+        let ranks: Vec<_> = kept
+            .cluster
+            .all_procs()
+            .into_iter()
+            .filter(|&pid| kept.cluster.kind_of(pid) == Some(Texture::TAG))
+            .collect();
+        assert_eq!(ranks.len(), 2, "both ranks are running at the snapshot");
+        for &pid in &ranks {
+            assert!(Arc::ptr_eq(&image(&kept, pid), &table.pixels), "loaded images are shared");
+        }
+
+        // A flip into `Region("image")` lands in one of the rank's two
+        // matrices; take the first fork seed whose flip hits the image.
+        let mut hit = (1..)
+            .find_map(|seed| {
+                let mut fork = snapshot.fork(seed);
+                let flip = fork.cluster.inject_heap(ranks[0], &HeapTarget::Region("image".into()));
+                (flip.expect("a heap flip").region == "image").then_some(fork)
+            })
+            .expect("some seed flips the image");
+        let flipped = image(&hit, ranks[0]);
+        assert!(!Arc::ptr_eq(&flipped, &table.pixels), "the flip unshared its rank's copy");
+        let changed: u32 = flipped
+            .iter()
+            .zip(table.pixels.iter())
+            .map(|(a, b)| (a.to_bits() ^ b.to_bits()).count_ones())
+            .sum();
+        assert_eq!(changed, 1);
+        assert!(Arc::ptr_eq(&image(&hit, ranks[1]), &table.pixels), "the other rank still shares");
+        for &pid in &ranks {
+            assert!(Arc::ptr_eq(&image(&kept, pid), &table.pixels), "the other fork still shares");
+        }
+        let pristine = mars_surface(p.image_px, texture_image_seed("texture", 0, 0)).pixels;
+        assert!(!bits_differ(&table.pixels, &pristine), "the table stays pristine");
+
+        let horizon = SimTime::ZERO + SimDuration::from_secs(5) + scenario.nominal() * 2;
+        assert!(hit.run_until_done(horizon) && kept.run_until_done(horizon));
+        assert_eq!(scenario.verify_outputs(&kept), Verdict::Correct);
+    }
 
     #[test]
     fn params_nominal_time_is_about_75s() {

@@ -381,6 +381,12 @@ impl Cluster {
         self.procs.name_of(pid).map(|n| &**n)
     }
 
+    /// The behaviour of a live process, if it is a `T`: a test or tool
+    /// reads a process's own state through it.
+    pub fn behavior<T: Process + 'static>(&self, pid: Pid) -> Option<&T> {
+        self.procs.get(pid)?.behavior.as_deref()?.process_any().downcast_ref()
+    }
+
     /// Behaviour kind of a live process (e.g. `armor`, `mpi-app`).
     pub fn kind_of(&self, pid: Pid) -> Option<&'static str> {
         self.procs.get(pid).map(|e| e.kind)

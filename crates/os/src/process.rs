@@ -209,11 +209,18 @@ pub trait HeapModel {
 pub trait ProcessClone {
     /// Clones the behaviour behind the trait object.
     fn clone_process(&self) -> Box<dyn Process>;
+    /// Borrows the behaviour as `Any`, for a reader that knows its
+    /// concrete type ([`crate::Cluster::behavior`]).
+    fn process_any(&self) -> &dyn Any;
 }
 
 impl<T: Process + Clone + 'static> ProcessClone for T {
     fn clone_process(&self) -> Box<dyn Process> {
         Box::new(self.clone())
+    }
+
+    fn process_any(&self) -> &dyn Any {
+        self
     }
 }
 

@@ -249,11 +249,14 @@ impl RemoteFs {
         self.version
     }
 
-    /// Writes (creating or replacing) a file.
-    pub fn write(&mut self, path: &str, data: Vec<u8>) {
+    /// Writes (creating or replacing) a file. As with [`RamDisk::write`],
+    /// an already-shared chunk is stored as is — every run of a campaign
+    /// stores the same encoded input image without copying it — and a
+    /// plain `Vec<u8>` is wrapped.
+    pub fn write(&mut self, path: &str, data: impl Into<Arc<Vec<u8>>>) {
         self.writes += 1;
         self.version += 1;
-        Arc::make_mut(&mut self.files).insert(path, Arc::new(data));
+        Arc::make_mut(&mut self.files).insert(path, data.into());
     }
 
     /// Reads a file's contents, if present.

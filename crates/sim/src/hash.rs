@@ -9,7 +9,7 @@ const MULTIPLIER: u64 = 0xa076_1d64_78bd_642f;
 
 /// The model checker's state-digest hash: each word is xored into the
 /// state, which is then replaced by the xor of the two halves of its
-/// 128-bit product with [`MULTIPLIER`].
+/// 128-bit product with `MULTIPLIER`.
 ///
 /// `put_u8` and `put_u64` mix one word each. `put_bytes` mixes every
 /// whole little-endian word, then one more word holding the zero-padded

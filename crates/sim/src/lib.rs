@@ -2,7 +2,7 @@
 //!
 //! Foundation of the REE SIFT reproduction (Whisnant et al., CRHC-02-02):
 //! virtual time, a deterministic future-event list, seedable random
-//! streams and the one seed derivation ([`derive`]), the [`Sink`] every
+//! streams and the one seed derivation ([`derive()`]), the [`Sink`] every
 //! byte encoding writes to, and [`Fnv64`], the fixed hash of the pinned
 //! digests only.
 //!
