@@ -21,7 +21,7 @@
 //!   pixels into its science heap, streams them to compute, forwards the
 //!   returned product across the trunk to the downlink rank, and waits
 //!   for the downlink's acknowledgement before acquiring `f+1`
-//!   (re-sending after `block_timeout` if a reply never comes — the
+//!   (re-sending after `APP_BLOCK_TIMEOUT` if a reply never comes — the
 //!   self-healing path after a mid-stream rank restart);
 //! * **rank 1 — compute**: radiometric calibration over the (possibly
 //!   corrupted) heap copy, then lossless compression; stateless between
@@ -37,6 +37,7 @@ use crate::shell::ShellPoll;
 use crate::synth::thermal_frame_shared;
 use ree_mpi::MpiPayload;
 use ree_os::{ProcCtx, TimerId};
+use ree_sift::APP_BLOCK_TIMEOUT;
 use ree_sim::SimDuration;
 use std::sync::Arc;
 
@@ -176,7 +177,7 @@ impl Rank<Pipeline> {
 
     fn arm_retry(&mut self, ctx: &mut ProcCtx<'_>) {
         self.disarm_retry(ctx);
-        self.sci.retry_timer = Some(ctx.set_timer(self.shell.launch.block_timeout, RETRY_TICK));
+        self.sci.retry_timer = Some(ctx.set_timer(APP_BLOCK_TIMEOUT, RETRY_TICK));
     }
 
     fn disarm_retry(&mut self, ctx: &mut ProcCtx<'_>) {

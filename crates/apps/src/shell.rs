@@ -5,7 +5,7 @@
 
 use ree_mpi::{MpiEndpoint, MpiPayload};
 use ree_os::{Message, NodeId, ProcCtx, SpawnSpec, TraceEvent};
-use ree_sift::{AppLaunch, ClientNote, SiftClient};
+use ree_sift::{AppLaunch, ClientNote, SiftClient, APP_BLOCK_TIMEOUT, MPI_INIT_TIMEOUT};
 use ree_sim::{SimDuration, SimTime};
 
 /// MPI tag for the init hello (carries the sender's resume token).
@@ -111,7 +111,7 @@ impl AppShell {
         ctx.set_timer(TICK, SHELL_TICK);
         if self.launch.rank == 0 {
             // The MPI abort window of Figure 8.
-            self.init_deadline = Some(ctx.now() + self.launch.init_timeout);
+            self.init_deadline = Some(ctx.now() + MPI_INIT_TIMEOUT);
         } else if let Some(r0) = self.launch.rank0_pid {
             self.mpi.set_peer(0, r0);
         }
@@ -163,7 +163,7 @@ impl AppShell {
         ctx.set_timer(TICK, SHELL_TICK);
         if self.client.is_blocked() {
             self.client.retry_pending(ctx);
-            if self.client.blocked_for(ctx.now()) > self.launch.block_timeout {
+            if self.client.blocked_for(ctx.now()) > APP_BLOCK_TIMEOUT {
                 // The SAN model's app_timeout transition: give up on the
                 // unavailable SIFT process.
                 ctx.trace_event(

@@ -31,9 +31,9 @@ pub struct Scenario {
     /// Whether the OS trace records events (slower, needed for
     /// classification).
     pub trace: bool,
-    /// Explicit interconnect topology. `None` builds the degenerate
-    /// single-switch topology from the cluster's flat [`ree_os::NetworkConfig`]
-    /// — byte-for-byte identical to the historical flat model.
+    /// Explicit interconnect topology. `None` is the cluster's default,
+    /// [`Topology::single_switch`] over the testbed's Ethernet —
+    /// byte-for-byte identical to the historical flat model.
     pub topology: Option<Topology>,
 }
 
@@ -43,7 +43,7 @@ impl Scenario {
     pub fn single_texture(seed: u64) -> Scenario {
         Scenario {
             nodes: 4,
-            sift: SiftConfig::paper(),
+            sift: SiftConfig::default(),
             texture: TextureParams::default(),
             otis: OtisParams::default(),
             pipeline: PipelineParams::default(),
@@ -65,7 +65,7 @@ impl Scenario {
         let texture = TextureParams { images: 2, ..Default::default() };
         Scenario {
             nodes: 6,
-            sift: SiftConfig::paper(),
+            sift: SiftConfig::default(),
             texture,
             otis: OtisParams::default(),
             pipeline: PipelineParams::default(),
@@ -107,7 +107,7 @@ impl Scenario {
         b.connect_symmetric(Port::Switch(acquisition), Port::Switch(downlink), trunk);
         Scenario {
             nodes: 5,
-            sift: SiftConfig::paper(),
+            sift: SiftConfig::default(),
             texture: TextureParams::default(),
             otis: OtisParams::default(),
             pipeline: PipelineParams::default(),
@@ -398,8 +398,6 @@ pub fn run_without_sift(scenario: &Scenario, horizon: SimTime) -> (Cluster, Opti
         attempt: 0,
         sift_enabled: false,
         rank0_pid: None,
-        block_timeout: scenario.sift.app_block_timeout,
-        init_timeout: scenario.sift.mpi_init_timeout,
         factory: factory.clone(),
     };
     let behavior = factory(&launch);

@@ -38,8 +38,6 @@ pub use comm::{Inbound, ReliableComm};
 pub use element::{assertions, Element, ElementOutcome};
 pub use event::{ArmorEvent, ArmorId, ArmorMessage, WirePacket};
 pub use microcheckpoint::CheckpointBuffer;
-pub use runtime::{
-    valid_ptr, ArmorOptions, ArmorProcess, ControlOp, ElementCtx, Gateway, RestorePolicy,
-};
+pub use runtime::{valid_ptr, ArmorProcess, ControlOp, ElementCtx, Gateway, RestorePolicy};
 pub use value::{Fields, Value};
 pub use wire::{decode_fields, encode_fields, DecodeError};

@@ -54,23 +54,6 @@ pub enum Gateway {
     SelfRouting,
 }
 
-/// Tunable runtime options.
-#[derive(Clone, Debug)]
-pub struct ArmorOptions {
-    /// Restore policy after recovery.
-    pub restore: RestorePolicy,
-    /// Run assertions *before* delivering each event (the paper's §11
-    /// suggested preemptive checking — an ablation knob; the evaluated
-    /// system checks after).
-    pub precheck_assertions: bool,
-}
-
-impl Default for ArmorOptions {
-    fn default() -> Self {
-        ArmorOptions { restore: RestorePolicy::OnStart, precheck_assertions: false }
-    }
-}
-
 /// Comm retransmission tick period.
 const TICK_PERIOD: SimDuration = SimDuration::from_millis(500);
 /// Unacked messages are retransmitted after this long.
@@ -121,7 +104,7 @@ pub(crate) struct ArmorCore {
     name: Arc<str>,
     comm: ReliableComm,
     ckpt: CheckpointBuffer,
-    opts: ArmorOptions,
+    restore: RestorePolicy,
     gateway: Gateway,
     /// ARMOR-id → pid routes, sorted by id. A self-routing process knows
     /// a handful of peers, so a sorted small vec (binary search) beats a
@@ -298,13 +281,14 @@ pub struct ArmorProcess {
 }
 
 impl ArmorProcess {
-    /// Builds an ARMOR from its element composition.
+    /// Builds an ARMOR from its element composition; `restore` says when
+    /// a recovered incarnation reloads its checkpoint.
     pub fn new(
         id: ArmorId,
         name: impl Into<String>,
         elements: Vec<Box<dyn Element>>,
         gateway: Gateway,
-        opts: ArmorOptions,
+        restore: RestorePolicy,
     ) -> Self {
         let name: Arc<str> = name.into().into();
         let mut states: Vec<Fields> = elements.iter().map(|e| e.initial_state()).collect();
@@ -342,7 +326,7 @@ impl ArmorProcess {
                 next_timer_tag: TIMER_USER_BASE,
                 ckpt_key: format!("ckpt/{name}"),
                 name,
-                opts,
+                restore,
             },
             elements: elements.into(),
             states,
@@ -444,8 +428,8 @@ impl ArmorProcess {
         None
     }
 
-    /// One element's turn at one event: pointer-fault check, optional
-    /// precheck, handler, assertions, microcheckpoint — in that order.
+    /// One element's turn at one event: pointer-fault check, handler,
+    /// assertions, microcheckpoint — in that order.
     fn handle_one(
         elem: &dyn Element,
         state: &mut Fields,
@@ -459,11 +443,6 @@ impl ArmorProcess {
         // dropped by any mutation, a heap flip included.
         if state.ptr_fault(PTR_ALIGN) {
             return Some(Processing::Crash("dereferenced corrupted element pointer".into()));
-        }
-        if core.opts.precheck_assertions {
-            if let Err(e) = elem.check(state) {
-                return Some(Processing::Assertion(format!("precheck: {e}")));
-            }
         }
         match elem.handle(state, ev, &mut ElementCtx { core, os: ctx }) {
             ElementOutcome::Ok => {
@@ -568,7 +547,7 @@ impl Process for ArmorProcess {
         // Fresh incarnations must use fresh sequence numbers (peers'
         // dedup sets survived our predecessor's crash).
         self.core.comm.rebase(ctx.pid().0.wrapping_mul(1_000_000));
-        match self.core.opts.restore {
+        match self.core.restore {
             RestorePolicy::OnStart => {
                 self.try_restore(ctx);
             }

@@ -19,8 +19,8 @@
 //! reference cluster that was never forked.
 
 use ree_armor::{
-    ArmorEvent, ArmorId, ArmorOptions, ArmorProcess, ControlOp, Element, ElementCtx,
-    ElementOutcome, Fields, Gateway, Value,
+    ArmorEvent, ArmorId, ArmorProcess, ControlOp, Element, ElementCtx, ElementOutcome, Fields,
+    Gateway, RestorePolicy, Value,
 };
 use ree_os::{
     Cluster, ClusterConfig, HeapHit, HeapModel, HeapTarget, Message, NodeId, Pid, ProcCtx, Process,
@@ -161,7 +161,7 @@ struct World {
 
 fn armor(id: ArmorId, name: &str, element: Box<dyn Element>) -> Box<dyn Process> {
     let process =
-        ArmorProcess::new(id, name, vec![element], Gateway::SelfRouting, ArmorOptions::default());
+        ArmorProcess::new(id, name, vec![element], Gateway::SelfRouting, RestorePolicy::OnStart);
     Box::new(Hooked(process))
 }
 

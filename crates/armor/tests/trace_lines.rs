@@ -14,8 +14,8 @@
 //! element's initial state.
 
 use ree_armor::{
-    ArmorEvent, ArmorId, ArmorOptions, ArmorProcess, CheckpointBuffer, ControlOp, Element,
-    ElementCtx, ElementOutcome, Fields, Gateway, ReliableComm, RestorePolicy, Value,
+    ArmorEvent, ArmorId, ArmorProcess, CheckpointBuffer, ControlOp, Element, ElementCtx,
+    ElementOutcome, Fields, Gateway, ReliableComm, RestorePolicy, Value,
 };
 use ree_os::{
     Cluster, ClusterConfig, Message, NodeId, Payload, Pid, ProcCtx, Process, SpawnSpec, TraceKind,
@@ -125,7 +125,7 @@ fn spawn_worker(cluster: &mut Cluster, gateway: Gateway, restore: RestorePolicy)
         "worker",
         vec![Box::new(Raiser), Box::new(Refuser), Box::new(Echo)],
         gateway,
-        ArmorOptions { restore, ..ArmorOptions::default() },
+        restore,
     );
     cluster.spawn(SpawnSpec::new("worker", NodeId(0), Box::new(worker)))
 }

@@ -15,7 +15,7 @@ use crate::ftm::{
     SccIface,
 };
 use crate::heartbeat::HbWatch;
-use ree_armor::{ArmorId, ArmorOptions, ArmorProcess, Element, Gateway, RestorePolicy};
+use ree_armor::{ArmorId, ArmorProcess, Element, Gateway, RestorePolicy};
 use ree_os::{NodeId, Pid, Process};
 use std::sync::Arc;
 
@@ -49,12 +49,6 @@ pub struct AppLaunch {
     /// Rank 0's pid (set by rank 0 before spawning peers so they can
     /// reach it for the init barrier).
     pub rank0_pid: Option<Pid>,
-    /// How long a SIFT-interface call may block before the application
-    /// gives up (the SAN model's `app_timeout`).
-    pub block_timeout: ree_sim::SimDuration,
-    /// How long rank 0 waits for its peer ranks during MPI startup
-    /// before aborting the launch (`SiftConfig::mpi_init_timeout`).
-    pub init_timeout: ree_sim::SimDuration,
     /// Factory for spawning peer ranks (rank 0 launches ranks 1..n per
     /// the MPI protocol, Table 1 step 5).
     pub factory: AppFactory,
@@ -129,16 +123,12 @@ impl Blueprint {
         }
     }
 
-    fn armor_options(&self, restore: RestorePolicy) -> ArmorOptions {
-        ArmorOptions { restore, precheck_assertions: self.config.precheck_assertions }
-    }
-
     /// The daemon composition: gateway, installer, local prober.
     fn daemon_elements(self: &Arc<Self>, node: NodeId) -> Vec<Box<dyn Element>> {
         vec![
             Box::new(DaemonGateway { node }),
             Box::new(DaemonInstaller { node, blueprint: Arc::clone(self) }),
-            Box::new(LocalProber { period: self.config.daemon_probe_period }),
+            Box::new(LocalProber { period: self.config.heartbeat_period }),
         ]
     }
 
@@ -146,34 +136,28 @@ impl Blueprint {
     /// carries (§3.1), then what makes it an FTM, a Heartbeat ARMOR or an
     /// Execution ARMOR.
     fn armor_elements(self: &Arc<Self>, kind: &str) -> Vec<Box<dyn Element>> {
-        let config = &self.config;
-        let checks = config.assertions_enabled;
+        let period = self.config.heartbeat_period;
         match kind {
             "ftm" => vec![
                 Box::new(Configurator),
                 Box::new(ProbeResponder),
                 Box::new(FtmHbResponder),
-                Box::new(SccIface { checks, connect_timeout: config.connect_timeout }),
-                Box::new(MgrArmorInfo { checks, race_fix: config.race_fix_enabled }),
-                Box::new(ExecArmorInfo { checks }),
-                Box::new(AppParam { checks }),
-                Box::new(MgrAppDetect { checks }),
-                Box::new(NodeMgmt { checks }),
-                Box::new(DaemonHb { period: config.ftm_daemon_hb_period }),
+                Box::new(SccIface),
+                Box::new(MgrArmorInfo),
+                Box::new(ExecArmorInfo),
+                Box::new(AppParam),
+                Box::new(MgrAppDetect),
+                Box::new(NodeMgmt),
+                Box::new(DaemonHb { period }),
             ],
-            "heartbeat" => vec![
-                Box::new(Configurator),
-                Box::new(ProbeResponder),
-                Box::new(HbWatch { period: config.hb_ftm_period }),
-            ],
+            "heartbeat" => {
+                vec![Box::new(Configurator), Box::new(ProbeResponder), Box::new(HbWatch { period })]
+            }
             _ => vec![
                 Box::new(Configurator),
                 Box::new(ProbeResponder),
                 Box::new(AppMonitor { blueprint: Arc::clone(self) }),
-                Box::new(ProgressWatch {
-                    check_period: config.pi_check_period,
-                    interrupt_driven: config.interrupt_driven_pi,
-                }),
+                Box::new(ProgressWatch { interrupt_driven: self.config.interrupt_driven_pi }),
             ],
         }
     }
@@ -185,7 +169,7 @@ impl Blueprint {
             names::daemon(node.0),
             self.daemon_elements(node),
             Gateway::SelfRouting,
-            self.armor_options(RestorePolicy::OnStart),
+            RestorePolicy::OnStart,
         ))
     }
 
@@ -210,7 +194,7 @@ impl Blueprint {
             self.armor_instance_name(kind, slot, rank),
             self.armor_elements(kind),
             Gateway::Daemon(gateway),
-            self.armor_options(restore),
+            restore,
         ))
     }
 }
@@ -227,8 +211,8 @@ mod tests {
     use super::*;
     use ree_armor::Value;
 
-    fn blueprint(assertions_enabled: bool) -> Arc<Blueprint> {
-        Blueprint::new(SiftConfig { assertions_enabled, ..SiftConfig::default() }, [])
+    fn blueprint() -> Arc<Blueprint> {
+        Blueprint::new(SiftConfig::default(), [])
     }
 
     fn compositions(bp: &Arc<Blueprint>) -> Vec<(&'static str, Vec<Box<dyn Element>>)> {
@@ -243,7 +227,7 @@ mod tests {
 
     #[test]
     fn element_names_are_unique_within_each_composition() {
-        for (kind, elements) in compositions(&blueprint(true)) {
+        for (kind, elements) in compositions(&blueprint()) {
             let mut sorted = names(&elements);
             sorted.sort_unstable();
             sorted.dedup();
@@ -253,7 +237,7 @@ mod tests {
 
     #[test]
     fn every_element_accepts_its_own_initial_state() {
-        for (kind, elements) in compositions(&blueprint(true)) {
+        for (kind, elements) in compositions(&blueprint()) {
             for elem in &elements {
                 let state = elem.initial_state();
                 assert_eq!(elem.check(&state), Ok(()), "{kind}/{}", elem.name());
@@ -263,7 +247,7 @@ mod tests {
 
     #[test]
     fn the_ftm_carries_the_table_8_elements_in_order() {
-        let ftm = names(&blueprint(true).armor_elements("ftm"));
+        let ftm = names(&blueprint().armor_elements("ftm"));
         let table8 =
             ["mgr_armor_info", "exec_armor_info", "app_param", "mgr_app_detect", "node_mgmt"];
         let first = ftm.iter().position(|n| *n == table8[0]).expect("mgr_armor_info present");
@@ -271,14 +255,11 @@ mod tests {
     }
 
     #[test]
-    fn assertions_off_accepts_a_state_assertions_on_rejects() {
-        let scc_iface = |bp: &Arc<Blueprint>| {
-            let elem = bp.armor_elements("ftm").into_iter().find(|e| e.name() == "scc_iface");
-            elem.expect("scc_iface present")
-        };
-        let mut state = scc_iface(&blueprint(true)).initial_state();
+    fn scc_iface_rejects_an_out_of_range_scc_pid() {
+        let elements = blueprint().armor_elements("ftm");
+        let scc_iface = elements.iter().find(|e| e.name() == "scc_iface").expect("present");
+        let mut state = scc_iface.initial_state();
         state.set("scc_pid", Value::U64(u64::MAX));
-        assert!(scc_iface(&blueprint(true)).check(&state).is_err());
-        assert_eq!(scc_iface(&blueprint(false)).check(&state), Ok(()));
+        assert!(scc_iface.check(&state).is_err());
     }
 }

@@ -23,77 +23,38 @@ pub mod ids {
     }
 }
 
-/// Tunable parameters of the SIFT environment.
+/// Execution-ARMOR progress-indicator check period (§3.3: the FFT
+/// filters run ~20 s, so checking faster would raise false alarms).
+pub const PI_CHECK_PERIOD: SimDuration = SimDuration::from_secs(20);
+
+/// How long an application blocks on an unavailable SIFT process before
+/// giving up (the SAN model's `app_timeout`).
+pub const APP_BLOCK_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// How long rank 0 waits for its peer ranks during MPI startup before
+/// aborting the launch.
+pub const MPI_INIT_TIMEOUT: SimDuration = SimDuration::from_secs(15);
+
+/// The settings the paper's experiments vary.
 ///
-/// Defaults follow the paper: 10 s heartbeats at every level ("every 10 s
-/// in our experiments", §3.3), 20 s progress-indicator checks (§3.3: the
-/// FFT filters run ~20 s, so checking faster would raise false alarms).
+/// The default is the evaluated configuration: 10 s heartbeats at every
+/// level ("every 10 s in our experiments", §3.3) and polled progress
+/// indicators.
 #[derive(Clone, Debug)]
 pub struct SiftConfig {
-    /// FTM → daemon heartbeat period (node/daemon failure detection).
-    pub ftm_daemon_hb_period: SimDuration,
-    /// Heartbeat-ARMOR → FTM polling period.
-    pub hb_ftm_period: SimDuration,
-    /// Daemon → local ARMOR "Are-you-alive?" probe period.
-    pub daemon_probe_period: SimDuration,
-    /// Execution-ARMOR progress-indicator check period.
-    pub pi_check_period: SimDuration,
-    /// How long an application blocks on an unavailable SIFT process
-    /// before giving up (the SAN model's `app_timeout`).
-    pub app_block_timeout: SimDuration,
-    /// Rank-0 timeout waiting for peer ranks during MPI startup.
-    pub mpi_init_timeout: SimDuration,
-    /// Whether the Figure 10 race-condition fix is applied (register the
-    /// Execution ARMOR in the FTM's table *before* instructing the
-    /// daemon to install it).
-    pub race_fix_enabled: bool,
+    /// Period of all three heartbeats, which Table 5 sweeps together:
+    /// FTM → daemon (node failure detection), Heartbeat ARMOR → FTM, and
+    /// each daemon's "Are-you-alive?" probe of its local ARMORs.
+    pub heartbeat_period: SimDuration,
     /// Whether the Execution ARMOR uses the interrupt-driven
-    /// progress-indicator design (§5.1 discussion) instead of polling.
+    /// progress-indicator design (§5.1 discussion) instead of polling
+    /// every [`PI_CHECK_PERIOD`].
     pub interrupt_driven_pi: bool,
-    /// Run assertions before event delivery (§11 preemptive-check
-    /// extension; the evaluated system checks after processing).
-    pub precheck_assertions: bool,
-    /// Whether element assertions are enabled at all (ablation for
-    /// Table 9: without assertions, every escape is a potential system
-    /// failure).
-    pub assertions_enabled: bool,
-    /// Guard timeout on the application connecting to the SIFT
-    /// environment after submission (§9 "lessons": a connect timeout
-    /// detects critical-phase errors). `None` = disabled (as evaluated).
-    pub connect_timeout: Option<SimDuration>,
 }
 
 impl Default for SiftConfig {
     fn default() -> Self {
-        SiftConfig {
-            ftm_daemon_hb_period: SimDuration::from_secs(10),
-            hb_ftm_period: SimDuration::from_secs(10),
-            daemon_probe_period: SimDuration::from_secs(10),
-            pi_check_period: SimDuration::from_secs(20),
-            app_block_timeout: SimDuration::from_secs(30),
-            mpi_init_timeout: SimDuration::from_secs(15),
-            race_fix_enabled: true,
-            interrupt_driven_pi: false,
-            precheck_assertions: false,
-            assertions_enabled: true,
-            connect_timeout: None,
-        }
-    }
-}
-
-impl SiftConfig {
-    /// The configuration evaluated in the paper's experiments.
-    pub fn paper() -> Self {
-        Self::default()
-    }
-
-    /// Variant with a different heartbeat period everywhere (Table 5
-    /// sweep).
-    pub fn with_heartbeat_period(mut self, period: SimDuration) -> Self {
-        self.ftm_daemon_hb_period = period;
-        self.hb_ftm_period = period;
-        self.daemon_probe_period = period;
-        self
+        SiftConfig { heartbeat_period: SimDuration::from_secs(10), interrupt_driven_pi: false }
     }
 }
 
@@ -211,18 +172,9 @@ mod tests {
 
     #[test]
     fn default_config_matches_paper() {
-        let c = SiftConfig::paper();
-        assert_eq!(c.ftm_daemon_hb_period, SimDuration::from_secs(10));
-        assert_eq!(c.pi_check_period, SimDuration::from_secs(20));
-        assert!(c.race_fix_enabled);
+        let c = SiftConfig::default();
+        assert_eq!(c.heartbeat_period, SimDuration::from_secs(10));
+        assert_eq!(PI_CHECK_PERIOD, SimDuration::from_secs(20));
         assert!(!c.interrupt_driven_pi);
-        assert!(c.assertions_enabled);
-    }
-
-    #[test]
-    fn heartbeat_sweep_helper() {
-        let c = SiftConfig::paper().with_heartbeat_period(SimDuration::from_secs(5));
-        assert_eq!(c.hb_ftm_period, SimDuration::from_secs(5));
-        assert_eq!(c.daemon_probe_period, SimDuration::from_secs(5));
     }
 }

@@ -3,7 +3,7 @@
 //! polling, watches progress indicators for hangs, and notifies the FTM.
 
 use crate::blueprint::{AppLaunch, Blueprint};
-use crate::config::{ids, tags};
+use crate::config::{ids, tags, PI_CHECK_PERIOD};
 use ree_armor::{valid_ptr, ArmorEvent, Element, ElementCtx, ElementOutcome, Fields, Value};
 use ree_os::{Pid, Signal, SpawnSpec, TraceEvent};
 use ree_sim::SimDuration;
@@ -15,7 +15,7 @@ const PROC_POLL_PERIOD: SimDuration = SimDuration::from_secs(2);
 
 /// Launches and monitors the local MPI application process.
 pub(crate) struct AppMonitor {
-    /// Application registry and launch timeouts.
+    /// Application registry.
     pub(crate) blueprint: Arc<Blueprint>,
 }
 
@@ -150,8 +150,6 @@ impl Element for AppMonitor {
                     attempt: attempt as u32,
                     sift_enabled: true,
                     rank0_pid: None,
-                    block_timeout: self.blueprint.config.app_block_timeout,
-                    init_timeout: self.blueprint.config.mpi_init_timeout,
                     factory: factory.clone(),
                 };
                 // A stale incarnation may still be running if the
@@ -325,13 +323,11 @@ impl Element for AppMonitor {
 /// Watches progress indicators for application hangs (§3.3, Figure 6).
 ///
 /// In the evaluated (polling) design, a checking thread wakes every
-/// check period and compares the counter against the previous reading —
-/// detection latency is up to **twice** the period. The interrupt-driven
-/// variant (§5.1 discussion) re-arms a deadline on every update,
-/// detecting within one period.
+/// [`PI_CHECK_PERIOD`] and compares the counter against the previous
+/// reading — detection latency is up to **twice** the period. The
+/// interrupt-driven variant (§5.1 discussion) re-arms a deadline on
+/// every update, detecting within one period.
 pub(crate) struct ProgressWatch {
-    /// Shortest interval between two looks at the counter.
-    pub(crate) check_period: SimDuration,
     /// Re-arm a deadline on every update instead of polling.
     pub(crate) interrupt_driven: bool,
 }
@@ -341,10 +337,10 @@ impl ProgressWatch {
         let declared = SimDuration::from_micros(state.u64("period_us").unwrap_or(0));
         // "The Execution ARMOR should not check the counter faster than
         // the rate at which the application sends updates" (§5.1).
-        if declared > self.check_period {
+        if declared > PI_CHECK_PERIOD {
             declared
         } else {
-            self.check_period
+            PI_CHECK_PERIOD
         }
     }
 }

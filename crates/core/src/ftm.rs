@@ -60,12 +60,7 @@ impl Element for FtmHbResponder {
 
 /// The SCC interface element: accepts submissions, reports status back
 /// (FTM responsibilities 1 and 8 in §3.1).
-pub(crate) struct SccIface {
-    /// Run the element's assertions.
-    pub(crate) checks: bool,
-    /// Retry a submission whose application has not started by then.
-    pub(crate) connect_timeout: Option<SimDuration>,
-}
+pub(crate) struct SccIface;
 
 impl SccIface {
     fn scc(state: &Fields) -> Option<Pid> {
@@ -88,7 +83,6 @@ impl Element for SccIface {
             "app-started-info",
             tags::APP_COMPLETE,
             "report-complete",
-            "connect-check",
         ]
     }
 
@@ -149,12 +143,6 @@ impl Element for SccIface {
                 let mut accepted = ArmorEvent::new("app-submit-accepted");
                 accepted.fields = ev.fields.clone();
                 ctx.raise(accepted);
-                if let Some(timeout) = self.connect_timeout {
-                    ctx.set_timer_event(
-                        timeout,
-                        ArmorEvent::new("connect-check").with("slot", Value::U64(slot)),
-                    );
-                }
             }
             "app-started-info" => {
                 let slot = ev.u64("slot").unwrap_or(0);
@@ -196,30 +184,12 @@ impl Element for SccIface {
                     ctx.os.send(scc, "scc-report", 64, SccReport::Completed { slot });
                 }
             }
-            "connect-check" => {
-                let slot = ev.u64("slot").unwrap_or(0);
-                let started = table_get(state, "jobs", &slot.to_string())
-                    .and_then(|r| rec_bool(r, "started"))
-                    .unwrap_or(true);
-                if !started {
-                    // §9 lessons: the connect timeout catches errors in
-                    // the critical setup phase quickly.
-                    ctx.trace(format!("connect timeout for slot {slot}; retrying setup"));
-                    if let Some(scc) = Self::scc(state) {
-                        ctx.os.send(scc, "scc-report", 64, SccReport::ConnectTimeout { slot });
-                    }
-                    ctx.raise(ArmorEvent::new("app-restart-needed").with("slot", Value::U64(slot)));
-                }
-            }
             _ => {}
         }
         ElementOutcome::Ok
     }
 
     fn check(&self, state: &Fields) -> Result<(), String> {
-        if !self.checks {
-            return Ok(());
-        }
         ree_armor::assertions::range_check(state, "scc_pid", 0, 1_000_000)
     }
 }
@@ -227,13 +197,7 @@ impl Element for SccIface {
 /// `mgr_armor_info` (Table 8): "stores information about subordinate
 /// ARMORs such as location and element composition". Owns subordinate
 /// recovery (FTM responsibilities 4–6).
-pub(crate) struct MgrArmorInfo {
-    /// Run the element's assertions.
-    pub(crate) checks: bool,
-    /// Register Execution ARMORs before the install instruction is sent
-    /// (the Figure 10 fix).
-    pub(crate) race_fix: bool,
-}
+pub(crate) struct MgrArmorInfo;
 
 impl MgrArmorInfo {
     #[allow(clippy::too_many_arguments)]
@@ -303,20 +267,18 @@ impl Element for MgrArmorInfo {
                     .unwrap_or_default();
                 for (rank, node) in nodes.iter().enumerate() {
                     let armor = ids::exec(slot as u32, rank as u32);
-                    if self.race_fix {
-                        // Figure 10 fix: add the Execution ARMOR to the
-                        // table *before* instructing the daemon.
-                        Self::register(
-                            state,
-                            armor.0 as u64,
-                            "exec",
-                            *node,
-                            0,
-                            slot,
-                            rank as u64,
-                            "installing",
-                        );
-                    }
+                    // Figure 10 fix: add the Execution ARMOR to the table
+                    // *before* instructing the daemon.
+                    Self::register(
+                        state,
+                        armor.0 as u64,
+                        "exec",
+                        *node,
+                        0,
+                        slot,
+                        rank as u64,
+                        "installing",
+                    );
                     ctx.raise(
                         ArmorEvent::new("need-install")
                             .with("armor", Value::U64(armor.0 as u64))
@@ -373,9 +335,10 @@ impl Element for MgrArmorInfo {
                 let armor = ev.u64("armor").unwrap_or(0);
                 let key = armor.to_string();
                 let Some(rec) = table_get(state, "armors", &key) else {
-                    // Figure 10: the failure notification raced ahead of
-                    // the install ack — the handling thread aborts and the
-                    // ARMOR is never recovered.
+                    // An ARMOR the table does not know (Figure 10's race,
+                    // which registering before the install closes, or a
+                    // corrupted table): the handling thread aborts and
+                    // the ARMOR is never recovered.
                     return ElementOutcome::AbortThread(format!(
                         "armor-failed for unknown armor{armor}"
                     ));
@@ -450,9 +413,6 @@ impl Element for MgrArmorInfo {
     }
 
     fn check(&self, state: &Fields) -> Result<(), String> {
-        if !self.checks {
-            return Ok(());
-        }
         ree_armor::assertions::map_integrity(state, "armors", |rec| {
             rec_u64(rec, "node").map(|n| n < 64).unwrap_or(false)
                 && rec_u64(rec, "pid").map(|p| p < 1_000_000).unwrap_or(false)
@@ -467,10 +427,7 @@ impl Element for MgrArmorInfo {
 
 /// `exec_armor_info` (Table 8): "stores information about each Execution
 /// ARMOR such as status of subordinate application".
-pub(crate) struct ExecArmorInfo {
-    /// Run the element's assertions.
-    pub(crate) checks: bool,
-}
+pub(crate) struct ExecArmorInfo;
 
 impl ExecArmorInfo {
     fn slot_table(state: &Fields, slot: u64) -> Vec<(u64, u64, u64)> {
@@ -604,9 +561,6 @@ impl Element for ExecArmorInfo {
     }
 
     fn check(&self, state: &Fields) -> Result<(), String> {
-        if !self.checks {
-            return Ok(());
-        }
         ree_armor::assertions::map_integrity(state, "expected", |v| {
             v.as_u64().map(|n| (1..=16).contains(&n)).unwrap_or(false)
         })
@@ -617,10 +571,7 @@ impl Element for ExecArmorInfo {
 /// executable name, command-line arguments, and number of times
 /// application restarted". Read-mostly after submission — which is why
 /// the paper found it insensitive to error propagation.
-pub(crate) struct AppParam {
-    /// Run the element's assertions.
-    pub(crate) checks: bool,
-}
+pub(crate) struct AppParam;
 
 impl Element for AppParam {
     fn name(&self) -> &'static str {
@@ -736,7 +687,7 @@ impl Element for AppParam {
                     // table: the §7.2 corrupted-pointer segfault, here
                     // and not after `ranks` stop messages (the
                     // post-handle assertion runs too late to bound one
-                    // handler, and not at all with checks off).
+                    // handler).
                     return ElementOutcome::Crash(format!(
                         "slot {slot}: rank walk past the exec-ARMOR table (ranks={ranks})"
                     ));
@@ -770,9 +721,6 @@ impl Element for AppParam {
     }
 
     fn check(&self, state: &Fields) -> Result<(), String> {
-        if !self.checks {
-            return Ok(());
-        }
         ree_armor::assertions::map_integrity(state, "apps", |rec| {
             rec_u64(rec, "ranks").map(|r| (1..=MAX_RANKS).contains(&r)).unwrap_or(false)
                 && rec_u64(rec, "restart_count").map(|r| r < 50).unwrap_or(false)
@@ -782,10 +730,7 @@ impl Element for AppParam {
 
 /// `mgr_app_detect` (Table 8): "used to detect that all processes for MPI
 /// application have terminated and to initiate recovery if necessary".
-pub(crate) struct MgrAppDetect {
-    /// Run the element's assertions.
-    pub(crate) checks: bool,
-}
+pub(crate) struct MgrAppDetect;
 
 impl Element for MgrAppDetect {
     fn name(&self) -> &'static str {
@@ -893,9 +838,6 @@ impl Element for MgrAppDetect {
     }
 
     fn check(&self, state: &Fields) -> Result<(), String> {
-        if !self.checks {
-            return Ok(());
-        }
         ree_armor::assertions::map_integrity(state, "slots", |rec| {
             let expected = rec_u64(rec, "expected");
             let mask = rec_u64(rec, "done_mask");
@@ -918,10 +860,7 @@ impl Element for MgrAppDetect {
 /// for every install/reinstall/uninstall — returning the **default daemon
 /// ID of zero** when translation fails, which the FTM does not validate
 /// (the paper's §7.2 propagation bug, kept deliberately).
-pub(crate) struct NodeMgmt {
-    /// Run the element's assertions.
-    pub(crate) checks: bool,
-}
+pub(crate) struct NodeMgmt;
 
 impl NodeMgmt {
     /// Hostname → daemon-ID translation with the paper's unchecked
@@ -1058,9 +997,6 @@ impl Element for NodeMgmt {
     }
 
     fn check(&self, state: &Fields) -> Result<(), String> {
-        if !self.checks {
-            return Ok(());
-        }
         // Deliberately weaker than the other elements (the paper found 14
         // of 17 fired assertions here detected the error too late): only
         // gross structural damage is caught — a flipped-but-plausible

@@ -36,6 +36,8 @@ mod util;
 
 pub use blueprint::{AppFactory, AppLaunch, Blueprint};
 pub use client::{ClientNote, SiftClient};
-pub use config::{ids, names, tags, SiftConfig};
+pub use config::{
+    ids, names, tags, SiftConfig, APP_BLOCK_TIMEOUT, MPI_INIT_TIMEOUT, PI_CHECK_PERIOD,
+};
 pub use report::{ArmorInstalled, JobTimes};
 pub use scc::{JobSpec, Scc};

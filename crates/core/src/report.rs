@@ -37,12 +37,6 @@ pub(crate) enum SccReport {
         /// Application slot.
         slot: u64,
     },
-    /// The connect-timeout guard fired before the application started
-    /// (§9 lessons extension).
-    ConnectTimeout {
-        /// Application slot.
-        slot: u64,
-    },
 }
 
 /// Daemon → SCC notification that an ARMOR was (re)installed.
@@ -73,8 +67,6 @@ pub struct JobTimes {
     pub completed: Option<SimTime>,
     /// Number of application restarts observed.
     pub restarts: u64,
-    /// Number of connect-timeout retries observed.
-    pub connect_timeouts: u64,
 }
 
 impl JobTimes {
@@ -87,13 +79,12 @@ impl JobTimes {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let f = |t: Option<SimTime>| t.map(|x| x.as_micros() as i64).unwrap_or(-1);
         format!(
-            "submit={};started={};ended={};completed={};restarts={};connect_timeouts={}",
+            "submit={};started={};ended={};completed={};restarts={}",
             f(self.submitted),
             f(self.started),
             f(self.ended),
             f(self.completed),
             self.restarts,
-            self.connect_timeouts
         )
         .into_bytes()
     }
@@ -112,7 +103,6 @@ impl JobTimes {
                 "ended" => out.ended = t,
                 "completed" => out.completed = t,
                 "restarts" => out.restarts = n.max(0) as u64,
-                "connect_timeouts" => out.connect_timeouts = n.max(0) as u64,
                 _ => return None,
             }
         }
@@ -144,7 +134,6 @@ mod tests {
             ended: Some(SimTime::from_secs(79)),
             completed: Some(SimTime::from_secs(80)),
             restarts: 2,
-            connect_timeouts: 1,
         };
         let back = JobTimes::decode(&t.encode()).unwrap();
         assert_eq!(t, back);

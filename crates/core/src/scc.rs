@@ -216,8 +216,7 @@ impl Process for Scc {
                         SccReport::Started { slot, .. }
                         | SccReport::Restarted { slot, .. }
                         | SccReport::Ended { slot, .. }
-                        | SccReport::Completed { slot }
-                        | SccReport::ConnectTimeout { slot } => slot as usize,
+                        | SccReport::Completed { slot } => slot as usize,
                     };
                     let Some(times) = self.job_times.get_mut(slot) else { return };
                     match report {
@@ -241,7 +240,6 @@ impl Process for Scc {
                                 times.completed = Some(ctx.now());
                             }
                         }
-                        SccReport::ConnectTimeout { .. } => times.connect_timeouts += 1,
                     }
                     ctx.trace(format!("SCC received {report:?}"));
                     self.persist(slot, ctx);

@@ -677,3 +677,31 @@ impl<'p> Supervisor<'p> {
         self.fold_ready();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ree_inject::{ErrorModel, Target};
+    use ree_sim::SimTime;
+
+    #[test]
+    fn a_worker_answering_another_proto_version_fails_the_handshake() {
+        let plan = RunPlan {
+            scenario: ree_apps::Scenario::single_texture(1),
+            target: Target::App,
+            model: ErrorModel::Register,
+            timeout: SimTime::from_secs(120),
+            net_faults: Vec::new(),
+        };
+        let options = DistOptions::new(1);
+        let mut sup = Supervisor::new(&plan, shard(4, 0, 4), 1, &options);
+        // A starting worker with no process behind it; draining keeps
+        // the failure from respawning one.
+        sup.workers[0].state = WorkerState::Starting;
+        sup.draining = true;
+        sup.handle(0, 0, Event::Frame(Msg::Ready { worker: 0, proto: PROTO_VERSION - 1 }));
+        assert_eq!(sup.workers[0].state, WorkerState::Dead);
+        assert_eq!(sup.ledger.shard(0).failures, 1);
+        assert_eq!(sup.warnings, ["worker w0 failed (handshake mismatch); failure #1"]);
+    }
+}

@@ -33,7 +33,7 @@ use ree_sim::{SimDuration, SimTime, Sink};
 
 /// Protocol generation; a worker built from different sources refuses
 /// the handshake instead of mis-decoding frames.
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// A malformed payload (truncated, unknown tag, bad UTF-8, a value its
 /// type rejects, or bytes left over after the message ended).
@@ -359,11 +359,7 @@ macro_rules! wire_enum {
 // ----------------------------------------------------------- wire types
 
 wire_struct! {
-    SiftConfig {
-        ftm_daemon_hb_period, hb_ftm_period, daemon_probe_period, pi_check_period,
-        app_block_timeout, mpi_init_timeout, race_fix_enabled, interrupt_driven_pi,
-        precheck_assertions, assertions_enabled, connect_timeout,
-    }
+    SiftConfig { heartbeat_period, interrupt_driven_pi }
     TextureParams {
         image_px, tile_px, clusters, images, load_time, filter_time, cluster_time, write_time,
         pi_period,

@@ -9,7 +9,7 @@ use ree_inject::{
     ErrorModel, FailureClass, NetFault, NetFaultKind, NetFaultTrigger, RunPlan, RunResult,
     SystemFailure, Target,
 };
-use ree_net::{NetworkConfig, Topology};
+use ree_net::{LinkParams, Topology};
 use ree_sift::JobSpec;
 use ree_sim::{Fnv64, SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -18,7 +18,7 @@ use std::hash::Hasher;
 fn rich_plan() -> RunPlan {
     let mut scenario = ree_apps::Scenario::two_apps(99);
     scenario.topology =
-        Some(Topology::single_switch(scenario.nodes as u16, &NetworkConfig::ethernet_100mbps()));
+        Some(Topology::single_switch(scenario.nodes as u16, LinkParams::ethernet_100mbps()));
     scenario.jobs.push(JobSpec {
         app: "texture".into(),
         ranks: 1,
@@ -264,14 +264,15 @@ fn golden_line(out: &mut String, name: &str, msg: &Msg) {
     writeln!(out, "{name} len={} fnv1a={:016x}", bytes.len(), fnv.finish()).unwrap();
 }
 
-/// The wire bytes are pinned: `snapshots/wire_v1.txt` was generated
-/// from the hand-written `put_*`/`read_*` codec and holds the length and
-/// FNV-1a-64 of every message shape and every enum variant that crosses
-/// the wire. Any codec change that moves a byte fails here — and must
-/// bump `PROTO_VERSION` before regenerating with `REGEN_WIRE_SNAPSHOT=1
-/// cargo test -p ree-dist --test wire_roundtrip`.
+/// The wire bytes are pinned: `snapshots/wire_v{PROTO_VERSION}.txt`
+/// holds the length and FNV-1a-64 of every message shape and every enum
+/// variant that crosses the wire. Any codec change that moves a byte
+/// fails here. The golden is named after the protocol version, so a
+/// codec change must bump `PROTO_VERSION`, regenerate with
+/// `REGEN_WIRE_SNAPSHOT=1 cargo test -p ree-dist --test wire_roundtrip`
+/// and delete the previous version's file.
 #[test]
-fn wire_bytes_match_the_v1_snapshot() {
+fn wire_bytes_match_the_versioned_snapshot() {
     let plan_msg = |plan: RunPlan| Msg::Plan { plan: Box::new(plan) };
     let mut out = String::new();
     golden_line(&mut out, "plan.rich", &plan_msg(rich_plan()));
@@ -314,7 +315,8 @@ fn wire_bytes_match_the_v1_snapshot() {
         golden_line(&mut out, &name, &fault_msg(NetFaultKind::Link { a: 0, b: 3 }, trigger));
     }
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/wire_v1.txt");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("tests/snapshots/wire_v{PROTO_VERSION}.txt"));
     if std::env::var_os("REGEN_WIRE_SNAPSHOT").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &out).unwrap();

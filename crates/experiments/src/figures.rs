@@ -8,7 +8,7 @@ use ree_apps::Scenario;
 use ree_armor::{ArmorEvent, ControlOp, Value};
 use ree_inject::{adaptive, Arm, ArmReport, ErrorModel, StoppingRule, Target};
 use ree_os::{Signal, SpawnSpec, TraceEvent};
-use ree_sift::{ids, tags};
+use ree_sift::{ids, tags, PI_CHECK_PERIOD};
 use ree_sim::{SimDuration, SimTime};
 use ree_stats::{Summary, TableBuilder};
 
@@ -29,7 +29,10 @@ impl Fig6 {
     /// Renders the comparison.
     pub fn render(&self) -> String {
         let mut t = TableBuilder::new(vec!["DESIGN", "MEAN (s)", "MIN (s)", "MAX (s)", "SAMPLES"])
-            .with_title("Figure 6: hang-detection latency (progress indicators, 20 s period)");
+            .with_title(format!(
+                "Figure 6: hang-detection latency (progress indicators, {} s period)",
+                self.period_s
+            ));
         for (name, s) in
             [("polling (paper)", &self.polling), ("interrupt-driven (§5.1)", &self.interrupt)]
         {
@@ -52,7 +55,7 @@ impl Fig6 {
 /// Measures hang-detection latency: SIGSTOP an application rank, read the
 /// interval from injection to the Execution ARMOR's hang detection.
 pub fn fig6(effort: Effort, root: u64) -> Fig6 {
-    let period_s = 20.0;
+    let period_s = PI_CHECK_PERIOD.as_secs_f64();
     let mut out = Fig6 { polling: Summary::new(), interrupt: Summary::new(), period_s };
     for interrupt_driven in [false, true] {
         for (i, seed) in (0..).zip(seeds(root, "fig6", effort.scale(40))) {
@@ -261,9 +264,9 @@ pub fn fig8(effort: Effort, root: u64) -> Fig8 {
     out
 }
 
-/// Figure 10 outcome: with the race fix disabled, a failure notification
-/// racing ahead of the install ack leaves the Execution ARMOR
-/// unrecovered; with the fix, recovery proceeds.
+/// Figure 10 outcome: a failure notification racing ahead of the
+/// Execution ARMOR's registration leaves it unrecovered; registered
+/// first (the fix), recovery proceeds.
 #[derive(Debug, Clone)]
 pub struct Fig10 {
     /// With the fix off: was the ARMOR left unrecovered?
@@ -284,13 +287,14 @@ impl Fig10 {
 
 /// Reproduces the Figure 10 race deterministically by delivering the
 /// failure notification to the FTM *before* the install ack (the paper's
-/// adverse timing), with and without the registration fix.
+/// adverse timing), with and without the registration delivered first.
+/// No job is submitted, so the FTM's own install order never comes into
+/// play: each arm is decided by the events delivered here.
 pub fn fig10(root: u64) -> Fig10 {
     let mut outcomes = [false, false];
     for (slot, seed) in seeds(root, "fig10", 2).enumerate() {
-        let race_fix = slot == 1;
+        let registered_first = slot == 1;
         let mut scenario = Scenario::single_texture(seed);
-        scenario.sift.race_fix_enabled = race_fix;
         scenario.jobs.clear(); // no applications; we drive the race by hand
         let mut running = scenario.start();
         running.run_until(SimTime::from_secs(4));
@@ -299,7 +303,7 @@ pub fn fig10(root: u64) -> Fig10 {
         // Synthesise the adverse ordering: the FTM hears about the failed
         // Execution ARMOR before the install ack arrives.
         let exec_id = ids::exec(0, 0).0 as u64;
-        if race_fix {
+        if registered_first {
             // With the fix the FTM pre-registers on `need-install`; here
             // we emulate its effect by delivering the registration first
             // (an `install-ack`-shaped record with the same timing).

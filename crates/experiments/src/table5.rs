@@ -44,8 +44,7 @@ pub(crate) fn cells(root: u64) -> Vec<Arm> {
         .into_iter()
         .map(|period_s| {
             let mut plan = plan(Target::Ftm, ErrorModel::Sigint, 400);
-            plan.scenario.sift =
-                plan.scenario.sift.with_heartbeat_period(SimDuration::from_secs(period_s));
+            plan.scenario.sift.heartbeat_period = SimDuration::from_secs(period_s);
             cell(root, "table5", period_s.to_string(), plan)
         })
         .collect()

@@ -6,7 +6,7 @@
 
 use ree_apps::{Scenario, TextureParams};
 use ree_inject::{ErrorModel, RunPlan, Target};
-use ree_sift::{JobSpec, SiftConfig};
+use ree_sift::JobSpec;
 use ree_sim::{SimDuration, SimTime};
 
 /// A 2-node cluster running one shrunk texture job (2 ranks co-resident
@@ -33,7 +33,6 @@ fn two_node_scenario(seed: u64) -> Scenario {
         nodes: vec![0, 1],
         submit_at: SimDuration::from_secs(5),
     }];
-    scenario.sift = SiftConfig::paper();
     scenario
 }
 

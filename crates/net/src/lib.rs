@@ -13,9 +13,9 @@
 //! reproduces exactly that effect.
 //!
 //! The historical flat model survives as the degenerate case:
-//! [`Network::new`] builds [`Topology::single_switch`], which reproduces
-//! the flat model's delivery times byte-for-byte (see
-//! `tests/equivalence.rs` and `docs/NETWORK.md`).
+//! [`Topology::single_switch`] reproduces the flat model's delivery
+//! times byte-for-byte (see `tests/equivalence.rs` and
+//! `docs/NETWORK.md`).
 //!
 //! The crate is payload-agnostic: [`Network::send`] computes *when* a
 //! packet arrives; the OS layer owns the event queue and the payload.
@@ -23,10 +23,11 @@
 //! ## Example
 //!
 //! ```
-//! use ree_net::{Network, NetworkConfig, NodeId};
+//! use ree_net::{LinkParams, Network, NodeId, Topology};
 //! use ree_sim::{SimRng, SimTime};
 //!
-//! let mut net = Network::new(NetworkConfig::ethernet_100mbps(), 4, SimRng::new(7));
+//! let topology = Topology::single_switch(4, LinkParams::ethernet_100mbps());
+//! let mut net = Network::new(topology, SimRng::new(7));
 //! let verdict = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 1500);
 //! let at = verdict.delivery_time().expect("link is up");
 //! assert!(at > SimTime::ZERO);
@@ -42,7 +43,7 @@ mod routing;
 mod topology;
 
 pub use link::{LinkId, LinkParams};
-pub use model::{NetworkConfig, NodeId, SendVerdict};
+pub use model::{NodeId, SendVerdict};
 pub use topology::{LinkSpec, Port, SwitchId, Topology, TopologyBuilder, TopologyError};
 
 use link::LinkState;
@@ -79,15 +80,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network over the degenerate single-switch topology the
-    /// flat `config` describes ([`Topology::single_switch`]), covering
-    /// nodes `0..nodes`.
-    pub fn new(config: NetworkConfig, nodes: u16, rng: SimRng) -> Self {
-        Self::with_topology(Topology::single_switch(nodes, &config), rng)
-    }
-
-    /// Creates a network over an explicit topology.
-    pub fn with_topology(topology: Topology, rng: SimRng) -> Self {
+    /// Creates a network over `topology`; `rng` draws its jitter and loss.
+    pub fn new(topology: Topology, rng: SimRng) -> Self {
         let routes = RouteTable::build(&topology);
         let link_state = vec![LinkState { busy_until: SimTime::ZERO }; topology.links().len()];
         Network {
@@ -300,12 +294,17 @@ impl Network {
 mod tests {
     use super::*;
 
-    fn quiet_config() -> NetworkConfig {
-        NetworkConfig { jitter: SimDuration::ZERO, ..NetworkConfig::ethernet_100mbps() }
+    /// An 8-node single-switch network whose uplinks are `uplink`.
+    fn flat(uplink: LinkParams, seed: u64) -> Network {
+        Network::new(Topology::single_switch(8, uplink), SimRng::new(seed))
+    }
+
+    fn lossy(drop_probability: f64, seed: u64) -> Network {
+        flat(LinkParams { drop_probability, ..LinkParams::ethernet_100mbps() }, seed)
     }
 
     fn quiet_net() -> Network {
-        Network::new(quiet_config(), 8, SimRng::new(1))
+        flat(LinkParams { jitter: SimDuration::ZERO, ..LinkParams::ethernet_100mbps() }, 1)
     }
 
     #[test]
@@ -392,7 +391,7 @@ mod tests {
 
     #[test]
     fn drops_occur_at_configured_rate() {
-        let mut net = Network::new(NetworkConfig::lossy(0.5), 8, SimRng::new(42));
+        let mut net = lossy(0.5, 42);
         let mut dropped = 0;
         for _ in 0..1000 {
             if net.send(SimTime::ZERO, NodeId(0), NodeId(1), 100) == SendVerdict::Dropped {
@@ -416,7 +415,7 @@ mod tests {
     fn reseed_resets_counters_and_keeps_link_state() {
         // Regression: counters used to survive reseed, so per-run
         // traffic stats included boot traffic.
-        let mut net = Network::new(NetworkConfig::lossy(0.9), 8, SimRng::new(3));
+        let mut net = lossy(0.9, 3);
         for _ in 0..50 {
             net.send(SimTime::ZERO, NodeId(0), NodeId(1), 1000);
         }
@@ -453,7 +452,7 @@ mod tests {
 
     #[test]
     fn routes_cross_switches_and_accumulate_latency() {
-        let mut net = Network::with_topology(dumbbell(), SimRng::new(1));
+        let mut net = Network::new(dumbbell(), SimRng::new(1));
         // Same island: one serialising uplink (100 µs latency).
         let local = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 12_500).delivery_time().unwrap();
         assert_eq!(local, SimTime::from_micros(1000 + 100));
@@ -466,7 +465,7 @@ mod tests {
 
     #[test]
     fn trunk_bandwidth_is_shared_by_flows_from_different_nodes() {
-        let mut net = Network::with_topology(dumbbell(), SimRng::new(1));
+        let mut net = Network::new(dumbbell(), SimRng::new(1));
         let first = net.send(SimTime::ZERO, NodeId(0), NodeId(2), 12_500).delivery_time().unwrap();
         // A different sender still queues behind the first flow on the
         // shared trunk — the generalisation of per-node tx_busy_until.

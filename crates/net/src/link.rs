@@ -36,6 +36,17 @@ impl LinkParams {
         }
     }
 
+    /// The REE testbed's 100 Mbps Ethernet uplink (Figure 2): ~12.5 MB/s,
+    /// 200 µs propagation, up to 150 µs jitter, no background loss.
+    pub fn ethernet_100mbps() -> Self {
+        LinkParams {
+            latency: SimDuration::from_micros(200),
+            jitter: SimDuration::from_micros(150),
+            bandwidth_bytes_per_sec: Some(12_500_000),
+            drop_probability: 0.0,
+        }
+    }
+
     /// A serialising link with the given bandwidth and latency, no
     /// jitter or loss. Builder shorthand for trunks and uplinks.
     pub fn wire(bandwidth_bytes_per_sec: u64, latency: SimDuration) -> Self {

@@ -1,7 +1,7 @@
-//! Core interconnect vocabulary: node identity, the legacy flat-model
-//! configuration, and the verdict a send produces.
+//! Core interconnect vocabulary: node identity and the verdict a send
+//! produces.
 
-use ree_sim::{SimDuration, SimTime};
+use ree_sim::SimTime;
 
 /// Identifies a node (board/processor) in the simulated cluster.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -10,54 +10,6 @@ pub struct NodeId(pub u16);
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "node{}", self.0)
-    }
-}
-
-/// Static parameters of the flat interconnect model.
-///
-/// Since the topology refactor this is a *description of a degenerate
-/// single-switch topology* ([`crate::Topology::single_switch`]): every
-/// node hangs off one ideal switch by an uplink carrying these
-/// parameters. [`crate::Network::new`] builds exactly that topology, so
-/// existing configurations reproduce the historical flat-model delivery
-/// times byte-for-byte.
-#[derive(Clone, Debug)]
-pub struct NetworkConfig {
-    /// One-way propagation latency added to every packet.
-    pub base_latency: SimDuration,
-    /// Uniform jitter bound; each packet gets `U[0, jitter)` extra delay.
-    pub jitter: SimDuration,
-    /// Link bandwidth in bytes per virtual second (serialisation delay).
-    pub bandwidth_bytes_per_sec: u64,
-    /// Latency for messages a node sends to itself (IPC via loopback).
-    pub loopback_latency: SimDuration,
-    /// Probability that a packet is silently lost (reliable ARMOR
-    /// messaging must mask this with retransmission).
-    pub drop_probability: f64,
-}
-
-impl NetworkConfig {
-    /// The REE testbed's 100 Mbps Ethernet (Figure 2): ~12.5 MB/s, 200 µs
-    /// propagation, mild jitter, no background loss.
-    pub fn ethernet_100mbps() -> Self {
-        NetworkConfig {
-            base_latency: SimDuration::from_micros(200),
-            jitter: SimDuration::from_micros(150),
-            bandwidth_bytes_per_sec: 12_500_000,
-            loopback_latency: SimDuration::from_micros(30),
-            drop_probability: 0.0,
-        }
-    }
-
-    /// A lossy variant for stress-testing the reliable messaging layer.
-    pub fn lossy(drop_probability: f64) -> Self {
-        NetworkConfig { drop_probability, ..Self::ethernet_100mbps() }
-    }
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        Self::ethernet_100mbps()
     }
 }
 

@@ -7,7 +7,7 @@
 //! be mirrored exactly ([`LinkSpec::peer`]).
 
 use crate::link::{LinkId, LinkParams};
-use crate::model::{NetworkConfig, NodeId};
+use crate::model::NodeId;
 use ree_sim::SimDuration;
 
 /// Identifies a switch (non-endpoint forwarding element) in a topology.
@@ -76,7 +76,8 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Starts building a topology over `nodes` endpoint nodes.
+    /// Starts building a topology over `nodes` endpoint nodes, with a
+    /// 30 µs node-local loopback latency.
     pub fn builder(nodes: u16) -> TopologyBuilder {
         TopologyBuilder {
             topology: Topology {
@@ -88,28 +89,17 @@ impl Topology {
         }
     }
 
-    /// The degenerate topology [`crate::Network::new`] builds from a
-    /// flat [`NetworkConfig`]: every node hangs off a single ideal
-    /// switch. The uplink (node → switch) carries the configured
-    /// bandwidth, latency, jitter, and loss; the downlink (switch →
-    /// node) forwards instantly. A node-to-node send therefore costs
-    /// exactly one serialisation on the sender's uplink plus the base
-    /// latency — byte-for-byte the historical flat model.
-    pub fn single_switch(nodes: u16, config: &NetworkConfig) -> Topology {
-        let mut b = Topology::builder(nodes).loopback_latency(config.loopback_latency);
+    /// The flat interconnect: every node hangs off a single ideal switch.
+    /// The uplink (node → switch) carries `uplink`'s bandwidth, latency,
+    /// jitter, and loss; the downlink (switch → node) forwards instantly.
+    /// A node-to-node send therefore costs exactly one serialisation on
+    /// the sender's uplink plus the uplink latency — byte-for-byte the
+    /// historical flat model.
+    pub fn single_switch(nodes: u16, uplink: LinkParams) -> Topology {
+        let mut b = Topology::builder(nodes);
         let sw = b.add_switch();
         for n in 0..nodes {
-            b.connect(
-                Port::Node(NodeId(n)),
-                Port::Switch(sw),
-                LinkParams {
-                    latency: config.base_latency,
-                    jitter: config.jitter,
-                    bandwidth_bytes_per_sec: Some(config.bandwidth_bytes_per_sec),
-                    drop_probability: config.drop_probability,
-                },
-                LinkParams::instant(),
-            );
+            b.connect(Port::Node(NodeId(n)), Port::Switch(sw), uplink, LinkParams::instant());
         }
         b.build()
     }
@@ -188,12 +178,6 @@ pub struct TopologyBuilder {
 }
 
 impl TopologyBuilder {
-    /// Sets the node-local loopback latency (default 30 µs).
-    pub(crate) fn loopback_latency(mut self, latency: SimDuration) -> Self {
-        self.topology.loopback_latency = latency;
-        self
-    }
-
     /// Adds a switch and returns its id.
     pub fn add_switch(&mut self) -> SwitchId {
         let id = SwitchId(self.topology.switches);

@@ -11,13 +11,49 @@
 //! node/pair blocks, and network-wide contention windows inflating the
 //! nominal transfer time.
 
-use ree_net::{Network, NetworkConfig, NodeId, SendVerdict};
+use ree_net::{LinkParams, Network, NodeId, SendVerdict, Topology};
 use ree_sim::{SimDuration, SimRng, SimTime};
 use std::collections::HashSet;
 
+/// The flat model's parameters, as its configuration held them.
+#[derive(Clone, Copy)]
+struct FlatParams {
+    base_latency: SimDuration,
+    jitter: SimDuration,
+    bandwidth_bytes_per_sec: u64,
+    loopback_latency: SimDuration,
+    drop_probability: f64,
+}
+
+impl FlatParams {
+    /// The REE testbed's 100 Mbps Ethernet.
+    const ETHERNET: FlatParams = FlatParams {
+        base_latency: SimDuration::from_micros(200),
+        jitter: SimDuration::from_micros(150),
+        bandwidth_bytes_per_sec: 12_500_000,
+        loopback_latency: SimDuration::from_micros(30),
+        drop_probability: 0.0,
+    };
+
+    /// The single-switch topology these parameters describe. Its
+    /// loopback is the topology builder's default, which the flat
+    /// parameters must match.
+    fn topology(self, nodes: u16) -> Topology {
+        let uplink = LinkParams {
+            latency: self.base_latency,
+            jitter: self.jitter,
+            bandwidth_bytes_per_sec: Some(self.bandwidth_bytes_per_sec),
+            drop_probability: self.drop_probability,
+        };
+        let topology = Topology::single_switch(nodes, uplink);
+        assert_eq!(topology.loopback_latency(), self.loopback_latency);
+        topology
+    }
+}
+
 /// The pre-topology flat model, replicated verbatim.
 struct FlatModel {
-    config: NetworkConfig,
+    config: FlatParams,
     rng: SimRng,
     tx_busy_until: Vec<SimTime>,
     down_links: HashSet<(NodeId, NodeId)>,
@@ -26,7 +62,7 @@ struct FlatModel {
 }
 
 impl FlatModel {
-    fn new(config: NetworkConfig, nodes: u16, rng: SimRng) -> Self {
+    fn new(config: FlatParams, nodes: u16, rng: SimRng) -> Self {
         FlatModel {
             config,
             rng,
@@ -110,10 +146,10 @@ impl FlatModel {
 /// Drives the flat replica and the degenerate topology through the same
 /// seeded traffic (sends, blocks, node failures, load windows) and
 /// demands identical verdicts at every step.
-fn drive_equivalence(config: NetworkConfig, seed: u64, steps: u32) {
+fn drive_equivalence(config: FlatParams, seed: u64, steps: u32) {
     const NODES: u16 = 6;
-    let mut flat = FlatModel::new(config.clone(), NODES, SimRng::new(seed));
-    let mut topo = Network::new(config, NODES, SimRng::new(seed));
+    let mut flat = FlatModel::new(config, NODES, SimRng::new(seed));
+    let mut topo = Network::new(config.topology(NODES), SimRng::new(seed));
     let mut traffic = SimRng::new(seed ^ 0xC0FFEE);
     let mut now = SimTime::ZERO;
     for step in 0..steps {
@@ -148,10 +184,20 @@ fn drive_equivalence(config: NetworkConfig, seed: u64, steps: u32) {
 }
 
 #[test]
+fn the_testbed_uplink_is_the_flat_ethernet() {
+    // Clusters without an explicit topology run over this uplink.
+    let (uplink, flat) = (LinkParams::ethernet_100mbps(), FlatParams::ETHERNET);
+    assert_eq!(uplink.latency, flat.base_latency);
+    assert_eq!(uplink.jitter, flat.jitter);
+    assert_eq!(uplink.bandwidth_bytes_per_sec, Some(flat.bandwidth_bytes_per_sec));
+    assert_eq!(uplink.drop_probability, flat.drop_probability);
+}
+
+#[test]
 fn degenerate_topology_matches_flat_model_quiet() {
-    let quiet = NetworkConfig { jitter: SimDuration::ZERO, ..NetworkConfig::ethernet_100mbps() };
+    let quiet = FlatParams { jitter: SimDuration::ZERO, ..FlatParams::ETHERNET };
     for seed in 0..8 {
-        drive_equivalence(quiet.clone(), seed, 400);
+        drive_equivalence(quiet, seed, 400);
     }
 }
 
@@ -160,7 +206,7 @@ fn degenerate_topology_matches_flat_model_with_jitter() {
     // Jittery sends exercise RNG draw *order*: one jitter draw per
     // delivered packet, none for partitioned ones.
     for seed in 0..8 {
-        drive_equivalence(NetworkConfig::ethernet_100mbps(), seed, 400);
+        drive_equivalence(FlatParams::ETHERNET, seed, 400);
     }
 }
 
@@ -169,6 +215,6 @@ fn degenerate_topology_matches_flat_model_lossy() {
     // Lossy sends add the drop draw before the jitter draw; a single
     // skipped or reordered draw desynchronises every later delivery.
     for seed in 0..8 {
-        drive_equivalence(NetworkConfig::lossy(0.3), seed, 400);
+        drive_equivalence(FlatParams { drop_probability: 0.3, ..FlatParams::ETHERNET }, seed, 400);
     }
 }

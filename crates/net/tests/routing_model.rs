@@ -45,7 +45,7 @@ proptest! {
         let n = assign.len() as u16;
         let (from, to) = (NodeId(from % n), NodeId(to % n));
         let topology = chain_topology(&assign, switches, trunk_latency_us);
-        let fresh = Network::with_topology(topology, SimRng::new(1));
+        let fresh = Network::new(topology, SimRng::new(1));
         let t_small = fresh.clone().send(SimTime::ZERO, from, to, small).delivery_time();
         let t_large = fresh.clone().send(SimTime::ZERO, from, to, small + extra).delivery_time();
         let (t_small, t_large) = (t_small.unwrap(), t_large.unwrap());
@@ -65,7 +65,7 @@ proptest! {
         trunk_latency_us in 1u64..2_000,
     ) {
         let topology = chain_topology(&assign, switches, trunk_latency_us);
-        let net = Network::with_topology(topology.clone(), SimRng::new(1));
+        let net = Network::new(topology.clone(), SimRng::new(1));
         let n = assign.len() as u16;
         for a in 0..n {
             for b in (a + 1)..n {

@@ -12,7 +12,7 @@ use crate::process::{ExitStatus, HeapHit, HeapTarget, Message, Payload, Pid, Pro
 use crate::ptable::ProcTable;
 use crate::storage::{RamDisk, RemoteFs};
 use crate::trace::{Trace, TraceDetail, TraceEvent, TraceKind};
-use ree_net::{Network, NetworkConfig, NodeId, SendVerdict, Topology};
+use ree_net::{LinkParams, Network, NodeId, SendVerdict, Topology};
 use ree_sim::{EventHandle, EventQueue, SimDuration, SimRng, SimTime, Sink};
 use std::sync::Arc;
 
@@ -107,8 +107,9 @@ pub struct ClusterConfig {
     /// experiments of §8).
     pub nodes: usize,
     /// Explicit interconnect topology (switches, per-link parameters);
-    /// `None` is [`Topology::single_switch`] over
-    /// [`NetworkConfig::ethernet_100mbps`], the historical flat model.
+    /// `None` is [`Topology::single_switch`] with
+    /// [`LinkParams::ethernet_100mbps`] uplinks, the historical flat
+    /// model.
     pub topology: Option<Topology>,
     /// Master seed; all stochastic behaviour derives from it.
     pub seed: u64,
@@ -221,7 +222,7 @@ impl Cluster {
             .collect();
         let mut trace = Trace::new();
         trace.set_enabled(config.trace_enabled);
-        let net = match &config.topology {
+        let topology = match &config.topology {
             Some(topology) => {
                 assert!(
                     topology.nodes() as usize >= config.nodes,
@@ -229,10 +230,11 @@ impl Cluster {
                     topology.nodes(),
                     config.nodes
                 );
-                Network::with_topology(topology.clone(), net_rng)
+                topology.clone()
             }
-            None => Network::new(NetworkConfig::ethernet_100mbps(), config.nodes as u16, net_rng),
+            None => Topology::single_switch(config.nodes as u16, LinkParams::ethernet_100mbps()),
         };
+        let net = Network::new(topology, net_rng);
         Cluster {
             net,
             now: SimTime::ZERO,

@@ -44,6 +44,4 @@ pub use trace::{Trace, TraceDetail, TraceEvent, TraceKind, TraceRecord};
 // Re-export the interconnect vocabulary so most consumers only need
 // ree-os: node identity plus the topology-construction surface
 // (scenarios place workloads on explicit topologies).
-pub use ree_net::{
-    LinkId, LinkParams, Network, NetworkConfig, NodeId, Port, SwitchId, Topology, TopologyBuilder,
-};
+pub use ree_net::{LinkId, LinkParams, Network, NodeId, Port, SwitchId, Topology, TopologyBuilder};

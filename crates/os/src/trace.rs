@@ -358,7 +358,11 @@ impl Trace {
         self.prefix = Some(prefix);
     }
 
-    /// Enables or disables recording (campaigns disable it for speed).
+    /// Enables or disables recording. Only a probe of the trace's own
+    /// cost turns it off; campaigns keep it on. A disabled trace stores
+    /// nothing and also stops the typed-event counters
+    /// ([`Trace::count_of`], [`Trace::any`]) that run classification
+    /// reads.
     pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }

@@ -44,7 +44,7 @@ pub struct ReeModelParams {
     pub sift_failure_rate: f64,
     /// SIFT-process recovery rate (≈ 1/0.5 s measured).
     pub sift_recovery_rate: f64,
-    /// Blocked-application timeout (seconds; `app_block_timeout`).
+    /// Blocked-application timeout (seconds; `ree_sift::APP_BLOCK_TIMEOUT`).
     pub app_timeout: f64,
     /// Application recovery rate once the SIFT process is healthy
     /// (restart + rollback redo; ≈ 1/15 s measured).
