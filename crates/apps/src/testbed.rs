@@ -199,7 +199,7 @@ impl Scenario {
     /// Boots the scenario once and freezes it at `until` as a reusable
     /// [`BootSnapshot`]. Campaigns boot the identical SIFT cluster for
     /// every run; snapshotting the booted state and handing each run a
-    /// deep clone skips re-executing the whole installation protocol
+    /// clone skips re-executing the whole installation protocol
     /// (~5 s of simulated setup) per run.
     ///
     /// Boot runs under this scenario's `seed`, which a campaign holds
@@ -223,10 +223,11 @@ impl Scenario {
 ///
 /// The snapshot is `Send + Sync`: one boot on the campaign thread serves
 /// every worker, each of which clones (`fork`) its own `Running` per
-/// run. Everything mutable is deep-copied by the fork; only immutable
-/// shared structure (app factories, interned names, FFT plans, synthetic
-/// input caches) stays `Arc`-shared across forks, and a texture rank's
-/// image, which the first heap flip into it unshares.
+/// run. Immutable structure (app factories, interned names, FFT plans,
+/// synthetic input caches) stays `Arc`-shared across forks. Mutable state
+/// is either copied by the fork or shared until written: an ARMOR
+/// element's state until the first mutating call on it, a texture rank's
+/// image until the first heap flip into it.
 pub struct BootSnapshot {
     running: Running,
     booted_to: SimTime,
@@ -238,7 +239,7 @@ impl BootSnapshot {
         self.booted_to
     }
 
-    /// Deep-clones the booted cluster and re-seeds its random streams
+    /// Clones the booted cluster and re-seeds its random streams
     /// from `seed` — the per-run warm-boot path.
     pub fn fork(&self, seed: u64) -> Running {
         let mut running = self.running.clone();

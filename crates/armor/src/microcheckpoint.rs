@@ -52,11 +52,12 @@ use std::sync::Arc;
 /// Regions are addressed by construction-order index: the per-event
 /// path passes the element's position, and only by-name callers pay the
 /// sorted-table lookup.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct CheckpointBuffer {
     regions: Vec<Region>,
-    /// Sorted `(element name, region index)` lookup table.
-    by_name: Vec<(String, u32)>,
+    /// Sorted `(element name, region index)` lookup table, fixed at
+    /// construction and shared by every fork.
+    by_name: Arc<[(&'static str, u32)]>,
     /// The assembled stable-storage image as of the last commit
     /// (empty until the first commit).
     assembled: Arc<Vec<u8>>,
@@ -71,9 +72,26 @@ pub struct CheckpointBuffer {
     patched_commits: u64,
 }
 
-#[derive(Debug, Clone, Default)]
+impl Clone for CheckpointBuffer {
+    fn clone(&self) -> Self {
+        CheckpointBuffer {
+            regions: self.regions.clone(),
+            by_name: Arc::clone(&self.by_name),
+            assembled: Arc::clone(&self.assembled),
+            needs_rebuild: self.needs_rebuild,
+            // Contents are dead between updates: a fork grows its own.
+            scratch: Vec::new(),
+            updates: self.updates,
+            clean_updates: self.clean_updates,
+            commits: self.commits,
+            patched_commits: self.patched_commits,
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
 struct Region {
-    element: String,
+    element: &'static str,
     image: Vec<u8>,
     /// Byte offset of `image` within `assembled` (valid while
     /// `needs_rebuild` is false and `assembled` is non-empty).
@@ -85,26 +103,26 @@ struct Region {
 impl CheckpointBuffer {
     /// Creates a buffer with one region per element name, seeded from the
     /// provided initial states.
-    pub fn new<'a>(elements: impl IntoIterator<Item = (&'a str, &'a Fields)>) -> Self {
+    pub fn new<'a>(elements: impl IntoIterator<Item = (&'static str, &'a Fields)>) -> Self {
         let mut scratch = Vec::with_capacity(256);
         let regions: Vec<Region> = elements
             .into_iter()
             .map(|(name, state)| {
                 scratch.clear();
                 encode_fields_into(state, &mut scratch);
-                Region { element: name.to_owned(), image: scratch.to_vec(), offset: 0, dirty: true }
+                Region { element: name, image: scratch.to_vec(), offset: 0, dirty: true }
             })
             .collect();
-        let mut by_name: Vec<(String, u32)> =
-            regions.iter().enumerate().map(|(i, r)| (r.element.clone(), i as u32)).collect();
+        let mut by_name: Vec<(&'static str, u32)> =
+            regions.iter().enumerate().map(|(i, r)| (r.element, i as u32)).collect();
         // Duplicate names keep construction order within the sorted
-        // table, so the *first* constructed region wins lookups —
-        // matching the old linear scan's semantics.
-        by_name.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        // table (the index breaks the tie), so the *first* constructed
+        // region wins lookups — matching the old linear scan's semantics.
+        by_name.sort();
         by_name.dedup_by(|later, first| later.0 == first.0);
         CheckpointBuffer {
             regions,
-            by_name,
+            by_name: by_name.into(),
             assembled: Arc::default(),
             needs_rebuild: true,
             scratch,
@@ -119,7 +137,7 @@ impl CheckpointBuffer {
     /// `String` scan). With duplicate names the first constructed wins.
     pub(crate) fn region_index(&self, element: &str) -> Option<usize> {
         self.by_name
-            .binary_search_by(|(name, _)| name.as_str().cmp(element))
+            .binary_search_by(|(name, _)| (*name).cmp(element))
             .ok()
             .map(|i| self.by_name[i].1 as usize)
     }
@@ -360,7 +378,7 @@ mod tests {
     }
 
     /// From-scratch reference image for the given (name, state) pairs.
-    fn reference_image(states: &[(&str, &Fields)]) -> Arc<Vec<u8>> {
+    fn reference_image(states: &[(&'static str, &Fields)]) -> Arc<Vec<u8>> {
         CheckpointBuffer::new(states.iter().copied()).encode()
     }
 

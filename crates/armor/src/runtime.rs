@@ -116,7 +116,7 @@ pub(crate) struct ArmorCore {
     /// monotonically, so insertion is a push).
     timer_events: Vec<(u64, ArmorEvent)>,
     next_timer_tag: u64,
-    ckpt_key: String,
+    ckpt_key: Arc<str>,
 }
 
 impl ArmorCore {
@@ -324,7 +324,7 @@ impl ArmorProcess {
                 poison_next_send: false,
                 timer_events: Vec::new(),
                 next_timer_tag: TIMER_USER_BASE,
-                ckpt_key: format!("ckpt/{name}"),
+                ckpt_key: format!("ckpt/{name}").into(),
                 name,
                 restore,
             },
@@ -731,5 +731,85 @@ impl std::fmt::Debug for ArmorProcess {
             .field("elements", &self.elements.len())
             .field("ready", &self.ready)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ree_os::{Cluster, ClusterConfig, NodeId, SpawnSpec};
+    use ree_sim::SimTime;
+
+    /// Counts the events it subscribes to.
+    struct Counter(&'static str, &'static [&'static str]);
+
+    impl Element for Counter {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+        fn subscriptions(&self) -> &'static [&'static str] {
+            self.1
+        }
+        fn initial_state(&self) -> Fields {
+            let mut state = Fields::new();
+            state.set("seen", Value::U64(0));
+            state
+        }
+        fn handle(
+            &self,
+            state: &mut Fields,
+            _: &ArmorEvent,
+            _: &mut ElementCtx<'_, '_>,
+        ) -> ElementOutcome {
+            state.bump("seen");
+            ElementOutcome::Ok
+        }
+    }
+
+    /// Raises one `ping` in an ARMOR when it starts.
+    #[derive(Clone)]
+    struct Pinger(Pid);
+
+    impl Process for Pinger {
+        fn kind(&self) -> &'static str {
+            "pinger"
+        }
+        fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+            ctx.send(self.0, "armor-control", 64, ControlOp::Raise(ArmorEvent::new("ping")));
+        }
+        fn on_message(&mut self, _: Message, _: &mut ProcCtx<'_>) {}
+    }
+
+    #[test]
+    fn a_fork_copies_only_the_states_its_deliveries_write() {
+        let elements: Vec<Box<dyn Element>> = vec![
+            Box::new(Counter("first", &["ping"])),
+            Box::new(Counter("second", &["pong"])),
+            Box::new(Counter("third", &["ping"])),
+        ];
+        let armor = ArmorProcess::new(
+            ArmorId(2),
+            "armor",
+            elements,
+            Gateway::SelfRouting,
+            RestorePolicy::OnStart,
+        );
+        let mut cluster = Cluster::new(ClusterConfig::ree_testbed(1));
+        let pid = cluster.spawn(SpawnSpec::new("armor", NodeId(0), Box::new(armor)));
+        cluster.run_until(SimTime::from_secs(1));
+        let states = |c: &Cluster| c.behavior::<ArmorProcess>(pid).expect("running").states.clone();
+        let shared = |a: &Cluster, b: &Cluster| -> Vec<bool> {
+            states(a).iter().zip(&states(b)).map(|(x, y)| x.shares_entries_with(y)).collect()
+        };
+        let seen =
+            |c: &Cluster| -> Vec<Option<u64>> { states(c).iter().map(|s| s.u64("seen")).collect() };
+
+        let mut fork = cluster.clone();
+        assert_eq!(shared(&cluster, &fork), [true; 3], "a fork copies no state");
+        fork.spawn(SpawnSpec::new("pinger", NodeId(0), Box::new(Pinger(pid))));
+        fork.run_until(SimTime::from_secs(2));
+        assert_eq!(seen(&fork), [Some(1), Some(0), Some(1)]);
+        assert_eq!(shared(&cluster, &fork), [false, true, false], "only the handlers' states copy");
+        assert_eq!(seen(&cluster), [Some(0); 3], "the original is untouched");
     }
 }

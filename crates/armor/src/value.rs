@@ -22,6 +22,7 @@
 use ree_os::FieldKind;
 use ree_sim::SimRng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A dynamically typed state value.
 #[derive(Clone, Debug, PartialEq)]
@@ -159,17 +160,26 @@ impl Value {
 ///
 /// The map knows when it *may* have changed: every entry point that can
 /// alter a value ([`Fields::set`], [`Fields::get_mut`],
-/// [`Fields::remove`], [`Fields::bump`], [`Fields::resolve_mut`] and
-/// hence [`Fields::flip_random_leaf`]) marks it dirty and drops the
-/// cached structural-pointer verdict. The ARMOR runtime microcheckpoints
-/// an element only while its state is dirty and asks the cached verdict
-/// instead of re-walking every value per event. Both are bookkeeping,
-/// not state: equality, `Debug` and the wire encoding ignore them.
+/// [`Fields::remove`] of a present field, [`Fields::bump`],
+/// [`Fields::resolve_mut`] and hence [`Fields::flip_random_leaf`]) marks
+/// it dirty and drops the cached structural-pointer verdict. The ARMOR
+/// runtime microcheckpoints an element only while its state is dirty and
+/// asks the cached verdict instead of re-walking every value per event.
+/// Both are bookkeeping, not state: equality, `Debug` and the wire
+/// encoding ignore them.
 ///
 /// A map is clean only between a [`Fields::take_dirty`] and the next
 /// mutating call on that same map: a new map and a clone are both born
 /// dirty, so assigning a whole new state over an element's (`*state =
 /// other`) can never pass for "unchanged since the last snapshot".
+///
+/// # Sharing
+///
+/// A clone shares the entries with its original until either side
+/// writes: the mutating entry points above are the only way to a
+/// mutable entry, and each unshares (copies the map) first if another
+/// `Fields` still holds it. A snapshot fork of an ARMOR therefore copies
+/// only the states its branch writes. An empty map holds no allocation.
 ///
 /// # Examples
 ///
@@ -180,7 +190,9 @@ impl Value {
 /// assert_eq!(f.get("restart_count").and_then(|v| v.as_u64()), Some(0));
 /// ```
 pub struct Fields {
-    entries: BTreeMap<String, Value>,
+    /// The entries, shared with every clone until one side writes;
+    /// `None` is the empty map.
+    entries: Option<Arc<BTreeMap<String, Value>>>,
     /// No [`Fields::take_dirty`] since this map was made or last went
     /// through a mutating entry point.
     dirty: bool,
@@ -189,9 +201,12 @@ pub struct Fields {
     ptr_verdict: Option<(u64, bool)>,
 }
 
+/// What a `Fields` without entries reads.
+static EMPTY: BTreeMap<String, Value> = BTreeMap::new();
+
 impl Default for Fields {
     fn default() -> Self {
-        Fields { entries: BTreeMap::new(), dirty: true, ptr_verdict: None }
+        Fields { entries: None, dirty: true, ptr_verdict: None }
     }
 }
 
@@ -204,13 +219,13 @@ impl Clone for Fields {
 
 impl PartialEq for Fields {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
+        self.map() == other.map()
     }
 }
 
 impl std::fmt::Debug for Fields {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fields").field("entries", &self.entries).finish()
+        f.debug_struct("Fields").field("entries", self.map()).finish()
     }
 }
 
@@ -220,11 +235,23 @@ impl Fields {
         Fields::default()
     }
 
-    /// Every mutable path into `entries` goes through here.
+    /// True if `self` and `other` hold one allocation of entries.
+    #[cfg(test)]
+    pub(crate) fn shares_entries_with(&self, other: &Fields) -> bool {
+        matches!((&self.entries, &other.entries), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Every read of `entries` goes through here.
+    fn map(&self) -> &BTreeMap<String, Value> {
+        self.entries.as_deref().unwrap_or(&EMPTY)
+    }
+
+    /// Every mutable path into `entries` goes through here: it marks the
+    /// state, and unshares the map if a clone still holds it.
     fn touch(&mut self) -> &mut BTreeMap<String, Value> {
         self.dirty = true;
         self.ptr_verdict = None;
-        &mut self.entries
+        Arc::make_mut(self.entries.get_or_insert_with(Arc::default))
     }
 
     /// Sets (inserting or replacing) a field. Replacing an existing
@@ -241,7 +268,7 @@ impl Fields {
 
     /// Reads a field.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.entries.get(name)
+        self.map().get(name)
     }
 
     /// Mutable field access (marks the state dirty whether or not the
@@ -250,8 +277,10 @@ impl Fields {
         self.touch().get_mut(name)
     }
 
-    /// Removes a field.
+    /// Removes a field. Removing an absent field changes nothing, so it
+    /// neither marks the state dirty nor unshares it.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
+        self.get(name)?;
         self.touch().remove(name)
     }
 
@@ -281,17 +310,17 @@ impl Fields {
 
     /// Number of top-level fields.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.map().len()
     }
 
     /// True if no fields are present.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.map().is_empty()
     }
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(name, value)| (name.as_str(), value))
+        self.map().iter().map(|(name, value)| (name.as_str(), value))
     }
 
     /// Unsigned-integer field helper.
@@ -323,7 +352,7 @@ impl Fields {
     /// per-event checks use the allocation-free walkers below.
     pub fn leaf_paths(&self) -> Vec<(String, FieldKind)> {
         let mut out = Vec::new();
-        for (name, value) in &self.entries {
+        for (name, value) in self.map() {
             collect_leaves(name, value, &mut out);
         }
         out
@@ -332,20 +361,20 @@ impl Fields {
     /// Number of leaf values — the allocation-free size used by the wire
     /// model (previously built every path string just to count them).
     pub fn leaf_count(&self) -> usize {
-        self.entries.values().map(Value::leaf_count).sum()
+        self.map().values().map(Value::leaf_count).sum()
     }
 
     /// True if any pointer-class leaf is misaligned with respect to
     /// `align` — the per-event structural-pointer fault check, walking
     /// the state without building paths.
     pub fn has_misaligned_ptr(&self, align: u64) -> bool {
-        self.entries.values().any(|v| v.has_misaligned_ptr(align))
+        self.map().values().any(|v| v.has_misaligned_ptr(align))
     }
 
     /// True if [`Fields::flip_random_leaf`] with the same `want` would
     /// find a leaf to hit, without building paths.
     pub fn has_leaf(&self, want: Option<FieldKind>) -> bool {
-        self.entries.values().any(|v| v.has_leaf(want))
+        self.map().values().any(|v| v.has_leaf(want))
     }
 
     /// Flips one bit in a leaf selected uniformly among leaves matching
@@ -374,7 +403,7 @@ impl Fields {
     pub fn resolve(&self, path: &str) -> Option<&Value> {
         let mut parts = path.split('/');
         let first = parts.next()?;
-        let mut cur = self.entries.get(first)?;
+        let mut cur = self.map().get(first)?;
         for part in parts {
             cur = match cur {
                 Value::List(items) => items.get(part.parse::<usize>().ok()?)?,
@@ -484,6 +513,18 @@ mod tests {
         assert!(f.flip_random_leaf(&mut rng, Some(FieldKind::Pointer)).is_none());
     }
 
+    type Step = fn(&mut Fields);
+
+    /// One call of each mutating entry point, each valid on [`sample`].
+    const MUTATIONS: [(&str, Step); 6] = [
+        ("set", |f| f.set("count", Value::U64(3))),
+        ("get_mut", |f| assert!(f.get_mut("count").is_some())),
+        ("remove", |f| assert!(f.remove("host").is_some())),
+        ("bump", |f| assert!(f.bump("count").is_some())),
+        ("resolve_mut", |f| assert!(f.resolve_mut("table/a").is_some())),
+        ("flip_random_leaf", |f| assert!(f.flip_random_leaf(&mut SimRng::new(9), None).is_some())),
+    ];
+
     #[test]
     fn every_mutating_entry_point_marks_dirty_and_reads_do_not() {
         let mut f = sample();
@@ -491,23 +532,42 @@ mod tests {
         let _ = (f.get("count"), f.u64("count"), f.resolve("table/a"), f.iter().count());
         let _ = (f.leaf_paths(), f.leaf_count(), f.has_leaf(None), f.has_misaligned_ptr(4096));
         assert!(!f.is_dirty(), "reads leave the state clean");
-
-        type Step = fn(&mut Fields);
-        let steps: [(&str, Step); 6] = [
-            ("set", |f| f.set("count", Value::U64(3))),
-            ("get_mut", |f| assert!(f.get_mut("count").is_some())),
-            ("remove", |f| assert!(f.remove("no-such-field").is_none())),
-            ("bump", |f| assert!(f.bump("count").is_some())),
-            ("resolve_mut", |f| assert!(f.resolve_mut("table/a").is_some())),
-            ("flip_random_leaf", |f| {
-                assert!(f.flip_random_leaf(&mut SimRng::new(9), None).is_some())
-            }),
-        ];
-        for (name, step) in steps {
+        for (name, step) in MUTATIONS {
             step(&mut f);
             assert!(f.take_dirty(), "{name} must mark the state dirty");
             assert!(!f.is_dirty(), "take_dirty clears the mark");
         }
+    }
+
+    #[test]
+    fn a_clone_shares_entries_until_a_mutating_entry_point_runs() {
+        assert!(Fields::new().entries.is_none(), "an empty map holds no Arc");
+        let original = sample();
+        let image = crate::wire::encode_fields(&original);
+        for (name, step) in MUTATIONS {
+            let mut copy = original.clone();
+            let _ = (copy.get("count"), copy.resolve("table/a"), copy.leaf_paths());
+            let _ = copy.ptr_fault(4096);
+            assert!(original.shares_entries_with(&copy), "{name}: a clone shares until written");
+            step(&mut copy);
+            assert!(!original.shares_entries_with(&copy), "{name} must unshare");
+            assert_eq!(original, sample(), "{name} wrote through to the original");
+            assert_eq!(crate::wire::encode_fields(&original), image, "{name}: original's encoding");
+        }
+    }
+
+    #[test]
+    fn removing_an_absent_field_neither_dirties_nor_unshares() {
+        let mut f = sample();
+        f.take_dirty();
+        let original = f.clone();
+        assert_eq!(f.remove("no-such-field"), None);
+        assert!(!f.is_dirty(), "nothing changed, nothing to checkpoint");
+        assert!(original.shares_entries_with(&f), "nothing changed, nothing to copy");
+        let mut empty = Fields::new();
+        empty.take_dirty();
+        assert_eq!(empty.remove("x"), None);
+        assert!(!empty.is_dirty() && empty.entries.is_none());
     }
 
     #[test]

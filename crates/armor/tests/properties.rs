@@ -79,6 +79,9 @@ enum StateOp {
     },
     Microcheckpoint,
     Commit,
+    /// Snapshot fork of the whole ARMOR: every state and the checkpoint
+    /// buffer are cloned together, as `ArmorProcess::clone` does.
+    Fork,
 }
 
 const KEYS: [&str; 5] = ["count", "link", "table", "host", "n"];
@@ -103,6 +106,7 @@ fn arb_state_op() -> BoxedStrategy<StateOp> {
         (0u8..1).prop_map(|_| StateOp::Microcheckpoint),
         (0u8..1).prop_map(|_| StateOp::Microcheckpoint),
         (0u8..1).prop_map(|_| StateOp::Commit),
+        (0u8..1).prop_map(|_| StateOp::Fork),
     ]
     .boxed()
 }
@@ -145,9 +149,112 @@ fn mutate(state: &mut Fields, op: &StateOp) {
             let _ = state.iter().count() + state.leaf_count() + state.len();
             let _ = state.has_leaf(None);
         }
-        StateOp::Restore(_) | StateOp::Microcheckpoint | StateOp::Commit => {
+        StateOp::Restore(_) | StateOp::Microcheckpoint | StateOp::Commit | StateOp::Fork => {
             unreachable!("not a mutation of one state")
         }
+    }
+}
+
+const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
+
+/// One ARMOR's element states checkpointed two ways: dirty-gated
+/// microcheckpoints, as the runtime takes them, and an always-`update`
+/// reference.
+#[derive(Clone)]
+struct Armor {
+    gated_states: Vec<Fields>,
+    always_states: Vec<Fields>,
+    gated: CheckpointBuffer,
+    always: CheckpointBuffer,
+}
+
+fn counters(buf: &CheckpointBuffer) -> (u64, u64, u64, u64) {
+    (buf.updates(), buf.clean_updates(), buf.commits(), buf.patched_commits())
+}
+
+impl Armor {
+    fn new(initial: Vec<Fields>) -> Self {
+        let build = |states: &[Fields]| {
+            CheckpointBuffer::new(NAMES.iter().zip(states).map(|(n, s)| (*n, s)))
+        };
+        let mut armor = Armor {
+            gated: build(&initial),
+            always: build(&initial),
+            gated_states: initial.clone(),
+            always_states: initial,
+        };
+        // As `ArmorProcess::new` does: the buffer holds every state.
+        for state in &mut armor.gated_states {
+            state.take_dirty();
+        }
+        armor
+    }
+
+    /// Applies `op` to element `elem` on both sides, then checks that
+    /// they agree.
+    fn apply(&mut self, elem: usize, op: &StateOp) {
+        match op {
+            StateOp::Microcheckpoint => {
+                self.gated.microcheckpoint(elem, &mut self.gated_states[elem]);
+                self.always.update(NAMES[elem], &self.always_states[elem]);
+            }
+            StateOp::Commit => {
+                let (g, a) = (self.gated.encode(), self.always.encode());
+                prop_assert_eq!(&g, &a, "assembled images diverge");
+                let decoded = CheckpointBuffer::decode(&g).expect("commit decodes");
+                prop_assert_eq!(decoded.len(), NAMES.len());
+            }
+            StateOp::Restore(fields) => {
+                // `try_restore`: a whole new map is born dirty, so the
+                // gate lets it through.
+                self.gated_states[elem] = fields.clone();
+                self.gated.microcheckpoint(elem, &mut self.gated_states[elem]);
+                self.always_states[elem] = fields.clone();
+                self.always.update(NAMES[elem], &self.always_states[elem]);
+            }
+            StateOp::Read { .. } => {
+                let was_dirty = self.gated_states[elem].is_dirty();
+                mutate(&mut self.gated_states[elem], op);
+                prop_assert_eq!(self.gated_states[elem].is_dirty(), was_dirty, "a read dirtied");
+            }
+            StateOp::Fork => unreachable!("a fork clones the whole ARMOR"),
+            mutation => {
+                let before = self.gated_states[elem].clone();
+                mutate(&mut self.gated_states[elem], mutation);
+                mutate(&mut self.always_states[elem], mutation);
+                // Marking without changing is allowed (it costs an
+                // encode); changing without marking never is.
+                prop_assert!(
+                    self.gated_states[elem].is_dirty() || self.gated_states[elem] == before,
+                    "{mutation:?} changed the state and left it clean"
+                );
+            }
+        }
+        prop_assert_eq!(&self.gated_states, &self.always_states);
+        for (i, name) in NAMES.iter().enumerate() {
+            prop_assert_eq!(
+                self.gated.region_image(name),
+                self.always.region_image(name),
+                "region {}",
+                name
+            );
+            let walked = self.gated_states[i].has_misaligned_ptr(ALIGN);
+            prop_assert_eq!(
+                self.gated_states[i].ptr_fault(ALIGN),
+                walked,
+                "stale verdict, {}",
+                name
+            );
+        }
+        prop_assert_eq!(counters(&self.gated), counters(&self.always));
+    }
+
+    /// True if the gated sides of `self` and `other` hold the same
+    /// states, region images and counters.
+    fn same_gated(&self, other: &Armor) -> bool {
+        self.gated_states == other.gated_states
+            && NAMES.iter().all(|n| self.gated.region_image(n) == other.gated.region_image(n))
+            && counters(&self.gated) == counters(&other.gated)
     }
 }
 
@@ -161,72 +268,34 @@ proptest! {
     /// the way the cached structural-pointer verdict always equals a
     /// fresh walk — a stale "clean" verdict would silently weaken crash
     /// detection.
+    ///
+    /// A fork (the states share their entries with the original's until
+    /// written) continues on its own ops and must hold the same law,
+    /// while the original stays byte-identical to a run that never
+    /// forked.
     #[test]
     fn dirty_gated_checkpoints_match_always_update(
         initial in proptest::collection::vec(arb_fields(), 3..4),
-        ops in proptest::collection::vec((0usize..3, arb_state_op()), 1..64),
+        ops in proptest::collection::vec((0usize..3, arb_state_op(), any::<bool>()), 1..64),
     ) {
-        let names = ["alpha", "beta", "gamma"];
-        let build = |states: &[Fields]| {
-            CheckpointBuffer::new(names.iter().zip(states).map(|(n, s)| (*n, s)))
-        };
-        let mut gated_states = initial.clone();
-        let mut always_states = initial;
-        let mut gated = build(&gated_states);
-        let mut always = build(&always_states);
-        // As `ArmorProcess::new` does: the buffer holds every state.
-        for state in &mut gated_states {
-            state.take_dirty();
-        }
-        for (elem, op) in ops {
-            match &op {
-                StateOp::Microcheckpoint => {
-                    gated.microcheckpoint(elem, &mut gated_states[elem]);
-                    always.update(names[elem], &always_states[elem]);
-                }
-                StateOp::Commit => {
-                    let (g, a) = (gated.encode(), always.encode());
-                    prop_assert_eq!(&g, &a, "assembled images diverge");
-                    let decoded = CheckpointBuffer::decode(&g).expect("commit decodes");
-                    prop_assert_eq!(decoded.len(), names.len());
-                }
-                StateOp::Restore(fields) => {
-                    // `try_restore`: a whole new map is born dirty, so
-                    // the gate lets it through.
-                    gated_states[elem] = fields.clone();
-                    gated.microcheckpoint(elem, &mut gated_states[elem]);
-                    always_states[elem] = fields.clone();
-                    always.update(names[elem], &always_states[elem]);
-                }
-                StateOp::Read { .. } => {
-                    let was_dirty = gated_states[elem].is_dirty();
-                    mutate(&mut gated_states[elem], &op);
-                    prop_assert_eq!(gated_states[elem].is_dirty(), was_dirty, "a read dirtied");
-                }
-                mutation => {
-                    let before = gated_states[elem].clone();
-                    mutate(&mut gated_states[elem], mutation);
-                    mutate(&mut always_states[elem], mutation);
-                    // Marking without changing is allowed (it costs an
-                    // encode); changing without marking never is.
-                    prop_assert!(
-                        gated_states[elem].is_dirty() || gated_states[elem] == before,
-                        "{mutation:?} changed the state and left it clean"
-                    );
+        let mut original = Armor::new(initial.clone());
+        let mut never_forked = Armor::new(initial);
+        let mut fork: Option<Armor> = None;
+        for (elem, op, on_fork) in ops {
+            match (&op, fork.as_mut()) {
+                (StateOp::Fork, _) => fork = Some(original.clone()),
+                (_, Some(fork)) if on_fork => fork.apply(elem, &op),
+                _ => {
+                    original.apply(elem, &op);
+                    never_forked.apply(elem, &op);
                 }
             }
-            prop_assert_eq!(&gated_states, &always_states);
-            for (i, name) in names.iter().enumerate() {
-                prop_assert_eq!(gated.region_image(name), always.region_image(name), "region {}", name);
-                let walked = gated_states[i].has_misaligned_ptr(ALIGN);
-                prop_assert_eq!(gated_states[i].ptr_fault(ALIGN), walked, "stale verdict, {}", name);
-            }
-            prop_assert_eq!(
-                (gated.updates(), gated.clean_updates(), gated.commits(), gated.patched_commits()),
-                (always.updates(), always.clean_updates(), always.commits(), always.patched_commits())
-            );
+            prop_assert!(original.same_gated(&never_forked), "a fork disturbed its original");
         }
-        prop_assert_eq!(gated.encode(), always.encode());
+        for armor in [&mut original, &mut never_forked].into_iter().chain(fork.as_mut()) {
+            prop_assert_eq!(armor.gated.encode(), armor.always.encode());
+        }
+        prop_assert_eq!(original.gated.encode(), never_forked.gated.encode());
     }
 
     /// Checkpoint wire format round-trips arbitrary element state.

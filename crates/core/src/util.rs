@@ -23,8 +23,10 @@ pub(crate) fn table_set(fields: &mut Fields, table: &str, key: &str, value: Valu
     }
 }
 
-/// Removes `fields[table][key]`.
+/// Removes `fields[table][key]`. An absent key leaves `fields` as it
+/// was: not dirty, not unshared from a fork.
 pub(crate) fn table_remove(fields: &mut Fields, table: &str, key: &str) -> Option<Value> {
+    table_get(fields, table, key)?;
     match fields.get_mut(table) {
         Some(Value::Map(map)) => map.remove(key),
         _ => None,
@@ -105,6 +107,18 @@ mod tests {
         assert_eq!(table_remove(&mut f, "t", "a"), Some(Value::U64(1)));
         assert_eq!(table_keys(&f, "t"), vec!["b".to_owned()]);
         assert!(table_get(&f, "missing", "x").is_none());
+    }
+
+    #[test]
+    fn removing_an_absent_key_leaves_the_state_clean() {
+        let mut f = Fields::new();
+        table_set(&mut f, "t", "a", Value::U64(1));
+        f.take_dirty();
+        assert_eq!(table_remove(&mut f, "t", "zz"), None);
+        assert_eq!(table_remove(&mut f, "missing", "a"), None);
+        assert!(!f.is_dirty());
+        assert_eq!(table_remove(&mut f, "t", "a"), Some(Value::U64(1)));
+        assert!(f.is_dirty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! digest writes [`ree_os::Cluster::write_state_digest`] — one `Sink`
 //! encoding with an explicit byte order, the same bytes on every target
 //! — into [`DigestHasher`], a word at a time. Not [`Fnv64`]: byte-serial
-//! FNV-1a cost ≈ 23 µs per ≈ 15 KB state (`docs/PERFORMANCE.md`,
+//! FNV-1a cost ≈ 23 µs per ≈ 15 KB state (`docs/bench/PR-25.md`,
 //! "Model-checker overhead, measured"), and a state digest is pinned
 //! nowhere; the DFS only compares two within one exploration.
 

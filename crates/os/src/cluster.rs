@@ -187,9 +187,12 @@ struct NodeState {
 /// assert!(cluster.trace().contains("hello started"));
 /// ```
 ///
-/// A cluster is [`Clone`]: a booted cluster can be deep-copied and each
-/// copy driven independently (the warm-boot campaign snapshot). Combine
-/// with [`Cluster::reseed`] to give each copy its own random streams.
+/// A cluster is [`Clone`]: a booted cluster can be copied and each copy
+/// driven independently (the warm-boot campaign snapshot). A copy is
+/// independent, not deep: a behaviour may share state with its original
+/// until one side writes it (ARMOR element state, frozen trace records,
+/// committed checkpoint images). Combine with [`Cluster::reseed`] to give
+/// each copy its own random streams.
 #[derive(Clone)]
 pub struct Cluster {
     now: SimTime,

@@ -39,7 +39,7 @@ pub(crate) struct ProcTable<T> {
     len: usize,
 }
 
-/// Cloning deep-copies every entry (warm-boot snapshot forking) while
+/// Cloning clones every entry (warm-boot snapshot forking) while
 /// preserving the slab vectors' capacity: the snapshot's table sits at
 /// its boot-time high-water mark and forked runs spawn recovery
 /// processes past the current length, so a `len`-sized clone would

@@ -6,8 +6,9 @@
 //! each op's roots are cloned from (the base at every activation
 //! instant), how many bytes one state digest's stream holds, what the
 //! digest costs and what one `Running` clone costs. The figures in
-//! `docs/PERFORMANCE.md`, "Model-checker overhead, measured", are this
-//! command's output.
+//! `docs/bench/PR-25.md`, "Model-checker overhead, measured", and the
+//! `mc_fork` entry of `docs/PERFORMANCE.md`, "Known next bottlenecks",
+//! are this command's output.
 //!
 //! Run with: `cargo run --release --example mc_census -- --ops 140`
 
