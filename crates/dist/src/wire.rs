@@ -24,7 +24,7 @@
 //! distributed aggregate byte-identical rather than merely close.
 
 use ree_apps::{OtisParams, PipelineParams, Scenario, TextureParams, Verdict};
-use ree_inject::netfault::{NetFault, NetFaultKind, NetFaultTrigger};
+use ree_inject::netfault::NetFault;
 use ree_inject::{ErrorModel, FailureClass, RunPlan, RunResult, SystemFailure, Target};
 use ree_net::{LinkId, LinkParams, LinkSpec, NodeId, Port, SwitchId, Topology};
 use ree_os::{FieldKind, HeapHit, HeapTarget};
@@ -33,7 +33,7 @@ use ree_sim::{SimDuration, SimTime, Sink};
 
 /// Protocol generation; a worker built from different sources refuses
 /// the handshake instead of mis-decoding frames.
-pub const PROTO_VERSION: u32 = 2;
+pub const PROTO_VERSION: u32 = 3;
 
 /// A malformed payload (truncated, unknown tag, bad UTF-8, a value its
 /// type rejects, or bytes left over after the message ended).
@@ -289,16 +289,6 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
-impl Wire for (u16, u16) {
-    fn put<S: Sink + ?Sized>(&self, buf: &mut S) {
-        self.0.put(buf);
-        self.1.put(buf);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok((u16::take(r)?, u16::take(r)?))
-    }
-}
-
 /// `wire_struct!(Type { a, b, c })`: the fields of `Type`, in wire order.
 macro_rules! wire_struct {
     ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
@@ -370,7 +360,7 @@ wire_struct! {
     LinkParams { latency, jitter, bandwidth_bytes_per_sec, drop_probability }
     LinkSpec { from, to, params, peer }
     Scenario { nodes, sift, texture, otis, pipeline, jobs, seed, trace, topology }
-    NetFault { kind, trigger, duration }
+    NetFault { groups, duration }
     RunPlan { scenario, target, model, timeout, net_faults }
     HeapHit { region, field, kind }
     RunResult {
@@ -390,8 +380,6 @@ wire_enum! {
         0 => Sigint, 1 => Sigstop, 2 => Register, 3 => TextSegment, 4 => Heap,
         5 => HeapSingle(target),
     }
-    NetFaultKind { 0 => Link { a, b }, 1 => Correlated { pairs }, 2 => Partition { groups } }
-    NetFaultTrigger { 0 => At(at), 1 => OnRecoveryStart { delay } }
     FailureClass {
         0 => SegFault, 1 => IllegalInstruction, 2 => Hang, 3 => Assertion, 4 => InjectedSignal,
         5 => Other,

@@ -5,7 +5,7 @@
 //! Recovery is proven by equality, not by absence of crashes.
 
 use ree_dist::{distribute, ChaosMode, ChaosPlan, DistOptions};
-use ree_inject::{Aggregate, Campaign, ErrorModel, RunPlan, Target};
+use ree_inject::{Aggregate, Campaign, ErrorModel, NetFault, RunPlan, Target};
 use ree_sim::{SimDuration, SimTime};
 use std::time::Duration;
 
@@ -98,6 +98,33 @@ fn clean_sweep_matches_single_process_for_any_worker_count() {
         assert!(!report.fell_back, "clean sweep must not fall back");
         assert_eq!(report.ledger.runs_done(), u64::from(runs));
     }
+}
+
+/// A plan carrying a network fault crosses the wire whole: the FTM/SIGINT
+/// partition-during-recovery sweep over two workers folds to the
+/// single-process aggregate, and differs from the same sweep without the
+/// partition.
+#[test]
+fn partition_sweep_matches_single_process() {
+    let plan = RunPlan {
+        target: Target::Ftm,
+        model: ErrorModel::Sigint,
+        timeout: SimTime::from_secs(320),
+        net_faults: vec![NetFault::partition_on_recovery(
+            vec![vec![0, 1], vec![2, 3]],
+            SimDuration::from_secs(2),
+        )],
+        ..plan()
+    };
+    let (runs, seed0) = (8, 11);
+    let results = Campaign::new(&plan).runs(runs).seed(seed0).collect();
+    assert!(results.iter().any(|r| r.net_faults_applied > 0), "no run imposed the partition");
+    let report = distribute(&plan, runs, seed0, &options(2)).expect("sweep runs");
+    assert!(report.completed(), "{:?}", report.warnings);
+    assert!(!report.fell_back, "the workers must run the sweep");
+    assert_eq!(report.aggregate, expected(&plan, runs, seed0));
+    let unfaulted = RunPlan { net_faults: Vec::new(), ..plan.clone() };
+    assert_ne!(report.aggregate, expected(&unfaulted, runs, seed0), "the partition was dropped");
 }
 
 /// `DistOptions` is total: `distribute` clamps zero workers to one and

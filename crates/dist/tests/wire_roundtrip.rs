@@ -5,10 +5,7 @@
 //! rests on bit-exact result transport.
 
 use ree_dist::{decode_msg, encode_msg, Msg, WireError, PROTO_VERSION};
-use ree_inject::{
-    ErrorModel, FailureClass, NetFault, NetFaultKind, NetFaultTrigger, RunPlan, RunResult,
-    SystemFailure, Target,
-};
+use ree_inject::{ErrorModel, FailureClass, NetFault, RunPlan, RunResult, SystemFailure, Target};
 use ree_net::{LinkParams, Topology};
 use ree_sift::JobSpec;
 use ree_sim::{Fnv64, SimDuration, SimTime};
@@ -35,12 +32,7 @@ fn rich_plan() -> RunPlan {
                 vec![vec![0, 1, 2], vec![3, 4, 5]],
                 SimDuration::from_secs(3),
             ),
-            NetFault::link_at(
-                1,
-                4,
-                SimTime::ZERO + SimDuration::from_secs(7),
-                SimDuration::from_secs(2),
-            ),
+            NetFault::partition_on_recovery(vec![vec![1], vec![4]], SimDuration::from_secs(2)),
         ],
     }
 }
@@ -295,25 +287,10 @@ fn wire_bytes_match_the_versioned_snapshot() {
         let name = format!("model.{model:?}");
         golden_line(&mut out, &name, &plan_msg(RunPlan { model, ..minimal_plan() }));
     }
-    let fault_msg = |kind, trigger| {
-        let fault = NetFault { kind, trigger, duration: SimDuration::from_secs(2) };
-        plan_msg(RunPlan { net_faults: vec![fault], ..minimal_plan() })
-    };
-    let at = NetFaultTrigger::At(SimTime::ZERO + SimDuration::from_secs(7));
-    for kind in [
-        NetFaultKind::Link { a: 1, b: 2 },
-        NetFaultKind::Correlated { pairs: vec![(0, 1), (2, 3)] },
-        NetFaultKind::Partition { groups: vec![vec![0, 1], vec![2], vec![3]] },
-    ] {
-        let name = format!("net_fault_kind.{kind:?}");
-        golden_line(&mut out, &name, &fault_msg(kind, at.clone()));
-    }
-    for trigger in
-        [at.clone(), NetFaultTrigger::OnRecoveryStart { delay: SimDuration::from_millis(250) }]
-    {
-        let name = format!("net_fault_trigger.{trigger:?}");
-        golden_line(&mut out, &name, &fault_msg(NetFaultKind::Link { a: 0, b: 3 }, trigger));
-    }
+    let groups = vec![vec![0, 1], vec![2], vec![3]];
+    let name = format!("net_fault.groups={groups:?}");
+    let fault = NetFault::partition_on_recovery(groups, SimDuration::from_secs(2));
+    golden_line(&mut out, &name, &plan_msg(RunPlan { net_faults: vec![fault], ..minimal_plan() }));
 
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join(format!("tests/snapshots/wire_v{PROTO_VERSION}.txt"));

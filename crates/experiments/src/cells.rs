@@ -220,10 +220,9 @@ impl AdaptiveTable {
         let spent: u64 = self.rows.iter().map(|r| u64::from(r.runs)).sum();
         let fixed = u64::from(self.rule.max_runs) * self.rows.len() as u64;
         format!(
-            "{}\ntarget ±{:.1}% at {:.0}% confidence; {} runs spent vs {} for a fixed sweep\n",
+            "{}\ntarget ±{:.1}% at 95% confidence; {} runs spent vs {} for a fixed sweep\n",
             t.render(),
             self.rule.half_width * 100.0,
-            self.rule.confidence * 100.0,
             spent,
             fixed,
         )

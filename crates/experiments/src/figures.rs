@@ -130,11 +130,10 @@ impl Fig6Adaptive {
             ]);
         }
         format!(
-            "{}\ntarget ±{:.1}% at {:.0}% confidence; slower hang detection surfaces as \
+            "{}\ntarget ±{:.1}% at 95% confidence; slower hang detection surfaces as \
              perceived-time cost, not lost recoveries\n",
             t.render(),
             self.rule.half_width * 100.0,
-            self.rule.confidence * 100.0,
         )
     }
 }

@@ -1,6 +1,6 @@
 //! Adaptive confidence-targeted campaigns: many `(RunPlan, seed-range)`
 //! arms driven concurrently in batches, each arm stopping as soon as
-//! the Wilson confidence interval around its key proportion is tight —
+//! the 95 % Wilson interval around its recovery rate is tight —
 //! "every cell to ±2% at 95%" instead of "512 runs per cell".
 //!
 //! # Determinism contract
@@ -32,40 +32,21 @@ use crate::runner::{execute_warm, RunGeometry, RunPlan};
 use ree_apps::BootSnapshot;
 use ree_stats::Proportion;
 
-/// Which campaign proportion the stopping rule targets.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CiMetric {
-    /// Successful recoveries out of injected runs (the paper's headline
-    /// rate — near 1 for the SIFT processes, so intervals tighten fast).
-    #[default]
-    RecoveryRate,
-    /// Induced failures out of injected runs.
-    FailureRate,
-}
-
-impl CiMetric {
-    /// Extracts the targeted proportion from an aggregate. Trials are
-    /// the injected runs: a run whose sampled injection instant fell
-    /// after completion carries no evidence about the rate.
-    pub fn proportion(&self, agg: &Aggregate) -> Proportion {
-        let trials = agg.errors_injected;
-        let successes = match self {
-            CiMetric::RecoveryRate => agg.successful_recoveries,
-            CiMetric::FailureRate => agg.failures,
-        };
-        // Clamp defensively: `Proportion::new` rejects k > n, and the
-        // classifier can in pathological edge cases attribute an
-        // induced failure to a run whose flip was never counted.
-        Proportion::new(successes.min(trials), trials)
-    }
+/// The proportion a stopping rule targets: successful recoveries out of
+/// injected runs (the paper's headline rate — near 1 for the SIFT
+/// processes, so intervals tighten fast). A run whose sampled injection
+/// instant fell after completion carries no evidence about the rate, and
+/// [`Aggregate::accept`] counts a recovery only for an injected run.
+fn recovery_rate(agg: &Aggregate) -> Proportion {
+    Proportion::new(agg.successful_recoveries, agg.errors_injected)
 }
 
 /// When to stop an adaptive arm.
 ///
 /// The rule is satisfied at the first batch boundary (a multiple of
 /// [`batch`](StoppingRule::batch), at least
-/// [`min_runs`](StoppingRule::min_runs)) where the Wilson interval
-/// half-width of the targeted proportion is at most
+/// [`min_runs`](StoppingRule::min_runs)) where the half-width of the 95 %
+/// Wilson interval around the arm's recovery rate is at most
 /// [`half_width`](StoppingRule::half_width); the arm unconditionally
 /// stops once [`max_runs`](StoppingRule::max_runs) seeds are spent.
 ///
@@ -75,19 +56,11 @@ impl CiMetric {
 /// use ree_inject::StoppingRule;
 /// // "±2% at 95% on the recovery rate, in batches of 32, cap 512" —
 /// // the defaults, spelled out.
-/// let rule = StoppingRule::default()
-///     .half_width(0.02)
-///     .confidence(0.95)
-///     .batch(32)
-///     .max_runs(512);
+/// let rule = StoppingRule::default().half_width(0.02).batch(32).max_runs(512);
 /// assert_eq!(rule.batch, 32);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoppingRule {
-    /// The proportion the interval targets.
-    pub metric: CiMetric,
-    /// Two-sided confidence level of the Wilson interval.
-    pub confidence: f64,
     /// Target half-width ("± this much") of the interval.
     pub half_width: f64,
     /// Batch granularity: the rule is evaluated every `batch` runs.
@@ -104,30 +77,11 @@ impl Default for StoppingRule {
     /// least 32 and at most 512 runs — the paper's fixed table size as
     /// the budget ceiling.
     fn default() -> Self {
-        StoppingRule {
-            metric: CiMetric::RecoveryRate,
-            confidence: 0.95,
-            half_width: 0.02,
-            batch: 32,
-            min_runs: 32,
-            max_runs: 512,
-        }
+        StoppingRule { half_width: 0.02, batch: 32, min_runs: 32, max_runs: 512 }
     }
 }
 
 impl StoppingRule {
-    /// Sets the targeted metric.
-    pub fn metric(mut self, metric: CiMetric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Sets the confidence level (e.g. `0.95`).
-    pub fn confidence(mut self, confidence: f64) -> Self {
-        self.confidence = confidence;
-        self
-    }
-
     /// Sets the target interval half-width (e.g. `0.02` for ±2%).
     pub fn half_width(mut self, half_width: f64) -> Self {
         self.half_width = half_width;
@@ -154,14 +108,10 @@ impl StoppingRule {
 
     /// Is the target met by this aggregate?
     pub fn satisfied_by(&self, agg: &Aggregate) -> bool {
-        self.metric.proportion(agg).wilson_half_width(self.confidence) <= self.half_width
+        recovery_rate(agg).wilson_half_width() <= self.half_width
     }
 
     fn validate(&self) {
-        assert!(
-            self.confidence > 0.0 && self.confidence < 1.0,
-            "invalid stopping rule: confidence must be in (0,1)"
-        );
         assert!(self.half_width > 0.0, "invalid stopping rule: half-width must be positive");
         assert!(self.batch >= 1, "invalid stopping rule: batch must be at least 1");
     }
@@ -200,14 +150,14 @@ pub struct ArmReport {
     pub target_met: bool,
     /// Aggregate over exactly the reported runs.
     pub aggregate: Aggregate,
-    /// The targeted proportion at stop time.
+    /// The recovery rate at stop time.
     pub proportion: Proportion,
-    /// Achieved Wilson half-width at the rule's confidence.
+    /// Achieved half-width of the rate's 95 % Wilson interval.
     pub half_width: f64,
 }
 
 impl ArmReport {
-    /// `point ± half-width` of the targeted proportion, in percent.
+    /// `point ± half-width` of the recovery rate, in percent.
     pub fn display_rate(&self) -> String {
         format!("{:.1}% ± {:.1}%", self.proportion.point() * 100.0, self.half_width * 100.0)
     }
@@ -274,7 +224,7 @@ pub fn run_arms(arms: &[Arm], rule: &StoppingRule, threads: Option<usize>) -> Ve
     arms.iter()
         .zip(states)
         .map(|(arm, s)| {
-            let proportion = rule.metric.proportion(&s.agg);
+            let proportion = recovery_rate(&s.agg);
             ArmReport {
                 label: arm.label.clone(),
                 seed0: arm.seed0,
@@ -282,7 +232,7 @@ pub fn run_arms(arms: &[Arm], rule: &StoppingRule, threads: Option<usize>) -> Ve
                 target_met: s.target_met,
                 aggregate: s.agg,
                 proportion,
-                half_width: proportion.wilson_half_width(rule.confidence),
+                half_width: proportion.wilson_half_width(),
             }
         })
         .collect()

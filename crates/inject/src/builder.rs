@@ -129,7 +129,7 @@ impl<'p> Campaign<'p> {
     }
 
     /// Runs this plan **adaptively**: in batches, until `rule`'s
-    /// confidence-interval target on the key proportion is met or the
+    /// confidence-interval target on the recovery rate is met or the
     /// rule's run budget is exhausted — the single-arm form of
     /// [`crate::adaptive::run_arms`]. Any `runs(..)` setting is ignored;
     /// the stopping rule owns the budget.

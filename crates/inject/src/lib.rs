@@ -57,19 +57,18 @@
 //!
 //! Fixed-size sweeps spend 512 runs per cell whether or not the cell's
 //! estimate needs them. The [`adaptive`] module instead drives many
-//! [`adaptive::Arm`]s in batches, stops each arm once the Wilson
-//! confidence interval on its key proportion is inside a
+//! [`adaptive::Arm`]s in batches, stops each arm once the 95 % Wilson
+//! interval on its recovery rate is inside a
 //! [`StoppingRule`] target, one batch per live arm per round — same
 //! determinism contract (per-arm results are a pure function of
 //! `(plan, seed0, rule)`). See `docs/ADAPTIVE.md`.
 //!
 //! # Network fault plans
 //!
-//! Beyond process-level error models, a plan can impose interconnect
-//! faults — [`NetFault`] link failures, correlated multi-link failures,
-//! and partitions, triggered at fixed instants or off the run's first
-//! failure detection (partition-during-recovery). See [`netfault`] and
-//! `docs/NETWORK.md`.
+//! Beyond process-level error models, a plan can split the interconnect
+//! under the recovery protocol: each [`NetFault`] partitions node groups
+//! from the run's first failure detection for a fixed duration
+//! (partition-during-recovery). See [`netfault`] and `docs/NETWORK.md`.
 //!
 //! # Bounded model checking
 //!
@@ -95,13 +94,13 @@ mod model;
 pub mod netfault;
 mod runner;
 
-pub use adaptive::{Arm, ArmReport, CiMetric, StoppingRule};
+pub use adaptive::{Arm, ArmReport, StoppingRule};
 pub use branch::{activation_instants, candidate_targets};
 pub use builder::Campaign;
 pub use campaign::Aggregate;
 pub use error::CampaignError;
 pub use model::{ErrorModel, FailureClass, Placement, SystemFailure, Target};
-pub use netfault::{NetFault, NetFaultKind, NetFaultTrigger};
+pub use netfault::NetFault;
 pub use runner::{
     conclude_run, execute, execute_full, execute_warm, execute_warm_checked, execute_warm_full,
     verify_outputs, RunGeometry, RunPlan, RunResult,

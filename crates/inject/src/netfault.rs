@@ -1,15 +1,16 @@
-//! Network fault plans: link failures, partitions, and correlated
-//! multi-link failures as first-class injection targets.
+//! Network fault plans: a partition during recovery as a first-class
+//! injection target.
 //!
 //! The paper's testbed could not exercise interconnect faults — the
 //! classic SIFT stressor it names but never runs is a *partition during
 //! recovery* (§5.2 attributes the only actual-execution-time overhead
 //! of FTM recovery to network contention). A [`NetFault`] describes one
-//! such fault: what to sever ([`NetFaultKind`]), when to impose it
-//! ([`NetFaultTrigger`]), and for how long. Plans carry any number of
-//! them in [`crate::RunPlan::net_faults`], so every campaign surface —
-//! the [`crate::Campaign`] builder, the adaptive engine, warm-boot
-//! forking — gains network faults without further plumbing.
+//! such fault: which node groups to split, and for how long, from the
+//! moment the run's first failure detection starts a recovery. Plans
+//! carry any number of them in [`crate::RunPlan::net_faults`], so every
+//! campaign surface — the [`crate::Campaign`] builder, the adaptive
+//! engine, warm-boot forking — gains network faults without further
+//! plumbing.
 //!
 //! Faults are imposed as administrative endpoint-pair blocks
 //! ([`ree_os::Network::set_link_down`]), which work on any topology.
@@ -21,80 +22,18 @@ use ree_apps::Running;
 use ree_os::{NodeId, Trace, TraceDetail, TraceEvent, TraceKind};
 use ree_sim::{SimDuration, SimTime};
 
-/// What a network fault severs.
-#[derive(Clone, Debug, PartialEq)]
-pub enum NetFaultKind {
-    /// Severs the path between two endpoint nodes (both directions).
-    Link {
-        /// One endpoint.
-        a: u16,
-        /// The other endpoint.
-        b: u16,
-    },
-    /// Severs several endpoint pairs at once (correlated link failure —
-    /// e.g. every port of one switch card).
-    Correlated {
-        /// The endpoint pairs to sever together.
-        pairs: Vec<(u16, u16)>,
-    },
-    /// Splits the listed node groups from each other: every pair with
-    /// ends in different groups is severed. Traffic *within* a group
-    /// (and to nodes not listed) still flows.
-    Partition {
-        /// The node groups to isolate from each other.
-        groups: Vec<Vec<u16>>,
-    },
-}
-
-impl NetFaultKind {
-    /// The endpoint pairs this fault blocks.
-    fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        match self {
-            NetFaultKind::Link { a, b } => vec![(NodeId(*a), NodeId(*b))],
-            NetFaultKind::Correlated { pairs } => {
-                pairs.iter().map(|(a, b)| (NodeId(*a), NodeId(*b))).collect()
-            }
-            NetFaultKind::Partition { groups } => {
-                let mut out = Vec::new();
-                for (i, ga) in groups.iter().enumerate() {
-                    for gb in groups.iter().skip(i + 1) {
-                        for &a in ga {
-                            for &b in gb {
-                                out.push((NodeId(a), NodeId(b)));
-                            }
-                        }
-                    }
-                }
-                out
-            }
-        }
-    }
-}
-
-/// When a network fault is imposed.
-#[derive(Clone, Debug, PartialEq)]
-pub enum NetFaultTrigger {
-    /// At a fixed virtual-time instant.
-    At(SimTime),
-    /// `delay` after the run's first failure-detection trace event —
-    /// the start of a recovery ([`TraceEvent::is_failure_detection`]).
-    /// This is the partition-during-recovery stressor: the error model
-    /// induces a failure, and the moment the SIFT environment *detects*
-    /// it, the network splits under the recovery protocol.
-    OnRecoveryStart {
-        /// Delay from detection to imposition.
-        delay: SimDuration,
-    },
-}
-
-/// One planned network fault: what, when, and for how long.
+/// One planned partition: imposed at the run's first failure-detection
+/// trace event ([`TraceEvent::is_failure_detection`]) — the error model
+/// induces a failure, and the moment the SIFT environment *detects* it,
+/// the network splits under the recovery protocol — and healed
+/// `duration` later.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetFault {
-    /// What to sever.
-    pub kind: NetFaultKind,
-    /// When to impose it.
-    pub trigger: NetFaultTrigger,
-    /// How long the fault lasts before the links heal.
+    /// The node groups to isolate from each other: every pair with ends
+    /// in different groups is severed. Traffic *within* a group (and to
+    /// nodes not listed) still flows.
+    pub groups: Vec<Vec<u16>>,
+    /// How long the partition lasts before the links heal.
     pub duration: SimDuration,
 }
 
@@ -102,16 +41,22 @@ impl NetFault {
     /// A partition splitting `groups` for `duration`, imposed the
     /// moment the first failure detection starts a recovery.
     pub fn partition_on_recovery(groups: Vec<Vec<u16>>, duration: SimDuration) -> NetFault {
-        NetFault {
-            kind: NetFaultKind::Partition { groups },
-            trigger: NetFaultTrigger::OnRecoveryStart { delay: SimDuration::ZERO },
-            duration,
-        }
+        NetFault { groups, duration }
     }
 
-    /// A two-ended link failure over a fixed window.
-    pub fn link_at(a: u16, b: u16, at: SimTime, duration: SimDuration) -> NetFault {
-        NetFault { kind: NetFaultKind::Link { a, b }, trigger: NetFaultTrigger::At(at), duration }
+    /// The endpoint pairs this fault blocks.
+    fn pairs(&self) -> Vec<(NodeId, NodeId)> {
+        let mut out = Vec::new();
+        for (i, ga) in self.groups.iter().enumerate() {
+            for gb in self.groups.iter().skip(i + 1) {
+                for &a in ga {
+                    for &b in gb {
+                        out.push((NodeId(a), NodeId(b)));
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -124,8 +69,6 @@ fn detections(trace: &Trace) -> u64 {
 enum Phase {
     /// Waiting for the recovery-start signal.
     Waiting,
-    /// Will activate at the instant.
-    Armed(SimTime),
     /// Active; heals at the instant.
     Active(SimTime),
     /// Healed.
@@ -139,26 +82,18 @@ enum Phase {
 pub(crate) struct NetFaultDriver<'p> {
     faults: &'p [NetFault],
     phase: Vec<Phase>,
-    /// Detection events seen; `None` until baselined on first use.
-    seen: Option<u64>,
-    applied: u32,
+    /// Detection events seen when the driver first ran; `None` until then.
+    baseline: Option<u64>,
 }
 
 impl<'p> NetFaultDriver<'p> {
     pub(crate) fn new(faults: &'p [NetFault]) -> Self {
-        let phase = faults
-            .iter()
-            .map(|f| match f.trigger {
-                NetFaultTrigger::At(t) => Phase::Armed(t),
-                NetFaultTrigger::OnRecoveryStart { .. } => Phase::Waiting,
-            })
-            .collect();
-        NetFaultDriver { faults, phase, seen: None, applied: 0 }
+        NetFaultDriver { faults, phase: vec![Phase::Waiting; faults.len()], baseline: None }
     }
 
     /// Number of faults that reached their activation instant.
     pub(crate) fn applied(&self) -> u32 {
-        self.applied
+        self.phase.iter().filter(|p| **p != Phase::Waiting).count() as u32
     }
 
     /// Runs until every job completes (true) or `horizon` passes
@@ -167,36 +102,23 @@ impl<'p> NetFaultDriver<'p> {
         if self.faults.is_empty() {
             return running.run_until_done(horizon);
         }
-        if self.seen.is_none() {
-            self.seen = Some(detections(running.cluster.trace()));
-        }
+        let baseline = *self.baseline.get_or_insert_with(|| detections(running.cluster.trace()));
         loop {
-            let now = running.cluster.now();
-            self.transition(running, now);
-            let stop = self.next_transition().map_or(horizon, |t| t.min(horizon));
-            let watching = self.faults.iter().zip(&self.phase).any(|(f, p)| {
-                *p == Phase::Waiting && matches!(f.trigger, NetFaultTrigger::OnRecoveryStart { .. })
-            });
-            let baseline = self.seen.unwrap_or(0);
-            let done = if watching {
+            self.heal_due(running, running.cluster.now());
+            let stop = self.next_heal().map_or(horizon, |t| t.min(horizon));
+            // Every fault waits for the same detection, so all wait or none.
+            let waiting = self.phase[0] == Phase::Waiting;
+            let done = if waiting {
                 running.run_until_done_or(stop, |c| detections(c.trace()) > baseline)
             } else {
                 running.run_until_done(stop)
             };
             let now = running.cluster.now();
-            let count = detections(running.cluster.trace());
-            let fired = count > baseline;
+            let fired = waiting && detections(running.cluster.trace()) > baseline;
             if fired {
-                self.seen = Some(count);
-                for (i, f) in self.faults.iter().enumerate() {
-                    if let (Phase::Waiting, NetFaultTrigger::OnRecoveryStart { delay }) =
-                        (self.phase[i], &f.trigger)
-                    {
-                        self.phase[i] = Phase::Armed(now + *delay);
-                    }
-                }
+                self.impose(running, now);
             }
-            self.transition(running, now);
+            self.heal_due(running, now);
             if done {
                 return true;
             }
@@ -212,51 +134,50 @@ impl<'p> NetFaultDriver<'p> {
         }
     }
 
-    fn next_transition(&self) -> Option<SimTime> {
+    fn next_heal(&self) -> Option<SimTime> {
         self.phase
             .iter()
             .filter_map(|p| match p {
-                Phase::Armed(t) | Phase::Active(t) => Some(*t),
+                Phase::Active(t) => Some(*t),
                 _ => None,
             })
             .min()
     }
 
-    /// Applies every transition due at or before `now`.
-    fn transition(&mut self, running: &mut Running, now: SimTime) {
+    /// Imposes every fault at `now`, healing each zero-length one in turn.
+    fn impose(&mut self, running: &mut Running, now: SimTime) {
+        for (i, fault) in self.faults.iter().enumerate() {
+            let pairs = fault.pairs();
+            for &(a, b) in &pairs {
+                running.cluster.network_mut().set_link_down(a, b, true);
+            }
+            running.cluster.trace_mut().push(
+                now,
+                None,
+                TraceKind::Injection,
+                TraceDetail::Custom(
+                    format!("net fault imposed: {} pair(s) severed", pairs.len()).into(),
+                ),
+            );
+            let until = now + fault.duration;
+            self.phase[i] = Phase::Active(until);
+            if until <= now {
+                self.heal(running, i, now);
+            }
+        }
+    }
+
+    /// Heals every fault whose window closed at or before `now`.
+    fn heal_due(&mut self, running: &mut Running, now: SimTime) {
         for i in 0..self.faults.len() {
-            match self.phase[i] {
-                Phase::Armed(at) if at <= now => {
-                    let pairs = self.faults[i].kind.pairs();
-                    for &(a, b) in &pairs {
-                        running.cluster.network_mut().set_link_down(a, b, true);
-                    }
-                    running.cluster.trace_mut().push(
-                        now,
-                        None,
-                        TraceKind::Injection,
-                        TraceDetail::Custom(
-                            format!("net fault imposed: {} pair(s) severed", pairs.len()).into(),
-                        ),
-                    );
-                    self.applied += 1;
-                    let until = at + self.faults[i].duration;
-                    if until <= now {
-                        self.heal(running, i, now);
-                    } else {
-                        self.phase[i] = Phase::Active(until);
-                    }
-                }
-                Phase::Active(until) if until <= now => {
-                    self.heal(running, i, now);
-                }
-                _ => {}
+            if matches!(self.phase[i], Phase::Active(until) if until <= now) {
+                self.heal(running, i, now);
             }
         }
     }
 
     fn heal(&mut self, running: &mut Running, i: usize, now: SimTime) {
-        for (a, b) in self.faults[i].kind.pairs() {
+        for (a, b) in self.faults[i].pairs() {
             running.cluster.network_mut().set_link_down(a, b, false);
         }
         running.cluster.trace_mut().push(
@@ -336,8 +257,8 @@ mod tests {
             .collect()
     }
 
-    /// `OnRecoveryStart` with zero delay must impose the fault at the
-    /// detection instant itself — not one driver hop later.
+    /// A partition goes up at the detection instant itself — not one
+    /// driver hop later.
     #[test]
     fn zero_delay_trigger_imposes_at_the_detection_instant() {
         let mut running = tiny_scenario(3).start();
@@ -356,25 +277,15 @@ mod tests {
         assert_eq!(imposition_times(&running), vec![detections[0]]);
     }
 
-    /// A recovery trigger fires once, off the FIRST detection; later
-    /// detections in the same run must not re-arm or re-impose anything.
-    /// Pin also that *every* waiting fault arms on that first detection
-    /// (delays measured from it, not from per-fault detections).
+    /// Every partition goes up once, at the FIRST detection; later
+    /// detections in the same run must not re-impose anything.
     #[test]
     fn recovery_triggers_arm_once_on_the_first_detection() {
         let mut running = tiny_scenario(4).start();
         running.run_until(SimTime::from_secs(9));
         let faults = [
-            NetFault {
-                kind: NetFaultKind::Link { a: 0, b: 1 },
-                trigger: NetFaultTrigger::OnRecoveryStart { delay: SimDuration::ZERO },
-                duration: SimDuration::from_secs(1),
-            },
-            NetFault {
-                kind: NetFaultKind::Link { a: 0, b: 1 },
-                trigger: NetFaultTrigger::OnRecoveryStart { delay: SimDuration::from_secs(3) },
-                duration: SimDuration::from_secs(1),
-            },
+            NetFault::partition_on_recovery(vec![vec![0], vec![1]], SimDuration::from_secs(1)),
+            NetFault::partition_on_recovery(vec![vec![1], vec![0]], SimDuration::from_secs(3)),
         ];
         let mut driver = NetFaultDriver::new(&faults);
         let now = running.cluster.now();
@@ -387,14 +298,7 @@ mod tests {
         let detections = detection_times(&running);
         assert!(detections.len() >= 2, "need consecutive detections, got {detections:?}");
         assert_eq!(driver.applied(), 2, "each fault imposed exactly once");
-        let imposed = imposition_times(&running);
-        assert_eq!(imposed.len(), 2);
-        assert_eq!(imposed[0], detections[0]);
-        assert_eq!(
-            imposed[1],
-            detections[0] + SimDuration::from_secs(3),
-            "delay measured from the first detection, not a later one"
-        );
+        assert_eq!(imposition_times(&running), vec![detections[0]; 2]);
     }
 
     /// A waiting trigger whose window closes without any detection (a

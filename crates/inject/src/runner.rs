@@ -6,7 +6,7 @@
 use crate::branch::candidate_targets;
 use crate::error::{panic_message, CampaignError};
 use crate::model::{ErrorModel, FailureClass, SystemFailure, Target};
-use crate::netfault::{NetFault, NetFaultDriver, NetFaultKind};
+use crate::netfault::{NetFault, NetFaultDriver};
 use ree_apps::verify::Verdict;
 use ree_apps::{AppKind, BootSnapshot, Running, Scenario};
 use ree_os::{ExitStatus, HeapHit, Pid, Signal, TraceEvent};
@@ -24,9 +24,9 @@ pub struct RunPlan {
     /// System-failure timeout ("a failure occurs when the application
     /// cannot complete within a predefined timeout", §4.2).
     pub timeout: SimTime,
-    /// Network faults imposed during the run (link failures,
-    /// partitions), alongside the process-level error model. Empty for
-    /// the paper's original campaigns.
+    /// Partitions imposed during the run's first recovery, alongside the
+    /// process-level error model. Empty for the paper's original
+    /// campaigns.
     pub net_faults: Vec<NetFault>,
 }
 
@@ -88,11 +88,11 @@ impl RunPlan {
     /// Checks the structural invariants a plan must satisfy before any
     /// run of it can execute: a positive timeout, jobs that name a known
     /// application and whose rank count matches their node list with
-    /// every node inside the cluster, and network faults whose endpoints
-    /// exist. Supervisors call this at
-    /// the trust boundary — a plan decoded off the wire is rejected
-    /// with a typed [`CampaignError`] instead of panicking deep inside
-    /// the simulator.
+    /// every node inside the cluster, and partitions of at least two
+    /// groups that name each node of the cluster at most once.
+    /// Supervisors call this at the trust boundary — a plan decoded off
+    /// the wire is rejected with a typed [`CampaignError`] instead of
+    /// panicking deep inside the simulator.
     pub fn validate(&self) -> Result<(), CampaignError> {
         let bad = |why: String| Err(CampaignError::InvalidPlan(why));
         if self.timeout <= SimTime::ZERO {
@@ -129,24 +129,19 @@ impl RunPlan {
                 ));
             }
         }
-        let in_range = |n: u16| (n as usize) < nodes;
         for (i, fault) in self.net_faults.iter().enumerate() {
-            let endpoints: Vec<u16> = match &fault.kind {
-                NetFaultKind::Link { a, b } => vec![*a, *b],
-                NetFaultKind::Correlated { pairs } => {
-                    pairs.iter().flat_map(|&(a, b)| [a, b]).collect()
-                }
-                NetFaultKind::Partition { groups } => {
-                    if groups.len() < 2 {
-                        return bad(format!("net fault {i}: a partition needs at least 2 groups"));
-                    }
-                    groups.iter().flatten().copied().collect()
-                }
-            };
-            if let Some(&n) = endpoints.iter().find(|&&n| !in_range(n)) {
+            if fault.groups.len() < 2 {
+                return bad(format!("net fault {i}: a partition needs at least 2 groups"));
+            }
+            let mut listed: Vec<u16> = fault.groups.concat();
+            if let Some(&n) = listed.iter().find(|&&n| (n as usize) >= nodes) {
                 return bad(format!(
                     "net fault {i} references node{n}, but the cluster has {nodes} nodes"
                 ));
+            }
+            listed.sort_unstable();
+            if let Some(pair) = listed.windows(2).find(|pair| pair[0] == pair[1]) {
+                return bad(format!("net fault {i} lists node{} twice", pair[0]));
             }
         }
         Ok(())

@@ -5,10 +5,9 @@
 
 use ree_apps::Scenario;
 use ree_inject::adaptive::run_arms;
-use ree_inject::{
-    Aggregate, Arm, ArmReport, Campaign, CiMetric, ErrorModel, RunPlan, StoppingRule, Target,
-};
+use ree_inject::{Aggregate, Arm, ArmReport, Campaign, ErrorModel, RunPlan, StoppingRule, Target};
 use ree_sim::SimTime;
+use ree_stats::Proportion;
 
 fn plan(model: ErrorModel, target: Target) -> RunPlan {
     RunPlan {
@@ -90,17 +89,8 @@ fn reported_runs_stop_at_the_first_satisfied_boundary() {
     assert_eq!(agg, report.aggregate, "report aggregates exactly the first `runs` seeds");
     assert_eq!(report.target_met, rule.satisfied_by(&agg));
     // And the achieved interval is what the report claims.
-    assert_eq!(report.half_width, rule.metric.proportion(&agg).wilson_half_width(rule.confidence));
-}
-
-#[test]
-fn failure_rate_metric_targets_the_complement() {
-    let p = plan(ErrorModel::Sigint, Target::App);
-    let rule = rule().metric(CiMetric::FailureRate);
-    let report = Campaign::new(&p).seed(9_000).adaptive(&rule);
-    let prop = CiMetric::FailureRate.proportion(&report.aggregate);
-    assert_eq!(report.proportion, prop);
-    assert!(report.aggregate.failures <= report.aggregate.errors_injected);
+    let rate = Proportion::new(agg.successful_recoveries, agg.errors_injected);
+    assert_eq!((report.proportion, report.half_width), (rate, rate.wilson_half_width()));
 }
 
 #[test]

@@ -73,9 +73,26 @@ fn rank_node_mismatch_is_rejected() {
 #[test]
 fn net_fault_endpoint_out_of_range_is_rejected() {
     let mut p = plan();
-    p.net_faults.push(NetFault::link_at(0, 99, SimTime::from_secs(10), SimDuration::from_secs(5)));
+    p.net_faults
+        .push(NetFault::partition_on_recovery(vec![vec![0], vec![99]], SimDuration::from_secs(5)));
     let err = p.validate().unwrap_err();
     assert!(err.to_string().contains("net fault 0"), "unexpected message: {err}");
+}
+
+/// Traffic within a group still flows, so a node in two groups would be
+/// cut from its own group: the plan is rejected, naming the fault.
+#[test]
+fn overlapping_partition_groups_are_rejected() {
+    let mut p = plan();
+    let groups = vec![vec![0, 1], vec![2]];
+    p.net_faults.push(NetFault::partition_on_recovery(groups, SimDuration::from_secs(5)));
+    p.net_faults.push(NetFault::partition_on_recovery(
+        vec![vec![0, 1], vec![1, 2]],
+        SimDuration::from_secs(5),
+    ));
+    let err = p.validate().unwrap_err();
+    assert!(matches!(err, CampaignError::InvalidPlan(_)));
+    assert!(err.to_string().contains("net fault 1 lists node1 twice"), "unexpected message: {err}");
 }
 
 #[test]
@@ -89,12 +106,6 @@ fn degenerate_partition_is_rejected() {
 /// before it runs anything.
 fn adaptive_with(rule: StoppingRule) {
     Campaign::new(&plan()).seed(1).adaptive(&rule);
-}
-
-#[test]
-#[should_panic(expected = "invalid stopping rule: confidence must be in (0,1)")]
-fn confidence_outside_the_unit_interval_panics() {
-    adaptive_with(StoppingRule::default().confidence(1.5));
 }
 
 #[test]

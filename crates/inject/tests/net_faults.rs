@@ -40,23 +40,6 @@ fn recovery_triggered_partition_fires_and_run_recovers() {
 }
 
 #[test]
-fn fixed_time_link_fault_fires_without_any_injection_trigger() {
-    // An `At` trigger needs no failure detection: the fault window is
-    // part of the plan, not a reaction to the error model.
-    let plan = RunPlan {
-        net_faults: vec![NetFault::link_at(
-            2,
-            3,
-            SimTime::from_secs(40),
-            SimDuration::from_secs(1),
-        )],
-        ..partition_plan(0)
-    };
-    let result = execute(&plan, SEED0 + 1);
-    assert_eq!(result.net_faults_applied, 1, "{result:?}");
-}
-
-#[test]
 fn partition_campaign_identical_across_thread_counts() {
     let plan = partition_plan(2_000);
     let cold: Vec<RunResult> = (0..u64::from(RUNS)).map(|i| execute(&plan, SEED0 + i)).collect();

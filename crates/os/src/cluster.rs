@@ -7,7 +7,7 @@
 //! timing, stable storage — is modelled here; everything above (ARMORs,
 //! MPI, applications) is ordinary `Process` behaviour.
 
-use crate::machine::{FaultConsequence, InjectionSite, MachineState};
+use crate::machine::{FaultConsequence, InjectionSite, MachineState, TextImage};
 use crate::process::{ExitStatus, HeapHit, HeapTarget, Message, Payload, Pid, Process, Signal};
 use crate::ptable::ProcTable;
 use crate::storage::{RamDisk, RemoteFs};
@@ -327,21 +327,19 @@ impl Cluster {
     pub fn spawn(&mut self, spec: SpawnSpec) -> Pid {
         assert!((spec.node.0 as usize) < self.nodes.len(), "spawn on unknown node");
         let kind = spec.behavior.kind();
-        let profile = spec.behavior.machine_profile();
         let text = match spec.text {
-            TextSource::Pristine => MachineState::generic_text_image(kind),
+            TextSource::Pristine => TextImage::pristine(kind),
             TextSource::CopyFrom(src) => self
                 .procs
                 .get(src)
-                .map(|e| e.machine.copy_text_image())
-                .unwrap_or_else(|| MachineState::generic_text_image(kind)),
+                .map_or_else(|| TextImage::pristine(kind), |e| e.machine.text_image()),
         };
         let name: Arc<str> = spec.name.into();
         let entry = ProcEntry {
             kind,
             parent: spec.parent,
             behavior: Some(spec.behavior),
-            machine: MachineState::new(profile, text),
+            machine: MachineState::new(text),
             stopped: false,
             deaf: false,
             stash: Vec::new(),

@@ -33,7 +33,7 @@ mod storage;
 mod trace;
 
 pub use cluster::{Cluster, ClusterConfig, ProcCtx, SpawnSpec, TextSource, TimerId, WorkId};
-pub use machine::{InjectionSite, MachineProfile, RegClass, TextHit};
+pub use machine::{InjectionSite, RegClass, TextHit};
 pub use process::{
     ExitStatus, FieldKind, HeapHit, HeapModel, HeapTarget, Message, Payload, Pid, Process,
     ProcessClone, Signal,

@@ -25,6 +25,11 @@
 //! of Table 6's failure classification
 //! emerges (registers: segfault-dominant; text: more illegal
 //! instructions; data sites: silent corruption feeding the heap model).
+//!
+//! Every process kind shares one model: the register counts, the
+//! activation probabilities and the text sites are constants, so a
+//! process's machine state is a few words of plain data that a spawn or
+//! a fork copies without allocating.
 
 use ree_sim::SimRng;
 
@@ -68,58 +73,81 @@ pub(crate) enum FaultConsequence {
     ReceiveOmission,
 }
 
-/// One register slot.
+/// Consequences in the order of the activation model's weight tables.
+const CONSEQUENCES: [FaultConsequence; 5] = [
+    FaultConsequence::SegFault,
+    FaultConsequence::IllegalInstruction,
+    FaultConsequence::Hang,
+    FaultConsequence::SilentCorruption,
+    FaultConsequence::ReceiveOmission,
+];
+
+/// Register file: 13 pointer, then 11 data, then 8 control registers.
+/// A register's class follows from its index.
+const POINTER_REGS: usize = 13;
+const DATA_REGS: usize = 11;
+const REGS: usize = POINTER_REGS + DATA_REGS + 8;
+const _: () = assert!(REGS <= u32::BITS as usize, "the corruption mask is a u32");
+/// Probability that a corrupted register is *read* during one activation
+/// (event handled / work chunk executed).
+const REG_TOUCH_PROB: f64 = 0.18;
+/// Probability that a corrupted register is overwritten (corruption
+/// cleared without effect) per activation: register values have short
+/// lifetimes (paper §6).
+const REG_OVERWRITE_PROB: f64 = 0.45;
+/// Probability that a corrupted function executes during one activation,
+/// additionally scaled by the site's weight share.
+const TEXT_EXEC_PROB: f64 = 0.35;
+
+/// The hot part of every text image and each function's relative
+/// execution frequency. "Only the most frequently used registers and
+/// functions in the text segment were targeted for injection" (§4.1).
+const SITES: [(&str, f64); 8] = [
+    ("msg_dispatch", 3.0),
+    ("event_deliver", 2.5),
+    ("checkpoint_copy", 1.5),
+    ("timer_service", 1.0),
+    ("io_service", 1.0),
+    ("alloc", 0.8),
+    ("compute_kernel", 4.0),
+    ("protocol_encode", 1.2),
+];
+
+/// Sum of the site weights, added in table order.
+const SITE_WEIGHT_TOTAL: f64 = {
+    let (mut total, mut i) = (0.0, 0);
+    while i < SITES.len() {
+        total += SITES[i].1;
+        i += 1;
+    }
+    total
+};
+
+fn reg_class(index: usize) -> RegClass {
+    match index {
+        i if i < POINTER_REGS => RegClass::Pointer,
+        i if i < POINTER_REGS + DATA_REGS => RegClass::Data,
+        _ => RegClass::Control,
+    }
+}
+
+/// A process's text image: the executable of process kind `kind`, with
+/// any outstanding corruption per site of [`SITES`]. A recovered ARMOR
+/// copies its daemon's image, so its sites keep the daemon's names.
 #[derive(Clone, Copy, Debug)]
-struct RegSlot {
-    class: RegClass,
-    corrupted: bool,
+pub(crate) struct TextImage {
+    kind: &'static str,
+    corruption: [Option<TextHit>; SITES.len()],
 }
 
-/// A function site within the text image.
-#[derive(Clone, Debug)]
-pub(crate) struct FunctionSite {
-    /// Human-readable name (shows up in traces).
-    pub name: String,
-    /// Relative execution frequency; activation samples sites by weight.
-    pub weight: f64,
-    /// Outstanding corruption, if any.
-    pub corruption: Option<TextHit>,
-}
+impl TextImage {
+    /// An uncorrupted image of `kind`'s executable.
+    pub(crate) fn pristine(kind: &'static str) -> Self {
+        TextImage { kind, corruption: [None; SITES.len()] }
+    }
 
-/// Behavioural parameters of the activation model.
-///
-/// The defaults reproduce the qualitative Table 6 split; tests and
-/// ablation benches may override individual probabilities.
-#[derive(Clone, Debug)]
-pub struct MachineProfile {
-    /// Number of pointer-class registers.
-    pub pointer_regs: usize,
-    /// Number of data-class registers.
-    pub data_regs: usize,
-    /// Number of control-class registers.
-    pub control_regs: usize,
-    /// Probability that a given corrupted register is *read* during one
-    /// activation (event handled / work chunk executed).
-    pub reg_touch_prob: f64,
-    /// Probability that a corrupted register is overwritten (corruption
-    /// cleared without effect) per activation — register values have
-    /// short lifetimes (paper §6).
-    pub reg_overwrite_prob: f64,
-    /// Probability that the corrupted *function* executes during one
-    /// activation, additionally scaled by the site's weight share.
-    pub text_exec_prob: f64,
-}
-
-impl Default for MachineProfile {
-    fn default() -> Self {
-        MachineProfile {
-            pointer_regs: 13,
-            data_regs: 11,
-            control_regs: 8,
-            reg_touch_prob: 0.18,
-            reg_overwrite_prob: 0.45,
-            text_exec_prob: 0.35,
-        }
+    fn corrupted_sites(&self) -> usize {
+        self.corruption.iter().filter(|c| c.is_some()).count()
     }
 }
 
@@ -143,11 +171,11 @@ pub enum InjectionSite {
 }
 
 /// Simulated machine state (registers + text) of one process.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct MachineState {
-    regs: Vec<RegSlot>,
-    text: Vec<FunctionSite>,
-    profile: MachineProfile,
+    /// Bit `i` set: register `i` holds a corrupted value.
+    regs: u32,
+    text: TextImage,
     activations: u64,
     faults_activated: u64,
     /// Count of outstanding corruptions (corrupted registers + corrupted
@@ -157,109 +185,64 @@ pub(crate) struct MachineState {
     /// the first place, the early-out preserves the per-seed RNG stream
     /// exactly (the determinism fixtures stay valid unmodified).
     armed: u32,
-    /// Sum of all text-site weights, fixed at construction (weights never
-    /// change after the image is built/copied).
-    text_weight_total: f64,
 }
 
 impl MachineState {
-    /// Builds machine state from a profile and a text image (possibly a
-    /// corrupted copy of a daemon's image, §3.4).
-    pub(crate) fn new(profile: MachineProfile, text: Vec<FunctionSite>) -> Self {
-        let mut regs = Vec::with_capacity(32);
-        for _ in 0..profile.pointer_regs {
-            regs.push(RegSlot { class: RegClass::Pointer, corrupted: false });
-        }
-        for _ in 0..profile.data_regs {
-            regs.push(RegSlot { class: RegClass::Data, corrupted: false });
-        }
-        for _ in 0..profile.control_regs {
-            regs.push(RegSlot { class: RegClass::Control, corrupted: false });
-        }
-        let armed = text.iter().filter(|s| s.corruption.is_some()).count() as u32;
-        let text_weight_total = text.iter().map(|s| s.weight).sum();
+    /// Builds machine state with clean registers around a text image
+    /// (possibly a corrupted copy of a daemon's image, §3.4).
+    pub(crate) fn new(text: TextImage) -> Self {
         MachineState {
-            regs,
+            regs: 0,
             text,
-            profile,
             activations: 0,
             faults_activated: 0,
-            armed,
-            text_weight_total,
+            armed: text.corrupted_sites() as u32,
         }
-    }
-
-    /// Builds a generic text image: a frequency-weighted set of function
-    /// sites typical of the ARMOR/application processes in the paper.
-    pub(crate) fn generic_text_image(process_kind: &str) -> Vec<FunctionSite> {
-        // "Only the most frequently used registers and functions in the
-        // text segment were targeted for injection" (§4.1) — we model the
-        // hot part of the image only.
-        let names = [
-            ("msg_dispatch", 3.0),
-            ("event_deliver", 2.5),
-            ("checkpoint_copy", 1.5),
-            ("timer_service", 1.0),
-            ("io_service", 1.0),
-            ("alloc", 0.8),
-            ("compute_kernel", 4.0),
-            ("protocol_encode", 1.2),
-        ];
-        names
-            .iter()
-            .map(|(n, w)| FunctionSite {
-                name: format!("{process_kind}::{n}"),
-                weight: *w,
-                corruption: None,
-            })
-            .collect()
     }
 
     /// Flips a bit in a uniformly chosen register ("bits in the registers
     /// of the target process are periodically flipped", Table 2).
     pub(crate) fn inject_register_bit(&mut self, rng: &mut SimRng) -> InjectionSite {
-        let idx = rng.index(self.regs.len());
-        if !self.regs[idx].corrupted {
+        let idx = rng.index(REGS);
+        if self.regs & (1 << idx) == 0 {
             self.armed += 1;
         }
-        self.regs[idx].corrupted = true;
-        InjectionSite::Register { index: idx, class: self.regs[idx].class }
+        self.regs |= 1 << idx;
+        InjectionSite::Register { index: idx, class: reg_class(idx) }
     }
 
     /// Flips a bit at a weight-sampled text site.
     pub(crate) fn inject_text_bit(&mut self, rng: &mut SimRng) -> InjectionSite {
-        let weights: Vec<f64> = self.text.iter().map(|s| s.weight).collect();
-        let idx = rng.weighted_index(&weights);
+        let idx = rng.weighted_index(&SITES.map(|(_, weight)| weight));
         // Nearly half the targeted instruction bits select opcode fields
         // (hot code paths; §4.1 targets the most-used functions).
         let hit = if rng.chance(0.45) { TextHit::Opcode } else { TextHit::Operand };
-        if self.text[idx].corruption.is_none() {
+        if self.text.corruption[idx].is_none() {
             self.armed += 1;
         }
-        self.text[idx].corruption = Some(hit);
-        InjectionSite::Text { function: self.text[idx].name.clone(), hit }
+        self.text.corruption[idx] = Some(hit);
+        InjectionSite::Text { function: format!("{}::{}", self.text.kind, SITES[idx].0), hit }
     }
 
     /// True if any corruption is outstanding.
     pub(crate) fn has_pending_corruption(&self) -> bool {
         debug_assert_eq!(
             self.armed as usize,
-            self.regs.iter().filter(|r| r.corrupted).count()
-                + self.text.iter().filter(|s| s.corruption.is_some()).count(),
+            self.regs.count_ones() as usize + self.text.corrupted_sites(),
             "armed counter out of sync"
         );
         self.armed > 0
     }
 
-    /// Copies this machine's *text image* (with any corruption) — the
+    /// This machine's *text image* (with any corruption) — the
     /// daemon-recovers-ARMOR-from-its-own-image mechanism of §3.4.
-    pub(crate) fn copy_text_image(&self) -> Vec<FunctionSite> {
-        self.text.clone()
+    pub(crate) fn text_image(&self) -> TextImage {
+        self.text
     }
 
     /// Count of corrupted text sites (used to decide image reload).
     pub(crate) fn corrupted_text_sites(&self) -> usize {
-        self.text.iter().filter(|s| s.corruption.is_some()).count()
+        self.text.corrupted_sites()
     }
 
     /// Runs one activation step: the process executed some instructions
@@ -276,30 +259,29 @@ impl MachineState {
         if self.armed == 0 {
             return None;
         }
-        // Registers first: short lifetimes mean they either matter
-        // quickly or never.
-        for i in 0..self.regs.len() {
-            if !self.regs[i].corrupted {
-                continue;
-            }
-            if rng.chance(self.profile.reg_touch_prob) {
-                self.regs[i].corrupted = false;
+        // Registers first, in index order: short lifetimes mean they
+        // either matter quickly or never.
+        let mut pending = self.regs;
+        while pending != 0 {
+            let i = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            if rng.chance(REG_TOUCH_PROB) {
+                self.regs &= !(1 << i);
                 self.armed -= 1;
                 self.faults_activated += 1;
-                return Some(Self::register_consequence(self.regs[i].class, rng));
+                return Some(Self::register_consequence(reg_class(i), rng));
             }
-            if rng.chance(self.profile.reg_overwrite_prob) {
+            if rng.chance(REG_OVERWRITE_PROB) {
                 // Overwritten before being read: fault masked.
-                self.regs[i].corrupted = false;
+                self.regs &= !(1 << i);
                 self.armed -= 1;
             }
         }
         // Text sites: weight-proportional execution probability.
-        let total_weight = self.text_weight_total;
-        for i in 0..self.text.len() {
-            let Some(hit) = self.text[i].corruption else { continue };
-            let share = self.text[i].weight / total_weight.max(1e-12);
-            if rng.chance(self.profile.text_exec_prob * share * self.text.len() as f64 / 2.0) {
+        for (i, &(_, weight)) in SITES.iter().enumerate() {
+            let Some(hit) = self.text.corruption[i] else { continue };
+            let share = weight / SITE_WEIGHT_TOTAL;
+            if rng.chance(TEXT_EXEC_PROB * share * SITES.len() as f64 / 2.0) {
                 self.faults_activated += 1;
                 // Text corruption persists (no clearing) — the same error
                 // re-manifests after recovery if the image is reused.
@@ -310,62 +292,21 @@ impl MachineState {
     }
 
     fn register_consequence(class: RegClass, rng: &mut SimRng) -> FaultConsequence {
-        let (weights, outcomes) = match class {
-            RegClass::Pointer => (
-                [0.90, 0.02, 0.05, 0.03],
-                [
-                    FaultConsequence::SegFault,
-                    FaultConsequence::IllegalInstruction,
-                    FaultConsequence::Hang,
-                    FaultConsequence::SilentCorruption,
-                ],
-            ),
-            RegClass::Data => (
-                [0.36, 0.02, 0.22, 0.40],
-                [
-                    FaultConsequence::SegFault,
-                    FaultConsequence::IllegalInstruction,
-                    FaultConsequence::Hang,
-                    FaultConsequence::SilentCorruption,
-                ],
-            ),
-            RegClass::Control => (
-                [0.15, 0.15, 0.63, 0.07],
-                [
-                    FaultConsequence::SegFault,
-                    FaultConsequence::IllegalInstruction,
-                    FaultConsequence::Hang,
-                    FaultConsequence::SilentCorruption,
-                ],
-            ),
+        // A corrupt register read never causes a receive omission.
+        let weights = match class {
+            RegClass::Pointer => [0.90, 0.02, 0.05, 0.03],
+            RegClass::Data => [0.36, 0.02, 0.22, 0.40],
+            RegClass::Control => [0.15, 0.15, 0.63, 0.07],
         };
-        outcomes[rng.weighted_index(&weights)]
+        CONSEQUENCES[rng.weighted_index(&weights)]
     }
 
     fn text_consequence(hit: TextHit, rng: &mut SimRng) -> FaultConsequence {
-        let (weights, outcomes) = match hit {
-            TextHit::Opcode => (
-                [0.28, 0.50, 0.14, 0.05, 0.03],
-                [
-                    FaultConsequence::SegFault,
-                    FaultConsequence::IllegalInstruction,
-                    FaultConsequence::Hang,
-                    FaultConsequence::SilentCorruption,
-                    FaultConsequence::ReceiveOmission,
-                ],
-            ),
-            TextHit::Operand => (
-                [0.50, 0.11, 0.17, 0.19, 0.03],
-                [
-                    FaultConsequence::SegFault,
-                    FaultConsequence::IllegalInstruction,
-                    FaultConsequence::Hang,
-                    FaultConsequence::SilentCorruption,
-                    FaultConsequence::ReceiveOmission,
-                ],
-            ),
+        let weights = match hit {
+            TextHit::Opcode => [0.28, 0.50, 0.14, 0.05, 0.03],
+            TextHit::Operand => [0.50, 0.11, 0.17, 0.19, 0.03],
         };
-        outcomes[rng.weighted_index(&weights)]
+        CONSEQUENCES[rng.weighted_index(&weights)]
     }
 
     /// Total activation steps evaluated.
@@ -383,11 +324,18 @@ impl MachineState {
 mod tests {
     use super::*;
 
+    // A machine's state is plain data: spawning or forking a process
+    // copies it without touching the heap.
+    const _: fn() = || {
+        fn copy<T: Copy>() {}
+        copy::<MachineState>();
+    };
+
     impl MachineState {
         /// Clears all text corruption (reloading the executable from disk).
         fn reload_text_from_disk(&mut self) {
-            for site in &mut self.text {
-                if site.corruption.take().is_some() {
+            for site in &mut self.text.corruption {
+                if site.take().is_some() {
                     self.armed -= 1;
                 }
             }
@@ -395,7 +343,7 @@ mod tests {
     }
 
     fn machine() -> MachineState {
-        MachineState::new(MachineProfile::default(), MachineState::generic_text_image("test"))
+        MachineState::new(TextImage::pristine("test"))
     }
 
     #[test]
@@ -490,7 +438,7 @@ mod tests {
         let mut rng = SimRng::new(6);
         let mut daemon = machine();
         daemon.inject_text_bit(&mut rng);
-        let child = MachineState::new(MachineProfile::default(), daemon.copy_text_image());
+        let child = MachineState::new(daemon.text_image());
         assert_eq!(child.corrupted_text_sites(), 1);
     }
 
@@ -557,7 +505,7 @@ mod tests {
         let mut rng = SimRng::new(12);
         let mut daemon = machine();
         daemon.inject_text_bit(&mut rng);
-        let child = MachineState::new(MachineProfile::default(), daemon.copy_text_image());
+        let child = MachineState::new(daemon.text_image());
         assert!(child.has_pending_corruption(), "armed count must survive image copy");
     }
 
@@ -571,6 +519,19 @@ mod tests {
         }
         match m.inject_text_bit(&mut rng) {
             InjectionSite::Text { function, .. } => assert!(function.starts_with("test::")),
+            other => panic!("unexpected site {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_copied_image_names_its_source_kind() {
+        let mut rng = SimRng::new(13);
+        let daemon = MachineState::new(TextImage::pristine("daemon"));
+        let mut child = MachineState::new(daemon.text_image());
+        match child.inject_text_bit(&mut rng) {
+            InjectionSite::Text { function, .. } => {
+                assert!(function.starts_with("daemon::"), "{function}");
+            }
             other => panic!("unexpected site {other:?}"),
         }
     }

@@ -1,7 +1,6 @@
 //! Process identity, signals, exit status, and the behaviour traits that
 //! simulated processes implement.
 
-use crate::machine::MachineProfile;
 use ree_sim::SimRng;
 use std::any::Any;
 
@@ -265,11 +264,6 @@ pub trait Process: ProcessClone + Send + Sync {
     /// Called when a child process exits (`waitpid` semantics, §3.2).
     fn on_child_exit(&mut self, child: Pid, status: ExitStatus, ctx: &mut crate::ProcCtx<'_>) {
         let _ = (child, status, ctx);
-    }
-
-    /// Machine-model parameters for this process kind.
-    fn machine_profile(&self) -> MachineProfile {
-        MachineProfile::default()
     }
 
     /// The injectable heap, if this process models one.

@@ -8,8 +8,7 @@
 //!
 //! Adaptive confidence-targeted campaigns additionally need interval
 //! math on *proportions* (recovery rate, failure rate): [`Proportion`]
-//! carries Wilson score intervals ([`Proportion::wilson`]), built on
-//! the normal quantile `z_quantile`.
+//! carries 95 % Wilson score intervals ([`Proportion::wilson`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
