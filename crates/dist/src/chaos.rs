@@ -11,8 +11,29 @@
 //! variables, and fires only while the worker's incarnation number is
 //! below `incarnations` — so a respawned worker is healthy and the
 //! sweep provably converges to the same aggregate.
+//!
+//! The kill and hang modes are the crate's one `unsafe` code: the
+//! workspace vendors no `libc` crate, so `raise_self` declares libc's
+//! `raise` itself.
 
-use crate::signal;
+/// `SIGKILL`: unblockable kill (the crash mode).
+const SIGKILL: i32 = 9;
+/// `SIGSTOP`: unblockable stop (the hang mode).
+const SIGSTOP: i32 = 19;
+
+/// Delivers `sig` to the calling process: how a chaos-armed worker
+/// kills or stops *itself* at its instant without an external `kill`.
+#[allow(unsafe_code)]
+fn raise_self(sig: i32) {
+    extern "C" {
+        fn raise(sig: i32) -> i32;
+    }
+    // SAFETY: libc's `raise` takes any signal number and touches no
+    // memory of ours.
+    unsafe {
+        raise(sig);
+    }
+}
 
 /// Which fault a chaos-armed worker injects into itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,20 +65,13 @@ impl ChaosMode {
         }
     }
 
-    /// Parses the `--chaos` spelling (`kill`, `hang`, `corrupt`,
-    /// `truncate`, `poison`).
-    pub fn parse(s: &str) -> Option<ChaosMode> {
-        Some(match s {
-            "kill" => ChaosMode::Kill,
-            "hang" => ChaosMode::Hang,
-            "corrupt" => ChaosMode::CorruptFrame,
-            "truncate" => ChaosMode::TruncateFrame,
-            "poison" => ChaosMode::Poison,
-            _ => return None,
-        })
+    /// Parses the [`Display`](std::fmt::Display) spelling (`kill`,
+    /// `hang`, `corrupt`, `truncate`, `poison`).
+    fn parse(s: &str) -> Option<ChaosMode> {
+        ChaosMode::ALL.into_iter().find(|m| m.as_str() == s)
     }
 
-    /// Every chaos mode, for sweep drivers.
+    /// Every chaos mode.
     pub const ALL: [ChaosMode; 5] = [
         ChaosMode::Kill,
         ChaosMode::Hang,
@@ -88,22 +102,6 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    /// Derives a chaos plan from a campaign seed: the victim worker and
-    /// the firing instant are a pure function of `(seed, workers)`, so
-    /// the whole chaos experiment is reproducible from the command line.
-    pub fn seeded(mode: ChaosMode, seed: u64, workers: usize) -> ChaosPlan {
-        // Decorrelates consecutive seeds.
-        let z = ree_sim::mix64(seed);
-        ChaosPlan {
-            mode,
-            victim: (z % workers.max(1) as u64) as u32,
-            // Fire early — within the first few runs — so even quick
-            // sweeps exercise the recovery path.
-            after_runs: ((z >> 32) % 4) as u32,
-            incarnations: 1,
-        }
-    }
-
     /// The environment spelling (`mode:victim:after_runs:incarnations`).
     pub(crate) fn to_env(self) -> String {
         format!("{}:{}:{}:{}", self.mode, self.victim, self.after_runs, self.incarnations)
@@ -150,8 +148,8 @@ impl ChaosState {
             return false;
         }
         match plan.mode {
-            ChaosMode::Kill => signal::raise_signal(signal::SIGKILL),
-            ChaosMode::Hang => signal::raise_signal(signal::SIGSTOP),
+            ChaosMode::Kill => raise_self(SIGKILL),
+            ChaosMode::Hang => raise_self(SIGSTOP),
             ChaosMode::Poison => {
                 self.fired = true;
                 return true;
@@ -206,36 +204,6 @@ mod tests {
         }
         assert_eq!(ChaosPlan::from_env("bogus:0:0:1"), None);
         assert_eq!(ChaosPlan::from_env("kill:0:0"), None);
-    }
-
-    #[test]
-    fn seeded_plan_is_deterministic_and_in_range() {
-        let a = ChaosPlan::seeded(ChaosMode::Kill, 42, 4);
-        let b = ChaosPlan::seeded(ChaosMode::Kill, 42, 4);
-        assert_eq!(a, b);
-        assert!(a.victim < 4);
-        assert!(a.after_runs < 4);
-        assert_eq!(a.incarnations, 1);
-    }
-
-    #[test]
-    fn seeded_plans_are_pinned() {
-        // (victim, after_runs) for seeds 0..16, per worker count.
-        #[rustfmt::skip]
-        const PINNED: [(usize, [(u32, u32); 16]); 3] = [
-            (1, [(0, 1), (0, 0), (0, 2), (0, 0), (0, 2), (0, 0), (0, 1), (0, 0),
-                 (0, 0), (0, 2), (0, 2), (0, 1), (0, 0), (0, 3), (0, 0), (0, 3)]),
-            (2, [(1, 1), (1, 0), (0, 2), (1, 0), (0, 2), (0, 0), (0, 1), (1, 0),
-                 (0, 0), (0, 2), (0, 2), (1, 1), (1, 0), (1, 3), (0, 0), (1, 3)]),
-            (4, [(3, 1), (1, 0), (2, 2), (1, 0), (2, 2), (2, 0), (0, 1), (3, 0),
-                 (2, 0), (0, 2), (2, 2), (1, 1), (3, 0), (3, 3), (2, 0), (1, 3)]),
-        ];
-        for (workers, plans) in PINNED {
-            for (seed, want) in plans.into_iter().enumerate() {
-                let plan = ChaosPlan::seeded(ChaosMode::Kill, seed as u64, workers);
-                assert_eq!((plan.victim, plan.after_runs), want, "seed {seed}, {workers} workers");
-            }
-        }
     }
 
     #[test]

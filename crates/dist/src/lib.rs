@@ -16,8 +16,9 @@
 //! stall timeout catch hangs, per-batch deadlines catch slow losses,
 //! lost batches re-queue with capped exponential backoff, twice-failed
 //! workers are quarantined, and losing the whole pool degrades to
-//! in-process execution with a warning. SIGINT/SIGTERM drains in-flight
-//! batches and reports the partial seed-prefix aggregate.
+//! in-process execution with a warning. The crate holds no process-wide
+//! state: it installs no signal handler, so a Ctrl-C stops the host as
+//! it would without a sweep.
 //!
 //! Chaos (see `chaos.rs`): the harness can arm one worker with a seeded
 //! self-fault — `raise(SIGKILL)`, `raise(SIGSTOP)`, frame corruption,
@@ -27,10 +28,13 @@
 //!
 //! # Usage
 //!
-//! Host binaries call [`run_worker_if_spawned`] first thing in `main`
-//! (a worker spawn is detected from the environment), then call
+//! A host binary that spawns itself as the worker (`perfbench`'s
+//! `bench` does) calls [`run_worker_if_spawned`] first thing in `main`
+//! (a worker spawn is detected from the environment), then calls
 //! [`distribute`] — the distributed analogue of
-//! `Campaign::new(&plan).runs(200).seed(1).aggregate()`:
+//! `Campaign::new(&plan).runs(200).seed(1).aggregate()`. Tests, whose
+//! harness must not re-run itself, name a worker binary in
+//! [`DistOptions::worker_cmd`] instead (`ree-dist-worker`):
 //!
 //! ```no_run
 //! use ree_dist::{distribute, DistOptions};
@@ -56,7 +60,6 @@
 mod chaos;
 mod crc;
 pub mod frame;
-pub mod signal;
 mod supervisor;
 mod wire;
 pub mod worker;

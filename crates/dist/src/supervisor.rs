@@ -17,13 +17,9 @@
 //!   and never respawned; its work is redistributed.
 //! - **Fallback**: losing *every* worker flips the sweep to in-process
 //!   execution with a warning; the aggregate is still byte-identical.
-//! - **Graceful shutdown**: SIGINT/SIGTERM stops dispatch, drains
-//!   in-flight batches (bounded by one `batch_deadline`), kills the
-//!   pool, and reports the partial seed-prefix aggregate.
 
 use crate::chaos::ChaosPlan;
 use crate::frame::{Decoder, FrameError};
-use crate::signal;
 use crate::wire::{decode_msg, encode_frame_msg, Msg, WireError, PROTO_VERSION};
 use ree_inject::{execute_warm, Aggregate, CampaignError, RunPlan, RunResult};
 use ree_stats::ShardLedger;
@@ -57,7 +53,8 @@ pub struct DistOptions {
     pub backoff_cap: Duration,
     /// Worker command (`program` + args). `None` spawns the current
     /// executable — which must call [`crate::run_worker_if_spawned`]
-    /// early in `main`.
+    /// early in `main`. A command that cannot spawn (an empty one
+    /// included) fails its worker like a crash does.
     pub worker_cmd: Option<Vec<String>>,
 }
 
@@ -108,11 +105,9 @@ pub struct DistReport {
     pub ledger: ShardLedger,
     /// Runs requested.
     pub runs_total: u64,
-    /// Runs folded into [`DistReport::aggregate`] (less than
-    /// `runs_total` only when interrupted).
+    /// Runs folded into [`DistReport::aggregate`]: all of `runs_total`
+    /// in every report [`distribute`] returns.
     pub runs_folded: u64,
-    /// Was the sweep interrupted (SIGINT/SIGTERM)?
-    pub interrupted: bool,
     /// Did any run execute in-process after worker loss or retry
     /// exhaustion?
     pub fell_back: bool,
@@ -227,8 +222,6 @@ struct Supervisor<'p> {
     runs_folded: u64,
     ledger: ShardLedger,
     warnings: Vec<String>,
-    /// Interrupt seen: stop dispatching, drain in-flight batches only.
-    draining: bool,
     fell_back: bool,
     /// Warm boot shared by every in-process fallback run.
     fallback_boot: Option<(ree_inject::RunGeometry, ree_apps::BootSnapshot)>,
@@ -274,7 +267,6 @@ impl<'p> Supervisor<'p> {
             runs_folded: 0,
             ledger: ShardLedger::new(workers),
             warnings: Vec::new(),
-            draining: false,
             fell_back: false,
             fallback_boot: None,
             rejected: None,
@@ -282,51 +274,34 @@ impl<'p> Supervisor<'p> {
     }
 
     fn run(&mut self) -> Result<DistReport, DistError> {
-        signal::install_interrupt_handler();
         for w in 0..self.workers.len() {
             self.spawn(w as u32, 0);
         }
         let total_batches = self.batches.len() as u32;
-        let mut interrupted = false;
-        let mut drain_deadline: Option<Instant> = None;
         while self.next_fold < total_batches {
             let now = Instant::now();
-            if !interrupted && signal::interrupted() {
-                interrupted = true;
-                self.draining = true;
-                drain_deadline = Some(now + self.options.batch_deadline);
-                self.warnings.push("interrupt received: draining in-flight batches".into());
+            // Promote batches whose backoff has elapsed.
+            let mut i = 0;
+            while i < self.delayed.len() {
+                if self.delayed[i].0 <= now {
+                    let (_, b) = self.delayed.swap_remove(i);
+                    self.pending.push_back(b);
+                } else {
+                    i += 1;
+                }
             }
-            if interrupted {
-                let busy = self.workers.iter().any(|w| w.state == WorkerState::Busy);
-                let expired = drain_deadline.is_some_and(|d| now >= d);
-                if !busy || expired {
-                    break;
-                }
-            } else {
-                // Promote batches whose backoff has elapsed.
-                let mut i = 0;
-                while i < self.delayed.len() {
-                    if self.delayed[i].0 <= now {
-                        let (_, b) = self.delayed.swap_remove(i);
-                        self.pending.push_back(b);
-                    } else {
-                        i += 1;
-                    }
-                }
-                self.dispatch_all();
-                if let Some(e) = self.rejected.take() {
-                    self.shutdown_pool();
-                    return Err(DistError::Plan(e));
-                }
-                // Worker pool gone for good → in-process fallback.
-                if self.live_workers() == 0 {
-                    self.fallback_remaining();
-                    continue;
-                }
-                // Everything outstanding is in backoff with no idle
-                // worker able to take it sooner: just wait it out.
+            self.dispatch_all();
+            if let Some(e) = self.rejected.take() {
+                self.shutdown_pool();
+                return Err(DistError::Plan(e));
             }
+            // Worker pool gone for good → in-process fallback.
+            if self.live_workers() == 0 {
+                self.fallback_remaining();
+                continue;
+            }
+            // Everything outstanding is in backoff with no idle worker
+            // able to take it sooner: just wait it out.
             self.check_timeouts(now);
             match self.events.recv_timeout(Duration::from_millis(20)) {
                 Ok((worker, incarnation, event)) => self.handle(worker, incarnation, event),
@@ -342,7 +317,6 @@ impl<'p> Supervisor<'p> {
             ledger: std::mem::take(&mut self.ledger),
             runs_total: self.batches.iter().map(|b| u64::from(b.len)).sum(),
             runs_folded: self.runs_folded,
-            interrupted,
             fell_back: self.fell_back,
             warnings: std::mem::take(&mut self.warnings),
         })
@@ -371,9 +345,14 @@ impl<'p> Supervisor<'p> {
                 }
             },
         };
-        let mut command = Command::new(&cmd[0]);
+        let Some((program, args)) = cmd.split_first() else {
+            self.warnings.push(format!("worker w{worker} spawn failed: empty worker command"));
+            self.fail_worker(worker, "spawn failed");
+            return;
+        };
+        let mut command = Command::new(program);
         command
-            .args(&cmd[1..])
+            .args(args)
             .env(crate::worker::ENV_WORKER_ID, worker.to_string())
             .env(crate::worker::ENV_INCARNATION, incarnation.to_string())
             .stdin(Stdio::piped())
@@ -455,7 +434,7 @@ impl<'p> Supervisor<'p> {
             self.workers[idx].state = WorkerState::Quarantined;
             self.ledger.quarantine(idx);
             self.warnings.push(format!("worker w{worker} quarantined"));
-        } else if !self.draining {
+        } else {
             self.spawn(worker, incarnation + 1);
         }
     }
@@ -507,7 +486,7 @@ impl<'p> Supervisor<'p> {
     }
 
     fn dispatch_all(&mut self) {
-        while !self.draining && !self.pending.is_empty() {
+        while !self.pending.is_empty() {
             let Some(idx) = self.workers.iter().position(|w| w.state == WorkerState::Idle) else {
                 return;
             };
@@ -695,13 +674,18 @@ mod tests {
         };
         let options = DistOptions::new(1);
         let mut sup = Supervisor::new(&plan, shard(4, 0, 4), 1, &options);
-        // A starting worker with no process behind it; draining keeps
-        // the failure from respawning one.
+        // A starting worker with no process behind it, one failure short
+        // of quarantine: the handshake failure quarantines it instead of
+        // respawning one.
         sup.workers[0].state = WorkerState::Starting;
-        sup.draining = true;
+        sup.workers[0].failures = QUARANTINE_AFTER - 1;
         sup.handle(0, 0, Event::Frame(Msg::Ready { worker: 0, proto: PROTO_VERSION - 1 }));
-        assert_eq!(sup.workers[0].state, WorkerState::Dead);
+        assert_eq!(sup.workers[0].state, WorkerState::Quarantined);
         assert_eq!(sup.ledger.shard(0).failures, 1);
-        assert_eq!(sup.warnings, ["worker w0 failed (handshake mismatch); failure #1"]);
+        assert!(sup.ledger.shard(0).quarantined);
+        assert_eq!(
+            sup.warnings,
+            ["worker w0 failed (handshake mismatch); failure #2", "worker w0 quarantined"]
+        );
     }
 }

@@ -163,38 +163,31 @@ fn seed_range_wraps_past_u64_max_identically_in_every_scheduler() {
     assert_eq!(report.aggregate, want, "distributed sweep diverged");
 }
 
-/// Every chaos mode, fired mid-sweep on worker 0, must converge to the
-/// identical aggregate — and must actually have hurt something (a
-/// vacuous chaos test proves nothing).
+/// Every chaos mode, fired mid-sweep on worker 0 of a pool of 1, 2 or 4,
+/// must converge to the identical aggregate — and must actually have
+/// hurt something (a vacuous chaos test proves nothing).
 #[test]
 fn every_chaos_mode_converges_to_the_identical_aggregate() {
     let plan = plan();
     let (runs, seed0) = (24, 11);
     let want = expected(&plan, runs, seed0);
-    for mode in ChaosMode::ALL {
-        let mut o = options(2);
-        o.chaos = Some(ChaosPlan { mode, victim: 0, after_runs: 1, incarnations: 1 });
-        let report = distribute(&plan, runs, seed0, &o).unwrap_or_else(|e| panic!("{mode}: {e}"));
-        assert!(report.completed(), "{mode}: incomplete ({:?})", report.warnings);
-        assert_eq!(report.aggregate, want, "{mode} diverged from single-process");
-        assert!(report.ledger.failures() >= 1, "{mode}: chaos never fired ({:?})", report.warnings);
-        assert_eq!(report.ledger.quarantined(), 0, "{mode}: one failure must not quarantine");
+    for workers in [1, 2, 4] {
+        for mode in ChaosMode::ALL {
+            let mut o = options(workers);
+            o.chaos = Some(ChaosPlan { mode, victim: 0, after_runs: 1, incarnations: 1 });
+            let cell = format!("{workers} workers, {mode}");
+            let report =
+                distribute(&plan, runs, seed0, &o).unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert!(report.completed(), "{cell}: incomplete ({:?})", report.warnings);
+            assert_eq!(report.aggregate, want, "{cell} diverged from single-process");
+            assert!(
+                report.ledger.failures() >= 1,
+                "{cell}: chaos never fired ({:?})",
+                report.warnings
+            );
+            assert_eq!(report.ledger.quarantined(), 0, "{cell}: one failure must not quarantine");
+        }
     }
-}
-
-/// Seeded chaos (victim and instant derived from the campaign seed) on
-/// a wider pool.
-#[test]
-fn seeded_kill_on_four_workers_converges() {
-    let plan = plan();
-    let (runs, seed0) = (32, 7);
-    let want = expected(&plan, runs, seed0);
-    let mut o = options(4);
-    o.chaos = Some(ChaosPlan::seeded(ChaosMode::Kill, seed0, 4));
-    let report = distribute(&plan, runs, seed0, &o).expect("sweep runs");
-    assert!(report.completed(), "{:?}", report.warnings);
-    assert_eq!(report.aggregate, want);
-    assert!(report.ledger.failures() >= 1, "chaos never fired");
 }
 
 /// A worker whose chaos survives its respawn (incarnations = 2) fails
@@ -232,6 +225,26 @@ fn losing_every_worker_falls_back_in_process() {
     assert!(report.fell_back);
     assert!(report.ledger.fallback_runs >= 1);
     assert!(report.warnings.iter().any(|w| w.contains("falling back")), "{:?}", report.warnings);
+}
+
+/// A worker command with no program fails each spawn like a missing
+/// binary: the worker is quarantined on its second failure and the sweep
+/// runs in-process to the identical aggregate.
+#[test]
+fn an_empty_worker_command_falls_back_in_process() {
+    let plan = plan();
+    let (runs, seed0) = (8, 13);
+    let mut o = options(1);
+    o.worker_cmd = Some(Vec::new());
+    let report = distribute(&plan, runs, seed0, &o).expect("sweep runs");
+    assert!(report.completed(), "{:?}", report.warnings);
+    assert!(report.fell_back);
+    assert_eq!(report.aggregate, expected(&plan, runs, seed0));
+    assert!(
+        report.warnings.iter().any(|w| w.contains("empty worker command")),
+        "{:?}",
+        report.warnings
+    );
 }
 
 /// An invalid plan is rejected up front with the typed campaign error —

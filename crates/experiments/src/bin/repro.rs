@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures.
 //!
-//! Usage: `repro [--quick] [--seed N] [--workers N] [--chaos MODE]
-//! <table1..table12|table4a|fig6..fig10|fig6a|partition|mc|mc-selftest|dist|dist-selftest|all>`
+//! Usage: `repro [--quick] [--seed N]
+//! <table1..table12|table4a|fig6..fig10|fig6a|partition|mc|mc-selftest|all>`
 //! (default `all`). A flag without a usable value, an unknown flag, a
 //! second target or an unknown target prints the usage line and exits 2.
 //!
@@ -10,18 +10,10 @@
 //! Wilson interval meets the stopping-rule target instead of a fixed
 //! run count. `partition` is the partition-during-recovery sweep
 //! (recovery rate vs partition duration), also adaptive.
-//!
-//! `dist` runs the register sweep across `--workers N` supervised
-//! worker subprocesses (optionally with `--chaos
-//! kill|hang|corrupt|truncate|poison` self-injected at a seeded
-//! instant) and byte-diffs the aggregate against the single-process
-//! run, exiting non-zero on divergence. `dist-selftest` sweeps the full
-//! 1/2/4-workers × chaos-mode matrix. The supervisor re-executes this
-//! binary as its workers (`repro worker` describes the mechanism).
 
 use ree_experiments::{
-    dist, fig9, figures, mc, partition, table10, table11, table3, table4, table5, table6, table7,
-    table8, Effort,
+    fig9, figures, mc, partition, table10, table11, table3, table4, table5, table6, table7, table8,
+    Effort,
 };
 use std::sync::OnceLock;
 
@@ -29,8 +21,6 @@ use std::sync::OnceLock;
 struct Options {
     effort: Effort,
     seed: u64,
-    workers: usize,
-    chaos: Option<ree_dist::ChaosMode>,
 }
 
 /// Tables 8/9 are two renderings of one experiment, run once per
@@ -88,67 +78,27 @@ const TARGETS: &[Target] = &[
     ("partition", true, |o| print!("{}", partition::run(o.effort, o.seed).render())),
     ("mc", false, |o| print!("{}", mc::run(o.effort, o.seed))),
     ("mc-selftest", false, |o| print!("{}", mc::selftest(o.effort, o.seed))),
-    ("dist", false, |o| match dist::run_one(o.effort, o.seed, o.workers, o.chaos, None) {
-        Ok(outcome) => {
-            print!("{}", dist::render(&outcome));
-            if !outcome.matches() {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("distributed sweep failed: {e}");
-            std::process::exit(1);
-        }
-    }),
-    ("dist-selftest", false, |o| {
-        let (rendered, all_ok) = dist::selftest(o.effort, o.seed, None);
-        print!("{rendered}");
-        if !all_ok {
-            std::process::exit(1);
-        }
-    }),
 ];
 
 /// Prints why the command line was rejected and the usage line; exits 2.
 fn usage_error(why: &str) -> ! {
     let targets: Vec<&str> = TARGETS.iter().map(|(name, ..)| *name).collect();
     eprintln!("repro: {why}");
-    eprintln!(
-        "usage: repro [--quick] [--seed N] [--workers N] [--chaos MODE] <{}|all>",
-        targets.join("|")
-    );
+    eprintln!("usage: repro [--quick] [--seed N] <{}|all>", targets.join("|"));
     std::process::exit(2);
 }
 
 /// Parses the command line into the options and the target name.
 fn parse_args(mut args: impl Iterator<Item = String>) -> (Options, String) {
-    let mut options = Options { effort: Effort::Paper, seed: 20020401, workers: 4, chaos: None }; // CRHC-02-02, April 2002
+    let mut options = Options { effort: Effort::Paper, seed: 20020401 }; // CRHC-02-02, April 2002
     let mut target: Option<String> = None;
     while let Some(arg) = args.next() {
-        let mut value =
-            |what: &str| args.next().unwrap_or_else(|| usage_error(&format!("{arg} needs {what}")));
         match arg.as_str() {
             "--quick" => options.effort = Effort::Quick,
             "--seed" => {
-                let v = value("a number");
+                let v = args.next().unwrap_or_else(|| usage_error("--seed needs a number"));
                 options.seed =
                     v.parse().unwrap_or_else(|_| usage_error(&format!("bad --seed {v:?}")));
-            }
-            "--workers" => {
-                let v = value("a positive number");
-                options.workers = match v.parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => usage_error(&format!("bad --workers {v:?}")),
-                };
-            }
-            "--chaos" => {
-                let v = value("a mode");
-                let mode = ree_dist::ChaosMode::parse(&v).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "unknown --chaos mode {v:?} (kill|hang|corrupt|truncate|poison)"
-                    ))
-                });
-                options.chaos = Some(mode);
             }
             flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag}")),
             _ if target.is_some() => usage_error(&format!("unexpected second target {arg:?}")),
@@ -159,9 +109,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> (Options, String) {
 }
 
 fn main() {
-    // A supervisor spawn: become a worker and never return. Must run
-    // before any argument parsing.
-    ree_dist::run_worker_if_spawned();
     let (options, target) = parse_args(std::env::args().skip(1));
     match target.as_str() {
         "all" => {
@@ -170,16 +117,6 @@ fn main() {
                 run(&options);
                 println!();
             }
-        }
-        "worker" => {
-            eprintln!(
-                "repro worker: workers are spawned by the supervisor (repro dist), which \
-                 re-executes this binary with {}/{} set in the environment; they are not \
-                 started by hand",
-                ree_dist::worker::ENV_WORKER_ID,
-                ree_dist::worker::ENV_INCARNATION,
-            );
-            std::process::exit(2);
         }
         name => match TARGETS.iter().find(|(n, ..)| *n == name) {
             Some((_, _, run)) => run(&options),

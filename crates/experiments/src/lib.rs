@@ -12,18 +12,17 @@
 //! plan constructor; `cell`, the one `Arm` constructor; `run_cells`, the
 //! one campaign site, cells in, [`Row`]s out; and [`AdaptiveTable`], the
 //! confidence-targeted sweep `table4a` and `partition` print. The
-//! hand-driven figures, Table 3 and `mc`/`dist` do not fit the shape.
+//! hand-driven figures, Table 3 and `mc` do not fit the shape.
 //!
 //! Seeds come from one tree rooted at `repro --seed` ([`ree_sim::derive`]
-//! through `cells::cell` and `cells::seeds`); `mc`, `dist` and Fig. 9
-//! take the root directly.
+//! through `cells::cell` and `cells::seeds`); `mc` and Fig. 9 take the
+//! root directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
 mod cells;
-pub mod dist;
 mod effort;
 pub mod fig9;
 pub mod figures;

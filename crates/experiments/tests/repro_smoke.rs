@@ -69,20 +69,23 @@ fn unknown_target_fails_with_usage() {
 
 /// Every command line `repro` used to half-understand — a flag value
 /// that does not parse (silently replaced by the default), a flag that
-/// swallowed the target as its value, a zero worker count, a flag or a
-/// second target it ignored — is now refused before anything runs.
+/// swallowed the target as its value, a flag or a second target it
+/// ignored — is now refused before anything runs. So are the worker-pool
+/// flags and targets `repro` no longer has.
 #[test]
 fn malformed_command_lines_exit_2_with_the_usage_line() {
-    let rejected: [&[&str]; 9] = [
+    let rejected: [&[&str]; 11] = [
         &["--seed", "abc", "table3"],
         &["--seed", "table3"],
         &["--quick", "table3", "--seed"],
-        &["--workers", "x", "dist"],
-        &["--workers", "0", "dist"],
-        &["--chaos", "nope", "dist"],
+        &["--workers", "2", "table3"],
+        &["--chaos", "kill", "table3"],
         &["--sed", "7", "table3"],
         &["table3", "table4"],
         &["table99"],
+        &["dist"],
+        &["dist-selftest"],
+        &["worker"],
     ];
     for args in rejected {
         let out = repro().args(args).output().expect("repro binary runs");
@@ -92,7 +95,7 @@ fn malformed_command_lines_exit_2_with_the_usage_line() {
         assert!(stderr.contains("usage: repro [--quick] [--seed N]"), "{args:?}: {stderr}");
         // The usage line names every target once, from the same table
         // that dispatches them.
-        assert!(stderr.contains("|table4a|") && stderr.contains("|dist-selftest|all>"), "{stderr}");
+        assert!(stderr.contains("|table4a|") && stderr.contains("|mc-selftest|all>"), "{stderr}");
     }
 }
 

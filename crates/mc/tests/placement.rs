@@ -28,7 +28,7 @@ fn base() -> (Running, Vec<Pid>) {
 
 type Raw = fn(&mut Cluster, Pid) -> Placement;
 
-fn signal(cluster: &mut Cluster, pid: Pid, sig: Signal) -> Placement {
+fn deliver(cluster: &mut Cluster, pid: Pid, sig: Signal) -> Placement {
     cluster.send_signal(pid, sig);
     Placement { placed: true, heap_hit: None }
 }
@@ -41,8 +41,8 @@ fn heap(cluster: &mut Cluster, pid: Pid, target: &HeapTarget) -> Placement {
 #[test]
 fn place_is_the_raw_injection_call_for_every_model() {
     let table: [(ErrorModel, Raw); 8] = [
-        (ErrorModel::Sigint, |c, p| signal(c, p, Signal::Int)),
-        (ErrorModel::Sigstop, |c, p| signal(c, p, Signal::Stop)),
+        (ErrorModel::Sigint, |c, p| deliver(c, p, Signal::Int)),
+        (ErrorModel::Sigstop, |c, p| deliver(c, p, Signal::Stop)),
         (ErrorModel::Register, |c, p| Placement {
             placed: c.inject_register(p).is_some(),
             heap_hit: None,

@@ -47,6 +47,6 @@ mod time;
 pub use fnv::Fnv64;
 pub use hash::DigestHasher;
 pub use queue::{EventHandle, EventQueue};
-pub use rng::{derive, mix64, SimRng};
+pub use rng::{derive, SimRng};
 pub use sink::Sink;
 pub use time::{SimDuration, SimTime};

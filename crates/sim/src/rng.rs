@@ -36,7 +36,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// The first SplitMix64 output from state `z`: a bijection on `u64` in
 /// which every input bit flips each output bit with probability ≈ ½, so
 /// neighbouring inputs land far apart.
-pub fn mix64(mut z: u64) -> u64 {
+fn mix64(mut z: u64) -> u64 {
     splitmix64(&mut z)
 }
 

@@ -13,7 +13,6 @@
 //! sharded.
 
 use crate::summary::Summary;
-use crate::table::TableBuilder;
 
 /// What one worker shard did over a distributed campaign.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -43,7 +42,7 @@ pub struct ShardStats {
 /// ledger.record_requeue();
 /// assert_eq!(ledger.runs_done(), 32);
 /// assert_eq!(ledger.shard(1).failures, 1);
-/// assert!(ledger.render().contains("WORKER"));
+/// assert_eq!(ledger.failures(), 1);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardLedger {
@@ -119,35 +118,6 @@ impl ShardLedger {
     pub fn quarantined(&self) -> usize {
         self.shards.iter().filter(|s| s.quarantined).count()
     }
-
-    /// Renders the per-shard table plus the supervision tallies — the
-    /// operational report a supervisor prints to stderr after a sweep.
-    pub fn render(&self) -> String {
-        let mut t = TableBuilder::new(vec![
-            "WORKER",
-            "BATCHES",
-            "RUNS",
-            "FAILURES",
-            "WALL/BATCH (s)",
-            "STATE",
-        ]);
-        for (i, s) in self.shards.iter().enumerate() {
-            t.row(vec![
-                format!("w{i}"),
-                s.batches_done.to_string(),
-                s.runs_done.to_string(),
-                s.failures.to_string(),
-                if s.batches_done > 0 { format!("{:.3}", s.batch_wall.mean()) } else { "-".into() },
-                if s.quarantined { "quarantined".into() } else { "ok".into() },
-            ]);
-        }
-        let mut out = t.render();
-        out.push_str(&format!(
-            "batches re-queued: {}   fallback runs (in-process): {}\n",
-            self.requeued, self.fallback_runs
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -173,24 +143,5 @@ mod tests {
         assert_eq!(ledger.fallback_runs, 16);
         assert_eq!(ledger.shard(0).batches_done, 2);
         assert!((ledger.shard(0).batch_wall.mean() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn render_mentions_every_worker_and_state() {
-        let mut ledger = ShardLedger::new(2);
-        ledger.record_batch(0, 8, 0.25);
-        ledger.record_failure(1);
-        ledger.quarantine(1);
-        let text = ledger.render();
-        assert!(text.contains("w0"), "{text}");
-        assert!(text.contains("w1"), "{text}");
-        assert!(text.contains("quarantined"), "{text}");
-        assert!(text.contains("re-queued"), "{text}");
-    }
-
-    #[test]
-    fn empty_ledger_renders() {
-        let text = ShardLedger::new(0).render();
-        assert!(text.contains("WORKER"), "{text}");
     }
 }
