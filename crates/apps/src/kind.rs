@@ -53,8 +53,8 @@ impl AppKind {
         }
         match self {
             AppKind::Texture => ranks::<texture::Texture>(&scenario.texture),
-            AppKind::Otis => ranks::<otis::Otis>(&scenario.otis),
-            AppKind::Pipeline => ranks::<pipeline::Pipeline>(&scenario.pipeline),
+            AppKind::Otis => ranks::<otis::Otis>(&()),
+            AppKind::Pipeline => ranks::<pipeline::Pipeline>(&()),
         }
     }
 
@@ -64,8 +64,8 @@ impl AppKind {
             AppKind::Texture => {
                 scenario.texture.nominal_per_image() * scenario.texture.images.max(1) as u64
             }
-            AppKind::Otis => scenario.otis.nominal(),
-            AppKind::Pipeline => scenario.pipeline.nominal(),
+            AppKind::Otis => otis::nominal(),
+            AppKind::Pipeline => pipeline::nominal(),
         }
     }
 
@@ -79,14 +79,13 @@ impl AppKind {
                     verify_texture(fs, app, slot, image, p.image_px, p.tile_px, p.clusters)
                 }))
             }
-            AppKind::Otis => {
-                let p = &scenario.otis;
-                worst((0..p.frames).map(|frame| verify_otis(fs, app, slot, frame, p.frame_px)))
-            }
-            AppKind::Pipeline => {
-                let p = &scenario.pipeline;
-                worst((0..p.frames).map(|frame| verify_pipeline(fs, app, slot, frame, p.frame_px)))
-            }
+            AppKind::Otis => worst(
+                (0..otis::FRAMES).map(|frame| verify_otis(fs, app, slot, frame, otis::FRAME_PX)),
+            ),
+            AppKind::Pipeline => worst(
+                (0..pipeline::FRAMES)
+                    .map(|frame| verify_pipeline(fs, app, slot, frame, pipeline::FRAME_PX)),
+            ),
         }
     }
 
@@ -103,17 +102,15 @@ impl AppKind {
                 }
             }
             AppKind::Otis => {
-                let p = &scenario.otis;
                 let seed = otis::otis_frame_seed(app, slot);
-                for frame in 0..p.frames {
-                    thermal_frame_shared(p.frame_px, seed, frame);
+                for frame in 0..otis::FRAMES {
+                    thermal_frame_shared(otis::FRAME_PX, seed, frame);
                 }
             }
             AppKind::Pipeline => {
-                let p = &scenario.pipeline;
                 let seed = pipeline::pipeline_frame_seed(app, slot);
-                for frame in 0..p.frames {
-                    thermal_frame_shared(p.frame_px, seed, frame);
+                for frame in 0..pipeline::FRAMES {
+                    thermal_frame_shared(pipeline::FRAME_PX, seed, frame);
                 }
             }
         }

@@ -67,8 +67,6 @@ pub mod texture;
 pub mod verify;
 
 pub use kind::AppKind;
-pub use otis::OtisParams;
-pub use pipeline::PipelineParams;
 pub use testbed::{all_done_memo, run_without_sift, BootSnapshot, Running, Scenario};
 pub use texture::TextureParams;
 pub use verify::Verdict;

@@ -20,45 +20,24 @@ use ree_os::ProcCtx;
 use ree_sim::SimDuration;
 use std::sync::Arc;
 
-/// Tunable workload parameters for OTIS.
-#[derive(Clone, Debug)]
-pub struct OtisParams {
-    /// Frame side in pixels.
-    pub frame_px: usize,
-    /// Total frames to process (split across ranks).
-    pub frames: u32,
-    /// Virtual CPU time to calibrate/load at startup.
-    pub load_time: SimDuration,
-    /// Virtual CPU time for atmospheric compensation per frame.
-    pub atm_time: SimDuration,
-    /// Virtual CPU time for emissivity extraction per frame.
-    pub emis_time: SimDuration,
-    /// Virtual CPU time for compression per frame.
-    pub compress_time: SimDuration,
-    /// Progress-indicator declaration period.
-    pub pi_period: SimDuration,
-}
+/// Frame side in pixels.
+pub const FRAME_PX: usize = 32;
+/// Total frames to process (split across ranks).
+pub const FRAMES: u32 = 14;
+/// Virtual CPU time to calibrate/load at startup.
+const LOAD_TIME: SimDuration = SimDuration::from_secs(4);
+/// Virtual CPU time for atmospheric compensation per frame.
+const ATM_TIME: SimDuration = SimDuration::from_secs(12);
+/// Virtual CPU time for emissivity extraction per frame.
+const EMIS_TIME: SimDuration = SimDuration::from_secs(8);
+/// Virtual CPU time for compression per frame.
+const COMPRESS_TIME: SimDuration = SimDuration::from_secs(6);
+/// Progress-indicator declaration period.
+const PI_PERIOD: SimDuration = SimDuration::from_secs(20);
 
-impl Default for OtisParams {
-    fn default() -> Self {
-        OtisParams {
-            frame_px: 32,
-            frames: 14,
-            load_time: SimDuration::from_secs(4),
-            atm_time: SimDuration::from_secs(12),
-            emis_time: SimDuration::from_secs(8),
-            compress_time: SimDuration::from_secs(6),
-            pi_period: SimDuration::from_secs(20),
-        }
-    }
-}
-
-impl OtisParams {
-    /// Expected failure-free actual execution time for a 2-rank run.
-    pub(crate) fn nominal(&self) -> SimDuration {
-        let per_frame = self.atm_time + self.emis_time + self.compress_time;
-        self.load_time + per_frame * (self.frames as u64).div_ceil(2)
-    }
+/// Expected failure-free actual execution time for a 2-rank run.
+pub(crate) fn nominal() -> SimDuration {
+    LOAD_TIME + (ATM_TIME + EMIS_TIME + COMPRESS_TIME) * (FRAMES as u64).div_ceil(2)
 }
 
 /// Split-window surface-temperature retrieval matching the synthesis
@@ -97,7 +76,7 @@ pub(crate) struct Otis {
 
 impl Rank<Otis> {
     fn pairs(&self) -> u32 {
-        self.params.frames.div_ceil(self.shell.launch.size.max(1))
+        FRAMES.div_ceil(self.shell.launch.size.max(1))
     }
 
     fn my_frame(&self, pair: u32) -> u32 {
@@ -115,7 +94,7 @@ impl Rank<Otis> {
             return;
         }
         let frame = self.my_frame(pair);
-        if frame >= self.params.frames {
+        if frame >= FRAMES {
             // Odd frame count: this rank idles through the last pair but
             // still synchronises.
             self.sci.retrieved.clear();
@@ -127,14 +106,14 @@ impl Rank<Otis> {
         // the copy-on-write boundary — injected heap flips land in this
         // rank's private copy, never in the shared frame.
         let f = thermal_frame_shared(
-            self.params.frame_px,
+            FRAME_PX,
             otis_frame_seed(&self.shell.launch.app, self.shell.launch.slot),
             frame,
         );
         self.heap.image = Arc::new(f.band11.clone());
         self.heap.features = f.band12.clone();
         self.sci.phase = Phase::Atm { pair, working: true };
-        ctx.start_work(self.params.atm_time, WORK_PHASE);
+        ctx.start_work(ATM_TIME, WORK_PHASE);
     }
 
     fn finish_atm(&mut self, pair: u32, ctx: &mut ProcCtx<'_>) {
@@ -148,7 +127,7 @@ impl Rank<Otis> {
             .collect();
         self.shell.progress(ctx);
         self.sci.phase = Phase::Emis { pair, working: true };
-        ctx.start_work(self.params.emis_time, WORK_PHASE);
+        ctx.start_work(EMIS_TIME, WORK_PHASE);
     }
 
     fn finish_emis(&mut self, pair: u32, ctx: &mut ProcCtx<'_>) {
@@ -157,7 +136,7 @@ impl Rank<Otis> {
         self.heap.features = emissivities;
         self.shell.progress(ctx);
         self.sci.phase = Phase::Compress { pair, working: true };
-        ctx.start_work(self.params.compress_time, WORK_PHASE);
+        ctx.start_work(COMPRESS_TIME, WORK_PHASE);
     }
 
     fn finish_compress(&mut self, pair: u32, ctx: &mut ProcCtx<'_>) {
@@ -212,21 +191,21 @@ pub fn otis_frame_seed(app: &str, slot: u32) -> u64 {
 }
 
 impl Science for Otis {
-    type Params = OtisParams;
+    type Params = ();
     const TAG: &'static str = "otis-app";
     const PTR_FAULT: &'static str = "otis: dereferenced corrupted status pointer";
     const DIMS_FAULT: &'static str = "otis: corrupted frame dimensions";
 
-    fn new(_: &OtisParams) -> Self {
+    fn new(_: &()) -> Self {
         Otis { phase: Phase::Init, resume_pair: 0, retrieved: Vec::new(), calib_seen: Vec::new() }
     }
 
-    fn side(params: &OtisParams) -> usize {
-        params.frame_px
+    fn side(_: &()) -> usize {
+        FRAME_PX
     }
 
-    fn pi_period(params: &OtisParams) -> SimDuration {
-        params.pi_period
+    fn pi_period(_: &()) -> SimDuration {
+        PI_PERIOD
     }
 
     fn advance(rank: &mut Rank<Self>, ctx: &mut ProcCtx<'_>) {
@@ -236,7 +215,7 @@ impl Science for Otis {
                     let pair = token.split(',').next().and_then(|p| p.parse().ok()).unwrap_or(0);
                     rank.sci.resume_pair = pair;
                     rank.sci.phase = Phase::Load { working: true };
-                    ctx.start_work(rank.params.load_time, WORK_PHASE);
+                    ctx.start_work(LOAD_TIME, WORK_PHASE);
                 }
             }
             Phase::SyncPair { .. } => rank.drain_sync(ctx),
@@ -283,7 +262,7 @@ mod tests {
 
     #[test]
     fn nominal_time_is_about_190s() {
-        let t = OtisParams::default().nominal().as_secs_f64();
+        let t = nominal().as_secs_f64();
         assert!((150.0..240.0).contains(&t), "nominal {t}");
     }
 

@@ -41,44 +41,25 @@ use ree_sift::APP_BLOCK_TIMEOUT;
 use ree_sim::SimDuration;
 use std::sync::Arc;
 
-/// Tunable workload parameters for the image pipeline.
-#[derive(Clone, Debug)]
-pub struct PipelineParams {
-    /// Frame side in pixels.
-    pub frame_px: usize,
-    /// Frames to acquire, process, and downlink.
-    pub frames: u32,
-    /// Virtual CPU time to acquire one frame (exposure + readout).
-    pub acquire_time: SimDuration,
-    /// Virtual CPU time to calibrate and compress one frame.
-    pub process_time: SimDuration,
-    /// Virtual CPU time to persist one product.
-    pub downlink_time: SimDuration,
-    /// Progress-indicator declaration period. Must exceed one full
-    /// frame round trip: each rank progresses once per frame.
-    pub pi_period: SimDuration,
-}
+/// Frame side in pixels.
+pub const FRAME_PX: usize = 32;
+/// Frames to acquire, process, and downlink.
+pub const FRAMES: u32 = 6;
+/// Virtual CPU time to acquire one frame (exposure + readout).
+const ACQUIRE_TIME: SimDuration = SimDuration::from_secs(6);
+/// Virtual CPU time to calibrate and compress one frame.
+const PROCESS_TIME: SimDuration = SimDuration::from_secs(14);
+/// Virtual CPU time to persist one product.
+const DOWNLINK_TIME: SimDuration = SimDuration::from_secs(4);
+/// Progress-indicator declaration period. Must exceed one full frame
+/// round trip: each rank progresses once per frame.
+const PI_PERIOD: SimDuration = SimDuration::from_secs(45);
 
-impl Default for PipelineParams {
-    fn default() -> Self {
-        PipelineParams {
-            frame_px: 32,
-            frames: 6,
-            acquire_time: SimDuration::from_secs(6),
-            process_time: SimDuration::from_secs(14),
-            downlink_time: SimDuration::from_secs(4),
-            pi_period: SimDuration::from_secs(45),
-        }
-    }
-}
-
-impl PipelineParams {
-    /// Expected failure-free actual execution time. The stages are
-    /// ack-gated per frame, so the pipeline does not overlap frames;
-    /// nominal is the serial sum.
-    pub(crate) fn nominal(&self) -> SimDuration {
-        (self.acquire_time + self.process_time + self.downlink_time) * self.frames as u64
-    }
+/// Expected failure-free actual execution time. The stages are ack-gated
+/// per frame, so the pipeline does not overlap frames; nominal is the
+/// serial sum.
+pub(crate) fn nominal() -> SimDuration {
+    (ACQUIRE_TIME + PROCESS_TIME + DOWNLINK_TIME) * FRAMES as u64
 }
 
 /// Dark-current offset removed by calibration (synthetic detector
@@ -187,14 +168,14 @@ impl Rank<Pipeline> {
     }
 
     fn camera_begin(&mut self, frame: u32, ctx: &mut ProcCtx<'_>) {
-        if frame >= self.params.frames {
+        if frame >= FRAMES {
             self.shell.mpi.send(ctx, RANK_COMPUTE, TAG_DONE, MpiPayload::Unit);
             self.sci.phase = Phase::Finish;
             self.shell.finish(ctx);
             return;
         }
         self.sci.phase = Phase::Acquire { frame };
-        ctx.start_work(self.params.acquire_time, WORK_PHASE);
+        ctx.start_work(ACQUIRE_TIME, WORK_PHASE);
     }
 
     fn camera_stream(&mut self, frame: u32, ctx: &mut ProcCtx<'_>) {
@@ -202,7 +183,7 @@ impl Rank<Pipeline> {
         // working heap (the copy-on-write boundary — heap flips corrupt
         // this rank's copy of the frame, which then streams downstream).
         let f = thermal_frame_shared(
-            self.params.frame_px,
+            FRAME_PX,
             pipeline_frame_seed(&self.shell.launch.app, self.shell.launch.slot),
             frame,
         );
@@ -267,7 +248,7 @@ impl Rank<Pipeline> {
         }
         self.heap.image = Arc::new(pixels);
         self.sci.phase = Phase::Processing { frame };
-        ctx.start_work(self.params.process_time, WORK_PHASE);
+        ctx.start_work(PROCESS_TIME, WORK_PHASE);
     }
 
     fn compute_emit(&mut self, frame: u32, ctx: &mut ProcCtx<'_>) {
@@ -295,7 +276,7 @@ impl Rank<Pipeline> {
         self.heap.features = product.iter().map(|&b| b as f64).collect();
         self.sci.write_queue.insert(0, (frame, product));
         self.sci.phase = Phase::Writing { frame };
-        ctx.start_work(self.params.downlink_time, WORK_PHASE);
+        ctx.start_work(DOWNLINK_TIME, WORK_PHASE);
     }
 
     fn downlink_commit(&mut self, frame: u32, ctx: &mut ProcCtx<'_>) {
@@ -333,7 +314,7 @@ impl Rank<Pipeline> {
             RANK_DOWNLINK => {
                 // Recover progress by scanning which products survived
                 // the restart (the store is the source of truth).
-                for frame in 0..self.params.frames {
+                for frame in 0..FRAMES {
                     if ctx.remote_fs().read(&self.product_path(frame)).is_some() {
                         self.sci.delivered[frame as usize] = true;
                     }
@@ -359,10 +340,9 @@ impl Rank<Pipeline> {
     }
 
     fn drain_mpi(&mut self, ctx: &mut ProcCtx<'_>) {
-        let frames = self.params.frames;
         match self.shell.launch.rank {
             0 => {
-                for frame in 0..frames {
+                for frame in 0..FRAMES {
                     // Stale replies for already-advanced frames are
                     // drained and ignored by the phase checks.
                     while let Some(m) =
@@ -386,7 +366,7 @@ impl Rank<Pipeline> {
                     }
                     return;
                 }
-                for frame in 0..frames {
+                for frame in 0..FRAMES {
                     while let Some(m) = self.shell.mpi.try_recv(Some(0), TAG_FRAME + frame) {
                         if let MpiPayload::F64s(pixels) = m.payload {
                             self.compute_accept(frame, pixels, ctx);
@@ -395,7 +375,7 @@ impl Rank<Pipeline> {
                 }
             }
             _ => {
-                for frame in 0..frames {
+                for frame in 0..FRAMES {
                     while let Some(m) = self.shell.mpi.try_recv(Some(0), TAG_FWD + frame) {
                         if let MpiPayload::Bytes(product) = m.payload {
                             self.downlink_accept(frame, product, ctx);
@@ -408,28 +388,28 @@ impl Rank<Pipeline> {
 }
 
 impl Science for Pipeline {
-    type Params = PipelineParams;
+    type Params = ();
     const TAG: &'static str = "pipeline-app";
     const PTR_FAULT: &'static str = "imgpipe: dereferenced corrupted status pointer";
     const DIMS_FAULT: &'static str = "imgpipe: corrupted frame dimensions";
 
-    fn new(params: &PipelineParams) -> Self {
+    fn new(_: &()) -> Self {
         Pipeline {
             phase: Phase::Init,
             pending_product: Vec::new(),
             retry_timer: None,
             backlog: Vec::new(),
             write_queue: Vec::new(),
-            delivered: vec![false; params.frames as usize],
+            delivered: vec![false; FRAMES as usize],
         }
     }
 
-    fn side(params: &PipelineParams) -> usize {
-        params.frame_px
+    fn side(_: &()) -> usize {
+        FRAME_PX
     }
 
-    fn pi_period(params: &PipelineParams) -> SimDuration {
-        params.pi_period
+    fn pi_period(_: &()) -> SimDuration {
+        PI_PERIOD
     }
 
     fn advance(rank: &mut Rank<Self>, ctx: &mut ProcCtx<'_>) {
@@ -493,9 +473,8 @@ mod tests {
 
     #[test]
     fn nominal_time_is_serial_sum() {
-        let p = PipelineParams::default();
-        let per_frame = p.acquire_time + p.process_time + p.downlink_time;
-        assert_eq!(p.nominal(), per_frame * p.frames as u64);
+        // Six frames of 6 s acquire + 14 s process + 4 s downlink.
+        assert_eq!(nominal(), SimDuration::from_secs(6 * 24));
     }
 
     #[test]

@@ -20,7 +20,8 @@ pub(crate) const WORK_PHASE: u64 = 1;
 /// The application-specific part of a rank: a phase machine driven by
 /// the skeleton's guarded `advance`/`work_done` calls.
 pub(crate) trait Science: Clone + std::fmt::Debug + Send + Sync + Sized + 'static {
-    /// Workload parameters (a field of [`crate::Scenario`]).
+    /// Workload parameters: a field of [`crate::Scenario`], or `()` for an
+    /// application with one workload.
     type Params: Clone + Send + Sync + 'static;
     /// `Process::kind` tag; names the text image.
     const TAG: &'static str;

@@ -4,7 +4,7 @@
 
 use crate::kind::{worst, AppKind};
 use crate::verify::Verdict;
-use crate::{OtisParams, PipelineParams, TextureParams};
+use crate::TextureParams;
 use ree_os::NodeId;
 use ree_os::{Cluster, ClusterConfig, LinkParams, Pid, Port, SpawnSpec, Topology};
 use ree_sift::{Blueprint, JobSpec, JobTimes, Scc, SiftConfig};
@@ -18,12 +18,9 @@ pub struct Scenario {
     pub nodes: usize,
     /// SIFT environment configuration.
     pub sift: SiftConfig,
-    /// Texture-application workload parameters.
+    /// Texture-application workload parameters. OTIS and the image
+    /// pipeline have one workload each, fixed in their modules.
     pub texture: TextureParams,
-    /// OTIS workload parameters.
-    pub otis: OtisParams,
-    /// Image-acquisition pipeline workload parameters.
-    pub pipeline: PipelineParams,
     /// Jobs the SCC submits.
     pub jobs: Vec<JobSpec>,
     /// Master seed.
@@ -45,8 +42,6 @@ impl Scenario {
             nodes: 4,
             sift: SiftConfig::default(),
             texture: TextureParams::default(),
-            otis: OtisParams::default(),
-            pipeline: PipelineParams::default(),
             jobs: vec![JobSpec {
                 app: AppKind::Texture.name().into(),
                 ranks: 2,
@@ -67,8 +62,6 @@ impl Scenario {
             nodes: 6,
             sift: SiftConfig::default(),
             texture,
-            otis: OtisParams::default(),
-            pipeline: PipelineParams::default(),
             jobs: vec![
                 JobSpec {
                     app: AppKind::Texture.name().into(),
@@ -109,8 +102,6 @@ impl Scenario {
             nodes: 5,
             sift: SiftConfig::default(),
             texture: TextureParams::default(),
-            otis: OtisParams::default(),
-            pipeline: PipelineParams::default(),
             jobs: vec![JobSpec {
                 app: AppKind::Pipeline.name().into(),
                 ranks: 3,

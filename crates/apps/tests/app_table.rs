@@ -2,8 +2,8 @@
 //! the table round-trips its name, runs fault-free to verified output,
 //! and has a nominal time and warmable inputs.
 
-use ree_apps::otis::otis_frame_seed;
-use ree_apps::pipeline::pipeline_frame_seed;
+use ree_apps::otis::{self, otis_frame_seed};
+use ree_apps::pipeline::{self, pipeline_frame_seed};
 use ree_apps::synth::{mars_surface_shared, thermal_frame_shared};
 use ree_apps::texture::texture_image_seed;
 use ree_apps::{AppKind, Scenario, Verdict};
@@ -40,11 +40,11 @@ fn first_input(kind: AppKind, scenario: &Scenario) -> usize {
         }
         AppKind::Otis => {
             let seed = otis_frame_seed(app, 0);
-            Arc::as_ptr(&thermal_frame_shared(scenario.otis.frame_px, seed, 0)) as usize
+            Arc::as_ptr(&thermal_frame_shared(otis::FRAME_PX, seed, 0)) as usize
         }
         AppKind::Pipeline => {
             let seed = pipeline_frame_seed(app, 0);
-            Arc::as_ptr(&thermal_frame_shared(scenario.pipeline.frame_px, seed, 0)) as usize
+            Arc::as_ptr(&thermal_frame_shared(pipeline::FRAME_PX, seed, 0)) as usize
         }
     }
 }

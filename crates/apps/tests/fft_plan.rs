@@ -14,7 +14,8 @@ const TOL: f64 = 1e-9;
 
 fn random_signal(n: usize, seed: u64) -> Vec<Complex> {
     let mut rng = SimRng::new(seed);
-    (0..n).map(|_| (rng.normal(0.0, 10.0), rng.normal(0.0, 10.0))).collect()
+    let mut draw = || rng.f64() * 40.0 - 20.0;
+    (0..n).map(|_| (draw(), draw())).collect()
 }
 
 fn max_abs_diff(a: &[Complex], b: &[Complex]) -> f64 {

@@ -2,6 +2,7 @@
 //! fault-free completion, verified products, and the constrained-trunk
 //! placement actually carrying the downlink traffic.
 
+use ree_apps::pipeline::{FRAMES, FRAME_PX};
 use ree_apps::verify::{verify_pipeline, Verdict};
 use ree_apps::Scenario;
 use ree_sim::SimTime;
@@ -12,9 +13,9 @@ fn pipeline_completes_fault_free_with_correct_products() {
     let running = scenario.run_fault_free(SimTime::from_secs(400));
     assert!(running.all_done(), "pipeline did not finish: {running:?}");
     let fs = running.cluster.remote_fs_ref();
-    for frame in 0..scenario.pipeline.frames {
+    for frame in 0..FRAMES {
         assert_eq!(
-            verify_pipeline(fs, "imgpipe", 0, frame, scenario.pipeline.frame_px),
+            verify_pipeline(fs, "imgpipe", 0, frame, FRAME_PX),
             Verdict::Correct,
             "frame {frame}"
         );

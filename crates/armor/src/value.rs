@@ -31,10 +31,6 @@ pub enum Value {
     Bool(bool),
     /// Unsigned integer (counters, identifiers).
     U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating-point datum.
-    F64(f64),
     /// UTF-8 text (hostnames, executable paths).
     Str(String),
     /// Structural pointer; corruption crashes on next dereference.
@@ -91,11 +87,6 @@ impl Value {
         match self {
             Value::Bool(b) => *b = !*b,
             Value::U64(v) | Value::Ptr(v) => *v ^= 1u64 << rng.below(64),
-            Value::I64(v) => *v ^= 1i64 << rng.below(64),
-            Value::F64(v) => {
-                let bits = v.to_bits() ^ (1u64 << rng.below(64));
-                *v = f64::from_bits(bits);
-            }
             Value::Str(s) => {
                 if s.is_empty() {
                     s.push('\u{1}');
@@ -459,7 +450,7 @@ mod tests {
         table.insert("a".to_owned(), Value::U64(1));
         table.insert("b".to_owned(), Value::U64(2));
         f.set("table", Value::Map(table));
-        f.set("list", Value::List(vec![Value::F64(1.5), Value::Bool(true)]));
+        f.set("list", Value::List(vec![Value::U64(15), Value::Bool(true)]));
         f
     }
 
@@ -620,22 +611,6 @@ mod tests {
         assert_eq!(f.bump("n"), Some(2));
         f.set("s", Value::Str("x".into()));
         assert_eq!(f.bump("s"), None);
-    }
-
-    #[test]
-    fn f64_bit_flip_changes_bits() {
-        let mut v = Value::F64(1.0);
-        let mut rng = SimRng::new(4);
-        let before = match v {
-            Value::F64(x) => x.to_bits(),
-            _ => unreachable!(),
-        };
-        v.flip_bit(&mut rng);
-        let after = match v {
-            Value::F64(x) => x.to_bits(),
-            _ => unreachable!(),
-        };
-        assert_eq!((before ^ after).count_ones(), 1);
     }
 
     #[test]

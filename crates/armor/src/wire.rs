@@ -12,8 +12,8 @@ use ree_sim::Sink;
 
 const TAG_BOOL: u8 = 1;
 const TAG_U64: u8 = 2;
-const TAG_I64: u8 = 3;
-const TAG_F64: u8 = 4;
+// Tags 3 and 4 (signed and float values) are retired and never reused:
+// an image holding one decodes to `BadTag`, a cold start.
 const TAG_STR: u8 = 5;
 const TAG_PTR: u8 = 6;
 const TAG_LIST: u8 = 7;
@@ -56,14 +56,6 @@ fn encode_value<S: Sink + ?Sized>(value: &Value, buf: &mut S) {
         Value::U64(v) => {
             buf.put_u8(TAG_U64);
             buf.put_u64(*v);
-        }
-        Value::I64(v) => {
-            buf.put_u8(TAG_I64);
-            buf.put_u64(*v as u64);
-        }
-        Value::F64(v) => {
-            buf.put_u8(TAG_F64);
-            buf.put_u64(v.to_bits());
         }
         Value::Str(s) => {
             buf.put_u8(TAG_STR);
@@ -130,8 +122,6 @@ fn decode_value(buf: &mut &[u8], depth: usize) -> Result<Value, DecodeError> {
     match tag {
         TAG_BOOL => take(buf).map(|[b]| Value::Bool(b != 0)),
         TAG_U64 => take(buf).map(|b| Value::U64(u64::from_be_bytes(b))),
-        TAG_I64 => take(buf).map(|b| Value::I64(i64::from_be_bytes(b))),
-        TAG_F64 => take(buf).map(|b| Value::F64(f64::from_be_bytes(b))),
         TAG_STR => Ok(Value::Str(take_string(buf)?)),
         TAG_PTR => take(buf).map(|b| Value::Ptr(u64::from_be_bytes(b))),
         TAG_LIST => {
@@ -200,8 +190,6 @@ mod tests {
         let mut f = Fields::new();
         f.set("flag", Value::Bool(true));
         f.set("count", Value::U64(42));
-        f.set("delta", Value::I64(-7));
-        f.set("temp", Value::F64(271.35));
         f.set("host", Value::Str("node2".into()));
         f.set("link", Value::Ptr(0xbeef));
         f.set(
@@ -209,7 +197,7 @@ mod tests {
             Value::List(vec![Value::U64(1), Value::Str("two".into()), Value::Bool(false)]),
         );
         let mut m = BTreeMap::new();
-        m.insert("inner".to_owned(), Value::List(vec![Value::F64(-0.5)]));
+        m.insert("inner".to_owned(), Value::List(vec![Value::Ptr(0x40)]));
         f.set("map", Value::Map(m));
         f
     }
@@ -255,6 +243,18 @@ mod tests {
         let tag_pos = 4 + 4 + 1;
         bytes[tag_pos] = 0xEE;
         assert_eq!(decode_fields(&bytes), Err(DecodeError::BadTag(0xEE)));
+    }
+
+    #[test]
+    fn retired_signed_and_float_tags_decode_to_bad_tag() {
+        // Tags 3 and 4 once carried signed and float values. An image
+        // holding one is unusable, so the restore falls back to a cold
+        // start; the eight payload bytes are well-formed.
+        for tag in [3u8, 4] {
+            let mut bytes = vec![0, 0, 0, 1, 0, 0, 0, 1, b'x', tag];
+            bytes.extend_from_slice(&(-7i64).to_be_bytes());
+            assert_eq!(decode_fields(&bytes), Err(DecodeError::BadTag(tag)));
+        }
     }
 
     #[test]

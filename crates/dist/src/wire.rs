@@ -23,7 +23,7 @@
 //! fold a single-process campaign uses, which is what makes the
 //! distributed aggregate byte-identical rather than merely close.
 
-use ree_apps::{OtisParams, PipelineParams, Scenario, TextureParams, Verdict};
+use ree_apps::{Scenario, TextureParams, Verdict};
 use ree_inject::netfault::NetFault;
 use ree_inject::{ErrorModel, FailureClass, RunPlan, RunResult, SystemFailure, Target};
 use ree_net::{LinkId, LinkParams, LinkSpec, NodeId, Port, SwitchId, Topology};
@@ -33,7 +33,7 @@ use ree_sim::{SimDuration, SimTime, Sink};
 
 /// Protocol generation; a worker built from different sources refuses
 /// the handshake instead of mis-decoding frames.
-pub const PROTO_VERSION: u32 = 3;
+pub const PROTO_VERSION: u32 = 4;
 
 /// A malformed payload (truncated, unknown tag, bad UTF-8, a value its
 /// type rejects, or bytes left over after the message ended).
@@ -354,12 +354,10 @@ wire_struct! {
         image_px, tile_px, clusters, images, load_time, filter_time, cluster_time, write_time,
         pi_period,
     }
-    OtisParams { frame_px, frames, load_time, atm_time, emis_time, compress_time, pi_period }
-    PipelineParams { frame_px, frames, acquire_time, process_time, downlink_time, pi_period }
     JobSpec { app, ranks, nodes, submit_at }
-    LinkParams { latency, jitter, bandwidth_bytes_per_sec, drop_probability }
+    LinkParams { latency, jitter, bandwidth_bytes_per_sec }
     LinkSpec { from, to, params, peer }
-    Scenario { nodes, sift, texture, otis, pipeline, jobs, seed, trace, topology }
+    Scenario { nodes, sift, texture, jobs, seed, trace, topology }
     NetFault { groups, duration }
     RunPlan { scenario, target, model, timeout, net_faults }
     HeapHit { region, field, kind }

@@ -4,38 +4,68 @@
 //! matrices, and single-bit flips … often did not substantially change
 //! the value"), 10 incorrect output, 9 crashes, 0 hangs.
 
-use crate::cells::{cell, plan, run_cells};
+use crate::cells::{cell, plan, run_cells, Row};
 use crate::effort::Effort;
 use ree_apps::Verdict;
-use ree_inject::{Arm, ErrorModel, FailureClass, Target};
+use ree_inject::{Arm, ErrorModel, FailureClass, RunResult, Target};
 use ree_os::HeapTarget;
 use ree_stats::TableBuilder;
 
-/// Table 10 outcome counts.
-#[derive(Debug, Clone, Default)]
+/// What one flipped run did to the application.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    NoEffect,
+    IncorrectOutput,
+    Crash,
+    Hang,
+}
+
+/// The outcome of `r`, checked in the order hang, crash (recovered by
+/// the SIFT environment), incorrect output, no effect; `None` for a run
+/// with no flip or one that did not complete.
+fn outcome(r: &RunResult) -> Option<Outcome> {
+    if r.injections == 0 {
+        None
+    } else if r.induced == Some(FailureClass::Hang) {
+        Some(Outcome::Hang)
+    } else if r.induced == Some(FailureClass::SegFault) || r.restarts > 0 {
+        Some(Outcome::Crash)
+    } else if !r.completed {
+        None
+    } else if r.output == Verdict::Incorrect {
+        Some(Outcome::IncorrectOutput)
+    } else {
+        Some(Outcome::NoEffect)
+    }
+}
+
+/// Table 10: the one application-heap cell.
+#[derive(Debug, Clone)]
 pub struct Table10 {
-    /// Runs with a flip injected.
-    pub injected: u64,
-    /// No observable effect (correct output, no restart).
-    pub no_effect: u64,
-    /// Output outside tolerance limits.
-    pub incorrect_output: u64,
-    /// Application crash (recovered by the SIFT environment).
-    pub crash: u64,
-    /// Application hang.
-    pub hang: u64,
+    /// The cell's row.
+    pub rows: Vec<Row>,
 }
 
 impl Table10 {
+    /// Runs `pred` admits, over every row.
+    fn count(&self, pred: impl Fn(&RunResult) -> bool) -> u64 {
+        self.rows.iter().map(|row| row.count(&pred)).sum()
+    }
+
     /// Renders the paper-shaped table.
     pub fn render(&self) -> String {
-        let mut t = TableBuilder::new(vec!["OUTCOME", "COUNT", "PAPER (of 1000)"]).with_title(
-            format!("Table 10: {} heap injections into the application", self.injected),
-        );
-        t.row(vec!["No effect (correct output)".into(), self.no_effect.to_string(), "981".into()]);
-        t.row(vec!["Incorrect output".into(), self.incorrect_output.to_string(), "10".into()]);
-        t.row(vec!["Crash".into(), self.crash.to_string(), "9".into()]);
-        t.row(vec!["Hang".into(), self.hang.to_string(), "0".into()]);
+        let injected = self.count(|r| r.injections > 0);
+        let mut t = TableBuilder::new(vec!["OUTCOME", "COUNT", "PAPER (of 1000)"])
+            .with_title(format!("Table 10: {injected} heap injections into the application"));
+        for (label, want, paper) in [
+            ("No effect (correct output)", Outcome::NoEffect, "981"),
+            ("Incorrect output", Outcome::IncorrectOutput, "10"),
+            ("Crash", Outcome::Crash, "9"),
+            ("Hang", Outcome::Hang, "0"),
+        ] {
+            let count = self.count(|r| outcome(r) == Some(want));
+            t.row(vec![label.into(), count.to_string(), paper.into()]);
+        }
         t.render()
     }
 }
@@ -51,21 +81,5 @@ pub fn run(effort: Effort, root: u64) -> Table10 {
         Effort::Paper => 1000,
         Effort::Quick => 60,
     };
-    let mut out = Table10::default();
-    for r in run_cells(&cells(root), runs).iter().flat_map(|row| &row.results) {
-        if r.injections == 0 {
-            continue;
-        }
-        out.injected += 1;
-        if matches!(r.induced, Some(FailureClass::Hang)) {
-            out.hang += 1;
-        } else if matches!(r.induced, Some(FailureClass::SegFault)) || r.restarts > 0 {
-            out.crash += 1;
-        } else if r.completed && r.output == Verdict::Incorrect {
-            out.incorrect_output += 1;
-        } else if r.completed {
-            out.no_effect += 1;
-        }
-    }
-    out
+    Table10 { rows: run_cells(&cells(root), runs) }
 }

@@ -8,7 +8,7 @@
 //! assertions fired)" — with `node_mgmt` the standout weak point (its
 //! translate-to-daemon-0 default escapes detection until too late).
 
-use crate::cells::{cell, plan, run_cells};
+use crate::cells::{cell, plan, run_cells, Row};
 use crate::effort::Effort;
 use ree_inject::{Arm, ErrorModel, RunResult, SystemFailure, Target};
 use ree_os::HeapTarget;
@@ -18,48 +18,33 @@ use ree_stats::TableBuilder;
 const ELEMENTS: [&str; 5] =
     ["mgr_armor_info", "exec_armor_info", "app_param", "mgr_app_detect", "node_mgmt"];
 
-/// Per-element outcome counts.
-#[derive(Debug, Clone, Default)]
-pub struct ElementOutcomes {
-    /// Element name.
-    pub element: String,
-    /// Runs executed with a successful flip.
-    pub runs: u64,
-    /// System failures: unable to register daemons.
-    pub sf_register: u64,
-    /// System failures: unable to install Execution ARMORs.
-    pub sf_install: u64,
-    /// System failures: unable to start the application.
-    pub sf_start: u64,
-    /// System failures: unable to recognise completion / uninstall.
-    pub sf_uninstall: u64,
-    /// Other system failures (did not complete).
-    pub sf_other: u64,
-    /// Table 9 column: system failures in runs where no assertion fired.
-    pub sf_without_assertion: u64,
-    /// Table 9 column: system failures although an assertion fired.
-    pub sf_after_assertion: u64,
-    /// Table 9 column: assertion fired and the run recovered.
-    pub recovered_after_assertion: u64,
+/// Table 8's phase columns, in order: unable to register daemons, to
+/// install Execution ARMORs, to start the application, to recognise
+/// completion (uninstall), and did not complete.
+const PHASES: [SystemFailure; 5] = [
+    SystemFailure::UnableToRegisterDaemons,
+    SystemFailure::UnableToInstallExecArmors,
+    SystemFailure::UnableToStartApplication,
+    SystemFailure::UnableToRecognizeCompletion,
+    SystemFailure::AppDidNotComplete,
+];
+
+/// Runs of `row` with a successful flip that `pred` admits.
+fn flipped(row: &Row, pred: impl Fn(&RunResult) -> bool) -> u64 {
+    row.count(|r| r.injections > 0 && pred(r))
 }
 
-impl ElementOutcomes {
-    /// Total system failures for this element.
-    pub(crate) fn total_system_failures(&self) -> u64 {
-        self.sf_register + self.sf_install + self.sf_start + self.sf_uninstall + self.sf_other
-    }
-
-    /// Total runs in which an assertion fired.
-    fn assertions_fired(&self) -> u64 {
-        self.sf_after_assertion + self.recovered_after_assertion
-    }
+/// Flipped runs of `row` in which an assertion fired (`fired`) and that
+/// ended in a system failure (`failed`): Table 9's cells.
+fn asserted(row: &Row, fired: bool, failed: bool) -> u64 {
+    flipped(row, |r| r.assertion_fired == fired && r.system_failure.is_some() == failed)
 }
 
 /// Combined Tables 8+9 output.
 #[derive(Debug, Clone)]
 pub struct Table8 {
-    /// One entry per element.
-    pub elements: Vec<ElementOutcomes>,
+    /// One row per Table 8 element, in the paper's order.
+    pub rows: Vec<Row>,
 }
 
 impl Table8 {
@@ -67,8 +52,8 @@ impl Table8 {
     /// fired (paper: 27/64 ≈ 42% system failures *prevented* is phrased
     /// inversely; the recovered share is 37/64 ≈ 58%).
     fn assertion_efficiency(&self) -> f64 {
-        let fired: u64 = self.elements.iter().map(ElementOutcomes::assertions_fired).sum();
-        let recovered: u64 = self.elements.iter().map(|e| e.recovered_after_assertion).sum();
+        let recovered: u64 = self.rows.iter().map(|row| asserted(row, true, false)).sum();
+        let fired = recovered + self.rows.iter().map(|row| asserted(row, true, true)).sum::<u64>();
         if fired == 0 {
             0.0
         } else {
@@ -89,17 +74,13 @@ impl Table8 {
             "TOTAL SF",
         ])
         .with_title("Table 8: system failures from targeted FTM heap injections");
-        for e in &self.elements {
-            t.row(vec![
-                e.element.clone(),
-                e.runs.to_string(),
-                e.sf_register.to_string(),
-                e.sf_install.to_string(),
-                e.sf_start.to_string(),
-                e.sf_uninstall.to_string(),
-                e.sf_other.to_string(),
-                e.total_system_failures().to_string(),
-            ]);
+        for row in &self.rows {
+            let mut line = vec![row.label.clone(), flipped(row, |_| true).to_string()];
+            for phase in PHASES {
+                line.push(flipped(row, |r| r.system_failure == Some(phase)).to_string());
+            }
+            line.push(flipped(row, |r| r.system_failure.is_some()).to_string());
+            t.row(line);
         }
         t.render()
     }
@@ -113,12 +94,12 @@ impl Table8 {
             "RECOVERED AFTER ASSERTION",
         ])
         .with_title("Table 9: efficiency of assertion checks");
-        for e in &self.elements {
+        for row in &self.rows {
             t.row(vec![
-                e.element.clone(),
-                e.sf_without_assertion.to_string(),
-                e.sf_after_assertion.to_string(),
-                e.recovered_after_assertion.to_string(),
+                row.label.clone(),
+                asserted(row, false, true).to_string(),
+                asserted(row, true, true).to_string(),
+                asserted(row, true, false).to_string(),
             ]);
         }
         format!(
@@ -127,32 +108,6 @@ impl Table8 {
             self.assertion_efficiency() * 100.0
         )
     }
-}
-
-fn classify(results: &[RunResult], element: &str) -> ElementOutcomes {
-    let mut out = ElementOutcomes { element: element.to_owned(), ..Default::default() };
-    for r in results {
-        if r.injections == 0 {
-            continue;
-        }
-        out.runs += 1;
-        match r.system_failure {
-            Some(SystemFailure::UnableToRegisterDaemons) => out.sf_register += 1,
-            Some(SystemFailure::UnableToInstallExecArmors) => out.sf_install += 1,
-            Some(SystemFailure::UnableToStartApplication) => out.sf_start += 1,
-            Some(SystemFailure::UnableToRecognizeCompletion) => out.sf_uninstall += 1,
-            Some(SystemFailure::AppDidNotComplete) => out.sf_other += 1,
-            None => {}
-        }
-        let failed = r.system_failure.is_some();
-        match (r.assertion_fired, failed) {
-            (false, true) => out.sf_without_assertion += 1,
-            (true, true) => out.sf_after_assertion += 1,
-            (true, false) => out.recovered_after_assertion += 1,
-            (false, false) => {}
-        }
-    }
-    out
 }
 
 pub(crate) fn cells(root: u64) -> Vec<Arm> {
@@ -167,6 +122,5 @@ pub(crate) fn cells(root: u64) -> Vec<Arm> {
 
 /// Runs the Tables 8/9 experiment.
 pub fn run(effort: Effort, root: u64) -> Table8 {
-    let rows = run_cells(&cells(root), effort.scale(100));
-    Table8 { elements: rows.iter().map(|row| classify(&row.results, &row.label)).collect() }
+    Table8 { rows: run_cells(&cells(root), effort.scale(100)) }
 }

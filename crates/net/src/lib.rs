@@ -2,7 +2,7 @@
 //!
 //! Models the interconnect of the REE testbed (paper §2, Figure 2) as a
 //! **topology** of nodes, switches, and directed links: per-link
-//! latency/jitter/bandwidth/loss, static shortest-path routing computed
+//! latency/jitter/bandwidth, static shortest-path routing computed
 //! at build time (`src/routing.rs`), store-and-forward serialisation on every
 //! bandwidth-bearing hop (concurrent flows on a link queue behind each
 //! other). Partitions are administrative blocks on endpoint nodes and
@@ -28,8 +28,7 @@
 //!
 //! let topology = Topology::single_switch(4, LinkParams::ethernet_100mbps());
 //! let mut net = Network::new(topology, SimRng::new(7));
-//! let verdict = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 1500);
-//! let at = verdict.delivery_time().expect("link is up");
+//! let at = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 1500).expect("link is up");
 //! assert!(at > SimTime::ZERO);
 //! ```
 
@@ -43,7 +42,7 @@ mod routing;
 mod topology;
 
 pub use link::{LinkId, LinkParams};
-pub use model::{NodeId, SendVerdict};
+pub use model::NodeId;
 pub use topology::{LinkSpec, Port, SwitchId, Topology, TopologyBuilder, TopologyError};
 
 use link::LinkState;
@@ -76,11 +75,10 @@ pub struct Network {
     load_windows: Vec<(SimTime, f64)>,
     packets_sent: u64,
     bytes_sent: u64,
-    packets_dropped: u64,
 }
 
 impl Network {
-    /// Creates a network over `topology`; `rng` draws its jitter and loss.
+    /// Creates a network over `topology`; `rng` draws its jitter.
     pub fn new(topology: Topology, rng: SimRng) -> Self {
         let routes = RouteTable::build(&topology);
         let link_state = vec![LinkState { busy_until: SimTime::ZERO }; topology.links().len()];
@@ -93,7 +91,6 @@ impl Network {
             load_windows: Vec::new(),
             packets_sent: 0,
             bytes_sent: 0,
-            packets_dropped: 0,
         }
     }
 
@@ -107,7 +104,7 @@ impl Network {
         self.statics.routes.route(from, to)
     }
 
-    /// Replaces the jitter/drop random stream and zeroes the traffic
+    /// Replaces the jitter random stream and zeroes the traffic
     /// counters (warm-boot forking: each forked run re-seeds the network
     /// stream so per-run draws are a function of the run seed, and
     /// per-run traffic stats must not include boot traffic — the cold
@@ -117,35 +114,37 @@ impl Network {
         self.rng = rng;
         self.packets_sent = 0;
         self.bytes_sent = 0;
-        self.packets_dropped = 0;
     }
 
     /// Computes the delivery time of a `size_bytes` packet sent at `now`
-    /// from `from` to `to`.
+    /// from `from` to `to`, or `None` if the pair is partitioned: an
+    /// endpoint's links are administratively down, the pair is blocked,
+    /// or there is no route. A packet that is not partitioned arrives.
     ///
     /// The packet store-and-forwards along the precomputed static route:
     /// on every bandwidth-bearing hop it queues behind that link's
     /// previous transmissions (shared-bandwidth serialisation), then
     /// crosses with the link's latency. One jitter draw covers the
-    /// route's combined jitter bound, and one loss draw its combined
-    /// drop probability, so RNG consumption is route-independent.
-    pub fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, size_bytes: u64) -> SendVerdict {
+    /// route's combined jitter bound, so RNG consumption is
+    /// route-independent.
+    pub fn send(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        size_bytes: u64,
+    ) -> Option<SimTime> {
         if from == to {
             // Loopback is node-local IPC: it never touches a link and is
             // never partitioned, even while the node's links are down.
             self.packets_sent += 1;
             self.bytes_sent += size_bytes;
-            return SendVerdict::Delivered(now + self.statics.topology.loopback_latency());
+            return Some(now + self.statics.topology.loopback_latency());
         }
         if self.is_partitioned(from, to) {
-            return SendVerdict::Partitioned;
+            return None;
         }
         let statics = Arc::clone(&self.statics);
-        let drop_probability = statics.routes.drop(from, to);
-        if drop_probability > 0.0 && self.rng.chance(drop_probability) {
-            self.packets_dropped += 1;
-            return SendVerdict::Dropped;
-        }
         self.packets_sent += 1;
         self.bytes_sent += size_bytes;
 
@@ -176,7 +175,7 @@ impl Network {
         };
         let contention =
             self.contention_penalty(now, wire_total + statics.routes.latency(from, to));
-        SendVerdict::Delivered(arrival + jitter + contention)
+        Some(arrival + jitter + contention)
     }
 
     fn contention_penalty(&mut self, now: SimTime, nominal: SimDuration) -> SimDuration {
@@ -200,7 +199,7 @@ impl Network {
     }
 
     /// Takes all of a node's incident links down (packets to/from it are
-    /// `Partitioned`; loopback is unaffected). Restoring the node brings
+    /// partitioned; loopback is unaffected). Restoring the node brings
     /// back only this administrative block — pairs severed with
     /// [`Network::set_link_down`] stay severed.
     pub fn set_node_down(&mut self, node: NodeId, down: bool) {
@@ -250,15 +249,17 @@ impl Network {
         self.bytes_sent
     }
 
-    /// Total packets randomly dropped since the last reseed.
+    /// Packets lost since the last reseed: always 0, since a packet
+    /// either arrives or is partitioned. Kept for the benchmark's
+    /// `net.dropped_per_run` count.
     pub fn packets_dropped(&self) -> u64 {
-        self.packets_dropped
+        0
     }
 
     /// Writes every piece of mutable network state into `h`, in a
     /// canonical order (set-valued state is sorted first, so two
     /// networks that behave identically encode identically regardless of
-    /// insertion history). Includes the jitter/drop RNG position: two
+    /// insertion history). Includes the jitter RNG position: two
     /// states that look alike but will draw different futures must not
     /// collide in a model checker's convergence-prune set. The immutable
     /// topology/route statics are excluded — all forks of one run share
@@ -286,7 +287,6 @@ impl Network {
         }
         h.put_u64(self.packets_sent);
         h.put_u64(self.bytes_sent);
-        h.put_u64(self.packets_dropped);
     }
 }
 
@@ -299,10 +299,6 @@ mod tests {
         Network::new(Topology::single_switch(8, uplink), SimRng::new(seed))
     }
 
-    fn lossy(drop_probability: f64, seed: u64) -> Network {
-        flat(LinkParams { drop_probability, ..LinkParams::ethernet_100mbps() }, seed)
-    }
-
     fn quiet_net() -> Network {
         flat(LinkParams { jitter: SimDuration::ZERO, ..LinkParams::ethernet_100mbps() }, 1)
     }
@@ -310,7 +306,7 @@ mod tests {
     #[test]
     fn delivery_includes_latency_and_serialisation() {
         let mut net = quiet_net();
-        let t = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 12_500_000).delivery_time().unwrap();
+        let t = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 12_500_000).unwrap();
         // 1 s of wire time + 200 us latency.
         assert_eq!(t, SimTime::from_micros(1_000_000 + 200));
     }
@@ -318,21 +314,18 @@ mod tests {
     #[test]
     fn senders_serialise_on_their_uplink() {
         let mut net = quiet_net();
-        let first =
-            net.send(SimTime::ZERO, NodeId(0), NodeId(1), 1_250_000).delivery_time().unwrap();
-        let second =
-            net.send(SimTime::ZERO, NodeId(0), NodeId(2), 1_250_000).delivery_time().unwrap();
+        let first = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 1_250_000).unwrap();
+        let second = net.send(SimTime::ZERO, NodeId(0), NodeId(2), 1_250_000).unwrap();
         assert!(second > first, "second packet queues behind the first");
         // Different source does not queue.
-        let other =
-            net.send(SimTime::ZERO, NodeId(3), NodeId(1), 1_250_000).delivery_time().unwrap();
+        let other = net.send(SimTime::ZERO, NodeId(3), NodeId(1), 1_250_000).unwrap();
         assert_eq!(other, first);
     }
 
     #[test]
     fn loopback_is_fast_and_never_partitioned() {
         let mut net = quiet_net();
-        let t = net.send(SimTime::ZERO, NodeId(0), NodeId(0), 1_000_000).delivery_time().unwrap();
+        let t = net.send(SimTime::ZERO, NodeId(0), NodeId(0), 1_000_000).unwrap();
         assert_eq!(t, SimTime::from_micros(30));
         assert!(!net.is_partitioned(NodeId(0), NodeId(0)));
     }
@@ -344,7 +337,7 @@ mod tests {
         let mut net = quiet_net();
         net.set_node_down(NodeId(2), true);
         assert!(!net.is_partitioned(NodeId(2), NodeId(2)));
-        let t = net.send(SimTime::ZERO, NodeId(2), NodeId(2), 64).delivery_time();
+        let t = net.send(SimTime::ZERO, NodeId(2), NodeId(2), 64);
         assert_eq!(t, Some(SimTime::from_micros(30)));
         // Non-loopback traffic is still cut.
         assert!(net.is_partitioned(NodeId(2), NodeId(3)));
@@ -354,10 +347,10 @@ mod tests {
     fn node_down_partitions_all_traffic() {
         let mut net = quiet_net();
         net.set_node_down(NodeId(1), true);
-        assert_eq!(net.send(SimTime::ZERO, NodeId(0), NodeId(1), 100), SendVerdict::Partitioned);
-        assert_eq!(net.send(SimTime::ZERO, NodeId(1), NodeId(0), 100), SendVerdict::Partitioned);
+        assert_eq!(net.send(SimTime::ZERO, NodeId(0), NodeId(1), 100), None);
+        assert_eq!(net.send(SimTime::ZERO, NodeId(1), NodeId(0), 100), None);
         net.set_node_down(NodeId(1), false);
-        assert!(net.send(SimTime::ZERO, NodeId(0), NodeId(1), 100).delivery_time().is_some());
+        assert!(net.send(SimTime::ZERO, NodeId(0), NodeId(1), 100).is_some());
     }
 
     #[test]
@@ -374,32 +367,14 @@ mod tests {
     #[test]
     fn load_window_inflates_latency_then_expires() {
         let mut net = quiet_net();
-        let nominal =
-            net.send(SimTime::ZERO, NodeId(0), NodeId(1), 125_000).delivery_time().unwrap();
+        let nominal = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 125_000).unwrap();
         let mut net2 = quiet_net();
         net2.inject_load(SimTime::ZERO, SimDuration::from_secs(1), 2.0);
-        let loaded =
-            net2.send(SimTime::ZERO, NodeId(0), NodeId(1), 125_000).delivery_time().unwrap();
+        let loaded = net2.send(SimTime::ZERO, NodeId(0), NodeId(1), 125_000).unwrap();
         assert!(loaded > nominal, "contention adds delay");
         // After the window expires the penalty disappears.
-        let after = net2
-            .send(SimTime::from_secs(2), NodeId(0), NodeId(1), 125_000)
-            .delivery_time()
-            .unwrap();
+        let after = net2.send(SimTime::from_secs(2), NodeId(0), NodeId(1), 125_000).unwrap();
         assert_eq!(after - SimTime::from_secs(2), nominal - SimTime::ZERO);
-    }
-
-    #[test]
-    fn drops_occur_at_configured_rate() {
-        let mut net = lossy(0.5, 42);
-        let mut dropped = 0;
-        for _ in 0..1000 {
-            if net.send(SimTime::ZERO, NodeId(0), NodeId(1), 100) == SendVerdict::Dropped {
-                dropped += 1;
-            }
-        }
-        assert!((350..650).contains(&dropped), "dropped {dropped} of 1000");
-        assert_eq!(net.packets_dropped(), dropped);
     }
 
     #[test]
@@ -415,18 +390,21 @@ mod tests {
     fn reseed_resets_counters_and_keeps_link_state() {
         // Regression: counters used to survive reseed, so per-run
         // traffic stats included boot traffic.
-        let mut net = lossy(0.9, 3);
+        let mut net = quiet_net();
         for _ in 0..50 {
             net.send(SimTime::ZERO, NodeId(0), NodeId(1), 1000);
         }
         net.set_link_down(NodeId(0), NodeId(3), true);
-        assert!(net.packets_sent() + net.packets_dropped() == 50);
+        assert_eq!(net.packets_sent(), 50);
+        assert_eq!(net.bytes_sent(), 50_000);
         net.reseed(SimRng::new(99));
         assert_eq!(net.packets_sent(), 0);
         assert_eq!(net.bytes_sent(), 0);
-        assert_eq!(net.packets_dropped(), 0);
-        // Link state survives the reseed.
+        // Link state survives the reseed: the pair stays severed, and
+        // the uplink is still busy with the 50 queued packets.
         assert!(net.is_partitioned(NodeId(0), NodeId(3)));
+        let queued = net.send(SimTime::ZERO, NodeId(0), NodeId(2), 1000).unwrap();
+        assert!(queued > SimTime::from_micros(50 * 80), "{queued:?}");
     }
 
     /// Two islands joined by a slow trunk: nodes 0–1 on switch A,
@@ -454,22 +432,22 @@ mod tests {
     fn routes_cross_switches_and_accumulate_latency() {
         let mut net = Network::new(dumbbell(), SimRng::new(1));
         // Same island: one serialising uplink (100 µs latency).
-        let local = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 12_500).delivery_time().unwrap();
+        let local = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 12_500).unwrap();
         assert_eq!(local, SimTime::from_micros(1000 + 100));
         // Cross island (from the other node, whose uplink is idle):
         // uplink (1 ms wire) + trunk (10 ms wire at a tenth the
         // bandwidth) + 100 µs + 500 µs latency.
-        let far = net.send(SimTime::ZERO, NodeId(1), NodeId(2), 12_500).delivery_time().unwrap();
+        let far = net.send(SimTime::ZERO, NodeId(1), NodeId(2), 12_500).unwrap();
         assert_eq!(far, SimTime::from_micros(1000 + 10_000 + 100 + 500));
     }
 
     #[test]
     fn trunk_bandwidth_is_shared_by_flows_from_different_nodes() {
         let mut net = Network::new(dumbbell(), SimRng::new(1));
-        let first = net.send(SimTime::ZERO, NodeId(0), NodeId(2), 12_500).delivery_time().unwrap();
+        let first = net.send(SimTime::ZERO, NodeId(0), NodeId(2), 12_500).unwrap();
         // A different sender still queues behind the first flow on the
         // shared trunk — the generalisation of per-node tx_busy_until.
-        let second = net.send(SimTime::ZERO, NodeId(1), NodeId(3), 12_500).delivery_time().unwrap();
+        let second = net.send(SimTime::ZERO, NodeId(1), NodeId(3), 12_500).unwrap();
         assert!(second > first, "trunk serialises concurrent flows");
         assert_eq!(second - first, SimDuration::from_micros(10_000));
     }

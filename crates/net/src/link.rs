@@ -20,41 +20,36 @@ pub struct LinkParams {
     /// means the hop forwards without queueing (ideal switch fabric):
     /// the packet spends no wire time and reserves no transmit slot.
     pub bandwidth_bytes_per_sec: Option<u64>,
-    /// Probability this link loses the packet.
-    pub drop_probability: f64,
 }
 
 impl LinkParams {
     /// A hop that forwards instantly: zero latency and jitter, no
-    /// serialisation, no loss. Used for ideal switch egress ports.
+    /// serialisation. Used for ideal switch egress ports.
     pub fn instant() -> Self {
         LinkParams {
             latency: SimDuration::ZERO,
             jitter: SimDuration::ZERO,
             bandwidth_bytes_per_sec: None,
-            drop_probability: 0.0,
         }
     }
 
     /// The REE testbed's 100 Mbps Ethernet uplink (Figure 2): ~12.5 MB/s,
-    /// 200 µs propagation, up to 150 µs jitter, no background loss.
+    /// 200 µs propagation, up to 150 µs jitter.
     pub fn ethernet_100mbps() -> Self {
         LinkParams {
             latency: SimDuration::from_micros(200),
             jitter: SimDuration::from_micros(150),
             bandwidth_bytes_per_sec: Some(12_500_000),
-            drop_probability: 0.0,
         }
     }
 
     /// A serialising link with the given bandwidth and latency, no
-    /// jitter or loss. Builder shorthand for trunks and uplinks.
+    /// jitter. Builder shorthand for trunks and uplinks.
     pub fn wire(bandwidth_bytes_per_sec: u64, latency: SimDuration) -> Self {
         LinkParams {
             latency,
             jitter: SimDuration::ZERO,
             bandwidth_bytes_per_sec: Some(bandwidth_bytes_per_sec),
-            drop_probability: 0.0,
         }
     }
 }

@@ -3,7 +3,7 @@
 //! Routes are precomputed per ordered node pair into a flattened arena,
 //! so the send path does one table lookup (O(1)) and walks the route's
 //! few links — no per-send graph search. Routing is *static*: a send
-//! whose route crosses a downed link is `Partitioned` rather than
+//! whose route crosses a downed link is partitioned rather than
 //! rerouted (spacecraft buses do not converge around failures within a
 //! packet's lifetime).
 //!
@@ -26,7 +26,6 @@ struct PairInfo {
     len: u16,
     latency: SimDuration,
     jitter: SimDuration,
-    drop: f64,
 }
 
 /// Precomputed next-hop tables for every node pair.
@@ -79,25 +78,13 @@ impl RouteTable {
         let len = route.len() as u16;
         let mut latency = SimDuration::ZERO;
         let mut jitter = SimDuration::ZERO;
-        // Combined loss 1 − Π(1 − pᵢ); kept exact (no float round-trip)
-        // when at most one hop is lossy, which is what the degenerate
-        // single-switch topology needs for byte-compatibility.
-        let mut lossy: Vec<f64> = Vec::new();
         for l in &route {
             let params = &topology.links()[l.0 as usize].params;
             latency += params.latency;
             jitter += params.jitter;
-            if params.drop_probability > 0.0 {
-                lossy.push(params.drop_probability);
-            }
         }
-        let drop = match lossy.as_slice() {
-            [] => 0.0,
-            [p] => *p,
-            ps => 1.0 - ps.iter().fold(1.0, |acc, p| acc * (1.0 - p)),
-        };
         self.arena.extend(route);
-        self.pairs[from * self.nodes + to] = PairInfo { offset, len, latency, jitter, drop };
+        self.pairs[from * self.nodes + to] = PairInfo { offset, len, latency, jitter };
     }
 
     fn pair(&self, from: NodeId, to: NodeId) -> Option<&PairInfo> {
@@ -127,11 +114,6 @@ impl RouteTable {
     /// Sum of link jitter bounds along the route.
     pub(crate) fn jitter(&self, from: NodeId, to: NodeId) -> SimDuration {
         self.pair(from, to).map(|p| p.jitter).unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Combined drop probability along the route.
-    pub(crate) fn drop(&self, from: NodeId, to: NodeId) -> f64 {
-        self.pair(from, to).map(|p| p.drop).unwrap_or(0.0)
     }
 }
 

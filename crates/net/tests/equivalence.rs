@@ -1,17 +1,17 @@
 //! The degenerate single-switch topology must reproduce the historical
 //! flat interconnect model **byte-for-byte** — same delivery instants,
-//! same verdicts, same RNG draw order — for every traffic pattern the
+//! same partitions, same RNG draw order — for every traffic pattern the
 //! flat model could express. This is the contract that lets every
 //! pre-topology trace fixture pass un-rebaselined.
 //!
 //! The flat model is replicated inline below exactly as it existed
 //! before the refactor: one transmit-occupancy frontier per sender, the
-//! configured base latency on every packet, one drop draw (when lossy)
-//! then one jitter draw (when jittery) per packet, administrative
+//! configured base latency on every packet, one jitter draw (when
+//! jittery) per delivered packet, administrative
 //! node/pair blocks, and network-wide contention windows inflating the
 //! nominal transfer time.
 
-use ree_net::{LinkParams, Network, NodeId, SendVerdict, Topology};
+use ree_net::{LinkParams, Network, NodeId, Topology};
 use ree_sim::{SimDuration, SimRng, SimTime};
 use std::collections::HashSet;
 
@@ -22,7 +22,6 @@ struct FlatParams {
     jitter: SimDuration,
     bandwidth_bytes_per_sec: u64,
     loopback_latency: SimDuration,
-    drop_probability: f64,
 }
 
 impl FlatParams {
@@ -32,7 +31,6 @@ impl FlatParams {
         jitter: SimDuration::from_micros(150),
         bandwidth_bytes_per_sec: 12_500_000,
         loopback_latency: SimDuration::from_micros(30),
-        drop_probability: 0.0,
     };
 
     /// The single-switch topology these parameters describe. Its
@@ -43,7 +41,6 @@ impl FlatParams {
             latency: self.base_latency,
             jitter: self.jitter,
             bandwidth_bytes_per_sec: Some(self.bandwidth_bytes_per_sec),
-            drop_probability: self.drop_probability,
         };
         let topology = Topology::single_switch(nodes, uplink);
         assert_eq!(topology.loopback_latency(), self.loopback_latency);
@@ -115,15 +112,12 @@ impl FlatModel {
         }
     }
 
-    fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, size_bytes: u64) -> SendVerdict {
+    fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, size_bytes: u64) -> Option<SimTime> {
         if from == to {
-            return SendVerdict::Delivered(now + self.config.loopback_latency);
+            return Some(now + self.config.loopback_latency);
         }
         if self.is_partitioned(from, to) {
-            return SendVerdict::Partitioned;
-        }
-        if self.config.drop_probability > 0.0 && self.rng.chance(self.config.drop_probability) {
-            return SendVerdict::Dropped;
+            return None;
         }
         let wire = SimDuration::from_secs_f64(
             size_bytes as f64 / self.config.bandwidth_bytes_per_sec as f64,
@@ -139,13 +133,13 @@ impl FlatModel {
             self.rng.uniform_duration(SimDuration::ZERO, self.config.jitter)
         };
         let contention = self.contention_penalty(now, wire + self.config.base_latency);
-        SendVerdict::Delivered(arrival + jitter + contention)
+        Some(arrival + jitter + contention)
     }
 }
 
 /// Drives the flat replica and the degenerate topology through the same
 /// seeded traffic (sends, blocks, node failures, load windows) and
-/// demands identical verdicts at every step.
+/// demands identical delivery instants at every step.
 fn drive_equivalence(config: FlatParams, seed: u64, steps: u32) {
     const NODES: u16 = 6;
     let mut flat = FlatModel::new(config, NODES, SimRng::new(seed));
@@ -190,7 +184,6 @@ fn the_testbed_uplink_is_the_flat_ethernet() {
     assert_eq!(uplink.latency, flat.base_latency);
     assert_eq!(uplink.jitter, flat.jitter);
     assert_eq!(uplink.bandwidth_bytes_per_sec, Some(flat.bandwidth_bytes_per_sec));
-    assert_eq!(uplink.drop_probability, flat.drop_probability);
 }
 
 #[test]
@@ -207,14 +200,5 @@ fn degenerate_topology_matches_flat_model_with_jitter() {
     // delivered packet, none for partitioned ones.
     for seed in 0..8 {
         drive_equivalence(FlatParams::ETHERNET, seed, 400);
-    }
-}
-
-#[test]
-fn degenerate_topology_matches_flat_model_lossy() {
-    // Lossy sends add the drop draw before the jitter draw; a single
-    // skipped or reordered draw desynchronises every later delivery.
-    for seed in 0..8 {
-        drive_equivalence(FlatParams { drop_probability: 0.3, ..FlatParams::ETHERNET }, seed, 400);
     }
 }

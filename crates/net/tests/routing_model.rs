@@ -46,8 +46,8 @@ proptest! {
         let (from, to) = (NodeId(from % n), NodeId(to % n));
         let topology = chain_topology(&assign, switches, trunk_latency_us);
         let fresh = Network::new(topology, SimRng::new(1));
-        let t_small = fresh.clone().send(SimTime::ZERO, from, to, small).delivery_time();
-        let t_large = fresh.clone().send(SimTime::ZERO, from, to, small + extra).delivery_time();
+        let t_small = fresh.clone().send(SimTime::ZERO, from, to, small);
+        let t_large = fresh.clone().send(SimTime::ZERO, from, to, small + extra);
         let (t_small, t_large) = (t_small.unwrap(), t_large.unwrap());
         prop_assert!(
             t_large >= t_small,

@@ -12,7 +12,7 @@ use crate::process::{ExitStatus, HeapHit, HeapTarget, Message, Payload, Pid, Pro
 use crate::ptable::ProcTable;
 use crate::storage::{RamDisk, RemoteFs};
 use crate::trace::{Trace, TraceDetail, TraceEvent, TraceKind};
-use ree_net::{LinkParams, Network, NodeId, SendVerdict, Topology};
+use ree_net::{LinkParams, Network, NodeId, Topology};
 use ree_sim::{EventHandle, EventQueue, SimDuration, SimRng, SimTime, Sink};
 use std::sync::Arc;
 
@@ -295,7 +295,7 @@ impl Cluster {
         &self.net
     }
 
-    /// Re-seeds every random stream (network jitter/drop, cluster,
+    /// Re-seeds every random stream (network jitter, cluster,
     /// machine model) exactly as [`Cluster::new`] derives them from
     /// `seed`, discarding the streams' current positions. Deterministic
     /// non-stream state — event queue, process table, storage, trace —
@@ -1102,8 +1102,8 @@ impl ProcCtx<'_> {
 
     /// Sends `payload` (`size` simulated bytes) to another process.
     ///
-    /// Delivery is asynchronous and may be silently dropped by a lossy or
-    /// partitioned network; reliable protocols must acknowledge.
+    /// Delivery is asynchronous, and a partition silently drops the
+    /// packet; reliable protocols must acknowledge.
     pub fn send<T: Payload>(&mut self, to: Pid, label: &'static str, size: u64, payload: T) {
         self.send_boxed(to, label, size, Box::new(payload));
     }
@@ -1132,19 +1132,11 @@ impl ProcCtx<'_> {
             }
         };
         match self.cluster.net.send(self.cluster.now, from_node, to_node, size) {
-            SendVerdict::Delivered(at) => {
+            Some(at) => {
                 let from = self.pid;
                 self.cluster.queue.schedule(at, OsEvent::Deliver { to, from, label, payload });
             }
-            SendVerdict::Dropped => {
-                self.cluster.trace.push(
-                    self.cluster.now,
-                    Some(self.pid),
-                    TraceKind::Message,
-                    TraceDetail::MsgDropped { label, to },
-                );
-            }
-            SendVerdict::Partitioned => {
+            None => {
                 self.cluster.trace.push(
                     self.cluster.now,
                     Some(self.pid),

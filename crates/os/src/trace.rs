@@ -9,7 +9,7 @@
 //! per-kind counters — and a **detail** ([`TraceDetail`]), the
 //! human-readable line. The detail is typed only for the record shapes
 //! this crate itself produces (`cluster.rs`: spawn, exit, signal, bit
-//! flips, node failure, message delivery and the four ways a message is
+//! flips, node failure, message delivery and the three ways a message is
 //! lost): those are 96–98 % of a run's records — `Deliver` alone is
 //! ~93 % — so they are captured by value and rendered lazily by
 //! [`Trace::render`]. Everything above the OS (daemons, FTM, SCC, ARMOR
@@ -120,7 +120,7 @@ impl TraceEvent {
 
 /// The human-readable half of a trace record.
 ///
-/// The thirteen typed variants are exactly the shapes `cluster.rs`
+/// The twelve typed variants are exactly the shapes `cluster.rs`
 /// constructs — the event loop's own traffic, 96–98 % of all records —
 /// and are plain copies (pids, `&'static str` protocol labels, nodes,
 /// injection sites; process names are `Arc<str>`s shared with the
@@ -188,13 +188,6 @@ pub enum TraceDetail {
         /// Intended destination.
         to: Pid,
     },
-    /// Lossy-network drop: "dropped {label} to {to}".
-    MsgDropped {
-        /// Protocol label.
-        label: &'static str,
-        /// Intended destination.
-        to: Pid,
-    },
     /// Partitioned send: "partitioned {label} to {to}".
     MsgPartitioned {
         /// Protocol label.
@@ -233,7 +226,6 @@ impl std::fmt::Display for TraceDetail {
             D::Deliver { label, from } => write!(f, "deliver {label} from {from}"),
             D::OmissionDrop { label } => write!(f, "receive omission drops {label}"),
             D::SendToDead { label, to } => write!(f, "send {label} to dead {to}"),
-            D::MsgDropped { label, to } => write!(f, "dropped {label} to {to}"),
             D::MsgPartitioned { label, to } => write!(f, "partitioned {label} to {to}"),
         }
     }

@@ -185,20 +185,6 @@ impl SimRng {
         SimDuration::from_micros(self.range_u64(lo.as_micros(), hi.as_micros()))
     }
 
-    /// Normally distributed sample (Box–Muller) with the given mean and
-    /// standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = loop {
-            let u = self.f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let u2 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        mean + std_dev * z
-    }
-
     /// Picks an index according to the given non-negative weights.
     ///
     /// # Panics
@@ -309,15 +295,6 @@ mod tests {
         assert!(counts[2] > counts[1] && counts[1] > counts[0]);
         let frac2 = counts[2] as f64 / 30_000.0;
         assert!((frac2 - 0.7).abs() < 0.03);
-    }
-
-    #[test]
-    fn normal_mean_and_spread() {
-        let mut rng = SimRng::new(23);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl Summary {
     }
 
     /// Sample standard deviation (n−1 denominator).
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
