@@ -5,8 +5,9 @@
 //! *enumerates* a bounded execution tree — every activation instant on
 //! the grid × every candidate target × every admissible same-instant
 //! delivery order — and proves the SIFT environment recovers all of it.
-//! The output is deterministic: CI runs the target twice and diffs the
-//! bytes.
+//! The output is deterministic for any worker count: CI diffs it against
+//! `tests/snapshots/mc_quick_v1.txt`, once on every CPU and once pinned
+//! to one CPU.
 
 use crate::Effort;
 use ree_mc::presets::{two_node_register_plan, two_node_sigint_plan};

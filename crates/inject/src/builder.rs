@@ -145,14 +145,21 @@ impl<'p> Campaign<'p> {
 /// The work-stealing pool behind every in-process scheduler: runs
 /// `run(0) .. run(tasks - 1)` on up to `threads` workers and hands each
 /// result to `sink` on the caller's thread, **in task order**, as soon
-/// as every earlier task's result has been handed over.
+/// as every earlier task's result has been handed over. Its callers are
+/// the campaigns ([`Campaign::fold`] and the adaptive rounds, one run per
+/// task) and `ree_mc::model_check` (one injection root per task).
+///
+/// `threads: None` is the machine's available parallelism, capped at 16;
+/// any count is clamped to `1..=tasks`. With one worker there is no
+/// thread: each `run(i)` is followed by its `sink` on the caller's
+/// thread.
 ///
 /// Workers claim the next task index from a shared counter and ship
 /// `(index, result)` pairs back; the caller reorders with a small
 /// buffer while workers are still running. The channel is bounded, so
 /// while `sink` is busy workers block on send instead of claiming
 /// further tasks.
-pub(crate) fn run_ordered<T: Send>(
+pub fn run_ordered<T: Send>(
     tasks: u32,
     threads: Option<usize>,
     run: impl Fn(u32) -> T + Sync,

@@ -5,11 +5,14 @@ use crate::hash::state_digest;
 use ree_apps::verify::Verdict;
 use ree_apps::{all_done_memo, Running};
 use ree_inject::{
-    activation_instants, candidate_targets, conclude_run, FailureClass, RunPlan, SystemFailure,
+    activation_instants, candidate_targets, conclude_run, run_ordered, FailureClass, RunPlan,
+    SystemFailure,
 };
 use ree_os::{Cluster, Pid};
 use ree_sim::{EventHandle, SimTime};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Exploration bounds: together they fix the (finite) execution tree the
 /// checker covers exhaustively.
@@ -170,48 +173,120 @@ impl std::fmt::Display for McReport {
 /// for each activation instant × candidate target, injects one error
 /// and DFS-explores every admissible same-instant delivery order within
 /// `bounds`, classifying each terminal execution with the campaign
-/// pipeline ([`conclude_run`]). Pure function of `(plan, seed, bounds)`.
+/// pipeline ([`conclude_run`]). Pure function of `(plan, seed, bounds)`:
+/// the roots run on [`run_ordered`]'s pool, and the report is the one the
+/// in-order walk of the roots produces, for any worker count.
 ///
 /// Single-injection semantics: unlike a repeating campaign protocol,
 /// every explored execution carries exactly one successfully placed
 /// error — the tree enumerates *where* and *in which delivery order*,
 /// not *how many*.
 pub fn model_check(plan: &RunPlan, seed: u64, bounds: &McBounds) -> McReport {
+    check_on(plan, seed, bounds, None)
+}
+
+/// One injection root: where the error goes, and the state it goes into,
+/// shared by every root of the same instant.
+struct Root {
+    base: Arc<Running>,
+    instant: SimTime,
+    target: Pid,
+    target_name: String,
+}
+
+impl Root {
+    /// A fork of the base with the error placed: the state the DFS starts
+    /// from. Placement is a function of the state, so it succeeds on every
+    /// fork as it did when the root was found.
+    fn injected(&self, plan: &RunPlan) -> Running {
+        let mut running = Running::clone(&self.base);
+        assert!(plan.model.place(&mut running.cluster, self.target).placed, "placement replays");
+        running
+    }
+}
+
+/// A root's walk as a worker hands it to the in-order sink.
+enum Walked<'p> {
+    /// Every earlier root was merged when the worker claimed this one, so
+    /// it walked on the in-order explorer itself.
+    InOrder,
+    /// Walked ahead of an earlier root, on an explorer of its own; the
+    /// root comes back for a re-walk in case the sink cannot admit it.
+    Ahead(Box<Explorer<'p>>, Root),
+}
+
+/// [`model_check`] on `threads` workers (`None`: the pool's default).
+fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>) -> McReport {
     assert!(
         plan.net_faults.is_empty(),
         "model checking composes with process-level error models only"
     );
-    let (_, snapshot) = plan.boot();
     let instants = activation_instants(plan, bounds.instants);
-    let mut x = Explorer {
-        plan,
-        seed,
-        bounds: bounds.clone(),
-        seen: HashSet::new(),
-        report: McReport { instants: instants.clone(), ..McReport::default() },
-    };
+    let mut report = McReport { instants: instants.clone(), ..McReport::default() };
     // One base, advanced through the strictly increasing grid: firing
     // every event up to `a` and then every event up to `b` fires exactly
     // the events a fresh fork run to `b` fires, so each instant's roots
     // are cloned from the state `replay` re-derives, without simulating
-    // the boot-to-instant prefix once per instant.
-    let mut base = snapshot.fork(seed);
+    // the boot-to-instant prefix once per instant. The roots of one
+    // instant share one copy of it.
+    let mut roots = Vec::new();
+    let mut base = plan.boot().1.fork(seed);
     for &instant in &instants {
         base.run_until(instant);
         if base.all_done() || base.cluster.now() >= plan.timeout {
             continue;
         }
-        for pid in candidate_targets(&base, &plan.target, bounds.max_targets) {
-            let mut root = base.clone();
-            if !plan.model.place(&mut root.cluster, pid).placed {
-                x.report.sterile += 1;
+        let mut shared = None;
+        for target in candidate_targets(&base, &plan.target, bounds.max_targets) {
+            let mut running = base.clone();
+            if !plan.model.place(&mut running.cluster, target).placed {
+                report.sterile += 1;
                 continue;
             }
-            let name = root.cluster.name_of(pid).unwrap_or("?").to_string();
-            x.explore(root, instant, pid, &name, 0, Vec::new());
+            let target_name = running.cluster.name_of(target).unwrap_or("?").to_string();
+            let base = Arc::clone(shared.get_or_insert_with(|| Arc::new(base.clone())));
+            roots.push(Mutex::new(Some(Root { base, instant, target, target_name })));
         }
     }
-    x.report
+    drop(base);
+
+    // Roots `0..merged` are in `in_order`, exactly as the in-order walk
+    // leaves it. A root claimed when `merged` equals its index walks on
+    // `in_order` at once; with one worker, every root does. Any other
+    // root walks ahead, and the sink keeps its walk only where the
+    // in-order one would have been the same (`Explorer::admits`).
+    let merged = AtomicUsize::new(0);
+    let in_order = Mutex::new(Explorer::new(plan, seed, bounds, report));
+    run_ordered(
+        u32::try_from(roots.len()).expect("a grid of fewer than 2^32 roots"),
+        threads,
+        |k| {
+            let k = k as usize;
+            let root = roots[k].lock().expect("root slot poisoned").take().expect("claimed once");
+            if merged.load(Ordering::Acquire) == k {
+                in_order.lock().expect("in-order explorer poisoned").walk(&root);
+                return Walked::InOrder;
+            }
+            let mut ahead = Box::new(Explorer::new(plan, seed, bounds, McReport::default()));
+            ahead.walk(&root);
+            Walked::Ahead(ahead, root)
+        },
+        |walked| {
+            if let Walked::Ahead(ahead, root) = walked {
+                let mut x = in_order.lock().expect("in-order explorer poisoned");
+                if x.admits(&ahead) {
+                    x.absorb(*ahead);
+                } else {
+                    #[cfg(test)]
+                    tests::REWALKS.with(|n| n.set(n.get() + 1));
+                    drop(ahead);
+                    x.walk(&root);
+                }
+            }
+            merged.fetch_add(1, Ordering::Release);
+        },
+    );
+    in_order.into_inner().expect("in-order explorer poisoned").report
 }
 
 /// Deterministically re-executes a counterexample under the same bounds
@@ -307,12 +382,60 @@ fn next_step(
 struct Explorer<'p> {
     plan: &'p RunPlan,
     seed: u64,
-    bounds: McBounds,
+    bounds: &'p McBounds,
+    /// Every branch-node digest met: expanded once, pruned after.
     seen: HashSet<u64>,
     report: McReport,
 }
 
-impl Explorer<'_> {
+impl<'p> Explorer<'p> {
+    fn new(plan: &'p RunPlan, seed: u64, bounds: &'p McBounds, report: McReport) -> Self {
+        Explorer { plan, seed, bounds, seen: HashSet::new(), report }
+    }
+
+    fn walk(&mut self, root: &Root) {
+        let running = root.injected(self.plan);
+        self.explore(running, root.instant, root.target, &root.target_name, 0, Vec::new());
+    }
+
+    /// Whether `ahead`, one root walked on an explorer of its own, walked
+    /// exactly as it would have after the roots in `self`. It did if it
+    /// met none of their digests, so that no prune differs, and if their
+    /// forks plus its own fit the budget without it running out of its
+    /// own, so that no budget check differs.
+    fn admits(&self, ahead: &Explorer<'_>) -> bool {
+        !ahead.report.budget_exhausted
+            && self.report.forks + ahead.report.forks <= self.bounds.max_branches
+            && ahead.seen.is_disjoint(&self.seen)
+    }
+
+    /// Appends an admitted root's walk, as walking it here would have.
+    fn absorb(&mut self, ahead: Explorer<'_>) {
+        let McReport {
+            instants: _,
+            explored,
+            branch_nodes,
+            forks,
+            pruned,
+            deepest,
+            sterile: _,
+            discarded,
+            budget_exhausted: _,
+            recovered,
+            escapes,
+        } = ahead.report;
+        let r = &mut self.report;
+        r.explored += explored;
+        r.branch_nodes += branch_nodes;
+        r.forks += forks;
+        r.pruned += pruned;
+        r.deepest = r.deepest.max(deepest);
+        r.discarded += discarded;
+        r.recovered += recovered;
+        r.escapes.extend(escapes);
+        self.seen.extend(ahead.seen);
+    }
+
     /// Runs one post-injection execution to a terminal, branching (by
     /// forking `running`) at every admissible multi-ready instant within
     /// the bounds. `schedule` is the branch-choice path taken so far.
@@ -328,7 +451,7 @@ impl Explorer<'_> {
         // `running` is a fork: it needs a memo of its own.
         let mut done = all_done_memo();
         loop {
-            let ready = match next_step(&running, &mut done, self.plan.timeout, &self.bounds, depth)
+            let ready = match next_step(&running, &mut done, self.plan.timeout, self.bounds, depth)
             {
                 Next::Terminal => {
                     return self.terminal(running, instant, target, target_name, schedule);
@@ -406,5 +529,61 @@ impl Explorer<'_> {
                 output: result.output,
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets::{two_node_register_plan, two_node_sigint_plan};
+    use ree_inject::ErrorModel;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Roots the in-order sink re-walked on this thread.
+        pub(super) static REWALKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `check_on(.., Some(workers))`, and the roots it re-walked.
+    fn check_counting(
+        plan: &RunPlan,
+        seed: u64,
+        bounds: &McBounds,
+        workers: usize,
+    ) -> (McReport, u64) {
+        REWALKS.with(|n| n.set(0));
+        let report = check_on(plan, seed, bounds, Some(workers));
+        (report, REWALKS.with(Cell::get))
+    }
+
+    #[test]
+    fn the_report_is_the_same_on_one_two_and_four_workers() {
+        let quick = McBounds::quick();
+        let tiers = [
+            quick.clone(),
+            McBounds { plant: true, ..quick.clone() },
+            McBounds { max_branches: 4, ..quick.clone() },
+        ];
+        let mut rewalked = 0;
+        for seed in 7..=11 {
+            for plan in [two_node_register_plan(seed), two_node_sigint_plan(seed)] {
+                for bounds in &tiers {
+                    let (one, none) = check_counting(&plan, seed, bounds, 1);
+                    assert_eq!(none, 0, "one worker walks every root in order");
+                    for workers in [2, 4] {
+                        let (report, n) = check_counting(&plan, seed, bounds, workers);
+                        let label =
+                            format!("{:?} seed {seed}, {bounds:?}, {workers} workers", plan.model);
+                        assert_eq!(format!("{report:?}"), format!("{one:?}"), "{label}");
+                        if plan.model == ErrorModel::Register && *bounds == quick {
+                            rewalked += n;
+                        }
+                    }
+                }
+            }
+        }
+        // Register corruptions converge across roots: a root walked ahead
+        // meets an earlier root's state, so the sink walks it again.
+        assert!(rewalked > 0, "the register preset at quick re-walks a root");
     }
 }

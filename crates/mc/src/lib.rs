@@ -24,10 +24,17 @@
 //! branch the SIFT environment fails to recover is reported as a
 //! replayable [`Counterexample`].
 //!
-//! Everything is a pure function of `(plan, seed, bounds)` — two
-//! invocations produce byte-identical reports, which CI checks.
-//! Semantics, soundness caveats, and the counterexample format are
-//! documented in `docs/MODELCHECK.md`.
+//! The roots run in parallel on [`ree_inject::run_ordered`], the pool the
+//! campaigns use. A root walked ahead of an earlier one keeps its result
+//! only where the in-order walk would have produced the same one: it met
+//! none of the earlier roots' state digests, and their forks plus its
+//! own fit the budget. Any other root is walked again, in order.
+//!
+//! Everything is a pure function of `(plan, seed, bounds)`, for any
+//! worker count — two invocations produce byte-identical reports, which
+//! CI checks on every CPU and on one. Semantics, soundness caveats, the
+//! parallel walk and the counterexample format are documented in
+//! `docs/MODELCHECK.md`.
 //!
 //! ```
 //! use ree_mc::{model_check, McBounds};

@@ -2,7 +2,9 @@
 //! — `model_check` under `McBounds::quick()`, alternating the SIGINT and
 //! register presets, run seeds from 7 — and reports per op the executions
 //! explored, branch nodes, pruned subtrees, forks, state digests (one
-//! per branch node, pruned or expanded) and wall ms. Then, on the states
+//! per branch node, pruned or expanded) and wall ms, beside the workers
+//! the roots ran on (the pool's default: the available parallelism,
+//! capped at 16; an op with fewer roots uses fewer). Then, on the states
 //! each op's roots are cloned from (the base at every activation
 //! instant), how many bytes one state digest's stream holds, what the
 //! digest costs and what one `Running` clone costs. The figures in
@@ -66,10 +68,10 @@ impl Sum {
         self.ms += ms;
     }
 
-    fn print(&self, label: &str) {
+    fn print(&self, label: &str, workers: usize) {
         let per = |n: u64| n as f64 / self.ops as f64;
         println!(
-            "{label:<10} {:>9.1} {:>13.1} {:>7.1} {:>6.1} {:>8.1} {:>7.2}",
+            "{label:<10} {:>9.1} {:>13.1} {:>7.1} {:>6.1} {:>8.1} {:>7.2} {workers:>7}",
             per(self.explored),
             per(self.branch_nodes),
             per(self.pruned),
@@ -120,13 +122,15 @@ fn main() {
          {SCENARIO_SEED}), {ops} ops from run seed {FIRST_RUN_SEED}"
     );
     println!(
-        "{:<10} {:>9} {:>13} {:>7} {:>6} {:>8} {:>7}",
-        "per op", "explored", "branch nodes", "pruned", "forks", "digests", "ms"
+        "{:<10} {:>9} {:>13} {:>7} {:>6} {:>8} {:>7} {:>7}",
+        "per op", "explored", "branch nodes", "pruned", "forks", "digests", "ms", "workers"
     );
+    // `run_ordered`'s default worker count.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(16);
     for (sum, (name, _)) in by_plan.iter().zip(&plans) {
-        sum.print(name);
+        sum.print(name, workers);
     }
-    all.print("all");
+    all.print("all", workers);
     let per = |x: f64| x / states as f64;
     println!(
         "per state digest ({states} root states): {:.0} bytes, {:.2} us",
