@@ -254,16 +254,21 @@ fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>
     // leaves it. A root claimed when `merged` equals its index walks on
     // `in_order` at once; with one worker, every root does. Any other
     // root walks ahead, and the sink keeps its walk only where the
-    // in-order one would have been the same (`Explorer::admits`).
+    // in-order one would have been the same (`Explorer::admits`). The
+    // sink's `Release` increment pairs with the claim's `Acquire` load.
     let merged = AtomicUsize::new(0);
     let in_order = Mutex::new(Explorer::new(plan, seed, bounds, report));
+    #[cfg(test)]
+    let all_ahead = tests::ALL_AHEAD.with(std::cell::Cell::get);
+    #[cfg(not(test))]
+    let all_ahead = false;
     run_ordered(
         u32::try_from(roots.len()).expect("a grid of fewer than 2^32 roots"),
         threads,
         |k| {
             let k = k as usize;
             let root = roots[k].lock().expect("root slot poisoned").take().expect("claimed once");
-            if merged.load(Ordering::Acquire) == k {
+            if !all_ahead && merged.load(Ordering::Acquire) == k {
                 in_order.lock().expect("in-order explorer poisoned").walk(&root);
                 return Walked::InOrder;
             }
@@ -540,6 +545,9 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
+        /// Walk every root ahead, even one whose turn it is: the
+        /// interleaving in which the most walks ahead can be refused.
+        pub(super) static ALL_AHEAD: Cell<bool> = const { Cell::new(false) };
         /// Roots the in-order sink re-walked on this thread.
         pub(super) static REWALKS: Cell<u64> = const { Cell::new(0) };
     }
@@ -550,9 +558,12 @@ mod tests {
         seed: u64,
         bounds: &McBounds,
         workers: usize,
+        all_ahead: bool,
     ) -> (McReport, u64) {
+        ALL_AHEAD.with(|a| a.set(all_ahead));
         REWALKS.with(|n| n.set(0));
         let report = check_on(plan, seed, bounds, Some(workers));
+        ALL_AHEAD.with(|a| a.set(false));
         (report, REWALKS.with(Cell::get))
     }
 
@@ -565,25 +576,30 @@ mod tests {
             McBounds { max_branches: 4, ..quick.clone() },
         ];
         let mut rewalked = 0;
-        for seed in 7..=11 {
+        for seed in 7..=9 {
             for plan in [two_node_register_plan(seed), two_node_sigint_plan(seed)] {
                 for bounds in &tiers {
-                    let (one, none) = check_counting(&plan, seed, bounds, 1);
-                    assert_eq!(none, 0, "one worker walks every root in order");
+                    let label = format!("{:?} seed {seed}, {bounds:?}", plan.model);
+                    let (one, none) = check_counting(&plan, seed, bounds, 1, false);
+                    assert_eq!(none, 0, "{label}: one worker walks every root in order");
                     for workers in [2, 4] {
-                        let (report, n) = check_counting(&plan, seed, bounds, workers);
-                        let label =
-                            format!("{:?} seed {seed}, {bounds:?}, {workers} workers", plan.model);
-                        assert_eq!(format!("{report:?}"), format!("{one:?}"), "{label}");
-                        if plan.model == ErrorModel::Register && *bounds == quick {
-                            rewalked += n;
-                        }
+                        let (report, _) = check_counting(&plan, seed, bounds, workers, false);
+                        let dump = format!("{report:?}");
+                        assert_eq!(dump, format!("{one:?}"), "{label}, {workers} workers");
+                    }
+                    // One worker, every root ahead: each is refused or
+                    // admitted in turn, and the report is still the same.
+                    let (ahead, n) = check_counting(&plan, seed, bounds, 1, true);
+                    assert_eq!(format!("{ahead:?}"), format!("{one:?}"), "{label}, all ahead");
+                    if plan.model == ErrorModel::Register && *bounds == quick {
+                        rewalked += n;
                     }
                 }
             }
         }
         // Register corruptions converge across roots: a root walked ahead
-        // meets an earlier root's state, so the sink walks it again.
+        // meets an earlier root's state, so the sink walks it again (3
+        // roots today).
         assert!(rewalked > 0, "the register preset at quick re-walks a root");
     }
 }
