@@ -11,7 +11,7 @@ use ree_inject::{
 use ree_os::{Cluster, Pid};
 use ree_sim::{EventHandle, SimTime};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Exploration bounds: together they fix the (finite) execution tree the
@@ -210,8 +210,9 @@ enum Walked<'p> {
     /// Every earlier root was merged when the worker claimed this one, so
     /// it walked on the in-order explorer itself.
     InOrder,
-    /// Walked ahead of an earlier root, on an explorer of its own; the
-    /// root comes back for a re-walk in case the sink cannot admit it.
+    /// Walked ahead of an earlier root, on an explorer of its own with the
+    /// budget the merged roots had left; the root comes back for a re-walk
+    /// in case the sink cannot admit it.
     Ahead(Box<Explorer<'p>>, Root),
 }
 
@@ -254,10 +255,16 @@ fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>
     // leaves it. A root claimed when `merged` equals its index walks on
     // `in_order` at once; with one worker, every root does. Any other
     // root walks ahead, and the sink keeps its walk only where the
-    // in-order one would have been the same (`Explorer::admits`). The
-    // sink's `Release` increment pairs with the claim's `Acquire` load.
+    // in-order one would have been the same (`Explorer::admits`). A walk
+    // ahead gets only the budget `spent` leaves, and stops at the first
+    // digest in `met`: the merged roots' forks and digests only grow, so
+    // a walk that needs more forks or meets one of those is refused
+    // anyway. The sink's `Release` stores pair with the claim's `Acquire`
+    // loads.
     let merged = AtomicUsize::new(0);
-    let in_order = Mutex::new(Explorer::new(plan, seed, bounds, report));
+    let spent = AtomicU64::new(0);
+    let met = Mutex::new(HashSet::new());
+    let in_order = Mutex::new(Explorer::new(plan, seed, bounds, &met, None, report));
     #[cfg(test)]
     let all_ahead = tests::ALL_AHEAD.with(std::cell::Cell::get);
     #[cfg(not(test))]
@@ -272,13 +279,21 @@ fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>
                 in_order.lock().expect("in-order explorer poisoned").walk(&root);
                 return Walked::InOrder;
             }
-            let mut ahead = Box::new(Explorer::new(plan, seed, bounds, McReport::default()));
+            let budget = bounds.max_branches - spent.load(Ordering::Acquire);
+            let mut ahead = Box::new(Explorer::new(
+                plan,
+                seed,
+                bounds,
+                &met,
+                Some(budget),
+                McReport::default(),
+            ));
             ahead.walk(&root);
             Walked::Ahead(ahead, root)
         },
         |walked| {
+            let mut x = in_order.lock().expect("in-order explorer poisoned");
             if let Walked::Ahead(ahead, root) = walked {
-                let mut x = in_order.lock().expect("in-order explorer poisoned");
                 if x.admits(&ahead) {
                     x.absorb(*ahead);
                 } else {
@@ -288,6 +303,8 @@ fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>
                     x.walk(&root);
                 }
             }
+            spent.store(x.report.forks, Ordering::Release);
+            drop(x);
             merged.fetch_add(1, Ordering::Release);
         },
     );
@@ -388,14 +405,34 @@ struct Explorer<'p> {
     plan: &'p RunPlan,
     seed: u64,
     bounds: &'p McBounds,
-    /// Every branch-node digest met: expanded once, pruned after.
-    seen: HashSet<u64>,
+    /// Forks this explorer may take: `max_branches`, or less for a walk
+    /// ahead.
+    budget: u64,
+    /// Every branch-node digest the in-order walk has met, the walk under
+    /// way included: a state is expanded once, pruned after.
+    met: &'p Mutex<HashSet<u64>>,
+    /// A walk ahead keeps the digests it meets here, not in `met`.
+    own: Option<HashSet<u64>>,
+    /// A walk ahead met a digest in `met`: the sink will refuse it, so it
+    /// stopped there.
+    doomed: bool,
     report: McReport,
 }
 
 impl<'p> Explorer<'p> {
-    fn new(plan: &'p RunPlan, seed: u64, bounds: &'p McBounds, report: McReport) -> Self {
-        Explorer { plan, seed, bounds, seen: HashSet::new(), report }
+    /// The in-order explorer (`ahead: None`), or one that walks a root
+    /// ahead with the budget left to it.
+    fn new(
+        plan: &'p RunPlan,
+        seed: u64,
+        bounds: &'p McBounds,
+        met: &'p Mutex<HashSet<u64>>,
+        ahead: Option<u64>,
+        report: McReport,
+    ) -> Self {
+        let budget = ahead.unwrap_or(bounds.max_branches);
+        let own = ahead.map(|_| HashSet::new());
+        Explorer { plan, seed, bounds, budget, met, own, doomed: false, report }
     }
 
     fn walk(&mut self, root: &Root) {
@@ -405,13 +442,15 @@ impl<'p> Explorer<'p> {
 
     /// Whether `ahead`, one root walked on an explorer of its own, walked
     /// exactly as it would have after the roots in `self`. It did if it
-    /// met none of their digests, so that no prune differs, and if their
-    /// forks plus its own fit the budget without it running out of its
-    /// own, so that no budget check differs.
+    /// met none of their digests, so that no prune differs, and if no
+    /// budget check differs: either it had the budget their forks left,
+    /// or it never ran out of its own and its forks fit in what they left.
     fn admits(&self, ahead: &Explorer<'_>) -> bool {
-        !ahead.report.budget_exhausted
-            && self.report.forks + ahead.report.forks <= self.bounds.max_branches
-            && ahead.seen.is_disjoint(&self.seen)
+        let left = self.budget - self.report.forks;
+        let never_bound = !ahead.report.budget_exhausted && ahead.report.forks <= left;
+        let met = self.met.lock().expect("digest set poisoned");
+        let disjoint = ahead.own.as_ref().is_some_and(|own| own.is_disjoint(&met));
+        !ahead.doomed && (ahead.budget == left || never_bound) && disjoint
     }
 
     /// Appends an admitted root's walk, as walking it here would have.
@@ -425,7 +464,7 @@ impl<'p> Explorer<'p> {
             deepest,
             sterile: _,
             discarded,
-            budget_exhausted: _,
+            budget_exhausted,
             recovered,
             escapes,
         } = ahead.report;
@@ -436,9 +475,10 @@ impl<'p> Explorer<'p> {
         r.pruned += pruned;
         r.deepest = r.deepest.max(deepest);
         r.discarded += discarded;
+        r.budget_exhausted |= budget_exhausted;
         r.recovered += recovered;
         r.escapes.extend(escapes);
-        self.seen.extend(ahead.seen);
+        self.met.lock().expect("digest set poisoned").extend(ahead.own.into_iter().flatten());
     }
 
     /// Runs one post-injection execution to a terminal, branching (by
@@ -474,14 +514,30 @@ impl<'p> Explorer<'p> {
             };
             // Branch node. Prune if an identical canonical state was
             // already expanded — its subtree is this subtree.
-            if !self.seen.insert(state_digest(&running.cluster)) {
+            let digest = state_digest(&running.cluster);
+            let mut met = self.met.lock().expect("digest set poisoned");
+            let fresh = match &mut self.own {
+                None => met.insert(digest),
+                Some(own) => {
+                    let fresh = own.insert(digest);
+                    // The in-order walk may have met any of this walk's
+                    // states since this walk did.
+                    if !own.is_disjoint(&met) {
+                        self.doomed = true;
+                        return;
+                    }
+                    fresh
+                }
+            };
+            drop(met);
+            if !fresh {
                 self.report.pruned += 1;
                 return;
             }
             self.report.branch_nodes += 1;
             self.report.deepest = self.report.deepest.max(depth + 1);
             for i in 1..ready {
-                if self.report.forks >= self.bounds.max_branches {
+                if self.report.forks >= self.budget {
                     self.report.budget_exhausted = true;
                     break;
                 }
@@ -495,6 +551,9 @@ impl<'p> Explorer<'p> {
                 let mut s = schedule.clone();
                 s.push(i);
                 self.explore(fork, instant, target, target_name, depth + 1, s);
+                if self.doomed {
+                    return;
+                }
             }
             // The default order continues in place, without a clone:
             // choice 0 is the `(time, seq)` minimum `step` fires.
