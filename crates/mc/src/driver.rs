@@ -529,6 +529,7 @@ impl<'p> Explorer<'p> {
                     fresh
                 }
             };
+            // Released before forking: every branch node below locks it.
             drop(met);
             if !fresh {
                 self.report.pruned += 1;

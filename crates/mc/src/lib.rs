@@ -27,8 +27,8 @@
 //! The roots run in parallel on [`ree_inject::run_ordered`], the pool the
 //! campaigns use. A root walked ahead of an earlier one keeps its result
 //! only where the in-order walk would have produced the same one: it met
-//! none of the earlier roots' state digests, and their forks plus its
-//! own fit the budget. Any other root is walked again, in order.
+//! none of the earlier roots' state digests, and no check of the branch
+//! budget came out differently. Any other root is walked again, in order.
 //!
 //! Everything is a pure function of `(plan, seed, bounds)`, for any
 //! worker count — two invocations produce byte-identical reports, which
