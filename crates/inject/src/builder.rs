@@ -15,12 +15,14 @@ pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
 }
 
-/// Picks the effective worker count for `tasks` units of work.
+/// Picks the effective worker count for `tasks` units of work: the one
+/// [`run_ordered`] runs on. `None` is the available parallelism, capped
+/// at 16.
 /// Total for every input — `tasks == 0` yields 1 worker (which then has
 /// nothing to claim) instead of constructing an empty clamp range, so
 /// callers that do not know their run count up front (the adaptive
 /// engine) can share it.
-fn effective_threads(requested: Option<usize>, tasks: u32) -> usize {
+pub fn effective_threads(requested: Option<usize>, tasks: u32) -> usize {
     requested.unwrap_or_else(default_threads).clamp(1, tasks.max(1) as usize)
 }
 
@@ -149,8 +151,9 @@ impl<'p> Campaign<'p> {
 /// the campaigns ([`Campaign::fold`] and the adaptive rounds, one run per
 /// task) and `ree_mc::model_check` (one injection root per task).
 ///
-/// `threads: None` is the machine's available parallelism, capped at 16;
-/// any count is clamped to `1..=tasks`. With one worker there is no
+/// The worker count is [`effective_threads`]`(threads, tasks)`: `None`
+/// is the machine's available parallelism, capped at 16, and any count
+/// is clamped to `1..=tasks`. With one worker there is no
 /// thread: each `run(i)` is followed by its `sink` on the caller's
 /// thread.
 ///

@@ -96,7 +96,7 @@ mod runner;
 
 pub use adaptive::{Arm, ArmReport, StoppingRule};
 pub use branch::{activation_instants, candidate_targets};
-pub use builder::{run_ordered, Campaign};
+pub use builder::{effective_threads, run_ordered, Campaign};
 pub use campaign::Aggregate;
 pub use error::CampaignError;
 pub use model::{ErrorModel, FailureClass, Placement, SystemFailure, Target};

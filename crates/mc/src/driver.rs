@@ -5,8 +5,8 @@ use crate::hash::state_digest;
 use ree_apps::verify::Verdict;
 use ree_apps::{all_done_memo, Running};
 use ree_inject::{
-    activation_instants, candidate_targets, conclude_run, run_ordered, FailureClass, RunPlan,
-    SystemFailure,
+    activation_instants, candidate_targets, conclude_run, effective_threads, run_ordered,
+    FailureClass, RunPlan, SystemFailure,
 };
 use ree_os::{Cluster, Pid};
 use ree_sim::{EventHandle, SimTime};
@@ -174,8 +174,9 @@ impl std::fmt::Display for McReport {
 /// and DFS-explores every admissible same-instant delivery order within
 /// `bounds`, classifying each terminal execution with the campaign
 /// pipeline ([`conclude_run`]). Pure function of `(plan, seed, bounds)`:
-/// the roots run on [`run_ordered`]'s pool, and the report is the one the
-/// in-order walk of the roots produces, for any worker count.
+/// the roots run on [`run_ordered`]'s pool, on [`workers`] of them, and
+/// the report is the one the in-order walk of the roots produces, for any
+/// worker count.
 ///
 /// Single-injection semantics: unlike a repeating campaign protocol,
 /// every explored execution carries exactly one successfully placed
@@ -184,6 +185,14 @@ impl std::fmt::Display for McReport {
 pub fn model_check(plan: &RunPlan, seed: u64, bounds: &McBounds) -> McReport {
     check_on(plan, seed, bounds, None)
 }
+
+/// A check whose budget leaves fewer forks per root than this walks its
+/// roots in order, on one worker. A walk ahead that the roots before it
+/// leave too few forks is refused and walked again, so under a tight
+/// budget the second worker mostly slows the first: at `quick` bounds (6
+/// roots) two workers took 1.15–1.30× one worker's time with budgets
+/// of 4 to 24, and 0.71–0.89× with 28 to 48 (`docs/bench/PR-43.md`).
+const MIN_FORKS_PER_ROOT: u64 = 5;
 
 /// One injection root: where the error goes, and the state it goes into,
 /// shared by every root of the same instant.
@@ -216,7 +225,18 @@ enum Walked<'p> {
     Ahead(Box<Explorer<'p>>, Root),
 }
 
-/// [`model_check`] on `threads` workers (`None`: the pool's default).
+/// The workers a check with `roots` injection roots runs on: one where
+/// the budget leaves fewer than [`MIN_FORKS_PER_ROOT`] forks a root, else
+/// [`run_ordered`]'s default for that many tasks.
+pub fn workers(bounds: &McBounds, roots: u32) -> usize {
+    if bounds.max_branches < MIN_FORKS_PER_ROOT * u64::from(roots) {
+        1
+    } else {
+        effective_threads(None, roots)
+    }
+}
+
+/// [`model_check`] on `threads` workers (`None`: [`workers`]).
 fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>) -> McReport {
     assert!(
         plan.net_faults.is_empty(),
@@ -250,28 +270,30 @@ fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>
         }
     }
     drop(base);
+    let tasks = u32::try_from(roots.len()).expect("a grid of fewer than 2^32 roots");
+    let threads = threads.unwrap_or_else(|| workers(bounds, tasks));
 
     // Roots `0..merged` are in `in_order`, exactly as the in-order walk
     // leaves it. A root claimed when `merged` equals its index walks on
     // `in_order` at once; with one worker, every root does. Any other
     // root walks ahead, and the sink keeps its walk only where the
     // in-order one would have been the same (`Explorer::admits`). A walk
-    // ahead gets only the budget `spent` leaves, and stops at the first
-    // digest in `met`: the merged roots' forks and digests only grow, so
-    // a walk that needs more forks or meets one of those is refused
-    // anyway. The sink's `Release` stores pair with the claim's `Acquire`
-    // loads.
+    // ahead gets only the budget `spent` leaves, and stops once `met`
+    // holds one of its digests: the merged roots' forks and digests only
+    // grow, so a walk that needs more forks or meets one of those is
+    // refused anyway. The sink's `Release` stores pair with the claim's
+    // `Acquire` loads.
     let merged = AtomicUsize::new(0);
     let spent = AtomicU64::new(0);
-    let met = Mutex::new(HashSet::new());
+    let met = Mutex::new(Met::default());
     let in_order = Mutex::new(Explorer::new(plan, seed, bounds, &met, None, report));
     #[cfg(test)]
     let all_ahead = tests::ALL_AHEAD.with(std::cell::Cell::get);
     #[cfg(not(test))]
     let all_ahead = false;
     run_ordered(
-        u32::try_from(roots.len()).expect("a grid of fewer than 2^32 roots"),
-        threads,
+        tasks,
+        Some(threads),
         |k| {
             let k = k as usize;
             let root = roots[k].lock().expect("root slot poisoned").take().expect("claimed once");
@@ -293,8 +315,8 @@ fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>
         },
         |walked| {
             let mut x = in_order.lock().expect("in-order explorer poisoned");
-            if let Walked::Ahead(ahead, root) = walked {
-                if x.admits(&ahead) {
+            if let Walked::Ahead(mut ahead, root) = walked {
+                if x.admits(&mut ahead) {
                     x.absorb(*ahead);
                 } else {
                     #[cfg(test)]
@@ -401,6 +423,44 @@ fn next_step(
     }
 }
 
+/// Every branch-node digest the in-order walk has met, the walk under way
+/// included: a state is expanded once, pruned after.
+#[derive(Default)]
+struct Met {
+    set: HashSet<u64>,
+    /// `set` in insertion order, so that a walk ahead checks each digest
+    /// against its own once ([`Own::met_since`]).
+    log: Vec<u64>,
+}
+
+impl Met {
+    fn insert(&mut self, digest: u64) -> bool {
+        let fresh = self.set.insert(digest);
+        if fresh {
+            self.log.push(digest);
+        }
+        fresh
+    }
+}
+
+/// The digests a walk ahead met, kept out of [`Met`].
+#[derive(Default)]
+struct Own {
+    set: HashSet<u64>,
+    /// The length of `Met::log` at the last check.
+    checked: usize,
+}
+
+impl Own {
+    /// Whether one of the digests `met` gained since the last call is one
+    /// of these.
+    fn met_since(&mut self, met: &Met) -> bool {
+        let new = &met.log[self.checked..];
+        self.checked = met.log.len();
+        new.iter().any(|d| self.set.contains(d))
+    }
+}
+
 struct Explorer<'p> {
     plan: &'p RunPlan,
     seed: u64,
@@ -408,11 +468,9 @@ struct Explorer<'p> {
     /// Forks this explorer may take: `max_branches`, or less for a walk
     /// ahead.
     budget: u64,
-    /// Every branch-node digest the in-order walk has met, the walk under
-    /// way included: a state is expanded once, pruned after.
-    met: &'p Mutex<HashSet<u64>>,
+    met: &'p Mutex<Met>,
     /// A walk ahead keeps the digests it meets here, not in `met`.
-    own: Option<HashSet<u64>>,
+    own: Option<Own>,
     /// A walk ahead met a digest in `met`: the sink will refuse it, so it
     /// stopped there.
     doomed: bool,
@@ -426,12 +484,12 @@ impl<'p> Explorer<'p> {
         plan: &'p RunPlan,
         seed: u64,
         bounds: &'p McBounds,
-        met: &'p Mutex<HashSet<u64>>,
+        met: &'p Mutex<Met>,
         ahead: Option<u64>,
         report: McReport,
     ) -> Self {
         let budget = ahead.unwrap_or(bounds.max_branches);
-        let own = ahead.map(|_| HashSet::new());
+        let own = ahead.map(|_| Own::default());
         Explorer { plan, seed, bounds, budget, met, own, doomed: false, report }
     }
 
@@ -445,11 +503,11 @@ impl<'p> Explorer<'p> {
     /// met none of their digests, so that no prune differs, and if no
     /// budget check differs: either it had the budget their forks left,
     /// or it never ran out of its own and its forks fit in what they left.
-    fn admits(&self, ahead: &Explorer<'_>) -> bool {
+    fn admits(&self, ahead: &mut Explorer<'_>) -> bool {
         let left = self.budget - self.report.forks;
         let never_bound = !ahead.report.budget_exhausted && ahead.report.forks <= left;
         let met = self.met.lock().expect("digest set poisoned");
-        let disjoint = ahead.own.as_ref().is_some_and(|own| own.is_disjoint(&met));
+        let disjoint = ahead.own.as_mut().is_some_and(|own| !own.met_since(&met));
         !ahead.doomed && (ahead.budget == left || never_bound) && disjoint
     }
 
@@ -478,7 +536,10 @@ impl<'p> Explorer<'p> {
         r.budget_exhausted |= budget_exhausted;
         r.recovered += recovered;
         r.escapes.extend(escapes);
-        self.met.lock().expect("digest set poisoned").extend(ahead.own.into_iter().flatten());
+        let mut met = self.met.lock().expect("digest set poisoned");
+        for digest in ahead.own.into_iter().flat_map(|own| own.set) {
+            met.insert(digest);
+        }
     }
 
     /// Runs one post-injection execution to a terminal, branching (by
@@ -519,10 +580,10 @@ impl<'p> Explorer<'p> {
             let fresh = match &mut self.own {
                 None => met.insert(digest),
                 Some(own) => {
-                    let fresh = own.insert(digest);
+                    let fresh = own.set.insert(digest);
                     // The in-order walk may have met any of this walk's
                     // states since this walk did.
-                    if !own.is_disjoint(&met) {
+                    if met.set.contains(&digest) || own.met_since(&met) {
                         self.doomed = true;
                         return;
                     }
@@ -627,6 +688,20 @@ mod tests {
         (report, REWALKS.with(Cell::get))
     }
 
+    #[test]
+    fn a_tight_budget_walks_in_order() {
+        let quick = McBounds::quick();
+        let tight = McBounds { max_branches: 4 * 6, ..quick.clone() };
+        assert_eq!(workers(&tight, 6), 1);
+        assert_eq!(workers(&quick, 6), effective_threads(None, 6));
+        assert_eq!(
+            workers(&McBounds { max_branches: 5 * 6, ..quick }, 6),
+            effective_threads(None, 6)
+        );
+    }
+
+    /// An explicit worker count overrides [`workers`], so the checks with
+    /// a budget of 4 walk roots ahead too.
     #[test]
     fn the_report_is_the_same_on_one_two_and_four_workers() {
         let quick = McBounds::quick();

@@ -25,10 +25,12 @@
 //! replayable [`Counterexample`].
 //!
 //! The roots run in parallel on [`ree_inject::run_ordered`], the pool the
-//! campaigns use. A root walked ahead of an earlier one keeps its result
-//! only where the in-order walk would have produced the same one: it met
-//! none of the earlier roots' state digests, and no check of the branch
-//! budget came out differently. Any other root is walked again, in order.
+//! campaigns use, on [`workers`] of them: one where the branch budget is
+//! too tight for walks ahead to pay. A root walked ahead of an earlier
+//! one keeps its result only where the in-order walk would have produced
+//! the same one: it met none of the earlier roots' state digests, and no
+//! check of the branch budget came out differently. Any other root is
+//! walked again, in order.
 //!
 //! Everything is a pure function of `(plan, seed, bounds)`, for any
 //! worker count — two invocations produce byte-identical reports, which
@@ -54,4 +56,4 @@ mod driver;
 pub mod hash;
 pub mod presets;
 
-pub use driver::{model_check, replay, Counterexample, McBounds, McReport};
+pub use driver::{model_check, replay, workers, Counterexample, McBounds, McReport};

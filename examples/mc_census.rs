@@ -3,20 +3,20 @@
 //! register presets, run seeds from 7 — and reports per op the executions
 //! explored, branch nodes, pruned subtrees, forks, state digests (one
 //! per branch node, pruned or expanded) and wall ms, beside the workers
-//! the roots ran on (the pool's default: the available parallelism,
-//! capped at 16; an op with fewer roots uses fewer). Then, on the states
-//! each op's roots are cloned from (the base at every activation
-//! instant), how many bytes one state digest's stream holds, what the
-//! digest costs and what one `Running` clone costs. The figures in
-//! `docs/bench/PR-25.md`, "Model-checker overhead, measured", and the
-//! `mc_fork` entry of `docs/PERFORMANCE.md`, "Known next bottlenecks",
-//! are this command's output.
+//! the roots ran on (`ree_mc::workers` of the op's roots, the mean per
+//! op). Then, on the states each op's roots are cloned from (the base at
+//! every activation instant), how many bytes one state digest's stream
+//! holds, what the digest costs and what one `Running` clone costs. The
+//! figures in `docs/bench/PR-25.md`, "Model-checker overhead, measured",
+//! and the `mc_fork` entry of `docs/PERFORMANCE.md`, "Known next
+//! bottlenecks", are this command's output.
 //!
 //! Run with: `cargo run --release --example mc_census -- --ops 140`
 
+use ree_inject::candidate_targets;
 use ree_mc::hash::state_digest;
 use ree_mc::presets::{two_node_register_plan, two_node_sigint_plan};
-use ree_mc::{model_check, McBounds, McReport};
+use ree_mc::{model_check, workers, McBounds, McReport};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -55,12 +55,14 @@ struct Sum {
     branch_nodes: u64,
     pruned: u64,
     forks: u64,
+    workers: usize,
     ms: f64,
 }
 
 impl Sum {
-    fn add(&mut self, r: &McReport, ms: f64) {
+    fn add(&mut self, r: &McReport, workers: usize, ms: f64) {
         self.ops += 1;
+        self.workers += workers;
         self.explored += r.explored;
         self.branch_nodes += r.branch_nodes;
         self.pruned += r.pruned;
@@ -68,16 +70,17 @@ impl Sum {
         self.ms += ms;
     }
 
-    fn print(&self, label: &str, workers: usize) {
+    fn print(&self, label: &str) {
         let per = |n: u64| n as f64 / self.ops as f64;
         println!(
-            "{label:<10} {:>9.1} {:>13.1} {:>7.1} {:>6.1} {:>8.1} {:>7.2} {workers:>7}",
+            "{label:<10} {:>9.1} {:>13.1} {:>7.1} {:>6.1} {:>8.1} {:>7.2} {:>7.1}",
             per(self.explored),
             per(self.branch_nodes),
             per(self.pruned),
             per(self.forks),
             per(self.branch_nodes + self.pruned),
-            self.ms / self.ops as f64
+            self.ms / self.ops as f64,
+            per(self.workers as u64)
         );
     }
 }
@@ -101,13 +104,17 @@ fn main() {
         let t = Instant::now();
         let report = model_check(plan, seed, &bounds);
         let ms = t.elapsed().as_secs_f64() * 1e3;
-        by_plan[which].add(&report, ms);
-        all.add(&report, ms);
 
         let (_, snapshot) = plan.boot();
         let mut base = snapshot.fork(seed);
+        // The op's roots: every candidate target at a live instant, less
+        // the sterile placements.
+        let mut roots = 0;
         for &instant in &report.instants {
             base.run_until(instant);
+            if !base.all_done() && base.cluster.now() < plan.timeout {
+                roots += candidate_targets(&base, &plan.target, bounds.max_targets).len() as u64;
+            }
             let mut stream = Vec::new();
             base.cluster.write_state_digest(&mut stream);
             bytes += stream.len();
@@ -115,6 +122,9 @@ fn main() {
             clone_us += min_us(|| base.clone());
             states += 1;
         }
+        let workers = workers(&bounds, (roots - report.sterile) as u32);
+        by_plan[which].add(&report, workers, ms);
+        all.add(&report, workers, ms);
     }
 
     println!(
@@ -125,12 +135,10 @@ fn main() {
         "{:<10} {:>9} {:>13} {:>7} {:>6} {:>8} {:>7} {:>7}",
         "per op", "explored", "branch nodes", "pruned", "forks", "digests", "ms", "workers"
     );
-    // `run_ordered`'s default worker count.
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(16);
     for (sum, (name, _)) in by_plan.iter().zip(&plans) {
-        sum.print(name, workers);
+        sum.print(name);
     }
-    all.print("all", workers);
+    all.print("all");
     let per = |x: f64| x / states as f64;
     println!(
         "per state digest ({states} root states): {:.0} bytes, {:.2} us",
