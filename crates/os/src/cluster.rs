@@ -736,8 +736,11 @@ impl Cluster {
                 return;
             }
             OsEvent::WorkChunk { pid, work_id } => {
-                self.handle_work_chunk(pid, work_id);
-                return;
+                // A finished or cancelled work unit executes nothing.
+                let Some(e) = self.procs.get(pid) else { return };
+                if !e.works.iter().any(|(id, _)| *id == work_id) {
+                    return;
+                }
             }
             OsEvent::Timer { pid, timer_id, .. } => {
                 // One-shot semantics: a cancelled timer never fires. Fired
@@ -763,7 +766,8 @@ impl Cluster {
             OsEvent::Deliver { to, .. } => *to,
             OsEvent::Timer { pid, .. } => *pid,
             OsEvent::ChildExit { parent, .. } => *parent,
-            OsEvent::SignalEv { .. } | OsEvent::WorkChunk { .. } => unreachable!(),
+            OsEvent::WorkChunk { pid, .. } => *pid,
+            OsEvent::SignalEv { .. } => unreachable!(),
         };
         let Some(ev) = self.pre_execute(pid, ev) else { return };
         match ev {
@@ -783,7 +787,8 @@ impl Cluster {
             OsEvent::ChildExit { child, status, .. } => {
                 self.with_behavior(pid, |b, ctx| b.on_child_exit(child, status, ctx));
             }
-            OsEvent::SignalEv { .. } | OsEvent::WorkChunk { .. } => unreachable!(),
+            OsEvent::WorkChunk { work_id, .. } => self.advance_work(pid, work_id),
+            OsEvent::SignalEv { .. } => unreachable!(),
         }
     }
 
@@ -907,54 +912,9 @@ impl Cluster {
         }
     }
 
-    fn handle_work_chunk(&mut self, pid: Pid, work_id: u64) {
-        let Some(entry) = self.procs.get_mut(pid) else { return };
-        if !entry.works.iter().any(|(id, _)| *id == work_id) {
-            return;
-        }
-        if entry.stopped {
-            entry.stash.push(OsEvent::WorkChunk { pid, work_id });
-            return;
-        }
-        // Fault activation for this slice of computation.
-        match entry.machine.activate(&mut self.machine_rng) {
-            None => {}
-            Some(FaultConsequence::SegFault) => {
-                self.terminate(pid, ExitStatus::Killed(Signal::Segv), true);
-                return;
-            }
-            Some(FaultConsequence::IllegalInstruction) => {
-                self.terminate(pid, ExitStatus::Killed(Signal::Ill), true);
-                return;
-            }
-            Some(FaultConsequence::Hang) => {
-                entry.stopped = true;
-                entry.stash.push(OsEvent::WorkChunk { pid, work_id });
-                self.trace.push_event(
-                    self.now,
-                    Some(pid),
-                    TraceKind::Lifecycle,
-                    TraceEvent::FaultInducedHang,
-                    "fault-induced hang",
-                );
-                return;
-            }
-            Some(FaultConsequence::SilentCorruption) => {
-                if let Some(b) = entry.behavior.as_mut() {
-                    b.silent_corruption(&mut self.machine_rng);
-                }
-                self.trace.push(self.now, Some(pid), TraceKind::Injection, "silent corruption");
-            }
-            Some(FaultConsequence::ReceiveOmission) => {
-                entry.deaf = true;
-                self.trace.push(
-                    self.now,
-                    Some(pid),
-                    TraceKind::Lifecycle,
-                    "fault-induced receive omission",
-                );
-            }
-        }
+    /// Runs one chunk of a work unit that survived `pre_execute`: the
+    /// next chunk is queued, or the last one reports `on_work_done`.
+    fn advance_work(&mut self, pid: Pid, work_id: u64) {
         let Some(entry) = self.procs.get_mut(pid) else { return };
         let Some(i) = entry.works.iter().position(|(id, _)| *id == work_id) else { return };
         let work = &mut entry.works[i].1;

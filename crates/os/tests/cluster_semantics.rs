@@ -4,7 +4,7 @@
 
 use ree_os::{
     Cluster, ClusterConfig, ExitStatus, Message, NodeId, ProcCtx, Process, Signal, SpawnSpec,
-    TextSource, TimerId,
+    TextSource, TimerId, TraceEvent,
 };
 use ree_sim::{SimDuration, SimTime, Sink};
 
@@ -443,6 +443,43 @@ fn register_injection_eventually_crashes_or_masks_an_active_process() {
         }
     }
     assert!(failures >= 18, "only {failures}/20 register campaigns induced failure");
+}
+
+#[test]
+fn register_hang_in_work_stops_the_process_and_sigcont_finishes_the_work() {
+    // The process runs one work unit and nothing else, so every activation
+    // after the flip comes from a work chunk.
+    #[derive(Clone)]
+    struct Worker;
+    impl Process for Worker {
+        fn kind(&self) -> &'static str {
+            "worker"
+        }
+        fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
+            ctx.start_work(SimDuration::from_secs(60), 7);
+        }
+        fn on_message(&mut self, _m: Message, _c: &mut ProcCtx<'_>) {}
+        fn on_work_done(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) {
+            ctx.trace(format!("done {tag}"));
+        }
+    }
+    let hung_seed = (0..500).find(|&seed| {
+        let mut c = Cluster::new(ClusterConfig::ree_testbed(seed));
+        let w = c.spawn(SpawnSpec::new("w", NodeId(0), Box::new(Worker)));
+        c.run_until(SimTime::from_secs(1));
+        c.inject_register(w);
+        c.run_until(SimTime::from_secs(30));
+        if !c.trace().any(TraceEvent::FaultInducedHang) {
+            return false;
+        }
+        assert!(c.is_alive(w) && c.is_stopped(w), "seed {seed}: a hang stops the process");
+        assert!(!c.trace().contains("done 7"), "seed {seed}: a hung process finished its work");
+        c.send_signal(w, Signal::Cont);
+        c.run_until(SimTime::from_secs(200));
+        assert!(c.trace().contains("done 7"), "seed {seed}: SIGCONT did not resume the work");
+        true
+    });
+    assert!(hung_seed.is_some(), "no seed in 0..500 hung the worker");
 }
 
 #[test]
