@@ -6,11 +6,10 @@
 //!
 //! # Plans
 //!
-//! Profiling after PR 3 put the science kernels at ~55% of campaign CPU,
-//! with the per-stage `cos`/`sin` calls and the per-butterfly
-//! `w = w * wlen` recurrence of the naive transform high on the list
-//! (see `docs/PERFORMANCE.md`). An [`FftPlan`] precomputes, once per
-//! transform size:
+//! The per-stage `cos`/`sin` calls and the per-butterfly `w = w * wlen`
+//! recurrence of the naive transform were high on the profile of the
+//! science kernels (see `docs/bench/PR-4.md`). An [`FftPlan`]
+//! precomputes, once per transform size:
 //!
 //! * the **bit-reversal permutation** (a table lookup instead of
 //!   `reverse_bits` + shift per element), and

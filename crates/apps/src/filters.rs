@@ -18,7 +18,7 @@
 //! behind an `exact-trig` feature. Masks are built once per thread, so
 //! it saved about 1 µs per thread against ~10 ms campaign cells; both
 //! classified every bin identically, and libm `atan2` is now the only
-//! build (`docs/PERFORMANCE.md`).
+//! build (`docs/bench/PR-4.md`, "Determinism decisions").
 
 use crate::fft::{fft2d_with, power, Complex, FftPlan};
 use crate::synth::Image;

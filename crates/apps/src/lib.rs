@@ -28,10 +28,10 @@
 //!
 //! # Performance
 //!
-//! These kernels are ~55% of campaign CPU, so they carry the fast-path
-//! machinery documented in `docs/PERFORMANCE.md`: precomputed
-//! [`fft::FftPlan`]s, precomputed orientation band masks with a pooled
-//! [`filters::FilterScratch`], and campaign-shared `Arc`'d inputs
+//! The kernels carry the fast-path machinery documented in
+//! `docs/bench/PR-4.md`, `docs/bench/PR-8.md` and `docs/bench/PR-31.md`:
+//! precomputed [`fft::FftPlan`]s, precomputed orientation band masks with
+//! a pooled [`filters::FilterScratch`], and campaign-shared `Arc`'d inputs
 //! ([`synth::mars_surface_shared`]) with copy-on-write at the
 //! fault-injection boundary. The fault-free texture pipeline runs once
 //! per process; a run recomputes only the tiles and the clustering a

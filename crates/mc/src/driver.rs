@@ -5,13 +5,12 @@ use crate::hash::state_digest;
 use ree_apps::verify::Verdict;
 use ree_apps::{all_done_memo, Running};
 use ree_inject::{
-    activation_instants, candidate_targets, conclude_run, effective_threads, run_ordered,
-    FailureClass, RunPlan, SystemFailure,
+    activation_instants, candidate_targets, conclude_run, run_ordered, FailureClass, RunPlan,
+    SystemFailure,
 };
 use ree_os::{Cluster, Pid};
 use ree_sim::{EventHandle, SimTime};
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Exploration bounds: together they fix the (finite) execution tree the
@@ -174,9 +173,8 @@ impl std::fmt::Display for McReport {
 /// and DFS-explores every admissible same-instant delivery order within
 /// `bounds`, classifying each terminal execution with the campaign
 /// pipeline ([`conclude_run`]). Pure function of `(plan, seed, bounds)`:
-/// the roots run on [`run_ordered`]'s pool, on [`workers`] of them, and
-/// the report is the one the in-order walk of the roots produces, for any
-/// worker count.
+/// the roots run on [`run_ordered`]'s pool, and the report is the one the
+/// in-order walk of the roots produces, for any worker count.
 ///
 /// Single-injection semantics: unlike a repeating campaign protocol,
 /// every explored execution carries exactly one successfully placed
@@ -185,14 +183,6 @@ impl std::fmt::Display for McReport {
 pub fn model_check(plan: &RunPlan, seed: u64, bounds: &McBounds) -> McReport {
     check_on(plan, seed, bounds, None)
 }
-
-/// A check whose budget leaves fewer forks per root than this walks its
-/// roots in order, on one worker. A walk ahead that the roots before it
-/// leave too few forks is refused and walked again, so under a tight
-/// budget the second worker mostly slows the first: at `quick` bounds (6
-/// roots) two workers took 1.15–1.30× one worker's time with budgets
-/// of 4 to 24, and 0.71–0.89× with 28 to 48 (`docs/bench/PR-43.md`).
-const MIN_FORKS_PER_ROOT: u64 = 5;
 
 /// One injection root: where the error goes, and the state it goes into,
 /// shared by every root of the same instant.
@@ -214,29 +204,8 @@ impl Root {
     }
 }
 
-/// A root's walk as a worker hands it to the in-order sink.
-enum Walked<'p> {
-    /// Every earlier root was merged when the worker claimed this one, so
-    /// it walked on the in-order explorer itself.
-    InOrder,
-    /// Walked ahead of an earlier root, on an explorer of its own with the
-    /// budget the merged roots had left; the root comes back for a re-walk
-    /// in case the sink cannot admit it.
-    Ahead(Box<Explorer<'p>>, Root),
-}
-
-/// The workers a check with `roots` injection roots runs on: one where
-/// the budget leaves fewer than [`MIN_FORKS_PER_ROOT`] forks a root, else
-/// [`run_ordered`]'s default for that many tasks.
-pub fn workers(bounds: &McBounds, roots: u32) -> usize {
-    if bounds.max_branches < MIN_FORKS_PER_ROOT * u64::from(roots) {
-        1
-    } else {
-        effective_threads(None, roots)
-    }
-}
-
-/// [`model_check`] on `threads` workers (`None`: [`workers`]).
+/// [`model_check`] on `threads` workers (`None`: [`run_ordered`]'s
+/// default).
 fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>) -> McReport {
     assert!(
         plan.net_faults.is_empty(),
@@ -266,71 +235,47 @@ fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>
             }
             let target_name = running.cluster.name_of(target).unwrap_or("?").to_string();
             let base = Arc::clone(shared.get_or_insert_with(|| Arc::new(base.clone())));
-            roots.push(Mutex::new(Some(Root { base, instant, target, target_name })));
+            roots.push(Root { base, instant, target, target_name });
         }
     }
     drop(base);
     let tasks = u32::try_from(roots.len()).expect("a grid of fewer than 2^32 roots");
-    let threads = threads.unwrap_or_else(|| workers(bounds, tasks));
 
-    // Roots `0..merged` are in `in_order`, exactly as the in-order walk
-    // leaves it. A root claimed when `merged` equals its index walks on
-    // `in_order` at once; with one worker, every root does. Any other
-    // root walks ahead, and the sink keeps its walk only where the
-    // in-order one would have been the same (`Explorer::admits`). A walk
-    // ahead gets only the budget `spent` leaves, and stops once `met`
-    // holds one of its digests: the merged roots' forks and digests only
-    // grow, so a walk that needs more forks or meets one of those is
-    // refused anyway. The sink's `Release` stores pair with the claim's
-    // `Acquire` loads.
-    let merged = AtomicUsize::new(0);
-    let spent = AtomicU64::new(0);
-    let met = Mutex::new(Met::default());
-    let in_order = Mutex::new(Explorer::new(plan, seed, bounds, &met, None, report));
+    // Every root walks on an explorer of its own, with its own digest set
+    // and the whole budget, so its walk is a function of the root alone.
+    // The sink, on this thread in root order, keeps a walk only where the
+    // in-order walk would have been the same (`Explorer::admits`), and
+    // walks any other root again on `in_order`. `hint` maps a digest to
+    // the lowest root whose walk met it, so that a walk meeting an earlier
+    // root's state stops there, as the sink would most likely refuse it.
+    // It is only a hint: a walk it stops wrongly costs a re-walk.
+    let hint = Mutex::new(HashMap::new());
     #[cfg(test)]
-    let all_ahead = tests::ALL_AHEAD.with(std::cell::Cell::get);
+    let hinted = !tests::NO_HINT.with(std::cell::Cell::get);
     #[cfg(not(test))]
-    let all_ahead = false;
+    let hinted = true;
+    let mut in_order = Explorer::new(plan, seed, bounds, None, report);
     run_ordered(
         tasks,
-        Some(threads),
+        threads,
         |k| {
-            let k = k as usize;
-            let root = roots[k].lock().expect("root slot poisoned").take().expect("claimed once");
-            if !all_ahead && merged.load(Ordering::Acquire) == k {
-                in_order.lock().expect("in-order explorer poisoned").walk(&root);
-                return Walked::InOrder;
-            }
-            let budget = bounds.max_branches - spent.load(Ordering::Acquire);
-            let mut ahead = Box::new(Explorer::new(
-                plan,
-                seed,
-                bounds,
-                &met,
-                Some(budget),
-                McReport::default(),
-            ));
-            ahead.walk(&root);
-            Walked::Ahead(ahead, root)
+            let hint = hinted.then_some((&hint, k));
+            let mut own = Explorer::new(plan, seed, bounds, hint, McReport::default());
+            own.walk(&roots[k as usize]);
+            (k, own)
         },
-        |walked| {
-            let mut x = in_order.lock().expect("in-order explorer poisoned");
-            if let Walked::Ahead(mut ahead, root) = walked {
-                if x.admits(&mut ahead) {
-                    x.absorb(*ahead);
-                } else {
-                    #[cfg(test)]
-                    tests::REWALKS.with(|n| n.set(n.get() + 1));
-                    drop(ahead);
-                    x.walk(&root);
-                }
+        |(k, own)| {
+            if in_order.admits(&own) {
+                in_order.absorb(own);
+            } else {
+                #[cfg(test)]
+                tests::REWALKS.with(|n| n.set(n.get() + 1));
+                drop(own);
+                in_order.walk(&roots[k as usize]);
             }
-            spent.store(x.report.forks, Ordering::Release);
-            drop(x);
-            merged.fetch_add(1, Ordering::Release);
         },
     );
-    in_order.into_inner().expect("in-order explorer poisoned").report
+    in_order.report
 }
 
 /// Deterministically re-executes a counterexample under the same bounds
@@ -423,74 +368,31 @@ fn next_step(
     }
 }
 
-/// Every branch-node digest the in-order walk has met, the walk under way
-/// included: a state is expanded once, pruned after.
-#[derive(Default)]
-struct Met {
-    set: HashSet<u64>,
-    /// `set` in insertion order, so that a walk ahead checks each digest
-    /// against its own once ([`Own::met_since`]).
-    log: Vec<u64>,
-}
-
-impl Met {
-    fn insert(&mut self, digest: u64) -> bool {
-        let fresh = self.set.insert(digest);
-        if fresh {
-            self.log.push(digest);
-        }
-        fresh
-    }
-}
-
-/// The digests a walk ahead met, kept out of [`Met`].
-#[derive(Default)]
-struct Own {
-    set: HashSet<u64>,
-    /// The length of `Met::log` at the last check.
-    checked: usize,
-}
-
-impl Own {
-    /// Whether one of the digests `met` gained since the last call is one
-    /// of these.
-    fn met_since(&mut self, met: &Met) -> bool {
-        let new = &met.log[self.checked..];
-        self.checked = met.log.len();
-        new.iter().any(|d| self.set.contains(d))
-    }
-}
-
 struct Explorer<'p> {
     plan: &'p RunPlan,
     seed: u64,
     bounds: &'p McBounds,
-    /// Forks this explorer may take: `max_branches`, or less for a walk
-    /// ahead.
-    budget: u64,
-    met: &'p Mutex<Met>,
-    /// A walk ahead keeps the digests it meets here, not in `met`.
-    own: Option<Own>,
-    /// A walk ahead met a digest in `met`: the sink will refuse it, so it
-    /// stopped there.
+    /// Every branch-node digest this explorer met: a state is expanded
+    /// once, pruned after. The in-order explorer's holds every merged
+    /// root's.
+    seen: HashSet<u64>,
+    /// A root's own walk: the digest hint and the root's index.
+    hint: Option<(&'p Mutex<HashMap<u64, u32>>, u32)>,
+    /// The hint named an earlier root for one of this walk's digests, so
+    /// it stopped there.
     doomed: bool,
     report: McReport,
 }
 
 impl<'p> Explorer<'p> {
-    /// The in-order explorer (`ahead: None`), or one that walks a root
-    /// ahead with the budget left to it.
     fn new(
         plan: &'p RunPlan,
         seed: u64,
         bounds: &'p McBounds,
-        met: &'p Mutex<Met>,
-        ahead: Option<u64>,
+        hint: Option<(&'p Mutex<HashMap<u64, u32>>, u32)>,
         report: McReport,
     ) -> Self {
-        let budget = ahead.unwrap_or(bounds.max_branches);
-        let own = ahead.map(|_| Own::default());
-        Explorer { plan, seed, bounds, budget, met, own, doomed: false, report }
+        Explorer { plan, seed, bounds, seen: HashSet::new(), hint, doomed: false, report }
     }
 
     fn walk(&mut self, root: &Root) {
@@ -498,21 +400,21 @@ impl<'p> Explorer<'p> {
         self.explore(running, root.instant, root.target, &root.target_name, 0, Vec::new());
     }
 
-    /// Whether `ahead`, one root walked on an explorer of its own, walked
+    /// Whether `own`, one root walked on an explorer of its own, walked
     /// exactly as it would have after the roots in `self`. It did if it
-    /// met none of their digests, so that no prune differs, and if no
-    /// budget check differs: either it had the budget their forks left,
-    /// or it never ran out of its own and its forks fit in what they left.
-    fn admits(&self, ahead: &mut Explorer<'_>) -> bool {
-        let left = self.budget - self.report.forks;
-        let never_bound = !ahead.report.budget_exhausted && ahead.report.forks <= left;
-        let met = self.met.lock().expect("digest set poisoned");
-        let disjoint = ahead.own.as_mut().is_some_and(|own| !own.met_since(&met));
-        !ahead.doomed && (ahead.budget == left || never_bound) && disjoint
+    /// ran to its end; if no budget check differs, because nothing was
+    /// spent before it or because it never ran out and its forks fit in
+    /// what is left; and if it met none of their digests, so that no
+    /// prune differs.
+    fn admits(&self, own: &Explorer<'_>) -> bool {
+        let left = self.bounds.max_branches - self.report.forks;
+        let same_budget =
+            self.report.forks == 0 || (!own.report.budget_exhausted && own.report.forks <= left);
+        !own.doomed && same_budget && self.seen.is_disjoint(&own.seen)
     }
 
     /// Appends an admitted root's walk, as walking it here would have.
-    fn absorb(&mut self, ahead: Explorer<'_>) {
+    fn absorb(&mut self, own: Explorer<'_>) {
         let McReport {
             instants: _,
             explored,
@@ -525,7 +427,7 @@ impl<'p> Explorer<'p> {
             budget_exhausted,
             recovered,
             escapes,
-        } = ahead.report;
+        } = own.report;
         let r = &mut self.report;
         r.explored += explored;
         r.branch_nodes += branch_nodes;
@@ -536,10 +438,7 @@ impl<'p> Explorer<'p> {
         r.budget_exhausted |= budget_exhausted;
         r.recovered += recovered;
         r.escapes.extend(escapes);
-        let mut met = self.met.lock().expect("digest set poisoned");
-        for digest in ahead.own.into_iter().flat_map(|own| own.set) {
-            met.insert(digest);
-        }
+        self.seen.extend(own.seen);
     }
 
     /// Runs one post-injection execution to a terminal, branching (by
@@ -576,30 +475,22 @@ impl<'p> Explorer<'p> {
             // Branch node. Prune if an identical canonical state was
             // already expanded — its subtree is this subtree.
             let digest = state_digest(&running.cluster);
-            let mut met = self.met.lock().expect("digest set poisoned");
-            let fresh = match &mut self.own {
-                None => met.insert(digest),
-                Some(own) => {
-                    let fresh = own.set.insert(digest);
-                    // The in-order walk may have met any of this walk's
-                    // states since this walk did.
-                    if met.set.contains(&digest) || own.met_since(&met) {
-                        self.doomed = true;
-                        return;
-                    }
-                    fresh
+            if let Some((hint, k)) = self.hint {
+                let mut hint = hint.lock().expect("digest hint poisoned");
+                let first = *hint.entry(digest).and_modify(|r| *r = k.min(*r)).or_insert(k);
+                if first < k {
+                    self.doomed = true;
+                    return;
                 }
-            };
-            // Released before forking: every branch node below locks it.
-            drop(met);
-            if !fresh {
+            }
+            if !self.seen.insert(digest) {
                 self.report.pruned += 1;
                 return;
             }
             self.report.branch_nodes += 1;
             self.report.deepest = self.report.deepest.max(depth + 1);
             for i in 1..ready {
-                if self.report.forks >= self.budget {
+                if self.report.forks >= self.bounds.max_branches {
                     self.report.budget_exhausted = true;
                     break;
                 }
@@ -666,9 +557,10 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Walk every root ahead, even one whose turn it is: the
-        /// interleaving in which the most walks ahead can be refused.
-        pub(super) static ALL_AHEAD: Cell<bool> = const { Cell::new(false) };
+        /// Walk every root without the digest hint, so that a walk meeting
+        /// an earlier root's state runs to its end and the sink refuses it
+        /// as not disjoint.
+        pub(super) static NO_HINT: Cell<bool> = const { Cell::new(false) };
         /// Roots the in-order sink re-walked on this thread.
         pub(super) static REWALKS: Cell<u64> = const { Cell::new(0) };
     }
@@ -679,29 +571,15 @@ mod tests {
         seed: u64,
         bounds: &McBounds,
         workers: usize,
-        all_ahead: bool,
+        hinted: bool,
     ) -> (McReport, u64) {
-        ALL_AHEAD.with(|a| a.set(all_ahead));
+        NO_HINT.with(|h| h.set(!hinted));
         REWALKS.with(|n| n.set(0));
         let report = check_on(plan, seed, bounds, Some(workers));
-        ALL_AHEAD.with(|a| a.set(false));
+        NO_HINT.with(|h| h.set(false));
         (report, REWALKS.with(Cell::get))
     }
 
-    #[test]
-    fn a_tight_budget_walks_in_order() {
-        let quick = McBounds::quick();
-        let tight = McBounds { max_branches: 4 * 6, ..quick.clone() };
-        assert_eq!(workers(&tight, 6), 1);
-        assert_eq!(workers(&quick, 6), effective_threads(None, 6));
-        assert_eq!(
-            workers(&McBounds { max_branches: 5 * 6, ..quick }, 6),
-            effective_threads(None, 6)
-        );
-    }
-
-    /// An explicit worker count overrides [`workers`], so the checks with
-    /// a budget of 4 walk roots ahead too.
     #[test]
     fn the_report_is_the_same_on_one_two_and_four_workers() {
         let quick = McBounds::quick();
@@ -715,26 +593,25 @@ mod tests {
             for plan in [two_node_register_plan(seed), two_node_sigint_plan(seed)] {
                 for bounds in &tiers {
                     let label = format!("{:?} seed {seed}, {bounds:?}", plan.model);
-                    let (one, none) = check_counting(&plan, seed, bounds, 1, false);
-                    assert_eq!(none, 0, "{label}: one worker walks every root in order");
+                    let (one, _) = check_counting(&plan, seed, bounds, 1, true);
                     for workers in [2, 4] {
-                        let (report, _) = check_counting(&plan, seed, bounds, workers, false);
+                        let (report, _) = check_counting(&plan, seed, bounds, workers, true);
                         let dump = format!("{report:?}");
                         assert_eq!(dump, format!("{one:?}"), "{label}, {workers} workers");
                     }
-                    // One worker, every root ahead: each is refused or
-                    // admitted in turn, and the report is still the same.
-                    let (ahead, n) = check_counting(&plan, seed, bounds, 1, true);
-                    assert_eq!(format!("{ahead:?}"), format!("{one:?}"), "{label}, all ahead");
+                    // One worker without the hint: every walk runs to its
+                    // end, and one that met an earlier root's state is
+                    // refused and walked again, to the same report.
+                    let (unhinted, n) = check_counting(&plan, seed, bounds, 1, false);
+                    assert_eq!(format!("{unhinted:?}"), format!("{one:?}"), "{label}, no hint");
                     if plan.model == ErrorModel::Register && *bounds == quick {
                         rewalked += n;
                     }
                 }
             }
         }
-        // Register corruptions converge across roots: a root walked ahead
-        // meets an earlier root's state, so the sink walks it again (3
-        // roots today).
+        // Register corruptions converge across roots: a later root's walk
+        // meets an earlier root's state, and the sink walks it again.
         assert!(rewalked > 0, "the register preset at quick re-walks a root");
     }
 }

@@ -255,7 +255,7 @@ impl MachineState {
         // path below never drew from the RNG for clean slots either, so
         // skipping it leaves the per-seed stream byte-identical (this is
         // why the determinism fixtures did not need re-baselining; see
-        // docs/PERFORMANCE.md).
+        // docs/bench/PR-4.md, "Determinism decisions").
         if self.armed == 0 {
             return None;
         }

@@ -9,7 +9,7 @@
 //! `time <=` its own) and inserts, which is **O(n)** in the entries that
 //! fire before it. That is the right trade for the n there is: an
 //! injected run holds 21 pending events on average and 44 at most
-//! (`docs/PERFORMANCE.md`, "Event traffic, measured";
+//! (`docs/bench/PR-21.md`, "Event traffic, measured";
 //! `cargo run --release --example event_census` for the fault-free run),
 //! so an insert moves at most a kilobyte, which costs less than a binary
 //! heap's cold sift between two handlers did. `seq` is the scheduling

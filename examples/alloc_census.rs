@@ -2,7 +2,7 @@
 //! of the benchmark's two single-run plans under a counting
 //! `#[global_allocator]` and reports allocations, reallocations and
 //! bytes per run and per snapshot fork, and the request-size histogram.
-//! The figures in `docs/PERFORMANCE.md`, "Event construction and the
+//! The figures in `docs/bench/PR-24.md`, "Event construction and the
 //! allocator, measured", are this command's output.
 //!
 //! Run with: `cargo run --release --example alloc_census -- --plan partition --runs 100`

@@ -2,7 +2,7 @@
 //! scenario, steps each fault-free run to completion one event at a time
 //! and reports events per run by class, how many events wait in the
 //! pending set when one fires, and events per simulated second. The
-//! table in `docs/PERFORMANCE.md`, "Event traffic, measured", is this
+//! table in `docs/bench/PR-21.md`, "Event traffic, measured", is this
 //! command's output.
 //!
 //! Run with: `cargo run --release --example event_census -- --runs 100`

@@ -3,8 +3,8 @@
 //! register presets, run seeds from 7 — and reports per op the executions
 //! explored, branch nodes, pruned subtrees, forks, state digests (one
 //! per branch node, pruned or expanded) and wall ms, beside the workers
-//! the roots ran on (`ree_mc::workers` of the op's roots, the mean per
-//! op). Then, on the states each op's roots are cloned from (the base at
+//! the roots ran on (`ree_inject::effective_threads(None, roots)` of the
+//! op's roots, the mean per op). Then, on the states each op's roots are cloned from (the base at
 //! every activation instant), how many bytes one state digest's stream
 //! holds, what the digest costs and what one `Running` clone costs. The
 //! figures in `docs/bench/PR-25.md`, "Model-checker overhead, measured",
@@ -13,10 +13,10 @@
 //!
 //! Run with: `cargo run --release --example mc_census -- --ops 140`
 
-use ree_inject::candidate_targets;
+use ree_inject::{candidate_targets, effective_threads};
 use ree_mc::hash::state_digest;
 use ree_mc::presets::{two_node_register_plan, two_node_sigint_plan};
-use ree_mc::{model_check, workers, McBounds, McReport};
+use ree_mc::{model_check, McBounds, McReport};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -122,7 +122,7 @@ fn main() {
             clone_us += min_us(|| base.clone());
             states += 1;
         }
-        let workers = workers(&bounds, (roots - report.sterile) as u32);
+        let workers = effective_threads(None, (roots - report.sterile) as u32);
         by_plan[which].add(&report, workers, ms);
         all.add(&report, workers, ms);
     }
