@@ -9,10 +9,15 @@ use crate::campaign::Aggregate;
 use crate::runner::{execute_warm, RunPlan, RunResult};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 
+/// The available parallelism, capped at 16, taken once per process:
+/// `available_parallelism` reads the cgroup CPU quota from the file
+/// system on every call.
 pub(crate) fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS
+        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16))
 }
 
 /// Picks the effective worker count for `tasks` units of work: the one

@@ -210,6 +210,11 @@ impl Network {
         }
     }
 
+    /// True while the node's links are down ([`Network::set_node_down`]).
+    pub fn node_down(&self, node: NodeId) -> bool {
+        self.down_nodes.contains(&node)
+    }
+
     /// Severs or restores the (bidirectional) path between two endpoint
     /// nodes, regardless of topology — the administrative pair block
     /// partition faults are built from.

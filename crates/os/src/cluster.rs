@@ -9,7 +9,7 @@
 
 use crate::machine::{FaultConsequence, InjectionSite, MachineState, TextImage};
 use crate::process::{ExitStatus, HeapHit, HeapTarget, Message, Payload, Pid, Process, Signal};
-use crate::ptable::ProcTable;
+use crate::ptable::{ProcTable, Slot};
 use crate::storage::{RamDisk, RemoteFs};
 use crate::trace::{Trace, TraceDetail, TraceEvent, TraceKind};
 use ree_net::{LinkParams, Network, NodeId, Topology};
@@ -158,12 +158,6 @@ struct ProcEntry {
     spawned_at: SimTime,
 }
 
-#[derive(Clone)]
-struct NodeState {
-    ramdisk: RamDisk,
-    alive: bool,
-}
-
 /// The simulated cluster world.
 ///
 /// # Examples
@@ -198,11 +192,9 @@ pub struct Cluster {
     now: SimTime,
     queue: EventQueue<OsEvent>,
     net: Network,
-    nodes: Vec<NodeState>,
+    /// One RAM disk per node; which nodes are down is the network's record.
+    ramdisks: Vec<RamDisk>,
     procs: ProcTable<ProcEntry>,
-    /// Exit records, indexed by pid serial (dense: one slot per pid ever
-    /// issued).
-    graveyard: Vec<Option<(SimTime, ExitStatus)>>,
     remote_fs: RemoteFs,
     rng: SimRng,
     machine_rng: SimRng,
@@ -210,7 +202,6 @@ pub struct Cluster {
     next_timer: u64,
     next_work: u64,
     pending_self_exit: Option<ExitStatus>,
-    current_pid: Option<Pid>,
 }
 
 impl Cluster {
@@ -220,9 +211,8 @@ impl Cluster {
         let net_rng = master.fork(1);
         let rng = master.fork(2);
         let machine_rng = master.fork(3);
-        let nodes = (0..config.nodes)
-            .map(|_| NodeState { ramdisk: RamDisk::with_capacity(RAMDISK_CAPACITY), alive: true })
-            .collect();
+        let ramdisks =
+            (0..config.nodes).map(|_| RamDisk::with_capacity(RAMDISK_CAPACITY)).collect();
         let mut trace = Trace::new();
         trace.set_enabled(config.trace_enabled);
         let topology = match &config.topology {
@@ -242,9 +232,8 @@ impl Cluster {
             net,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            nodes,
+            ramdisks,
             procs: ProcTable::new(),
-            graveyard: Vec::new(),
             remote_fs: RemoteFs::new(),
             rng,
             machine_rng,
@@ -252,7 +241,6 @@ impl Cluster {
             next_timer: 1,
             next_work: 1,
             pending_self_exit: None,
-            current_pid: None,
         }
     }
 
@@ -282,7 +270,7 @@ impl Cluster {
     ///
     /// Panics if the node does not exist.
     pub fn ramdisk(&mut self, node: NodeId) -> &mut RamDisk {
-        &mut self.nodes[node.0 as usize].ramdisk
+        &mut self.ramdisks[node.0 as usize]
     }
 
     /// Direct network access (for load injection in recovery paths).
@@ -325,7 +313,7 @@ impl Cluster {
     ///
     /// Panics if the target node does not exist.
     pub fn spawn(&mut self, spec: SpawnSpec) -> Pid {
-        assert!((spec.node.0 as usize) < self.nodes.len(), "spawn on unknown node");
+        assert!((spec.node.0 as usize) < self.ramdisks.len(), "spawn on unknown node");
         let kind = spec.behavior.kind();
         let text = match spec.text {
             TextSource::Pristine => TextImage::pristine(kind),
@@ -361,7 +349,7 @@ impl Cluster {
 
     /// True if the process is in the process table.
     pub fn is_alive(&self, pid: Pid) -> bool {
-        self.procs.contains(pid)
+        self.procs.get(pid).is_some()
     }
 
     /// True if the process is alive but stopped (hung).
@@ -371,17 +359,26 @@ impl Cluster {
 
     /// Exit record of a dead process.
     pub fn exit_status(&self, pid: Pid) -> Option<&(SimTime, ExitStatus)> {
-        self.graveyard.get(pid.0 as usize).and_then(Option::as_ref)
+        match self.procs.slot(pid)? {
+            Slot::Exited(record) => Some(record),
+            Slot::Live { .. } => None,
+        }
     }
 
     /// Node a live process runs on.
     pub fn node_of(&self, pid: Pid) -> Option<NodeId> {
-        self.procs.node_of(pid)
+        match self.procs.slot(pid)? {
+            Slot::Live { node, .. } => Some(*node),
+            Slot::Exited(_) => None,
+        }
     }
 
     /// Instance name of a live process.
     pub fn name_of(&self, pid: Pid) -> Option<&str> {
-        self.procs.name_of(pid).map(|n| &**n)
+        match self.procs.slot(pid)? {
+            Slot::Live { name, .. } => Some(name),
+            Slot::Exited(_) => None,
+        }
     }
 
     /// The behaviour of a live process, if it is a `T`: a test or tool
@@ -398,17 +395,17 @@ impl Cluster {
     /// Finds a live process by instance name. Duplicate names resolve
     /// to the **lowest** live pid.
     pub fn find_by_name(&self, name: &str) -> Option<Pid> {
-        self.procs.find_by_name(name)
+        self.procs.live().find(|(_, _, n)| *n == name).map(|(pid, ..)| pid)
     }
 
     /// All live processes on a node, ascending.
     pub fn procs_on_node(&self, node: NodeId) -> Vec<Pid> {
-        self.procs.procs_on_node(node)
+        self.procs.live().filter(|(_, n, ..)| *n == node).map(|(pid, ..)| pid).collect()
     }
 
     /// All live processes, ascending.
     pub fn all_procs(&self) -> Vec<Pid> {
-        self.procs.all_pids()
+        self.procs.live().map(|(pid, ..)| pid).collect()
     }
 
     // ------------------------------------------------------------------
@@ -476,26 +473,24 @@ impl Cluster {
         for pid in self.procs_on_node(node) {
             self.terminate(pid, ExitStatus::Killed(Signal::Kill), false);
         }
-        self.nodes[node.0 as usize].alive = false;
-        self.nodes[node.0 as usize].ramdisk.wipe();
+        self.ramdisks[node.0 as usize].wipe();
         self.net.set_node_down(node, true);
     }
 
     /// Restores a failed node (rebooted, empty).
     pub fn restore_node(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = true;
         self.net.set_node_down(node, false);
         self.trace.push(self.now, None, TraceKind::Recovery, TraceDetail::NodeRestored(node));
     }
 
-    /// True if the node is up.
+    /// True if the node exists and is up.
     pub fn node_alive(&self, node: NodeId) -> bool {
-        self.nodes.get(node.0 as usize).map(|n| n.alive).unwrap_or(false)
+        (node.0 as usize) < self.ramdisks.len() && !self.net.node_down(node)
     }
 
     /// Number of nodes in the cluster.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.ramdisks.len()
     }
 
     // ------------------------------------------------------------------
@@ -514,13 +509,8 @@ impl Cluster {
     /// Runs until `horizon`; afterwards `now() == horizon` unless the
     /// queue drained earlier (then `now()` is the last event time).
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (time, _, ev) = self.queue.pop().expect("peeked event");
-            self.now = time;
-            self.dispatch(ev);
+        while self.queue.peek_time().is_some_and(|t| t <= horizon) {
+            self.step();
         }
         if self.now < horizon {
             self.now = horizon;
@@ -612,13 +602,8 @@ impl Cluster {
         if pred(self) {
             return true;
         }
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (time, _, ev) = self.queue.pop().expect("peeked event");
-            self.now = time;
-            self.dispatch(ev);
+        while self.queue.peek_time().is_some_and(|t| t <= horizon) {
+            self.step();
             if pred(self) {
                 return true;
             }
@@ -650,6 +635,10 @@ impl Cluster {
     ///   counters differ — still converge.
     /// * **RNG streams** (cluster, machine, network) are written by
     ///   position: equal visible state with diverged randomness must not prune.
+    /// * **Processes** are written one slot per pid issued, in pid order:
+    ///   a live process's state, or an exited one's exit record.
+    /// * **Node liveness** is the network's down set, written with the
+    ///   rest of the network state.
     /// * **Behaviour state** (`Box<dyn Process>`) is opaque; it is
     ///   approximated by the trace's typed-event counters plus every
     ///   storage effect (RAM-disk and remote-FS contents). A behaviour
@@ -659,28 +648,35 @@ impl Cluster {
         h.put_u64(self.now.as_micros());
         put_words(h, &self.rng.state());
         put_words(h, &self.machine_rng.state());
+        // The network state includes which nodes are down.
         self.net.write_state_digest(h);
-        // Nodes: liveness plus full RAM-disk contents (sorted by path
-        // by construction).
-        h.put_u64(self.nodes.len() as u64);
-        for node in &self.nodes {
-            h.put_u8(u8::from(node.alive));
-            h.put_u64(node.ramdisk.used() as u64);
-            put_files(h, node.ramdisk.entries());
+        // RAM disks: full contents (sorted by path by construction).
+        h.put_u64(self.ramdisks.len() as u64);
+        for disk in &self.ramdisks {
+            h.put_u64(disk.used() as u64);
+            put_files(h, disk.entries());
         }
         // Remote FS: contents plus the version/read/write counters the
         // completion probes key on.
         put_words(h, &[self.remote_fs.version(), self.remote_fs.reads(), self.remote_fs.writes()]);
         put_files(h, self.remote_fs.entries());
-        // Process table, ascending pid (deterministic already).
-        let pids = self.procs.all_pids();
-        h.put_u64(pids.len() as u64);
-        for pid in pids {
-            let entry = self.procs.get(pid).expect("live pid");
-            h.put_u64(pid.0);
-            put_run(h, self.procs.name_of(pid).expect("live pid").as_bytes());
+        // Process table, one slot per pid issued in ascending pid order:
+        // a live process's state or an exited one's record.
+        h.put_u64(self.procs.slots().len() as u64);
+        for (_, slot) in self.procs.slots() {
+            let (name, node, entry) = match slot {
+                Slot::Live { node, name, entry } => (name, node, entry),
+                Slot::Exited((t, status)) => {
+                    h.put_u8(1);
+                    h.put_u64(t.as_micros());
+                    hash_exit_status(status, h);
+                    continue;
+                }
+            };
+            h.put_u8(0);
+            put_run(h, name.as_bytes());
             put_run(h, entry.kind.as_bytes());
-            h.put_u16(self.procs.node_of(pid).expect("live pid").0);
+            h.put_u16(node.0);
             h.put_u8(u8::from(entry.parent.is_some()));
             h.put_u64(entry.parent.map_or(0, |parent| parent.0));
             h.put_u8(u8::from(entry.stopped));
@@ -703,18 +699,6 @@ impl Cluster {
             h.put_u64(entry.machine.corrupted_text_sites() as u64);
             h.put_u64(entry.machine.activations());
             h.put_u64(entry.machine.faults_activated());
-        }
-        // Graveyard (exit history) and id counters.
-        h.put_u64(self.graveyard.len() as u64);
-        for slot in &self.graveyard {
-            match slot {
-                None => h.put_u8(0),
-                Some((t, status)) => {
-                    h.put_u8(1);
-                    h.put_u64(t.as_micros());
-                    hash_exit_status(status, h);
-                }
-            }
         }
         h.put_u64(self.next_timer);
         h.put_u64(self.next_work);
@@ -863,12 +847,7 @@ impl Cluster {
     {
         let Some(entry) = self.procs.get_mut(pid) else { return };
         let Some(mut behavior) = entry.behavior.take() else { return };
-        self.current_pid = Some(pid);
-        {
-            let mut ctx = ProcCtx { cluster: self, pid };
-            f(&mut behavior, &mut ctx);
-        }
-        self.current_pid = None;
+        f(&mut behavior, &mut ProcCtx { cluster: self, pid });
         if let Some(status) = self.pending_self_exit.take() {
             // Behaviour requested exit; drop it and terminate.
             drop(behavior);
@@ -884,10 +863,7 @@ impl Cluster {
     fn handle_signal(&mut self, pid: Pid, sig: Signal) {
         let Some(entry) = self.procs.get_mut(pid) else { return };
         match sig {
-            Signal::Int | Signal::Kill => {
-                self.terminate(pid, ExitStatus::Killed(sig), true);
-            }
-            Signal::Segv | Signal::Ill => {
+            Signal::Int | Signal::Kill | Signal::Segv | Signal::Ill => {
                 self.terminate(pid, ExitStatus::Killed(sig), true);
             }
             Signal::Stop => {
@@ -929,21 +905,16 @@ impl Cluster {
     }
 
     fn terminate(&mut self, pid: Pid, status: ExitStatus, notify_parent: bool) {
-        let Some((_, name, entry)) = self.procs.remove_full(pid) else { return };
+        let Some((name, entry)) = self.procs.exit(pid, (self.now, status.clone())) else { return };
         self.trace.push(
             self.now,
             Some(pid),
             TraceKind::Lifecycle,
             TraceDetail::ProcExit { name, status: status.clone() },
         );
-        let serial = pid.0 as usize;
-        if self.graveyard.len() <= serial {
-            self.graveyard.resize(serial + 1, None);
-        }
-        self.graveyard[serial] = Some((self.now, status.clone()));
         if notify_parent {
             if let Some(parent) = entry.parent {
-                if self.procs.contains(parent) {
+                if self.procs.get(parent).is_some() {
                     // waitpid wakes the parent essentially immediately.
                     self.queue.schedule(
                         self.now + SimDuration::from_micros(500),
@@ -1052,7 +1023,7 @@ impl ProcCtx<'_> {
 
     /// The node this process runs on.
     pub fn node(&self) -> NodeId {
-        self.cluster.procs.node_of(self.pid).expect("self entry")
+        self.cluster.node_of(self.pid).expect("self entry")
     }
 
     /// Number of nodes in the cluster: a node id below it may be spawned on.
@@ -1077,7 +1048,7 @@ impl ProcCtx<'_> {
         payload: Box<dyn Payload>,
     ) {
         let from_node = self.node();
-        let to_node = match self.cluster.procs.node_of(to) {
+        let to_node = match self.cluster.node_of(to) {
             Some(n) => n,
             None => {
                 // Destination already dead: packet goes nowhere. Still
@@ -1185,7 +1156,7 @@ impl ProcCtx<'_> {
     /// The local node's RAM disk (stable storage for checkpoints).
     pub fn ramdisk(&mut self) -> &mut RamDisk {
         let node = self.node();
-        &mut self.cluster.nodes[node.0 as usize].ramdisk
+        &mut self.cluster.ramdisks[node.0 as usize]
     }
 
     /// The shared remote file system.
@@ -1242,8 +1213,8 @@ impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("now", &self.now)
-            .field("procs", &self.procs.len())
-            .field("nodes", &self.nodes.len())
+            .field("procs", &self.procs.live().count())
+            .field("nodes", &self.ramdisks.len())
             .finish()
     }
 }

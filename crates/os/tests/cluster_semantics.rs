@@ -363,6 +363,8 @@ fn node_failure_kills_processes_and_partitions_network() {
     assert!(!c.is_alive(a));
     assert!(c.is_alive(b));
     assert!(!c.node_alive(NodeId(0)));
+    assert!(c.node_alive(NodeId(1)));
+    assert!(!c.node_alive(NodeId(99)), "a node the cluster does not have is not alive");
     assert!(!c.ramdisk(NodeId(0)).exists("ckpt"), "ram disk must be wiped");
     // Messages to the dead node's processes cannot flow; restore brings
     // the node back.
@@ -382,6 +384,34 @@ fn process_table_queries() {
     assert_eq!(c.node_of(d), Some(NodeId(2)));
     assert_eq!(c.name_of(a), Some("a"));
     assert_eq!(c.all_procs().len(), 3);
+}
+
+#[test]
+fn an_exited_pid_keeps_its_exit_record_and_is_never_reissued() {
+    let mut c = cluster();
+    let a = c.spawn(SpawnSpec::new("a", NodeId(0), Box::new(Probe { reply_to_ping: false })));
+    let b = c.spawn(SpawnSpec::new("b", NodeId(1), Box::new(Probe { reply_to_ping: false })));
+    c.run_until(SimTime::from_secs(1));
+    assert_eq!(c.exit_status(a), None, "a live pid has no exit record");
+    c.send_signal(a, Signal::Kill);
+    c.run_until(SimTime::from_secs(2));
+    assert!(!c.is_alive(a));
+    assert_eq!(c.name_of(a), None);
+    assert_eq!(c.node_of(a), None);
+    assert_eq!(c.kind_of(a), None);
+    assert_eq!(c.find_by_name("a"), None);
+    assert_eq!(c.all_procs(), vec![b]);
+    assert_eq!(c.exit_status(a).map(|(_, status)| status), Some(&ExitStatus::Killed(Signal::Kill)));
+    let record = c.exit_status(a).cloned();
+    let mut fork = c.clone();
+    let next = c.spawn(SpawnSpec::new("a", NodeId(0), Box::new(Probe { reply_to_ping: false })));
+    assert!(next > b, "pids are never reissued");
+    assert_eq!(c.exit_status(a).cloned(), record, "the new process leaves the record alone");
+    assert_eq!(c.find_by_name("a"), Some(next));
+    assert_eq!(fork.exit_status(a).cloned(), record, "a clone keeps the record");
+    let forked =
+        fork.spawn(SpawnSpec::new("c", NodeId(2), Box::new(Probe { reply_to_ping: false })));
+    assert_eq!(forked, next, "a clone issues the same next pid");
 }
 
 #[test]

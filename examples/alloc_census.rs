@@ -2,13 +2,17 @@
 //! of the benchmark's two single-run plans under a counting
 //! `#[global_allocator]` and reports allocations, reallocations and
 //! bytes per run and per snapshot fork, and the request-size histogram.
-//! The figures in `docs/bench/PR-24.md`, "Event construction and the
-//! allocator, measured", are this command's output.
+//! An uncounted pass over the same seeds then reports the process
+//! table's traffic: pids issued per run (its slots) and processes live
+//! at run end. The figures in `docs/bench/PR-24.md`, "Event construction
+//! and the allocator, measured", and in `docs/bench/PR-47.md` are this
+//! command's output.
 //!
 //! Run with: `cargo run --release --example alloc_census -- --plan partition --runs 100`
 
 use ree_apps::Scenario;
-use ree_inject::{execute_warm, ErrorModel, NetFault, RunPlan, Target};
+use ree_inject::{execute_warm, execute_warm_full, ErrorModel, NetFault, RunPlan, Target};
+use ree_os::TraceDetail;
 use ree_sim::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -167,10 +171,24 @@ fn main() {
     });
     // The fork alone (one is part of every warm run above).
     let fork = measure(|| {
-        for seed in seeds {
+        for seed in seeds.clone() {
             std::hint::black_box(snapshot.fork(seed));
         }
     });
+    // Uncounted: pids issued since boot (one `Spawn` record each) and
+    // processes live at run end.
+    let table: Vec<[usize; 2]> = seeds
+        .map(|seed| {
+            let (_, running) = execute_warm_full(&plan, &geometry, &snapshot, seed);
+            let cluster = &running.cluster;
+            let spawns = cluster
+                .trace()
+                .records()
+                .filter(|r| matches!(r.detail, TraceDetail::Spawn { .. }))
+                .count();
+            [spawns, cluster.all_procs().len()]
+        })
+        .collect();
 
     let per = |n: u64| n as f64 / runs as f64;
     println!(
@@ -184,6 +202,12 @@ fn main() {
             per(c.reallocs),
             per(c.bytes)
         );
+    }
+    println!("{:<16} {:>10} {:>10}", "process table", "mean", "max");
+    for (i, label) in ["pids issued", "live at end"].into_iter().enumerate() {
+        let total: usize = table.iter().map(|t| t[i]).sum();
+        let max = table.iter().map(|t| t[i]).max().unwrap_or(0);
+        println!("{label:<16} {:>10.1} {max:>10}", per(total as u64));
     }
     println!("request sizes of a warm run (allocs + reallocs):");
     println!("{:<12} {:>10} {:>8}", "bytes up to", "per run", "share");
