@@ -15,6 +15,10 @@ use std::sync::Arc;
 /// Alignment valid status-block pointers satisfy.
 const APP_PTR_ALIGN: u64 = 4096;
 
+/// Chance of a flip landing in the control block instead of the
+/// matrices (the matrices dominate the real heap).
+const CTRL_WEIGHT: f64 = 0.012;
+
 /// Science-process heap: matrices plus a control block.
 #[derive(Clone, Debug)]
 pub(crate) struct SciHeap {
@@ -33,9 +37,6 @@ pub(crate) struct SciHeap {
     pub status_ptr: u64,
     /// Current work-item index.
     pub cursor: u64,
-    /// Relative likelihood of a flip landing in the control block
-    /// instead of the matrices (the matrices dominate the real heap).
-    ctrl_weight: f64,
 }
 
 impl SciHeap {
@@ -48,7 +49,6 @@ impl SciHeap {
             height: side,
             status_ptr: 16 * APP_PTR_ALIGN,
             cursor: 0,
-            ctrl_weight: 0.012,
         }
     }
 
@@ -77,7 +77,7 @@ impl SciHeap {
         let in_ctrl = match want_region {
             Some("ctrl") => true,
             Some(_) => false,
-            None => rng.chance(self.ctrl_weight),
+            None => rng.chance(CTRL_WEIGHT),
         };
         if in_ctrl {
             let mut slots: Vec<&str> = vec!["width", "height", "cursor"];

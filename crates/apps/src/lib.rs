@@ -21,7 +21,7 @@
 //! | [`kmeans`] | the k-means clustering that segments the feature vectors (§2) |
 //! | [`otis`], [`compress`] | OTIS split-window retrieval, emissivity extraction, lossless compression (§2) |
 //! | `kind` | the application table: the one place an application name is matched (factory, nominal time, verification, shared inputs per [`AppKind`]) |
-//! | [`texture`], [`otis`], [`pipeline`], `shell` | the MPI application processes: one rank skeleton (status token, heap guard, `Process`/`HeapModel`) around each application's phases; init barrier and progress indicators (§3.3) |
+//! | [`texture`], [`otis`], [`pipeline`], `shell` | the MPI application processes: one rank skeleton (status token, heap guard, `Process` with its `flip_heap_bit`) around each application's phases; init barrier and progress indicators (§3.3) |
 //! | `heap` | the science heap that heap-model bit flips corrupt (§7) |
 //! | [`verify`] | the external verification program deciding correct/incorrect/missing output (§4.2, Table 10) |
 //! | `testbed` | scenario assembly: the 4- and 6-node testbed configurations (§2, §8) |

@@ -3,14 +3,14 @@
 //! A [`Rank`] owns what all MPI ranks share — the [`AppShell`] (SIFT
 //! attach, init barrier, progress indicators), the injectable
 //! [`SciHeap`], the persisted resume token and the heap integrity guard —
-//! and is the only `Process`/`HeapModel` implementation in this crate. An
+//! and is the only `Process` implementation in this crate. An
 //! application is a [`Science`] impl: its phase machine, nothing else.
 //! `Rank<S>` is monomorphised per application, so the per-event path has
 //! exactly the one `dyn Process` dispatch it always had.
 
 use crate::heap::SciHeap;
 use crate::shell::AppShell;
-use ree_os::{HeapHit, HeapModel, HeapTarget, Message, ProcCtx, Process, Signal};
+use ree_os::{HeapHit, HeapTarget, Message, ProcCtx, Process, Signal};
 use ree_sift::AppLaunch;
 use ree_sim::{SimDuration, SimRng};
 
@@ -141,17 +141,7 @@ impl<S: Science> Process for Rank<S> {
         self.advance(ctx);
     }
 
-    fn heap(&mut self) -> Option<&mut dyn HeapModel> {
-        Some(self)
-    }
-}
-
-impl<S: Science> HeapModel for Rank<S> {
-    fn region_names(&self) -> Vec<String> {
-        vec!["image".into(), "features".into(), "ctrl".into()]
-    }
-
-    fn flip_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
+    fn flip_heap_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
         self.heap.flip(rng, target)
     }
 }

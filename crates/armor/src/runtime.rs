@@ -14,8 +14,7 @@ use crate::event::{ArmorEvent, ArmorId, WirePacket};
 use crate::microcheckpoint::CheckpointBuffer;
 use crate::value::{Fields, Value};
 use ree_os::{
-    FieldKind, HeapHit, HeapModel, HeapTarget, Message, Payload, Pid, ProcCtx, Process, Signal,
-    TraceDetail,
+    FieldKind, HeapHit, HeapTarget, Message, Payload, Pid, ProcCtx, Process, Signal, TraceDetail,
 };
 use ree_sim::{SimDuration, SimRng};
 use std::collections::VecDeque;
@@ -668,35 +667,7 @@ impl Process for ArmorProcess {
         self.finish_local(result, ctx);
     }
 
-    fn heap(&mut self) -> Option<&mut dyn HeapModel> {
-        Some(self)
-    }
-
-    fn silent_corruption(&mut self, rng: &mut SimRng) {
-        // 60%: persistent bit flip in some element's state; 40%: one-shot
-        // corruption of the next outgoing message (§6.1 scenarios).
-        if rng.chance(0.6) {
-            let _ = HeapModel::flip_bit(self, rng, &HeapTarget::Any);
-        } else {
-            self.core.poison_next_send = true;
-        }
-    }
-}
-
-impl ArmorProcess {
-    /// Testing/experiment hook: force the next outgoing message to carry
-    /// corrupted header data.
-    pub fn poison_next_send(&mut self) {
-        self.core.poison_next_send = true;
-    }
-}
-
-impl HeapModel for ArmorProcess {
-    fn region_names(&self) -> Vec<String> {
-        self.elements.iter().map(|e| e.name().to_owned()).collect()
-    }
-
-    fn flip_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
+    fn flip_heap_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
         let want = match target {
             HeapTarget::Any => None,
             HeapTarget::DataOnly | HeapTarget::Region(_) => Some(FieldKind::Data),
@@ -720,6 +691,24 @@ impl HeapModel for ArmorProcess {
         let i = candidates[rng.index(candidates.len())];
         let (path, kind) = self.states[i].flip_random_leaf(rng, want)?;
         Some(HeapHit { region: self.elements[i].name().to_owned(), field: path, kind })
+    }
+
+    fn silent_corruption(&mut self, rng: &mut SimRng) {
+        // 60%: persistent bit flip in some element's state; 40%: one-shot
+        // corruption of the next outgoing message (§6.1 scenarios).
+        if rng.chance(0.6) {
+            let _ = self.flip_heap_bit(rng, &HeapTarget::Any);
+        } else {
+            self.core.poison_next_send = true;
+        }
+    }
+}
+
+impl ArmorProcess {
+    /// Testing/experiment hook: force the next outgoing message to carry
+    /// corrupted header data.
+    pub fn poison_next_send(&mut self) {
+        self.core.poison_next_send = true;
     }
 }
 

@@ -23,8 +23,8 @@ use ree_armor::{
     Gateway, RestorePolicy, Value,
 };
 use ree_os::{
-    Cluster, ClusterConfig, HeapHit, HeapModel, HeapTarget, Message, NodeId, Pid, ProcCtx, Process,
-    Signal, SpawnSpec,
+    Cluster, ClusterConfig, HeapHit, HeapTarget, Message, NodeId, Pid, ProcCtx, Process, Signal,
+    SpawnSpec,
 };
 use ree_sim::{SimDuration, SimRng, SimTime};
 
@@ -108,21 +108,12 @@ impl Process for Hooked {
     fn on_timer(&mut self, tag: u64, ctx: &mut ProcCtx<'_>) {
         self.0.on_timer(tag, ctx);
     }
-    fn heap(&mut self) -> Option<&mut dyn HeapModel> {
-        Some(self)
-    }
-}
-
-impl HeapModel for Hooked {
-    fn region_names(&self) -> Vec<String> {
-        self.0.region_names()
-    }
-    fn flip_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
+    fn flip_heap_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
         if *target == HeapTarget::Region(POISON.into()) {
             self.0.poison_next_send();
             return None;
         }
-        self.0.flip_bit(rng, target)
+        self.0.flip_heap_bit(rng, target)
     }
 }
 

@@ -47,12 +47,12 @@ pub fn activation_instants(plan: &RunPlan, k: usize) -> Vec<SimTime> {
 /// element of by rng; the model checker branches over all of them.
 pub fn candidate_targets(running: &Running, target: &Target, cap: usize) -> Vec<Pid> {
     let cluster = &running.cluster;
+    // `all_procs` is in ascending pid order already.
     let mut candidates: Vec<Pid> = cluster
         .all_procs()
         .into_iter()
         .filter(|p| cluster.name_of(*p).map(|n| target.matches(n)).unwrap_or(false))
         .collect();
-    candidates.sort_unstable();
     candidates.truncate(cap);
     candidates
 }

@@ -9,7 +9,7 @@ use ree_inject::{
     SystemFailure,
 };
 use ree_os::{Cluster, Pid};
-use ree_sim::{EventHandle, SimTime};
+use ree_sim::SimTime;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -297,8 +297,8 @@ pub fn replay(plan: &RunPlan, cex: &Counterexample, bounds: &McBounds) -> ree_in
     loop {
         match next_step(&running, &mut done, plan.timeout, bounds, depth) {
             Next::Terminal => break,
-            Next::Discard(h) => {
-                running.cluster.discard_event(h);
+            Next::Discard(i) => {
+                running.cluster.discard_ready(i);
             }
             Next::Forced => {
                 running.cluster.step();
@@ -306,8 +306,7 @@ pub fn replay(plan: &RunPlan, cex: &Counterexample, bounds: &McBounds) -> ree_in
             Next::Branch(ready) => {
                 let i = cex.schedule.get(depth).copied().unwrap_or(0).min(ready - 1);
                 depth += 1;
-                let h = running.cluster.step_choices()[i];
-                running.cluster.step_with(h).expect("ready choice fires");
+                running.cluster.step_ready(i).expect("ready choice fires");
             }
         }
     }
@@ -321,20 +320,21 @@ enum Next {
     /// Every job reported completion, the world went quiescent, or
     /// nothing remains before the timeout.
     Terminal,
-    /// A recovery wake-up the planted bug silently loses.
-    Discard(EventHandle),
+    /// A recovery wake-up the planted bug silently loses: the ready
+    /// event at this position.
+    Discard(usize),
     /// One admissible order, or a ready set outside the bounds: the
     /// default `(time, seq)` step.
     Forced,
     /// A branch node with this many admissible same-instant orders:
-    /// [`ree_os::Cluster::step_choices`] names them, default first.
+    /// [`ree_os::Cluster::step_ready`] takes their positions, default 0.
     Branch(usize),
 }
 
-/// Called once per stepped event, so it allocates nothing unless the
-/// planted bug needs the ready handles: completion is `done`, a memo
-/// from [`all_done_memo`] owned by the caller's linear history, and the
-/// ready set is only counted.
+/// Called once per stepped event, so it allocates nothing: completion
+/// is `done`, a memo from [`all_done_memo`] owned by the caller's linear
+/// history, and the ready set is only counted (and, for the planted bug,
+/// labelled by position).
 fn next_step(
     running: &Running,
     done: &mut impl FnMut(&Cluster) -> bool,
@@ -349,18 +349,14 @@ fn next_step(
         Some(next) if next <= timeout => {}
         _ => return Next::Terminal,
     }
-    let ready = if bounds.plant {
+    let ready = running.cluster.ready_count();
+    if bounds.plant {
         // First ready event (in default order) that is a process-start
         // wake-up.
-        let choices = running.cluster.step_choices();
-        let start = choices.iter().find(|&&h| running.cluster.event_label(h) == Some("start"));
-        if let Some(&h) = start {
-            return Next::Discard(h);
+        if let Some(i) = (0..ready).find(|&i| running.cluster.ready_label(i) == Some("start")) {
+            return Next::Discard(i);
         }
-        choices.len()
-    } else {
-        running.cluster.step_choice_count()
-    };
+    }
     if ready >= 2 && ready <= bounds.max_ready && depth < bounds.max_depth {
         Next::Branch(ready)
     } else {
@@ -461,8 +457,8 @@ impl<'p> Explorer<'p> {
                 Next::Terminal => {
                     return self.terminal(running, instant, target, target_name, schedule);
                 }
-                Next::Discard(h) => {
-                    running.cluster.discard_event(h);
+                Next::Discard(i) => {
+                    running.cluster.discard_ready(i);
                     self.report.discarded += 1;
                     continue;
                 }
@@ -496,11 +492,9 @@ impl<'p> Explorer<'p> {
                 }
                 self.report.forks += 1;
                 let mut fork = running.clone();
-                // Handles are queue-scoped: re-derive the ready set on
-                // the fork (clone preserves `(time, seq)` order, so
-                // index `i` addresses the same event).
-                let h = fork.cluster.step_choices()[i];
-                fork.cluster.step_with(h).expect("ready choice fires");
+                // A clone preserves `(time, seq)` order, so position `i`
+                // addresses the same event on the fork.
+                fork.cluster.step_ready(i).expect("ready choice fires");
                 let mut s = schedule.clone();
                 s.push(i);
                 self.explore(fork, instant, target, target_name, depth + 1, s);

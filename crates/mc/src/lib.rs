@@ -10,10 +10,10 @@
 //!   ([`ree_inject::activation_instants`],
 //!   [`ree_inject::candidate_targets`]).
 //! - **Delivery order** — at every instant where 2+ events are ready
-//!   simultaneously, each admissible order is a distinct branch
-//!   ([`ree_os::Cluster::step_choices`] /
-//!   [`ree_os::Cluster::step_with`]); the simulator's default
-//!   `(time, seq)` order is just branch 0.
+//!   simultaneously, each admissible order is a distinct branch, named
+//!   by its position in the ready set ([`ree_os::Cluster::ready_count`] /
+//!   [`ree_os::Cluster::step_ready`]); the simulator's default
+//!   `(time, seq)` order is just position 0.
 //!
 //! Each branch **forks** the snapshot (the same copy-on-write warm-boot
 //! clone campaigns use per seed) and continues independently. Branches

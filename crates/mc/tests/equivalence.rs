@@ -81,17 +81,15 @@ impl Walk<'_> {
             if running.all_done() || !live {
                 return self.terminal(running, place, schedule);
             }
-            let choices = running.cluster.step_choices();
+            let ready = running.cluster.ready_count();
             if bounds.plant {
-                let start =
-                    choices.iter().find(|&&h| running.cluster.event_label(h) == Some("start"));
-                if let Some(&h) = start {
-                    running.cluster.discard_event(h);
+                let start = (0..ready).find(|&i| running.cluster.ready_label(i) == Some("start"));
+                if let Some(i) = start {
+                    running.cluster.discard_ready(i);
                     self.report.discarded += 1;
                     continue;
                 }
             }
-            let ready = choices.len();
             if ready < 2 || ready > bounds.max_ready || depth >= bounds.max_depth {
                 running.cluster.step();
                 continue;
@@ -115,8 +113,7 @@ impl Walk<'_> {
                 }
                 self.report.forks += 1;
                 let mut fork = running.clone();
-                let h = fork.cluster.step_choices()[i];
-                fork.cluster.step_with(h).expect("ready choice fires");
+                fork.cluster.step_ready(i).expect("ready choice fires");
                 let mut s = schedule.clone();
                 s.push(i);
                 self.walk(fork, place, depth + 1, s);

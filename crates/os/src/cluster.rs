@@ -13,16 +13,12 @@ use crate::ptable::{ProcTable, Slot};
 use crate::storage::{RamDisk, RemoteFs};
 use crate::trace::{Trace, TraceDetail, TraceEvent, TraceKind};
 use ree_net::{LinkParams, Network, NodeId, Topology};
-use ree_sim::{EventHandle, EventQueue, SimDuration, SimRng, SimTime, Sink};
+use ree_sim::{EventQueue, SimDuration, SimRng, SimTime, Sink};
 use std::sync::Arc;
 
 /// Identifies a pending timer (for cancellation).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerId(u64);
-
-/// Identifies a unit of CPU work (for cancellation).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct WorkId(u64);
 
 /// Where a newly spawned process's text image comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,7 +197,6 @@ pub struct Cluster {
     trace: Trace,
     next_timer: u64,
     next_work: u64,
-    pending_self_exit: Option<ExitStatus>,
 }
 
 impl Cluster {
@@ -240,7 +235,6 @@ impl Cluster {
             trace,
             next_timer: 1,
             next_work: 1,
-            pending_self_exit: None,
         }
     }
 
@@ -449,12 +443,12 @@ impl Cluster {
         Some(site)
     }
 
-    /// Flips a bit in the target's heap model.
+    /// Flips a bit in the target's heap ([`Process::flip_heap_bit`]).
     pub fn inject_heap(&mut self, pid: Pid, target: &HeapTarget) -> Option<HeapHit> {
         // Split borrows: heap lives in behaviour, RNG in the cluster.
         let entry = self.procs.get_mut(pid)?;
         let behavior = entry.behavior.as_mut()?;
-        let hit = behavior.heap()?.flip_bit(&mut self.machine_rng, target)?;
+        let hit = behavior.flip_heap_bit(&mut self.machine_rng, target)?;
         self.trace.push(
             self.now,
             Some(pid),
@@ -518,32 +512,21 @@ impl Cluster {
         self.now
     }
 
-    /// Handles of every event that could legally fire next — all events
-    /// scheduled for the earliest pending instant, in deterministic
-    /// `(time, seq)` order. [`Cluster::step`] always fires the first;
-    /// a model checker branches over the full set, because same-instant
-    /// delivery order is a modelling choice, not a causal one. Empty
-    /// when the cluster is quiescent.
-    pub fn step_choices(&self) -> Vec<EventHandle> {
-        self.queue.ready_handles()
-    }
-
-    /// `step_choices().len()` without allocating: the size of the ready
-    /// set, which a model checker reads on every event it steps.
-    pub fn step_choice_count(&self) -> usize {
+    /// How many events could legally fire next: all events scheduled
+    /// for the earliest pending instant. A model checker branches over
+    /// them, because same-instant delivery order is a modelling choice,
+    /// not a causal one; ready event `i` is the `i`-th in deterministic
+    /// `(time, seq)` order, and [`Cluster::step`] always fires event 0.
+    /// Zero when the cluster is quiescent.
+    pub fn ready_count(&self) -> usize {
         self.queue.ready_count()
     }
 
-    /// Executes the specific pending event addressed by `handle`, which
-    /// must be one of the current [`Cluster::step_choices`]. Handles for
-    /// later instants (which would break causality), stale handles, and
-    /// handles minted by another cluster's queue are rejected with
-    /// `None`, leaving the cluster untouched.
-    pub fn step_with(&mut self, handle: EventHandle) -> Option<SimTime> {
-        if self.queue.time_of(handle)? != self.queue.peek_time()? {
-            return None;
-        }
-        let (time, ev) = self.queue.pop_at(handle)?;
+    /// Executes ready event `i`, returning its time. `None` for
+    /// `i >= ready_count()` (an event of a later instant would break
+    /// causality), leaving the cluster untouched.
+    pub fn step_ready(&mut self, i: usize) -> Option<SimTime> {
+        let (time, ev) = self.queue.pop_ready(i)?;
         self.now = time;
         self.dispatch(ev);
         Some(time)
@@ -560,12 +543,12 @@ impl Cluster {
         self.queue.len()
     }
 
-    /// Short static label of a pending event (e.g. `"start"`,
-    /// `"deliver"`, `"timer"`), or `None` for stale/foreign handles.
+    /// Short static label of ready event `i` (e.g. `"start"`,
+    /// `"deliver"`, `"timer"`), or `None` for `i >= ready_count()`.
     /// Lets fault-model tooling pick branch victims by event class
     /// without exposing the private event type.
-    pub fn event_label(&self, handle: EventHandle) -> Option<&'static str> {
-        self.queue.get(handle).map(|ev| match ev {
+    pub fn ready_label(&self, i: usize) -> Option<&'static str> {
+        self.queue.peek_ready(i).map(|ev| match ev {
             OsEvent::Start { .. } => "start",
             OsEvent::Deliver { .. } => "deliver",
             OsEvent::Timer { .. } => "timer",
@@ -575,14 +558,14 @@ impl Cluster {
         })
     }
 
-    /// Discards a pending event without dispatching it — the sabotage
+    /// Discards ready event `i` without dispatching it — the sabotage
     /// primitive for model-checker self-tests: dropping an OS wakeup
     /// models a lost event the recovery protocols must survive. The
     /// drop is recorded in the trace. Returns the event's scheduled
-    /// time, or `None` for stale/foreign handles.
-    pub fn discard_event(&mut self, handle: EventHandle) -> Option<SimTime> {
-        let label = self.event_label(handle)?;
-        let (time, _ev) = self.queue.pop_at(handle)?;
+    /// time, or `None` for `i >= ready_count()`.
+    pub fn discard_ready(&mut self, i: usize) -> Option<SimTime> {
+        let label = self.ready_label(i)?;
+        let (time, _ev) = self.queue.pop_ready(i)?;
         self.trace.push(
             self.now,
             None,
@@ -706,7 +689,7 @@ impl Cluster {
         put_words(h, self.trace.counters());
         // Pending events in firing order, seqs rank-renumbered.
         h.put_u64(self.queue.len() as u64);
-        for (rank, (time, _seq, ev)) in self.queue.iter_pending().enumerate() {
+        for (rank, (time, ev)) in self.queue.iter_pending().enumerate() {
             h.put_u64(time.as_micros());
             h.put_u64(rank as u64);
             hash_event_fingerprint(ev, h);
@@ -847,8 +830,9 @@ impl Cluster {
     {
         let Some(entry) = self.procs.get_mut(pid) else { return };
         let Some(mut behavior) = entry.behavior.take() else { return };
-        f(&mut behavior, &mut ProcCtx { cluster: self, pid });
-        if let Some(status) = self.pending_self_exit.take() {
+        let mut ctx = ProcCtx { cluster: self, pid, exit: None };
+        f(&mut behavior, &mut ctx);
+        if let Some(status) = ctx.exit {
             // Behaviour requested exit; drop it and terminate.
             drop(behavior);
             self.terminate(pid, status, true);
@@ -1008,6 +992,8 @@ fn put_files<'a, S: Sink + ?Sized>(
 pub struct ProcCtx<'a> {
     cluster: &'a mut Cluster,
     pid: Pid,
+    /// How the process asked to exit, applied when the handler returns.
+    exit: Option<ExitStatus>,
 }
 
 impl ProcCtx<'_> {
@@ -1105,7 +1091,7 @@ impl ProcCtx<'_> {
     /// process receives [`Process::on_work_done`] with `tag` when it
     /// finishes. Work executes in chunks, pausing while the process is
     /// stopped and dying with the process.
-    pub fn start_work(&mut self, total: SimDuration, tag: u64) -> WorkId {
+    pub fn start_work(&mut self, total: SimDuration, tag: u64) {
         let id = self.cluster.next_work;
         self.cluster.next_work += 1;
         let entry = self.cluster.procs.get_mut(self.pid).expect("self entry");
@@ -1115,7 +1101,6 @@ impl ProcCtx<'_> {
         self.cluster
             .queue
             .schedule(self.cluster.now + first, OsEvent::WorkChunk { pid: self.pid, work_id: id });
-        WorkId(id)
     }
 
     /// Spawns a child or detached process.
@@ -1125,20 +1110,20 @@ impl ProcCtx<'_> {
 
     /// Voluntarily exits with a status code after this handler returns.
     pub fn exit(&mut self, code: i32) {
-        self.cluster.pending_self_exit = Some(ExitStatus::Exited(code));
+        self.exit = Some(ExitStatus::Exited(code));
     }
 
     /// Kills the process after an internal self-check detected an error
     /// (the ARMOR fail-fast path).
     pub fn abort(&mut self, reason: impl Into<String>) {
-        self.cluster.pending_self_exit = Some(ExitStatus::Aborted(reason.into()));
+        self.exit = Some(ExitStatus::Aborted(reason.into()));
     }
 
     /// Crashes the process as if the hardware raised `sig` (e.g. a
     /// segmentation fault from dereferencing a corrupted pointer). Takes
     /// effect when the current handler returns.
     pub fn crash(&mut self, sig: Signal) {
-        self.cluster.pending_self_exit = Some(ExitStatus::Killed(sig));
+        self.exit = Some(ExitStatus::Killed(sig));
     }
 
     /// Sends a signal to any process (including self; takes effect when

@@ -32,11 +32,11 @@ mod ptable;
 mod storage;
 mod trace;
 
-pub use cluster::{Cluster, ClusterConfig, ProcCtx, SpawnSpec, TextSource, TimerId, WorkId};
+pub use cluster::{Cluster, ClusterConfig, ProcCtx, SpawnSpec, TextSource, TimerId};
 pub use machine::{InjectionSite, RegClass, TextHit};
 pub use process::{
-    ExitStatus, FieldKind, HeapHit, HeapModel, HeapTarget, Message, Payload, Pid, Process,
-    ProcessClone, Signal,
+    ExitStatus, FieldKind, HeapHit, HeapTarget, Message, Payload, Pid, Process, ProcessClone,
+    Signal,
 };
 pub use storage::{DiskError, RamDisk, RemoteFs};
 pub use trace::{Trace, TraceDetail, TraceEvent, TraceKind, TraceRecord};

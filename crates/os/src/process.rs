@@ -183,20 +183,6 @@ pub struct HeapHit {
     pub kind: FieldKind,
 }
 
-/// Dynamic heap exposed for fault injection.
-///
-/// ARMOR processes expose their element state; applications expose their
-/// matrices and control blocks. Implementations flip *real bits in real
-/// state* so propagation follows genuine data flow.
-pub trait HeapModel {
-    /// Names of the injectable regions.
-    fn region_names(&self) -> Vec<String>;
-
-    /// Flips one bit according to `target`; reports what was hit, or
-    /// `None` if the target does not exist in this process.
-    fn flip_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit>;
-}
-
 /// Object-safe cloning for [`Process`] trait objects.
 ///
 /// Blanket-implemented for every `Process + Clone` type, so concrete
@@ -266,17 +252,21 @@ pub trait Process: ProcessClone + Send + Sync {
         let _ = (child, status, ctx);
     }
 
-    /// The injectable heap, if this process models one.
-    fn heap(&mut self) -> Option<&mut dyn HeapModel> {
+    /// Flips one bit of the injectable heap according to `target` and
+    /// reports what was hit; `None` if the target does not exist in this
+    /// process, which by default models no heap. ARMOR processes expose
+    /// their element state, applications their matrices and control
+    /// blocks: an implementation flips *real bits in real state* so
+    /// propagation follows genuine data flow.
+    fn flip_heap_bit(&mut self, rng: &mut SimRng, target: &HeapTarget) -> Option<HeapHit> {
+        let _ = (rng, target);
         None
     }
 
     /// Invoked when an activated fault silently corrupts state: the
-    /// default flips a random bit in the heap model (if any).
+    /// default flips a random bit of the heap (if any).
     fn silent_corruption(&mut self, rng: &mut SimRng) {
-        if let Some(heap) = self.heap() {
-            let _ = heap.flip_bit(rng, &HeapTarget::Any);
-        }
+        let _ = self.flip_heap_bit(rng, &HeapTarget::Any);
     }
 }
 

@@ -247,25 +247,43 @@ fn sibling_timers_survive_the_cancellation_of_a_third() {
 }
 
 #[test]
-fn step_with_the_middle_of_three_leaves_the_others_in_scheduling_order() {
+fn step_ready_of_the_middle_of_three_leaves_the_others_in_scheduling_order() {
     let (mut c, _) = timer_script(&[(1000, 1), (1000, 2), (1000, 3)], &[]);
     c.run_until(SimTime::from_millis_helper(1100));
     let due = SimTime::from_millis_helper(1150);
-    let choices = c.step_choices();
-    assert_eq!(choices.len(), 3);
-    assert_eq!(c.step_choice_count(), 3);
-    assert_eq!(c.step_with(choices[1]), Some(due));
-    assert_eq!(c.step_choices(), [choices[0], choices[2]]);
-    assert_eq!(c.step_choice_count(), 2);
-    assert_eq!(c.step_with(choices[1]), None, "a fired handle is stale");
+    assert_eq!(c.ready_count(), 3);
+    assert_eq!(c.ready_label(1), Some("timer"));
+    assert_eq!(c.step_ready(1), Some(due));
+    assert_eq!(c.ready_count(), 2);
+    assert_eq!(c.step_ready(2), None, "the ready set shrank by one");
     assert_eq!(c.step(), Some(due));
     assert_eq!(c.step(), Some(due));
     assert_eq!(fired(&c), ["fired 2", "fired 1", "fired 3"]);
 }
 
+#[test]
+fn a_position_past_the_ready_set_changes_nothing() {
+    // Two timers due at 1 s, one at 2 s: position 2 exists in the queue
+    // but belongs to a later instant.
+    let (mut c, _) = timer_script(&[(1000, 1), (1000, 2), (2000, 3)], &[]);
+    c.run_until(SimTime::from_millis_helper(1100));
+    assert_eq!(c.ready_count(), 2);
+    assert_eq!(c.pending_events(), 3);
+    let (now, pending, records) = (c.now(), c.pending_events(), c.trace().len());
+    for i in [2, 3, usize::MAX] {
+        assert_eq!(c.ready_label(i), None);
+        assert_eq!(c.step_ready(i), None, "position {i}");
+        assert_eq!(c.discard_ready(i), None, "position {i}");
+        assert_eq!((c.now(), c.pending_events(), c.trace().len()), (now, pending, records));
+    }
+    assert!(fired(&c).is_empty());
+    c.run_until(SimTime::from_secs(3));
+    assert_eq!(fired(&c), ["fired 1", "fired 2", "fired 3"]);
+}
+
 /// The state digest sees the pending events' firing order and nothing
 /// else of the queue: not its identity (a clone's differs), and not which
-/// of several ready events a `step_with` removed from where.
+/// of several ready events a `step_ready` removed from where.
 #[test]
 fn a_cluster_and_its_midrun_clone_keep_equal_digests_under_the_same_choices() {
     fn digest(c: &Cluster) -> Vec<u8> {
@@ -285,16 +303,15 @@ fn a_cluster_and_its_midrun_clone_keep_equal_digests_under_the_same_choices() {
     assert_eq!(digest(&a), digest(&b));
     let mut widest = 0;
     for step in 0.. {
-        let (in_a, in_b) = (a.step_choices(), b.step_choices());
-        assert_eq!(in_a.len(), in_b.len());
-        if in_a.is_empty() {
+        let ready = a.ready_count();
+        assert_eq!(ready, b.ready_count());
+        if ready == 0 {
             break;
         }
-        widest = widest.max(in_a.len());
+        widest = widest.max(ready);
         // The last of the ready set on even steps, the first on odd ones.
-        let i = (in_a.len() - 1) * ((step + 1) % 2);
-        assert_eq!(b.step_with(in_a[i]), None, "the other side's handle is foreign");
-        assert_eq!(a.step_with(in_a[i]), b.step_with(in_b[i]));
+        let i = (ready - 1) * ((step + 1) % 2);
+        assert_eq!(a.step_ready(i), b.step_ready(i));
         assert_eq!(digest(&a), digest(&b), "after step {step}");
     }
     assert_eq!(widest, 3, "the walk branched over same-instant events");

@@ -17,28 +17,25 @@
 //! scheduling order, which keeps runs bit-for-bit reproducible) and,
 //! never being reused, it is also what an [`EventHandle`] names.
 //!
-//! The queue deliberately keeps **no index** from handle to position:
-//! by-handle operations scan from the firing end for the `seq`, because
-//! nothing on the event path calls them and every caller there is holds
-//! a handle of the earliest instant. Call sites in `ree-os`
+//! The **ready set** is every event of the earliest pending instant, and
+//! ready event `i` (0 fires first) is `pending[len - 1 - i]`: a model
+//! checker names a same-instant choice by that position, which costs no
+//! lookup and no allocation. The queue keeps **no index** from handle to
+//! position: `cancel` scans from the firing end for the `seq`, because
+//! nothing on the event path calls it. Call sites in `ree-os`
 //! (`git grep -n 'queue\.' crates/os/src/cluster.rs`):
 //!
 //! | operation                  | callers in `cluster.rs`                | reached by            |
 //! |----------------------------|----------------------------------------|-----------------------|
 //! | `schedule`                 | 8 (spawn, signal, timer, work, send …) | every event           |
-//! | `pop`                      | 3 (`step`, `run_until`, `…_pred`)      | every event           |
-//! | `peek_time`                | 4                                      | every event           |
+//! | `pop`                      | 1 (`step`)                             | every event           |
+//! | `peek_time`                | 3 (`run_until`, `…_pred`, `next_event_time`) | every event     |
+//! | `ready_count`              | 1 (`ready_count`)                      | model checker, every explored event |
+//! | `pop_ready`                | 2 (`step_ready`, `discard_ready`)      | model checker, at branch nodes |
+//! | `peek_ready`               | 1 (`ready_label`)                      | model checker, under `plant`; `event_census` example |
 //! | `iter_pending`             | 1 (`write_state_digest`)               | model checker         |
-//! | `ready_count`              | 1 (`step_choice_count`)                | model checker, every explored event |
-//! | `ready_handles`            | 1 (`step_choices`)                     | model checker, at branch nodes (every event under `plant`) |
-//! | `time_of`, `get`, `pop_at` | 4 (`step_with`, `event_label`, `discard_event`) | model checker, on handles fresh from `ready_handles` |
 //! | `len`                      | 2 (`write_state_digest`, `pending_events`) | model checker, `event_census` example |
 //! | `cancel`                   | 0                                      | nobody                |
-//!
-//! The explorer reads the ready-set size once per event it steps, so
-//! that count allocates nothing; the handles themselves are collected
-//! only where it branches (or, with the planted bug on, where it looks
-//! for a wake-up to drop).
 //!
 //! Timers are cancelled lazily: `ProcCtx::cancel_timer` drops the id from
 //! its owner's live set and dispatch discards a fired timer that is not
@@ -160,8 +157,12 @@ impl<E> EventQueue<E> {
         self.pending.iter().rposition(|entry| entry.seq == handle.seq)
     }
 
-    fn handle(&self, entry: &Entry) -> EventHandle {
-        EventHandle { queue: self.id, seq: entry.seq }
+    /// The entry of ready event `i`, or `None` past the ready set. The
+    /// entries between it and the last are sorted, so one time compare
+    /// decides.
+    fn ready_position(&self, i: usize) -> Option<usize> {
+        let pos = self.pending.len().checked_sub(i.checked_add(1)?)?;
+        (self.pending[pos].time == self.pending.last()?.time).then_some(pos)
     }
 
     /// Schedules `event` to fire at `time`; returns a handle to it.
@@ -183,22 +184,33 @@ impl<E> EventQueue<E> {
     /// pending: a handle whose event fired or was cancelled, or one minted
     /// by a different queue (e.g. a clone's original), is a no-op `false`.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.pop_at(handle).is_some()
+        let Some(pos) = self.position(handle) else { return false };
+        let entry = self.pending.remove(pos);
+        self.release(entry.slot);
+        true
     }
 
     /// Removes and returns the earliest live event as `(time, handle, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, EventHandle, E)> {
         let entry = self.pending.pop()?;
-        Some((entry.time, self.handle(&entry), self.release(entry.slot)))
+        let handle = EventHandle { queue: self.id, seq: entry.seq };
+        Some((entry.time, handle, self.release(entry.slot)))
     }
 
-    /// Removes and returns a *specific* live event as `(time, event)` —
-    /// the choice-point primitive: a model checker fires one of several
-    /// same-instant events instead of the `(time, seq)` minimum. `None`
-    /// for stale or foreign handles; the queue is untouched in that case.
-    pub fn pop_at(&mut self, handle: EventHandle) -> Option<(SimTime, E)> {
-        let entry = self.pending.remove(self.position(handle)?);
+    /// Removes and returns ready event `i` as `(time, event)` — the
+    /// choice-point primitive: a model checker fires one of several
+    /// same-instant events instead of the `(time, seq)` minimum, which is
+    /// `pop_ready(0)`. `None` for `i >= ready_count()`; the queue is
+    /// untouched in that case.
+    pub fn pop_ready(&mut self, i: usize) -> Option<(SimTime, E)> {
+        let entry = self.pending.remove(self.ready_position(i)?);
         Some((entry.time, self.release(entry.slot)))
+    }
+
+    /// Borrows ready event `i`, or `None` for `i >= ready_count()`.
+    pub fn peek_ready(&self, i: usize) -> Option<&E> {
+        let pos = self.ready_position(i)?;
+        self.slots[self.pending[pos].slot as usize].as_ref()
     }
 
     /// Time of the earliest live event without removing it — O(1), and
@@ -207,41 +219,20 @@ impl<E> EventQueue<E> {
         self.pending.last().map(|entry| entry.time)
     }
 
-    /// Scheduled time of a specific live event, or `None` for stale or
-    /// foreign handles.
-    pub fn time_of(&self, handle: EventHandle) -> Option<SimTime> {
-        self.position(handle).map(|pos| self.pending[pos].time)
-    }
-
-    /// Borrows a specific live event, or `None` for stale/foreign handles.
-    pub fn get(&self, handle: EventHandle) -> Option<&E> {
-        let pos = self.position(handle)?;
-        self.slots[self.pending[pos].slot as usize].as_ref()
-    }
-
-    /// Handles of every event scheduled for the earliest pending
-    /// instant, in `(time, seq)` pop order — the events
-    /// [`EventQueue::pop`] could legally fire next under a relaxed
-    /// same-instant ordering. Empty exactly when the queue is.
-    pub fn ready_handles(&self) -> Vec<EventHandle> {
-        let Some(t) = self.peek_time() else { return Vec::new() };
-        self.pending.iter().rev().take_while(|e| e.time == t).map(|e| self.handle(e)).collect()
-    }
-
-    /// `ready_handles().len()` without collecting the handles: how many
-    /// events are scheduled for the earliest pending instant.
+    /// How many events are scheduled for the earliest pending instant:
+    /// the events [`EventQueue::pop`] could legally fire next under a
+    /// relaxed same-instant ordering. Zero exactly when the queue is empty.
     pub fn ready_count(&self) -> usize {
         let Some(t) = self.peek_time() else { return 0 };
         self.pending.iter().rev().take_while(|e| e.time == t).count()
     }
 
-    /// Iterates over every pending event as `(time, seq, event)`, in
-    /// `(time, seq)` firing order; `seq` values mean something only
-    /// relative to each other.
-    pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
+    /// Iterates over every pending event as `(time, event)`, in
+    /// `(time, seq)` firing order.
+    pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
         self.pending.iter().rev().map(|entry| {
             let ev = self.slots[entry.slot as usize].as_ref().expect("occupied slot");
-            (entry.time, entry.seq, ev)
+            (entry.time, ev)
         })
     }
 
@@ -253,13 +244,6 @@ impl<E> EventQueue<E> {
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
-    }
-
-    /// Drops every pending event (handles to them become stale).
-    pub fn clear(&mut self) {
-        while let Some(entry) = self.pending.pop() {
-            self.release(entry.slot);
-        }
     }
 }
 
@@ -389,21 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(2), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-        assert!(!q.cancel(h), "handles go stale on clear");
-        // The queue remains fully usable after clear.
-        q.schedule(SimTime::from_secs(3), ());
-        assert_eq!(q.len(), 1);
-        assert!(q.pop().is_some());
-    }
-
-    #[test]
     fn cancel_after_fire_reports_false_and_keeps_len_honest() {
         let mut q = EventQueue::new();
         let h1 = q.schedule(SimTime::from_secs(1), "a");
@@ -455,47 +424,47 @@ mod tests {
         assert!(q.cancel(hc), "handle stays valid against its minting queue");
         assert!(q2.cancel(hd), "handle stays valid against its minting queue");
         assert_eq!(q2.pop().unwrap().2, "b");
-        // Lookups are gated the same way as cancellation.
-        let he = q.schedule(SimTime::from_secs(3), "e");
-        assert!(q2.get(he).is_none());
-        assert!(q2.time_of(he).is_none());
-        assert!(q2.pop_at(he).is_none());
     }
 
     #[test]
-    fn ready_handles_cover_the_earliest_instant_in_pop_order() {
+    fn ready_positions_cover_the_earliest_instant_in_pop_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
         q.schedule(SimTime::from_secs(5), 99);
         let h0 = q.schedule(t, 0);
-        let h1 = q.schedule(t, 1);
-        let h2 = q.schedule(t, 2);
-        assert_eq!(q.ready_handles(), vec![h0, h1, h2]);
+        q.schedule(t, 1);
+        q.schedule(t, 2);
         assert_eq!(q.ready_count(), 3);
+        let ready = |q: &EventQueue<i32>| -> Vec<i32> {
+            (0..q.ready_count()).map(|i| *q.peek_ready(i).unwrap()).collect()
+        };
+        assert_eq!(ready(&q), [0, 1, 2]);
+        assert_eq!(q.peek_ready(3), None, "a later instant is not ready");
         // Cancelling the seq-minimum re-elects the next in seq order.
         assert!(q.cancel(h0));
-        assert_eq!(q.ready_handles(), vec![h1, h2]);
-        // pop_at can fire a non-minimum ready event out of seq order.
-        assert_eq!(q.pop_at(h2), Some((t, 2)));
-        assert_eq!(q.ready_handles(), vec![h1]);
+        assert_eq!(ready(&q), [1, 2]);
+        // pop_ready can fire a non-minimum ready event out of seq order.
+        assert_eq!(q.pop_ready(1), Some((t, 2)));
+        assert_eq!(ready(&q), [1]);
+        assert_eq!(q.pop_ready(1), None, "past the ready set");
         assert_eq!(q.pop().unwrap().2, 1);
-        assert_eq!(q.ready_handles().len(), 1, "later instant becomes ready");
-        assert_eq!(q.ready_count(), 1);
+        assert_eq!(ready(&q), [99], "later instant becomes ready");
         assert_eq!(q.pop().unwrap().2, 99);
-        assert!(q.ready_handles().is_empty());
         assert_eq!(q.ready_count(), 0);
+        assert_eq!(q.peek_ready(0), None);
+        assert_eq!(q.pop_ready(0), None);
     }
 
     #[test]
-    fn pop_at_matches_pop_for_the_minimum_and_rejects_stale() {
+    fn pop_ready_zero_matches_pop_and_leaves_the_queue_alone_past_the_ready_set() {
         let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_secs(1), "a");
+        q.schedule(SimTime::from_secs(1), "a");
         q.schedule(SimTime::from_secs(2), "b");
-        assert_eq!(q.get(h), Some(&"a"));
-        assert_eq!(q.time_of(h), Some(SimTime::from_secs(1)));
-        assert_eq!(q.pop_at(h), Some((SimTime::from_secs(1), "a")));
-        assert_eq!(q.pop_at(h), None, "second pop_at of same handle fails");
-        assert!(q.get(h).is_none());
+        assert_eq!(q.peek_ready(0), Some(&"a"));
+        assert_eq!(q.pop_ready(1), None, "the 2 s event is not ready");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_ready(0), Some((SimTime::from_secs(1), "a")));
+        assert_eq!(q.peek_ready(0), Some(&"b"));
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().2, "b");
     }
@@ -507,10 +476,8 @@ mod tests {
         q.schedule(SimTime::from_secs(1), "x");
         q.schedule(SimTime::from_secs(3), "y");
         q.cancel(h);
-        let mut seen: Vec<(SimTime, u64, &str)> =
-            q.iter_pending().map(|(t, s, e)| (t, s, *e)).collect();
-        seen.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        assert_eq!(seen, vec![(SimTime::from_secs(1), 1, "x"), (SimTime::from_secs(3), 2, "y")]);
+        let seen: Vec<(SimTime, &str)> = q.iter_pending().map(|(t, e)| (t, *e)).collect();
+        assert_eq!(seen, vec![(SimTime::from_secs(1), "x"), (SimTime::from_secs(3), "y")]);
     }
 
     #[test]

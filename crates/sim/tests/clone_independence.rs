@@ -143,8 +143,6 @@ proptest! {
             if let Some(h) = pre_clone_handles.get((pick as usize) % pre_clone_handles.len().max(1))
             {
                 prop_assert!(!q2.cancel(*h), "pre-clone handle acted on the clone");
-                prop_assert!(q2.pop_at(*h).is_none());
-                prop_assert!(q2.get(*h).is_none());
             }
             if let Some((h, _)) = m2.handles.last() {
                 prop_assert!(!q.cancel(*h), "clone-minted handle acted on the original");

@@ -49,8 +49,8 @@ proptest! {
         prop_assert_eq!(seen, expected);
     }
 
-    /// Model-based check of the indexed-heap queue: a random
-    /// schedule/cancel/pop/clear interleaving behaves exactly like a
+    /// Model-based check of the queue: a random
+    /// schedule/cancel/pop/pop_ready interleaving behaves exactly like a
     /// sorted-vec reference model — identical pop order (including
     /// `(time, seq)` tie-breaks), identical `len`, identical `cancel`
     /// return values, and `peek_time` always equal to the model's head.
@@ -99,11 +99,14 @@ proptest! {
                     }
                 }
                 _ => {
-                    if pick % 11 == 0 {
-                        // Clear rarely: it resets the whole interleaving.
-                        q.clear();
-                        model.clear();
-                    }
+                    // Fire ready event `i`, or find nothing one past the
+                    // ready set: the model's head entries of one instant.
+                    let head = model.first().map(|(t, _, _)| *t);
+                    let ready = model.iter().take_while(|(t, _, _)| Some(*t) == head).count();
+                    let i = (pick as usize) % (ready + 1);
+                    let want = (i < ready).then(|| model.remove(i));
+                    let want = want.map(|(t, _, id)| (SimTime::from_micros(t), id));
+                    prop_assert_eq!(q.pop_ready(i), want, "pop_ready");
                 }
             }
             prop_assert_eq!(q.len(), model.len(), "len agrees with model");

@@ -100,35 +100,34 @@ impl Pair {
         }
     }
 
-    /// `pop_at` on the `pick`-th of the queue's own ready handles.
+    /// `pop_ready` at a position picked from the ready set and the two
+    /// past it, which must leave the queue as it was.
     fn pop_ready(&mut self, pick: usize) {
-        let ready = self.q.ready_handles();
-        if ready.is_empty() {
+        let n = self.q.ready_count();
+        let i = pick % (n + 2);
+        if i >= n {
+            assert_eq!(self.q.peek_ready(i), None, "peek_ready past the ready set");
+            assert_eq!(self.q.pop_ready(i), None, "pop_ready past the ready set");
             return;
         }
-        let i = pick % ready.len();
         let (t, seq, id) = self.ready()[i];
-        assert_eq!(self.q.pop_at(ready[i]), Some((micros(t), id)), "pop_at ready");
-        assert_eq!(self.q.pop_at(ready[i]), None, "second pop_at");
+        assert_eq!(self.q.peek_ready(i), Some(&id), "peek_ready");
+        assert_eq!(self.q.pop_ready(i), Some((micros(t), id)), "pop_ready");
+        if n > 1 {
+            assert_eq!(self.q.pop_ready(n - 1), None, "the ready set shrank by one");
+        }
         self.forget(seq);
         self.now = t;
     }
 
-    /// Looks up, then removes, the `pick`-th handle of `candidates` —
-    /// live or stale — by `cancel` or by `pop_at`.
-    fn remove(&mut self, candidates: &[(EventHandle, u64)], pick: usize, cancel: bool) {
+    /// Cancels the `pick`-th handle of `candidates`, live or stale.
+    fn cancel(&mut self, candidates: &[(EventHandle, u64)], pick: usize) {
         if candidates.is_empty() {
             return;
         }
         let (h, seq) = candidates[pick % candidates.len()];
         let want = self.entry(seq);
-        assert_eq!(self.q.time_of(h), want.map(|e| micros(e.0)), "time_of");
-        assert_eq!(self.q.get(h), want.as_ref().map(|e| &e.2), "get");
-        if cancel {
-            assert_eq!(self.q.cancel(h), want.is_some(), "cancel truthfulness");
-        } else {
-            assert_eq!(self.q.pop_at(h), want.map(|e| (micros(e.0), e.2)), "pop_at");
-        }
+        assert_eq!(self.q.cancel(h), want.is_some(), "cancel truthfulness");
         self.forget(seq);
     }
 
@@ -140,11 +139,6 @@ impl Pair {
         self.minted.iter().copied().filter(|(_, seq)| later.contains(seq)).collect()
     }
 
-    fn clear(&mut self) {
-        self.q.clear();
-        self.model.clear();
-    }
-
     /// Every read-only answer agrees with the reference.
     fn check(&self) {
         assert_eq!(self.q.len(), self.model.len(), "len");
@@ -152,25 +146,17 @@ impl Pair {
         let mut sorted = self.model.clone();
         sorted.sort_unstable();
         assert_eq!(self.q.peek_time(), sorted.first().map(|e| micros(e.0)), "peek_time");
-        let pending: Vec<_> = self.q.iter_pending().map(|(t, _, id)| (t, *id)).collect();
+        let pending: Vec<_> = self.q.iter_pending().map(|(t, id)| (t, *id)).collect();
         let firing_order: Vec<_> = sorted.iter().map(|e| (micros(e.0), e.2)).collect();
         assert_eq!(pending, firing_order, "iter_pending");
-        let ready: Vec<_> = self
-            .q
-            .ready_handles()
-            .iter()
-            .map(|&h| (self.q.time_of(h), self.q.get(h).copied()))
-            .collect();
-        let want: Vec<_> = self.ready().iter().map(|e| (Some(micros(e.0)), Some(e.2))).collect();
-        assert_eq!(ready, want, "ready_handles");
-        assert_eq!(self.q.ready_count(), want.len(), "ready_count");
+        let n = self.q.ready_count();
+        let ready: Vec<_> = (0..=n).map(|i| self.q.peek_ready(i).copied()).collect();
+        let want: Vec<_> = self.ready().iter().map(|e| Some(e.2)).chain([None]).collect();
+        assert_eq!(ready, want, "peek_ready over the ready set and one past it");
     }
 
     /// A handle minted by another queue addresses nothing here.
     fn rejects(&mut self, foreign: EventHandle) {
-        assert_eq!(self.q.time_of(foreign), None);
-        assert_eq!(self.q.get(foreign), None);
-        assert_eq!(self.q.pop_at(foreign), None);
         assert!(!self.q.cancel(foreign));
     }
 
@@ -179,7 +165,7 @@ impl Pair {
             self.pop();
         }
         assert!(self.q.pop().is_none());
-        assert!(self.q.ready_handles().is_empty());
+        assert_eq!(self.q.ready_count(), 0);
     }
 }
 
@@ -209,9 +195,8 @@ proptest! {
                 }
                 6..=8 => p.pop(),
                 9 => p.pop_ready(pick),
-                10 => p.remove(&p.non_ready(), pick, false),
-                11 => p.remove(&p.minted.clone(), pick, pick.is_multiple_of(2)),
-                12 if pick.is_multiple_of(7) => p.clear(),
+                10 => p.cancel(&p.non_ready(), pick),
+                11 => p.cancel(&p.minted.clone(), pick),
                 13 if n < 3 => {
                     let fork = p.fork(n as u64);
                     pairs.push(fork);
@@ -282,8 +267,8 @@ fn order_holds_at_population_4096() {
         let pick = (x >> 20) as usize;
         match x % 4 {
             0 => p.pop(),
-            1 => p.remove(&p.minted.clone(), pick, true),
-            2 => p.remove(&p.non_ready(), pick, false),
+            1 => p.cancel(&p.minted.clone(), pick),
+            2 => p.cancel(&p.non_ready(), pick),
             _ => p.pop_ready(pick),
         }
         p.schedule(p.now + (x >> 8) % 1024);

@@ -47,13 +47,11 @@ fn main() {
         let mut running = snapshot.fork(seed);
         while !running.all_done() && running.cluster.now() < plan.timeout {
             // `step` fires the first of the ready set.
-            let Some(&next) = running.cluster.step_choices().first() else { break };
+            let Some(label) = running.cluster.ready_label(0) else { break };
             let pending = running.cluster.pending_events();
             pending_sum += pending as u64;
             pending_max = pending_max.max(pending);
-            *by_label
-                .entry(running.cluster.event_label(next).expect("live handle"))
-                .or_default() += 1;
+            *by_label.entry(label).or_default() += 1;
             running.cluster.step();
             events += 1;
         }
