@@ -22,15 +22,17 @@
 //! # Rounds
 //!
 //! A round runs exactly the next batch of every live arm, as one list of
-//! `(arm, seed)` runs on the work-stealing pool. An arm boots its
-//! snapshot before its first batch and drops it when it stops, so at
-//! most the live arms keep snapshots resident.
+//! `(arm, seed)` runs pushed onto the process-wide pool
+//! ([`crate::run_ordered`]). An arm boots its snapshot before its first
+//! batch and drops it when it stops, so at most the live arms keep
+//! snapshots resident.
 
-use crate::builder::run_ordered;
+use crate::builder::Booted;
 use crate::campaign::Aggregate;
-use crate::runner::{execute_warm, RunGeometry, RunPlan};
-use ree_apps::BootSnapshot;
+use crate::pool::{effective_threads, run_ordered};
+use crate::runner::RunPlan;
 use ree_stats::Proportion;
+use std::sync::Arc;
 
 /// The proportion a stopping rule targets: successful recoveries out of
 /// injected runs (the paper's headline rate — near 1 for the SIFT
@@ -180,9 +182,9 @@ struct ArmState {
 pub fn run_arms(arms: &[Arm], rule: &StoppingRule, threads: Option<usize>) -> Vec<ArmReport> {
     rule.validate();
     let mut states: Vec<ArmState> = arms.iter().map(|_| ArmState::default()).collect();
-    // Apart from `states`, so workers read the snapshots while the sink
+    // Apart from `states`, so the producer reads the boots while the sink
     // folds into the states.
-    let mut boots: Vec<Option<(RunGeometry, BootSnapshot)>> = arms.iter().map(|_| None).collect();
+    let mut boots: Vec<Option<Arc<Booted>>> = arms.iter().map(|_| None).collect();
     loop {
         // Check each live arm's rule at the end of its last batch: it
         // stops once the target is met (never before its first batch) or
@@ -196,7 +198,7 @@ pub fn run_arms(arms: &[Arm], rule: &StoppingRule, threads: Option<usize>) -> Ve
                 (s.stopped, s.target_met, boots[i]) = (true, met, None);
                 continue;
             }
-            boots[i].get_or_insert_with(|| arms[i].plan.boot());
+            boots[i].get_or_insert_with(|| Booted::new(&arms[i].plan));
             let end = s.runs.saturating_add(rule.batch).min(rule.max_runs);
             runs.extend((s.runs..end).map(|k| (i, k)));
         }
@@ -205,13 +207,16 @@ pub fn run_arms(arms: &[Arm], rule: &StoppingRule, threads: Option<usize>) -> Ve
         }
         let mut owners = runs.iter().map(|&(i, _)| i);
         run_ordered(
-            u32::try_from(runs.len()).expect("a round queues at most u32::MAX runs"),
-            threads,
-            |t| {
-                let (i, k) = runs[t as usize];
-                let (geometry, snapshot) = boots[i].as_ref().expect("a queued arm is booted");
-                let seed = arms[i].seed0.wrapping_add(u64::from(k));
-                execute_warm(&arms[i].plan, geometry, snapshot, seed)
+            effective_threads(
+                threads,
+                u32::try_from(runs.len()).expect("a round queues at most u32::MAX runs"),
+            ),
+            |feed| {
+                for &(i, k) in &runs {
+                    let booted = Arc::clone(boots[i].as_ref().expect("a queued arm is booted"));
+                    let seed = arms[i].seed0.wrapping_add(u64::from(k));
+                    feed.push(move || booted.run(seed));
+                }
             },
             |r| {
                 let s = &mut states[owners.next().expect("one result per queued run")];

@@ -1,34 +1,36 @@
 //! The campaign API: a [`Campaign`] builder over one [`RunPlan`] with
-//! terminal `collect`/`fold`/`aggregate`/`adaptive` operations, and the
-//! work-stealing pool every in-process scheduler runs on. Everything
-//! terminal folds results **in seed order**, so campaign output is
-//! bit-for-bit deterministic for any worker-thread count.
+//! terminal `collect`/`fold`/`aggregate`/`adaptive` operations, run on
+//! the process-wide pool ([`run_ordered`]). Everything terminal folds
+//! results **in seed order**, so campaign output is bit-for-bit
+//! deterministic for any worker-thread count.
 
 use crate::adaptive::{Arm, ArmReport, StoppingRule};
 use crate::campaign::Aggregate;
-use crate::runner::{execute_warm, RunPlan, RunResult};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, OnceLock};
+use crate::pool::{effective_threads, run_ordered};
+use crate::runner::{execute_warm, RunGeometry, RunPlan, RunResult};
+use ree_apps::BootSnapshot;
+use std::sync::Arc;
 
-/// The available parallelism, capped at 16, taken once per process:
-/// `available_parallelism` reads the cgroup CPU quota from the file
-/// system on every call.
-pub(crate) fn default_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS
-        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16))
+/// A plan with its boot, which every run of it forks. A task on the pool
+/// cannot borrow from its caller, so each run's task holds an `Arc` of
+/// this.
+pub(crate) struct Booted {
+    plan: RunPlan,
+    geometry: RunGeometry,
+    snapshot: BootSnapshot,
 }
 
-/// Picks the effective worker count for `tasks` units of work: the one
-/// [`run_ordered`] runs on. `None` is the available parallelism, capped
-/// at 16.
-/// Total for every input — `tasks == 0` yields 1 worker (which then has
-/// nothing to claim) instead of constructing an empty clamp range, so
-/// callers that do not know their run count up front (the adaptive
-/// engine) can share it.
-pub fn effective_threads(requested: Option<usize>, tasks: u32) -> usize {
-    requested.unwrap_or_else(default_threads).clamp(1, tasks.max(1) as usize)
+impl Booted {
+    /// Boots `plan` once (`RunPlan::boot`).
+    pub(crate) fn new(plan: &RunPlan) -> Arc<Self> {
+        let (geometry, snapshot) = plan.boot();
+        Arc::new(Booted { plan: plan.clone(), geometry, snapshot })
+    }
+
+    /// Run `seed` of the plan, forked from the boot.
+    pub(crate) fn run(&self, seed: u64) -> RunResult {
+        execute_warm(&self.plan, &self.geometry, &self.snapshot, seed)
+    }
 }
 
 /// A configured fault-injection campaign over one [`RunPlan`]: `runs`
@@ -117,12 +119,15 @@ impl<'p> Campaign<'p> {
             return acc;
         }
         // One boot per campaign; every run forks it.
-        let (geometry, snapshot) = self.plan.boot();
+        let booted = Booted::new(self.plan);
         run_ordered(
-            self.runs,
-            self.threads,
-            |i| {
-                execute_warm(self.plan, &geometry, &snapshot, self.seed0.wrapping_add(u64::from(i)))
+            effective_threads(self.threads, self.runs),
+            |feed| {
+                for i in 0..self.runs {
+                    let booted = Arc::clone(&booted);
+                    let seed = self.seed0.wrapping_add(u64::from(i));
+                    feed.push(move || booted.run(seed));
+                }
             },
             |r| fold(&mut acc, r),
         );
@@ -146,81 +151,5 @@ impl<'p> Campaign<'p> {
     pub fn adaptive(&self, rule: &StoppingRule) -> ArmReport {
         let arm = Arm::new("", self.plan.clone(), self.seed0);
         crate::adaptive::run_arms(std::slice::from_ref(&arm), rule, self.threads).remove(0)
-    }
-}
-
-/// The work-stealing pool behind every in-process scheduler: runs
-/// `run(0) .. run(tasks - 1)` on up to `threads` workers and hands each
-/// result to `sink` on the caller's thread, **in task order**, as soon
-/// as every earlier task's result has been handed over. Its callers are
-/// the campaigns ([`Campaign::fold`] and the adaptive rounds, one run per
-/// task) and `ree_mc::model_check` (one injection root per task).
-///
-/// The worker count is [`effective_threads`]`(threads, tasks)`: `None`
-/// is the machine's available parallelism, capped at 16, and any count
-/// is clamped to `1..=tasks`. With one worker there is no
-/// thread: each `run(i)` is followed by its `sink` on the caller's
-/// thread.
-///
-/// Workers claim the next task index from a shared counter and ship
-/// `(index, result)` pairs back; the caller reorders with a small
-/// buffer while workers are still running. The channel is bounded, so
-/// while `sink` is busy workers block on send instead of claiming
-/// further tasks.
-pub fn run_ordered<T: Send>(
-    tasks: u32,
-    threads: Option<usize>,
-    run: impl Fn(u32) -> T + Sync,
-    mut sink: impl FnMut(T),
-) {
-    let threads = effective_threads(threads, tasks);
-    if threads == 1 {
-        (0..tasks).for_each(|i| sink(run(i)));
-        return;
-    }
-    // Wider than the task index so over-claiming workers cannot wrap it.
-    let next = AtomicU64::new(0);
-    let (tx, rx) = mpsc::sync_channel::<(u32, T)>(threads);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (next, run) = (&next, &run);
-            scope.spawn(move || {
-                while let Ok(i) = u32::try_from(next.fetch_add(1, Ordering::Relaxed)) {
-                    if i >= tasks || tx.send((i, run(i))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let mut pending: BTreeMap<u32, T> = BTreeMap::new();
-        let mut expect = 0u32;
-        for (i, r) in rx {
-            pending.insert(i, r);
-            while let Some(r) = pending.remove(&expect) {
-                sink(r);
-                expect += 1;
-            }
-        }
-        debug_assert_eq!(expect, tasks, "every task handed over exactly once");
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn thread_selection_is_total() {
-        // The historical `threads.clamp(1, runs as usize)` panicked for
-        // `runs == 0` (clamp with max < min); the adaptive path cannot
-        // early-return on a known run count, so selection must be total.
-        assert_eq!(effective_threads(Some(8), 0), 1);
-        assert_eq!(effective_threads(Some(8), 1), 1);
-        assert_eq!(effective_threads(Some(0), 5), 1);
-        assert_eq!(effective_threads(Some(3), 5), 3);
-        assert_eq!(effective_threads(Some(8), 5), 5);
-        assert!(effective_threads(None, u32::MAX) >= 1);
     }
 }

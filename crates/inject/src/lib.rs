@@ -18,8 +18,10 @@
 //! configuration with `collect`/`fold`/`aggregate`/`adaptive`
 //! terminals; the other schedulers are one function each over the same
 //! plan (`ree_dist::distribute`, `ree_mc::model_check`). Campaigns
-//! execute on a work-stealing thread pool and fold results **in seed
-//! order**, so output is bit-identical for any thread count.
+//! execute on the process-wide worker pool ([`run_ordered`]: workers
+//! start on first use and take tasks from one shared queue, which the
+//! calling thread feeds) and fold results **in seed order**, so output
+//! is bit-identical for any thread count.
 //!
 //! Campaign runs start **warm**: every scheduler calls
 //! [`RunPlan::boot`] once per plan — it warms the shared input cache
@@ -92,15 +94,17 @@ mod campaign;
 mod error;
 mod model;
 pub mod netfault;
+mod pool;
 mod runner;
 
 pub use adaptive::{Arm, ArmReport, StoppingRule};
 pub use branch::{activation_instants, candidate_targets};
-pub use builder::{effective_threads, run_ordered, Campaign};
+pub use builder::Campaign;
 pub use campaign::Aggregate;
 pub use error::CampaignError;
 pub use model::{ErrorModel, FailureClass, Placement, SystemFailure, Target};
 pub use netfault::NetFault;
+pub use pool::{effective_threads, run_ordered, Feed};
 pub use runner::{
     conclude_run, execute, execute_full, execute_warm, execute_warm_checked, execute_warm_full,
     verify_outputs, RunGeometry, RunPlan, RunResult,

@@ -1,4 +1,4 @@
-//! Cross-thread campaign determinism: the work-stealing executor must
+//! Cross-thread campaign determinism: the worker pool must
 //! return bit-identical results for any worker count, and the streaming
 //! fold must agree with the materialise-then-aggregate path.
 

@@ -5,8 +5,8 @@ use crate::hash::state_digest;
 use ree_apps::verify::Verdict;
 use ree_apps::{all_done_memo, Running};
 use ree_inject::{
-    activation_instants, candidate_targets, conclude_run, run_ordered, FailureClass, RunPlan,
-    SystemFailure,
+    activation_instants, candidate_targets, conclude_run, effective_threads, run_ordered,
+    FailureClass, RunPlan, SystemFailure,
 };
 use ree_os::{Cluster, Pid};
 use ree_sim::SimTime;
@@ -173,8 +173,9 @@ impl std::fmt::Display for McReport {
 /// and DFS-explores every admissible same-instant delivery order within
 /// `bounds`, classifying each terminal execution with the campaign
 /// pipeline ([`conclude_run`]). Pure function of `(plan, seed, bounds)`:
-/// the roots run on [`run_ordered`]'s pool, and the report is the one the
-/// in-order walk of the roots produces, for any worker count.
+/// each root is walked on [`run_ordered`]'s pool as soon as it is built,
+/// and the report is the one the in-order walk of the roots produces, for
+/// any worker count.
 ///
 /// Single-injection semantics: unlike a repeating campaign protocol,
 /// every explored execution carries exactly one successfully placed
@@ -204,77 +205,117 @@ impl Root {
     }
 }
 
-/// [`model_check`] on `threads` workers (`None`: [`run_ordered`]'s
-/// default).
+/// What a root's walk on an explorer of its own takes back to the
+/// caller: the digests it met, whether the hint stopped it, and its
+/// report.
+struct Walked {
+    seen: HashSet<u64>,
+    doomed: bool,
+    report: McReport,
+}
+
+/// What every root's walk on the pool reads: the check's inputs and the
+/// digest hint, owned, as a task outlives any borrow.
+struct Shared {
+    plan: RunPlan,
+    seed: u64,
+    bounds: McBounds,
+    /// Digest → the lowest root whose walk met it; `None` walks every
+    /// root to its end.
+    hint: Option<Mutex<HashMap<u64, u32>>>,
+}
+
+impl Shared {
+    /// Root `k`'s walk on an explorer of its own.
+    fn walk(&self, root: &Root, k: u32) -> Walked {
+        let hint = self.hint.as_ref().map(|hint| (hint, k));
+        let mut own = Explorer::new(&self.plan, self.seed, &self.bounds, hint, McReport::default());
+        own.walk(root);
+        Walked { seen: own.seen, doomed: own.doomed, report: own.report }
+    }
+}
+
+/// [`model_check`] on `threads` workers (`None`: [`effective_threads`]'s
+/// default for the grid's `instants × max_targets` roots at most).
 fn check_on(plan: &RunPlan, seed: u64, bounds: &McBounds, threads: Option<usize>) -> McReport {
     assert!(
         plan.net_faults.is_empty(),
         "model checking composes with process-level error models only"
     );
     let instants = activation_instants(plan, bounds.instants);
-    let mut report = McReport { instants: instants.clone(), ..McReport::default() };
-    // One base, advanced through the strictly increasing grid: firing
-    // every event up to `a` and then every event up to `b` fires exactly
-    // the events a fresh fork run to `b` fires, so each instant's roots
-    // are cloned from the state `replay` re-derives, without simulating
-    // the boot-to-instant prefix once per instant. The roots of one
-    // instant share one copy of it.
-    let mut roots = Vec::new();
-    let mut base = plan.boot().1.fork(seed);
-    for &instant in &instants {
-        base.run_until(instant);
-        if base.all_done() || base.cluster.now() >= plan.timeout {
-            continue;
-        }
-        let mut shared = None;
-        for target in candidate_targets(&base, &plan.target, bounds.max_targets) {
-            let mut running = base.clone();
-            if !plan.model.place(&mut running.cluster, target).placed {
-                report.sterile += 1;
-                continue;
-            }
-            let target_name = running.cluster.name_of(target).unwrap_or("?").to_string();
-            let base = Arc::clone(shared.get_or_insert_with(|| Arc::new(base.clone())));
-            roots.push(Root { base, instant, target, target_name });
-        }
-    }
-    drop(base);
-    let tasks = u32::try_from(roots.len()).expect("a grid of fewer than 2^32 roots");
+    let most = u32::try_from(instants.len().saturating_mul(bounds.max_targets)).unwrap_or(u32::MAX);
+    let report = McReport { instants: instants.clone(), ..McReport::default() };
 
     // Every root walks on an explorer of its own, with its own digest set
     // and the whole budget, so its walk is a function of the root alone.
     // The sink, on this thread in root order, keeps a walk only where the
     // in-order walk would have been the same (`Explorer::admits`), and
-    // walks any other root again on `in_order`. `hint` maps a digest to
+    // walks any other root again on `in_order`. The hint maps a digest to
     // the lowest root whose walk met it, so that a walk meeting an earlier
     // root's state stops there, as the sink would most likely refuse it.
     // It is only a hint: a walk it stops wrongly costs a re-walk.
-    let hint = Mutex::new(HashMap::new());
     #[cfg(test)]
     let hinted = !tests::NO_HINT.with(std::cell::Cell::get);
     #[cfg(not(test))]
     let hinted = true;
+    let shared = Arc::new(Shared {
+        plan: plan.clone(),
+        seed,
+        bounds: bounds.clone(),
+        hint: hinted.then(Mutex::default),
+    });
     let mut in_order = Explorer::new(plan, seed, bounds, None, report);
+    let mut sterile = 0;
     run_ordered(
-        tasks,
-        threads,
-        |k| {
-            let hint = hinted.then_some((&hint, k));
-            let mut own = Explorer::new(plan, seed, bounds, hint, McReport::default());
-            own.walk(&roots[k as usize]);
-            (k, own)
+        effective_threads(threads, most),
+        |feed| {
+            // One base, advanced through the strictly increasing grid:
+            // firing every event up to `a` and then every event up to `b`
+            // fires exactly the events a fresh fork run to `b` fires, so
+            // each instant's roots are cloned from the state `replay`
+            // re-derives, without simulating the boot-to-instant prefix
+            // once per instant. The roots of one instant share one copy of
+            // it. Each root is pushed as soon as it is found, so the
+            // workers walk the first roots while this thread builds the
+            // rest.
+            let mut base = plan.boot().1.fork(seed);
+            let mut k = 0u32;
+            for &instant in &instants {
+                base.run_until(instant);
+                if base.all_done() || base.cluster.now() >= plan.timeout {
+                    continue;
+                }
+                let mut at_instant = None;
+                for target in candidate_targets(&base, &plan.target, bounds.max_targets) {
+                    let mut running = base.clone();
+                    if !plan.model.place(&mut running.cluster, target).placed {
+                        sterile += 1;
+                        continue;
+                    }
+                    let target_name = running.cluster.name_of(target).unwrap_or("?").to_string();
+                    let base = Arc::clone(at_instant.get_or_insert_with(|| Arc::new(base.clone())));
+                    let root = Root { base, instant, target, target_name };
+                    let shared = Arc::clone(&shared);
+                    feed.push(move || {
+                        let walked = shared.walk(&root, k);
+                        (root, walked)
+                    });
+                    k += 1;
+                }
+            }
         },
-        |(k, own)| {
-            if in_order.admits(&own) {
-                in_order.absorb(own);
+        |(root, walked)| {
+            if in_order.admits(&walked) {
+                in_order.absorb(walked);
             } else {
                 #[cfg(test)]
                 tests::REWALKS.with(|n| n.set(n.get() + 1));
-                drop(own);
-                in_order.walk(&roots[k as usize]);
+                drop(walked);
+                in_order.walk(&root);
             }
         },
     );
+    in_order.report.sterile = sterile;
     in_order.report
 }
 
@@ -402,7 +443,7 @@ impl<'p> Explorer<'p> {
     /// spent before it or because it never ran out and its forks fit in
     /// what is left; and if it met none of their digests, so that no
     /// prune differs.
-    fn admits(&self, own: &Explorer<'_>) -> bool {
+    fn admits(&self, own: &Walked) -> bool {
         let left = self.bounds.max_branches - self.report.forks;
         let same_budget =
             self.report.forks == 0 || (!own.report.budget_exhausted && own.report.forks <= left);
@@ -410,7 +451,7 @@ impl<'p> Explorer<'p> {
     }
 
     /// Appends an admitted root's walk, as walking it here would have.
-    fn absorb(&mut self, own: Explorer<'_>) {
+    fn absorb(&mut self, own: Walked) {
         let McReport {
             instants: _,
             explored,

@@ -24,8 +24,9 @@
 //! branch the SIFT environment fails to recover is reported as a
 //! replayable [`Counterexample`].
 //!
-//! The roots run in parallel on [`ree_inject::run_ordered`], the pool the
-//! campaigns use, each on an explorer of its own. A root's walk is kept
+//! The roots run in parallel on [`ree_inject::run_ordered`], the
+//! process-wide pool the campaigns use, each on an explorer of its own,
+//! and each is pushed onto it as soon as it is built. A root's walk is kept
 //! only where the in-order walk would have produced the same one: it ran
 //! to its end, met none of the earlier roots' state digests, and no check
 //! of the branch budget came out differently. Any other root is walked

@@ -3,8 +3,8 @@
 //! register presets, run seeds from 7 — and reports per op the executions
 //! explored, branch nodes, pruned subtrees, forks, state digests (one
 //! per branch node, pruned or expanded) and wall ms, beside the workers
-//! the roots ran on (`ree_inject::effective_threads(None, roots)` of the
-//! op's roots, the mean per op). Then, on the states each op's roots are cloned from (the base at
+//! the roots ran on (`ree_inject::effective_threads(None, ..)` of the
+//! grid's `instants × max_targets` roots at most, the mean per op). Then, on the states each op's roots are cloned from (the base at
 //! every activation instant), how many bytes one state digest's stream
 //! holds, what the digest costs and what one `Running` clone costs. The
 //! figures in `docs/bench/PR-25.md`, "Model-checker overhead, measured",
@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --release --example mc_census -- --ops 140`
 
-use ree_inject::{candidate_targets, effective_threads};
+use ree_inject::effective_threads;
 use ree_mc::hash::state_digest;
 use ree_mc::presets::{two_node_register_plan, two_node_sigint_plan};
 use ree_mc::{model_check, McBounds, McReport};
@@ -107,14 +107,8 @@ fn main() {
 
         let (_, snapshot) = plan.boot();
         let mut base = snapshot.fork(seed);
-        // The op's roots: every candidate target at a live instant, less
-        // the sterile placements.
-        let mut roots = 0;
         for &instant in &report.instants {
             base.run_until(instant);
-            if !base.all_done() && base.cluster.now() < plan.timeout {
-                roots += candidate_targets(&base, &plan.target, bounds.max_targets).len() as u64;
-            }
             let mut stream = Vec::new();
             base.cluster.write_state_digest(&mut stream);
             bytes += stream.len();
@@ -122,7 +116,7 @@ fn main() {
             clone_us += min_us(|| base.clone());
             states += 1;
         }
-        let workers = effective_threads(None, (roots - report.sterile) as u32);
+        let workers = effective_threads(None, (report.instants.len() * bounds.max_targets) as u32);
         by_plan[which].add(&report, workers, ms);
         all.add(&report, workers, ms);
     }
